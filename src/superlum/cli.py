@@ -41,6 +41,7 @@ from .kinematics import (
     Branch,
     Event1p1,
     Event1p3,
+    K_from_c,
     boost_1p1,
     boost_1p3_subluminal,
     boost_1p3_superluminal,
@@ -83,7 +84,7 @@ def cmd_boost(args: argparse.Namespace) -> int:
     event = [float(v) for v in data["event"]]
     spec = data["boost"]
     if len(event) == 2:
-        b = _parse_boost(spec, 1.0 / (c * c))
+        b = _parse_boost(spec, K_from_c(c))
         out = boost_1p1(Event1p1(*event), b)
         _dump({"event": [out.t, out.x], "branch": b.branch.value}, args.output)
         return 0
@@ -105,8 +106,7 @@ def cmd_boost(args: argparse.Namespace) -> int:
 
 def cmd_compose(args: argparse.Namespace) -> int:
     data = _read_json(args.input)
-    c = float(data.get("c", args.c))
-    K = 1.0 / (c * c)
+    K = K_from_c(float(data.get("c", args.c)))
     boosts = data["boosts"]
     if len(boosts) != 2:
         raise SuperlumError("compose expects exactly two boosts")
@@ -165,7 +165,7 @@ def cmd_diagram(args: argparse.Namespace) -> int:
     else:
         sc = load_scenario(args.input)
     d = sc.diagram
-    K = 1.0 / (d.c * d.c)
+    K = K_from_c(d.c)
     if args.infinite:
         d = transform_diagram(d, Boost.infinite(K))
     elif args.boost_v is not None:
@@ -254,20 +254,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, needs_input=True, light_speed=False) -> None:
         if needs_input:
             p.add_argument("--input", required=True, help="input JSON path")
         p.add_argument("--output", help="output file (default stdout)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tolerance", type=float, default=None)
-        p.add_argument("--c", type=float, default=1.0, help="light speed")
+        if light_speed:
+            p.add_argument("--c", type=float, default=1.0,
+                           help="light speed, unless the input sets c")
 
     p_boost = sub.add_parser("boost", help="transform one event")
-    common(p_boost)
+    common(p_boost, light_speed=True)
     p_boost.set_defaults(func=cmd_boost)
 
     p_compose = sub.add_parser("compose", help="compose two boosts")
-    common(p_compose)
+    common(p_compose, light_speed=True)
     p_compose.set_defaults(func=cmd_compose)
 
     p_diagram = sub.add_parser(
@@ -279,9 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_diagram.add_argument("--output", help="SVG output path (default stdout)")
     p_diagram.add_argument("--format", choices=("svg", "json"), default="svg")
-    p_diagram.add_argument("--seed", type=int, default=0)
-    p_diagram.add_argument("--tolerance", type=float, default=None)
-    p_diagram.add_argument("--c", type=float, default=1.0)
     p_diagram.add_argument("--title", default=None)
     group = p_diagram.add_mutually_exclusive_group()
     group.add_argument("--boost-v", type=float, default=None,
@@ -294,6 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
     common(p_verify, needs_input=False)
+    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--tolerance", type=float, default=None,
+                          help="replace every default pass tolerance")
     p_verify.add_argument(
         "--break-antisymmetric-term", action="store_true",
         help="sabotage: drop the W/|W| factor from superluminal matrices",
@@ -308,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--input", help="scan parameters JSON path")
     p_scan.add_argument("--output", help="CSV output path (default stdout)")
     p_scan.add_argument("--seed", type=int, default=0)
-    p_scan.add_argument("--tolerance", type=float, default=None)
-    p_scan.add_argument("--c", type=float, default=1.0)
     p_scan.set_defaults(func=cmd_scan)
 
     p_amp = sub.add_parser("amplitude", help="sum a phase set into an amplitude")

@@ -22,7 +22,7 @@ from .errors import (
     MixedK,
     ZeroExtent,
 )
-from .kinematics import Boost, Event1p1, boost_1p1
+from .kinematics import Boost, Event1p1, K_from_c, boost_1p1
 
 CLASSIFY_TOL = 1e-9
 
@@ -90,8 +90,7 @@ class Diagram:
     c: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.c > 0:
-            raise ValueError(f"c must be positive, got {self.c!r}")
+        K_from_c(self.c)  # rejects a light speed that is not positive and finite
         segs = [tuple(p) for p in self.segments]
         for frm, to in segs:
             if frm not in self.events or to not in self.events:

@@ -9,8 +9,8 @@ class BranchSpeedViolation(SuperlumError):
     """Speed is outside the valid range for the requested branch."""
 
 
-class NonpositiveK(SuperlumError):
-    """Branch-parametrized transforms require K > 0."""
+class NonpositiveK(SuperlumError, ValueError):
+    """K = 1/c**2 must be positive and finite, and so must a light speed c."""
 
 
 class ZeroVelocity(SuperlumError):

@@ -112,11 +112,12 @@ def _speed_magnitude(speed) -> float:
 class Boost:
     """A branch-tagged boost with one shared constant K = 1/c**2.
 
-    speed is a signed scalar for 1+1 work or a 3-vector for 1+3 work.  The
-    branch bound is checked at construction: subluminal needs |V| < c and
-    superluminal needs |W| > c, with speeds inside a 1e-12 relative band of
-    c rejected by both.  math.inf is a valid superluminal speed and denotes
-    the exact infinite-speed transform (time and space axes exchanged).
+    speed is a signed scalar for 1+1 work or a 3-vector for 1+3 work.  K > 0
+    and the branch bound are checked here, at construction, and nowhere else:
+    subluminal needs |V| < c and superluminal needs |W| > c, with speeds
+    inside a 1e-12 relative band of c rejected by both.  math.inf is a valid
+    superluminal speed and denotes the exact infinite-speed transform (time
+    and space axes exchanged).
     """
 
     branch: Branch
@@ -203,17 +204,63 @@ def superluminal_family(
 
 
 # ---------------------------------------------------------------------------
-# 1+1 matrices and boosts.  Matrices act on column vectors (t, x).
+# 1+1 matrices and boosts.  Every 1+1 boost has the one form
+# (t, x) -> (a*(t - K*V*x), a*(x - V*t)); the branches differ only in the
+# scale a = A(V).  Matrices act on column vectors (t, x).
+
+
+def K_from_c(c: float) -> float:
+    """K = 1/c**2 for a light speed c, which must be positive and finite."""
+    if not (c > 0 and math.isfinite(c)):
+        raise NonpositiveK(f"light speed c must be positive and finite, got c={c!r}")
+    return 1.0 / (c * c)
+
+
+def _form(a: float, K: float, V: float) -> tuple[float, float, float, float]:
+    """Matrix entries, row by row, of (t, x) -> (a*(t - K*V*x), a*(x - V*t))."""
+    return a, -a * K * V, -a * V, a
+
+
+def _entries(
+    b: Boost, positive_convention: bool = False, antisymmetric_term: bool = True
+) -> tuple[float, float, float, float]:
+    """Matrix entries of an already validated scalar-speed boost.
+
+    The scale is 1/sqrt(1 - K*V**2) below c and sign*(W/|W|)/sqrt(K*W**2 - 1)
+    above it, the sign negative by default; infinite speed is the exact axis
+    swap.  antisymmetric_term=False drops W/|W|: the deliberately broken
+    variant, for which boost(-W) followed by boost(W) is -identity.
+    """
+    if isinstance(b.speed, tuple):
+        raise TypeError("1+1 operations require a scalar-speed boost")
+    V, K = b.speed, b.K
+    if b.branch is Branch.SUBLUMINAL:
+        return _form(1.0 / math.sqrt(1.0 - K * V * V), K, V)
+    sign = 1.0 if positive_convention else -1.0
+    if math.isinf(V):
+        if not antisymmetric_term:
+            raise ValueError("the broken variant has no infinite-speed limit")
+        c = 1.0 / math.sqrt(K)
+        return 0.0, -sign * (1.0 / c), -sign * c, 0.0
+    a = sign / math.sqrt(K * V * V - 1.0)
+    if antisymmetric_term:
+        a *= math.copysign(1.0, V)
+    return _form(a, K, V)
+
+
+def _apply(m: tuple[float, float, float, float], e: Event1p1) -> Event1p1:
+    return Event1p1(m[0] * e.t + m[1] * e.x, m[2] * e.t + m[3] * e.x)
+
+
+def boost_matrix_1p1(
+    b: Boost, *, positive_convention: bool = False, antisymmetric_term: bool = True
+) -> np.ndarray:
+    m = _entries(b, positive_convention, antisymmetric_term)
+    return np.array([m[:2], m[2:]])
 
 
 def subluminal_matrix(V: float, K: float = 1.0) -> np.ndarray:
-    if not (K > 0):
-        raise NonpositiveK(f"matrix form requires K > 0, got {K!r}")
-    c = 1.0 / math.sqrt(K)
-    if not abs(V) < c * (1.0 - BOUNDARY_BAND):
-        raise BranchSpeedViolation(f"|V|={abs(V)!r} is not below c={c!r}")
-    g = 1.0 / math.sqrt(1.0 - K * V * V)
-    return np.array([[g, -g * K * V], [-g * V, g]])
+    return boost_matrix_1p1(Boost(Branch.SUBLUMINAL, V, K))
 
 
 def superluminal_matrix(
@@ -225,54 +272,19 @@ def superluminal_matrix(
 ) -> np.ndarray:
     """Matrix of the superluminal boost, determinant -1.
 
-    The default convention takes the overall sign negative.  The W/|W| factor
-    is what makes the family antisymmetric and the inverse law hold;
-    antisymmetric_term=False builds the deliberately broken variant (then
-    boost(-W) followed by boost(W) is -identity, a point reflection, for
-    every W).
+    The default convention takes the overall sign negative; see _entries for
+    antisymmetric_term.
     """
-    if not (K > 0):
-        raise NonpositiveK(f"matrix form requires K > 0, got {K!r}")
-    conv = 1.0 if positive_convention else -1.0
-    c = 1.0 / math.sqrt(K)
-    if math.isinf(W):
-        if not antisymmetric_term:
-            raise ValueError("the broken variant has no infinite-speed limit")
-        rc = 1.0 / c
-        return np.array([[0.0, -conv * rc], [-conv * c, 0.0]])
-    if not abs(W) > c * (1.0 + BOUNDARY_BAND):
-        raise BranchSpeedViolation(f"|W|={abs(W)!r} is not above c={c!r}")
-    a = conv / math.sqrt(K * W * W - 1.0)
-    if antisymmetric_term:
-        a *= math.copysign(1.0, W)
-    return np.array([[a, -a * K * W], [-a * W, a]])
-
-
-def boost_matrix_1p1(
-    b: Boost, *, positive_convention: bool = False, antisymmetric_term: bool = True
-) -> np.ndarray:
-    if isinstance(b.speed, tuple):
-        raise TypeError("1+1 operations require a scalar-speed boost")
-    if b.branch is Branch.SUBLUMINAL:
-        return subluminal_matrix(b.speed, b.K)
-    return superluminal_matrix(
-        b.speed,
-        b.K,
+    return boost_matrix_1p1(
+        Boost(Branch.SUPERLUMINAL, W, K),
         positive_convention=positive_convention,
         antisymmetric_term=antisymmetric_term,
     )
 
 
-def apply_matrix_1p1(M: np.ndarray, e: Event1p1) -> Event1p1:
-    t, x = M @ np.array([e.t, e.x])
-    return Event1p1(float(t), float(x))
-
-
-def boost_1p1(e: Event1p1, b: Boost, *, positive_convention: bool = False) -> Event1p1:
+def boost_1p1(e: Event1p1, b: Boost) -> Event1p1:
     """Transform an event into the frame moving at b.speed."""
-    return apply_matrix_1p1(
-        boost_matrix_1p1(b, positive_convention=positive_convention), e
-    )
+    return _apply(_entries(b), e)
 
 
 def velocity_of_matrix(M: np.ndarray) -> float:
@@ -377,8 +389,7 @@ def general_boost_1p1(e: Event1p1, fam: GeneralTransformFamily, V: float) -> Eve
     a = fam.A(V)
     if not math.isfinite(a) or abs(a) < 1e-300:
         raise DegenerateA(f"A({V!r}) = {a!r}")
-    kappa = _k_expression(fam, V)
-    return Event1p1(a * (e.t - kappa * V * e.x), a * (e.x - V * e.t))
+    return _apply(_form(a, _k_expression(fam, V), V), e)
 
 
 def extract_K(
@@ -411,24 +422,13 @@ def extract_K(
 # 1+3 transforms.
 
 
-def _as_vec3(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError("expected a 3-vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("vector components must be finite")
-    return arr
-
-
 def boost_1p3_subluminal(e: Event1p3, V, c: float = 1.0) -> Event1p3:
     """Boost along an arbitrary direction; the component of r along V mixes
     with t and the perpendicular part is untouched.  V = 0 is the identity."""
-    vel = _as_vec3(V)
+    vel = np.asarray(Boost(Branch.SUBLUMINAL, tuple(V), K_from_c(c)).speed)
     speed = float(np.linalg.norm(vel))
     if speed == 0.0:
         return Event1p3(e.t, e.r)
-    if not speed < c * (1.0 - BOUNDARY_BAND):
-        raise BranchSpeedViolation(f"subluminal branch requires |V| < c: |V|={speed!r}")
     r = np.asarray(e.r)
     g = 1.0 / math.sqrt(1.0 - (speed / c) ** 2)
     vr = float(vel @ r)
@@ -444,13 +444,11 @@ def boost_1p3_superluminal(e: Event1p3, W, c: float = 1.0) -> SuperluminalEvent1
     tvec'.  As |W| grows the result approaches x' = c*t, tvec' = r/c for
     every direction of W.
     """
-    wvec = _as_vec3(W)
+    wvec = np.asarray(Boost(Branch.SUPERLUMINAL, tuple(W), K_from_c(c)).speed)
     w = float(np.linalg.norm(wvec))
     if not math.isfinite(w):
         raise ValueError("W must be finite; approximate the infinite-speed "
                          "transform with a large |W|")
-    if not w > c * (1.0 + BOUNDARY_BAND):
-        raise BranchSpeedViolation(f"superluminal branch requires |W| > c: |W|={w!r}")
     r = np.asarray(e.r)
     g = 1.0 / math.sqrt((w / c) ** 2 - 1.0)
     wr = float(wvec @ r)

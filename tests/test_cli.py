@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from superlum.cli import main
+from superlum.cli import build_parser, main
 
 
 def _write(tmp_path, name, payload):
@@ -273,3 +273,74 @@ def test_invalid_json_input(tmp_path, capsys):
     p.write_text("{oops", encoding="utf-8")
     code, _, err = _run(capsys, "boost", "--input", str(p))
     assert code == 2 and "JSONDecodeError" in err
+
+
+# ---------------------------------------------------------------------------
+# Light speed and removed flags
+
+
+@pytest.mark.parametrize("c", [0, -1.0])
+def test_boost_rejects_bad_light_speed_in_input(tmp_path, capsys, c):
+    inp = _write(
+        tmp_path, "b.json",
+        {"c": c, "event": [1, 0], "boost": {"branch": "subluminal", "speed": 0.1}},
+    )
+    code, _, err = _run(capsys, "boost", "--input", inp)
+    assert code == 2
+    assert "NonpositiveK" in err and "light speed" in err
+
+
+def test_1p3_boost_rejects_negative_c_flag(tmp_path, capsys):
+    inp = _write(
+        tmp_path, "b.json",
+        {"event": [0.0, 1.0, 0.0, 0.0],
+         "boost": {"branch": "subluminal", "speed": [0.1, 0.0, 0.0]}},
+    )
+    code, _, err = _run(capsys, "boost", "--input", inp, "--c", "-1")
+    assert code == 2
+    assert "NonpositiveK" in err and "BranchSpeedViolation" not in err
+
+
+def test_compose_rejects_zero_light_speed(tmp_path, capsys):
+    inp = _write(
+        tmp_path, "c.json",
+        {"c": 0.0, "boosts": [{"branch": "subluminal", "speed": 0.1}] * 2},
+    )
+    code, _, err = _run(capsys, "compose", "--input", inp)
+    assert code == 2 and "NonpositiveK" in err
+
+
+VALID_LINES = {
+    "boost": ["boost", "--input", "b.json"],
+    "compose": ["compose", "--input", "c.json"],
+    "amplitude": ["amplitude", "--input", "a.json"],
+    "diagram": ["diagram", "--input", "fig2a"],
+    "scan": ["scan"],
+    "verify": ["verify"],
+}
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [
+        ("boost", "--seed", "1"),
+        ("boost", "--tolerance", "1e-3"),
+        ("compose", "--seed", "1"),
+        ("compose", "--tolerance", "1e-3"),
+        ("amplitude", "--seed", "1"),
+        ("amplitude", "--tolerance", "1e-3"),
+        ("amplitude", "--c", "2"),
+        ("diagram", "--seed", "1"),
+        ("diagram", "--tolerance", "1e-3"),
+        ("diagram", "--c", "2"),
+        ("scan", "--c", "2"),
+        ("scan", "--tolerance", "1e-3"),
+        ("verify", "--c", "2"),
+    ],
+)
+def test_removed_flags_are_usage_errors(capsys, command, flag, value):
+    line = VALID_LINES[command]
+    build_parser().parse_args(line)  # the line is valid without the flag
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([*line, flag, value])
+    assert exc.value.code == 2

@@ -285,3 +285,20 @@ def test_svg_labels_every_event():
     svg = render_svg(d)
     for label in d.events:
         assert f">{label}<" in svg
+
+
+def test_svg_escapes_markup_in_labels_and_title():
+    import xml.etree.ElementTree as ET
+
+    d = _diagram({"<a&b>": (0, 0), "B": (1, 3), "C": (2, 0.5)},
+                 [("<a&b>", "B"), ("<a&b>", "C")])
+    root = ET.fromstring(render_svg(d, title='say "&<" here'))
+    ns = "{http://www.w3.org/2000/svg}"
+    assert len(root.findall(f"{ns}circle")) == len(d.events)
+    texts = [t.text for t in root.findall(f"{ns}text")]
+    assert 'say "&<" here' in texts and "<a&b>" in texts
+
+
+def test_diagram_rejects_nonfinite_light_speed():
+    with pytest.raises(ValueError):
+        _diagram({"A": (0, 0), "B": (1, 0)}, [("A", "B")], c=float("inf"))

@@ -440,3 +440,47 @@ def test_interval_nm_quadratic_form():
 def _random_unit(rng) -> np.ndarray:
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
+
+
+# ---------------------------------------------------------------------------
+# One kernel behind every 1+1 result, and one light-speed check
+
+
+@pytest.mark.parametrize(
+    "b",
+    [
+        Boost(Branch.SUBLUMINAL, 0.6),
+        Boost(Branch.SUBLUMINAL, -0.93, K=0.25),
+        Boost(Branch.SUPERLUMINAL, 3.0),
+        Boost(Branch.SUPERLUMINAL, -1.2, K=4.0),
+        Boost.infinite(),
+        Boost.infinite(K=0.25),
+    ],
+)
+def test_boost_1p1_agrees_with_its_matrix(b, rng):
+    M = boost_matrix_1p1(b)
+    for _ in range(50):
+        t, x = rng.uniform(-3, 3, 2)
+        out = boost_1p1(Event1p1(t, x), b)
+        want = M @ np.array([t, x])
+        scale = np.abs(M) @ np.abs([t, x])
+        assert np.all(np.abs([out.t, out.x] - want) <= 1e-15 * scale)
+
+
+def test_1p3_subluminal_rejects_light_speed_and_above():
+    e = Event1p3(1.0, (0.0, 0.0, 0.0))
+    for v in [(1.0, 0.0, 0.0), (0.0, 0.6, 0.8), (2.0, 0.0, 0.0), (0.0, 0.0, -5.0)]:
+        with pytest.raises(BranchSpeedViolation):
+            boost_1p3_subluminal(e, v)
+    with pytest.raises(BranchSpeedViolation):
+        boost_1p3_subluminal(e, (2.0, 0.0, 0.0), c=2.0)
+    assert boost_1p3_subluminal(e, (1.2, 0.0, 0.0), c=2.0).t == APPROX(1.25, rel=1e-15)
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, math.inf, math.nan])
+def test_bad_light_speed_is_named_in_1p3(c):
+    e = Event1p3(1.0, (0.0, 0.0, 0.0))
+    with pytest.raises(NonpositiveK, match="light speed"):
+        boost_1p3_subluminal(e, (0.0, 0.0, 0.0), c=c)
+    with pytest.raises(NonpositiveK, match="light speed"):
+        boost_1p3_superluminal(e, (3.0, 0.0, 0.0), c=c)

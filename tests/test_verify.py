@@ -1,6 +1,9 @@
 """Structure and knobs of the built-in verification suite."""
 
 import json
+import math
+
+import pytest
 
 from superlum import run_suite, suite_report
 
@@ -26,3 +29,43 @@ def test_sabotage_knobs_break_their_checks():
     assert not broken["superluminal_inverse_law"].passed
     perturbed = {r.name: r for r in run_suite(seed=0, perturb_cauchy=0.1)}
     assert not perturbed["cauchy_condition"].passed
+
+
+def test_seed_42_passes():
+    # its sign-flip pair sits near the light cone (s2 ~ 9e-7, dt2 + dx2 ~ 0.17)
+    assert [r.name for r in run_suite(seed=42) if not r.passed] == []
+
+
+INTERVAL_CHECKS = {
+    "interval_sign_flip_1p1",
+    "interval_sign_flip_1p3",
+    "subluminal_interval_invariance",
+}
+
+
+def test_interval_checks_catch_a_relative_error_of_1e9(monkeypatch):
+    from superlum import kinematics as kin
+
+    f = math.sqrt(1.0 + 1e-9)  # scales every interval by 1 + 1e-9
+    boost_1p1, boost_1p3 = kin.boost_1p1, kin.boost_1p3_superluminal
+
+    def scaled_1p1(e, b):
+        out = boost_1p1(e, b)
+        return kin.Event1p1(f * out.t, f * out.x)
+
+    def scaled_1p3(e, w):
+        out = boost_1p3(e, w)
+        return kin.SuperluminalEvent1p3(tuple(f * v for v in out.tvec), f * out.x)
+
+    monkeypatch.setattr(kin, "boost_1p1", scaled_1p1)
+    monkeypatch.setattr(kin, "boost_1p3_superluminal", scaled_1p3)
+    failed = {r.name for r in run_suite(seed=0) if not r.passed}
+    assert INTERVAL_CHECKS <= failed
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_each_sabotage_fails_exactly_its_check(seed):
+    broken = run_suite(seed=seed, break_antisymmetric_term=True)
+    assert {r.name for r in broken if not r.passed} == {"superluminal_inverse_law"}
+    perturbed = run_suite(seed=seed, perturb_cauchy=1e-3)
+    assert {r.name for r in perturbed if not r.passed} == {"cauchy_condition"}
