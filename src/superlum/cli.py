@@ -3,7 +3,8 @@
 Subcommands: boost, compose, diagram, verify, scan, amplitude.  Exit codes:
 0 success, 1 a verification check failed, 2 bad usage or invalid input.
 Reports are JSON on stdout unless --output is given; a fixed --seed makes
-them bit-identical across runs.
+them bit-identical across runs.  Each stream gets at most one document:
+diagram --format svg without --output prints the SVG alone.
 """
 
 from __future__ import annotations
@@ -173,14 +174,14 @@ def cmd_diagram(args: argparse.Namespace) -> int:
     elif args.boost_w is not None:
         d = transform_diagram(d, Boost(Branch.SUPERLUMINAL, args.boost_w, K))
     sc = Scenario(d, sc.source, sc.sinks)
-    report = _diagram_report(sc)
-    if args.format == "svg":
-        svg = render_svg(d, title=args.title)
-        if args.output:
-            Path(args.output).write_text(svg, encoding="utf-8")
-        else:
-            sys.stdout.write(svg + "\n")
-    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    if args.format == "json":
+        _dump(_diagram_report(sc), args.output)
+    elif args.output:
+        report = _diagram_report(sc)  # first, so a rejected scenario writes no file
+        _emit(render_svg(d, title=args.title), args.output)
+        _dump(report, None)
+    else:
+        _emit(render_svg(d, title=args.title), None)  # the SVG alone on stdout
     return 0
 
 
@@ -277,7 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--input", required=True,
         help=f"scenario JSON path or fixture name {FIXTURE_NAMES}",
     )
-    p_diagram.add_argument("--output", help="SVG output path (default stdout)")
+    p_diagram.add_argument(
+        "--output",
+        help="file for the --format document (default stdout); with --format "
+        "svg and --output, the JSON report goes to stdout",
+    )
     p_diagram.add_argument("--format", choices=("svg", "json"), default="svg")
     p_diagram.add_argument("--title", default=None)
     group = p_diagram.add_mutually_exclusive_group()

@@ -160,32 +160,79 @@ class PathSet:
     paths: tuple[tuple[str, ...], ...]
 
 
-def _check_acyclic(d: Diagram) -> None:
-    adjacency: dict[str, list[str]] = {label: [] for label in d.events}
+def _successors(d: Diagram) -> dict[str, tuple[str, ...]]:
+    """Sorted successor labels of every event, after one Kahn pass.
+
+    The pass peels off events whose predecessors are all gone (Kahn 1962);
+    events left over lie on a directed cycle or downstream of one, and the
+    CyclicDiagram message names one that lies on the cycle.  No recursion,
+    so depth is unbounded.
+    """
+    succ: dict[str, list[str]] = {label: [] for label in d.events}
+    waiting = dict.fromkeys(d.events, 0)  # predecessors not yet peeled off
     for frm, to in d.segments:
-        adjacency[frm].append(to)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {label: WHITE for label in d.events}
+        succ[frm].append(to)
+        waiting[to] += 1
+    ready = [label for label, n in waiting.items() if not n]
+    done = 0
+    while ready:
+        node = ready.pop()
+        done += 1
+        for nxt in succ[node]:
+            waiting[nxt] -= 1
+            if not waiting[nxt]:
+                ready.append(nxt)
+    if done < len(waiting):
+        # Every leftover event has a leftover predecessor, so walking back
+        # along them must revisit an event, and that event is on a cycle.
+        pred = {to: frm for frm, to in d.segments if waiting[frm] and waiting[to]}
+        node = next(label for label, n in waiting.items() if n)
+        seen = set()
+        while node not in seen:
+            seen.add(node)
+            node = pred[node]
+        raise CyclicDiagram(f"directed cycle through {node!r}")
+    return {label: tuple(sorted(nbrs)) for label, nbrs in succ.items()}
 
-    def visit(node: str) -> None:
-        color[node] = GRAY
-        for nxt in adjacency[node]:
-            if color[nxt] == GRAY:
-                raise CyclicDiagram(f"directed cycle through {nxt!r}")
-            if color[nxt] == WHITE:
-                visit(nxt)
-        color[node] = BLACK
 
-    for label in d.events:
-        if color[label] == WHITE:
-            visit(label)
+def _walk(succ: Mapping[str, tuple[str, ...]], source: str,
+          sinks: frozenset[str]) -> tuple[tuple[str, ...], ...]:
+    """Every chain from source that ends on a sink, in pre-order over the
+    sorted successors.  An explicit stack of successor iterators and one
+    mutable trail replace recursion; a trail is copied only when it counts.
+    """
+    found: list[tuple[str, ...]] = []
+    trail = [source]
+    stack = [iter(succ[source])]
+    # bound methods, looked up once: this loop runs once per listed step
+    push, pop, emit = stack.append, stack.pop, found.append
+    step, back = trail.append, trail.pop
+    while stack:
+        for nxt in stack[-1]:  # advance the deepest iterator by one
+            step(nxt)
+            if nxt in sinks:
+                emit(tuple(trail))
+            if succ[nxt]:
+                push(iter(succ[nxt]))
+            else:
+                back()
+            break
+        else:  # exhausted: retreat one event
+            pop()
+            back()
+    return tuple(found)
 
 
 def count_paths(d: Diagram, source: str, sinks: Iterable[str]) -> tuple[int, PathSet]:
     """Count directed chains from source to any sink, and list them.
 
     A chain may continue through a sink toward another sink; every prefix
-    ending on a sink counts once.  The segment graph must be acyclic.
+    ending on a sink counts once.  The segment graph must be acyclic
+    anywhere, not only where the source reaches.  Paths are listed in
+    pre-order: from each event the successors are taken in sorted label
+    order, and a prefix comes before its extensions.  The cost is linear in
+    the events and segments plus the total length of the listed paths, and
+    no recursion limit caps the depth; the count is len(paths), an exact int.
     """
     sink_set = tuple(sorted(set(sinks)))
     if source not in d.events:
@@ -195,23 +242,8 @@ def count_paths(d: Diagram, source: str, sinks: Iterable[str]) -> tuple[int, Pat
             raise InvalidScenario(f"unknown sink {s!r}")
     if not sink_set:
         raise InvalidScenario("at least one sink is required")
-    _check_acyclic(d)
-    adjacency: dict[str, list[str]] = {label: [] for label in d.events}
-    for frm, to in d.segments:
-        adjacency[frm].append(to)
-    for nbrs in adjacency.values():
-        nbrs.sort()
-    found: list[tuple[str, ...]] = []
-
-    def walk(node: str, trail: tuple[str, ...]) -> None:
-        if node in sink_set and len(trail) > 1:
-            found.append(trail)
-        for nxt in adjacency[node]:
-            walk(nxt, trail + (nxt,))
-
-    walk(source, (source,))
-    pathset = PathSet(source, sink_set, tuple(found))
-    return len(found), pathset
+    paths = _walk(_successors(d), source, frozenset(sink_set))
+    return len(paths), PathSet(source, sink_set, paths)
 
 
 def terminal_events(d: Diagram) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -228,17 +260,16 @@ def terminal_events(d: Diagram) -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 def count_paths_auto(d: Diagram) -> tuple[int, tuple[PathSet, ...]]:
     """Path census of the current frame: chains from every pure start event
-    of the segment graph to the pure end events."""
+    of the segment graph to the pure end events, one PathSet per start
+    event in label order.  The graph is built and checked once and shared
+    by every start event."""
+    succ = _successors(d)
     sources, sinks = terminal_events(d)
     if not sources or not sinks:
         return 0, ()
-    total = 0
-    sets = []
-    for src in sources:
-        n, ps = count_paths(d, src, sinks)
-        total += n
-        sets.append(ps)
-    return total, tuple(sets)
+    sink_set = frozenset(sinks)
+    sets = tuple(PathSet(src, sinks, _walk(succ, src, sink_set)) for src in sources)
+    return sum(len(ps.paths) for ps in sets), sets
 
 
 # ---------------------------------------------------------------------------

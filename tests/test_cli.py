@@ -2,6 +2,7 @@
 
 import json
 import math
+from xml.etree import ElementTree
 
 import pytest
 
@@ -160,6 +161,38 @@ def test_diagram_svg_artifact(tmp_path, capsys):
     assert svg.startswith("<svg") and svg.count('stroke-dasharray="7,5"') == 1
     # the role/path report still lands on stdout
     assert json.loads(out)["frame"]["path_count"] == 1
+
+
+def test_diagram_svg_stdout_is_one_xml_document(capsys):
+    code, out, _ = _run(capsys, "diagram", "--input", "fig2a")
+    assert code == 0
+    assert ElementTree.fromstring(out).tag.endswith("svg")
+
+
+def test_diagram_json_output_file(tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    code, out, _ = _run(
+        capsys, "diagram", "--input", "fig5a", "--format", "json",
+        "--output", str(report_path),
+    )
+    assert code == 0 and out == ""
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert report["frame"]["path_count"] == 2
+
+
+def test_diagram_deep_chain(tmp_path, capsys):
+    n = 3000
+    inp = _write(
+        tmp_path, "chain.json",
+        {
+            "events": {f"c{i}": [float(i), 0.1 * (i % 2)] for i in range(n)},
+            "segments": [[f"c{i}", f"c{i + 1}"] for i in range(n - 1)],
+        },
+    )
+    code, out, _ = _run(capsys, "diagram", "--input", inp, "--format", "json")
+    assert code == 0
+    frame = json.loads(out)["frame"]
+    assert frame["path_count"] == 1 and len(frame["paths"][0]) == n
 
 
 def test_diagram_scenario_file_rejects_unknown_sink(tmp_path, capsys):

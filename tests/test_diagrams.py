@@ -1,8 +1,11 @@
 """Diagram bookkeeping: speed classes, frame changes, roles, path counts."""
 
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superlum import (
     Boost,
@@ -224,6 +227,131 @@ def test_cyclic_diagram_detected():
     d = _diagram({"P": (0, 0), "Q": (0, 1)}, [("P", "Q"), ("Q", "P")])
     with pytest.raises(CyclicDiagram):
         count_paths(d, "P", ("Q",))
+
+
+def _chain(n, cyclic=False):
+    events = {f"c{i}": (float(i), 0.1 * (i % 2)) for i in range(n)}
+    segments = [(f"c{i}", f"c{i + 1}") for i in range(n - 1)]
+    if cyclic:  # all events simultaneous, so every segment keeps its direction
+        events = {label: (0.0, float(i)) for i, label in enumerate(events)}
+        segments.append((f"c{n - 1}", "c0"))
+    return _diagram(events, segments)
+
+
+@pytest.mark.parametrize("n", [3000, 10**5])
+def test_deep_chain_counts_one_path(n):
+    d = _chain(n)
+    whole = tuple(f"c{i}" for i in range(n))
+    count, ps = count_paths(d, "c0", (f"c{n - 1}",))
+    assert count == 1 and ps.paths == (whole,)
+    auto_count, sets = count_paths_auto(d)
+    assert auto_count == 1 and [s.paths for s in sets] == [(whole,)]
+
+
+def test_deep_cycle_is_cyclic_not_recursion_error():
+    with pytest.raises(CyclicDiagram):
+        count_paths(_chain(3000, cyclic=True), "c0", ("c1",))
+
+
+# Reference implementations for the path layer: the recursive enumeration
+# that listed PathSet.paths before, and a path count by dynamic programming
+# over a Kahn topological order.
+
+
+def _recursive_paths(d, source, sinks):
+    adjacency = {label: [] for label in d.events}
+    for frm, to in d.segments:
+        adjacency[frm].append(to)
+    for nbrs in adjacency.values():
+        nbrs.sort()
+    found = []
+
+    def walk(node, trail):
+        if node in sinks and len(trail) > 1:
+            found.append(trail)
+        for nxt in adjacency[node]:
+            walk(nxt, trail + (nxt,))
+
+    walk(source, (source,))
+    return tuple(found)
+
+
+def _dp_count(d, sources, sinks):
+    succ = {label: [] for label in d.events}
+    indeg = dict.fromkeys(d.events, 0)
+    for frm, to in d.segments:
+        succ[frm].append(to)
+        indeg[to] += 1
+    total = 0
+    for source in sources:
+        ways = dict.fromkeys(d.events, 0)
+        ways[source] = 1
+        waiting = dict(indeg)
+        ready = [label for label, n in waiting.items() if not n]
+        while ready:
+            node = ready.pop()
+            for nxt in succ[node]:
+                ways[nxt] += ways[node]
+                waiting[nxt] -= 1
+                if not waiting[nxt]:
+                    ready.append(nxt)
+        # the empty chain at the source is no path
+        total += sum(ways[k] for k in sinks) - (source in sinks)
+    return total
+
+
+@st.composite
+def _random_dag(draw):
+    """Up to 8 events whose labels sort in a random order against the
+    topological one; segments run from lower to higher index, duplicates
+    allowed, so there can be several sources and sinks mid-graph."""
+    n = draw(st.integers(2, 8))
+    labels = draw(st.permutations("abcdefgh"))[:n]
+    events = {labels[i]: (float(i), draw(st.sampled_from([-0.5, 0.0, 0.5])))
+              for i in range(n)}
+    pairs = st.tuples(st.integers(0, n - 2), st.integers(1, n - 1)).filter(
+        lambda p: p[0] < p[1])
+    segments = [(labels[i], labels[j])
+                for i, j in draw(st.lists(pairs, min_size=1, max_size=14))]
+    return _diagram(events, segments)
+
+
+@given(_random_dag(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_paths_match_recursive_enumeration_and_dp_count(d, data):
+    labels = sorted(d.events)
+    source = data.draw(st.sampled_from(labels))
+    sinks = data.draw(st.sets(st.sampled_from(labels), min_size=1))
+    count, ps = count_paths(d, source, sinks)
+    assert ps.paths == _recursive_paths(d, source, sinks)
+    assert count == len(ps.paths) == _dp_count(d, [source], sinks)
+    sources, ends = terminal_events(d)
+    auto_count, sets = count_paths_auto(d)
+    assert auto_count == _dp_count(d, sources, ends)
+    assert [ps.paths for ps in sets] == [
+        _recursive_paths(d, src, ends) for src in sources]
+
+
+@given(_random_dag(), st.integers(2, 4), st.data())
+@settings(max_examples=100, deadline=None)
+def test_unreachable_cycle_is_named(d, length, data):
+    """A cycle z0 -> ... -> z0 with a tail y into the DAG: nothing reaches it,
+    and y, listed first, is left over by the topological pass but is not on
+    the cycle."""
+    target = data.draw(st.sampled_from(sorted(d.events)))
+    ring = [f"z{i}" for i in range(length)]
+    events = {"y": (-1.0, 9.0), **{k: (e.t, e.x) for k, e in d.events.items()},
+              **{z: (-2.0, float(i)) for i, z in enumerate(ring)}}
+    segments = [*d.segments, *zip(ring, ring[1:] + ring[:1]),
+                (ring[-1], "y"), ("y", target)]
+    cyclic = _diagram(events, segments)
+    source = min(d.events)
+    for call in (lambda: count_paths(cyclic, source, (target,)),
+                 lambda: count_paths_auto(cyclic)):
+        with pytest.raises(CyclicDiagram) as exc:
+            call()
+        named = re.fullmatch(r"directed cycle through '(\w+)'", str(exc.value))
+        assert named and named.group(1) in ring
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,18 @@ def test_seed_42_passes():
     assert [r.name for r in run_suite(seed=42) if not r.passed] == []
 
 
+MODEL_GAP_BOUNDS = {"rapidity_band": 1e-6, "infinite_speed_limit": 1e-8}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_tight_tolerance_leaves_model_gaps_alone(seed):
+    reports = run_suite(seed=seed, tolerance=1e-12)
+    assert [r.name for r in reports if not r.passed] == []
+    for r in reports:
+        expected = MODEL_GAP_BOUNDS.get(r.name, 1e-12)
+        assert r.tol == expected or r.params.get("expected") == "failure"
+
+
 INTERVAL_CHECKS = {
     "interval_sign_flip_1p1",
     "interval_sign_flip_1p3",
