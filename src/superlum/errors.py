@@ -53,6 +53,11 @@ class TruncationInsufficient(SuperlumError):
     """The exponential-series tail bound exceeds the requested tolerance."""
 
 
+class NonfiniteResult(SuperlumError):
+    """A value's magnitude does not fit in a float; the message names the
+    inputs and log10 of the magnitude."""
+
+
 class InvalidScenario(SuperlumError):
     """Scenario JSON does not match the expected schema."""
 

@@ -28,7 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationInsufficient
-from .invariants import as_phases, check_multiplicativity, pairwise_phase_sums
+from .invariants import (
+    _log_sums,
+    _magnitude,
+    as_phases,
+    check_multiplicativity,
+    pairwise_phase_sums,
+)
 from .report import CheckReport, relative_deviation
 
 
@@ -192,13 +198,19 @@ def cauchy_condition_check(
 
 
 def closed_product(ct: CoefficientTensor, phases, n_override: int | None = None) -> complex:
-    """n**(-beta') * prod_i sum_j exp(alpha_i * phi_j), the resummed series."""
+    """n**(-beta') * prod_i sum_j exp(alpha_i * phi_j), the resummed series.
+
+    The factors are multiplied as logs and exponentiated once; raises
+    NonfiniteResult when the magnitude does not fit in a float.
+    """
     phi = as_phases(phases)
     n = phi.size if n_override is None else n_override
-    value = 1.0 + 0.0j
-    for a in ct.alphas:
-        value *= complex(np.sum(np.exp(a * phi)))
-    return n ** (-ct.beta_prime) * value
+    log_value = -ct.beta_prime * math.log(n) + sum(complex(_log_sums(a, phi)[0])
+                                                   for a in ct.alphas)
+    mag = _magnitude(log_value.real, lambda log10: (
+        f"|closed product| = 10**{log10} does not fit in a float "
+        f"(alphas={ct.alphas!r}, beta_prime={ct.beta_prime!r}, n={n})"))
+    return complex(mag * math.cos(log_value.imag), mag * math.sin(log_value.imag))
 
 
 def _tail_bound(ct: CoefficientTensor, phi: np.ndarray, truncation: int) -> float:

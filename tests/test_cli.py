@@ -280,6 +280,15 @@ def test_scan_real_alpha_diverges(tmp_path, capsys):
     assert all(line.endswith("diverging") for line in out.strip().splitlines()[1:])
 
 
+def test_scan_overflowing_spec_is_a_named_error(tmp_path, capsys):
+    inp = _write(tmp_path, "scan.json", {"alpha": [300, 0], "beta": 0, "gamma": 1})
+    csv_path = tmp_path / "scan.csv"
+    code, out, err = _run(capsys, "scan", "--input", inp, "--output", str(csv_path))
+    assert code == 2
+    assert not csv_path.exists() and out == ""
+    assert "NonfiniteResult" in err and "diverging" in err
+
+
 # ---------------------------------------------------------------------------
 # amplitude
 

@@ -1,10 +1,12 @@
 """Invariant family axioms, growth scan, path phases, and amplitudes."""
 
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from superlum import (
     Amplitude,
@@ -12,6 +14,7 @@ from superlum import (
     Branch,
     Event1p1,
     InvariantSpec,
+    NonfiniteResult,
     Path,
     SuperluminalSegment,
     amplitude,
@@ -22,9 +25,15 @@ from superlum import (
     finiteness_scan,
     invariant_P,
     path_phase,
+    relative_deviation,
     uniform_phase_sampler,
 )
-from superlum.invariants import amplitude_invariant, as_phases, pairwise_phase_sums
+from superlum.invariants import (
+    _log_sums,
+    amplitude_invariant,
+    as_phases,
+    pairwise_phase_sums,
+)
 
 E = Event1p1
 APPROX = pytest.approx
@@ -120,6 +129,98 @@ def test_invariant_beta_and_gamma_scalings():
 
 
 # ---------------------------------------------------------------------------
+# Magnitudes beyond exp's range
+
+
+def test_overflowing_invariant_raises_a_named_error_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonfiniteResult) as exc:
+            invariant_P(InvariantSpec(300, 0, 1), [0, 3])
+    msg = str(exc.value)
+    for part in ("alpha=(300+0j)", "beta=0", "gamma=1", "10**390.8"):
+        assert part in msg
+
+
+@pytest.mark.parametrize("alpha", [250.0, 300.0])
+def test_representable_invariant_past_exp_range_is_returned(alpha):
+    # ((1 + e**3a) * (1 + e**-3a))**0.5 = e**1.5a * (1 + e**-3a); the log of
+    # P is at most 450, whose ulp (6e-14) bounds the relative error of exp
+    val = invariant_P(InvariantSpec(alpha, 0, 0.5), [0, 3])
+    assert val.imag == 0.0
+    assert val.real == APPROX(math.exp(1.5 * alpha) * (1.0 + math.exp(-3 * alpha)),
+                              rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The phase-sum kernel against the direct formula
+
+KINDS = ("real", "imaginary", "complex")
+
+
+def _alpha(kind: str, re: float, im: float) -> complex:
+    return {"real": complex(re, 0.0), "imaginary": complex(0.0, im),
+            "complex": complex(re, im)}[kind]
+
+
+def _direct(alpha: complex, phi: np.ndarray) -> tuple[complex, float]:
+    """S(alpha) by the direct formula, and its cancellation-free scale."""
+    terms = np.exp(alpha * phi)
+    return complex(np.sum(terms)), float(np.sum(np.abs(terms)))
+
+
+def _assert_kernel_matches_direct(alpha: complex, phi: np.ndarray) -> None:
+    lp, lm = _log_sums(alpha, phi)
+    for a, log_s in ((alpha, lp), (-alpha, lm)):
+        ref, scale = _direct(a, phi)
+        assert abs(cmath.exp(complex(log_s)) - ref) <= 1e-12 * scale
+
+
+PHASES = st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=20).map(np.array)
+COEFF = st.floats(-5.0, 5.0)
+
+
+@given(st.sampled_from(KINDS), COEFF, COEFF, PHASES)
+def test_kernel_matches_direct_sums(kind, re, im, phi):
+    # |Re(alpha*phi)| <= 50: the unshifted pass
+    _assert_kernel_matches_direct(_alpha(kind, re, im), phi)
+
+
+@given(st.sampled_from(("real", "complex")), COEFF, COEFF, PHASES,
+       st.floats(601.0, 700.0))
+def test_kernel_matches_direct_sums_past_the_safe_exponent(kind, re, im, phi, top):
+    # Re alpha = +/-top / max|phi| puts the largest |Re(alpha*phi)| at top,
+    # in (600, 700]: the shifted passes, where the direct formula still fits
+    # in a float.  Below max|phi| of about 4e-306 no double is such an alpha.
+    peak = float(np.max(np.abs(phi)))
+    assume(peak > 0.0 and math.isfinite(top / peak))
+    re_alpha = math.copysign(top / peak, re)
+    _assert_kernel_matches_direct(_alpha(kind, re_alpha, im), phi)
+
+
+@pytest.mark.parametrize("alpha, beta, gamma", [
+    (math.inf, 0.0, 1.0), (complex(1.0, math.nan), 0.0, 1.0),
+    (1.0, math.inf, 1.0), (1.0, 0.0, math.nan)])
+def test_nonfinite_invariant_parameters_are_rejected(alpha, beta, gamma):
+    with pytest.raises(ValueError, match="must be finite"):
+        InvariantSpec(alpha, beta, gamma)
+
+
+@given(COEFF, COEFF, PHASES, st.floats(0.0, 2.0), st.floats(-2.0, 2.0))
+def test_general_alpha_invariant_keeps_the_principal_branch(re, im, phi, beta, gamma):
+    alpha = complex(re, im)
+    (splus, sp_scale), (sminus, sm_scale) = _direct(alpha, phi), _direct(-alpha, phi)
+    product = splus * sminus
+    # away from cancellation and from the branch cut, where rounding alone
+    # moves the reference
+    assume(abs(splus) > 1e-2 * sp_scale and abs(sminus) > 1e-2 * sm_scale)
+    assume(math.pi - abs(cmath.phase(product)) > 1e-6)
+    ref = phi.size ** (-beta) * product ** gamma
+    assert relative_deviation(invariant_P(InvariantSpec(alpha, beta, gamma), phi),
+                              ref) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # Axiom checks
 
 
@@ -188,6 +289,36 @@ def test_scan_full_circle_coherence_is_lost():
     )
     assert res.classification == "vanishing"
     assert res.slope == APPROX(-1.0, abs=0.2)
+
+
+def test_scan_of_an_overflowing_spec_names_the_class():
+    half = uniform_phase_sampler(0.0, math.pi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonfiniteResult) as exc:
+            finiteness_scan(InvariantSpec(300, 0, 1), (100, 1000, 10000), half,
+                            rng=np.random.default_rng(0))
+    msg = str(exc.value)
+    assert "diverging" in msg and "n=100" in msg and "slope=" in msg
+
+
+@pytest.mark.parametrize("alpha", [1j, 0.7, 0.5 + 0.3j])
+@pytest.mark.parametrize("trials", [7, 8])
+def test_scan_medians_and_slope_match_the_direct_formula(alpha, trials):
+    spec = InvariantSpec(alpha, 1.5, 1.0)
+    ns = (10, 30, 100)
+    half = uniform_phase_sampler(0.0, math.pi)
+    res = finiteness_scan(spec, ns, half, trials=trials, rng=np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    medians = []
+    for n in ns:
+        phi = half(rng, (trials, n))
+        vals = n ** -1.5 * (np.exp(alpha * phi).sum(axis=1)
+                            * np.exp(-alpha * phi).sum(axis=1))
+        medians.append(float(np.median(np.abs(vals))))
+    assert res.median_abs == APPROX(medians, rel=1e-12)
+    assert res.slope == APPROX(float(np.polyfit(np.log(ns), np.log(medians), 1)[0]),
+                               rel=1e-12)
 
 
 def test_scan_budget_and_shape_validation():

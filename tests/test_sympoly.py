@@ -6,6 +6,7 @@ import pytest
 
 from superlum import (
     CoefficientTensor,
+    NonfiniteResult,
     TruncationInsufficient,
     alpha_coefficient,
     amplitude_invariant,
@@ -142,6 +143,17 @@ def test_closed_product_frozen_value():
     val = closed_product(ct, (0.0, math.log(2.0)))
     assert val == APPROX(1.5, rel=1e-15)
     assert closed_product(ct, (0.0, math.log(2.0)), n_override=4) == APPROX(0.75)
+
+
+def test_closed_product_multiplies_factors_past_exp_range():
+    # (e**300 + e**900) * (e**-300 + e**-900) = e**600 + 2 + e**-600: the
+    # first factor alone overflows; the log of the product is about 600,
+    # whose ulp (1.1e-13) bounds the relative error of exp
+    val = closed_product(CoefficientTensor((300.0, -300.0)), (1.0, 3.0))
+    assert val.imag == 0.0
+    assert val.real == APPROX(math.exp(600.0) + 2.0, rel=1e-12)
+    with pytest.raises(NonfiniteResult, match=r"10\*\*390"):
+        closed_product(CoefficientTensor((300.0,)), (0.0, 3.0))
 
 
 def test_closed_product_matches_invariant_on_pair_tensor(rng):
