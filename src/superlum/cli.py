@@ -330,10 +330,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except SuperlumError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
+    except (SuperlumError, OSError, KeyError, ValueError, TypeError) as exc:
+        # json.JSONDecodeError is a ValueError
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,7 @@ from .errors import (
     MixedK,
     ZeroExtent,
 )
-from .kinematics import Boost, Event1p1, K_from_c, boost_1p1
+from .kinematics import Boost, Event1p1, K_from_c, _apply, _entries
 
 CLASSIFY_TOL = 1e-9
 
@@ -124,7 +124,8 @@ def transform_diagram(d: Diagram, b: Boost) -> Diagram:
         raise MixedK(
             f"boost K={b.K!r} is inconsistent with diagram light speed c={d.c!r}"
         )
-    new_events = {label: boost_1p1(e, b) for label, e in d.events.items()}
+    m = _entries(b)
+    new_events = {label: _apply(m, e) for label, e in d.events.items()}
     new_segs = []
     for frm, to in d.segments:
         if new_events[to].t < new_events[frm].t:

@@ -51,6 +51,16 @@ def _require_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _finite3(name: str, values) -> tuple[float, float, float]:
+    """values as a triple of finite floats, or ValueError naming name."""
+    vec = tuple(float(v) for v in values)
+    if len(vec) != 3:
+        raise ValueError(f"{name} must have exactly three components")
+    for v in vec:
+        _require_finite(f"{name} component", v)
+    return vec
+
+
 @dataclass(frozen=True)
 class Event1p1:
     """Event with one time and one space coordinate."""
@@ -72,12 +82,7 @@ class Event1p3:
 
     def __post_init__(self) -> None:
         _require_finite("t", self.t)
-        r = tuple(float(v) for v in self.r)
-        if len(r) != 3:
-            raise ValueError("r must have exactly three components")
-        for v in r:
-            _require_finite("r component", v)
-        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "r", _finite3("r", self.r))
 
 
 @dataclass(frozen=True)
@@ -93,19 +98,8 @@ class SuperluminalEvent1p3:
     x: float
 
     def __post_init__(self) -> None:
-        tvec = tuple(float(v) for v in self.tvec)
-        if len(tvec) != 3:
-            raise ValueError("tvec must have exactly three components")
-        for v in tvec:
-            _require_finite("tvec component", v)
-        object.__setattr__(self, "tvec", tvec)
+        object.__setattr__(self, "tvec", _finite3("tvec", self.tvec))
         _require_finite("x", self.x)
-
-
-def _speed_magnitude(speed) -> float:
-    if isinstance(speed, (tuple, list, np.ndarray)):
-        return float(np.linalg.norm(np.asarray(speed, dtype=float)))
-    return abs(float(speed))
 
 
 @dataclass(frozen=True)
@@ -128,13 +122,10 @@ class Boost:
         if not (self.K > 0) or not math.isfinite(self.K):
             raise NonpositiveK(f"boosts require K > 0, got K={self.K!r}")
         if isinstance(self.speed, (tuple, list, np.ndarray)):
-            vec = tuple(float(v) for v in self.speed)
-            if len(vec) != 3:
-                raise ValueError("vector speed must have three components")
-            for v in vec:
-                _require_finite("speed component", v)
-            object.__setattr__(self, "speed", vec)
-        mag = _speed_magnitude(self.speed)
+            object.__setattr__(self, "speed", _finite3("speed", self.speed))
+            mag = math.hypot(*self.speed)
+        else:
+            mag = abs(float(self.speed))
         c = 1.0 / math.sqrt(self.K)
         if self.branch is Branch.SUBLUMINAL:
             if not mag < c * (1.0 - BOUNDARY_BAND):
@@ -204,7 +195,7 @@ def superluminal_family(
 
 
 # ---------------------------------------------------------------------------
-# 1+1 matrices and boosts.  Every 1+1 boost has the one form
+# 1+1 matrices and boosts.  Every boost has the one form
 # (t, x) -> (a*(t - K*V*x), a*(x - V*t)); the branches differ only in the
 # scale a = A(V).  Matrices act on column vectors (t, x).
 
@@ -216,36 +207,44 @@ def K_from_c(c: float) -> float:
     return 1.0 / (c * c)
 
 
-def _form(a: float, K: float, V: float) -> tuple[float, float, float, float]:
-    """Matrix entries, row by row, of (t, x) -> (a*(t - K*V*x), a*(x - V*t))."""
-    return a, -a * K * V, -a * V, a
+def _form(a: float, s: float, K: float) -> tuple[float, float, float, float]:
+    """Matrix entries, row by row, of (t, x) -> (a*t - K*s*x, a*x - s*t),
+    the boost law with s = a*V."""
+    return a, -K * s, -s, a
 
 
 def _entries(
-    b: Boost, positive_convention: bool = False, antisymmetric_term: bool = True
+    b: Boost,
+    V: float | None = None,
+    *,
+    positive_convention: bool = False,
+    antisymmetric_term: bool = True,
 ) -> tuple[float, float, float, float]:
-    """Matrix entries of an already validated scalar-speed boost.
+    """Matrix entries of the boost law for an already validated boost.
 
-    The scale is 1/sqrt(1 - K*V**2) below c and sign*(W/|W|)/sqrt(K*W**2 - 1)
-    above it, the sign negative by default; infinite speed is the exact axis
-    swap.  antisymmetric_term=False drops W/|W|: the deliberately broken
-    variant, for which boost(-W) followed by boost(W) is -identity.
+    V defaults to the boost's speed, which must then be a scalar; the 1+3
+    transforms pass the magnitude of their vector speed.  Below c the scale
+    is a = 1/sqrt(1 - K*V**2).  Above it, s = a*W = sign/sqrt(K - 1/W**2),
+    the sign negative by default, and a = s/W: no intermediate overflows for
+    any |W| > c, and W = +/-inf gives the exact axis swap.
+    antisymmetric_term=False drops the factor W/|W| from a: the deliberately
+    broken variant, for which boost(-W) followed by boost(W) is -identity.
     """
-    if isinstance(b.speed, tuple):
-        raise TypeError("1+1 operations require a scalar-speed boost")
-    V, K = b.speed, b.K
+    if V is None:
+        if isinstance(b.speed, tuple):
+            raise TypeError("1+1 operations require a scalar-speed boost")
+        V = b.speed
+    K = b.K
     if b.branch is Branch.SUBLUMINAL:
-        return _form(1.0 / math.sqrt(1.0 - K * V * V), K, V)
-    sign = 1.0 if positive_convention else -1.0
-    if math.isinf(V):
-        if not antisymmetric_term:
+        a = 1.0 / math.sqrt(1.0 - K * V * V)
+        return _form(a, a * V, K)
+    u = 1.0 / V
+    s = (1.0 if positive_convention else -1.0) / math.sqrt(K - u * u)
+    if not antisymmetric_term:
+        if u == 0.0:  # infinite speed
             raise ValueError("the broken variant has no infinite-speed limit")
-        c = 1.0 / math.sqrt(K)
-        return 0.0, -sign * (1.0 / c), -sign * c, 0.0
-    a = sign / math.sqrt(K * V * V - 1.0)
-    if antisymmetric_term:
-        a *= math.copysign(1.0, V)
-    return _form(a, K, V)
+        s = math.copysign(s, V)
+    return _form(s * u, s, K)
 
 
 def _apply(m: tuple[float, float, float, float], e: Event1p1) -> Event1p1:
@@ -255,7 +254,8 @@ def _apply(m: tuple[float, float, float, float], e: Event1p1) -> Event1p1:
 def boost_matrix_1p1(
     b: Boost, *, positive_convention: bool = False, antisymmetric_term: bool = True
 ) -> np.ndarray:
-    m = _entries(b, positive_convention, antisymmetric_term)
+    m = _entries(b, positive_convention=positive_convention,
+                 antisymmetric_term=antisymmetric_term)
     return np.array([m[:2], m[2:]])
 
 
@@ -353,11 +353,9 @@ def rapidity(b: Boost) -> float:
     magnitude.
     """
     c = 1.0 / math.sqrt(b.K)
-    v = _speed_magnitude(b.speed) if isinstance(b.speed, tuple) else float(b.speed)
+    v = math.hypot(*b.speed) if isinstance(b.speed, tuple) else float(b.speed)
     if b.branch is Branch.SUBLUMINAL:
         return math.atan(v / c)
-    if math.isinf(v):
-        return math.pi / 2.0
     return math.pi / 2.0 - math.atan(c / v)
 
 
@@ -389,7 +387,7 @@ def general_boost_1p1(e: Event1p1, fam: GeneralTransformFamily, V: float) -> Eve
     a = fam.A(V)
     if not math.isfinite(a) or abs(a) < 1e-300:
         raise DegenerateA(f"A({V!r}) = {a!r}")
-    return _apply(_form(a, _k_expression(fam, V), V), e)
+    return _apply(_form(a, a * V, _k_expression(fam, V)), e)
 
 
 def extract_K(
@@ -422,39 +420,39 @@ def extract_K(
 # 1+3 transforms.
 
 
+def _along(e: Event1p3, b: Boost, w: float) -> tuple[tuple[float, ...], float, Event1p1]:
+    """The 1+1 boost law applied to (t, r.n), n the direction of b's vector
+    speed of magnitude w > 0.  Returns n, r.n and the boosted (t', x').  A w
+    that overflows to inf gives n = 0, which the law at infinite speed, the
+    axis swap, does not need."""
+    n = tuple(v / w for v in b.speed)
+    r_par = e.r[0] * n[0] + e.r[1] * n[1] + e.r[2] * n[2]
+    return n, r_par, _apply(_entries(b, w), Event1p1(e.t, r_par))
+
+
 def boost_1p3_subluminal(e: Event1p3, V, c: float = 1.0) -> Event1p3:
     """Boost along an arbitrary direction; the component of r along V mixes
     with t and the perpendicular part is untouched.  V = 0 is the identity."""
-    vel = np.asarray(Boost(Branch.SUBLUMINAL, tuple(V), K_from_c(c)).speed)
-    speed = float(np.linalg.norm(vel))
-    if speed == 0.0:
+    b = Boost(Branch.SUBLUMINAL, tuple(V), K_from_c(c))
+    v = math.hypot(*b.speed)
+    if v == 0.0:
         return Event1p3(e.t, e.r)
-    r = np.asarray(e.r)
-    g = 1.0 / math.sqrt(1.0 - (speed / c) ** 2)
-    vr = float(vel @ r)
-    rp = r - (vr / speed**2) * vel + ((vr / speed**2 - e.t) * g) * vel
-    tp = g * (e.t - vr / c**2)
-    return Event1p3(float(tp), tuple(rp))
+    n, r_par, out = _along(e, b, v)
+    return Event1p3(out.t, tuple(r + (out.x - r_par) * u for r, u in zip(e.r, n)))
 
 
 def boost_1p3_superluminal(e: Event1p3, W, c: float = 1.0) -> SuperluminalEvent1p3:
     """Superluminal transform along an arbitrary direction.
 
-    Maps (t, r) to one spatial coordinate x' along W and a temporal triple
-    tvec'.  As |W| grows the result approaches x' = c*t, tvec' = r/c for
-    every direction of W.
+    The component of r along W mixes with t into one spatial coordinate x';
+    the time t' of that pair lies along W in the temporal triple tvec', and
+    the perpendicular part of r enters tvec' divided by c.  As |W| grows the
+    result approaches x' = c*t, tvec' = r/c for every direction of W.
     """
-    wvec = np.asarray(Boost(Branch.SUPERLUMINAL, tuple(W), K_from_c(c)).speed)
-    w = float(np.linalg.norm(wvec))
-    if not math.isfinite(w):
-        raise ValueError("W must be finite; approximate the infinite-speed "
-                         "transform with a large |W|")
-    r = np.asarray(e.r)
-    g = 1.0 / math.sqrt((w / c) ** 2 - 1.0)
-    wr = float(wvec @ r)
-    xp = (w * e.t - wr / w) * g
-    tvec = (r - (wr / w**2) * wvec + ((wr / (w * c) - c * e.t / w) * g) * wvec) / c
-    return SuperluminalEvent1p3(tuple(tvec), float(xp))
+    b = Boost(Branch.SUPERLUMINAL, tuple(W), K_from_c(c))
+    n, r_par, out = _along(e, b, math.hypot(*b.speed))
+    tvec = tuple(out.t * u + (r - r_par * u) / c for r, u in zip(e.r, n))
+    return SuperluminalEvent1p3(tvec, out.x)
 
 
 def interval_nm(dts: Sequence[float], drs: Sequence[float], c: float = 1.0) -> float:

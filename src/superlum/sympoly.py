@@ -214,24 +214,32 @@ def closed_product(ct: CoefficientTensor, phases, n_override: int | None = None)
 
 
 def _tail_bound(ct: CoefficientTensor, phi: np.ndarray, truncation: int) -> float:
-    """Upper bound on the truncated-minus-closed difference.
+    """Upper bound on the truncated-minus-closed difference, inf beyond a float.
 
     Per factor i the truncated exponential sum differs from the full one by
-    at most sum_j |alpha_i*phi_j|**(T+1) * exp(|alpha_i*phi_j|) / (T+1)!;
-    the product difference is bounded by a telescoping sum with the remaining
-    factors at their absolute-value ceilings.
+    at most delta_i = sum_j m_ij**(T+1) * exp(m_ij) / (T+1)! with
+    m_ij = |alpha_i*phi_j|; the product difference is bounded by a telescoping
+    sum with the remaining factors at their absolute-value ceilings
+    sum_j exp(m_ij).  Both sums come from _log_sums and are combined as logs.
     """
-    mags = [np.abs(a) * np.abs(phi) for a in ct.alphas]
-    ceilings = [float(np.sum(np.exp(m))) for m in mags]
-    total = 0.0
-    for i, m in enumerate(mags):
-        delta = float(
-            np.sum(m ** (truncation + 1) * np.exp(m)) / math.factorial(truncation + 1)
-        )
-        rest = math.prod(c for j, c in enumerate(ceilings) if j != i)
-        total += delta * rest
-    n = phi.size
-    return n ** (-ct.beta_prime) * total
+    abs_phi = np.abs(phi)
+    log_ceilings = [float(_log_sums(abs(a), abs_phi)[0]) for a in ct.alphas]
+    log_terms = []
+    for i, a in enumerate(ct.alphas):
+        m = abs(a) * abs_phi
+        m = m[m > 0]  # zero terms add nothing to delta_i
+        if m.size:
+            log_delta = float(_log_sums(1.0, m + (truncation + 1) * np.log(m))[0])
+            log_terms.append(log_delta + sum(log_ceilings[:i] + log_ceilings[i + 1:]))
+    if not log_terms:
+        return 0.0
+    top = max(log_terms)
+    log_total = top + math.log(math.fsum(math.exp(x - top) for x in log_terms))
+    try:
+        return math.exp(log_total - math.log(math.factorial(truncation + 1))
+                        - ct.beta_prime * math.log(phi.size))
+    except OverflowError:
+        return math.inf
 
 
 def expansion_reconstruction_check(

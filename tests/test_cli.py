@@ -46,6 +46,16 @@ def test_boost_huge_speed_swaps_axes(tmp_path, capsys):
     assert abs(t) < 1e-8 and x == pytest.approx(1.0, rel=1e-8)
 
 
+def test_boost_far_above_c_is_not_all_zeros(tmp_path, capsys):
+    inp = _write(
+        tmp_path, "b.json",
+        {"event": [1.0, 2.0], "boost": {"branch": "superluminal", "speed": 1e200}},
+    )
+    code, out, _ = _run(capsys, "boost", "--input", inp)
+    assert code == 0
+    assert json.loads(out)["event"] == [2.0, 1.0]
+
+
 def test_boost_at_light_speed_names_the_violation(tmp_path, capsys):
     inp = _write(
         tmp_path, "b.json",

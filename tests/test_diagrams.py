@@ -151,6 +151,16 @@ def test_round_trip_boost_restores_coordinates():
         assert back.events[label].x == pytest.approx(e.x, abs=1e-12)
 
 
+def test_huge_w_transform_matches_the_infinite_swap():
+    d = load_fixture("fig2a").diagram
+    near = transform_diagram(d, Boost(Branch.SUPERLUMINAL, 1e200))
+    swap = transform_diagram(d, Boost.infinite())
+    assert near.segments == swap.segments
+    for label, e in swap.events.items():
+        assert near.events[label].t == pytest.approx(e.t, rel=1e-15, abs=1e-15)
+        assert near.events[label].x == pytest.approx(e.x, rel=1e-15, abs=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # Roles
 

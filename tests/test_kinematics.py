@@ -5,10 +5,11 @@ sweeps live in the verify suite and the acceptance tests.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from superlum import (
     Boost,
@@ -484,3 +485,116 @@ def test_bad_light_speed_is_named_in_1p3(c):
         boost_1p3_subluminal(e, (0.0, 0.0, 0.0), c=c)
     with pytest.raises(NonpositiveK, match="light speed"):
         boost_1p3_superluminal(e, (3.0, 0.0, 0.0), c=c)
+
+
+# ---------------------------------------------------------------------------
+# Speeds far above c: the superluminal scale is formed as s = a*W =
+# sign/sqrt(K - 1/W**2) and a = s/W, so nothing overflows for any |W| > c.
+
+
+@pytest.mark.parametrize("W", [1e155, -1e155, 1e200, -1e200, 1e308, -1e308])
+def test_huge_w_matrix_is_the_swap_to_one_ulp(W):
+    M = boost_matrix_1p1(Boost(Branch.SUPERLUMINAL, W))
+    want = [[-1.0 / W, 1.0], [1.0, -1.0 / W]]
+    for i in range(2):
+        for j in range(2):
+            assert abs(M[i, j] - want[i][j]) <= math.ulp(want[i][j])
+    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    assert abs(det + 1.0) <= math.ulp(1.0)
+
+
+def test_huge_w_boost_1p1_is_the_swap():
+    out = boost_1p1(Event1p1(1.0, 2.0), Boost(Branch.SUPERLUMINAL, 1e200))
+    assert (out.t, out.x) == (2.0, 1.0)
+
+
+def test_huge_w_composes_with_a_subluminal_boost():
+    # the near-swap followed by V = 1/2 is the superluminal boost at W = 2
+    for b1, b2 in [
+        (Boost(Branch.SUPERLUMINAL, 1e200), Boost(Branch.SUBLUMINAL, 0.5)),
+        (Boost(Branch.SUBLUMINAL, 0.5), Boost(Branch.SUPERLUMINAL, 1e200)),
+    ]:
+        composed = compose_boosts_1p1(b1, b2)
+        assert composed.branch is Branch.SUPERLUMINAL
+        assert composed.speed == APPROX(2.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 3.0])
+def test_1p3_superluminal_at_huge_w_is_the_swap(c):
+    e = Event1p3(0.7, (0.3, -0.2, 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for w in [(1e160, 0.0, 0.0), (0.0, -1e160, 0.0), (6e159, 0.0, 8e159),
+                  (1.5e308, -1.5e308, 0.0)]:  # |W| overflows to inf
+            out = boost_1p3_superluminal(e, w, c=c)
+            assert out.x == APPROX(c * e.t, rel=1e-15)
+            assert out.tvec == APPROX(tuple(r / c for r in e.r), rel=1e-15)
+
+
+def test_rapidity_of_huge_vector_speed():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rapidity(Boost(Branch.SUPERLUMINAL, (1e200, 1e200, 0.0))) == math.pi / 2
+
+
+# ---------------------------------------------------------------------------
+# 1+3 oracle: the closed forms the 1+3 transforms had before they ran on the
+# 1+1 kernel, frozen here.  Each returns the value and the sum of the
+# magnitudes of its terms, the scale the comparison is made against.
+
+
+def _closed_1p3_subluminal(t, r, vel, c):
+    r, vel = np.asarray(r), np.asarray(vel)
+    speed = float(np.linalg.norm(vel))
+    g = 1.0 / math.sqrt(1.0 - (speed / c) ** 2)
+    vr = float(vel @ r)
+    rp = r - (vr / speed**2) * vel + ((vr / speed**2 - t) * g) * vel
+    tp = g * (t - vr / c**2)
+    rn = math.hypot(*r)
+    return (tp, rp), (g * (abs(t) + speed * rn / c**2), rn + g * (rn + speed * abs(t)))
+
+
+def _closed_1p3_superluminal(t, r, wvec, c):
+    r, wvec = np.asarray(r), np.asarray(wvec)
+    w = float(np.linalg.norm(wvec))
+    g = 1.0 / math.sqrt((w / c) ** 2 - 1.0)
+    wr = float(wvec @ r)
+    xp = (w * t - wr / w) * g
+    tvec = (r - (wr / w**2) * wvec + ((wr / (w * c) - c * t / w) * g) * wvec) / c
+    rn = math.hypot(*r)
+    return (xp, tvec), (g * (w * abs(t) + rn), 2 * rn / c + g * (w * rn / c**2 + abs(t)))
+
+
+_coord = st.floats(-10.0, 10.0)
+TINY = 1e-300  # below the normal range, rounding is absolute
+_direction = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
+@given(
+    t=_coord,
+    r=st.tuples(_coord, _coord, _coord),
+    direction=_direction,
+    c=st.sampled_from([0.5, 1.0, 3.0]),
+    v_over_c=st.floats(1e-6, 0.999),
+    log_w_over_c=st.floats(math.log(1.001), math.log(1e6)),
+)
+def test_1p3_transforms_match_the_closed_forms(t, r, direction, c, v_over_c, log_w_over_c):
+    """Speeds stay 1e-3 away from c: closer, the two forms round 1 - (v/c)**2
+    differently, and their gammas part by about eps*gamma**2, which is the
+    conditioning of the problem, not a fault of either form."""
+    n = np.asarray(direction)
+    assume(np.linalg.norm(n) > 0.1)
+    n = n / np.linalg.norm(n)
+    e = Event1p3(t, r)
+
+    vel = tuple(v_over_c * c * n)
+    (tp, rp), (st_, sr) = _closed_1p3_subluminal(t, r, vel, c)
+    out = boost_1p3_subluminal(e, vel, c=c)
+    assert abs(out.t - tp) <= 1e-12 * st_ + TINY
+    assert np.max(np.abs(np.subtract(out.r, rp))) <= 1e-12 * sr + TINY
+
+    wvec = tuple(math.exp(log_w_over_c) * c * n)
+    (xp, tvec), (sx, stv) = _closed_1p3_superluminal(t, r, wvec, c)
+    sup = boost_1p3_superluminal(e, wvec, c=c)
+    assert abs(sup.x - xp) <= 1e-12 * sx + TINY
+    assert np.max(np.abs(np.subtract(sup.tvec, tvec))) <= 1e-12 * stv + TINY

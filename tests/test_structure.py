@@ -1,0 +1,76 @@
+"""One fact, one place: where the package may check a bound, sum exponentials
+and form a boost scale, read from the source with ast."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import superlum
+
+SOURCES = sorted(Path(superlum.__file__).parent.glob("*.py"))
+
+
+def _scoped_nodes():
+    """(qualified name of the enclosing function, node) for every node of
+    every module, the name prefixed by the module's stem."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+            else:
+                out.append((scope, child))
+                visit(child, scope)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return out
+
+
+NODES = _scoped_nodes()
+
+
+def _attribute(node, owner: str, name: str | None = None) -> bool:
+    return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == owner and (name is None or node.attr == name))
+
+
+def _scopes(match) -> set[str]:
+    return {scope for scope, node in NODES if match(node)}
+
+
+def test_branch_bound_is_raised_only_at_boost_construction():
+    def raises_violation(node):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == "BranchSpeedViolation"
+
+    assert _scopes(raises_violation) == {"kinematics.Boost.__post_init__"}
+
+
+def test_exponentials_are_summed_only_in_the_phase_sum_kernel():
+    assert _scopes(lambda node: _attribute(node, "np", "exp")) == {
+        "invariants._log_sums"
+    }
+
+
+@pytest.mark.parametrize(
+    "function",
+    [
+        "kinematics.boost_1p3_subluminal",
+        "kinematics.boost_1p3_superluminal",
+        "diagrams.transform_diagram",
+    ],
+)
+def test_boosts_run_on_the_one_kernel(function):
+    used = {
+        ast.unparse(node)
+        for scope, node in NODES
+        if scope == function
+        and (_attribute(node, "np") or _attribute(node, "math", "sqrt"))
+    }
+    assert any(scope == function for scope, _ in NODES)
+    assert not used

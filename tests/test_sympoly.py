@@ -1,8 +1,11 @@
 """Power sums, expansion coefficients, and the identities tying them together."""
 
 import math
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from superlum import (
     CoefficientTensor,
@@ -19,6 +22,7 @@ from superlum import (
     power_sum,
 )
 from superlum.invariants import InvariantSpec
+from superlum.sympoly import _tail_bound
 
 APPROX = pytest.approx
 
@@ -205,3 +209,45 @@ def test_closure_checks_split_pass_and_fail(rng):
     assert reports["closure_ratio"].passed
     assert reports["closure_sum"].passed  # records that the sum deviates
     assert reports["closure_sum"].deviation > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# The series tail bound is formed from logs
+
+
+def test_truncation_guard_raises_without_overflow_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TruncationInsufficient):
+            expansion_reconstruction_check(CoefficientTensor((300.0,)), (3.0,))
+
+
+def _direct_tail_bound(ct, phi, truncation):
+    """The bound's formula evaluated as written, with exp of every term."""
+    mags = [np.abs(a) * np.abs(phi) for a in ct.alphas]
+    ceilings = [float(np.sum(np.exp(m))) for m in mags]
+    total = 0.0
+    for i, m in enumerate(mags):
+        delta = float(
+            np.sum(m ** (truncation + 1) * np.exp(m)) / math.factorial(truncation + 1)
+        )
+        total += delta * math.prod(c for j, c in enumerate(ceilings) if j != i)
+    return phi.size ** (-ct.beta_prime) * total
+
+
+_scaled = st.builds(lambda x, p: x * 10.0**p, st.floats(-1.0, 1.0), st.floats(-3.0, 2.0))
+
+
+@given(
+    alphas=st.lists(st.builds(complex, _scaled, _scaled), min_size=1, max_size=4),
+    phases=st.lists(_scaled, min_size=1, max_size=12),
+    truncation=st.integers(1, 20),
+    beta_prime=st.floats(-1.0, 2.0),
+)
+def test_tail_bound_matches_its_direct_formula(alphas, phases, truncation, beta_prime):
+    ct = CoefficientTensor(tuple(alphas), beta_prime)
+    phi = np.asarray(phases)
+    with np.errstate(over="ignore", under="ignore"):
+        direct = _direct_tail_bound(ct, phi, truncation)
+    assume(math.isfinite(direct))
+    assert _tail_bound(ct, phi, truncation) == APPROX(direct, rel=1e-12, abs=1e-300)
