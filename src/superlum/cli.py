@@ -47,7 +47,6 @@ from .kinematics import (
     boost_1p3_subluminal,
     boost_1p3_superluminal,
     compose_boosts_1p1,
-    compose_velocities_1p1,
 )
 from .render import render_svg
 from .verify import run_suite, suite_report
@@ -55,7 +54,19 @@ from .verify import run_suite, suite_report
 
 def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise SuperlumError(f"{path} must hold a JSON object")
+    return data
+
+
+def _field(obj, key: str, where: str):
+    """obj[key], or an error naming where the field is missing."""
+    if not isinstance(obj, dict):
+        raise SuperlumError(f"{where} must be a JSON object, got {obj!r}")
+    if key not in obj:
+        raise SuperlumError(f'{where} has no "{key}"')
+    return obj[key]
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -69,9 +80,9 @@ def _dump(data: dict, output: str | None) -> None:
     _emit(json.dumps(data, indent=2, sort_keys=True), output)
 
 
-def _parse_boost(obj: dict, K: float) -> Boost:
-    branch = Branch(obj["branch"])
-    speed = obj["speed"]
+def _parse_boost(obj: dict, K: float, where: str) -> Boost:
+    branch = Branch(_field(obj, "branch", where))
+    speed = _field(obj, "speed", where)
     if isinstance(speed, list):
         speed = tuple(float(v) for v in speed)
     else:
@@ -82,20 +93,20 @@ def _parse_boost(obj: dict, K: float) -> Boost:
 def cmd_boost(args: argparse.Namespace) -> int:
     data = _read_json(args.input)
     c = float(data.get("c", args.c))
-    event = [float(v) for v in data["event"]]
-    spec = data["boost"]
+    event = [float(v) for v in _field(data, "event", "input")]
+    spec = _field(data, "boost", "input")
     if len(event) == 2:
-        b = _parse_boost(spec, K_from_c(c))
+        b = _parse_boost(spec, K_from_c(c), "boost")
         out = boost_1p1(Event1p1(*event), b)
         _dump({"event": [out.t, out.x], "branch": b.branch.value}, args.output)
         return 0
     if len(event) != 4:
         raise SuperlumError("event must have 2 or 4 coordinates")
     e = Event1p3(event[0], tuple(event[1:]))
-    speed = spec["speed"]
+    speed = _field(spec, "speed", "boost")
     if not isinstance(speed, list) or len(speed) != 3:
         raise SuperlumError("1+3 boosts need a 3-vector speed")
-    if Branch(spec["branch"]) is Branch.SUBLUMINAL:
+    if Branch(_field(spec, "branch", "boost")) is Branch.SUBLUMINAL:
         out = boost_1p3_subluminal(e, speed, c)
         _dump({"event": [out.t, *out.r], "branch": "subluminal"}, args.output)
     else:
@@ -108,18 +119,17 @@ def cmd_boost(args: argparse.Namespace) -> int:
 def cmd_compose(args: argparse.Namespace) -> int:
     data = _read_json(args.input)
     K = K_from_c(float(data.get("c", args.c)))
-    boosts = data["boosts"]
-    if len(boosts) != 2:
+    boosts = _field(data, "boosts", "input")
+    if not isinstance(boosts, list) or len(boosts) != 2:
         raise SuperlumError("compose expects exactly two boosts")
-    b1, b2 = (_parse_boost(obj, K) for obj in boosts)
+    b1, b2 = (_parse_boost(obj, K, f"boosts[{i}]") for i, obj in enumerate(boosts))
     composed = compose_boosts_1p1(b1, b2)
-    velocity = compose_velocities_1p1(float(b1.speed), float(b2.speed), K)
     _dump(
         {
             "branch": composed.branch.value,
             "speed": composed.speed,
             "K": composed.K,
-            "velocity_composition": velocity,
+            "velocity_composition": composed.speed,  # the same law's speed
         },
         args.output,
     )
@@ -235,7 +245,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_amplitude(args: argparse.Namespace) -> int:
     data = _read_json(args.input)
-    amp = amplitude(data["phases"], float(data.get("alpha_mag", 1.0)))
+    amp = amplitude(_field(data, "phases", "input"),
+                    float(data.get("alpha_mag", 1.0)))
     _dump(
         {
             "value": [amp.value.real, amp.value.imag],

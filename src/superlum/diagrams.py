@@ -284,19 +284,29 @@ class Scenario:
     sinks: tuple[str, ...] = ()
 
 
+def _scenario_event(label, coords) -> Event1p1:
+    try:
+        t, x = coords
+        return Event1p1(float(t), float(x))
+    except (TypeError, ValueError) as exc:
+        raise InvalidScenario(
+            f"event {label!r} must be [t, x] with finite numbers, got {coords!r}"
+        ) from exc
+
+
 def scenario_from_dict(data: Mapping) -> Scenario:
     if not isinstance(data, Mapping):
         raise InvalidScenario("scenario must be a JSON object")
     if "events" not in data or "segments" not in data:
         raise InvalidScenario("scenario requires 'events' and 'segments'")
+    if not isinstance(data["events"], Mapping):
+        raise InvalidScenario("scenario 'events' must map labels to [t, x]")
+    events = {str(label): _scenario_event(label, coords)
+              for label, coords in data["events"].items()}
     try:
         c = float(data.get("c", 1.0))
-        events = {
-            str(label): Event1p1(float(coords[0]), float(coords[1]))
-            for label, coords in data["events"].items()
-        }
         segments = tuple((str(a), str(b)) for a, b in data["segments"])
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError) as exc:
         raise InvalidScenario(f"malformed scenario: {exc}") from exc
     diagram = Diagram(events, segments, c)
     source = data.get("source")

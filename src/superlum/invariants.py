@@ -312,8 +312,10 @@ def finiteness_scan(
     ns = [int(n) for n in n_values]
     if len(ns) < 2 or any(n < 1 for n in ns):
         raise ValueError("need at least two positive n values")
-    if trials < 1 or max(ns) > 10**4 or trials > 100:
-        raise ValueError("scan budget: n <= 10**4 and trials <= 100")
+    if not 1 <= trials <= 100:
+        raise ValueError(f"scan budget: trials must be 1..100, got trials={trials!r}")
+    if max(ns) > 10**4:
+        raise ValueError(f"scan budget: n must be <= 10**4, got n={max(ns)!r}")
     log_medians = []
     for n in ns:
         phi = phase_sampler(rng, (trials, n))

@@ -214,10 +214,7 @@ def _form(a: float, s: float, K: float) -> tuple[float, float, float, float]:
 
 
 def _entries(
-    b: Boost,
-    V: float | None = None,
-    *,
-    positive_convention: bool = False,
+    b: Boost, V: float | None = None, *, positive_convention: bool = False,
     antisymmetric_term: bool = True,
 ) -> tuple[float, float, float, float]:
     """Matrix entries of the boost law for an already validated boost.
@@ -264,10 +261,7 @@ def subluminal_matrix(V: float, K: float = 1.0) -> np.ndarray:
 
 
 def superluminal_matrix(
-    W: float,
-    K: float = 1.0,
-    *,
-    positive_convention: bool = False,
+    W: float, K: float = 1.0, *, positive_convention: bool = False,
     antisymmetric_term: bool = True,
 ) -> np.ndarray:
     """Matrix of the superluminal boost, determinant -1.
@@ -275,11 +269,9 @@ def superluminal_matrix(
     The default convention takes the overall sign negative; see _entries for
     antisymmetric_term.
     """
-    return boost_matrix_1p1(
-        Boost(Branch.SUPERLUMINAL, W, K),
-        positive_convention=positive_convention,
-        antisymmetric_term=antisymmetric_term,
-    )
+    return boost_matrix_1p1(Boost(Branch.SUPERLUMINAL, W, K),
+                            positive_convention=positive_convention,
+                            antisymmetric_term=antisymmetric_term)
 
 
 def boost_1p1(e: Event1p1, b: Boost) -> Event1p1:
@@ -306,57 +298,60 @@ def branch_of_matrix(M: np.ndarray) -> Branch:
     return Branch.SUBLUMINAL if det > 0 else Branch.SUPERLUMINAL
 
 
+def _point(V: float, K: float) -> tuple[float, float]:
+    """Speed V as the projective point (p, q), V = p/q: (V, 1) up to c and
+    (1, 1/V) beyond it, so +/-inf is the ordinary point (1, +/-0)."""
+    V = float(V)
+    return (V, 1.0) if K * V * V <= 1.0 else (1.0, 1.0 / V)
+
+
+def _compose(V1: float, V2: float, K: float) -> float:
+    """The composition law, written once: V1 then V2 is the point
+    (p1*q2 + p2*q1, q1*q2 + K*p1*p2), the Moebius form of (V1 + V2)/(1 + K*V1*V2),
+    and its speed p/q.  PoleError only where q is exactly 0, the axis swap."""
+    (p1, q1), (p2, q2) = _point(V1, K), _point(V2, K)
+    q = q1 * q2 + K * p1 * p2
+    if q == 0.0:
+        raise PoleError(f"composition pole 1 + K*V1*V2 = 0 at V1={V1!r}, "
+                        f"V2={V2!r}, K={K!r}")
+    return (p1 * q2 + p2 * q1) / q
+
+
 def compose_boosts_1p1(b1: Boost, b2: Boost) -> Boost:
     """Single boost equivalent to applying b1 and then b2.
 
-    The branch of the result follows the exclusive-or rule: composing within
-    one branch lands subluminal, mixing the branches lands superluminal
+    Within one branch the result is subluminal, across branches superluminal
     (determinants multiply).  Raises MixedK when the operands disagree on K
-    and PoleError when the composition is the infinite-speed axis swap.
-    """
+    and PoleError when the composition is the infinite-speed axis swap."""
     if b1.K != b2.K:
         raise MixedK(f"operands carry different K: {b1.K!r} vs {b2.K!r}")
-    M = boost_matrix_1p1(b2) @ boost_matrix_1p1(b1)
-    return Boost(branch_of_matrix(M), velocity_of_matrix(M), b1.K)
+    branch = Branch.SUBLUMINAL if b1.branch is b2.branch else Branch.SUPERLUMINAL
+    return Boost(branch, _compose(b1.speed, b2.speed, b1.K), b1.K)
 
 
-def compose_velocities_1p1(
-    V1: float, V2: float, K: float = 1.0, *, light_tol: float = 1e-12
-) -> float:
-    """Relative velocity of frame 2 with respect to the rest frame.
-
-    Computed as (V1 + V2)/(1 + K*V1*V2), the ratio of the composed transform's
-    coefficients, in which the scale functions cancel.  Emits a
-    LightSpeedResult warning when the result lies within light_tol of the
-    light cone, and raises PoleError at 1 + K*V1*V2 = 0.
-    """
-    den = 1.0 + K * V1 * V2
-    if abs(den) < 1e-15 * (1.0 + abs(K * V1 * V2)):
-        raise PoleError(
-            f"composition pole 1 + K*V1*V2 = 0 at V1={V1!r}, V2={V2!r}, K={K!r}"
-        )
-    v = (V1 + V2) / den
-    if abs(abs(v) * math.sqrt(K) - 1.0) <= light_tol:
-        warnings.warn(
-            f"composed velocity {v!r} lies on the light cone", LightSpeedResult
-        )
+def compose_velocities_1p1(V1: float, V2: float, K: float = 1.0) -> float:
+    """Relative velocity (V1 + V2)/(1 + K*V1*V2) of frame 2 with respect to
+    the rest frame, by the law above; +/-inf is a valid operand, NaN a
+    ValueError.  Raises PoleError at 1 + K*V1*V2 = 0 and warns
+    LightSpeedResult within BOUNDARY_BAND of the light cone."""
+    for name, v in (("V1", V1), ("V2", V2)):
+        if math.isnan(v):
+            raise ValueError(f"{name} must be a number, got {v!r}")
+    v = _compose(V1, V2, K)
+    if abs(abs(v) * math.sqrt(K) - 1.0) <= BOUNDARY_BAND:
+        warnings.warn(f"composed velocity {v!r} lies on the light cone",
+                      LightSpeedResult)
     return v
 
 
 def rapidity(b: Boost) -> float:
-    """Hyperbolic-rotation angle of a boost.
-
-    Subluminal boosts map to arctan(V/c) in (-pi/4, pi/4); superluminal ones
-    to pi/2 - arctan(c/W) in (pi/4, 3*pi/4).  The two bands meet continuously
-    at the light cone, and W -> +/-inf gives pi/2 from either side, matching
-    the direction-independent infinite-speed frame.  Vector speeds use their
-    magnitude.
-    """
-    c = 1.0 / math.sqrt(b.K)
-    v = math.hypot(*b.speed) if isinstance(b.speed, tuple) else float(b.speed)
-    if b.branch is Branch.SUBLUMINAL:
-        return math.atan(v / c)
-    return math.pi / 2.0 - math.atan(c / v)
+    """Hyperbolic-rotation angle atan2(sqrt(K)*p, q) of the point (p, q) of
+    the speed, or of its magnitude for a vector speed: in (-pi/4, pi/4) below
+    c, in (pi/4, 3*pi/4) above it, continuous at the light cone, and exactly
+    pi/2 at W = +/-inf, the direction-independent infinite-speed frame."""
+    v = math.hypot(*b.speed) if isinstance(b.speed, tuple) else b.speed
+    p, q = _point(v, b.K)
+    return math.atan2(math.sqrt(b.K) * p, q)
 
 
 def interval_1p1(e1: Event1p1, e2: Event1p1, c: float = 1.0) -> float:

@@ -126,6 +126,46 @@ def test_compose_requires_exactly_two(tmp_path, capsys):
     assert code == 2 and "two" in err
 
 
+def test_compose_with_an_infinite_speed_prints_strict_json(tmp_path, capsys):
+    inp = _write(
+        tmp_path, "c.json",
+        {
+            "boosts": [
+                {"branch": "subluminal", "speed": 0.5},
+                {"branch": "superluminal", "speed": math.inf},  # written Infinity
+            ]
+        },
+    )
+    code, out, _ = _run(capsys, "compose", "--input", inp)
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    data = json.loads(out, parse_constant=reject)
+    assert data["branch"] == "superluminal"
+    assert data["speed"] == 2.0 and data["velocity_composition"] == 2.0
+
+
+@pytest.mark.parametrize(
+    "command,payload,message",
+    [
+        ("boost", {"boost": {"branch": "subluminal", "speed": 0.1}},
+         'input has no "event"'),
+        ("boost", {"event": [1.0, 0.0], "boost": {"branch": "subluminal"}},
+         'boost has no "speed"'),
+        ("compose", {"boosts": [{"branch": "subluminal"},
+                                {"branch": "subluminal", "speed": 0.1}]},
+         'boosts[0] has no "speed"'),
+    ],
+)
+def test_missing_fields_are_named(tmp_path, capsys, command, payload, message):
+    inp = _write(tmp_path, "in.json", payload)
+    code, _, err = _run(capsys, command, "--input", inp)
+    assert code == 2
+    assert message in err and "KeyError" not in err
+
+
 # ---------------------------------------------------------------------------
 # diagram
 
@@ -218,6 +258,16 @@ def test_diagram_scenario_file_rejects_unknown_sink(tmp_path, capsys):
     )
     code, _, err = _run(capsys, "diagram", "--input", inp, "--format", "json")
     assert code == 2 and "InvalidScenario" in err
+
+
+def test_diagram_scenario_names_a_malformed_event(tmp_path, capsys):
+    inp = _write(
+        tmp_path, "s.json",
+        {"events": {"a": [0.0, 0.0], "b": [1.5]}, "segments": [["a", "b"]]},
+    )
+    code, out, err = _run(capsys, "diagram", "--input", inp, "--format", "json")
+    assert code == 2 and out == ""
+    assert "InvalidScenario" in err and "'b'" in err and "[1.5]" in err
 
 
 def test_diagram_unknown_fixture(capsys):

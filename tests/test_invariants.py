@@ -330,6 +330,8 @@ def test_scan_budget_and_shape_validation():
         finiteness_scan(spec, (100, 100000), half)
     with pytest.raises(ValueError):
         finiteness_scan(spec, (100, 1000), half, trials=500)
+    with pytest.raises(ValueError, match="trials=0"):
+        finiteness_scan(spec, (100, 1000), half, trials=0)
 
 
 def test_scan_is_deterministic_for_fixed_seed():

@@ -6,10 +6,11 @@ sweeps live in the verify suite and the acceptance tests.
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from superlum import (
     Boost,
@@ -598,3 +599,172 @@ def test_1p3_transforms_match_the_closed_forms(t, r, direction, c, v_over_c, log
     sup = boost_1p3_superluminal(e, wvec, c=c)
     assert abs(sup.x - xp) <= 1e-12 * sx + TINY
     assert np.max(np.abs(np.subtract(sup.tvec, tvec))) <= 1e-12 * stv + TINY
+
+
+# ---------------------------------------------------------------------------
+# Composition on projective points: a speed V is (p, q) with V = p/q, (V, 1)
+# up to c and (1, 1/V) beyond it, so +/-inf is the ordinary point (1, +/-0).
+
+
+@pytest.mark.parametrize("W", [1e15, 1e300, -1e300])
+def test_compose_far_above_c_keeps_the_speed(W):
+    sup, rest = Boost(Branch.SUPERLUMINAL, W), Boost(Branch.SUBLUMINAL, 0.0)
+    for composed in (compose_boosts_1p1(sup, rest), compose_boosts_1p1(rest, sup)):
+        assert composed.branch is Branch.SUPERLUMINAL
+        assert composed.speed == APPROX(W, rel=1e-15)
+
+
+def test_velocity_composition_with_an_infinite_speed():
+    assert compose_velocities_1p1(0.5, math.inf) == 2.0
+    assert compose_velocities_1p1(math.inf, 0.5) == 2.0
+    assert compose_velocities_1p1(-math.inf, 0.5) == 2.0  # one infinite frame
+    assert compose_velocities_1p1(0.5, math.inf, K=0.25) == 8.0
+
+
+@pytest.mark.parametrize("V1,V2,name", [(math.nan, 0.5, "V1"), (0.5, math.nan, "V2")])
+def test_velocity_composition_rejects_nan(V1, V2, name):
+    with pytest.raises(ValueError, match=name):
+        compose_velocities_1p1(V1, V2)
+
+
+def test_opposite_speeds_compose_to_rest_exactly():
+    for V in (0.3, -0.77, 0.999, 1.001, 3.0, -1e15, 1e300):
+        b = Boost(Branch.SUBLUMINAL if abs(V) < 1 else Branch.SUPERLUMINAL, V)
+        assert compose_velocities_1p1(V, -V) == 0.0
+        rest = compose_boosts_1p1(b, b.inverse())
+        assert rest.branch is Branch.SUBLUMINAL and rest.speed == 0.0
+
+
+def _rapidity_before(b):
+    """rapidity as it was written before it read the projective point."""
+    c = 1.0 / math.sqrt(b.K)
+    v = float(b.speed)
+    if b.branch is Branch.SUBLUMINAL:
+        return math.atan(v / c)
+    return math.pi / 2.0 - math.atan(c / v)
+
+
+@given(
+    K=st.sampled_from([0.25, 1.0, 4.0]),
+    v_over_c=st.floats(-(1.0 - 1e-11), 1.0 - 1e-11),
+    log_w_over_c=st.floats(math.log(1.0 + 1e-11), 700.0),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_rapidity_within_one_ulp_of_the_branch_formulas(K, v_over_c, log_w_over_c, sign):
+    c = 1.0 / math.sqrt(K)
+    for b in (Boost(Branch.SUBLUMINAL, v_over_c * c, K),
+              Boost(Branch.SUPERLUMINAL, sign * math.exp(log_w_over_c) * c, K)):
+        before = _rapidity_before(b)
+        assert abs(rapidity(b) - before) <= math.ulp(before)
+
+
+def test_rapidity_is_exactly_half_pi_at_infinite_speed():
+    for K in (1e-200, 0.25, 1.0, 4.0, 1e200):
+        for W in (math.inf, -math.inf):
+            assert rapidity(Boost(Branch.SUPERLUMINAL, W, K)) == math.pi / 2
+
+
+ORACLE_K = [1e-200, 0.25, 1.0, 4.0, 1e200]
+EPS = np.finfo(float).eps
+FLOAT_MAX = np.finfo(float).max
+ETA = Fraction(2) ** -1074  # absolute rounding below the normal range
+
+
+@st.composite
+def _oracle_speed(draw, K, gap=0.0):
+    """A speed for K: an absolute special (+/-inf, +/-1e15, +/-1e300, 0),
+    one within 1e-9 of c, or an ordinary multiple of c.  gap > 0 keeps the
+    speed at least that far from c, relative."""
+    c = 1.0 / math.sqrt(K)
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    kind = draw(st.sampled_from(["special", "near_c", "ordinary"] if gap == 0.0
+                                else ["special", "ordinary"]))
+    if kind == "special":
+        v = sign * draw(st.sampled_from([math.inf, 1e15, 1e300, 0.0]))
+    elif kind == "near_c":
+        v = sign * c * (1.0 + draw(st.floats(-1e-9, 1e-9)))
+    else:
+        v = sign * c * draw(st.floats(0.0, 50.0))
+    assume(abs(abs(v) / c - 1.0) >= gap)
+    return v
+
+
+def _exact_point(V, K):
+    """The point of V as the law forms it, with exact rational entries."""
+    if math.isinf(V):
+        return Fraction(1), Fraction(0)
+    if K * V * V <= 1.0:
+        return Fraction(V), Fraction(1)
+    return Fraction(1), 1 / Fraction(V)
+
+
+@given(data=st.data(), K=st.sampled_from(ORACLE_K))
+@settings(max_examples=400)
+def test_composed_speed_matches_exact_arithmetic(data, K):
+    """Against the law evaluated in exact rationals on the same float inputs.
+
+    With P = p1*q2 + p2*q1, Q = q1*q2 + K*p1*p2, v = P/Q and Sp, Sq the sums
+    of the magnitudes of their terms, the computed speed must lie within
+    4*eps*kappa*|v| of v, kappa = Sp/|P| + Sq/|Q| the condition number of the
+    two sums: |v_hat - v| <= 4*eps*(Sp + |v|*Sq)/|Q|, plus the absolute
+    rounding ETA of each operation below the normal range.  PoleError is allowed
+    only where Q lies within that rounding of 0 or v beyond the float range
+    (q underflows), an infinite result only where v may exceed that range."""
+    V1, V2 = data.draw(_oracle_speed(K)), data.draw(_oracle_speed(K))
+    (p1, q1), (p2, q2) = _exact_point(V1, K), _exact_point(V2, K)
+    k = Fraction(K)
+    P, Q = p1 * q2 + p2 * q1, q1 * q2 + k * p1 * p2
+    Sp, Sq = abs(p1 * q2) + abs(p2 * q1), abs(q1 * q2) + k * abs(p1 * p2)
+    tol = 4 * Fraction(EPS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LightSpeedResult)
+        try:
+            v_hat = compose_velocities_1p1(V1, V2, K)
+        except PoleError:
+            assert abs(Q) <= tol * Sq + 4 * ETA or abs(P) >= Fraction(FLOAT_MAX) * abs(Q)
+            return
+    assert not math.isnan(v_hat)
+    if Q == 0:
+        return  # the exact pole; any rounding of q leaves a huge speed
+    v = P / Q
+    bound = (tol * (Sp + abs(v) * Sq) + 4 * ETA * (1 + abs(v))) / abs(Q) + ETA
+    if math.isinf(v_hat):
+        assert abs(v) + bound >= Fraction(FLOAT_MAX)
+    else:
+        assert abs(Fraction(v_hat) - v) <= bound
+
+
+def _as_boost(V, K):
+    mag = abs(V) * math.sqrt(K)
+    return Boost(Branch.SUBLUMINAL if mag < 1.0 else Branch.SUPERLUMINAL, V, K)
+
+
+@given(data=st.data(), K=st.sampled_from(ORACLE_K))
+@settings(max_examples=400)
+def test_composed_boost_matrix_is_the_matrix_product(data, K):
+    """boost_matrix_1p1(compose(b1, b2)) equals M2 @ M1 entrywise to 1e-12 of
+    |M2| @ |M1|, where both operands and the result lie at least 1e-3
+    (relative) away from c; below the normal range rounding is absolute.  A
+    composed speed beyond the float range rounds to +/-inf, the axis swap,
+    or makes q underflow to 0, a PoleError; the product's own speed,
+    -M[1, 0]/M[1, 1], must then lie beyond that range too."""
+    b1 = _as_boost(data.draw(_oracle_speed(K, gap=1e-3)), K)
+    b2 = _as_boost(data.draw(_oracle_speed(K, gap=1e-3)), K)
+    M1, M2 = boost_matrix_1p1(b1), boost_matrix_1p1(b2)
+    product, scale = M2 @ M1, np.abs(M2) @ np.abs(M1)
+    beyond = abs(product[1, 1]) * (1 - 1e-12) <= abs(product[1, 0]) / FLOAT_MAX
+    try:
+        composed = compose_boosts_1p1(b1, b2)
+    except PoleError:  # the product is the axis swap: no diagonal
+        assert beyond or np.all(np.abs(np.diag(product)) <= 1e-12 * np.diag(scale) + TINY)
+        return
+    assert composed.branch is (Branch.SUBLUMINAL if b1.branch is b2.branch
+                               else Branch.SUPERLUMINAL)
+    assume(abs(abs(composed.speed) * math.sqrt(K) - 1.0) >= 1e-3)
+    if math.isinf(composed.speed):
+        assert beyond
+        return
+    direct = boost_matrix_1p1(composed)
+    assert np.all(np.abs(direct - product) <= 1e-12 * scale + TINY)
+    # one law: the boost and the raw-speed compositions give the same number
+    assert composed.speed == compose_velocities_1p1(b1.speed, b2.speed, K)

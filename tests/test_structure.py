@@ -1,5 +1,5 @@
-"""One fact, one place: where the package may check a bound, sum exponentials
-and form a boost scale, read from the source with ast."""
+"""One fact, one place: where the package may check a bound, sum exponentials,
+form a boost scale and compose speeds, read from the source with ast."""
 
 import ast
 from pathlib import Path
@@ -71,6 +71,43 @@ def test_boosts_run_on_the_one_kernel(function):
         for scope, node in NODES
         if scope == function
         and (_attribute(node, "np") or _attribute(node, "math", "sqrt"))
+    }
+    assert any(scope == function for scope, _ in NODES)
+    assert not used
+
+
+def _raises(name: str):
+    def match(node) -> bool:
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == name
+
+    return match
+
+
+def test_the_composition_pole_is_raised_only_by_the_law_and_for_matrices():
+    assert _scopes(_raises("PoleError")) == {
+        "kinematics._compose",
+        "kinematics.velocity_of_matrix",
+    }
+
+
+@pytest.mark.parametrize(
+    "function",
+    [
+        "kinematics.compose_boosts_1p1",
+        "kinematics.compose_velocities_1p1",
+        "kinematics.rapidity",
+    ],
+)
+def test_composition_builds_no_matrix(function):
+    used = {
+        ast.unparse(node)
+        for scope, node in NODES
+        if scope == function
+        and (_attribute(node, "np")
+             or isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
     }
     assert any(scope == function for scope, _ in NODES)
     assert not used
