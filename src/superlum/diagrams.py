@@ -8,21 +8,25 @@ is what makes emission and absorption roles frame-dependent.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
-from typing import Iterable, Mapping, Sequence
-
 from importlib import resources
+from pathlib import Path
+from types import MappingProxyType
+
+import numpy as np
 
 from .errors import (
     CyclicDiagram,
     InvalidScenario,
     IsolatedEvent,
     MixedK,
+    NonfiniteResult,
     ZeroExtent,
 )
-from .kinematics import Boost, Event1p1, K_from_c, _apply, _entries
+from .kinematics import Boost, Event1p1, K_from_c, _entries
 
 CLASSIFY_TOL = 1e-9
 
@@ -47,68 +51,145 @@ class Segment:
     speed_class: SpeedClass
 
 
+_CLASSES = tuple(SpeedClass)  # a speed code indexes this
+
+
+def _speed_code(dt, dx, c: float, tol: float):
+    """Index into SpeedClass, elementwise for arrays: subluminal when
+    |dx| < c*|dt| - tol, luminal within the tol band around the cone,
+    superluminal otherwise."""
+    adx, cdt = abs(dx), c * abs(dt)
+    return np.where(adx < cdt - tol, 0, np.where(adx <= cdt + tol, 1, 2))
+
+
 def classify_endpoints(
     start: Event1p1, end: Event1p1, c: float = 1.0, tol: float = CLASSIFY_TOL
 ) -> SpeedClass:
-    """Speed class of the straight segment between two events.
-
-    Subluminal when |dx| < c*|dt| - tol, luminal within the tol band around
-    the cone, superluminal otherwise.  dt = 0 with dx != 0 is an
-    infinite-speed segment and lands superluminal.
-    """
+    """Speed class of the straight segment between two events, by
+    _speed_code.  dt = 0 with dx != 0 is an infinite-speed segment and lands
+    superluminal."""
     dt = end.t - start.t
     dx = end.x - start.x
     if dt == 0.0 and dx == 0.0:
         raise ZeroExtent("segment endpoints coincide")
-    if abs(dx) < c * abs(dt) - tol:
-        return SpeedClass.SUBLUMINAL
-    if abs(dx) <= c * abs(dt) + tol:
-        return SpeedClass.LUMINAL
-    return SpeedClass.SUPERLUMINAL
+    return _CLASSES[_speed_code(dt, dx, c, tol)]
 
 
 def classify_segment(s: Segment, c: float = 1.0, tol: float = CLASSIFY_TOL) -> SpeedClass:
     return classify_endpoints(s.start, s.end, c, tol)
 
 
-def _segment_sort_key(events: Mapping[str, Event1p1], pair: tuple[str, str]):
-    a, b = events[pair[0]], events[pair[1]]
-    return (a.t, a.x, b.t, b.x)
-
-
-@dataclass(frozen=True)
+@dataclass(init=False)
 class Diagram:
     """Events plus directed segments, all in one frame with light speed c.
 
-    Segments are stored ordered by the coordinate time of their start event
-    (ties broken by the spatial coordinate).  Zero-length segments are
-    rejected; segment labels must name existing events.
+    The constructor converts and checks its input once, into columns: the
+    labels, an (n, 2) float array of (t, x), an (m, 2) int array of segment
+    endpoint rows sorted stably by (start t, start x, end t, end x), and
+    each label's rank in sorted order, which every frame shares.  events is
+    a read-only Mapping built on first use; segments is the tuple of label
+    pairs in stored order.  Zero-length segments are rejected; segment
+    labels must name existing events.
     """
 
-    events: dict[str, Event1p1]
-    segments: tuple[tuple[str, str], ...] = field(default=())
-    c: float = 1.0
+    # The constructor's arguments as dataclass fields, so that fields(),
+    # replace(), repr and == see them; each is read through a property below.
+    events: Mapping[str, Event1p1]
+    segments: tuple[tuple[str, str], ...]
+    c: float
+    __slots__ = ("_c", "_labels", "_index", "_rank", "_xy", "_seg", "_codes", "_events")
 
-    def __post_init__(self) -> None:
-        K_from_c(self.c)  # rejects a light speed that is not positive and finite
-        segs = [tuple(p) for p in self.segments]
-        for frm, to in segs:
-            if frm not in self.events or to not in self.events:
-                raise InvalidScenario(f"segment ({frm!r}, {to!r}) names unknown events")
-            a, b = self.events[frm], self.events[to]
-            if a.t == b.t and a.x == b.x:
-                raise ZeroExtent(f"segment ({frm!r}, {to!r}) has zero extent")
-        segs.sort(key=lambda p: _segment_sort_key(self.events, p))
-        object.__setattr__(self, "segments", tuple(segs))
-        object.__setattr__(self, "events", dict(self.events))
+    def __init__(self, events: Mapping[str, Event1p1],
+                 segments: Iterable[tuple[str, str]] = (), c: float = 1.0) -> None:
+        xy = np.fromiter((v for e in events.values() for v in (e.t, e.x)), float,
+                         2 * len(events)).reshape(-1, 2)
+        _columns(self, list(events), xy, segments, c)
+
+    c = property(lambda self: self._c)
+
+    @property
+    def events(self) -> Mapping[str, Event1p1]:
+        if self._events is None:
+            t, x = self._xy.T.tolist()
+            self._events = MappingProxyType(dict(zip(self._labels.tolist(), map(Event1p1, t, x))))
+        return self._events
+
+    @property
+    def segments(self) -> tuple[tuple[str, str], ...]:
+        ends = self._labels[self._seg]
+        return tuple(zip(ends[:, 0].tolist(), ends[:, 1].tolist()))
+
+
+def _columns(d: Diagram, labels: list[str], xy: np.ndarray,
+             segments: Iterable[tuple[str, str]], c: float) -> Diagram:
+    """Fill d from labels, their (t, x) rows and label pairs, checked once."""
+    K_from_c(c)  # rejects a light speed that is not positive and finite
+    index = dict(zip(labels, range(len(labels))))
+    if len(index) < len(labels):
+        raise InvalidScenario("event labels must be distinct")
+    get, segments = index.get, tuple(segments)
+    seg = np.fromiter((get(label, -1) for frm, to in segments for label in (frm, to)),
+                      np.intp, 2 * len(segments)).reshape(-1, 2)
+    unknown = np.flatnonzero((seg < 0).any(axis=1))
+    if len(unknown):
+        frm, to = segments[unknown[0]]
+        raise InvalidScenario(f"segment ({frm!r}, {to!r}) names unknown events")
+    rank = np.empty(len(labels), np.intp)
+    rank[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
+    d._c, d._index, d._rank = c, index, rank
+    d._labels = np.fromiter(labels, object, len(labels))
+    return _frame(d, xy, seg)
+
+
+def _frame(d: Diagram, xy: np.ndarray, seg: np.ndarray) -> Diagram:
+    """Store one frame's coordinates, its segments, sorted, and their speed
+    codes, classified once; d already holds the labels, their index and
+    ranks, and c."""
+    t, x = xy[:, 0], xy[:, 1]
+    frm, to = seg[:, 0], seg[:, 1]
+    flat = np.flatnonzero((t[frm] == t[to]) & (x[frm] == x[to]))
+    if len(flat):
+        frm, to = d._labels[seg[flat[0]]]
+        raise ZeroExtent(f"segment ({frm!r}, {to!r}) has zero extent")
+    d._xy, d._seg = xy, seg[np.lexsort((x[to], t[to], x[frm], t[frm]))]
+    d._codes, d._events = _classify(d, CLASSIFY_TOL), None
+    return d
+
+
+def _classify(d: Diagram, tol: float) -> np.ndarray:
+    """_speed_code of every stored segment."""
+    t, x = d._xy[:, 0], d._xy[:, 1]
+    frm, to = d._seg[:, 0], d._seg[:, 1]
+    with np.errstate(over="ignore"):
+        return _speed_code(t[to] - t[frm], x[to] - x[frm], d.c, tol)
 
 
 def resolved_segments(d: Diagram, tol: float = CLASSIFY_TOL) -> tuple[Segment, ...]:
-    out = []
-    for frm, to in d.segments:
-        a, b = d.events[frm], d.events[to]
-        out.append(Segment(frm, to, a, b, classify_endpoints(a, b, d.c, tol)))
-    return tuple(out)
+    events = list(d.events.values())
+    ends = d._labels[d._seg]
+    return tuple(map(Segment, ends[:, 0].tolist(), ends[:, 1].tolist(),
+                     map(events.__getitem__, d._seg[:, 0].tolist()),
+                     map(events.__getitem__, d._seg[:, 1].tolist()),
+                     map(_CLASSES.__getitem__, (d._codes if tol == CLASSIFY_TOL
+                                                else _classify(d, tol)).tolist())))
+
+
+def _boosted(d: Diagram, b: Boost, m: tuple[float, float, float, float]) -> np.ndarray:
+    """Every (t, x) row moved by the boost entries m as m0*t + m1*x and
+    m2*t + m3*x, elementwise; NonfiniteResult names the first event whose
+    image leaves the float range."""
+    t, x = d._xy[:, 0], d._xy[:, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        xy = np.stack((m[0] * t + m[1] * x, m[2] * t + m[3] * x), axis=1)
+    bad = np.flatnonzero(~np.isfinite(xy).all(axis=1))
+    if len(bad):
+        t, x = (v * 2.0 ** -64 for v in d._xy[bad[0]].tolist())
+        size = max(abs(m[0] * t + m[1] * x), abs(m[2] * t + m[3] * x))
+        raise NonfiniteResult(
+            f"event {d._labels[bad[0]]!r} boosted to {b.branch.value} speed "
+            f"{b.speed!r} (K={b.K!r}) has a coordinate of magnitude "
+            f"10**{math.log10(size) + 64 * math.log10(2.0):.6g}, beyond a float")
+    return xy
 
 
 def transform_diagram(d: Diagram, b: Boost) -> Diagram:
@@ -118,20 +199,20 @@ def transform_diagram(d: Diagram, b: Boost) -> Diagram:
     new frame each segment runs from the earlier endpoint to the later one;
     exactly simultaneous endpoints keep their given direction.  Subluminal
     boosts preserve every speed class; superluminal boosts swap subluminal
-    with superluminal and fix luminal.
+    with superluminal and fix luminal.  Raises NonfiniteResult when an
+    event's image does not fit in a float.
     """
     if abs(b.K * d.c * d.c - 1.0) > 1e-9:
         raise MixedK(
             f"boost K={b.K!r} is inconsistent with diagram light speed c={d.c!r}"
         )
-    m = _entries(b)
-    new_events = {label: _apply(m, e) for label, e in d.events.items()}
-    new_segs = []
-    for frm, to in d.segments:
-        if new_events[to].t < new_events[frm].t:
-            frm, to = to, frm
-        new_segs.append((frm, to))
-    return Diagram(new_events, tuple(new_segs), d.c)
+    xy = _boosted(d, b, _entries(b))
+    seg = d._seg.copy()
+    back = xy[seg[:, 1], 0] < xy[seg[:, 0], 0]
+    seg[back] = seg[back, ::-1]
+    moved = Diagram.__new__(Diagram)
+    moved._c, moved._labels, moved._index, moved._rank = d._c, d._labels, d._index, d._rank
+    return _frame(moved, xy, seg)
 
 
 def role_report(d: Diagram) -> tuple[tuple[str, Role], ...]:
@@ -140,18 +221,18 @@ def role_report(d: Diagram) -> tuple[tuple[str, Role], ...]:
     For each superluminal-class segment, the event it leaves is an emission
     and the event it reaches is an absorption, in this frame's time order.
     Worldlines at or below c contribute no roles.  Every event must touch at
-    least one segment.
+    least one segment.  Sorted by label, absorption before emission.
     """
-    touched = {label for pair in d.segments for label in pair}
-    for label in d.events:
-        if label not in touched:
-            raise IsolatedEvent(f"event {label!r} touches no segment")
-    roles = set()
-    for seg in resolved_segments(d):
-        if seg.speed_class is SpeedClass.SUPERLUMINAL:
-            roles.add((seg.start_label, Role.EMISSION))
-            roles.add((seg.end_label, Role.ABSORPTION))
-    return tuple(sorted(roles, key=lambda pair: (pair[0], pair[1].value)))
+    touched = np.bincount(d._seg.ravel(), minlength=len(d._labels))
+    if not touched.all():
+        raise IsolatedEvent(f"event {d._labels[touched.argmin()]!r} touches no segment")
+    fast = d._seg[d._codes == 2]
+    rows = np.concatenate((fast[:, 1], fast[:, 0]))  # absorptions, then emissions
+    keys, first = np.unique(2 * d._rank[rows] + (np.arange(len(rows)) >= len(fast)),
+                            return_index=True)
+    roles = (Role.ABSORPTION, Role.EMISSION)
+    return tuple(zip(d._labels[rows[first]].tolist(),
+                     map(roles.__getitem__, (keys & 1).tolist())))
 
 
 @dataclass(frozen=True)
@@ -162,19 +243,22 @@ class PathSet:
 
 
 def _successors(d: Diagram) -> dict[str, tuple[str, ...]]:
-    """Sorted successor labels of every event, after one Kahn pass.
+    """Successor labels of every event in label order, after one Kahn pass.
 
     The pass peels off events whose predecessors are all gone (Kahn 1962);
     events left over lie on a directed cycle or downstream of one, and the
     CyclicDiagram message names one that lies on the cycle.  No recursion,
     so depth is unbounded.
     """
-    succ: dict[str, list[str]] = {label: [] for label in d.events}
-    waiting = dict.fromkeys(d.events, 0)  # predecessors not yet peeled off
-    for frm, to in d.segments:
-        succ[frm].append(to)
-        waiting[to] += 1
-    ready = [label for label, n in waiting.items() if not n]
+    n = len(d._labels)
+    frm, to = d._seg[:, 0], d._seg[:, 1]
+    by_start = np.lexsort((d._rank[to], frm))
+    ends = to[by_start].tolist()
+    stops = np.bincount(frm, minlength=n).cumsum().tolist()
+    spans = list(zip([0, *stops], stops))
+    succ = [ends[a:b] for a, b in spans]
+    waiting = np.bincount(to, minlength=n).tolist()  # predecessors not yet peeled off
+    ready = [i for i, w in enumerate(waiting) if not w]
     done = 0
     while ready:
         node = ready.pop()
@@ -183,17 +267,20 @@ def _successors(d: Diagram) -> dict[str, tuple[str, ...]]:
             waiting[nxt] -= 1
             if not waiting[nxt]:
                 ready.append(nxt)
-    if done < len(waiting):
+    if done < n:
         # Every leftover event has a leftover predecessor, so walking back
         # along them must revisit an event, and that event is on a cycle.
-        pred = {to: frm for frm, to in d.segments if waiting[frm] and waiting[to]}
-        node = next(label for label, n in waiting.items() if n)
+        left = np.array(waiting) > 0
+        live = left[frm] & left[to]
+        pred = dict(zip(to[live].tolist(), frm[live].tolist()))
+        node = int(left.argmax())
         seen = set()
         while node not in seen:
             seen.add(node)
             node = pred[node]
-        raise CyclicDiagram(f"directed cycle through {node!r}")
-    return {label: tuple(sorted(nbrs)) for label, nbrs in succ.items()}
+        raise CyclicDiagram(f"directed cycle through {d._labels[node]!r}")
+    names = d._labels[ends].tolist()
+    return dict(zip(d._labels.tolist(), (tuple(names[a:b]) for a, b in spans)))
 
 
 def _walk(succ: Mapping[str, tuple[str, ...]], source: str,
@@ -236,10 +323,10 @@ def count_paths(d: Diagram, source: str, sinks: Iterable[str]) -> tuple[int, Pat
     no recursion limit caps the depth; the count is len(paths), an exact int.
     """
     sink_set = tuple(sorted(set(sinks)))
-    if source not in d.events:
+    if source not in d._index:
         raise InvalidScenario(f"unknown source {source!r}")
     for s in sink_set:
-        if s not in d.events:
+        if s not in d._index:
             raise InvalidScenario(f"unknown sink {s!r}")
     if not sink_set:
         raise InvalidScenario("at least one sink is required")
@@ -249,14 +336,10 @@ def count_paths(d: Diagram, source: str, sinks: Iterable[str]) -> tuple[int, Pat
 
 def terminal_events(d: Diagram) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Labels with only outgoing segments, and labels with only incoming."""
-    outdeg = {label: 0 for label in d.events}
-    indeg = {label: 0 for label in d.events}
-    for frm, to in d.segments:
-        outdeg[frm] += 1
-        indeg[to] += 1
-    sources = tuple(sorted(l for l in d.events if outdeg[l] and not indeg[l]))
-    sinks = tuple(sorted(l for l in d.events if indeg[l] and not outdeg[l]))
-    return sources, sinks
+    n = len(d._labels)
+    out, into = (np.bincount(d._seg[:, k], minlength=n) > 0 for k in (0, 1))
+    return tuple(tuple(d._labels[rows[np.argsort(d._rank[rows])]].tolist())
+                 for rows in (np.flatnonzero(out & ~into), np.flatnonzero(into & ~out)))
 
 
 def count_paths_auto(d: Diagram) -> tuple[int, tuple[PathSet, ...]]:
@@ -294,6 +377,19 @@ def _scenario_event(label, coords) -> Event1p1:
         ) from exc
 
 
+def _coordinates(events: Mapping) -> np.ndarray:
+    """The (n, 2) float array of the [t, x] values, converted in one call;
+    where that fails, event by event, so that the error names the event."""
+    try:
+        xy = np.array(list(events.values()), float)
+        if xy.shape == (len(events), 2) and np.isfinite(xy).all():
+            return xy
+    except (TypeError, ValueError, OverflowError):
+        pass
+    pairs = [_scenario_event(label, coords) for label, coords in events.items()]
+    return np.array([(e.t, e.x) for e in pairs], float).reshape(-1, 2)
+
+
 def scenario_from_dict(data: Mapping) -> Scenario:
     if not isinstance(data, Mapping):
         raise InvalidScenario("scenario must be a JSON object")
@@ -301,29 +397,30 @@ def scenario_from_dict(data: Mapping) -> Scenario:
         raise InvalidScenario("scenario requires 'events' and 'segments'")
     if not isinstance(data["events"], Mapping):
         raise InvalidScenario("scenario 'events' must map labels to [t, x]")
-    events = {str(label): _scenario_event(label, coords)
-              for label, coords in data["events"].items()}
+    xy = _coordinates(data["events"])
     try:
         c = float(data.get("c", 1.0))
         segments = tuple((str(a), str(b)) for a, b in data["segments"])
     except (TypeError, ValueError) as exc:
         raise InvalidScenario(f"malformed scenario: {exc}") from exc
-    diagram = Diagram(events, segments, c)
+    diagram = _columns(Diagram.__new__(Diagram), list(map(str, data["events"])), xy,
+                       segments, c)
     source = data.get("source")
     sinks = tuple(str(s) for s in data.get("sinks", ()))
-    if source is not None and source not in events:
+    if source is not None and source not in diagram._index:
         raise InvalidScenario(f"unknown source {source!r}")
     for s in sinks:
-        if s not in events:
+        if s not in diagram._index:
             raise InvalidScenario(f"unknown sink {s!r}")
     return Scenario(diagram, source, sinks)
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
     d = sc.diagram
+    by_label = np.argsort(d._rank)
     out: dict = {
         "c": d.c,
-        "events": {label: [e.t, e.x] for label, e in sorted(d.events.items())},
+        "events": dict(zip(d._labels[by_label].tolist(), d._xy[by_label].tolist())),
         "segments": [list(pair) for pair in d.segments],
     }
     if sc.source is not None:

@@ -283,14 +283,13 @@ def velocity_of_matrix(M: np.ndarray) -> float:
     """Velocity of the frame a boost matrix maps into.
 
     Read off as minus the ratio of the x-row coefficients (t column over
-    x column); the overall scale of the matrix cancels.  A vanishing x-x
-    entry, relative to its row, means the matrix is the axis swap of the
-    infinite-speed frame (possibly up to rounding) and has no velocity.
+    x column); the overall scale of the matrix cancels.  An x-x entry of
+    exactly 0 means the matrix is the axis swap of the infinite-speed frame,
+    which has no velocity; any other entry gives a speed, however large.
     """
-    scale = max(abs(float(M[1, 0])), abs(float(M[1, 1])))
-    if scale == 0.0 or abs(M[1, 1]) < 1e-14 * scale:
+    if M[1, 1] == 0.0:
         raise PoleError("matrix maps onto the infinite-speed frame")
-    return float(-M[1, 0] / M[1, 1])
+    return -float(M[1, 0]) / float(M[1, 1])
 
 
 def branch_of_matrix(M: np.ndarray) -> Branch:
@@ -308,10 +307,15 @@ def _point(V: float, K: float) -> tuple[float, float]:
 def _compose(V1: float, V2: float, K: float) -> float:
     """The composition law, written once: V1 then V2 is the point
     (p1*q2 + p2*q1, q1*q2 + K*p1*p2), the Moebius form of (V1 + V2)/(1 + K*V1*V2),
-    and its speed p/q.  PoleError only where q is exactly 0, the axis swap."""
+    and its speed p/q.  PoleError only where q is exactly 0: the axis swap, or
+    a speed beyond the float range where q underflows."""
     (p1, q1), (p2, q2) = _point(V1, K), _point(V2, K)
     q = q1 * q2 + K * p1 * p2
     if q == 0.0:
+        if (q1 * q2 == 0.0 and q1 and q2) or (K * p1 * p2 == 0.0 and p1 and p2):
+            # a product of nonzero factors underflowed: q is tiny, not 0
+            raise PoleError(f"composed speed of V1={V1!r} and V2={V2!r} at "
+                            f"K={K!r} lies beyond the float range")
         raise PoleError(f"composition pole 1 + K*V1*V2 = 0 at V1={V1!r}, "
                         f"V2={V2!r}, K={K!r}")
     return (p1 * q2 + p2 * q1) / q

@@ -8,7 +8,9 @@ dictionaries below.
 
 from __future__ import annotations
 
-from .diagrams import Diagram, SpeedClass, resolved_segments
+import numpy as np
+
+from .diagrams import Diagram, SpeedClass
 
 STYLE = {
     "scale": 90.0,          # pixels per unit of x and of c*t
@@ -36,16 +38,34 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _bounds(d: Diagram) -> tuple[float, float, float, float]:
-    ts = [e.t * d.c for e in d.events.values()]
-    xs = [e.x for e in d.events.values()]
-    pad = STYLE["pad"]
-    return min(xs) - pad, max(xs) + pad, min(ts) - pad, max(ts) + pad
+def _marks(d: Diagram, cx: np.ndarray, cy: np.ndarray) -> list[str]:
+    """Segment lines in stored order, then the circle and label of each
+    event in label order, from the events' pixel coordinates.  Each
+    coordinate is formatted once, and segments and circles share the text."""
+    xs, ys = (np.array([f"{v:.1f}" for v in a.tolist()], object) for a in (cx, cy))
+    frm, to = d._seg[:, 0], d._seg[:, 1]
+    dash = np.array([f' stroke-dasharray="{DASH[k]}"' if DASH[k] else ""
+                     for k in SpeedClass], object)[d._codes]
+    stroke = f'stroke="{STYLE["segment_color"]}" stroke-width="1.6"'
+    out = [f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {stroke}{k}/>'
+           for x1, y1, x2, y2, k in zip(xs[frm], ys[frm], xs[to], ys[to], dash)]
+    off, by_label = STYLE["label_offset"], np.argsort(d._rank)
+    dot = f'r="{STYLE["event_radius"]}" fill="{STYLE["event_color"]}"/>'
+    font = f'style="font:{STYLE["font"]}"'
+    out += [f'<circle cx="{x}" cy="{y}" {dot}\n'
+            f'<text x="{lx:.1f}" y="{ly:.1f}" {font}>{_escape(label)}</text>'
+            for x, y, lx, ly, label in zip(xs[by_label], ys[by_label],
+                                           (cx[by_label] + off).tolist(),
+                                           (cy[by_label] - off).tolist(), d._labels[by_label])]
+    return out
 
 
 def render_svg(d: Diagram, title: str | None = None) -> str:
     """Render one diagram to a standalone SVG string."""
-    xlo, xhi, tlo, thi = _bounds(d)
+    x, ct = d._xy[:, 1], d._xy[:, 0] * d.c
+    pad = STYLE["pad"]
+    xlo, xhi = x.min().item() - pad, x.max().item() + pad
+    tlo, thi = ct.min().item() - pad, ct.max().item() + pad
     s = STYLE["scale"]
     m = STYLE["margin"]
     width = m * 2 + (xhi - xlo) * s
@@ -91,27 +111,6 @@ def render_svg(d: Diagram, title: str | None = None) -> str:
                 f'stroke="{STYLE["cone_color"]}" stroke-width="1"/>'
             )
 
-    for seg in resolved_segments(d):
-        dash = DASH[seg.speed_class]
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        parts.append(
-            f'<line x1="{px(seg.start.x):.1f}" y1="{py(seg.start.t * d.c):.1f}" '
-            f'x2="{px(seg.end.x):.1f}" y2="{py(seg.end.t * d.c):.1f}" '
-            f'stroke="{STYLE["segment_color"]}" stroke-width="1.6"{dash_attr}/>'
-        )
-
-    for label in sorted(d.events):
-        e = d.events[label]
-        cx, cy = px(e.x), py(e.t * d.c)
-        parts.append(
-            f'<circle cx="{cx:.1f}" cy="{cy:.1f}" r="{STYLE["event_radius"]}" '
-            f'fill="{STYLE["event_color"]}"/>'
-        )
-        parts.append(
-            f'<text x="{cx + STYLE["label_offset"]:.1f}" '
-            f'y="{cy - STYLE["label_offset"]:.1f}" '
-            f'style="font:{STYLE["font"]}">{_escape(label)}</text>'
-        )
-
+    parts += _marks(d, px(x), py(ct))
     parts.append("</svg>")
     return "\n".join(parts)

@@ -270,6 +270,17 @@ def test_diagram_scenario_names_a_malformed_event(tmp_path, capsys):
     assert "InvalidScenario" in err and "'b'" in err and "[1.5]" in err
 
 
+def test_diagram_boost_overflow_names_the_event(tmp_path, capsys):
+    inp = _write(
+        tmp_path, "s.json",
+        {"events": {"A": [1e308, -1e308], "B": [0, 0]}, "segments": [["A", "B"]]},
+    )
+    code, out, err = _run(capsys, "diagram", "--input", inp, "--format", "json",
+                          "--boost-w", "1.0001")
+    assert code == 2 and out == ""
+    assert "NonfiniteResult" in err and "'A'" in err and "1.0001" in err
+
+
 def test_diagram_unknown_fixture(capsys):
     code, _, err = _run(capsys, "diagram", "--input", "fig7q", "--format", "json")
     assert code == 2

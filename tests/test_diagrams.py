@@ -16,6 +16,7 @@ from superlum import (
     InvalidScenario,
     IsolatedEvent,
     MixedK,
+    NonfiniteResult,
     Role,
     SpeedClass,
     ZeroExtent,
@@ -159,6 +160,14 @@ def test_huge_w_transform_matches_the_infinite_swap():
     for label, e in swap.events.items():
         assert near.events[label].t == pytest.approx(e.t, rel=1e-15, abs=1e-15)
         assert near.events[label].x == pytest.approx(e.x, rel=1e-15, abs=1e-15)
+
+
+def test_boost_overflow_names_the_first_event_and_the_boost():
+    d = _diagram({"B": (0, 0), "A": (1e308, -1e308), "C": (-1e308, 1e308)},
+                 [("A", "B"), ("B", "C")])
+    with pytest.raises(NonfiniteResult, match=r"'A' boosted to superluminal speed 1\.0001"):
+        transform_diagram(d, Boost(Branch.SUPERLUMINAL, 1.0001))
+    assert transform_diagram(d, Boost(Branch.SUPERLUMINAL, 1e300)).events["A"] == E(-1e308, 1e308)
 
 
 # ---------------------------------------------------------------------------

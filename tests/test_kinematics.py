@@ -169,6 +169,23 @@ def test_velocity_and_branch_recovered_from_matrix():
         velocity_of_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
+def test_velocity_of_matrix_far_above_c():
+    # only an x-x entry of exactly 0 is the infinite-speed pole
+    for W in (1e13, 1e15, -1e15, 1e200):
+        M = boost_matrix_1p1(Boost(Branch.SUPERLUMINAL, W))
+        assert velocity_of_matrix(M) == APPROX(W, rel=1e-12)
+    with pytest.raises(PoleError):
+        velocity_of_matrix(boost_matrix_1p1(Boost.infinite()))
+
+
+def test_composition_beyond_the_float_range_says_so():
+    with pytest.raises(PoleError, match="beyond the float range") as err:
+        compose_velocities_1p1(math.inf, 1.1426084867461988e-133, K=1e-200)
+    assert "pole" not in str(err.value)
+    with pytest.raises(PoleError, match="composition pole"):
+        compose_velocities_1p1(0.5, -2.0)
+
+
 # ---------------------------------------------------------------------------
 # Applying boosts
 

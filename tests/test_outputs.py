@@ -1,0 +1,201 @@
+"""Byte-identical diagram outputs: md5s of `superlum diagram` in SVG and in
+JSON, recorded from the per-event implementation of diagrams.py and
+render.py, for the four fixtures and five seeded bundles, each at rest, at
+V = 0.6, at W = 2.5 and at W = inf."""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from superlum.cli import main
+from superlum.diagrams import CLASSIFY_TOL, FIXTURE_NAMES
+
+FRAMES = {
+    "rest": [],
+    "V=0.6": ["--boost-v", "0.6"],
+    "W=2.5": ["--boost-w", "2.5"],
+    "W=inf": ["--infinite"],
+}
+BUNDLE_SEEDS = (1, 2, 3, 4, 5)
+MARKUP = '<&"'
+
+
+def _bundle(seed: int) -> dict:
+    """Chains of events whose legs are slow, fast, simultaneous (dt = 0),
+    luminal, or within CLASSIFY_TOL of the cone on either side; some labels
+    carry markup, some events share coordinates (equal segment sort keys),
+    and one sits at (-0.0, 0.0).  The segment graph is a forest, so it has
+    no cycle in any frame."""
+    rng = random.Random(seed)
+    events, segments = {}, []
+    for w in range(rng.randint(5, 8)):
+        label = f"w{w}" + (MARKUP[w % 3] + MARKUP if rng.random() < 0.3 else "")
+        t, x = rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)
+        prev = f"{label}.0"
+        events[prev] = [t, x]
+        for k in range(1, rng.randint(3, 6)):
+            dt = rng.uniform(0.2, 1.5)
+            leg = rng.choice(("slow", "fast", "simultaneous", "luminal", "edge"))
+            v = rng.choice((-1.0, 1.0))
+            if leg == "slow":
+                v *= rng.uniform(0.0, 0.8)
+            elif leg == "fast":
+                v *= rng.uniform(1.3, 5.0)
+            if leg == "simultaneous":
+                dt, dx = 0.0, rng.uniform(-2.0, 2.0)
+            elif leg == "edge":
+                dx = v * dt + rng.choice((-1.0, 1.0)) * CLASSIFY_TOL * rng.uniform(0.2, 1.8)
+            else:
+                dx = v * dt
+            label_k = f"{label}.{k}"
+            events[label_k] = [t + dt, x + dx]
+            segments.append([prev, label_k] if rng.random() < 0.8 else [label_k, prev])
+            t, x, prev = t + dt, x + dx, label_k
+        twin = f"{label}.twin"
+        events[twin] = list(events[prev])
+        events[twin][0] += 0.5
+        events[f"{label}.twin2"] = list(events[twin])
+        segments += [[prev, twin], [prev, f"{label}.twin2"]]
+    labels = list(events)
+    events["origin"] = [-0.0, 0.0]
+    segments.append(["origin", labels[0]])
+    first = labels[0][:-2]
+    return {"c": 1.0, "events": events, "segments": segments, "source": labels[0],
+            "sinks": [f"{first}.twin", f"{first}.twin2"]}
+
+
+# md5 of (SVG on stdout, JSON report on stdout), keyed by input and frame
+EXPECTED = {
+    ('fig2a', 'rest'):
+        ('9328785f87538dc667ae73fa97d8f7b7',
+         '67d756e4680cf9deb7feb0ca50568772'),
+    ('fig2a', 'V=0.6'):
+        ('2801fecfe7e1a11ccf82013b4aad1cf2',
+         '18249949338f119f265966b2983f0feb'),
+    ('fig2a', 'W=2.5'):
+        ('7a45a368b27a4041f02079088914f7a3',
+         '70a4227541dc8861c395b92802c397f0'),
+    ('fig2a', 'W=inf'):
+        ('f8f82a9383c83d66170fadbdab3b312a',
+         '4a3bfe03ba54546acde35ac35722ba58'),
+    ('fig3a', 'rest'):
+        ('e220dc8fdd72f366b3762dcf79cea9e4',
+         'bf1e4375899a9da82a77a2fc8f020236'),
+    ('fig3a', 'V=0.6'):
+        ('0a5e513275e9b70259521d9400e40714',
+         '884bcc6b844cf6af7cda2bc44737946b'),
+    ('fig3a', 'W=2.5'):
+        ('f3696182cac93c9ecf2429f0b73b6afa',
+         'b587a005e6593719ce8fa8923c91b26b'),
+    ('fig3a', 'W=inf'):
+        ('be9d172a3d9a963109609e144513f2da',
+         'f9e455597799b81bad773ffa9b72dd95'),
+    ('fig4a', 'rest'):
+        ('1d3858f459e5b7d50d83409b253d9ecd',
+         '8ea71d4174bc4ed258380bedd525b42d'),
+    ('fig4a', 'V=0.6'):
+        ('c75e10e30a1b7171c304ea58e10d7a4e',
+         'dbff5200b08135e104a306c154951031'),
+    ('fig4a', 'W=2.5'):
+        ('47e8a965ce00757056e5e965a9bb4ec8',
+         '37f25a400627f59df1c9bebbd4d0b92c'),
+    ('fig4a', 'W=inf'):
+        ('19b9b5babf9078b86e5de2892f7ce162',
+         '4c1c356a892e606c193a299874f2e32f'),
+    ('fig5a', 'rest'):
+        ('4d39aa7c40afcc2a05dc0d0874267a1b',
+         'bc589467f470e6b645d9a0abde5b1d0a'),
+    ('fig5a', 'V=0.6'):
+        ('647dc6a38e80e448e72260ed45db78c1',
+         '96ce75bb77e00fb235416f1c159fb103'),
+    ('fig5a', 'W=2.5'):
+        ('6f2b3053abf5108d2ecb2c659847165e',
+         '0008d9719bf8772c211196969c9b7f17'),
+    ('fig5a', 'W=inf'):
+        ('cded9af8d8f00a69c1b1b07f9dcf6f84',
+         '4eb6edecc6f9f8f7da59fd5000438dcb'),
+    ('bundle1', 'rest'):
+        ('efb3df740afed9bf81fcc8b82bcc622b',
+         '9d9eece8ea2c2ee16b7d59288e508ce3'),
+    ('bundle1', 'V=0.6'):
+        ('3e9067dbce60bee257885db0cbce9a79',
+         '28b79b77846eec3ec0542f3cf8eec8da'),
+    ('bundle1', 'W=2.5'):
+        ('f43b8a387fb2f1e3ac679a480df52203',
+         'aa2f5639c9f2f405f0b5bac230567f29'),
+    ('bundle1', 'W=inf'):
+        ('3e03420c74a23d9ce5a0108e750d721b',
+         'a2e6d44b922bd90a3a80daf5178b82f4'),
+    ('bundle2', 'rest'):
+        ('78bd15535b3af1cbb2edaed6218f90f6',
+         '8abe67d18181b33934ed269ebca42b56'),
+    ('bundle2', 'V=0.6'):
+        ('a1ceac1bf0b5ab0f0257f88833e86299',
+         '2393c388c55a42c986f4f7e10004fa6c'),
+    ('bundle2', 'W=2.5'):
+        ('52dd0577b9218b8b4bf75bd245e2580f',
+         'ef0ddf01bcfa980a2d6bc57308c876ba'),
+    ('bundle2', 'W=inf'):
+        ('2c94df1cb007878aa3bac19d43400bb6',
+         '3d58f6fe08c0df08dae3a66fc8245359'),
+    ('bundle3', 'rest'):
+        ('5dce0e7daf45cb5b41013bd963a8c135',
+         'ab1e22ac8c5a316d22306bd6ddc5b285'),
+    ('bundle3', 'V=0.6'):
+        ('1fc7ca7e4189557b0634c1b697d451e6',
+         '65e8155bc8a551155468221c83309e0f'),
+    ('bundle3', 'W=2.5'):
+        ('c712822b8944853dca55638fc44b20d1',
+         '3d8817ae62a0dccc457d9d8dd5e56ce7'),
+    ('bundle3', 'W=inf'):
+        ('3ea3f3c35d31f20047e4c53ab857abdb',
+         '57bac8193667490b8e2942e6d2e7e378'),
+    ('bundle4', 'rest'):
+        ('17405f93f926850d9a420bf8a2d76e4d',
+         'f9e9048d52e85ea393a44474c6b9fe4a'),
+    ('bundle4', 'V=0.6'):
+        ('dfcedaddd86a37262b031f6ce3f356a7',
+         '7609bb01ec9166c868650f7919cd6666'),
+    ('bundle4', 'W=2.5'):
+        ('aaa5826a44b6e02d594518f01607bc47',
+         '94c0357acb5d3fc614327854b6a6d3d3'),
+    ('bundle4', 'W=inf'):
+        ('9df48791c95d6b3484878073de519a20',
+         '1796852e5c5041e7096c4fc08ff2275b'),
+    ('bundle5', 'rest'):
+        ('e27522482fda172bd038aa493fe82a99',
+         '64766a71447cf021e9eb734f22bf7656'),
+    ('bundle5', 'V=0.6'):
+        ('9af7fdefb2e50c44ca122891751412ff',
+         'e5872b103f80c9b7f81afdb4e1d85046'),
+    ('bundle5', 'W=2.5'):
+        ('0ed8c9d483e73ba2449be57a895b32f3',
+         'f18d3a0e3b5ea06f7c73376157211207'),
+    ('bundle5', 'W=inf'):
+        ('6c4500cba72ccc3c99d2771553162e44',
+         '5773df2e493d47b406c72667cb345ad9'),
+}
+
+
+def _cases():
+    for name in (*FIXTURE_NAMES, *(f"bundle{s}" for s in BUNDLE_SEEDS)):
+        for frame in FRAMES:
+            yield name, frame
+
+
+@pytest.mark.parametrize("name,frame", list(_cases()))
+def test_diagram_outputs_are_byte_identical(name, frame, tmp_path, capsys):
+    if name.startswith("bundle"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(_bundle(int(name[6:]))), encoding="utf-8")
+        source = str(path)
+    else:
+        source = name
+    digests = []
+    for fmt in ("svg", "json"):
+        assert main(["diagram", "--input", source, "--format", fmt,
+                     "--title", f"{name} {frame}", *FRAMES[frame]]) == 0
+        digests.append(hashlib.md5(capsys.readouterr().out.encode()).hexdigest())
+    assert tuple(digests) == EXPECTED[name, frame]

@@ -1,5 +1,6 @@
 """One fact, one place: where the package may check a bound, sum exponentials,
-form a boost scale and compose speeds, read from the source with ast."""
+form a boost scale, compose speeds and classify segments, read from the
+source with ast."""
 
 import ast
 from pathlib import Path
@@ -111,3 +112,12 @@ def test_composition_builds_no_matrix(function):
     }
     assert any(scope == function for scope, _ in NODES)
     assert not used
+
+
+def test_segments_are_sorted_and_classified_on_the_diagram_arrays():
+    """Roles and the SVG read the diagram's one classification; only the JSON
+    report asks for Segment objects, and no per-segment sort key exists."""
+    assert _scopes(lambda node: isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Name)
+                   and node.func.id == "resolved_segments") == {"cli._diagram_report"}
+    assert not hasattr(superlum.diagrams, "_segment_sort_key")
