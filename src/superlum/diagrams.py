@@ -371,7 +371,7 @@ def _scenario_event(label, coords) -> Event1p1:
     try:
         t, x = coords
         return Event1p1(float(t), float(x))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidScenario(
             f"event {label!r} must be [t, x] with finite numbers, got {coords!r}"
         ) from exc
@@ -400,6 +400,9 @@ def scenario_from_dict(data: Mapping) -> Scenario:
     xy = _coordinates(data["events"])
     try:
         c = float(data.get("c", 1.0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidScenario(f"light speed c must be a number, got {data['c']!r}") from exc
+    try:
         segments = tuple((str(a), str(b)) for a, b in data["segments"])
     except (TypeError, ValueError) as exc:
         raise InvalidScenario(f"malformed scenario: {exc}") from exc

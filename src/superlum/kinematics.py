@@ -201,10 +201,14 @@ def superluminal_family(
 
 
 def K_from_c(c: float) -> float:
-    """K = 1/c**2 for a light speed c, which must be positive and finite."""
+    """K = 1/c**2 for a light speed c, which must be positive and finite and
+    small enough to give a finite K."""
     if not (c > 0 and math.isfinite(c)):
         raise NonpositiveK(f"light speed c must be positive and finite, got c={c!r}")
-    return 1.0 / (c * c)
+    K = 1.0 / (c * c) if c * c else math.inf
+    if math.isinf(K):
+        raise NonpositiveK(f"K = 1/c**2 does not fit in a float for light speed c={c!r}")
+    return K
 
 
 def _form(a: float, s: float, K: float) -> tuple[float, float, float, float]:

@@ -13,9 +13,14 @@ binomial convolution of power sums over pairwise sums, the factorial product
 condition coupling n, m and n*m coefficients, and the resummation of the
 truncated expansion to the closed product of exponential sums.
 
-Permutations are enumerated explicitly, so N is practically bounded by 4;
-binomial coefficients and factorials are exact integers for the index ranges
-used (r <= 8, k_i <= truncation).
+alpha_coefficient evaluates one coefficient by enumerating the N!
+permutations.  The resummation check needs every coefficient of the index
+box [0, T]**N at once and builds them as one numpy tensor: with
+A[i, t] = alpha_i**t / t!, the box is the sum over permutations pi of the
+outer products A[pi(0)] x ... x A[pi(N-1)], so it costs N! outer products of
+(T+1)**N cells.  Both paths accept N <= ORDER_BOUND; binomial coefficients
+and factorials are exact integers for the index ranges used (r <= 8,
+k_i <= truncation).
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +150,7 @@ def alpha_coefficient(
 
 INDEX_BOUND = 4
 ORDER_BOUND = 4
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def cauchy_condition_check(
@@ -242,6 +249,28 @@ def _tail_bound(ct: CoefficientTensor, phi: np.ndarray, truncation: int) -> floa
         return math.inf
 
 
+def _coefficient_box(ct: CoefficientTensor, truncation: int, n: int) -> np.ndarray:
+    """Every coefficient a^(n)_k of the index box [0, truncation]**N, as an
+    array of shape (m,) * N indexed by k.
+
+    With A[i, t] = alpha_i**t / t!, the cell k of the outer product
+    A[s(0)] x ... x A[s(N-1)] is prod_j alpha_{s(j)}**k_j / prod_j k_j!, and
+    summing it over all permutations s sums the printed formula's
+    prod_i alpha_i**k_{pi(i)} over pi = s**-1.  m is truncation + 1 unless
+    every A[i, t] is 0 from some t on (all alphas 0, or powers that
+    underflow); the cells from there on are exactly 0 and are left out.
+    """
+    t = np.arange(truncation + 1)
+    inverse_factorials = 1.0 / np.array([math.factorial(v) for v in t], float)
+    A = np.array(ct.alphas)[:, None] ** t * inverse_factorials
+    A = A[:, :np.flatnonzero(A.any(axis=0))[-1] + 1]
+    box = np.zeros((A.shape[1],) * ct.order, complex)
+    for s in itertools.permutations(range(ct.order)):
+        box += functools.reduce(np.multiply.outer, A[list(s)])
+    box *= n ** (-ct.beta_prime) / math.factorial(ct.order)
+    return box
+
+
 def expansion_reconstruction_check(
     ct: CoefficientTensor, phases, truncation: int = 12, tol: float = 1e-8
 ) -> CheckReport:
@@ -251,7 +280,19 @@ def expansion_reconstruction_check(
     [0, truncation]**N and compares with closed_product.  Raises
     TruncationInsufficient when the series tail bound exceeds tol; keep
     |alpha_i * phi_j| <= 1 with truncation 12 for comfortable headroom.
+    Raises ValueError for N > ORDER_BOUND, for a negative truncation, and
+    for a truncation whose last cell's normalisation N! * truncation!**N
+    exceeds the float range (truncation > 57 at N = 4); the box holds up to
+    (truncation + 1)**N complex cells.
     """
+    if ct.order > ORDER_BOUND:
+        raise ValueError(f"order N <= {ORDER_BOUND} required, got N={ct.order}")
+    if truncation < 0:
+        raise ValueError(f"truncation must be >= 0, got truncation={truncation!r}")
+    if ct.order * math.lgamma(truncation + 1) + math.lgamma(ct.order + 1) > _LOG_FLOAT_MAX:
+        raise ValueError(
+            f"truncation={truncation!r} at order N={ct.order}: the last cell's "
+            "normalisation N! * truncation!**N does not fit in a float")
     phi = as_phases(phases)
     n = phi.size
     bound = _tail_bound(ct, phi, truncation)
@@ -260,15 +301,13 @@ def expansion_reconstruction_check(
             f"series tail bound {bound!r} exceeds tol={tol!r}; raise the "
             "truncation or shrink |alpha*phi|"
         )
-    powers = [power_sum(t, phi) for t in range(truncation + 1)]
-    truncated = 0.0 + 0.0j
-    for indices in itertools.product(range(truncation + 1), repeat=ct.order):
-        coeff = alpha_coefficient(ct, indices, n)
-        if coeff == 0:
-            continue
-        truncated += coeff * math.prod(powers[t] for t in indices)
+    truncated = _coefficient_box(ct, truncation, n)
+    # a power sum past the box would only meet coefficients that are 0
+    powers = np.array([power_sum(t, phi) for t in range(truncated.shape[0])])
+    for _ in range(ct.order):  # elementwise, so no BLAS kernel reorders the sums
+        truncated = (truncated * powers).sum(axis=-1)
     closed = closed_product(ct, phi)
-    dev = relative_deviation(truncated, closed)
+    dev = relative_deviation(complex(truncated), closed)
     return CheckReport(
         "expansion_reconstruction",
         dev,

@@ -270,6 +270,29 @@ def test_diagram_scenario_names_a_malformed_event(tmp_path, capsys):
     assert "InvalidScenario" in err and "'b'" in err and "[1.5]" in err
 
 
+@pytest.mark.parametrize("scenario,named", [
+    ({"events": {"a": [0.0, 0.0], "b": [10**400, 1.0]}}, "'b'"),
+    ({"c": 10**400, "events": {"a": [0.0, 0.0], "b": [1.0, 0.5]}}, "light speed c"),
+])
+def test_diagram_scenario_names_a_number_beyond_the_float_range(
+        tmp_path, capsys, scenario, named):
+    inp = _write(tmp_path, "s.json", {**scenario, "segments": [["a", "b"]]})
+    code, out, err = _run(capsys, "diagram", "--input", inp, "--format", "json")
+    assert code == 2 and out == ""
+    assert "InvalidScenario" in err and named in err
+
+
+def test_diagram_light_speed_whose_K_overflows_is_named(tmp_path, capsys):
+    inp = _write(
+        tmp_path, "s.json",
+        {"c": 1e-200, "events": {"a": [0.0, 0.0], "b": [1.0, 0.5]},
+         "segments": [["a", "b"]]},
+    )
+    code, out, err = _run(capsys, "diagram", "--input", inp, "--format", "json")
+    assert code == 2 and out == ""
+    assert "NonpositiveK" in err and "c=1e-200" in err
+
+
 def test_diagram_boost_overflow_names_the_event(tmp_path, capsys):
     inp = _write(
         tmp_path, "s.json",

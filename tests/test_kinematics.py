@@ -496,7 +496,7 @@ def test_1p3_subluminal_rejects_light_speed_and_above():
     assert boost_1p3_subluminal(e, (1.2, 0.0, 0.0), c=2.0).t == APPROX(1.25, rel=1e-15)
 
 
-@pytest.mark.parametrize("c", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("c", [0.0, -1.0, math.inf, math.nan, 1e-200])
 def test_bad_light_speed_is_named_in_1p3(c):
     e = Event1p3(1.0, (0.0, 0.0, 0.0))
     with pytest.raises(NonpositiveK, match="light speed"):

@@ -1,7 +1,10 @@
-"""Byte-identical diagram outputs: md5s of `superlum diagram` in SVG and in
-JSON, recorded from the per-event implementation of diagrams.py and
-render.py, for the four fixtures and five seeded bundles, each at rest, at
-V = 0.6, at W = 2.5 and at W = inf."""
+"""Byte-identical outputs.
+
+md5s of `superlum diagram` in SVG and in JSON, recorded from the per-event
+implementation of diagrams.py and render.py, for the four fixtures and five
+seeded bundles, each at rest, at V = 0.6, at W = 2.5 and at W = inf; and md5s
+of the default `superlum verify --seed N` report, recorded from the tensor
+coefficient box of sympoly."""
 
 import hashlib
 import json
@@ -199,3 +202,18 @@ def test_diagram_outputs_are_byte_identical(name, frame, tmp_path, capsys):
                      "--title", f"{name} {frame}", *FRAMES[frame]]) == 0
         digests.append(hashlib.md5(capsys.readouterr().out.encode()).hexdigest())
     assert tuple(digests) == EXPECTED[name, frame]
+
+
+# md5 of the default `superlum verify --seed N` report on stdout
+VERIFY_EXPECTED = {
+    0: "35cc98eac571a5c422dd28be6ebc81cc",
+    1: "86c53b4b94d87f58504b4b464ace92e6",
+    7: "81d26afdbd9cb9c515404542b788a4d3",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_EXPECTED))
+def test_verify_output_is_byte_identical(seed, capsys):
+    assert main(["verify", "--seed", str(seed)]) == 0
+    digest = hashlib.md5(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == VERIFY_EXPECTED[seed]

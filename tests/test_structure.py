@@ -121,3 +121,18 @@ def test_segments_are_sorted_and_classified_on_the_diagram_arrays():
                    and isinstance(node.func, ast.Name)
                    and node.func.id == "resolved_segments") == {"cli._diagram_report"}
     assert not hasattr(superlum.diagrams, "_segment_sort_key")
+
+
+def test_the_coefficient_box_is_built_without_a_per_index_loop():
+    """expansion_reconstruction_check and its box read no coefficient one
+    index at a time: alpha_coefficient is the box's test oracle."""
+    per_index = {
+        ast.unparse(node)
+        for scope, node in NODES
+        if scope in ("sympoly.expansion_reconstruction_check", "sympoly._coefficient_box")
+        and isinstance(node, ast.Call)
+        and ast.unparse(node.func) in ("alpha_coefficient", "itertools.product",
+                                      "_permutation_sum")
+    }
+    assert any(scope == "sympoly._coefficient_box" for scope, _ in NODES)
+    assert not per_index

@@ -1,5 +1,6 @@
 """Power sums, expansion coefficients, and the identities tying them together."""
 
+import itertools
 import math
 import warnings
 
@@ -22,7 +23,7 @@ from superlum import (
     power_sum,
 )
 from superlum.invariants import InvariantSpec
-from superlum.sympoly import _tail_bound
+from superlum.sympoly import ORDER_BOUND, _coefficient_box, _tail_bound
 
 APPROX = pytest.approx
 
@@ -192,6 +193,100 @@ def test_expansion_truncation_guard():
     ct = CoefficientTensor((3.0,))
     with pytest.raises(TruncationInsufficient):
         expansion_reconstruction_check(ct, (2.0,), truncation=12)
+
+
+def test_expansion_rejects_an_order_above_the_bound():
+    ct = CoefficientTensor((0.1, -0.1, 0.2, -0.2, 0.3))
+    assert ct.order == ORDER_BOUND + 1
+    with pytest.raises(ValueError, match="N=5"):
+        expansion_reconstruction_check(ct, (0.1, 0.2), truncation=2)
+
+
+@pytest.mark.parametrize("truncation", [-1, -12])
+def test_expansion_rejects_a_negative_truncation(truncation):
+    ct = CoefficientTensor((0.5, -0.5))
+    with pytest.raises(ValueError, match=f"truncation={truncation}"):
+        expansion_reconstruction_check(ct, (0.1, 0.2), truncation=truncation)
+
+
+def test_expansion_rejects_a_box_whose_normalisation_overflows():
+    """At N = 4 the last cell's N! * T!**4 fits in a float up to T = 57; one
+    more raises before any of the 59**4 cells is allocated."""
+    ct = CoefficientTensor((0.1, -0.1, 0.1j, -0.1j))
+    with pytest.raises(ValueError, match="truncation=58"):
+        expansion_reconstruction_check(ct, (0.1,), truncation=58)
+    assert math.factorial(4) * math.factorial(57) ** 4 < 1.7976931348623157e308
+
+
+@pytest.mark.parametrize("alphas", [(0.0, 0.0), (1e-40, -1e-40)])
+def test_expansion_leaves_out_power_sums_that_meet_only_zero_coefficients(alphas):
+    """E_12 of these phases overflows, but every coefficient that multiplies
+    it is exactly 0 (alpha**12 underflows), so it is never formed."""
+    ct = CoefficientTensor(alphas, beta_prime=1.0)
+    rep = expansion_reconstruction_check(ct, (1e30, 2.0), truncation=12)
+    assert rep.passed and rep.deviation <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# The coefficient box against its per-index oracle
+
+BOX_TENSORS = [
+    CoefficientTensor((0.9,), beta_prime=0.5),
+    CoefficientTensor((0.8, -0.8), beta_prime=1.0),
+    CoefficientTensor((0.8j, -0.8j), beta_prime=1.0),
+    CoefficientTensor((0.6, -0.6, 0.3j), beta_prime=0.7),
+    CoefficientTensor((0.5 + 0.2j, -0.3, 0.7j), beta_prime=-0.4),
+    CoefficientTensor((0.6, -0.6, 0.3j, -0.3j), beta_prime=1.0),
+    CoefficientTensor((0.9j, -0.4, 0.2 - 0.5j, 0.7), beta_prime=0.3),
+]
+
+
+def _cell_scale(ct, k, n):
+    """The coefficient with every alpha replaced by its modulus: the
+    cancellation-free scale of the permutation sum, nonzero where the
+    printed coefficient cancels to 0."""
+    return abs(alpha_coefficient(
+        CoefficientTensor(tuple(abs(a) for a in ct.alphas), ct.beta_prime), k, n))
+
+
+@pytest.mark.parametrize("ct", [ct for ct in BOX_TENSORS if ct.order <= 3])
+def test_coefficient_box_equals_alpha_coefficient_in_every_cell(ct):
+    truncation, n = 10, 5
+    box = _coefficient_box(ct, truncation, n)
+    assert box.shape == (truncation + 1,) * ct.order
+    for k in itertools.product(range(truncation + 1), repeat=ct.order):
+        ref = alpha_coefficient(ct, k, n)
+        assert abs(box[k] - ref) <= 1e-14 * _cell_scale(ct, k, n), (k, box[k], ref)
+
+
+@pytest.mark.parametrize("ct", [ct for ct in BOX_TENSORS if ct.order == 4])
+def test_coefficient_box_matches_sampled_cells_at_order_four(ct, rng):
+    truncation, n = 12, 7
+    box = _coefficient_box(ct, truncation, n)
+    cells = {tuple(int(v) for v in k)
+             for k in rng.integers(0, truncation + 1, size=(260, 4))}
+    cells |= {(0, 0, 0, 0), (12, 12, 12, 12), (0, 12, 3, 7)}
+    assert len(cells) >= 200
+    for k in cells:
+        ref = alpha_coefficient(ct, k, n)
+        assert abs(box[k] - ref) <= 1e-14 * _cell_scale(ct, k, n), (k, box[k], ref)
+
+
+@pytest.mark.parametrize("ct", BOX_TENSORS)
+def test_contracted_box_equals_the_factorised_series(ct, rng):
+    """Summed against the power sums, the box factorises:
+    n**-beta' * prod_i sum_t alpha_i**t E_t / t!."""
+    truncation = 12
+    phases = rng.uniform(-1.0, 1.0, 6)
+    powers = np.array([power_sum(t, phases) for t in range(truncation + 1)])
+    contracted = _coefficient_box(ct, truncation, phases.size)
+    for _ in range(ct.order):
+        contracted = contracted @ powers
+    factorised = phases.size ** -ct.beta_prime * math.prod(
+        sum(a**t * powers[t] / math.factorial(t)
+            for t in range(truncation + 1))
+        for a in ct.alphas)
+    assert abs(complex(contracted) - factorised) <= 1e-13 * abs(factorised)
 
 
 # ---------------------------------------------------------------------------
