@@ -242,8 +242,17 @@ class PathSet:
     paths: tuple[tuple[str, ...], ...]
 
 
-def _successors(d: Diagram) -> dict[str, tuple[str, ...]]:
-    """Successor labels of every event in label order, after one Kahn pass.
+# The census memoises suffix lists only when it is output-bound, that is when
+# the chains outnumber events plus segments by more than this factor, and the
+# memo holds at most this many labels over all its lists.
+_OUTPUT_BOUND = 4
+_MEMO_LABELS = 2**16
+
+
+def _successors(d: Diagram, sources: list[int]) -> tuple[list[list[int]], list[int], list[int]]:
+    """Successor rows of every event in label order, the Kahn order, and the
+    number of chains from sources into each event, counted in the same pass
+    with exact Python ints.
 
     The pass peels off events whose predecessors are all gone (Kahn 1962);
     events left over lie on a directed cycle or downstream of one, and the
@@ -255,19 +264,24 @@ def _successors(d: Diagram) -> dict[str, tuple[str, ...]]:
     by_start = np.lexsort((d._rank[to], frm))
     ends = to[by_start].tolist()
     stops = np.bincount(frm, minlength=n).cumsum().tolist()
-    spans = list(zip([0, *stops], stops))
-    succ = [ends[a:b] for a, b in spans]
+    succ = [ends[a:b] for a, b in zip([0, *stops], stops)]
     waiting = np.bincount(to, minlength=n).tolist()  # predecessors not yet peeled off
     ready = [i for i, w in enumerate(waiting) if not w]
-    done = 0
+    ways = [0] * n
+    for i in sources:
+        ways[i] = 1
+    order: list[int] = []
+    visit = order.append
     while ready:
         node = ready.pop()
-        done += 1
+        visit(node)
+        here = ways[node]
         for nxt in succ[node]:
+            ways[nxt] += here
             waiting[nxt] -= 1
             if not waiting[nxt]:
                 ready.append(nxt)
-    if done < n:
+    if len(order) < n:
         # Every leftover event has a leftover predecessor, so walking back
         # along them must revisit an event, and that event is on a cycle.
         left = np.array(waiting) > 0
@@ -279,25 +293,59 @@ def _successors(d: Diagram) -> dict[str, tuple[str, ...]]:
             seen.add(node)
             node = pred[node]
         raise CyclicDiagram(f"directed cycle through {d._labels[node]!r}")
-    names = d._labels[ends].tolist()
-    return dict(zip(d._labels.tolist(), (tuple(names[a:b]) for a, b in spans)))
+    return succ, order, ways
 
 
-def _walk(succ: Mapping[str, tuple[str, ...]], source: str,
-          sinks: frozenset[str]) -> tuple[tuple[str, ...], ...]:
-    """Every chain from source that ends on a sink, in pre-order over the
-    sorted successors.  An explicit stack of successor iterators and one
-    mutable trail replace recursion; a trail is copied only when it counts.
+def _suffixes(names: list[str], succ: list[list[int]], order: list[int],
+              ways: list[int], sinks: frozenset[int]) -> dict[int, list[tuple[str, ...]]]:
+    """Every chain from an event to a sink, in _walk's pre-order, for the
+    events whose lists fit in _MEMO_LABELS labels counted over all lists.
+
+    One pass in reverse Kahn order builds an event's list from its
+    successors' lists, so an event is kept only when all its successors are;
+    events that no chain reaches (ways 0) are skipped.
     """
+    memo: dict[int, list[tuple[str, ...]]] = {}
+    size: dict[int, int] = {}  # labels in each kept list
+    total = 0
+    for v in reversed(order):
+        kids = succ[v]
+        if not ways[v] or not all(w in memo for w in kids):
+            continue
+        labels = (v in sinks) + sum(size[w] + len(memo[w]) for w in kids)
+        if total + labels > _MEMO_LABELS:
+            continue
+        head = (names[v],)
+        chains = [head] if v in sinks else []
+        for w in kids:
+            chains += map(head.__add__, memo[w])
+        memo[v], size[v] = chains, labels
+        total += labels
+    return memo
+
+
+def _walk(succ: list[list[int]], names: list[str], source: int, sinks: frozenset[int],
+          memo: Mapping[int, list[tuple[str, ...]]]) -> tuple[tuple[str, ...], ...]:
+    """Every chain from source that ends on a sink, as labels, in pre-order
+    over the sorted successors.  An explicit stack of successor iterators and
+    one mutable trail replace recursion; a trail is copied only when it
+    counts.  On reaching an event whose chains memo holds, the walk emits the
+    trail joined to each of them instead of descending.
+    """
+    if source in memo:  # its own list, less the chain of no segment
+        return tuple(memo[source][source in sinks:])
     found: list[tuple[str, ...]] = []
-    trail = [source]
+    trail = [names[source]]
     stack = [iter(succ[source])]
     # bound methods, looked up once: this loop runs once per listed step
-    push, pop, emit = stack.append, stack.pop, found.append
+    push, pop, emit, join = stack.append, stack.pop, found.append, found.extend
     step, back = trail.append, trail.pop
     while stack:
         for nxt in stack[-1]:  # advance the deepest iterator by one
-            step(nxt)
+            if nxt in memo:
+                join(map(tuple(trail).__add__, memo[nxt]))
+                break
+            step(names[nxt])
             if nxt in sinks:
                 emit(tuple(trail))
             if succ[nxt]:
@@ -311,16 +359,38 @@ def _walk(succ: Mapping[str, tuple[str, ...]], source: str,
     return tuple(found)
 
 
+def _census(d: Diagram, sources: Iterable[str], sinks: Iterable[str]
+            ) -> tuple[int, list[tuple[tuple[str, ...], ...]]]:
+    """The exact count of chains from any source to any sink, from the Kahn
+    pass, and each source's listing by _walk, which reads the suffix memo
+    only when the census is output-bound."""
+    names, index = d._labels.tolist(), d._index
+    starts = [index[s] for s in sources]
+    ends = frozenset(index[s] for s in sinks)
+    succ, order, ways = _successors(d, starts)
+    # the chain of no segment at a source that is also a sink is no path
+    count = sum(ways[k] for k in ends) - len(ends.intersection(starts))
+    memo = {}
+    if count > _OUTPUT_BOUND * (len(order) + len(d._seg)):
+        memo = _suffixes(names, succ, order, ways, ends)
+    return count, [_walk(succ, names, s, ends, memo) for s in starts]
+
+
 def count_paths(d: Diagram, source: str, sinks: Iterable[str]) -> tuple[int, PathSet]:
     """Count directed chains from source to any sink, and list them.
 
     A chain may continue through a sink toward another sink; every prefix
-    ending on a sink counts once.  The segment graph must be acyclic
-    anywhere, not only where the source reaches.  Paths are listed in
-    pre-order: from each event the successors are taken in sorted label
-    order, and a prefix comes before its extensions.  The cost is linear in
-    the events and segments plus the total length of the listed paths, and
-    no recursion limit caps the depth; the count is len(paths), an exact int.
+    ending on a sink counts once, and a path needs at least one segment.
+    The segment graph must be acyclic anywhere, not only where the source
+    reaches.  Paths are listed in pre-order: from each event the successors
+    are taken in sorted label order, and a prefix comes before its
+    extensions.  The count is an exact int from a dynamic program over the
+    Kahn order, linear in the events and segments.  The listing costs that
+    plus the total length of the listed paths, and no recursion limit caps
+    the depth.  When the chains outnumber events plus segments more than
+    fourfold, the listing first memoises the chains from the events nearest
+    the sinks, up to 2**16 labels in all, and joins each walked prefix to
+    them with one tuple concatenation per path.
     """
     sink_set = tuple(sorted(set(sinks)))
     if source not in d._index:
@@ -330,8 +400,8 @@ def count_paths(d: Diagram, source: str, sinks: Iterable[str]) -> tuple[int, Pat
             raise InvalidScenario(f"unknown sink {s!r}")
     if not sink_set:
         raise InvalidScenario("at least one sink is required")
-    paths = _walk(_successors(d), source, frozenset(sink_set))
-    return len(paths), PathSet(source, sink_set, paths)
+    count, (paths,) = _census(d, (source,), sink_set)
+    return count, PathSet(source, sink_set, paths)
 
 
 def terminal_events(d: Diagram) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -345,15 +415,11 @@ def terminal_events(d: Diagram) -> tuple[tuple[str, ...], tuple[str, ...]]:
 def count_paths_auto(d: Diagram) -> tuple[int, tuple[PathSet, ...]]:
     """Path census of the current frame: chains from every pure start event
     of the segment graph to the pure end events, one PathSet per start
-    event in label order.  The graph is built and checked once and shared
-    by every start event."""
-    succ = _successors(d)
+    event in label order.  The graph, the count and the suffix memo of
+    count_paths are built and checked once and shared by every start event."""
     sources, sinks = terminal_events(d)
-    if not sources or not sinks:
-        return 0, ()
-    sink_set = frozenset(sinks)
-    sets = tuple(PathSet(src, sinks, _walk(succ, src, sink_set)) for src in sources)
-    return sum(len(ps.paths) for ps in sets), sets
+    count, listings = _census(d, sources, sinks)
+    return count, tuple(PathSet(src, sinks, paths) for src, paths in zip(sources, listings))
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +456,27 @@ def _coordinates(events: Mapping) -> np.ndarray:
     return np.array([(e.t, e.x) for e in pairs], float).reshape(-1, 2)
 
 
+def _label_pairs(segments) -> tuple[tuple[str, str], ...]:
+    """The [start, end] label pairs as strings, converted in one pass; where
+    that fails, segment by segment, so that the error names the segment."""
+    try:
+        return tuple((str(a), str(b)) for a, b in segments)
+    except (TypeError, ValueError):
+        pass
+    if not isinstance(segments, Iterable):
+        raise InvalidScenario(f"scenario 'segments' must list [start, end] pairs, "
+                              f"got {segments!r}")
+    pairs = []
+    for i, seg in enumerate(segments):
+        try:
+            a, b = seg
+        except (TypeError, ValueError) as exc:
+            raise InvalidScenario(
+                f"segment {i} must be [start, end] labels, got {seg!r}") from exc
+        pairs.append((str(a), str(b)))
+    return tuple(pairs)
+
+
 def scenario_from_dict(data: Mapping) -> Scenario:
     if not isinstance(data, Mapping):
         raise InvalidScenario("scenario must be a JSON object")
@@ -402,12 +489,8 @@ def scenario_from_dict(data: Mapping) -> Scenario:
         c = float(data.get("c", 1.0))
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidScenario(f"light speed c must be a number, got {data['c']!r}") from exc
-    try:
-        segments = tuple((str(a), str(b)) for a, b in data["segments"])
-    except (TypeError, ValueError) as exc:
-        raise InvalidScenario(f"malformed scenario: {exc}") from exc
     diagram = _columns(Diagram.__new__(Diagram), list(map(str, data["events"])), xy,
-                       segments, c)
+                       _label_pairs(data["segments"]), c)
     source = data.get("source")
     sinks = tuple(str(s) for s in data.get("sinks", ()))
     if source is not None and source not in diagram._index:

@@ -201,13 +201,15 @@ def superluminal_family(
 
 
 def K_from_c(c: float) -> float:
-    """K = 1/c**2 for a light speed c, which must be positive and finite and
-    small enough to give a finite K."""
+    """K = 1/c**2 for a light speed c, which must be positive and finite, and
+    neither so small that K overflows nor so large that it underflows to 0."""
     if not (c > 0 and math.isfinite(c)):
         raise NonpositiveK(f"light speed c must be positive and finite, got c={c!r}")
     K = 1.0 / (c * c) if c * c else math.inf
     if math.isinf(K):
         raise NonpositiveK(f"K = 1/c**2 does not fit in a float for light speed c={c!r}")
+    if not K:
+        raise NonpositiveK(f"K = 1/c**2 underflows to 0 for light speed c={c!r}")
     return K
 
 
@@ -215,6 +217,14 @@ def _form(a: float, s: float, K: float) -> tuple[float, float, float, float]:
     """Matrix entries, row by row, of (t, x) -> (a*t - K*s*x, a*x - s*t),
     the boost law with s = a*V."""
     return a, -K * s, -s, a
+
+
+def _reciprocal(V: float) -> tuple[float, float]:
+    """The pair (w, r) with r/w = 1/V: w = 1, except where 1/V would be
+    subnormal and lose precision (2**1022 < |V| < inf); there w = 4 keeps r
+    normal."""
+    w = 4.0 if 2.0**1022 < abs(V) < math.inf else 1.0
+    return w, w / V
 
 
 def _entries(
@@ -239,13 +249,13 @@ def _entries(
     if b.branch is Branch.SUBLUMINAL:
         a = 1.0 / math.sqrt(1.0 - K * V * V)
         return _form(a, a * V, K)
-    u = 1.0 / V
-    s = (1.0 if positive_convention else -1.0) / math.sqrt(K - u * u)
+    w, r = _reciprocal(V)
+    s = (1.0 if positive_convention else -1.0) / math.sqrt(K - r * r / (w * w))
     if not antisymmetric_term:
-        if u == 0.0:  # infinite speed
+        if r == 0.0:  # infinite speed
             raise ValueError("the broken variant has no infinite-speed limit")
         s = math.copysign(s, V)
-    return _form(s * u, s, K)
+    return _form(s * r / w, s, K)
 
 
 def _apply(m: tuple[float, float, float, float], e: Event1p1) -> Event1p1:
@@ -303,9 +313,10 @@ def branch_of_matrix(M: np.ndarray) -> Branch:
 
 def _point(V: float, K: float) -> tuple[float, float]:
     """Speed V as the projective point (p, q), V = p/q: (V, 1) up to c and
-    (1, 1/V) beyond it, so +/-inf is the ordinary point (1, +/-0)."""
+    (1, 1/V) beyond it, so +/-inf is the ordinary point (1, +/-0); (4, 4/V)
+    where 1/V would be subnormal."""
     V = float(V)
-    return (V, 1.0) if K * V * V <= 1.0 else (1.0, 1.0 / V)
+    return (V, 1.0) if K * V * V <= 1.0 else _reciprocal(V)
 
 
 def _compose(V1: float, V2: float, K: float) -> float:

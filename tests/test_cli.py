@@ -293,6 +293,28 @@ def test_diagram_light_speed_whose_K_overflows_is_named(tmp_path, capsys):
     assert "NonpositiveK" in err and "c=1e-200" in err
 
 
+@pytest.mark.parametrize("boost", [(), ("--boost-v", "0.5")])
+def test_diagram_light_speed_whose_K_underflows_is_named(tmp_path, capsys, boost):
+    inp = _write(
+        tmp_path, "s.json",
+        {"c": 1e200, "events": {"a": [0.0, 0.0], "b": [1.0, 0.5]},
+         "segments": [["a", "b"]]},
+    )
+    code, out, err = _run(capsys, "diagram", "--input", inp, "--format", "json", *boost)
+    assert code == 2 and out == ""
+    assert "NonpositiveK" in err and "c=1e+200" in err and "underflows" in err
+
+
+def test_diagram_scenario_names_a_malformed_segment(tmp_path, capsys):
+    inp = _write(
+        tmp_path, "s.json",
+        {"events": {"a": [0.0, 0.0], "b": [1.0, 0.5]}, "segments": [["a", "b"], ["a"]]},
+    )
+    code, out, err = _run(capsys, "diagram", "--input", inp, "--format", "json")
+    assert code == 2 and out == ""
+    assert "InvalidScenario" in err and "segment 1" in err and "['a']" in err
+
+
 def test_diagram_boost_overflow_names_the_event(tmp_path, capsys):
     inp = _write(
         tmp_path, "s.json",

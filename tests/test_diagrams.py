@@ -28,6 +28,7 @@ from superlum import (
     role_report,
     transform_diagram,
 )
+from superlum import diagrams
 from superlum.diagrams import (
     FIXTURE_NAMES,
     classify_endpoints,
@@ -335,9 +336,7 @@ def _random_dag(draw):
     return _diagram(events, segments)
 
 
-@given(_random_dag(), st.data())
-@settings(max_examples=300, deadline=None)
-def test_paths_match_recursive_enumeration_and_dp_count(d, data):
+def _check_census(d, data):
     labels = sorted(d.events)
     source = data.draw(st.sampled_from(labels))
     sinks = data.draw(st.sets(st.sampled_from(labels), min_size=1))
@@ -349,6 +348,66 @@ def test_paths_match_recursive_enumeration_and_dp_count(d, data):
     assert auto_count == _dp_count(d, sources, ends)
     assert [ps.paths for ps in sets] == [
         _recursive_paths(d, src, ends) for src in sources]
+
+
+@given(_random_dag(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_paths_match_recursive_enumeration_and_dp_count(d, data):
+    _check_census(d, data)
+
+
+@pytest.mark.parametrize("budget", [3, 2**16])
+@given(d=_random_dag(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_memoised_listing_matches_recursive_enumeration_and_dp_count(budget, d, data):
+    """The suffix memo forced on for every census with a chain, under a
+    budget that keeps only the lists near the sinks and one that keeps all."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diagrams, "_OUTPUT_BOUND", 0)
+        mp.setattr(diagrams, "_MEMO_LABELS", budget)
+        _check_census(d, data)
+
+
+def _ladder(rungs):
+    """Source s, rungs of two events a_i and b_i each fed by both events of
+    the rung before, and sink t: 2**rungs paths."""
+    events = {"s": (0.0, 0.0), "t": (rungs + 1.0, 0.0)}
+    segments, prev = [], ["s"]
+    for i in range(1, rungs + 1):
+        rung = [f"a{i:02d}", f"b{i:02d}"]
+        events.update({rung[0]: (float(i), -0.3), rung[1]: (float(i), 0.3)})
+        segments += [(p, r) for p in prev for r in rung]
+        prev = rung
+    return _diagram(events, segments + [(p, "t") for p in prev])
+
+
+def _ladder_memo(rungs):
+    """The ladder, its successor rows and its suffix memo from s to t."""
+    d = _ladder(rungs)
+    succ, order, ways = diagrams._successors(d, [d._index["s"]])
+    memo = diagrams._suffixes(d._labels.tolist(), succ, order, ways,
+                              frozenset({d._index["t"]}))
+    return d, succ, memo
+
+
+def test_ladder_listing_from_the_memo_equals_the_plain_walk():
+    d, succ, memo = _ladder_memo(12)
+    assert 2**12 > diagrams._OUTPUT_BOUND * (len(d.events) + len(d.segments))
+    assert len(memo) > 2  # output-bound, so the census reads the memo
+    plain = diagrams._walk(succ, d._labels.tolist(), d._index["s"],
+                           frozenset({d._index["t"]}), {})
+    count, sets = count_paths_auto(d)
+    assert count == len(plain) == 2**12
+    assert [ps.paths for ps in sets] == [plain]
+
+
+@pytest.mark.parametrize("budget", [0, 7, 100, 2**16])
+def test_the_memo_holds_no_more_labels_than_its_budget(monkeypatch, budget):
+    monkeypatch.setattr(diagrams, "_MEMO_LABELS", budget)
+    for rungs in (3, 8, 16):
+        _, _, memo = _ladder_memo(rungs)
+        assert sum(len(chain) for chains in memo.values() for chain in chains) <= budget
+        assert bool(memo) == (budget > 0)  # the sink's own list is the 1 label (t,)
 
 
 @given(_random_dag(), st.integers(2, 4), st.data())

@@ -496,7 +496,7 @@ def test_1p3_subluminal_rejects_light_speed_and_above():
     assert boost_1p3_subluminal(e, (1.2, 0.0, 0.0), c=2.0).t == APPROX(1.25, rel=1e-15)
 
 
-@pytest.mark.parametrize("c", [0.0, -1.0, math.inf, math.nan, 1e-200])
+@pytest.mark.parametrize("c", [0.0, -1.0, math.inf, math.nan, 1e-200, 1e200])
 def test_bad_light_speed_is_named_in_1p3(c):
     e = Event1p3(1.0, (0.0, 0.0, 0.0))
     with pytest.raises(NonpositiveK, match="light speed"):
@@ -519,6 +519,18 @@ def test_huge_w_matrix_is_the_swap_to_one_ulp(W):
             assert abs(M[i, j] - want[i][j]) <= math.ulp(want[i][j])
     det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
     assert abs(det + 1.0) <= math.ulp(1.0)
+
+
+@pytest.mark.parametrize("W", [1.7976931348623157e308, 1e308, 7.7e307, -1.3e308])
+def test_speeds_whose_reciprocal_is_subnormal_keep_their_precision(W):
+    # 1/W is subnormal and 4/W normal, so both laws must agree with W/4 scaled
+    assert compose_velocities_1p1(W, 0.0) == 4.0 * compose_velocities_1p1(W / 4.0, 0.0)
+    rest = Boost(Branch.SUBLUMINAL, 0.0)
+    assert compose_boosts_1p1(Boost(Branch.SUPERLUMINAL, W), rest).speed == (
+        4.0 * compose_boosts_1p1(Boost(Branch.SUPERLUMINAL, W / 4.0), rest).speed)
+    M, M4 = (boost_matrix_1p1(Boost(Branch.SUPERLUMINAL, w, 1e-200)) for w in (W, W / 4.0))
+    assert 4.0 * M[0, 0] == M4[0, 0] and 4.0 * M[1, 1] == M4[1, 1]
+    assert (M[0, 1], M[1, 0]) == (M4[0, 1], M4[1, 0])
 
 
 def test_huge_w_boost_1p1_is_the_swap():

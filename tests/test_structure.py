@@ -136,3 +136,21 @@ def test_the_coefficient_box_is_built_without_a_per_index_loop():
     }
     assert any(scope == "sympoly._coefficient_box" for scope, _ in NODES)
     assert not per_index
+
+
+def test_nothing_in_the_diagram_layer_recurses():
+    """The path census runs to any depth: no function of diagrams.py calls
+    itself, directly or through others of the module."""
+    tree = ast.parse(Path(superlum.diagrams.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)}
+    calls = {name: {call.func.id for call in ast.walk(node)
+                    if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id in functions}
+             for name, node in functions.items()}
+    assert "_walk" in calls and "_suffixes" in calls
+    while calls:  # peel off functions that call nothing left; a cycle stays
+        leaves = {name for name, callees in calls.items() if not callees}
+        assert leaves, f"recursion among {sorted(calls)}"
+        calls = {name: callees - leaves for name, callees in calls.items()
+                 if name not in leaves}
