@@ -123,7 +123,7 @@ class Diagram:
 def _columns(d: Diagram, labels: list[str], xy: np.ndarray,
              segments: Iterable[tuple[str, str]], c: float) -> Diagram:
     """Fill d from labels, their (t, x) rows and label pairs, checked once."""
-    K_from_c(c)  # rejects a light speed that is not positive and finite
+    K_from_c(c)  # rejects a c that is not positive and finite, or whose K over- or underflows
     index = dict(zip(labels, range(len(labels))))
     if len(index) < len(labels):
         raise InvalidScenario("event labels must be distinct")
@@ -244,8 +244,13 @@ class PathSet:
 
 # The census memoises suffix lists only when it is output-bound, that is when
 # the chains outnumber events plus segments by more than this factor, and the
-# memo holds at most this many labels over all its lists.
-_OUTPUT_BOUND = 4
+# memo holds at most this many labels over all its lists.  The memo pass is
+# itself linear in events and segments, so it pays only when the walk has many
+# paths to list per event: timed against the plain walk, it lost at 1.0 chains
+# per event plus segment (ladder of 5 rungs, 1.1x slower) and on chains and
+# bundles (0.0-0.75; 1.5-3x slower), broke even near 1.7 and won from 2.9 up
+# (ladder of 7 rungs, 1.25-1.4x faster; 2-2.6x from 9 rungs).
+_OUTPUT_BOUND = 2
 _MEMO_LABELS = 2**16
 
 
@@ -388,7 +393,7 @@ def count_paths(d: Diagram, source: str, sinks: Iterable[str]) -> tuple[int, Pat
     Kahn order, linear in the events and segments.  The listing costs that
     plus the total length of the listed paths, and no recursion limit caps
     the depth.  When the chains outnumber events plus segments more than
-    fourfold, the listing first memoises the chains from the events nearest
+    twofold, the listing first memoises the chains from the events nearest
     the sinks, up to 2**16 labels in all, and joins each walked prefix to
     them with one tuple concatenation per path.
     """

@@ -250,7 +250,7 @@ def _entries(
         a = 1.0 / math.sqrt(1.0 - K * V * V)
         return _form(a, a * V, K)
     w, r = _reciprocal(V)
-    s = (1.0 if positive_convention else -1.0) / math.sqrt(K - r * r / (w * w))
+    s = (1.0 if positive_convention else -1.0) / math.sqrt(K - r * r)
     if not antisymmetric_term:
         if r == 0.0:  # infinite speed
             raise ValueError("the broken variant has no infinite-speed limit")
