@@ -196,12 +196,16 @@ def cmd_diagram(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    timings = {} if args.timings else None
     reports = run_suite(
         seed=args.seed,
         tolerance=args.tolerance,
         break_antisymmetric_term=args.break_antisymmetric_term,
         perturb_cauchy=args.perturb_cauchy,
+        timings=timings,
     )
+    if timings is not None:
+        sys.stderr.write(json.dumps({"row_seconds": timings}) + "\n")
     payload = suite_report(
         reports,
         args.seed,
@@ -317,6 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--perturb-cauchy", type=float, default=0.0, metavar="EPS",
         help="sabotage: add EPS to one expansion coefficient",
+    )
+    p_verify.add_argument(
+        "--timings", action="store_true",
+        help="write the seconds of each suite row to stderr as one JSON object",
     )
     p_verify.set_defaults(func=cmd_verify)
 

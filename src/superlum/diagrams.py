@@ -462,10 +462,13 @@ def _coordinates(events: Mapping) -> np.ndarray:
 
 
 def _label_pairs(segments) -> tuple[tuple[str, str], ...]:
-    """The [start, end] label pairs as strings, converted in one pass; where
-    that fails, segment by segment, so that the error names the segment."""
+    """The [start, end] label pairs as strings, converted in one pass when
+    every segment is a list or tuple; otherwise segment by segment, so that
+    the error names the segment.  A string or an object of two items is not
+    a pair."""
     try:
-        return tuple((str(a), str(b)) for a, b in segments)
+        if isinstance(segments, (list, tuple)) and {*map(type, segments)} <= {list, tuple}:
+            return tuple((str(a), str(b)) for a, b in segments)
     except (TypeError, ValueError):
         pass
     if not isinstance(segments, Iterable):
@@ -473,12 +476,9 @@ def _label_pairs(segments) -> tuple[tuple[str, str], ...]:
                               f"got {segments!r}")
     pairs = []
     for i, seg in enumerate(segments):
-        try:
-            a, b = seg
-        except (TypeError, ValueError) as exc:
-            raise InvalidScenario(
-                f"segment {i} must be [start, end] labels, got {seg!r}") from exc
-        pairs.append((str(a), str(b)))
+        if not (isinstance(seg, (list, tuple)) and len(seg) == 2):
+            raise InvalidScenario(f"segment {i} must be [start, end] labels, got {seg!r}")
+        pairs.append((str(seg[0]), str(seg[1])))
     return tuple(pairs)
 
 

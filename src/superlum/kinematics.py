@@ -17,7 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -219,11 +219,15 @@ def _form(a: float, s: float, K: float) -> tuple[float, float, float, float]:
     return a, -K * s, -s, a
 
 
-def _reciprocal(V: float) -> tuple[float, float]:
+def _reciprocal(V):
     """The pair (w, r) with r/w = 1/V: w = 1, except where 1/V would be
     subnormal and lose precision (2**1022 < |V| < inf); there w = 4 keeps r
-    normal."""
-    w = 4.0 if 2.0**1022 < abs(V) < math.inf else 1.0
+    normal.  V may be a column of speeds, w then a column too."""
+    if isinstance(V, np.ndarray):
+        mag = np.abs(V)
+        w = np.where((2.0**1022 < mag) & (mag < math.inf), 4.0, 1.0)
+    else:
+        w = 4.0 if 2.0**1022 < abs(V) < math.inf else 1.0
     return w, w / V
 
 
@@ -240,21 +244,28 @@ def _entries(
     any |W| > c, and W = +/-inf gives the exact axis swap.
     antisymmetric_term=False drops the factor W/|W| from a: the deliberately
     broken variant, for which boost(-W) followed by boost(W) is -identity.
+
+    V may also be a float64 column of speeds on b's branch, b then the Boost
+    that validates the column (column_boost).  The same operations run in
+    the same order, elementwise, and np.sqrt is correctly rounded like
+    math.sqrt, so each entry equals the scalar call's bit for bit.
     """
     if V is None:
         if isinstance(b.speed, tuple):
             raise TypeError("1+1 operations require a scalar-speed boost")
         V = b.speed
     K = b.K
+    column = isinstance(V, np.ndarray)
+    sqrt = np.sqrt if column else math.sqrt
     if b.branch is Branch.SUBLUMINAL:
-        a = 1.0 / math.sqrt(1.0 - K * V * V)
+        a = 1.0 / sqrt(1.0 - K * V * V)
         return _form(a, a * V, K)
     w, r = _reciprocal(V)
-    s = (1.0 if positive_convention else -1.0) / math.sqrt(K - r * r)
+    s = (1.0 if positive_convention else -1.0) / sqrt(K - r * r)
     if not antisymmetric_term:
-        if r == 0.0:  # infinite speed
+        if np.any(r == 0.0):  # an infinite speed
             raise ValueError("the broken variant has no infinite-speed limit")
-        s = math.copysign(s, V)
+        s = (np.copysign if column else math.copysign)(s, V)
     return _form(s * r / w, s, K)
 
 
@@ -300,10 +311,12 @@ def velocity_of_matrix(M: np.ndarray) -> float:
     x column); the overall scale of the matrix cancels.  An x-x entry of
     exactly 0 means the matrix is the axis swap of the infinite-speed frame,
     which has no velocity; any other entry gives a speed, however large.
+    M may also be a stack of matrices, (n, 2, 2), read one by one.
     """
-    if M[1, 1] == 0.0:
+    if (M[..., 1, 1] == 0.0).any():
         raise PoleError("matrix maps onto the infinite-speed frame")
-    return -float(M[1, 0]) / float(M[1, 1])
+    v = -M[..., 1, 0] / M[..., 1, 1]
+    return float(v) if M.ndim == 2 else v
 
 
 def branch_of_matrix(M: np.ndarray) -> Branch:
@@ -314,19 +327,30 @@ def branch_of_matrix(M: np.ndarray) -> Branch:
 def _point(V: float, K: float) -> tuple[float, float]:
     """Speed V as the projective point (p, q), V = p/q: (V, 1) up to c and
     (1, 1/V) beyond it, so +/-inf is the ordinary point (1, +/-0); (4, 4/V)
-    where 1/V would be subnormal."""
+    where 1/V would be subnormal.  V may be a column, each speed then its own
+    point."""
+    if isinstance(V, np.ndarray):
+        with np.errstate(over="ignore"):
+            near = K * V * V <= 1.0
+        w, r = _reciprocal(np.where(near, 1.0, V))
+        return np.where(near, V, w), np.where(near, 1.0, r)
     V = float(V)
     return (V, 1.0) if K * V * V <= 1.0 else _reciprocal(V)
 
 
-def _compose(V1: float, V2: float, K: float) -> float:
+def _compose(V1, V2, K: float):
     """The composition law, written once: V1 then V2 is the point
     (p1*q2 + p2*q1, q1*q2 + K*p1*p2), the Moebius form of (V1 + V2)/(1 + K*V1*V2),
     and its speed p/q.  PoleError only where q is exactly 0: the axis swap, or
-    a speed beyond the float range where q underflows."""
+    a speed beyond the float range where q underflows.  V1 and V2 may be two
+    columns of one length, composed pair by pair; the first pole is named."""
     (p1, q1), (p2, q2) = _point(V1, K), _point(V2, K)
     q = q1 * q2 + K * p1 * p2
-    if q == 0.0:
+    if isinstance(q, np.ndarray):
+        if not q.all():
+            i = int(np.argmin(q != 0.0))
+            return _compose(float(V1[i]), float(V2[i]), K)
+    elif q == 0.0:
         if (q1 * q2 == 0.0 and q1 and q2) or (K * p1 * p2 == 0.0 and p1 and p2):
             # a product of nonzero factors underflowed: q is tiny, not 0
             raise PoleError(f"composed speed of V1={V1!r} and V2={V2!r} at "
@@ -434,14 +458,22 @@ def extract_K(
 # 1+3 transforms.
 
 
-def _along(e: Event1p3, b: Boost, w: float) -> tuple[tuple[float, ...], float, Event1p1]:
-    """The 1+1 boost law applied to (t, r.n), n the direction of b's vector
-    speed of magnitude w > 0.  Returns n, r.n and the boosted (t', x').  A w
+def _along(t, r, speed, w, m):
+    """The 1+1 boost law, entries m, applied to (t, r.n), n the direction of
+    the vector speed of magnitude w > 0; r and speed are three components,
+    floats or columns alike.  Returns n, r.n and the boosted (t', x').  A w
     that overflows to inf gives n = 0, which the law at infinite speed, the
     axis swap, does not need."""
-    n = tuple(v / w for v in b.speed)
-    r_par = e.r[0] * n[0] + e.r[1] * n[1] + e.r[2] * n[2]
-    return n, r_par, _apply(_entries(b, w), Event1p1(e.t, r_par))
+    n = tuple(v / w for v in speed)
+    r_par = r[0] * n[0] + r[1] * n[1] + r[2] * n[2]
+    return n, r_par, (m[0] * t + m[1] * r_par, m[2] * t + m[3] * r_par)
+
+
+def _superluminal_along(t, r, speed, w, m, c: float):
+    """The superluminal 1+3 law on (t, r) as _along takes them: the three
+    components of tvec', and x'."""
+    n, r_par, (t1, x1) = _along(t, r, speed, w, m)
+    return tuple(t1 * u + (ri - r_par * u) / c for ri, u in zip(r, n)), x1
 
 
 def boost_1p3_subluminal(e: Event1p3, V, c: float = 1.0) -> Event1p3:
@@ -451,8 +483,8 @@ def boost_1p3_subluminal(e: Event1p3, V, c: float = 1.0) -> Event1p3:
     v = math.hypot(*b.speed)
     if v == 0.0:
         return Event1p3(e.t, e.r)
-    n, r_par, out = _along(e, b, v)
-    return Event1p3(out.t, tuple(r + (out.x - r_par) * u for r, u in zip(e.r, n)))
+    n, r_par, (t, x) = _along(e.t, e.r, b.speed, v, _entries(b, v))
+    return Event1p3(t, tuple(r + (x - r_par) * u for r, u in zip(e.r, n)))
 
 
 def boost_1p3_superluminal(e: Event1p3, W, c: float = 1.0) -> SuperluminalEvent1p3:
@@ -464,14 +496,102 @@ def boost_1p3_superluminal(e: Event1p3, W, c: float = 1.0) -> SuperluminalEvent1
     result approaches x' = c*t, tvec' = r/c for every direction of W.
     """
     b = Boost(Branch.SUPERLUMINAL, tuple(W), K_from_c(c))
-    n, r_par, out = _along(e, b, math.hypot(*b.speed))
-    tvec = tuple(out.t * u + (r - r_par * u) / c for r, u in zip(e.r, n))
-    return SuperluminalEvent1p3(tvec, out.x)
+    w = math.hypot(*b.speed)
+    return SuperluminalEvent1p3(*_superluminal_along(e.t, e.r, b.speed, w,
+                                                     _entries(b, w), c))
 
 
-def interval_nm(dts: Sequence[float], drs: Sequence[float], c: float = 1.0) -> float:
+def interval_nm(dts: Sequence[float], drs: Sequence[float], c: float = 1.0):
     """Quadratic form with n temporal and m spatial increments:
-    c**2 * sum(dt**2) - sum(dr**2)."""
-    dts = np.asarray(dts, dtype=float)
-    drs = np.asarray(drs, dtype=float)
-    return float(c * c * np.sum(dts * dts) - np.sum(drs * drs))
+    c**2 * sum(dt**2) - sum(dr**2).  Given (k, n) and (k, m) arrays it
+    returns the k forms of their rows."""
+    dts = np.atleast_1d(np.asarray(dts, dtype=float))
+    drs = np.atleast_1d(np.asarray(drs, dtype=float))
+    s2 = c * c * np.sum(dts * dts, axis=-1) - np.sum(drs * drs, axis=-1)
+    return float(s2) if s2.ndim == 0 else s2
+
+
+# ---------------------------------------------------------------------------
+# Columns: many boosts at once, for seeded sweeps.  A column of speeds is
+# validated by the Boost of its extreme speed, and the law runs elementwise
+# through the kernels above, so each result equals the one-boost call's bit
+# for bit.  A branch is one Branch for the whole column, or a boolean column
+# that is True where the speed is subluminal.
+
+
+class EventColumns(NamedTuple):
+    """n 1+1 events as two float64 columns; interval_1p1 reads them as it
+    reads two Event1p1."""
+
+    t: np.ndarray
+    x: np.ndarray
+
+
+def _require_finite_columns(**columns: np.ndarray) -> None:
+    """ValueError naming the first non-finite value, as Event1p1 raises."""
+    for name, col in columns.items():
+        bad = np.flatnonzero(~np.isfinite(col))
+        if len(bad):
+            _require_finite(name, float(col.flat[bad[0]]))
+
+
+def _apply_columns(m: np.ndarray, e: EventColumns) -> EventColumns:
+    """_apply on columns; an image beyond the float range is a ValueError,
+    not an overflow warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = EventColumns(m[0] * e.t + m[1] * e.x, m[2] * e.t + m[3] * e.x)
+    _require_finite_columns(t=out.t, x=out.x)
+    return out
+
+
+def column_boost(branch: Branch, V: np.ndarray, K: float = 1.0) -> Boost:
+    """The Boost of the column's extreme speed: the largest |V| below c, the
+    smallest |W| above it, or the first NaN.  Constructing it checks the
+    branch bound of every speed in the column."""
+    mag = np.abs(V)
+    i = np.argmax(mag) if branch is Branch.SUBLUMINAL else np.argmin(mag)
+    return Boost(branch, float(V[i]), K)
+
+
+def column_entries(branch, V: np.ndarray, K: float = 1.0, *,
+                   antisymmetric_term: bool = True) -> np.ndarray:
+    """The boost-law entries of each speed of the column V, a (4, n) array,
+    row by row as _entries returns them."""
+    if isinstance(branch, Branch):
+        return np.array(_entries(column_boost(branch, V, K), V,
+                                 antisymmetric_term=antisymmetric_term))
+    m = np.empty((4, len(V)))
+    for one, mask in ((Branch.SUBLUMINAL, branch), (Branch.SUPERLUMINAL, ~branch)):
+        if mask.any():
+            m[:, mask] = column_entries(one, V[mask], K,
+                                        antisymmetric_term=antisymmetric_term)
+    return m
+
+
+def boost_1p1_columns(e: EventColumns, branch, V, K: float = 1.0) -> EventColumns:
+    """boost_1p1 on columns: event i moved by the boost of speed V[i]."""
+    return _apply_columns(column_entries(branch, V, K), e)
+
+
+def boost_1p3_superluminal_columns(t: np.ndarray, r: np.ndarray, W: np.ndarray,
+                                   c: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """boost_1p3_superluminal on columns: t is (n,), r and W are (n, 3).
+    Returns tvec, (n, 3), and x, (n,).  |W| is math.hypot of each speed, on
+    Python floats: hypot has no bit-exact numpy twin."""
+    K = K_from_c(c)
+    _require_finite_columns(**{"speed component": W})
+    w = np.array([math.hypot(*v) for v in W.tolist()])
+    m = column_entries(Branch.SUPERLUMINAL, w, K)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tvec, x = _superluminal_along(t, r.T, W.T, w, m, c)
+    tvec = np.stack(tvec, axis=1)
+    _require_finite_columns(**{"tvec component": tvec, "x": x})
+    return tvec, x
+
+
+def rapidity_columns(branch: Branch, V: np.ndarray, K: float = 1.0) -> np.ndarray:
+    """rapidity of each speed of a column on one branch.  atan2 runs per
+    speed on Python floats: math.atan2 has no bit-exact numpy twin."""
+    column_boost(branch, V, K)
+    p, q = _point(V, K)
+    return np.array(list(map(math.atan2, (math.sqrt(K) * p).tolist(), q.tolist())))

@@ -1,21 +1,37 @@
 """Seeded verification suite spanning kinematics, invariants and sympoly.
 
-The suite is one table, SUITE.  Each row draws its inputs and returns one
-deviation per report it feeds; run_suite runs every row for its number of
-trials, keeps the worst deviation (the largest against a tolerance, the
-smallest against the floor of an expected failure) and builds the
-CheckReports.  All randomness comes from one seeded generator, consumed in
-table order, so a fixed seed gives a bit-identical report.  The two sabotage
-switches exist to demonstrate that the suite actually bites:
-break_antisymmetric_term drops the W/|W| factor from superluminal matrices
-(the inverse law then fails for every W), and perturb_cauchy shifts one
-expansion coefficient (the factorial product condition then fails).
+The suite is one table, SUITE.  Each row draws the inputs of all its trials
+and returns one deviation per trial and report; run_suite keeps the worst
+deviation of each report (the largest against a tolerance, the smallest
+against the floor of an expected failure, NaN wherever a trial gave NaN)
+and builds the CheckReports.  All randomness comes from one seeded
+generator, consumed in table order, so a fixed seed gives a bit-identical
+report.
+
+The eleven kinematics rows draw only uniform doubles.  Each draws all its
+trials in one rng.random block, and maps a column u of it to
+lo + (hi - lo) * u, which is what rng.uniform(lo, hi) returns, bit for bit.
+A trial that draws a random boost uses two or three doubles, by its branch
+draw; those rows walk an upper-bound block and then redraw exactly the
+doubles used, so the generator ends each row where one draw at a time
+would leave it.  The trials then run as numpy operations on columns,
+through the column twins of the kinematics kernels; the few calls with no
+bit-exact numpy twin (math.hypot, math.atan2, x ** 2, which is libm pow,
+and the BLAS dot of np.linalg.norm and dr @ dr) run per trial on Python
+floats.  Each deviation is the one a per-trial evaluation gives.  The other
+rows draw integers and arrays whose sizes vary, and run trial by trial
+through per_trial.
+
+The two sabotage switches exist to demonstrate that the suite actually
+bites: break_antisymmetric_term drops the W/|W| factor from superluminal
+matrices (the inverse law then fails for every W), and perturb_cauchy shifts
+one expansion coefficient (the factorial product condition then fails).
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
+import time
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -32,7 +48,7 @@ from .invariants import (
     invariant_P,
     path_phase,
 )
-from .kinematics import Boost, Branch, Event1p1, Event1p3
+from .kinematics import Boost, Branch, Event1p1, EventColumns
 from .report import CheckReport, relative_deviation
 from .sympoly import (
     CoefficientTensor,
@@ -81,37 +97,82 @@ def floor(name: str, bound: float, **params) -> Check:
 class Row(NamedTuple):
     checks: tuple[Check, ...]
     trials: int
-    # trial(rng, opts, i) draws the inputs of trial i and returns one
-    # deviation per check: a float, or a tuple for several checks.
+    # trial(rng, opts, n) draws the inputs of n trials and returns their
+    # deviations: n of them for one check, an (n, checks) array for several.
     trial: Callable
     unit: str | None = "trials"  # params key that reports the trial count
+
+    @property
+    def name(self) -> str:
+        return "+".join(c.name for c in self.checks)
+
+
+def per_trial(body: Callable) -> Callable:
+    """The row trial of body(rng, opts, i), which draws and evaluates trial i
+    alone and returns its deviation, or a tuple of them for several checks."""
+    def trial(rng, opts, n):
+        return [body(rng, opts, i) for i in range(n)]
+    return trial
 
 
 # ---------------------------------------------------------------------------
 # Draws.
 
 
+def _uniform(u, lo: float, hi: float):
+    """rng.uniform(lo, hi) from the doubles u that rng.random() drew."""
+    return lo + (hi - lo) * u
+
+
+def _subluminal(u):
+    return _uniform(u, -0.95, 0.95)
+
+
+def _superluminal(u, sign):
+    """|W| in [1.05, 20) from u, negative where the sign draw is >= 0.5."""
+    w = _uniform(u, 1.05, 20.0)
+    return np.where(sign < 0.5, w, -w)
+
+
+def _boost_draws(rng, n: int, boosts: int, rest: int):
+    """The draws of n trials that each draw `boosts` random boosts and then
+    `rest` doubles, taken in one block.
+
+    A random boost draws its branch (below 0.5: subluminal), then a speed,
+    and above c also the speed's sign: two or three doubles.  So the block
+    holds the most the trials can use, a cursor walks it, and the generator
+    is restored and advanced by exactly the doubles used.  Returns the
+    (subluminal mask, speed) columns of each boost and the (n, rest) doubles.
+    """
+    state = rng.bit_generator.state
+    block = rng.random(n * (3 * boosts + rest))
+    u = block.tolist()
+    starts, pos = [], 0
+    for _ in range(n):
+        for _ in range(boosts):
+            starts.append(pos)
+            pos += 2 if u[pos] < 0.5 else 3
+        starts.append(pos)
+        pos += rest
+    rng.bit_generator.state = state
+    rng.random(pos)
+    at = np.array(starts).reshape(n, boosts + 1)
+    drawn = []
+    for j in range(boosts):
+        sub = block[at[:, j]] < 0.5
+        speed = np.where(sub, _subluminal(block[at[:, j] + 1]),
+                         _superluminal(block[at[:, j] + 1], block[at[:, j] + 2]))
+        drawn.append((sub, speed))
+    return drawn, block[at[:, [boosts]] + np.arange(rest)]
+
+
+def _events(u) -> EventColumns:
+    """Events with t and x in [-2, 2) from two columns of doubles."""
+    return EventColumns(_uniform(u[:, 0], -2, 2), _uniform(u[:, 1], -2, 2))
+
+
 def _random_subluminal(rng: np.random.Generator) -> float:
     return float(rng.uniform(-0.95, 0.95))
-
-
-def _random_superluminal(rng: np.random.Generator) -> float:
-    w = float(rng.uniform(1.05, 20.0))
-    return w if rng.uniform() < 0.5 else -w
-
-
-def _random_boost(rng: np.random.Generator) -> Boost:
-    if rng.uniform() < 0.5:
-        return Boost(Branch.SUBLUMINAL, _random_subluminal(rng))
-    return Boost(Branch.SUPERLUMINAL, _random_superluminal(rng))
-
-
-def _random_event(rng: np.random.Generator) -> Event1p1:
-    return Event1p1(*rng.uniform(-2, 2, 2))
-
-
-def _random_event_1p3(rng: np.random.Generator) -> Event1p3:
-    return Event1p3(float(rng.uniform(-2, 2)), tuple(rng.uniform(-2, 2, 3)))
 
 
 def _random_spec(rng, complex_alpha: bool) -> InvariantSpec:
@@ -133,101 +194,139 @@ def _random_timelike_path(rng) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# Trials.  Each returns the deviation(s) of one trial.
+# Column helpers: the per-trial operations with no bit-exact numpy twin, and
+# the elementwise forms of the scalar ones.
 
 
-def _inverse_law(matrix: Callable[[float], np.ndarray], v: float) -> float:
-    return float(np.max(np.abs(matrix(-v) @ matrix(v) - IDENTITY)))
+def _squares(col: np.ndarray) -> np.ndarray:
+    """col ** 2 as a scalar computes it: libm pow, not always col * col."""
+    return np.array([v ** 2 for v in col.tolist()])
 
 
-def _subluminal_inverse(rng, opts, i):
-    return _inverse_law(kin.subluminal_matrix, _random_subluminal(rng))
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row, one call per row (a BLAS dot)."""
+    return np.array([np.linalg.norm(row) for row in rows])
 
 
-def _superluminal_inverse(rng, opts, i):
-    matrix = partial(kin.superluminal_matrix, antisymmetric_term=opts.antisymmetric_term)
-    return _inverse_law(matrix, _random_superluminal(rng))
+def _relative(lhs, rhs, scale):
+    """relative_deviation on columns."""
+    denom = np.maximum(np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), scale), 1e-300)
+    return np.abs(lhs - rhs) / denom
 
 
-def _light_cone(rng, opts, i):
-    b = _random_boost(rng)
-    e1 = _random_event(rng)
-    dt = float(rng.uniform(0.1, 2.0))
-    e2 = Event1p1(e1.t + dt, e1.x + math.copysign(dt, rng.uniform(-1, 1)))
-    return abs(kin.interval_1p1(kin.boost_1p1(e1, b), kin.boost_1p1(e2, b)))
+def _matrices(branch, V, antisymmetric_term: bool = True) -> np.ndarray:
+    """The (n, 2, 2) stack of boost matrices; np.matmul multiplies such
+    stacks pair by pair exactly as it multiplies two 2x2 matrices."""
+    m = kin.column_entries(branch, V, antisymmetric_term=antisymmetric_term)
+    return m.T.reshape(-1, 2, 2)
 
 
-def _interval_1p1(b: Boost, e1: Event1p1, e2: Event1p1, sign: float) -> float:
+# ---------------------------------------------------------------------------
+# Trials.  Each draws and evaluates the n trials of its row.
+
+
+def _inverse_law(branch, V, antisymmetric_term: bool = True) -> np.ndarray:
+    product = np.matmul(_matrices(branch, -V, antisymmetric_term),
+                        _matrices(branch, V, antisymmetric_term))
+    return np.abs(product - IDENTITY).max(axis=(1, 2))
+
+
+def _subluminal_inverse(rng, opts, n):
+    return _inverse_law(Branch.SUBLUMINAL, _subluminal(rng.random(n)))
+
+
+def _superluminal_inverse(rng, opts, n):
+    u = rng.random((n, 2))
+    return _inverse_law(Branch.SUPERLUMINAL, _superluminal(u[:, 0], u[:, 1]),
+                        opts.antisymmetric_term)
+
+
+def _light_cone(rng, opts, n):
+    ((sub, V),), u = _boost_draws(rng, n, 1, 4)
+    e1 = _events(u)
+    dt = _uniform(u[:, 2], 0.1, 2.0)
+    e2 = EventColumns(e1.t + dt, e1.x + np.copysign(dt, _uniform(u[:, 3], -1, 1)))
+    return np.abs(kin.interval_1p1(kin.boost_1p1_columns(e1, sub, V),
+                                   kin.boost_1p1_columns(e2, sub, V)))
+
+
+def _interval_1p1(branch, V, u, sign: float) -> np.ndarray:
     """Deviation of the boosted interval from sign * the original one,
-    relative to the cancellation-free scale dt**2 + dx**2 (c = 1)."""
+    relative to the cancellation-free scale dt**2 + dx**2 (c = 1), for the
+    events drawn as the four columns of u."""
+    e1, e2 = _events(u[:, :2]), _events(u[:, 2:])
     s2 = kin.interval_1p1(e1, e2)
-    s2p = kin.interval_1p1(kin.boost_1p1(e1, b), kin.boost_1p1(e2, b))
-    scale = (e2.t - e1.t) ** 2 + (e2.x - e1.x) ** 2
-    return relative_deviation(s2p, sign * s2, scale)
+    s2p = kin.interval_1p1(kin.boost_1p1_columns(e1, branch, V),
+                           kin.boost_1p1_columns(e2, branch, V))
+    scale = _squares(e2.t - e1.t) + _squares(e2.x - e1.x)
+    return _relative(s2p, sign * s2, scale)
 
 
-def _sign_flip_1p1(rng, opts, i):
-    b = Boost(Branch.SUPERLUMINAL, _random_superluminal(rng))
-    return _interval_1p1(b, _random_event(rng), _random_event(rng), -1.0)
+def _sign_flip_1p1(rng, opts, n):
+    u = rng.random((n, 6))
+    return _interval_1p1(Branch.SUPERLUMINAL, _superluminal(u[:, 0], u[:, 1]),
+                         u[:, 2:], -1.0)
 
 
-def _sign_flip_1p3(rng, opts, i):
-    w = rng.uniform(-1, 1, 3)
-    w *= rng.uniform(1.1, 8.0) / np.linalg.norm(w)
-    e1, e2 = _random_event_1p3(rng), _random_event_1p3(rng)
-    dt, dr = e2.t - e1.t, np.subtract(e2.r, e1.r)
-    s2 = kin.interval_nm([dt], dr)
-    f1 = kin.boost_1p3_superluminal(e1, w)
-    f2 = kin.boost_1p3_superluminal(e2, w)
-    s2p = kin.interval_nm(np.subtract(f2.tvec, f1.tvec), [f2.x - f1.x])
-    return relative_deviation(s2p, -s2, dt * dt + float(dr @ dr))
+def _sign_flip_1p3(rng, opts, n):
+    u = rng.random((n, 12))
+    w = _uniform(u[:, :3], -1, 1)
+    w *= (_uniform(u[:, 3], 1.1, 8.0) / _norms(w))[:, None]
+    t1, r1 = _uniform(u[:, 4], -2, 2), _uniform(u[:, 5:8], -2, 2)
+    t2, r2 = _uniform(u[:, 8], -2, 2), _uniform(u[:, 9:12], -2, 2)
+    dt, dr = t2 - t1, r2 - r1
+    s2 = kin.interval_nm(dt[:, None], dr)
+    f1 = kin.boost_1p3_superluminal_columns(t1, r1, w)
+    f2 = kin.boost_1p3_superluminal_columns(t2, r2, w)
+    s2p = kin.interval_nm(f2[0] - f1[0], (f2[1] - f1[1])[:, None])
+    return _relative(s2p, -s2, dt * dt + np.array([d @ d for d in dr]))
 
 
-def _sub_invariance(rng, opts, i):
-    b = Boost(Branch.SUBLUMINAL, _random_subluminal(rng))
-    return _interval_1p1(b, _random_event(rng), _random_event(rng), 1.0)
+def _sub_invariance(rng, opts, n):
+    u = rng.random((n, 5))
+    return _interval_1p1(Branch.SUBLUMINAL, _subluminal(u[:, 0]), u[:, 1:], 1.0)
 
 
-def _branch_closure(rng, opts, i):
-    b1, b2 = _random_boost(rng), _random_boost(rng)
-    composed = kin.compose_boosts_1p1(b1, b2)
-    xor_holds = (composed.branch is Branch.SUBLUMINAL) == (b1.branch == b2.branch)
-    e = _random_event(rng)
-    direct = kin.boost_1p1(kin.boost_1p1(e, b1), b2)
-    via = kin.boost_1p1(e, composed)
-    scale = max(abs(direct.t), abs(direct.x), 1.0)
-    dev = max(abs(direct.t - via.t) / scale, abs(direct.x - via.x) / scale)
-    return dev if xor_holds else math.inf
+def _branch_closure(rng, opts, n):
+    """The composed boost is subluminal exactly where its operands share a
+    branch; validating it on that branch checks the XOR."""
+    ((sub1, V1), (sub2, V2)), u = _boost_draws(rng, n, 2, 2)
+    e = _events(u)
+    direct = kin.boost_1p1_columns(kin.boost_1p1_columns(e, sub1, V1), sub2, V2)
+    via = kin.boost_1p1_columns(e, sub1 == sub2, kin._compose(V1, V2, 1.0))
+    scale = np.maximum(np.maximum(np.abs(direct.t), np.abs(direct.x)), 1.0)
+    return np.maximum(np.abs(direct.t - via.t) / scale, np.abs(direct.x - via.x) / scale)
 
 
-def _velocity_antisymmetry(rng, opts, i):
-    v1 = float(rng.uniform(-0.95, 0.95))
-    v2 = float(rng.uniform(-0.95, 0.95))
-    return abs(kin.compose_velocities_1p1(v1, v2) + kin.compose_velocities_1p1(-v2, -v1))
+def _velocity_antisymmetry(rng, opts, n):
+    u = rng.random((n, 2))
+    v1, v2 = _subluminal(u[:, 0]), _subluminal(u[:, 1])
+    return np.abs(kin._compose(v1, v2, 1.0) + kin._compose(-v2, -v1, 1.0))
 
 
-def _velocity_matrix_agreement(rng, opts, i):
-    b1, b2 = _random_boost(rng), _random_boost(rng)
-    u = kin.compose_velocities_1p1(float(b1.speed), float(b2.speed))
-    m = kin.boost_matrix_1p1(b2) @ kin.boost_matrix_1p1(b1)
-    return relative_deviation(kin.velocity_of_matrix(m), u, 1.0)
+def _velocity_matrix_agreement(rng, opts, n):
+    ((sub1, V1), (sub2, V2)), _ = _boost_draws(rng, n, 2, 0)
+    m = np.matmul(_matrices(sub2, V2), _matrices(sub1, V1))
+    return _relative(kin.velocity_of_matrix(m), kin._compose(V1, V2, 1.0), 1.0)
 
 
-def _rapidity_band(rng, opts, i):
-    """inf when a drawn boost leaves its band; the first trial also measures
+def _rapidity_band(rng, opts, n):
+    """inf where a drawn boost leaves its band; the first trial also measures
     the gap between the bands at the light cone."""
+    u = rng.random((n, 3))
+    sub = kin.rapidity_columns(Branch.SUBLUMINAL, _subluminal(u[:, 0]))
+    sup = kin.rapidity_columns(Branch.SUPERLUMINAL, _superluminal(u[:, 1], u[:, 2]))
     qpi = math.pi / 4
-    sub = kin.rapidity(Boost(Branch.SUBLUMINAL, _random_subluminal(rng)))
-    sup = kin.rapidity(Boost(Branch.SUPERLUMINAL, _random_superluminal(rng)))
-    if not (-qpi < sub < qpi and qpi < sup < 3 * qpi):
-        return math.inf
-    if i > 0:
-        return 0.0
-    if kin.rapidity(Boost.infinite()) != math.pi / 2:
-        return math.inf
-    near = kin.rapidity(Boost(Branch.SUBLUMINAL, 1 - 1e-9))
-    above = kin.rapidity(Boost(Branch.SUPERLUMINAL, 1 + 1e-9))
-    return abs(above - near)
+    dev = np.where((-qpi < sub) & (sub < qpi) & (qpi < sup) & (sup < 3 * qpi),
+                   0.0, math.inf)
+    if n and dev[0] == 0.0:
+        if kin.rapidity(Boost.infinite()) != math.pi / 2:
+            dev[0] = math.inf
+        else:
+            near = kin.rapidity(Boost(Branch.SUBLUMINAL, 1 - 1e-9))
+            above = kin.rapidity(Boost(Branch.SUPERLUMINAL, 1 + 1e-9))
+            dev[0] = abs(above - near)
+    return dev
 
 
 def _k_extraction(rng, opts, i):
@@ -243,22 +342,23 @@ def _k_extraction(rng, opts, i):
     )
 
 
-def _infinite_limit(rng, opts, i):
-    e = _random_event(rng)
-    w = INFINITE_LIMIT_SPEED if rng.uniform() < 0.5 else -INFINITE_LIMIT_SPEED
-    out = kin.boost_1p1(e, Boost(Branch.SUPERLUMINAL, w))
-    scale = max(abs(e.t), abs(e.x), 1.0)
-    e3 = _random_event_1p3(rng)
-    direction = rng.uniform(-1, 1, 3)
-    direction /= np.linalg.norm(direction)
-    out3 = kin.boost_1p3_superluminal(e3, direction * INFINITE_LIMIT_SPEED)
-    scale3 = max(abs(e3.t), float(np.max(np.abs(e3.r))), 1.0)
-    return max(
-        abs(out.t - e.x) / scale,
-        abs(out.x - e.t) / scale,
-        abs(out3.x - e3.t) / scale3,
-        float(np.max(np.abs(np.subtract(out3.tvec, e3.r)))) / scale3,
-    )
+def _infinite_limit(rng, opts, n):
+    u = rng.random((n, 10))
+    e = _events(u)
+    w = np.where(u[:, 2] < 0.5, INFINITE_LIMIT_SPEED, -INFINITE_LIMIT_SPEED)
+    out = kin.boost_1p1_columns(e, Branch.SUPERLUMINAL, w)
+    scale = np.maximum(np.maximum(np.abs(e.t), np.abs(e.x)), 1.0)
+    t3, r3 = _uniform(u[:, 3], -2, 2), _uniform(u[:, 4:7], -2, 2)
+    direction = _uniform(u[:, 7:], -1, 1)
+    direction /= _norms(direction)[:, None]
+    tvec, x3 = kin.boost_1p3_superluminal_columns(t3, r3, direction * INFINITE_LIMIT_SPEED)
+    scale3 = np.maximum(np.maximum(np.abs(t3), np.abs(r3).max(axis=1)), 1.0)
+    return np.maximum.reduce([
+        np.abs(out.t - e.x) / scale,
+        np.abs(out.x - e.t) / scale,
+        np.abs(x3 - t3) / scale3,
+        np.abs(tvec - r3).max(axis=1) / scale3,
+    ])
 
 
 def _invariant_axioms(rng, opts, i):
@@ -375,28 +475,30 @@ SUITE: tuple[Row, ...] = (
     Row((tol("velocity_composition_antisymmetry", 1e-12),), 200, _velocity_antisymmetry),
     Row((tol("velocity_matrix_agreement", 1e-10),), 200, _velocity_matrix_agreement),
     Row((gap("rapidity_band", 1e-6),), 200, _rapidity_band),
-    Row((tol("k_extraction", 1e-10),), 1, _k_extraction, unit=None),
+    Row((tol("k_extraction", 1e-10),), 1, per_trial(_k_extraction), unit=None),
     Row((gap("infinite_speed_limit", 1e-8, speed=INFINITE_LIMIT_SPEED),),
         100, _infinite_limit),
     Row((tol("invariant_symmetry", 1e-9), tol("invariant_time_reversal", 1e-9),
          tol("invariant_multiplicativity", 1e-9)),
-        25, _invariant_axioms, unit="instances"),
-    Row((floor("sum_fails_multiplicativity", 1e-3),), 10, _sum_fails, unit="instances"),
-    Row((tol("two_path_interference", 1e-12),), len(TWO_PATH_DELTAS), _two_path,
-        unit="deltas"),
-    Row((tol("phase_boost_invariance", 1e-10),), 100, _phase_invariance),
-    Row((tol("phase_additivity", 1e-12),), 100, _phase_additivity),
-    Row((tol("newton_convolution", 1e-9, r_max=8),), 10, _newton, unit="instances"),
+        25, per_trial(_invariant_axioms), unit="instances"),
+    Row((floor("sum_fails_multiplicativity", 1e-3),), 10, per_trial(_sum_fails),
+        unit="instances"),
+    Row((tol("two_path_interference", 1e-12),), len(TWO_PATH_DELTAS),
+        per_trial(_two_path), unit="deltas"),
+    Row((tol("phase_boost_invariance", 1e-10),), 100, per_trial(_phase_invariance)),
+    Row((tol("phase_additivity", 1e-12),), 100, per_trial(_phase_additivity)),
+    Row((tol("newton_convolution", 1e-9, r_max=8),), 10, per_trial(_newton),
+        unit="instances"),
     Row((tol("cauchy_condition", 1e-10, perturb=lambda o: o.perturb, orders=[2, 4]),),
-        1, _cauchy, unit=None),
+        1, per_trial(_cauchy), unit=None),
     Row((gap("expansion_reconstruction_real", 1e-8, alphas="+/-0.8"),
          gap("expansion_matches_invariant", 1e-8, alphas="+/-0.8i")),
-        1, _expansion, unit=None),
-    Row((floor("odd_tensor_breaks_time_reversal", 1e-3, alphas=3),), 1, _odd_tensor,
-        unit=None),
+        1, per_trial(_expansion), unit=None),
+    Row((floor("odd_tensor_breaks_time_reversal", 1e-3, alphas=3),), 1,
+        per_trial(_odd_tensor), unit=None),
     Row((tol("closure_product", 1e-9), tol("closure_power", 1e-9),
          tol("closure_ratio", 1e-9), floor("closure_sum", 1e-3)),
-        1, _closure, unit=None),
+        1, per_trial(_closure), unit=None),
 )
 
 
@@ -405,6 +507,7 @@ def run_suite(
     tolerance: float | None = None,
     break_antisymmetric_term: bool = False,
     perturb_cauchy: float = 0.0,
+    timings: dict[str, float] | None = None,
 ) -> list[CheckReport]:
     """Run every row of SUITE; a fixed seed gives a bit-identical report list.
 
@@ -415,20 +518,22 @@ def run_suite(
     deviations of about 1e-9 no tolerance on rounding can shrink, and the two
     expansion checks, whose deviations (up to a few 1e-12) are the
     truncation of the series at 12 terms, within their tail bound.
+
+    The worst deviation of a report is NaN when any of its trials gave NaN,
+    and the report then fails, against a tolerance and a floor alike.
+    timings, when given, receives the seconds of each row under Row.name.
     """
     rng = np.random.default_rng(seed)
     opts = Opts(not break_antisymmetric_term, perturb_cauchy)
     reports: list[CheckReport] = []
     for row in SUITE:
-        picks = [min if c.kind == "floor" else max for c in row.checks]
-        worst = None
-        for i in range(row.trials):
-            devs = row.trial(rng, opts, i)
-            if not isinstance(devs, tuple):
-                devs = (devs,)
-            worst = devs if worst is None else tuple(
-                pick(w, d) for pick, w, d in zip(picks, worst, devs))
-        for check, dev in zip(row.checks, worst):
+        start = time.perf_counter()
+        devs = np.asarray(row.trial(rng, opts, row.trials), float).reshape(row.trials, -1)
+        if timings is not None:
+            timings[row.name] = time.perf_counter() - start
+        for check, col in zip(row.checks, devs.T):
+            # argmax and argmin pick the first NaN, else the first worst trial
+            dev = float(col[np.argmin(col) if check.kind == "floor" else np.argmax(col)])
             params = {row.unit: row.trials} if row.unit else {}
             params.update({k: v(opts) if callable(v) else v
                            for k, v in check.params.items()})

@@ -315,6 +315,18 @@ def test_diagram_scenario_names_a_malformed_segment(tmp_path, capsys):
     assert "InvalidScenario" in err and "segment 1" in err and "['a']" in err
 
 
+@pytest.mark.parametrize("segment", ["ab", {"a": 1, "b": 2}])
+def test_diagram_scenario_rejects_a_two_item_segment_that_is_no_pair(segment, tmp_path,
+                                                                     capsys):
+    inp = _write(
+        tmp_path, "s.json",
+        {"events": {"a": [0.0, 0.0], "b": [1.0, 0.5]}, "segments": [["a", "b"], segment]},
+    )
+    code, out, err = _run(capsys, "diagram", "--input", inp, "--format", "json")
+    assert code == 2 and out == ""
+    assert "InvalidScenario" in err and "segment 1" in err and repr(segment) in err
+
+
 def test_diagram_boost_overflow_names_the_event(tmp_path, capsys):
     inp = _write(
         tmp_path, "s.json",
@@ -355,6 +367,21 @@ def test_verify_is_bit_identical_for_fixed_seed(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert _run(capsys, "verify", "--seed", "3", "--output", str(a))[0] == 0
     assert _run(capsys, "verify", "--seed", "3", "--output", str(b))[0] == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_verify_timings_go_to_stderr_and_leave_the_report_alone(tmp_path, capsys):
+    code, plain, err = _run(capsys, "verify", "--seed", "2")
+    assert code == 0 and err == ""
+    code, timed, err = _run(capsys, "verify", "--seed", "2", "--timings")
+    assert code == 0 and timed == plain
+    rows = json.loads(err)["row_seconds"]
+    assert list(rows)[:2] == ["subluminal_inverse_law", "superluminal_inverse_law"]
+    assert "closure_product+closure_power+closure_ratio+closure_sum" in rows
+    assert all(s >= 0.0 for s in rows.values())
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert _run(capsys, "verify", "--seed", "2", "--output", str(a))[0] == 0
+    assert _run(capsys, "verify", "--seed", "2", "--output", str(b), "--timings")[0] == 0
     assert a.read_bytes() == b.read_bytes()
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from superlum import kinematics as kin
 from superlum import (
     Boost,
     Branch,
@@ -797,3 +798,131 @@ def test_composed_boost_matrix_is_the_matrix_product(data, K):
     assert np.all(np.abs(direct - product) <= 1e-12 * scale + TINY)
     # one law: the boost and the raw-speed compositions give the same number
     assert composed.speed == compose_velocities_1p1(b1.speed, b2.speed, K)
+
+
+# ---------------------------------------------------------------------------
+# Columns: the kernels on float64 columns equal their scalar calls bit for bit
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _column_speeds(branch, K):
+    """Speeds of one branch for K: ordinary ones, ones near c, and above c
+    ones whose reciprocal is subnormal (|W| > 2**1022) and +/-inf."""
+    c = 1.0 / math.sqrt(K)
+    if branch is Branch.SUBLUMINAL:
+        return [0.0, -0.0, 0.3 * c, -0.95 * c, c * (1 - 1e-9), -c * (1 - 1e-9)]
+    return [1.05 * c, -19.5 * c, c * (1 + 1e-9), 1e15 * c, -1e300, 7.7e307, 1e308,
+            -1.7976931348623157e308, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("K", ORACLE_K)
+@pytest.mark.parametrize("branch", list(Branch))
+@pytest.mark.parametrize("antisymmetric_term", [True, False])
+@pytest.mark.parametrize("positive_convention", [False, True])
+def test_entries_on_a_column_equal_the_scalar_entries(K, branch, antisymmetric_term,
+                                                      positive_convention):
+    speeds = [v for v in _column_speeds(branch, K)
+              if antisymmetric_term or branch is Branch.SUBLUMINAL or not math.isinf(v)]
+    kw = dict(positive_convention=positive_convention, antisymmetric_term=antisymmetric_term)
+    V = np.array(speeds)
+    column = kin._entries(kin.column_boost(branch, V, K), V, **kw)
+    scalar = [kin._entries(Boost(branch, v, K), **kw) for v in speeds]
+    for j in range(4):
+        assert _bits(column[j]) == _bits([m[j] for m in scalar])
+
+
+def test_the_broken_variant_rejects_a_column_with_an_infinite_speed():
+    V = np.array([2.0, math.inf])
+    with pytest.raises(ValueError, match="infinite-speed"):
+        kin.column_entries(Branch.SUPERLUMINAL, V, antisymmetric_term=False)
+
+
+@pytest.mark.parametrize("K", ORACLE_K)
+def test_compose_on_columns_equals_the_scalar_law(K):
+    speeds = (_column_speeds(Branch.SUBLUMINAL, K) + _column_speeds(Branch.SUPERLUMINAL, K))
+    pairs = [(v1, v2) for v1 in speeds for v2 in speeds]
+    expected, keep = [], []
+    for v1, v2 in pairs:
+        try:
+            expected.append(kin._compose(v1, v2, K))
+            keep.append((v1, v2))
+        except PoleError:
+            pass
+    V1, V2 = (np.array(col) for col in zip(*keep))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _bits(kin._compose(V1, V2, K)) == _bits(expected)
+
+
+def test_compose_on_columns_names_the_first_pole():
+    with pytest.raises(PoleError, match=r"V1=2\.0, V2=-0\.5"):
+        kin._compose(np.array([0.5, 2.0, 3.0]), np.array([0.5, -0.5, -1 / 3]), 1.0)
+
+
+@pytest.mark.parametrize("branch,bad", [
+    (Branch.SUBLUMINAL, 1.0), (Branch.SUBLUMINAL, math.nan),
+    (Branch.SUPERLUMINAL, -1.0), (Branch.SUPERLUMINAL, math.nan),
+])
+def test_a_column_is_validated_by_its_extreme_speed(branch, bad):
+    good = 0.5 if branch is Branch.SUBLUMINAL else 2.0
+    with pytest.raises(BranchSpeedViolation):
+        kin.column_entries(branch, np.array([good, bad, good]))
+    with pytest.raises(BranchSpeedViolation):
+        kin.column_entries(np.array([True, branch is Branch.SUBLUMINAL]), np.array([0.5, bad]))
+
+
+def test_boost_columns_equal_the_one_event_boosts():
+    rng = np.random.default_rng(7)
+    t, x = rng.uniform(-3, 3, (2, 64))
+    sub = rng.random(64) < 0.5
+    V = np.where(sub, rng.uniform(-0.99, 0.99, 64), rng.uniform(1.01, 30, 64) * np.sign(t))
+    out = kin.boost_1p1_columns(kin.EventColumns(t, x), sub, V)
+    boosted = [boost_1p1(Event1p1(a, b), Boost(Branch.SUBLUMINAL if s else Branch.SUPERLUMINAL, v))
+               for a, b, s, v in zip(t.tolist(), x.tolist(), sub.tolist(), V.tolist())]
+    assert _bits(out.t) == _bits([e.t for e in boosted])
+    assert _bits(out.x) == _bits([e.x for e in boosted])
+    assert _bits(interval_1p1(out, out)) == _bits(np.zeros(64))
+
+
+def test_boost_columns_reject_an_image_beyond_the_float_range():
+    e = kin.EventColumns(np.array([0.0, 1e308]), np.array([0.0, -1e308]))
+    with pytest.raises(ValueError, match="must be finite"):
+        kin.boost_1p1_columns(e, Branch.SUPERLUMINAL, np.array([1.0001, 1.0001]))
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 3.0])
+def test_1p3_boost_columns_equal_the_one_event_boosts(c):
+    rng = np.random.default_rng(11)
+    t, r = rng.uniform(-2, 2, 32), rng.uniform(-2, 2, (32, 3))
+    W = rng.uniform(-1, 1, (32, 3))
+    W *= (rng.uniform(1.1, 8.0, 32) * c / np.sqrt((W * W).sum(axis=1)))[:, None]
+    W[0] = (1.5e308, -1.5e308, 0.0)  # |W| overflows to inf
+    tvec, x = kin.boost_1p3_superluminal_columns(t, r, W, c)
+    boosted = [boost_1p3_superluminal(Event1p3(a, tuple(b)), tuple(w), c)
+               for a, b, w in zip(t.tolist(), r.tolist(), W.tolist())]
+    assert _bits(tvec) == _bits([e.tvec for e in boosted])
+    assert _bits(x) == _bits([e.x for e in boosted])
+    with pytest.raises(ValueError, match="speed component"):
+        kin.boost_1p3_superluminal_columns(t[:1], r[:1], np.array([[math.inf, 0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("branch", list(Branch))
+def test_rapidity_columns_equal_the_one_boost_rapidities(branch):
+    speeds = _column_speeds(branch, 1.0)
+    expected = [rapidity(Boost(branch, v)) for v in speeds]
+    assert _bits(kin.rapidity_columns(branch, np.array(speeds))) == _bits(expected)
+
+
+def test_velocity_of_a_matrix_stack_and_interval_rows():
+    rng = np.random.default_rng(5)
+    M = rng.uniform(-2, 2, (16, 2, 2))
+    assert _bits(velocity_of_matrix(M)) == _bits([velocity_of_matrix(m) for m in M])
+    assert type(velocity_of_matrix(M[0])) is float
+    M[3, 1, 1] = 0.0
+    with pytest.raises(PoleError):
+        velocity_of_matrix(M)
+    dts, drs = rng.uniform(-2, 2, (16, 1)), rng.uniform(-2, 2, (16, 3))
+    assert _bits(interval_nm(dts, drs)) == _bits([interval_nm(a, b) for a, b in zip(dts, drs)])
+    assert type(interval_nm(dts[0], drs[0])) is float

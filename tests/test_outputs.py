@@ -4,7 +4,9 @@ md5s of `superlum diagram` in SVG and in JSON, recorded from the per-event
 implementation of diagrams.py and render.py, for the four fixtures and five
 seeded bundles, each at rest, at V = 0.6, at W = 2.5 and at W = inf; and md5s
 of the default `superlum verify --seed N` report, recorded from the tensor
-coefficient box of sympoly."""
+coefficient box of sympoly, and of `superlum verify --seed 0` under each
+sabotage switch and a tight tolerance, recorded from the per-trial verify
+rows."""
 
 import hashlib
 import json
@@ -217,3 +219,18 @@ def test_verify_output_is_byte_identical(seed, capsys):
     assert main(["verify", "--seed", str(seed)]) == 0
     digest = hashlib.md5(capsys.readouterr().out.encode()).hexdigest()
     assert digest == VERIFY_EXPECTED[seed]
+
+
+# md5 and exit code of `superlum verify --seed 0 FLAGS` on stdout
+VERIFY_MODES_EXPECTED = {
+    "--break-antisymmetric-term": ("af29f8971172e51186348ad018abbf9a", 1),
+    "--perturb-cauchy 1e-3": ("82a28b84e1ff9474137e043f49948ffd", 1),
+    "--tolerance 1e-12": ("dab929722c21912766521a77d877b3a6", 0),
+}
+
+
+@pytest.mark.parametrize("flags", sorted(VERIFY_MODES_EXPECTED))
+def test_verify_modes_are_byte_identical(flags, capsys):
+    digest, code = VERIFY_MODES_EXPECTED[flags]
+    assert main(["verify", "--seed", "0", *flags.split()]) == code
+    assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == digest

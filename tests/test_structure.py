@@ -63,6 +63,7 @@ def test_exponentials_are_summed_only_in_the_phase_sum_kernel():
     [
         "kinematics.boost_1p3_subluminal",
         "kinematics.boost_1p3_superluminal",
+        "kinematics.boost_1p1_columns",
         "diagrams.transform_diagram",
     ],
 )

@@ -2,10 +2,15 @@
 
 import json
 import math
+from functools import partial
 
+import numpy as np
 import pytest
 
-from superlum import run_suite, suite_report
+from superlum import kinematics as kin
+from superlum import run_suite, suite_report, verify
+from superlum.kinematics import Boost, Branch, Event1p1, Event1p3
+from superlum.report import relative_deviation
 
 
 def test_suite_passes_and_reports_are_json_clean():
@@ -81,18 +86,18 @@ def test_interval_checks_catch_a_relative_error_of_1e9(monkeypatch):
     from superlum import kinematics as kin
 
     f = math.sqrt(1.0 + 1e-9)  # scales every interval by 1 + 1e-9
-    boost_1p1, boost_1p3 = kin.boost_1p1, kin.boost_1p3_superluminal
+    boost_1p1, boost_1p3 = kin.boost_1p1_columns, kin.boost_1p3_superluminal_columns
 
-    def scaled_1p1(e, b):
-        out = boost_1p1(e, b)
-        return kin.Event1p1(f * out.t, f * out.x)
+    def scaled_1p1(e, branch, V, K=1.0):
+        out = boost_1p1(e, branch, V, K)
+        return kin.EventColumns(f * out.t, f * out.x)
 
-    def scaled_1p3(e, w):
-        out = boost_1p3(e, w)
-        return kin.SuperluminalEvent1p3(tuple(f * v for v in out.tvec), f * out.x)
+    def scaled_1p3(t, r, W, c=1.0):
+        tvec, x = boost_1p3(t, r, W, c)
+        return f * tvec, f * x
 
-    monkeypatch.setattr(kin, "boost_1p1", scaled_1p1)
-    monkeypatch.setattr(kin, "boost_1p3_superluminal", scaled_1p3)
+    monkeypatch.setattr(kin, "boost_1p1_columns", scaled_1p1)
+    monkeypatch.setattr(kin, "boost_1p3_superluminal_columns", scaled_1p3)
     failed = {r.name for r in run_suite(seed=0) if not r.passed}
     assert INTERVAL_CHECKS <= failed
 
@@ -103,3 +108,201 @@ def test_each_sabotage_fails_exactly_its_check(seed):
     assert {r.name for r in broken if not r.passed} == {"superluminal_inverse_law"}
     perturbed = run_suite(seed=seed, perturb_cauchy=1e-3)
     assert {r.name for r in perturbed if not r.passed} == {"cauchy_condition"}
+
+
+def test_a_nan_trial_fails_its_check_wherever_it_falls(monkeypatch):
+    """The worst of [0, nan, 0] is nan, which fails a tolerance and a floor;
+    a sign of zero survives the reduction."""
+    def trial(rng, opts, n):
+        return [(0.0, 0.0, -0.0), (math.nan, math.nan, -0.0), (0.0, 0.0, 0.0)]
+
+    row = verify.Row((verify.tol("tolerance_row", 1.0), verify.floor("floor_row", -1.0),
+                      verify.tol("zero_row", 1.0)), 3, trial)
+    monkeypatch.setattr(verify, "SUITE", (row,))
+    reports = {r.name: r for r in run_suite(seed=0)}
+    for name in ("tolerance_row", "floor_row"):
+        assert math.isnan(reports[name].deviation) and not reports[name].passed
+    zero = reports["zero_row"]
+    assert zero.passed and math.copysign(1.0, zero.deviation) == -1.0
+
+
+def test_timings_name_every_row_and_leave_the_reports_alone():
+    timings = {}
+    timed = run_suite(seed=3, timings=timings)
+    assert [r.to_dict() for r in timed] == [r.to_dict() for r in run_suite(seed=3)]
+    assert list(timings) == [row.name for row in verify.SUITE]
+    assert all(isinstance(s, float) and s >= 0.0 for s in timings.values())
+
+
+# ---------------------------------------------------------------------------
+# The per-trial rows, as they ran one trial at a time: the oracle of the
+# column rows, which must give the same deviations and leave the generator
+# in the same state.
+
+
+def _random_subluminal(rng):
+    return float(rng.uniform(-0.95, 0.95))
+
+
+def _random_superluminal(rng):
+    w = float(rng.uniform(1.05, 20.0))
+    return w if rng.uniform() < 0.5 else -w
+
+
+def _random_boost(rng):
+    if rng.uniform() < 0.5:
+        return Boost(Branch.SUBLUMINAL, _random_subluminal(rng))
+    return Boost(Branch.SUPERLUMINAL, _random_superluminal(rng))
+
+
+def _random_event(rng):
+    return Event1p1(*rng.uniform(-2, 2, 2))
+
+
+def _random_event_1p3(rng):
+    return Event1p3(float(rng.uniform(-2, 2)), tuple(rng.uniform(-2, 2, 3)))
+
+
+def _inverse_law(matrix, v):
+    return float(np.max(np.abs(matrix(-v) @ matrix(v) - verify.IDENTITY)))
+
+
+def _subluminal_inverse(rng, opts, i):
+    return _inverse_law(kin.subluminal_matrix, _random_subluminal(rng))
+
+
+def _superluminal_inverse(rng, opts, i):
+    matrix = partial(kin.superluminal_matrix, antisymmetric_term=opts.antisymmetric_term)
+    return _inverse_law(matrix, _random_superluminal(rng))
+
+
+def _light_cone(rng, opts, i):
+    b = _random_boost(rng)
+    e1 = _random_event(rng)
+    dt = float(rng.uniform(0.1, 2.0))
+    e2 = Event1p1(e1.t + dt, e1.x + math.copysign(dt, rng.uniform(-1, 1)))
+    return abs(kin.interval_1p1(kin.boost_1p1(e1, b), kin.boost_1p1(e2, b)))
+
+
+def _interval_1p1(b, e1, e2, sign):
+    s2 = kin.interval_1p1(e1, e2)
+    s2p = kin.interval_1p1(kin.boost_1p1(e1, b), kin.boost_1p1(e2, b))
+    scale = (e2.t - e1.t) ** 2 + (e2.x - e1.x) ** 2
+    return relative_deviation(s2p, sign * s2, scale)
+
+
+def _sign_flip_1p1(rng, opts, i):
+    b = Boost(Branch.SUPERLUMINAL, _random_superluminal(rng))
+    return _interval_1p1(b, _random_event(rng), _random_event(rng), -1.0)
+
+
+def _sign_flip_1p3(rng, opts, i):
+    w = rng.uniform(-1, 1, 3)
+    w *= rng.uniform(1.1, 8.0) / np.linalg.norm(w)
+    e1, e2 = _random_event_1p3(rng), _random_event_1p3(rng)
+    dt, dr = e2.t - e1.t, np.subtract(e2.r, e1.r)
+    s2 = kin.interval_nm([dt], dr)
+    f1 = kin.boost_1p3_superluminal(e1, w)
+    f2 = kin.boost_1p3_superluminal(e2, w)
+    s2p = kin.interval_nm(np.subtract(f2.tvec, f1.tvec), [f2.x - f1.x])
+    return relative_deviation(s2p, -s2, dt * dt + float(dr @ dr))
+
+
+def _sub_invariance(rng, opts, i):
+    b = Boost(Branch.SUBLUMINAL, _random_subluminal(rng))
+    return _interval_1p1(b, _random_event(rng), _random_event(rng), 1.0)
+
+
+def _branch_closure(rng, opts, i):
+    b1, b2 = _random_boost(rng), _random_boost(rng)
+    composed = kin.compose_boosts_1p1(b1, b2)
+    xor_holds = (composed.branch is Branch.SUBLUMINAL) == (b1.branch == b2.branch)
+    e = _random_event(rng)
+    direct = kin.boost_1p1(kin.boost_1p1(e, b1), b2)
+    via = kin.boost_1p1(e, composed)
+    scale = max(abs(direct.t), abs(direct.x), 1.0)
+    dev = max(abs(direct.t - via.t) / scale, abs(direct.x - via.x) / scale)
+    return dev if xor_holds else math.inf
+
+
+def _velocity_antisymmetry(rng, opts, i):
+    v1 = float(rng.uniform(-0.95, 0.95))
+    v2 = float(rng.uniform(-0.95, 0.95))
+    return abs(kin.compose_velocities_1p1(v1, v2) + kin.compose_velocities_1p1(-v2, -v1))
+
+
+def _velocity_matrix_agreement(rng, opts, i):
+    b1, b2 = _random_boost(rng), _random_boost(rng)
+    u = kin.compose_velocities_1p1(float(b1.speed), float(b2.speed))
+    m = kin.boost_matrix_1p1(b2) @ kin.boost_matrix_1p1(b1)
+    return relative_deviation(kin.velocity_of_matrix(m), u, 1.0)
+
+
+def _rapidity_band(rng, opts, i):
+    qpi = math.pi / 4
+    sub = kin.rapidity(Boost(Branch.SUBLUMINAL, _random_subluminal(rng)))
+    sup = kin.rapidity(Boost(Branch.SUPERLUMINAL, _random_superluminal(rng)))
+    if not (-qpi < sub < qpi and qpi < sup < 3 * qpi):
+        return math.inf
+    if i > 0:
+        return 0.0
+    if kin.rapidity(Boost.infinite()) != math.pi / 2:
+        return math.inf
+    near = kin.rapidity(Boost(Branch.SUBLUMINAL, 1 - 1e-9))
+    above = kin.rapidity(Boost(Branch.SUPERLUMINAL, 1 + 1e-9))
+    return abs(above - near)
+
+
+def _infinite_limit(rng, opts, i):
+    e = _random_event(rng)
+    w = verify.INFINITE_LIMIT_SPEED if rng.uniform() < 0.5 else -verify.INFINITE_LIMIT_SPEED
+    out = kin.boost_1p1(e, Boost(Branch.SUPERLUMINAL, w))
+    scale = max(abs(e.t), abs(e.x), 1.0)
+    e3 = _random_event_1p3(rng)
+    direction = rng.uniform(-1, 1, 3)
+    direction /= np.linalg.norm(direction)
+    out3 = kin.boost_1p3_superluminal(e3, direction * verify.INFINITE_LIMIT_SPEED)
+    scale3 = max(abs(e3.t), float(np.max(np.abs(e3.r))), 1.0)
+    return max(
+        abs(out.t - e.x) / scale,
+        abs(out.x - e.t) / scale,
+        abs(out3.x - e3.t) / scale3,
+        float(np.max(np.abs(np.subtract(out3.tvec, e3.r)))) / scale3,
+    )
+
+
+ORACLE = {
+    "subluminal_inverse_law": _subluminal_inverse,
+    "superluminal_inverse_law": _superluminal_inverse,
+    "light_cone_preservation": _light_cone,
+    "interval_sign_flip_1p1": _sign_flip_1p1,
+    "interval_sign_flip_1p3": _sign_flip_1p3,
+    "subluminal_interval_invariance": _sub_invariance,
+    "branch_closure_xor": _branch_closure,
+    "velocity_composition_antisymmetry": _velocity_antisymmetry,
+    "velocity_matrix_agreement": _velocity_matrix_agreement,
+    "rapidity_band": _rapidity_band,
+    "infinite_speed_limit": _infinite_limit,
+}
+SABOTAGE = (verify.Opts(False, 0.0), verify.Opts(True, 1e-3))
+
+
+def test_the_oracle_covers_the_leading_rows_of_the_table():
+    """The column rows lead SUITE, with only k_extraction, which draws
+    nothing, among them: so each seed's generator reaches them fresh."""
+    names = [row.name for row in verify.SUITE[:12]]
+    assert set(names) == set(ORACLE) | {"k_extraction"}
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_column_rows_match_their_per_trial_oracle(seed):
+    for opts in SABOTAGE:
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for row in verify.SUITE[:12]:
+            if row.name not in ORACLE:
+                continue
+            columns = np.asarray(row.trial(rng, opts, row.trials), float)
+            expected = np.array([ORACLE[row.name](oracle_rng, opts, i)
+                                 for i in range(row.trials)])
+            assert columns.tobytes() == expected.tobytes(), (seed, opts, row.name)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
