@@ -53,7 +53,6 @@ from .diagrams import (
     Scenario,
     Segment,
     SpeedClass,
-    classify_segment,
     count_paths,
     count_paths_auto,
     load_fixture,

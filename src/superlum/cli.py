@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -21,12 +22,13 @@ import numpy as np
 from .diagrams import (
     FIXTURE_NAMES,
     Scenario,
+    SpeedClass,
     count_paths,
     count_paths_auto,
     load_fixture,
     load_scenario,
-    resolved_segments,
     role_report,
+    scenario_to_dict,
     terminal_events,
     transform_diagram,
 )
@@ -143,14 +145,13 @@ def _diagram_report(sc: Scenario) -> dict:
     ]
     sources, sinks = terminal_events(d)
     auto_count, auto_sets = count_paths_auto(d)
+    scenario = scenario_to_dict(sc)
+    classes = [k.value for k in SpeedClass]  # a stored speed code indexes this
     report = {
         "c": d.c,
-        "events": {label: [e.t, e.x] for label, e in sorted(d.events.items())},
-        "segments": [
-            {"from": s.start_label, "to": s.end_label,
-             "speed_class": s.speed_class.value}
-            for s in resolved_segments(d)
-        ],
+        "events": scenario["events"],
+        "segments": [{"from": frm, "to": to, "speed_class": classes[k]}
+                     for (frm, to), k in zip(scenario["segments"], d._codes.tolist())],
         "roles": roles,
         "frame": {
             "sources": list(sources),
@@ -220,11 +221,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     data = _read_json(args.input) if args.input else {}
     alpha = data.get("alpha", [0.0, 1.0])
-    if isinstance(alpha, list):
-        alpha = complex(float(alpha[0]), float(alpha[1]))
-    else:
-        alpha = complex(float(alpha), 0.0)
-    spec = InvariantSpec(alpha, float(data.get("beta", 2.0)),
+    parts = alpha if isinstance(alpha, list) else [alpha, 0.0]
+    if len(parts) != 2 or not all(isinstance(v, (int, float)) for v in parts):
+        raise SuperlumError(f'"alpha" must be a number or an [re, im] pair, got {alpha!r}')
+    spec = InvariantSpec(complex(*map(float, parts)), float(data.get("beta", 2.0)),
                          float(data.get("gamma", 1.0)))
     sampler_cfg = data.get("sampler", {})
     sampler = uniform_phase_sampler(
@@ -249,8 +249,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_amplitude(args: argparse.Namespace) -> int:
     data = _read_json(args.input)
-    amp = amplitude(_field(data, "phases", "input"),
-                    float(data.get("alpha_mag", 1.0)))
+    phases = _field(data, "phases", "input")
+    if not isinstance(phases, list):
+        raise SuperlumError(f'"phases" must be a list of numbers, got {phases!r}')
+    amp = amplitude(phases, float(data.get("alpha_mag", 1.0)))
     _dump(
         {
             "value": [amp.value.real, amp.value.imag],
@@ -260,6 +262,17 @@ def cmd_amplitude(args: argparse.Namespace) -> int:
         args.output,
     )
     return 0
+
+
+def _finite(text: str) -> float:
+    """An argparse type: a float that must be finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,14 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the verification suite")
     common(p_verify, needs_input=False)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--tolerance", type=float, default=None,
+    p_verify.add_argument("--tolerance", type=_finite, default=None,
                           help="replace every default pass tolerance")
     p_verify.add_argument(
         "--break-antisymmetric-term", action="store_true",
         help="sabotage: drop the W/|W| factor from superluminal matrices",
     )
     p_verify.add_argument(
-        "--perturb-cauchy", type=float, default=0.0, metavar="EPS",
+        "--perturb-cauchy", type=_finite, default=0.0, metavar="EPS",
         help="sabotage: add EPS to one expansion coefficient",
     )
     p_verify.add_argument(

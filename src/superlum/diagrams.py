@@ -8,7 +8,6 @@ is what makes emission and absorption roles frame-dependent.
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -23,10 +22,9 @@ from .errors import (
     InvalidScenario,
     IsolatedEvent,
     MixedK,
-    NonfiniteResult,
     ZeroExtent,
 )
-from .kinematics import Boost, Event1p1, K_from_c, _entries
+from .kinematics import Boost, Event1p1, K_from_c, _entries, _image
 
 CLASSIFY_TOL = 1e-9
 
@@ -54,17 +52,15 @@ class Segment:
 _CLASSES = tuple(SpeedClass)  # a speed code indexes this
 
 
-def _speed_code(dt, dx, c: float, tol: float):
+def _speed_code(dt, dx, c: float):
     """Index into SpeedClass, elementwise for arrays: subluminal when
-    |dx| < c*|dt| - tol, luminal within the tol band around the cone,
+    |dx| < c*|dt| - CLASSIFY_TOL, luminal within that band around the cone,
     superluminal otherwise."""
     adx, cdt = abs(dx), c * abs(dt)
-    return np.where(adx < cdt - tol, 0, np.where(adx <= cdt + tol, 1, 2))
+    return np.where(adx < cdt - CLASSIFY_TOL, 0, np.where(adx <= cdt + CLASSIFY_TOL, 1, 2))
 
 
-def classify_endpoints(
-    start: Event1p1, end: Event1p1, c: float = 1.0, tol: float = CLASSIFY_TOL
-) -> SpeedClass:
+def classify_endpoints(start: Event1p1, end: Event1p1, c: float = 1.0) -> SpeedClass:
     """Speed class of the straight segment between two events, by
     _speed_code.  dt = 0 with dx != 0 is an infinite-speed segment and lands
     superluminal."""
@@ -72,11 +68,7 @@ def classify_endpoints(
     dx = end.x - start.x
     if dt == 0.0 and dx == 0.0:
         raise ZeroExtent("segment endpoints coincide")
-    return _CLASSES[_speed_code(dt, dx, c, tol)]
-
-
-def classify_segment(s: Segment, c: float = 1.0, tol: float = CLASSIFY_TOL) -> SpeedClass:
-    return classify_endpoints(s.start, s.end, c, tol)
+    return _CLASSES[_speed_code(dt, dx, c)]
 
 
 @dataclass(init=False)
@@ -138,58 +130,33 @@ def _columns(d: Diagram, labels: list[str], xy: np.ndarray,
     rank[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
     d._c, d._index, d._rank = c, index, rank
     d._labels = np.fromiter(labels, object, len(labels))
-    return _frame(d, xy, seg)
+    return _frame(d, xy[:, 0], xy[:, 1], seg)
 
 
-def _frame(d: Diagram, xy: np.ndarray, seg: np.ndarray) -> Diagram:
-    """Store one frame's coordinates, its segments, sorted, and their speed
-    codes, classified once; d already holds the labels, their index and
-    ranks, and c."""
-    t, x = xy[:, 0], xy[:, 1]
+def _frame(d: Diagram, t: np.ndarray, x: np.ndarray, seg: np.ndarray) -> Diagram:
+    """Store one frame's coordinates, from the columns t and x, its segments,
+    sorted, and their speed codes, classified once here; d already holds the
+    labels, their index and ranks, and c."""
     frm, to = seg[:, 0], seg[:, 1]
-    flat = np.flatnonzero((t[frm] == t[to]) & (x[frm] == x[to]))
-    if len(flat):
-        frm, to = d._labels[seg[flat[0]]]
-        raise ZeroExtent(f"segment ({frm!r}, {to!r}) has zero extent")
-    d._xy, d._seg = xy, seg[np.lexsort((x[to], t[to], x[frm], t[frm]))]
-    d._codes, d._events = _classify(d, CLASSIFY_TOL), None
+    with np.errstate(over="ignore"):
+        dt, dx = t[to] - t[frm], x[to] - x[frm]
+        flat = np.flatnonzero((dt == 0.0) & (dx == 0.0))
+        if len(flat):
+            frm, to = d._labels[seg[flat[0]]]
+            raise ZeroExtent(f"segment ({frm!r}, {to!r}) has zero extent")
+        order = np.lexsort((x[to], t[to], x[frm], t[frm]))
+        d._codes = _speed_code(dt[order], dx[order], d.c)
+    d._xy, d._seg, d._events = np.stack((t, x), axis=1), seg[order], None
     return d
 
 
-def _classify(d: Diagram, tol: float) -> np.ndarray:
-    """_speed_code of every stored segment."""
-    t, x = d._xy[:, 0], d._xy[:, 1]
-    frm, to = d._seg[:, 0], d._seg[:, 1]
-    with np.errstate(over="ignore"):
-        return _speed_code(t[to] - t[frm], x[to] - x[frm], d.c, tol)
-
-
-def resolved_segments(d: Diagram, tol: float = CLASSIFY_TOL) -> tuple[Segment, ...]:
+def resolved_segments(d: Diagram) -> tuple[Segment, ...]:
     events = list(d.events.values())
     ends = d._labels[d._seg]
     return tuple(map(Segment, ends[:, 0].tolist(), ends[:, 1].tolist(),
                      map(events.__getitem__, d._seg[:, 0].tolist()),
                      map(events.__getitem__, d._seg[:, 1].tolist()),
-                     map(_CLASSES.__getitem__, (d._codes if tol == CLASSIFY_TOL
-                                                else _classify(d, tol)).tolist())))
-
-
-def _boosted(d: Diagram, b: Boost, m: tuple[float, float, float, float]) -> np.ndarray:
-    """Every (t, x) row moved by the boost entries m as m0*t + m1*x and
-    m2*t + m3*x, elementwise; NonfiniteResult names the first event whose
-    image leaves the float range."""
-    t, x = d._xy[:, 0], d._xy[:, 1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        xy = np.stack((m[0] * t + m[1] * x, m[2] * t + m[3] * x), axis=1)
-    bad = np.flatnonzero(~np.isfinite(xy).all(axis=1))
-    if len(bad):
-        t, x = (v * 2.0 ** -64 for v in d._xy[bad[0]].tolist())
-        size = max(abs(m[0] * t + m[1] * x), abs(m[2] * t + m[3] * x))
-        raise NonfiniteResult(
-            f"event {d._labels[bad[0]]!r} boosted to {b.branch.value} speed "
-            f"{b.speed!r} (K={b.K!r}) has a coordinate of magnitude "
-            f"10**{math.log10(size) + 64 * math.log10(2.0):.6g}, beyond a float")
-    return xy
+                     map(_CLASSES.__getitem__, d._codes.tolist())))
 
 
 def transform_diagram(d: Diagram, b: Boost) -> Diagram:
@@ -206,13 +173,13 @@ def transform_diagram(d: Diagram, b: Boost) -> Diagram:
         raise MixedK(
             f"boost K={b.K!r} is inconsistent with diagram light speed c={d.c!r}"
         )
-    xy = _boosted(d, b, _entries(b))
+    t, x = _image(_entries(b), d._xy[:, 0], d._xy[:, 1], b, d._labels)
     seg = d._seg.copy()
-    back = xy[seg[:, 1], 0] < xy[seg[:, 0], 0]
+    back = t[seg[:, 1]] < t[seg[:, 0]]
     seg[back] = seg[back, ::-1]
     moved = Diagram.__new__(Diagram)
     moved._c, moved._labels, moved._index, moved._rank = d._c, d._labels, d._index, d._rank
-    return _frame(moved, xy, seg)
+    return _frame(moved, t, x, seg)
 
 
 def role_report(d: Diagram) -> tuple[tuple[str, Role], ...]:
@@ -397,16 +364,25 @@ def count_paths(d: Diagram, source: str, sinks: Iterable[str]) -> tuple[int, Pat
     the sinks, up to 2**16 labels in all, and joins each walked prefix to
     them with one tuple concatenation per path.
     """
-    sink_set = tuple(sorted(set(sinks)))
-    if source not in d._index:
-        raise InvalidScenario(f"unknown source {source!r}")
-    for s in sink_set:
-        if s not in d._index:
-            raise InvalidScenario(f"unknown sink {s!r}")
+    sink_set = tuple(sorted(set(_known(d, source, sinks))))
     if not sink_set:
         raise InvalidScenario("at least one sink is required")
     count, (paths,) = _census(d, (source,), sink_set)
     return count, PathSet(source, sink_set, paths)
+
+
+def _known(d: Diagram, source: str | None, sinks: Iterable[str]) -> tuple[str, ...]:
+    """sinks as a tuple of label strings, once source, unless None, and each
+    sink name an event of d.  A string or a mapping is not a list of sinks."""
+    if isinstance(sinks, (str, Mapping)) or not isinstance(sinks, Iterable):
+        raise InvalidScenario(f"sinks must list event labels, got {sinks!r}")
+    sinks = tuple(map(str, sinks))
+    if source is not None and source not in d._index:
+        raise InvalidScenario(f"unknown source {source!r}")
+    for s in sinks:
+        if s not in d._index:
+            raise InvalidScenario(f"unknown sink {s!r}")
+    return sinks
 
 
 def terminal_events(d: Diagram) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -497,13 +473,7 @@ def scenario_from_dict(data: Mapping) -> Scenario:
     diagram = _columns(Diagram.__new__(Diagram), list(map(str, data["events"])), xy,
                        _label_pairs(data["segments"]), c)
     source = data.get("source")
-    sinks = tuple(str(s) for s in data.get("sinks", ()))
-    if source is not None and source not in diagram._index:
-        raise InvalidScenario(f"unknown source {source!r}")
-    for s in sinks:
-        if s not in diagram._index:
-            raise InvalidScenario(f"unknown sink {s!r}")
-    return Scenario(diagram, source, sinks)
+    return Scenario(diagram, source, _known(diagram, source, data.get("sinks", ())))
 
 
 def scenario_to_dict(sc: Scenario) -> dict:

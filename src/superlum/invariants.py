@@ -353,7 +353,21 @@ def amplitude(phases, alpha_mag: float = 1.0) -> Amplitude:
     """Equal-weight sum over paths of exp(i*|alpha|*phi), normalized by n.
 
     |value| <= 1 always.  For two paths with phases (0, delta) the detection
-    probability |value|**2 equals cos(delta/2)**2.
+    probability |value|**2 equals cos(delta/2)**2.  A phase whose half
+    angle 0.5*alpha_mag*phi, which _phasor_sum takes the tan of, does not fit
+    in a float raises NonfiniteResult naming alpha_mag and the first such
+    phase.
     """
     phi = as_phases(phases)
+    if not math.isfinite(alpha_mag):
+        raise ValueError(f"alpha_mag must be finite, got {alpha_mag!r}")
+    if abs(alpha_mag) > 2.0:  # else no half angle can overflow
+        with np.errstate(over="ignore"):
+            fits = np.isfinite((0.5 * alpha_mag) * phi)
+        if not fits.all():
+            k = int(np.argmin(fits))
+            raise NonfiniteResult(
+                f"alpha_mag * phase {k} = {alpha_mag!r} * {float(phi[k])!r} = "
+                f"10**{math.log10(abs(alpha_mag)) + math.log10(abs(phi[k])):.6g} "
+                f"does not fit in a float")
     return Amplitude(complex(_phasor_sum(alpha_mag, phi)) / phi.size, int(phi.size))

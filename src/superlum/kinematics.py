@@ -13,6 +13,7 @@ enters this module.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -26,6 +27,7 @@ from .errors import (
     DegenerateA,
     LightSpeedResult,
     MixedK,
+    NonfiniteResult,
     NonpositiveK,
     NotConstant,
     PoleError,
@@ -269,8 +271,39 @@ def _entries(
     return _form(s * r / w, s, K)
 
 
-def _apply(m: tuple[float, float, float, float], e: Event1p1) -> Event1p1:
-    return Event1p1(m[0] * e.t + m[1] * e.x, m[2] * e.t + m[3] * e.x)
+_FLOATS = contextlib.nullcontext()  # Python floats overflow to inf without a warning
+
+
+def _image(m, t, x, boost, names=None, then=None):
+    """The boost law with entries m, (t, x) -> (m0*t + m1*x, m2*t + m3*x), on
+    floats or float64 columns, m four floats or columns, carried on to a 1+3
+    result by then where given; the tuple of result components.  Every
+    transform's result is checked here and only here: a component beyond a
+    float raises NonfiniteResult naming the first such event, names[i] or
+    else its row i, and boost, the Boost or text of the transform or a
+    function of the row giving it; where the 1+1 image overflows, also log10
+    of its magnitude, from the law re-run on the events scaled by 2**-64."""
+    column = isinstance(x, np.ndarray)
+    with np.errstate(over="ignore", invalid="ignore") if column else _FLOATS:
+        out = (m[0] * t + m[1] * x, m[2] * t + m[3] * x)
+        if then is not None:
+            out = then(*out)
+    if column or not all(map(math.isfinite, out)):
+        bad = np.flatnonzero(~np.logical_and.reduce([np.isfinite(v) for v in out]))
+        if len(bad):
+            i = int(bad[0])
+            with np.errstate(over="ignore", invalid="ignore"):
+                t, x = t * 2.0**-64, x * 2.0**-64
+                size = float(np.ravel(np.maximum(abs(m[0] * t + m[1] * x),
+                                                 abs(m[2] * t + m[3] * x)))[i])
+            big = (f" of magnitude 10**{math.log10(size) + 64 * math.log10(2.0):.6g}"
+                   if math.isinf(size * 2.0**64) else "")
+            b = boost(i) if callable(boost) else boost
+            how = b if isinstance(b, str) else (
+                f"to {b.branch.value} speed {b.speed!r} (K={b.K!r})")
+            raise NonfiniteResult(f"event {i if names is None else names[i]!r} boosted "
+                                  f"{how} has a coordinate{big}, beyond a float")
+    return out
 
 
 def boost_matrix_1p1(
@@ -301,7 +334,7 @@ def superluminal_matrix(
 
 def boost_1p1(e: Event1p1, b: Boost) -> Event1p1:
     """Transform an event into the frame moving at b.speed."""
-    return _apply(_entries(b), e)
+    return Event1p1(*_image(_entries(b), e.t, e.x, b, (e,)))
 
 
 def velocity_of_matrix(M: np.ndarray) -> float:
@@ -425,7 +458,8 @@ def general_boost_1p1(e: Event1p1, fam: GeneralTransformFamily, V: float) -> Eve
     a = fam.A(V)
     if not math.isfinite(a) or abs(a) < 1e-300:
         raise DegenerateA(f"A({V!r}) = {a!r}")
-    return _apply(_form(a, a * V, _k_expression(fam, V)), e)
+    return Event1p1(*_image(_form(a, a * V, _k_expression(fam, V)), e.t, e.x,
+                            f"by the {fam.parity.value} family at V={V!r}", (e,)))
 
 
 def extract_K(
@@ -458,22 +492,21 @@ def extract_K(
 # 1+3 transforms.
 
 
-def _along(t, r, speed, w, m):
-    """The 1+1 boost law, entries m, applied to (t, r.n), n the direction of
-    the vector speed of magnitude w > 0; r and speed are three components,
-    floats or columns alike.  Returns n, r.n and the boosted (t', x').  A w
-    that overflows to inf gives n = 0, which the law at infinite speed, the
-    axis swap, does not need."""
+def _along(r, speed, w):
+    """n, the direction of the vector speed of magnitude w > 0, and r.n, the
+    x of the 1+1 law; r and speed are three components, floats or columns
+    alike.  A w that overflows to inf gives n = 0, which the law at
+    infinite speed, the axis swap, does not need."""
     n = tuple(v / w for v in speed)
-    r_par = r[0] * n[0] + r[1] * n[1] + r[2] * n[2]
-    return n, r_par, (m[0] * t + m[1] * r_par, m[2] * t + m[3] * r_par)
+    return n, r[0] * n[0] + r[1] * n[1] + r[2] * n[2]
 
 
-def _superluminal_along(t, r, speed, w, m, c: float):
-    """The superluminal 1+3 law on (t, r) as _along takes them: the three
-    components of tvec', and x'."""
-    n, r_par, (t1, x1) = _along(t, r, speed, w, m)
-    return tuple(t1 * u + (ri - r_par * u) / c for ri, u in zip(r, n)), x1
+def _superluminal_along(t, r, speed, w, m, c: float, boost, names=None):
+    """The superluminal 1+3 law, entries m, on (t, r) as _along takes them:
+    the three components of tvec', and x'."""
+    n, r_par = _along(r, speed, w)
+    return _image(m, t, r_par, boost, names, lambda t1, x1: (
+        *(t1 * u + (ri - r_par * u) / c for ri, u in zip(r, n)), x1))
 
 
 def boost_1p3_subluminal(e: Event1p3, V, c: float = 1.0) -> Event1p3:
@@ -483,8 +516,10 @@ def boost_1p3_subluminal(e: Event1p3, V, c: float = 1.0) -> Event1p3:
     v = math.hypot(*b.speed)
     if v == 0.0:
         return Event1p3(e.t, e.r)
-    n, r_par, (t, x) = _along(e.t, e.r, b.speed, v, _entries(b, v))
-    return Event1p3(t, tuple(r + (x - r_par) * u for r, u in zip(e.r, n)))
+    n, r_par = _along(e.r, b.speed, v)
+    t, *r = _image(_entries(b, v), e.t, r_par, b, (e,), lambda t1, x1: (
+        t1, *(ri + (x1 - r_par) * u for ri, u in zip(e.r, n))))
+    return Event1p3(t, tuple(r))
 
 
 def boost_1p3_superluminal(e: Event1p3, W, c: float = 1.0) -> SuperluminalEvent1p3:
@@ -497,8 +532,8 @@ def boost_1p3_superluminal(e: Event1p3, W, c: float = 1.0) -> SuperluminalEvent1
     """
     b = Boost(Branch.SUPERLUMINAL, tuple(W), K_from_c(c))
     w = math.hypot(*b.speed)
-    return SuperluminalEvent1p3(*_superluminal_along(e.t, e.r, b.speed, w,
-                                                     _entries(b, w), c))
+    *tvec, x = _superluminal_along(e.t, e.r, b.speed, w, _entries(b, w), c, b, (e,))
+    return SuperluminalEvent1p3(tuple(tvec), x)
 
 
 def interval_nm(dts: Sequence[float], drs: Sequence[float], c: float = 1.0):
@@ -535,15 +570,6 @@ def _require_finite_columns(**columns: np.ndarray) -> None:
             _require_finite(name, float(col.flat[bad[0]]))
 
 
-def _apply_columns(m: np.ndarray, e: EventColumns) -> EventColumns:
-    """_apply on columns; an image beyond the float range is a ValueError,
-    not an overflow warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = EventColumns(m[0] * e.t + m[1] * e.x, m[2] * e.t + m[3] * e.x)
-    _require_finite_columns(t=out.t, x=out.x)
-    return out
-
-
 def column_boost(branch: Branch, V: np.ndarray, K: float = 1.0) -> Boost:
     """The Boost of the column's extreme speed: the largest |V| below c, the
     smallest |W| above it, or the first NaN.  Constructing it checks the
@@ -570,7 +596,14 @@ def column_entries(branch, V: np.ndarray, K: float = 1.0, *,
 
 def boost_1p1_columns(e: EventColumns, branch, V, K: float = 1.0) -> EventColumns:
     """boost_1p1 on columns: event i moved by the boost of speed V[i]."""
-    return _apply_columns(column_entries(branch, V, K), e)
+    _require_finite_columns(t=e.t, x=e.x)
+
+    def boost(i):
+        one = branch if isinstance(branch, Branch) else (
+            Branch.SUBLUMINAL if branch[i] else Branch.SUPERLUMINAL)
+        return Boost(one, float(V[i]), K)
+
+    return EventColumns(*_image(column_entries(branch, V, K), e.t, e.x, boost))
 
 
 def boost_1p3_superluminal_columns(t: np.ndarray, r: np.ndarray, W: np.ndarray,
@@ -579,14 +612,13 @@ def boost_1p3_superluminal_columns(t: np.ndarray, r: np.ndarray, W: np.ndarray,
     Returns tvec, (n, 3), and x, (n,).  |W| is math.hypot of each speed, on
     Python floats: hypot has no bit-exact numpy twin."""
     K = K_from_c(c)
-    _require_finite_columns(**{"speed component": W})
+    _require_finite_columns(**{"speed component": W, "t": t, "r component": r})
     w = np.array([math.hypot(*v) for v in W.tolist()])
     m = column_entries(Branch.SUPERLUMINAL, w, K)
     with np.errstate(over="ignore", invalid="ignore"):
-        tvec, x = _superluminal_along(t, r.T, W.T, w, m, c)
-    tvec = np.stack(tvec, axis=1)
-    _require_finite_columns(**{"tvec component": tvec, "x": x})
-    return tvec, x
+        *tvec, x = _superluminal_along(t, r.T, W.T, w, m, c, lambda i: Boost(
+            Branch.SUPERLUMINAL, tuple(W[i].tolist()), K))
+    return np.stack(tvec, axis=1), x
 
 
 def rapidity_columns(branch: Branch, V: np.ndarray, K: float = 1.0) -> np.ndarray:

@@ -8,9 +8,12 @@ dictionaries below.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .diagrams import Diagram, SpeedClass
+from .errors import NonfiniteResult
 
 STYLE = {
     "scale": 90.0,          # pixels per unit of x and of c*t
@@ -61,8 +64,11 @@ def _marks(d: Diagram, cx: np.ndarray, cy: np.ndarray) -> list[str]:
 
 
 def render_svg(d: Diagram, title: str | None = None) -> str:
-    """Render one diagram to a standalone SVG string."""
-    x, ct = d._xy[:, 1], d._xy[:, 0] * d.c
+    """Render one diagram to a standalone SVG string.  A drawing whose size
+    in pixels does not fit in a float raises NonfiniteResult naming the
+    event farthest out."""
+    with np.errstate(over="ignore"):
+        x, ct = d._xy[:, 1], d._xy[:, 0] * d.c
     pad = STYLE["pad"]
     xlo, xhi = x.min().item() - pad, x.max().item() + pad
     tlo, thi = ct.min().item() - pad, ct.max().item() + pad
@@ -70,6 +76,12 @@ def render_svg(d: Diagram, title: str | None = None) -> str:
     m = STYLE["margin"]
     width = m * 2 + (xhi - xlo) * s
     height = m * 2 + (thi - tlo) * s
+    if not (math.isfinite(width) and math.isfinite(height)):
+        i = int(np.argmax(np.maximum(abs(x), abs(ct))))
+        t, xi = d._xy[i].tolist()
+        raise NonfiniteResult(
+            f"event {d._labels[i]!r} at t={t!r}, x={xi!r} (c={d.c!r}) makes the "
+            f"drawing {width:.6g} by {height:.6g} pixels, beyond a float")
 
     def px(x: float) -> float:
         return m + (x - xlo) * s

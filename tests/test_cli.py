@@ -90,6 +90,21 @@ def test_boost_rejects_malformed_event(tmp_path, capsys):
     assert code == 2 and "event" in err
 
 
+@pytest.mark.parametrize("event,speed,names", [
+    ([1e308, -1e308], 1.0001, "Event1p1(t=1e+308, x=-1e+308)"),
+    ([1e308, -1e308, 0, 0], [1.0001, 0, 0], "Event1p3(t=1e+308, r=(-1e+308, 0.0, 0.0))"),
+])
+def test_boost_result_beyond_a_float_names_the_event_and_the_boost(
+        tmp_path, capsys, event, speed, names):
+    inp = _write(tmp_path, "b.json",
+                 {"event": event, "boost": {"branch": "superluminal", "speed": speed}})
+    code, out, err = _run(capsys, "boost", "--input", inp)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: NonfiniteResult: event {names} boosted to superluminal "
+                          f"speed {tuple(map(float, speed)) if len(event) == 4 else speed!r}")
+    assert "10**310.151, beyond a float" in err
+
+
 def test_boost_missing_input_file(capsys):
     code, _, err = _run(capsys, "boost", "--input", "/no/such/file.json")
     assert code == 2 and "FileNotFoundError" in err
@@ -338,6 +353,26 @@ def test_diagram_boost_overflow_names_the_event(tmp_path, capsys):
     assert "NonfiniteResult" in err and "'A'" in err and "1.0001" in err
 
 
+def test_diagram_scenario_rejects_a_string_of_sinks(tmp_path, capsys):
+    inp = _write(tmp_path, "s.json", {
+        "events": {"a": [0, 0], "b": [1, 0], "c": [2, 0]},
+        "segments": [["a", "b"], ["b", "c"]], "source": "a", "sinks": "bc"})
+    code, out, err = _run(capsys, "diagram", "--input", inp, "--format", "json")
+    assert code == 2 and out == ""
+    assert "InvalidScenario: sinks must list event labels, got 'bc'" in err
+
+
+@pytest.mark.parametrize("fmt", ["svg", "json"])
+def test_diagram_too_large_to_draw_names_the_event(tmp_path, capsys, fmt):
+    inp = _write(tmp_path, "s.json",
+                 {"events": {"A": [1e308, 0], "B": [0, 0]}, "segments": [["B", "A"]]})
+    svg = tmp_path / "d.svg"
+    argv = ["--output", str(svg)] if fmt == "json" else []
+    code, out, err = _run(capsys, "diagram", "--input", inp, *argv)
+    assert code == 2 and out == "" and not svg.exists()
+    assert "NonfiniteResult: event 'A' at t=1e+308, x=0.0" in err
+
+
 def test_diagram_unknown_fixture(capsys):
     code, _, err = _run(capsys, "diagram", "--input", "fig7q", "--format", "json")
     assert code == 2
@@ -399,6 +434,14 @@ def test_verify_perturbed_cauchy_fails(capsys):
     assert failed == ["cauchy_condition"]
 
 
+@pytest.mark.parametrize("flag", ["--tolerance", "--perturb-cauchy"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_verify_rejects_a_non_finite_number(capsys, flag, value):
+    code, out, err = _run(capsys, "verify", f"{flag}={value}")
+    assert code == 2 and out == ""
+    assert f"argument {flag}: must be a finite number, got '{value}'" in err
+
+
 # ---------------------------------------------------------------------------
 # scan
 
@@ -432,6 +475,14 @@ def test_scan_overflowing_spec_is_a_named_error(tmp_path, capsys):
     assert "NonfiniteResult" in err and "diverging" in err
 
 
+@pytest.mark.parametrize("alpha", [[1], [1, 2, 3], "1", {"re": 1}, [1, "2"], None])
+def test_scan_alpha_must_be_a_number_or_a_pair(tmp_path, capsys, alpha):
+    inp = _write(tmp_path, "scan.json", {"alpha": alpha})
+    code, out, err = _run(capsys, "scan", "--input", inp)
+    assert code == 2 and out == ""
+    assert f'"alpha" must be a number or an [re, im] pair, got {alpha!r}' in err
+
+
 # ---------------------------------------------------------------------------
 # amplitude
 
@@ -443,6 +494,21 @@ def test_amplitude_two_paths(tmp_path, capsys):
     data = json.loads(out)
     assert data["n_paths"] == 2
     assert data["probability"] == pytest.approx(0.75, rel=1e-12)
+
+
+@pytest.mark.parametrize("phases", [5, "01", {"a": 1}])
+def test_amplitude_phases_must_be_a_list(tmp_path, capsys, phases):
+    inp = _write(tmp_path, "a.json", {"phases": phases})
+    code, out, err = _run(capsys, "amplitude", "--input", inp)
+    assert code == 2 and out == ""
+    assert f'"phases" must be a list of numbers, got {phases!r}' in err
+
+
+def test_amplitude_beyond_a_float_names_alpha_mag_and_the_phase(tmp_path, capsys):
+    inp = _write(tmp_path, "a.json", {"phases": [1.0, 1e308, 1e308], "alpha_mag": 1e308})
+    code, out, err = _run(capsys, "amplitude", "--input", inp)
+    assert code == 2 and out == ""
+    assert "NonfiniteResult: alpha_mag * phase 1 = 1e+308 * 1e+308 = 10**616" in err
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from superlum import (
     MixedK,
     NonfiniteResult,
     Role,
+    Scenario,
     SpeedClass,
     ZeroExtent,
     count_paths,
@@ -241,6 +242,18 @@ def test_count_paths_validates_labels():
         count_paths(d, "A", ("Z",))
     with pytest.raises(InvalidScenario):
         count_paths(d, "A", ())
+
+
+@pytest.mark.parametrize("sinks", ["BC", {"B": 1}, 5])
+def test_sinks_must_be_a_list_of_labels(sinks):
+    """count_paths and scenario_from_dict share one label check; a string is
+    not a list of one-character sinks."""
+    d = _diagram({"A": (0, 0), "B": (1, 0), "C": (2, 0)}, [("A", "B"), ("B", "C")])
+    with pytest.raises(InvalidScenario, match=re.escape(f"sinks must list event labels, "
+                                                        f"got {sinks!r}")):
+        count_paths(d, "A", sinks)
+    with pytest.raises(InvalidScenario, match=re.escape(repr(sinks))):
+        scenario_from_dict({**scenario_to_dict(Scenario(d)), "source": "A", "sinks": sinks})
 
 
 def test_cyclic_diagram_detected():
@@ -503,6 +516,15 @@ def test_svg_escapes_markup_in_labels_and_title():
     assert len(root.findall(f"{ns}circle")) == len(d.events)
     texts = [t.text for t in root.findall(f"{ns}text")]
     assert 'say "&<" here' in texts and "<a&b>" in texts
+
+
+def test_svg_of_a_drawing_beyond_a_float_names_the_farthest_event():
+    d = _diagram({"B": (0, 0), "A": (1e308, 0.5)}, [("B", "A")])
+    with pytest.raises(NonfiniteResult, match=r"event 'A' at t=1e\+308, x=0\.5 \(c=1\.0\) "
+                                              r"makes the drawing 253 by inf pixels"):
+        render_svg(d)
+    with pytest.raises(NonfiniteResult, match="event 'B'"):
+        render_svg(_diagram({"A": (0, 0), "B": (1e300, 0)}, [("A", "B")], c=1e10))
 
 
 def test_diagram_rejects_nonfinite_light_speed():

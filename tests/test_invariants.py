@@ -360,6 +360,18 @@ def test_amplitude_scale_folds_into_phases():
     assert a.value == APPROX(b.value, rel=1e-14)
 
 
+def test_amplitude_beyond_a_float_names_alpha_mag_and_the_first_phase():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonfiniteResult, match=r"alpha_mag \* phase 0 = 1e\+308 \* "
+                                                  r"1e\+308 = 10\*\*616 does not fit"):
+            amplitude([1e308, 1e308], 1e308)
+        with pytest.raises(NonfiniteResult, match=r"phase 2 = 10000000000\.0 \* -3e\+300 = 10\*\*310\.477"):
+            amplitude([0.0, 1.0, -3e300, 5e300], 1e10)
+        with pytest.raises(ValueError, match="alpha_mag must be finite"):
+            amplitude([0.0, 1.0], math.nan)
+
+
 @given(
     st.lists(
         st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False),

@@ -23,6 +23,7 @@ from superlum import (
     GeneralTransformFamily,
     LightSpeedResult,
     MixedK,
+    NonfiniteResult,
     NonpositiveK,
     NotConstant,
     Parity,
@@ -338,6 +339,40 @@ def test_euclidean_member_rotates():
     out = general_boost_1p1(Event1p1(1.0, 0.0), fam, 1.0)
     r2 = 1.0 / math.sqrt(2.0)
     assert (out.t, out.x) == APPROX((r2, -r2), rel=1e-14)
+
+
+def test_a_result_beyond_a_float_names_the_event_and_the_transform():
+    """Each transform's result is checked by the one kernel: a non-finite input
+    is a ValueError, a result beyond a float a NonfiniteResult."""
+    e, e3 = Event1p1(1e308, -1e308), Event1p3(1e308, (-1e308, 0.0, 0.0))
+    size = r"has a coordinate of magnitude 10\*\*310\.151, beyond a float"
+    with pytest.raises(NonfiniteResult, match=r"event Event1p1\(t=1e\+308, x=-1e\+308\) "
+                                              r"boosted to superluminal speed 1\.0001 \(K=1\.0\) "
+                                              + size):
+        boost_1p1(e, Boost(Branch.SUPERLUMINAL, 1.0001))
+    with pytest.raises(NonfiniteResult, match=r"boosted by the symmetric family at V=0\.9999"):
+        general_boost_1p1(e, lorentz_family(), 0.9999)
+    with pytest.raises(NonfiniteResult, match=r"r=\(-1e\+308, 0\.0, 0\.0\)\) boosted to "
+                                              r"subluminal speed \(0\.9999, 0\.0, 0\.0\)"):
+        boost_1p3_subluminal(e3, (0.9999, 0.0, 0.0))
+    with pytest.raises(NonfiniteResult, match=r"speed \(1\.0001, 0\.0, 0\.0\) \(K=1\.0\) "
+                                              + size):
+        boost_1p3_superluminal(e3, (1.0001, 0.0, 0.0))
+    # the 1+1 image fits; the perpendicular part of r divided by c does not
+    with pytest.raises(NonfiniteResult, match=r"e\+19\) has a coordinate, beyond a float"):
+        boost_1p3_superluminal(Event1p3(0.0, (0.0, 1e300, 0.0)), (1.0, 0.0, 0.0), c=1e-10)
+    t, r = np.array([0.0, 1e308]), np.array([[0.0, 0.0, 0.0], [-1e308, 0.0, 0.0]])
+    with pytest.raises(NonfiniteResult, match=r"event 1 boosted to superluminal speed "
+                                              r"\(1\.0001, 0\.0, 0\.0\)"):
+        kin.boost_1p3_superluminal_columns(t, r, np.array([[2.0, 0.0, 0.0], [1.0001, 0.0, 0.0]]))
+    with pytest.raises(NonfiniteResult, match=r"event 1 boosted to subluminal speed 0\.9999"):
+        kin.boost_1p1_columns(kin.EventColumns(t, -t), np.array([False, True]),
+                              np.array([2.0, 0.9999]))
+    with pytest.raises(ValueError, match="x must be finite, got inf"):
+        kin.boost_1p1_columns(kin.EventColumns(t, np.array([0.0, math.inf])),
+                              Branch.SUBLUMINAL, t * 0.0)
+    with pytest.raises(ValueError, match="r component must be finite, got nan"):
+        kin.boost_1p3_superluminal_columns(t, r * np.nan, np.array([[2.0, 0.0, 0.0]] * 2))
 
 
 def test_general_transform_degenerate_cases():
@@ -888,7 +923,7 @@ def test_boost_columns_equal_the_one_event_boosts():
 
 def test_boost_columns_reject_an_image_beyond_the_float_range():
     e = kin.EventColumns(np.array([0.0, 1e308]), np.array([0.0, -1e308]))
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(NonfiniteResult, match=r"event 1 boosted to superluminal speed 1\.0001"):
         kin.boost_1p1_columns(e, Branch.SUPERLUMINAL, np.array([1.0001, 1.0001]))
 
 

@@ -1,8 +1,9 @@
 """One fact, one place: where the package may check a bound, sum exponentials,
-form a boost scale, compose speeds and classify segments, read from the
-source with ast."""
+form a boost scale, reject a boost result, compose speeds and classify
+segments, read from the source with ast."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -116,12 +117,26 @@ def test_composition_builds_no_matrix(function):
 
 
 def test_segments_are_sorted_and_classified_on_the_diagram_arrays():
-    """Roles and the SVG read the diagram's one classification; only the JSON
-    report asks for Segment objects, and no per-segment sort key exists."""
+    """Roles, the SVG and the JSON report read the diagram's one
+    classification; no package function asks for Segment objects, and no
+    per-segment sort key exists."""
     assert _scopes(lambda node: isinstance(node, ast.Call)
-                   and isinstance(node.func, ast.Name)
-                   and node.func.id == "resolved_segments") == {"cli._diagram_report"}
+                   and ast.unparse(node.func).split(".")[-1] == "resolved_segments") == set()
     assert not hasattr(superlum.diagrams, "_segment_sort_key")
+
+
+def test_the_duplicate_boost_and_classification_paths_are_gone():
+    for module, name in [("kinematics", "_apply"), ("kinematics", "_apply_columns"),
+                         ("diagrams", "_boosted"), ("diagrams", "_classify"),
+                         ("diagrams", "classify_segment"), ("", "classify_segment")]:
+        assert not hasattr(getattr(superlum, module) if module else superlum, name)
+    for function in (superlum.diagrams.resolved_segments, superlum.diagrams.classify_endpoints):
+        assert "tol" not in inspect.signature(function).parameters
+
+
+def test_a_boost_result_beyond_a_float_is_raised_only_by_the_kernel():
+    assert {scope for scope in _scopes(_raises("NonfiniteResult"))
+            if scope.split(".")[0] in ("kinematics", "diagrams")} == {"kinematics._image"}
 
 
 def test_the_coefficient_box_is_built_without_a_per_index_loop():
