@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NonfiniteResult, SuperluminalSegment
-from .kinematics import Event1p1
+from .kinematics import Event1p1, _squares
 from .report import CheckReport, relative_deviation
 
 
@@ -62,16 +62,38 @@ def path_phase(p: Path, scale: float = 1.0, c: float = 1.0) -> float:
     raise SuperluminalSegment; the phase is additive over concatenation and
     unchanged by subluminal boosts.
     """
-    total = 0.0
-    for a, b in zip(p.vertices, p.vertices[1:]):
-        dt = b.t - a.t
-        dx = b.x - a.x
-        if abs(dx) >= c * dt:
-            raise SuperluminalSegment(
-                f"segment speed |{dx/dt!r}| is not below c={c!r}"
-            )
-        total += dt * math.sqrt(1.0 - (dx / (c * dt)) ** 2)
-    return scale * total
+    t = np.array([[v.t for v in p.vertices]])
+    x = np.array([[v.x for v in p.vertices]])
+    return scale * float(_path_phases(t, x, np.array([0]), np.array([t.size]), c)[0])
+
+
+def _path_phases(t: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 c: float = 1.0) -> np.ndarray:
+    """The proper time of each row's path through its vertices lo..hi-1,
+    given the (n, k) vertex times t and positions x.
+
+    Vertices outside a row's range may hold any finite values.  Each total
+    adds its segments in path order starting from 0.0, one column at a
+    time, with exactly 0.0 for a segment outside the range, so a row's time
+    is path_phase's bit for bit.  v**2 is libm pow per value (_squares), and
+    np.sqrt is correctly rounded like math.sqrt.  The first segment at or
+    above c, by row and then by segment, raises SuperluminalSegment.
+    """
+    dt, dx = np.diff(t), np.diff(x)
+    ct = c * dt
+    j = np.arange(dt.shape[1])
+    live = (lo[:, None] <= j) & (j < hi[:, None] - 1)
+    fast = np.argwhere(live & (np.abs(dx) >= ct))
+    if len(fast):
+        i, k = fast[0]
+        raise SuperluminalSegment(
+            f"segment speed |{float(dx[i, k] / dt[i, k])!r}| is not below c={c!r}")
+    term = np.zeros(dt.shape)
+    term[live] = dt[live] * np.sqrt(1.0 - _squares(dx[live] / ct[live]))
+    total = np.zeros(len(term))
+    for col in term.T:
+        total += col
+    return total
 
 
 @dataclass(frozen=True)
@@ -179,6 +201,13 @@ def _spec_text(spec: InvariantSpec) -> str:
     return f"alpha={complex(spec.alpha)!r}, beta={spec.beta!r}, gamma={spec.gamma!r}"
 
 
+def _value(spec: InvariantSpec, log_abs: float, theta: float, n: int) -> complex:
+    """P from log|P| and arg P, exponentiated once on Python floats."""
+    mag = _magnitude(log_abs, lambda log10: (
+        f"|P| = 10**{log10} does not fit in a float ({_spec_text(spec)}, n={n})"))
+    return complex(mag * math.cos(theta), mag * math.sin(theta))
+
+
 def invariant_P(spec: InvariantSpec, phases) -> complex:
     """Evaluate the invariant on a phase set.
 
@@ -190,11 +219,25 @@ def invariant_P(spec: InvariantSpec, phases) -> complex:
     """
     phi = as_phases(phases)
     log_abs, theta = _log_P(spec, phi)
-    mag = _magnitude(float(log_abs), lambda log10: (
-        f"|P| = 10**{log10} does not fit in a float ({_spec_text(spec)}, "
-        f"n={phi.size})"))
-    theta = float(theta)
-    return complex(mag * math.cos(theta), mag * math.sin(theta))
+    return _value(spec, float(log_abs), float(theta), phi.size)
+
+
+def _invariant_Ps(spec: InvariantSpec, phase_sets) -> list[complex]:
+    """invariant_P of each of several phase sets, bit for bit, from one
+    _log_P per set size: the sets of one size are the rows of one array,
+    and _log_P reduces along the last axis.  Sets are never padded to one
+    size, since a padded 0 would add exp(0) = 1 to each sum.  The sets must
+    be valid phase sets that take one branch of _log_sums together, as sets
+    with |Re(alpha*phi)| <= SAFE_EXPONENT throughout do."""
+    out = [None] * len(phase_sets)
+    by_size: dict[int, list[int]] = {}
+    for i, phi in enumerate(phase_sets):
+        by_size.setdefault(len(phi), []).append(i)
+    for n, rows in by_size.items():
+        log_abs, theta = _log_P(spec, np.array([phase_sets[i] for i in rows]))
+        for i, la, th in zip(rows, log_abs.tolist(), theta.tolist()):
+            out[i] = _value(spec, la, th, n)
+    return out
 
 
 def amplitude_invariant(spec: InvariantSpec) -> Callable[[Sequence[float]], complex]:

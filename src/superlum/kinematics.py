@@ -562,6 +562,11 @@ class EventColumns(NamedTuple):
     x: np.ndarray
 
 
+def _squares(col: np.ndarray) -> np.ndarray:
+    """col ** 2 as a scalar computes it: libm pow, not always col * col."""
+    return np.array([v ** 2 for v in col.tolist()])
+
+
 def _require_finite_columns(**columns: np.ndarray) -> None:
     """ValueError naming the first non-finite value, as Event1p1 raises."""
     for name, col in columns.items():

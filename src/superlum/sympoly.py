@@ -65,12 +65,9 @@ def newton_convolution_check(
         raise ValueError(f"r must satisfy 0 <= r <= {r_max}")
     a, b = as_phases(phases_a), as_phases(phases_b)
     sums = pairwise_phase_sums(a, b)
-    direct = float(np.sum(sums**r))
-    convolved = sum(
-        math.comb(r, t) * power_sum(t, a) * power_sum(r - t, b) for t in range(r + 1)
-    )
-    scale = float(np.sum(np.abs(sums) ** r))
-    dev = relative_deviation(direct, convolved, scale)
+    dev = _newton_deviation(
+        r, [power_sum(t, a) for t in range(r + 1)], [power_sum(t, b) for t in range(r + 1)],
+        float(np.sum(sums**r)), float(np.sum(np.abs(sums) ** r)))
     return CheckReport(
         "newton_convolution",
         dev,
@@ -78,6 +75,28 @@ def newton_convolution_check(
         dev <= tol,
         {"r": r, "n": int(a.size), "m": int(b.size)},
     )
+
+
+def _newton_deviation(r: int, Ea, Eb, direct: float, scale: float) -> float:
+    """The deviation of newton_convolution_check from the power sums Ea and
+    Eb of the two sets (E_t at index t, t <= r) and the direct and scale sums
+    of order r over their pairwise sums."""
+    convolved = sum(math.comb(r, t) * Ea[t] * Eb[r - t] for t in range(r + 1))
+    return relative_deviation(direct, convolved, scale)
+
+
+def _newton_deviations(phases_a, phases_b, r_max: int = 8) -> list[float]:
+    """newton_convolution_check(r, phases_a, phases_b).deviation for every r
+    in 0..r_max, bit for bit.  Each table of power sums is one stack of the
+    powers v**r, each raised to one scalar r as power_sum raises it (numpy's
+    power has fast paths for the scalar exponents 0, 1 and 2 that an array
+    of exponents misses), summed row by row."""
+    a, b = as_phases(phases_a), as_phases(phases_b)
+    sums = pairwise_phase_sums(a, b)
+    Ea, Eb, direct, scale = (
+        np.stack([v ** r for r in range(r_max + 1)]).sum(axis=-1).tolist()
+        for v in (a, b, sums, np.abs(sums)))
+    return [_newton_deviation(r, Ea, Eb, direct[r], scale[r]) for r in range(r_max + 1)]
 
 
 @dataclass(frozen=True)

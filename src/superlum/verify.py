@@ -18,8 +18,18 @@ would leave it.  The trials then run as numpy operations on columns,
 through the column twins of the kinematics kernels; the few calls with no
 bit-exact numpy twin (math.hypot, math.atan2, x ** 2, which is libm pow,
 and the BLAS dot of np.linalg.norm and dr @ dr) run per trial on Python
-floats.  Each deviation is the one a per-trial evaluation gives.  The other
-rows draw integers and arrays whose sizes vary, and run trial by trial
+floats.  Each deviation is the one a per-trial evaluation gives.
+
+The six rows after them draw integers, permutations and arrays of drawn
+sizes, so they keep the draw calls of one trial at a time, in the same
+order; a run of scalar rng.uniform draws becomes one rng.random block
+mapped as above.  What the draws produce is then valued on columns, by
+private twins of the public kernels that give their bits: the phase rows
+boost every vertex in one call and sum proper times with _path_phases, the
+invariant rows value each instance's phase sets with one _log_P per set
+size (_invariant_Ps), newton_convolution stacks its powers
+(_newton_deviations), and two_path_interference takes one _phasor_sum over
+all its deltas.  The remaining rows draw little and run trial by trial
 through per_trial.
 
 The two sabotage switches exist to demonstrate that the suite actually
@@ -39,24 +49,23 @@ import numpy as np
 from . import kinematics as kin
 from .invariants import (
     InvariantSpec,
-    Path,
-    amplitude,
+    _invariant_Ps,
+    _path_phases,
+    _phasor_sum,
     amplitude_invariant,
-    check_multiplicativity,
-    check_symmetry,
     check_time_reversal,
     invariant_P,
-    path_phase,
+    pairwise_phase_sums,
 )
-from .kinematics import Boost, Branch, Event1p1, EventColumns
+from .kinematics import Boost, Branch, EventColumns
 from .report import CheckReport, relative_deviation
 from .sympoly import (
     CoefficientTensor,
+    _newton_deviations,
     cauchy_condition_check,
     closed_product,
     closure_checks,
     expansion_reconstruction_check,
-    newton_convolution_check,
 )
 
 IDENTITY = np.eye(2)
@@ -171,36 +180,46 @@ def _events(u) -> EventColumns:
     return EventColumns(_uniform(u[:, 0], -2, 2), _uniform(u[:, 1], -2, 2))
 
 
-def _random_subluminal(rng: np.random.Generator) -> float:
-    return float(rng.uniform(-0.95, 0.95))
-
-
 def _random_spec(rng, complex_alpha: bool) -> InvariantSpec:
-    re = float(rng.uniform(-1.0, 1.0))
-    im = float(rng.uniform(-0.3, 0.3)) if complex_alpha else 0.0
-    return InvariantSpec(complex(re, im), float(rng.uniform(0.0, 2.0)),
-                         float(rng.uniform(-2.0, 2.0)))
+    """alpha's real part in [-1, 1) and, if complex_alpha, its imaginary
+    part in [-0.3, 0.3); beta in [0, 2) and gamma in [-2, 2)."""
+    u = rng.random(4 if complex_alpha else 3).tolist()
+    im = _uniform(u[1], -0.3, 0.3) if complex_alpha else 0.0
+    return InvariantSpec(complex(_uniform(u[0], -1.0, 1.0), im),
+                         _uniform(u[-2], 0.0, 2.0), _uniform(u[-1], -2.0, 2.0))
 
 
-def _random_timelike_path(rng) -> Path:
-    t, x = 0.0, float(rng.uniform(-1, 1))
-    verts = [Event1p1(t, x)]
-    for _ in range(int(rng.integers(2, 6))):
-        dt = float(rng.uniform(0.2, 1.0))
-        v = float(rng.uniform(-0.9, 0.9))
-        t, x = t + dt, x + v * dt
-        verts.append(Event1p1(t, x))
-    return Path(tuple(verts))
+def _timelike_paths(rng, n: int, extra: int = 0):
+    """n random timelike paths of 2 to 5 segments, each slower than 0.9.
+
+    A path draws its start x, its segment count and then (dt, v) for each
+    segment, followed by `extra` doubles of its trial: one double, one
+    integer, then one block, the doubles that scalar rng.uniform calls drew
+    one by one.  Returns the (n, 6) vertex times and positions, finite but
+    meaningless past each path's last vertex, the vertex counts, and the
+    (n, extra) extra doubles.
+    """
+    start, count = np.empty(n), np.empty(n, int)
+    u = np.zeros((n, 10 + extra))
+    for i in range(n):
+        start[i] = rng.random()
+        k = int(rng.integers(2, 6))
+        count[i] = k + 1
+        block = rng.random(2 * k + extra)
+        u[i, :2 * k] = block[:2 * k]
+        u[i, 10:] = block[2 * k:]
+    dt, v = _uniform(u[:, 0:10:2], 0.2, 1.0), _uniform(u[:, 1:10:2], -0.9, 0.9)
+    t, x = np.zeros((n, 6)), np.zeros((n, 6))
+    x[:, 0] = _uniform(start, -1, 1)
+    for j in range(5):
+        t[:, j + 1] = t[:, j] + dt[:, j]
+        x[:, j + 1] = x[:, j] + v[:, j] * dt[:, j]
+    return t, x, count, u[:, 10:]
 
 
 # ---------------------------------------------------------------------------
 # Column helpers: the per-trial operations with no bit-exact numpy twin, and
 # the elementwise forms of the scalar ones.
-
-
-def _squares(col: np.ndarray) -> np.ndarray:
-    """col ** 2 as a scalar computes it: libm pow, not always col * col."""
-    return np.array([v ** 2 for v in col.tolist()])
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
@@ -258,7 +277,7 @@ def _interval_1p1(branch, V, u, sign: float) -> np.ndarray:
     s2 = kin.interval_1p1(e1, e2)
     s2p = kin.interval_1p1(kin.boost_1p1_columns(e1, branch, V),
                            kin.boost_1p1_columns(e2, branch, V))
-    scale = _squares(e2.t - e1.t) + _squares(e2.x - e1.x)
+    scale = kin._squares(e2.t - e1.t) + kin._squares(e2.x - e1.x)
     return _relative(s2p, sign * s2, scale)
 
 
@@ -361,57 +380,80 @@ def _infinite_limit(rng, opts, n):
     ])
 
 
-def _invariant_axioms(rng, opts, i):
-    spec = _random_spec(rng, complex_alpha=(i % 2 == 0))
-    n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-    phi = rng.uniform(-1, 1, n)
-    xi = rng.uniform(-1, 1, m)
-    f = amplitude_invariant(spec)
-    return (
-        check_symmetry(f, phi, trials=5, rng=rng).deviation,
-        check_time_reversal(f, phi).deviation,
-        check_multiplicativity(f, phi, xi).deviation,
-    )
+def _invariant_axioms(rng, opts, n):
+    """Each instance's phase sets (the set, five permutations, its negation,
+    the second set and the pairwise sums) are valued by one _invariant_Ps
+    call, which takes one _log_P per set size."""
+    devs = []
+    for i in range(n):
+        spec = _random_spec(rng, complex_alpha=(i % 2 == 0))
+        k, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        phi = rng.uniform(-1, 1, k)
+        xi = rng.uniform(-1, 1, m)
+        perms = [rng.permutation(phi) for _ in range(5)]
+        base, *moved, back, f_xi, f_pairs = _invariant_Ps(
+            spec, [phi, *perms, -phi, xi, pairwise_phase_sums(phi, xi)])
+        worst = 0.0  # as check_symmetry folds its trials
+        for value in moved:
+            worst = max(worst, relative_deviation(value, base))
+        devs.append((worst, relative_deviation(base, back),
+                     relative_deviation(f_pairs, base * f_xi)))
+    return devs
 
 
-def _sum_fails(rng, opts, i):
-    s1 = InvariantSpec(float(rng.uniform(0.2, 1.0)), float(rng.uniform(0.0, 1.0)),
-                       float(rng.uniform(0.5, 2.0)))
-    s2 = InvariantSpec(float(rng.uniform(0.2, 1.0)) + 1.0,
-                       float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.5, 2.0)))
-    f1, f2 = amplitude_invariant(s1), amplitude_invariant(s2)
-    phi = rng.uniform(-1, 1, int(rng.integers(2, 7)))
-    xi = rng.uniform(-1, 1, int(rng.integers(2, 7)))
-    return check_multiplicativity(lambda p: f1(p) + f2(p), phi, xi).deviation
+def _sum_fails(rng, opts, n):
+    devs = []
+    for _ in range(n):
+        u = rng.random(6).tolist()
+        s1 = InvariantSpec(_uniform(u[0], 0.2, 1.0), _uniform(u[1], 0.0, 1.0),
+                           _uniform(u[2], 0.5, 2.0))
+        s2 = InvariantSpec(_uniform(u[3], 0.2, 1.0) + 1.0, _uniform(u[4], 0.0, 1.0),
+                           _uniform(u[5], 0.5, 2.0))
+        phi = rng.uniform(-1, 1, int(rng.integers(2, 7)))
+        xi = rng.uniform(-1, 1, int(rng.integers(2, 7)))
+        sets = [phi, xi, pairwise_phase_sums(phi, xi)]
+        (a1, b1, ab1), (a2, b2, ab2) = (_invariant_Ps(s, sets) for s in (s1, s2))
+        devs.append(relative_deviation(ab1 + ab2, (a1 + a2) * (b1 + b2)))
+    return devs
 
 
-def _two_path(rng, opts, i):
-    delta = float(TWO_PATH_DELTAS[i])
-    return abs(abs(amplitude([0.0, delta]).value) ** 2 - math.cos(delta / 2) ** 2)
+def _two_path(rng, opts, n):
+    """One _phasor_sum over the rows (0, delta): each row's tan and sum are
+    the ones amplitude([0.0, delta]) computes."""
+    deltas = TWO_PATH_DELTAS[:n]
+    sums = _phasor_sum(1.0, np.stack([np.zeros(n), deltas], axis=1)).tolist()
+    return [abs(abs(s / 2) ** 2 - math.cos(d / 2) ** 2)
+            for s, d in zip(sums, deltas.tolist())]
 
 
-def _phase_invariance(rng, opts, i):
-    p = _random_timelike_path(rng)
-    b = Boost(Branch.SUBLUMINAL, _random_subluminal(rng))
-    moved = Path(tuple(kin.boost_1p1(v, b) for v in p.vertices))
-    return relative_deviation(path_phase(moved), path_phase(p))
+def _phase_invariance(rng, opts, n):
+    t, x, count, u = _timelike_paths(rng, n, 1)
+    speed = np.repeat(_subluminal(u[:, 0]), t.shape[1])
+    moved = kin.boost_1p1_columns(EventColumns(t.ravel(), x.ravel()),
+                                  Branch.SUBLUMINAL, speed)
+    lo = np.zeros(n, int)
+    return _relative(_path_phases(moved.t.reshape(t.shape), moved.x.reshape(t.shape),
+                                  lo, count),
+                     _path_phases(t, x, lo, count), 0.0)
 
 
-def _phase_additivity(rng, opts, i):
-    p = _random_timelike_path(rng)
-    cut = len(p.vertices) // 2
-    if cut < 1 or cut >= len(p.vertices) - 1:
-        return 0.0
-    first = Path(p.vertices[: cut + 1])
-    second = Path(p.vertices[cut:])
-    return relative_deviation(path_phase(first) + path_phase(second), path_phase(p))
+def _phase_additivity(rng, opts, n):
+    """Each path of 3 to 6 vertices is cut at its middle vertex, so both
+    parts have a segment."""
+    t, x, count, _ = _timelike_paths(rng, n)
+    cut, lo = count // 2, np.zeros(n, int)
+    return _relative(_path_phases(t, x, lo, cut + 1) + _path_phases(t, x, cut, count),
+                     _path_phases(t, x, lo, count), 0.0)
 
 
-def _newton(rng, opts, i):
-    n, m = int(rng.integers(9, 13)), int(rng.integers(9, 13))
-    phi = rng.uniform(-1, 1, n)
-    xi = rng.uniform(-1, 1, m)
-    return max(newton_convolution_check(r, phi, xi).deviation for r in range(9))
+def _newton(rng, opts, n):
+    devs = []
+    for _ in range(n):
+        k, m = int(rng.integers(9, 13)), int(rng.integers(9, 13))
+        phi = rng.uniform(-1, 1, k)
+        xi = rng.uniform(-1, 1, m)
+        devs.append(max(_newton_deviations(phi, xi)))
+    return devs
 
 
 def _cauchy(rng, opts, i):
@@ -480,14 +522,14 @@ SUITE: tuple[Row, ...] = (
         100, _infinite_limit),
     Row((tol("invariant_symmetry", 1e-9), tol("invariant_time_reversal", 1e-9),
          tol("invariant_multiplicativity", 1e-9)),
-        25, per_trial(_invariant_axioms), unit="instances"),
-    Row((floor("sum_fails_multiplicativity", 1e-3),), 10, per_trial(_sum_fails),
+        25, _invariant_axioms, unit="instances"),
+    Row((floor("sum_fails_multiplicativity", 1e-3),), 10, _sum_fails,
         unit="instances"),
     Row((tol("two_path_interference", 1e-12),), len(TWO_PATH_DELTAS),
-        per_trial(_two_path), unit="deltas"),
-    Row((tol("phase_boost_invariance", 1e-10),), 100, per_trial(_phase_invariance)),
-    Row((tol("phase_additivity", 1e-12),), 100, per_trial(_phase_additivity)),
-    Row((tol("newton_convolution", 1e-9, r_max=8),), 10, per_trial(_newton),
+        _two_path, unit="deltas"),
+    Row((tol("phase_boost_invariance", 1e-10),), 100, _phase_invariance),
+    Row((tol("phase_additivity", 1e-12),), 100, _phase_additivity),
+    Row((tol("newton_convolution", 1e-9, r_max=8),), 10, _newton,
         unit="instances"),
     Row((tol("cauchy_condition", 1e-10, perturb=lambda o: o.perturb, orders=[2, 4]),),
         1, per_trial(_cauchy), unit=None),

@@ -98,6 +98,29 @@ def test_path_phase_rejects_fast_segments():
         path_phase(Path((E(0, 0), E(1, 1.5))))
 
 
+@given(st.lists(st.tuples(st.floats(1e-3, 10.0), st.floats(-2.0, 2.0)), min_size=1,
+                max_size=8),
+       st.floats(0.5, 3.0), st.floats(-5.0, 5.0))
+def test_path_phase_adds_its_segments_in_order(legs, c, scale):
+    """path_phase runs on columns, with the bits of a loop over the segments
+    on Python floats, and names the same first segment that is too fast."""
+    t, x = 0.0, 0.0
+    verts = [E(t, x)]
+    for dt, v in legs:
+        t, x = t + dt, x + v * dt
+        verts.append(E(t, x))
+    total = 0.0
+    for a, b in zip(verts, verts[1:]):
+        dt, dx = b.t - a.t, b.x - a.x
+        if abs(dx) >= c * dt:
+            with pytest.raises(SuperluminalSegment) as err:
+                path_phase(Path(tuple(verts)), scale, c)
+            assert str(err.value) == f"segment speed |{dx/dt!r}| is not below c={c!r}"
+            return
+        total += dt * math.sqrt(1.0 - (dx / (c * dt)) ** 2)
+    assert path_phase(Path(tuple(verts)), scale, c).hex() == (scale * total).hex()
+
+
 # ---------------------------------------------------------------------------
 # The invariant family: frozen values
 

@@ -9,8 +9,18 @@ import pytest
 
 from superlum import kinematics as kin
 from superlum import run_suite, suite_report, verify
+from superlum.invariants import (
+    InvariantSpec,
+    Path,
+    amplitude,
+    amplitude_invariant,
+    check_multiplicativity,
+    check_symmetry,
+    check_time_reversal,
+)
 from superlum.kinematics import Boost, Branch, Event1p1, Event1p3
 from superlum.report import relative_deviation
+from superlum.sympoly import newton_convolution_check
 
 
 def test_suite_passes_and_reports_are_json_clean():
@@ -271,6 +281,87 @@ def _infinite_limit(rng, opts, i):
     )
 
 
+def _random_spec(rng, complex_alpha):
+    re = float(rng.uniform(-1.0, 1.0))
+    im = float(rng.uniform(-0.3, 0.3)) if complex_alpha else 0.0
+    return InvariantSpec(complex(re, im), float(rng.uniform(0.0, 2.0)),
+                         float(rng.uniform(-2.0, 2.0)))
+
+
+def _random_timelike_path(rng):
+    t, x = 0.0, float(rng.uniform(-1, 1))
+    verts = [Event1p1(t, x)]
+    for _ in range(int(rng.integers(2, 6))):
+        dt = float(rng.uniform(0.2, 1.0))
+        v = float(rng.uniform(-0.9, 0.9))
+        t, x = t + dt, x + v * dt
+        verts.append(Event1p1(t, x))
+    return Path(tuple(verts))
+
+
+def _invariant_axioms(rng, opts, i):
+    spec = _random_spec(rng, complex_alpha=(i % 2 == 0))
+    n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+    phi = rng.uniform(-1, 1, n)
+    xi = rng.uniform(-1, 1, m)
+    f = amplitude_invariant(spec)
+    return (
+        check_symmetry(f, phi, trials=5, rng=rng).deviation,
+        check_time_reversal(f, phi).deviation,
+        check_multiplicativity(f, phi, xi).deviation,
+    )
+
+
+def _sum_fails(rng, opts, i):
+    s1 = InvariantSpec(float(rng.uniform(0.2, 1.0)), float(rng.uniform(0.0, 1.0)),
+                       float(rng.uniform(0.5, 2.0)))
+    s2 = InvariantSpec(float(rng.uniform(0.2, 1.0)) + 1.0,
+                       float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.5, 2.0)))
+    f1, f2 = amplitude_invariant(s1), amplitude_invariant(s2)
+    phi = rng.uniform(-1, 1, int(rng.integers(2, 7)))
+    xi = rng.uniform(-1, 1, int(rng.integers(2, 7)))
+    return check_multiplicativity(lambda p: f1(p) + f2(p), phi, xi).deviation
+
+
+def _two_path(rng, opts, i):
+    delta = float(verify.TWO_PATH_DELTAS[i])
+    return abs(abs(amplitude([0.0, delta]).value) ** 2 - math.cos(delta / 2) ** 2)
+
+
+def _proper_time(p):
+    """path_phase as it summed one segment at a time on Python floats."""
+    total = 0.0
+    for a, b in zip(p.vertices, p.vertices[1:]):
+        dt, dx = b.t - a.t, b.x - a.x
+        assert abs(dx) < dt
+        total += dt * math.sqrt(1.0 - (dx / dt) ** 2)
+    return total
+
+
+def _phase_invariance(rng, opts, i):
+    p = _random_timelike_path(rng)
+    b = Boost(Branch.SUBLUMINAL, _random_subluminal(rng))
+    moved = Path(tuple(kin.boost_1p1(v, b) for v in p.vertices))
+    return relative_deviation(_proper_time(moved), _proper_time(p))
+
+
+def _phase_additivity(rng, opts, i):
+    p = _random_timelike_path(rng)
+    cut = len(p.vertices) // 2
+    if cut < 1 or cut >= len(p.vertices) - 1:
+        return 0.0
+    first = Path(p.vertices[: cut + 1])
+    second = Path(p.vertices[cut:])
+    return relative_deviation(_proper_time(first) + _proper_time(second), _proper_time(p))
+
+
+def _newton(rng, opts, i):
+    n, m = int(rng.integers(9, 13)), int(rng.integers(9, 13))
+    phi = rng.uniform(-1, 1, n)
+    xi = rng.uniform(-1, 1, m)
+    return max(newton_convolution_check(r, phi, xi).deviation for r in range(9))
+
+
 ORACLE = {
     "subluminal_inverse_law": _subluminal_inverse,
     "superluminal_inverse_law": _superluminal_inverse,
@@ -283,6 +374,13 @@ ORACLE = {
     "velocity_matrix_agreement": _velocity_matrix_agreement,
     "rapidity_band": _rapidity_band,
     "infinite_speed_limit": _infinite_limit,
+    "invariant_symmetry+invariant_time_reversal+invariant_multiplicativity":
+        _invariant_axioms,
+    "sum_fails_multiplicativity": _sum_fails,
+    "two_path_interference": _two_path,
+    "phase_boost_invariance": _phase_invariance,
+    "phase_additivity": _phase_additivity,
+    "newton_convolution": _newton,
 }
 SABOTAGE = (verify.Opts(False, 0.0), verify.Opts(True, 1e-3))
 
@@ -290,7 +388,7 @@ SABOTAGE = (verify.Opts(False, 0.0), verify.Opts(True, 1e-3))
 def test_the_oracle_covers_the_leading_rows_of_the_table():
     """The column rows lead SUITE, with only k_extraction, which draws
     nothing, among them: so each seed's generator reaches them fresh."""
-    names = [row.name for row in verify.SUITE[:12]]
+    names = [row.name for row in verify.SUITE[:len(ORACLE) + 1]]
     assert set(names) == set(ORACLE) | {"k_extraction"}
 
 
@@ -298,7 +396,7 @@ def test_the_oracle_covers_the_leading_rows_of_the_table():
 def test_column_rows_match_their_per_trial_oracle(seed):
     for opts in SABOTAGE:
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for row in verify.SUITE[:12]:
+        for row in verify.SUITE[:len(ORACLE) + 1]:
             if row.name not in ORACLE:
                 continue
             columns = np.asarray(row.trial(rng, opts, row.trials), float)
