@@ -402,13 +402,24 @@ def _invariant_axioms(rng, opts, n):
 
 
 def _sum_fails(rng, opts, n):
+    """f1 + f2 for two invariants that share beta in [0, 1) and gamma in
+    [0.5, 2), with alpha1 in [0.2, 1) and alpha2 in [1.2, 2); the two doubles
+    drawn for a beta and gamma of f2's own are discarded.
+
+    Each f_i is multiplicative, so on the sets a and b the deviation is
+    (r_a + r_b) / ((1 + r_a) * (1 + r_b)), with r = f1/f2 = (Q1/Q2)**gamma
+    and Q(alpha) = S(alpha) * S(-alpha) = sum_jk cosh(alpha*(phi_j - phi_k)).
+    Q grows with |alpha|, so r <= 1, and for phases in [-1, 1),
+    r >= cosh(2*alpha2)**-gamma >= cosh(4)**-2.  The deviation grows with
+    each r <= 1, so every instance deviates by at least 2r/(1 + r)**2 at
+    r = cosh(4)**-2, 2.67e-3, above the floor of 1e-3.
+    """
     devs = []
     for _ in range(n):
         u = rng.random(6).tolist()
         s1 = InvariantSpec(_uniform(u[0], 0.2, 1.0), _uniform(u[1], 0.0, 1.0),
                            _uniform(u[2], 0.5, 2.0))
-        s2 = InvariantSpec(_uniform(u[3], 0.2, 1.0) + 1.0, _uniform(u[4], 0.0, 1.0),
-                           _uniform(u[5], 0.5, 2.0))
+        s2 = InvariantSpec(_uniform(u[3], 0.2, 1.0) + 1.0, s1.beta, s1.gamma)
         phi = rng.uniform(-1, 1, int(rng.integers(2, 7)))
         xi = rng.uniform(-1, 1, int(rng.integers(2, 7)))
         sets = [phi, xi, pairwise_phase_sums(phi, xi)]

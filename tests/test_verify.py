@@ -6,9 +6,11 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from superlum import kinematics as kin
 from superlum import run_suite, suite_report, verify
+from superlum.cli import main
 from superlum.invariants import (
     InvariantSpec,
     Path,
@@ -134,6 +136,24 @@ def test_a_nan_trial_fails_its_check_wherever_it_falls(monkeypatch):
         assert math.isnan(reports[name].deviation) and not reports[name].passed
     zero = reports["zero_row"]
     assert zero.passed and math.copysign(1.0, zero.deviation) == -1.0
+
+
+def test_seed_119_passes(capsys):
+    # its sum_fails_multiplicativity instance 8 deviated by 6.5e-4 when f2
+    # drew a gamma of its own (1.84 against 0.50)
+    assert main(["verify", "--seed", "119"]) == 0
+
+
+@given(st.floats(0.2, 1.0), st.floats(1.2, 2.0), st.floats(0.0, 1.0), st.floats(0.5, 2.0),
+       *[st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=6)] * 2)
+def test_a_sum_of_invariants_misses_multiplicativity_by_its_bound(
+        alpha1, alpha2, beta, gamma, phi, xi):
+    """The draw box of sum_fails_multiplicativity, corners included: every
+    instance deviates by at least 2r/(1 + r)**2 at r = cosh(4)**-2."""
+    f1 = amplitude_invariant(InvariantSpec(alpha1, beta, gamma))
+    f2 = amplitude_invariant(InvariantSpec(alpha2, beta, gamma))
+    dev = check_multiplicativity(lambda p: f1(p) + f2(p), phi, xi).deviation
+    assert dev >= 2.67e-3
 
 
 def test_timings_name_every_row_and_leave_the_reports_alone():
@@ -315,8 +335,8 @@ def _invariant_axioms(rng, opts, i):
 def _sum_fails(rng, opts, i):
     s1 = InvariantSpec(float(rng.uniform(0.2, 1.0)), float(rng.uniform(0.0, 1.0)),
                        float(rng.uniform(0.5, 2.0)))
-    s2 = InvariantSpec(float(rng.uniform(0.2, 1.0)) + 1.0,
-                       float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.5, 2.0)))
+    s2 = InvariantSpec(float(rng.uniform(0.2, 1.0)) + 1.0, s1.beta, s1.gamma)
+    rng.uniform(0.0, 1.0), rng.uniform(0.5, 2.0)  # f2's own beta and gamma, unused
     f1, f2 = amplitude_invariant(s1), amplitude_invariant(s2)
     phi = rng.uniform(-1, 1, int(rng.integers(2, 7)))
     xi = rng.uniform(-1, 1, int(rng.integers(2, 7)))
