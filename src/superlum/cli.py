@@ -218,6 +218,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if payload["all_passed"] else 1
 
 
+def _count(value, key: str) -> int:
+    """A JSON number that is a whole number >= 1, as an int, or an error
+    naming the field and the value."""
+    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value) and value == int(value) and value >= 1):
+        raise SuperlumError(f'"{key}" takes whole numbers >= 1, got {value!r}')
+    return int(value)
+
+
 def cmd_scan(args: argparse.Namespace) -> int:
     data = _read_json(args.input) if args.input else {}
     alpha = data.get("alpha", [0.0, 1.0])
@@ -231,11 +240,14 @@ def cmd_scan(args: argparse.Namespace) -> int:
         float(sampler_cfg.get("low", 0.0)),
         float(sampler_cfg.get("high", np.pi)),
     )
+    n_values = data.get("n_values", [100, 1000, 10000])
+    if not isinstance(n_values, list):
+        raise SuperlumError(f'"n_values" must be a list of whole numbers, got {n_values!r}')
     result = finiteness_scan(
         spec,
-        [int(n) for n in data.get("n_values", (100, 1000, 10000))],
+        [_count(n, "n_values") for n in n_values],
         sampler,
-        trials=int(data.get("trials", 100)),
+        trials=_count(data.get("trials", 100), "trials"),
         rng=np.random.default_rng(args.seed),
     )
     buf = io.StringIO()

@@ -432,7 +432,8 @@ def _two_path(rng, opts, n):
     """One _phasor_sum over the rows (0, delta): each row's tan and sum are
     the ones amplitude([0.0, delta]) computes."""
     deltas = TWO_PATH_DELTAS[:n]
-    sums = _phasor_sum(1.0, np.stack([np.zeros(n), deltas], axis=1)).tolist()
+    sums = _phasor_sum(1.0, np.stack([np.zeros(n), deltas], axis=1),
+                       "alpha_mag", 1.0).tolist()
     return [abs(abs(s / 2) ** 2 - math.cos(d / 2) ** 2)
             for s, d in zip(sums, deltas.tolist())]
 

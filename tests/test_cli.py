@@ -483,6 +483,26 @@ def test_scan_alpha_must_be_a_number_or_a_pair(tmp_path, capsys, alpha):
     assert f'"alpha" must be a number or an [re, im] pair, got {alpha!r}' in err
 
 
+@pytest.mark.parametrize("field, text, shown", [
+    ("n_values", '[1e400, 2]', "inf"), ("n_values", '[2.5, 10]', "2.5"),
+    ("n_values", '[0, 10]', "0"), ("n_values", '[true, 10]', "True"),
+    ("n_values", '["10", 20]', "'10'"), ("n_values", '10', None),
+    ("trials", '1e400', "inf"), ("trials", '2.5', "2.5"), ("trials", '-1', "-1"),
+    ("trials", 'null', "None"),
+])
+def test_scan_counts_must_be_whole_numbers(tmp_path, capsys, field, text, shown):
+    path = tmp_path / "scan.json"
+    path.write_text(f'{{"{field}": {text}}}', encoding="utf-8")
+    code, out, err = _run(capsys, "scan", "--input", str(path))
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and f'"{field}"' in lines[0]
+    if shown is None:
+        assert f'must be a list of whole numbers, got {text}' in lines[0]
+    else:
+        assert f'takes whole numbers >= 1, got {shown}' in lines[0]
+
+
 # ---------------------------------------------------------------------------
 # amplitude
 

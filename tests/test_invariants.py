@@ -395,6 +395,18 @@ def test_amplitude_beyond_a_float_names_alpha_mag_and_the_first_phase():
             amplitude([0.0, 1.0], math.nan)
 
 
+def test_an_imaginary_alpha_whose_half_angle_overflows_names_alpha_and_the_phase():
+    spec = InvariantSpec(1e308j, 0, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonfiniteResult, match=r"alpha \* phase 0 = 1e\+308j \* "
+                                                  r"1e\+308 = 10\*\*616 does not fit"):
+            invariant_P(spec, [1e308, 1.0])
+        with pytest.raises(NonfiniteResult, match=r"alpha \* phase \(0, 0\) = 1e\+308j \* "
+                                                  r"-3e\+300 = 10\*\*608\.477"):
+            finiteness_scan(spec, (1, 2), lambda rng, size: np.full(size, -3e300))
+
+
 @given(
     st.lists(
         st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False),
