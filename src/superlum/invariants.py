@@ -79,13 +79,13 @@ def _path_phases(t: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     np.sqrt is correctly rounded like math.sqrt.  The first segment at or
     above c, by row and then by segment, raises SuperluminalSegment.
     """
-    dt, dx = np.diff(t), np.diff(x)
+    dt, dx = t[:, 1:] - t[:, :-1], x[:, 1:] - x[:, :-1]
     ct = c * dt
     j = np.arange(dt.shape[1])
     live = (lo[:, None] <= j) & (j < hi[:, None] - 1)
-    fast = np.argwhere(live & (np.abs(dx) >= ct))
-    if len(fast):
-        i, k = fast[0]
+    fast = live & (np.abs(dx) >= ct)
+    if fast.any():
+        i, k = np.argwhere(fast)[0]
         raise SuperluminalSegment(
             f"segment speed |{float(dx[i, k] / dt[i, k])!r}| is not below c={c!r}")
     term = np.zeros(dt.shape)
@@ -122,8 +122,8 @@ def _phasor_sum(omega: float, phi: np.ndarray, name: str, coefficient):
     term is off by about 2 ulp of 1 (0.5 for cos and sin).  t*t cannot
     overflow: no double comes close enough to a pole for |t| to reach 1e19.
     So a sum that is not finite means a half angle omega*phi/2 beyond a
-    float; that raises NonfiniteResult naming the first such phase and the
-    coefficient, given as name and its value, whose product with it it is.
+    float.  That raises NonfiniteResult naming the first such phase and the
+    coefficient whose product with it overflows: name, and its value.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         t = (0.5 * omega) * phi

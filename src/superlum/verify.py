@@ -192,12 +192,12 @@ def _random_spec(rng, complex_alpha: bool) -> InvariantSpec:
 def _timelike_paths(rng, n: int, extra: int = 0):
     """n random timelike paths of 2 to 5 segments, each slower than 0.9.
 
-    A path draws its start x, its segment count and then (dt, v) for each
-    segment, followed by `extra` doubles of its trial: one double, one
-    integer, then one block, the doubles that scalar rng.uniform calls drew
-    one by one.  Returns the (n, 6) vertex times and positions, finite but
-    meaningless past each path's last vertex, the vertex counts, and the
-    (n, extra) extra doubles.
+    A path draws its start x, its segment count, then (dt, v) for each
+    segment and `extra` more doubles for its trial.  The doubles after the
+    count come as one rng.random block, the doubles that one scalar
+    rng.uniform call each drew.  Returns the (n, 6) vertex times and
+    positions, finite but meaningless past each path's last vertex, the
+    vertex counts, and the (n, extra) extra doubles.
     """
     start, count = np.empty(n), np.empty(n, int)
     u = np.zeros((n, 10 + extra))

@@ -139,6 +139,26 @@ def test_a_boost_result_beyond_a_float_is_raised_only_by_the_kernel():
             if scope.split(".")[0] in ("kinematics", "diagrams")} == {"kinematics._image"}
 
 
+PER_TRIAL_FORMS = {"Path", "Event1p1", "boost_1p1", "path_phase", "amplitude",
+                   "check_symmetry", "check_multiplicativity", "newton_convolution_check"}
+
+
+def test_proper_time_has_one_kernel_and_the_verify_rows_run_on_columns():
+    """Segments are checked against c and summed only in _path_phases, which
+    path_phase calls; the verify rows build no Path or Event1p1, boost no
+    single event, and call none of the public per-trial forms of their
+    checks, which are their test oracle."""
+    assert _scopes(_raises("SuperluminalSegment")) == {"invariants._path_phases"}
+
+    def per_trial_call(node):
+        if not isinstance(node, ast.Call):
+            return False
+        f = node.func
+        return (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) in PER_TRIAL_FORMS
+
+    assert {scope for scope in _scopes(per_trial_call) if scope.startswith("verify")} == set()
+
+
 def test_the_coefficient_box_is_built_without_a_per_index_loop():
     """expansion_reconstruction_check and its box read no coefficient one
     index at a time: alpha_coefficient is the box's test oracle."""
