@@ -19,6 +19,7 @@ and one whose magnitude does not fit in a float raises NonfiniteResult.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -108,6 +109,8 @@ class InvariantSpec:
             raise ValueError(f"invariant parameters must be finite ({_spec_text(self)})")
 
 
+_QUIET = contextlib.nullcontext()  # no half angle overflows: nothing to silence
+
 # Below this |Re(alpha*phi)|, exp(+/-alpha*phi) and any realistic count of
 # them sum without overflow, and no term underflows, so no shift is needed.
 SAFE_EXPONENT = 600.0
@@ -122,10 +125,13 @@ def _phasor_sum(omega: float, phi: np.ndarray, name: str, coefficient):
     term is off by about 2 ulp of 1 (0.5 for cos and sin).  t*t cannot
     overflow: no double comes close enough to a pole for |t| to reach 1e19.
     So a sum that is not finite means a half angle omega*phi/2 beyond a
-    float.  That raises NonfiniteResult naming the first such phase and the
-    coefficient whose product with it overflows: name, and its value.
+    float, which needs |omega| > 2.  That raises NonfiniteResult naming the
+    first such phase and the coefficient whose product with it overflows:
+    name, and its value.  Below |omega| = 2 the pass skips np.errstate and
+    the check, which cost about 5 us a call.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    overflows = abs(omega) > 2.0
+    with np.errstate(over="ignore", invalid="ignore") if overflows else _QUIET:
         t = (0.5 * omega) * phi
         np.tan(t, out=t)
     r = t * t
@@ -133,7 +139,7 @@ def _phasor_sum(omega: float, phi: np.ndarray, name: str, coefficient):
     np.divide(1.0, r, out=r)
     t *= r
     total = (2.0 * r.sum(axis=-1) - phi.shape[-1]) + 2j * t.sum(axis=-1)
-    if not np.isfinite(total).all():
+    if overflows and not np.isfinite(total).all():
         with np.errstate(over="ignore"):
             k = np.unravel_index(np.argmin(np.isfinite((0.5 * omega) * phi)), phi.shape)
         where = int(k[0]) if len(k) == 1 else tuple(map(int, k))
