@@ -127,11 +127,11 @@ def _phasor_sum(omega: float, phi: np.ndarray, name: str, coefficient):
     So a sum that is not finite means a half angle omega*phi/2 beyond a
     float, which needs |omega| > 2.  That raises NonfiniteResult naming the
     first such phase and the coefficient whose product with it overflows:
-    name, and its value.  Below |omega| = 2 the pass skips np.errstate and
+    name, and its value.  For |omega| <= 2 the pass skips np.errstate and
     the check, which cost about 5 us a call.
     """
-    overflows = abs(omega) > 2.0
-    with np.errstate(over="ignore", invalid="ignore") if overflows else _QUIET:
+    may_overflow = abs(omega) > 2.0
+    with np.errstate(over="ignore", invalid="ignore") if may_overflow else _QUIET:
         t = (0.5 * omega) * phi
         np.tan(t, out=t)
     r = t * t
@@ -139,7 +139,7 @@ def _phasor_sum(omega: float, phi: np.ndarray, name: str, coefficient):
     np.divide(1.0, r, out=r)
     t *= r
     total = (2.0 * r.sum(axis=-1) - phi.shape[-1]) + 2j * t.sum(axis=-1)
-    if overflows and not np.isfinite(total).all():
+    if may_overflow and not np.isfinite(total).all():
         with np.errstate(over="ignore"):
             k = np.unravel_index(np.argmin(np.isfinite((0.5 * omega) * phi)), phi.shape)
         where = int(k[0]) if len(k) == 1 else tuple(map(int, k))
