@@ -15,6 +15,8 @@ import io
 import json
 import math
 import sys
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +173,81 @@ def _diagram_report(sc: Scenario) -> dict:
     return report
 
 
+# One item of each long list of objects in the diagram report, at the depth
+# where the report holds it, as json.dumps(indent=2) lays it out.
+_EVENT = '%s: [\n      %s,\n      %s\n    ]'
+_SEGMENT = '{\n      "from": %s,\n      "speed_class": %s,\n      "to": %s\n    }'
+_ROLE = '{\n      "event": %s,\n      "role": %s\n    }'
+_encode = json.encoder.encode_basestring_ascii
+
+
+def _list(template: str, columns: list, depth: int, brackets: str = "[]") -> str:
+    """A JSON list, or with brackets "{}" an object, at nesting depth, laid
+    out as json.dumps(indent=2) lays it out.  Its items are the template
+    with its %s fields filled from the columns, one item per row, in one
+    join; every column must hold text already written as JSON."""
+    inner = "\n" + "  " * (depth + 1)
+    texts = template.split("%s")
+    texts[-1] += "," + inner  # each item's separator, cut off after the last
+    streams = [repeat(texts[0])]
+    for column, text in zip(columns, texts[1:]):
+        streams += [column, repeat(text)]
+    body = "".join(chain.from_iterable(zip(*streams)))
+    if not body:
+        return brackets
+    return f"{brackets[0]}{inner}{body[:-len(inner) - 1]}\n{'  ' * depth}{brackets[1]}"
+
+
+def _strings(values, depth: int) -> str:
+    return _list("%s", [map(_encode, values)], depth)
+
+
+def _object(fields: dict[str, str], depth: int) -> str:
+    """A JSON object of values already written, with its keys sorted."""
+    keys = sorted(fields)
+    return _list("%s: %s", [map(_encode, keys), map(fields.__getitem__, keys)], depth, "{}")
+
+
+def _records(template: str, records: list[dict], keys: tuple[str, ...]) -> str:
+    """A list of objects of strings at depth 1, keys in template order."""
+    return _list(template, [map(_encode, map(itemgetter(key), records)) for key in keys], 1)
+
+
+def _events(events: dict) -> str:
+    labels = sorted(events)
+    t, x = zip(*map(events.__getitem__, labels)) if labels else ((), ())
+    return _list(_EVENT, [map(_encode, labels), map(float.__repr__, t),
+                          map(float.__repr__, x)], 1, "{}")
+
+
+def _census(section: dict) -> str:
+    """The report's frame or declared section: a count, labels and paths."""
+    def written(key: str, value) -> str:
+        if key == "paths":
+            return _list("%s", [[_strings(path, 3) for path in value]], 2)
+        return _strings(value, 2) if isinstance(value, list) else json.dumps(value)
+
+    return _object({key: written(key, value) for key, value in section.items()}, 1)
+
+
+_SECTIONS = {
+    "events": _events,
+    "segments": lambda rows: _records(_SEGMENT, rows, ("from", "speed_class", "to")),
+    "roles": lambda rows: _records(_ROLE, rows, ("event", "role")),
+    "frame": _census,
+    "declared": _census,
+}
+
+
+def _report_text(report: dict) -> str:
+    """json.dumps(report, indent=2, sort_keys=True) of a _diagram_report,
+    written one join per list: floats through float.__repr__ and labels
+    through json's ASCII string encoder, as json writes them, and the
+    scalars through json.dumps."""
+    return _object({key: _SECTIONS.get(key, json.dumps)(value)
+                    for key, value in report.items()}, 0)
+
+
 def cmd_diagram(args: argparse.Namespace) -> int:
     if args.input in FIXTURE_NAMES:
         sc = load_fixture(args.input)
@@ -186,11 +263,11 @@ def cmd_diagram(args: argparse.Namespace) -> int:
         d = transform_diagram(d, Boost(Branch.SUPERLUMINAL, args.boost_w, K))
     sc = Scenario(d, sc.source, sc.sinks)
     if args.format == "json":
-        _dump(_diagram_report(sc), args.output)
+        _emit(_report_text(_diagram_report(sc)), args.output)
     elif args.output:
-        report = _diagram_report(sc)  # first, so a rejected scenario writes no file
+        report = _report_text(_diagram_report(sc))  # first, so a rejected scenario writes no file
         _emit(render_svg(d, title=args.title), args.output)
-        _dump(report, None)
+        _emit(report, None)
     else:
         _emit(render_svg(d, title=args.title), None)  # the SVG alone on stdout
     return 0

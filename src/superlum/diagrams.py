@@ -8,10 +8,12 @@ is what makes emission and absorption roles frame-dependent.
 from __future__ import annotations
 
 import json
+from collections import deque
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 from types import MappingProxyType
 
@@ -40,7 +42,7 @@ class Role(Enum):
     ABSORPTION = "absorption"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     start_label: str
     end_label: str
@@ -50,6 +52,17 @@ class Segment:
 
 
 _CLASSES = tuple(SpeedClass)  # a speed code indexes this
+
+
+def _filled(cls: type, *columns: list) -> list:
+    """One instance of the slotted dataclass cls per row of the columns,
+    which hold its fields in order, set through the slot descriptors.  For
+    values the diagram has already checked: __init__ and __post_init__ do
+    not run, so nothing is converted or checked again."""
+    rows = list(map(object.__new__, repeat(cls, len(columns[0]))))
+    for name, column in zip(cls.__slots__, columns):
+        deque(map(getattr(cls, name).__set__, rows, column), maxlen=0)
+    return rows
 
 
 def _speed_code(dt, dx, c: float):
@@ -102,8 +115,8 @@ class Diagram:
     @property
     def events(self) -> Mapping[str, Event1p1]:
         if self._events is None:
-            t, x = self._xy.T.tolist()
-            self._events = MappingProxyType(dict(zip(self._labels.tolist(), map(Event1p1, t, x))))
+            events = _filled(Event1p1, *self._xy.T.tolist())
+            self._events = MappingProxyType(dict(zip(self._labels.tolist(), events)))
         return self._events
 
     @property
@@ -151,12 +164,14 @@ def _frame(d: Diagram, t: np.ndarray, x: np.ndarray, seg: np.ndarray) -> Diagram
 
 
 def resolved_segments(d: Diagram) -> tuple[Segment, ...]:
+    """The segments in stored order with their endpoint events, the objects
+    of d.events, and speed classes, built from the diagram's columns."""
     events = list(d.events.values())
     ends = d._labels[d._seg]
-    return tuple(map(Segment, ends[:, 0].tolist(), ends[:, 1].tolist(),
-                     map(events.__getitem__, d._seg[:, 0].tolist()),
-                     map(events.__getitem__, d._seg[:, 1].tolist()),
-                     map(_CLASSES.__getitem__, d._codes.tolist())))
+    return tuple(_filled(Segment, ends[:, 0].tolist(), ends[:, 1].tolist(),
+                         list(map(events.__getitem__, d._seg[:, 0].tolist())),
+                         list(map(events.__getitem__, d._seg[:, 1].tolist())),
+                         list(map(_CLASSES.__getitem__, d._codes.tolist()))))
 
 
 def transform_diagram(d: Diagram, b: Boost) -> Diagram:

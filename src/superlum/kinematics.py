@@ -63,9 +63,10 @@ def _finite3(name: str, values) -> tuple[float, float, float]:
     return vec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event1p1:
-    """Event with one time and one space coordinate."""
+    """Event with one time and one space coordinate.  Slotted, so it has no
+    __dict__; diagrams._filled builds it from checked columns."""
 
     t: float
     x: float

@@ -9,6 +9,7 @@ dictionaries below.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -41,37 +42,67 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+# The drawing's rows are written this many to a string.  Each % call holds its
+# template and its fields at once, so one call for every row of a large
+# drawing would raise the peak memory.
+CHUNK = 1024
+
+
+def _fixed(values: np.ndarray) -> list[str]:
+    """Each value with one decimal, as f"{v:.1f}" writes it, in one call."""
+    return ("%.1f\0" * len(values) % tuple(values.tolist())).split("\0")[:-1]
+
+
+def _style(key: str) -> str:
+    """A STYLE value as template text: a % in it is written %%."""
+    return str(STYLE[key]).replace("%", "%%")
+
+
+def _chunks(row: str, columns: list[list]) -> list[str]:
+    """The %-template row filled from each row of the columns, which hold
+    its fields in order, CHUNK rows to a string joined by newlines."""
+    n = len(columns[0])
+    return ["\n".join([row] * min(CHUNK, n - i))
+            % tuple(chain.from_iterable(zip(*(c[i:i + CHUNK] for c in columns))))
+            for i in range(0, n, CHUNK)]
+
+
 def _marks(d: Diagram, cx: np.ndarray, cy: np.ndarray) -> list[str]:
     """Segment lines in stored order, then the circle and label of each
     event in label order, from the events' pixel coordinates.  Each
-    coordinate is formatted once, and segments and circles share the text."""
-    xs, ys = (np.array([f"{v:.1f}" for v in a.tolist()], object) for a in (cx, cy))
+    coordinate is formatted once, and segments and circles share the text.
+    Labels are template fields, never template text, and are escaped only
+    when one of them holds markup."""
+    xs, ys = (np.array(_fixed(a), object) for a in (cx, cy))
     frm, to = d._seg[:, 0], d._seg[:, 1]
-    dash = np.array([f' stroke-dasharray="{DASH[k]}"' if DASH[k] else ""
+    dash = np.array([' stroke-dasharray="%s"' % DASH[k] if DASH[k] else ""
                      for k in SpeedClass], object)[d._codes]
-    stroke = f'stroke="{STYLE["segment_color"]}" stroke-width="1.6"'
-    out = [f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {stroke}{k}/>'
-           for x1, y1, x2, y2, k in zip(xs[frm], ys[frm], xs[to], ys[to], dash)]
-    off, by_label = STYLE["label_offset"], np.argsort(d._rank)
-    dot = f'r="{STYLE["event_radius"]}" fill="{STYLE["event_color"]}"/>'
-    font = f'style="font:{STYLE["font"]}"'
-    out += [f'<circle cx="{x}" cy="{y}" {dot}\n'
-            f'<text x="{lx:.1f}" y="{ly:.1f}" {font}>{_escape(label)}</text>'
-            for x, y, lx, ly, label in zip(xs[by_label], ys[by_label],
-                                           (cx[by_label] + off).tolist(),
-                                           (cy[by_label] - off).tolist(), d._labels[by_label])]
-    return out
+    line = ('<line x1="%s" y1="%s" x2="%s" y2="%s" '
+            f'stroke="{_style("segment_color")}" stroke-width="1.6"%s/>')
+    by_label = np.argsort(d._rank)
+    labels = d._labels[by_label].tolist()
+    joined = "".join(labels)
+    if "&" in joined or "<" in joined or ">" in joined:
+        labels = list(map(_escape, labels))
+    off = STYLE["label_offset"]
+    mark = (f'<circle cx="%s" cy="%s" r="{_style("event_radius")}" '
+            f'fill="{_style("event_color")}"/>\n'
+            f'<text x="%s" y="%s" style="font:{_style("font")}">%s</text>')
+    return (_chunks(line, [a.tolist() for a in (xs[frm], ys[frm], xs[to], ys[to], dash)])
+            + _chunks(mark, [xs[by_label].tolist(), ys[by_label].tolist(),
+                             _fixed(cx[by_label] + off), _fixed(cy[by_label] - off), labels]))
 
 
 def render_svg(d: Diagram, title: str | None = None) -> str:
     """Render one diagram to a standalone SVG string.  A drawing whose size
     in pixels does not fit in a float raises NonfiniteResult naming the
-    event farthest out."""
+    event farthest out.  A diagram of no events draws the padding around
+    the origin."""
     with np.errstate(over="ignore"):
         x, ct = d._xy[:, 1], d._xy[:, 0] * d.c
     pad = STYLE["pad"]
-    xlo, xhi = x.min().item() - pad, x.max().item() + pad
-    tlo, thi = ct.min().item() - pad, ct.max().item() + pad
+    box = (x, ct) if len(x) else (np.zeros(1), np.zeros(1))
+    (xlo, xhi), (tlo, thi) = ((a.min().item() - pad, a.max().item() + pad) for a in box)
     s = STYLE["scale"]
     m = STYLE["margin"]
     width = m * 2 + (xhi - xlo) * s

@@ -5,8 +5,13 @@ import math
 from xml.etree import ElementTree
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from superlum import cli
 from superlum.cli import build_parser, main
+from superlum.diagrams import Scenario, scenario_from_dict, transform_diagram
+from superlum.kinematics import Boost, Branch
 
 
 def _write(tmp_path, name, payload):
@@ -243,6 +248,49 @@ def test_diagram_json_output_file(tmp_path, capsys):
     assert code == 0 and out == ""
     report = json.loads(report_path.read_text(encoding="utf-8"))
     assert report["frame"]["path_count"] == 2
+
+
+def test_diagram_of_no_events_draws_as_it_reports(tmp_path, capsys):
+    """Defect (p): the SVG of an empty scenario exited 2 with numpy's
+    zero-size reduction error, while its JSON report exited 0."""
+    inp = _write(tmp_path, "empty.json", {"events": {}, "segments": []})
+    code, out, err = _run(capsys, "diagram", "--input", inp, "--format", "svg")
+    assert code == 0 and err == ""
+    root = ElementTree.fromstring(out)
+    assert root.get("width") == "208" and not root.findall("{http://www.w3.org/2000/svg}circle")
+    code, out, _ = _run(capsys, "diagram", "--input", inp, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["events"] == {} and json.loads(out)["frame"]["path_count"] == 0
+
+
+@st.composite
+def _scenario(draw):
+    """A forest of chains over any text labels, some declaring a source and
+    sinks, moved by a boost of either branch or none."""
+    labels = draw(st.lists(st.text(max_size=5), min_size=2, max_size=14, unique=True))
+    events = {label: [i + draw(st.floats(0.0, 0.5)), draw(st.floats(-50, 50))]
+              for i, label in enumerate(labels)}
+    cuts = draw(st.sets(st.integers(0, len(labels) - 2)))
+    segments = [[a, b] for i, (a, b) in enumerate(zip(labels, labels[1:])) if i not in cuts]
+    ends = {label for pair in segments for label in pair}
+    data = {"c": draw(st.sampled_from([1.0, 2.0])),
+            "events": {k: v for k, v in events.items() if k in ends}, "segments": segments}
+    if segments and draw(st.booleans()):
+        data["source"], data["sinks"] = segments[0][0], [segments[-1][1]]
+    sc = scenario_from_dict(data)
+    K = 1.0 / (sc.diagram.c * sc.diagram.c)
+    boost = draw(st.sampled_from([None, Boost(Branch.SUBLUMINAL, 0.3, K),
+                                  Boost(Branch.SUPERLUMINAL, -3.0, K), Boost.infinite(K)]))
+    if boost is None:
+        return sc
+    return Scenario(transform_diagram(sc.diagram, boost), sc.source, sc.sinks)
+
+
+@given(_scenario())
+@settings(max_examples=200, deadline=None)
+def test_the_report_writer_writes_the_bytes_of_indented_json_dumps(sc):
+    report = cli._diagram_report(sc)
+    assert cli._report_text(report) == json.dumps(report, indent=2, sort_keys=True)
 
 
 def test_diagram_deep_chain(tmp_path, capsys):

@@ -1,7 +1,12 @@
 """Diagram bookkeeping: speed classes, frame changes, roles, path counts."""
 
+import dataclasses
 import json
+import math
+import pickle
 import re
+import weakref
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
@@ -30,8 +35,10 @@ from superlum import (
     transform_diagram,
 )
 from superlum import diagrams
+from superlum.render import STYLE
 from superlum.diagrams import (
     FIXTURE_NAMES,
+    Segment,
     classify_endpoints,
     resolved_segments,
     scenario_from_dict,
@@ -530,3 +537,108 @@ def test_svg_of_a_drawing_beyond_a_float_names_the_farthest_event():
 def test_diagram_rejects_nonfinite_light_speed():
     with pytest.raises(ValueError):
         _diagram({"A": (0, 0), "B": (1, 0)}, [("A", "B")], c=float("inf"))
+
+
+def test_an_empty_diagram_draws_the_padding_around_the_origin():
+    """Defect (p): an empty diagram raised numpy's zero-size reduction
+    ValueError; it draws the padded box around the origin, with no marks."""
+    root = ElementTree.fromstring(render_svg(Diagram({}, ()), title="nothing"))
+    pixels = 2 * STYLE["margin"] + 2 * STYLE["pad"] * STYLE["scale"]
+    assert root.get("width") == root.get("height") == f"{pixels:.0f}"
+    ns = "{http://www.w3.org/2000/svg}"
+    assert not root.findall(f"{ns}circle")
+    assert [t.text for t in root.findall(f"{ns}text")] == ["nothing"]
+
+
+# ---------------------------------------------------------------------------
+# Objects built from the columns
+
+
+@st.composite
+def _checked_diagram(draw):
+    """Up to 12 events with any text labels and finite coordinates, -0.0
+    and subnormals included, and segments between events that differ by
+    enough that no boost's image of them underflows to a point."""
+    coords = st.floats(-1e6, 1e6, allow_subnormal=True) | st.sampled_from([-0.0, 0.0, 5e-324])
+    labels = draw(st.lists(st.text(max_size=4), min_size=1, max_size=12, unique=True))
+    events = {label: (draw(coords), draw(coords)) for label in labels}
+    def apart(a, b):
+        (t1, x1), (t2, x2) = events[a], events[b]
+        return abs(t1 - t2) + abs(x1 - x2) > 1e-3
+
+    pairs = [(a, b) for a in labels for b in labels if apart(a, b)]
+    segments = draw(st.lists(st.sampled_from(pairs), max_size=16)) if pairs else []
+    return _diagram(events, segments, c=draw(st.sampled_from([1.0, 0.5, 3.0])))
+
+
+def _boost_of_each_kind(c):
+    K = 1.0 / (c * c)
+    return st.one_of(
+        st.floats(-0.99, 0.99).map(lambda v: Boost(Branch.SUBLUMINAL, v * c, K)),
+        st.floats(1.01, 50.0).flatmap(lambda w: st.sampled_from([w, -w])).map(
+            lambda w: Boost(Branch.SUPERLUMINAL, w * c, K)),
+        st.just(Boost.infinite(K)),
+    )
+
+
+def _same(got, expected):
+    """Equal field by field, type by type and bit by bit."""
+    assert type(got) is type(expected)
+    if isinstance(expected, float):
+        assert got.hex() == expected.hex()
+    elif dataclasses.is_dataclass(expected):
+        for field in dataclasses.fields(expected):
+            _same(getattr(got, field.name), getattr(expected, field.name))
+    else:
+        assert got == expected
+
+
+def _behaves_as_a_frozen_dataclass(obj, fields: tuple):
+    """==, hash, repr, replace and pickle as the dataclass without slots
+    gives them, and no __dict__, new attribute or weak reference."""
+    name = type(obj).__name__
+    assert repr(obj) == f"{name}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+    assert hash(obj) == hash(tuple(v for _, v in fields))
+    copy = dataclasses.replace(obj)
+    assert copy == obj and copy is not obj and hash(copy) == hash(obj)
+    _same(pickle.loads(pickle.dumps(obj)), obj)
+    assert not hasattr(obj, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, fields[0][0], fields[0][1])
+    # a frozen dataclass with slots raises TypeError here on Python 3.11
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        obj.extra = 1
+    with pytest.raises(TypeError):
+        weakref.ref(obj)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_objects_built_from_the_columns_equal_the_checked_constructors(data):
+    d = data.draw(_checked_diagram())
+    for frame in (d, transform_diagram(d, data.draw(_boost_of_each_kind(d.c)))):
+        labels = frame._labels.tolist()
+        expected = {label: Event1p1(t, x) for label, (t, x) in zip(labels, frame._xy.tolist())}
+        assert list(frame.events) == labels
+        for label, event in frame.events.items():
+            _same(event, expected[label])
+        segments = resolved_segments(frame)
+        assert len(segments) == len(frame.segments)
+        for segment, (a, b) in zip(segments, frame.segments):
+            _same(segment, Segment(a, b, expected[a], expected[b],
+                                   classify_endpoints(expected[a], expected[b], frame.c)))
+            assert segment.start is frame.events[a] and segment.end is frame.events[b]
+        for event in frame.events.values():
+            _behaves_as_a_frozen_dataclass(event, (("t", event.t), ("x", event.x)))
+            with pytest.raises(ValueError, match="must be finite"):
+                dataclasses.replace(event, t=math.nan)
+        for s in segments[:3]:
+            _behaves_as_a_frozen_dataclass(s, (
+                ("start_label", s.start_label), ("end_label", s.end_label),
+                ("start", s.start), ("end", s.end), ("speed_class", s.speed_class)))
+
+
+@pytest.mark.parametrize("t,x", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+def test_the_event_constructor_still_rejects_a_non_finite_coordinate(t, x):
+    with pytest.raises(ValueError, match="must be finite"):
+        Event1p1(t, x)

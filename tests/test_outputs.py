@@ -234,3 +234,104 @@ def test_verify_modes_are_byte_identical(flags, capsys):
     digest, code = VERIFY_MODES_EXPECTED[flags]
     assert main(["verify", "--seed", "0", *flags.split()]) == code
     assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# Labels that a %-template, a str.format template, the markup escaper or the
+# JSON string encoder could mangle, one per event of a small scenario.
+ODD_LABELS = ("%", "%s", "{0}", '&<>"', "événement→μ", "two\nlines", "50%% %d")
+# The drawing writes its rows in strings of this many, so the sizes around it
+# meet a string boundary exactly, one row short of it and one row past it.
+CHUNK_SIZES = (1023, 1024, 1025)
+
+
+def _odd_labels() -> dict:
+    """A chain through events named by ODD_LABELS, with a slow, a fast and a
+    luminal leg, declaring the first as source and the last as sink."""
+    events = {label: [0.7 * k, (-0.4, 1.9, 1.0)[k % 3] * 0.7 * k - k % 2]
+              for k, label in enumerate(ODD_LABELS)}
+    segments = [[a, b] for a, b in zip(ODD_LABELS, ODD_LABELS[1:])]
+    return {"c": 1.0, "events": events, "segments": segments,
+            "source": ODD_LABELS[0], "sinks": [ODD_LABELS[-1]]}
+
+
+def _no_segments() -> dict:
+    return {"c": 1.0, "events": {"a": [0.0, 0.0], "b<": [1.5, -0.25], "c&": [-2.0, 3.0]},
+            "segments": []}
+
+
+def _rows(n: int) -> dict:
+    """n events and n segments: a chain with slow, fast, simultaneous and
+    luminal legs, plus one chord, so that the SVG has n line rows and n mark
+    rows; one label in 50 carries markup."""
+    rng = random.Random(n)
+    events, t, x = {}, 0.0, 0.0
+    for k in range(n):
+        events[f"r{k}" + (MARKUP if k % 50 == 7 else "")] = [t, x]
+        dt = rng.uniform(0.1, 0.6) * rng.choice((0.0, 1.0, 1.0))
+        dx = (rng.uniform(-3.0, 3.0) if dt == 0.0
+              else dt * rng.choice((rng.uniform(-0.9, 0.9), rng.uniform(1.2, 4.0), 1.0)))
+        t, x = t + dt, x + dx
+    labels = list(events)
+    segments = [[a, b] for a, b in zip(labels, labels[1:])] + [[labels[0], labels[2]]]
+    return {"c": 1.0, "events": events, "segments": segments}
+
+
+def _chain(n: int) -> dict:
+    """The n-event chain of alternating x of the path census benchmark."""
+    events = {f"c{i}": [float(i), 0.1 * (i % 2)] for i in range(n)}
+    segments = [[f"c{i}", f"c{i + 1}"] for i in range(n - 1)]
+    return {"c": 1.0, "events": events, "segments": segments,
+            "source": "c0", "sinks": [f"c{n - 1}"]}
+
+
+def _more_cases():
+    yield "odd_labels", _odd_labels, ("rest", "W=2.5"), ("svg", "json")
+    yield "no_segments", _no_segments, ("rest", "W=inf"), ("svg", "json")
+    for n in CHUNK_SIZES:
+        yield f"rows{n}", lambda n=n: _rows(n), ("rest", "W=2.5"), ("svg", "json")
+    yield "chain100000", lambda: _chain(10**5), ("V=0.6",), ("json",)
+
+
+# (exit code, md5 of stdout) of `superlum diagram`, keyed by input, frame and
+# format, recorded from the per-row formatting of render.py and the indented
+# json.dumps of the report.  A diagram with events but no segments has no
+# roles to report, so its JSON report exits 2.
+MORE_EXPECTED = {
+    ('odd_labels', 'rest', 'svg'): (0, '6e3f883302ef2c248012e84f1cd907c6'),
+    ('odd_labels', 'rest', 'json'): (0, '946289e87e3886e3c6c175d8e6bb91a5'),
+    ('odd_labels', 'W=2.5', 'svg'): (0, '3c7b1eec0673963084fff7e468204b1d'),
+    ('odd_labels', 'W=2.5', 'json'): (0, '484ad221e4070c5c9fed7cff4dba8acd'),
+    ('no_segments', 'rest', 'svg'): (0, '6c90aafda9515ed5d3a393baf8607510'),
+    ('no_segments', 'rest', 'json'): (2, 'd41d8cd98f00b204e9800998ecf8427e'),
+    ('no_segments', 'W=inf', 'svg'): (0, '4a22d008af7cef4d278c5c9732e6ffce'),
+    ('no_segments', 'W=inf', 'json'): (2, 'd41d8cd98f00b204e9800998ecf8427e'),
+    ('rows1023', 'rest', 'svg'): (0, '0fdd7d1ed56772ce8e3a36f8136f56b5'),
+    ('rows1023', 'rest', 'json'): (0, 'e44fd59fe85ec5fe229662e8f6642019'),
+    ('rows1023', 'W=2.5', 'svg'): (0, 'c74e3e9e8e0f22f6f3a748bc169ce40f'),
+    ('rows1023', 'W=2.5', 'json'): (0, '94f7ee57d17d3241071d402441f1daf0'),
+    ('rows1024', 'rest', 'svg'): (0, '6a85e65ac6775a29662a52f32c73777f'),
+    ('rows1024', 'rest', 'json'): (0, 'fbfaf69e3f445deee7a3d94d8fa8292b'),
+    ('rows1024', 'W=2.5', 'svg'): (0, '4c125937d09b7e229f723fdac45eed85'),
+    ('rows1024', 'W=2.5', 'json'): (0, 'a191dac77364950e9e4d38c448c734d1'),
+    ('rows1025', 'rest', 'svg'): (0, 'a35199a2ca97ad06bf801deff22096a1'),
+    ('rows1025', 'rest', 'json'): (0, 'ff6b01c8c4f6e465dd8774134cd7d37b'),
+    ('rows1025', 'W=2.5', 'svg'): (0, '094dd16708cabdc30b6d1f75a155866e'),
+    ('rows1025', 'W=2.5', 'json'): (0, '749f468c407c42afcee54bd431f2b10d'),
+    ('chain100000', 'V=0.6', 'json'): (0, '269f022221cd39e3211977a7cd8d1a5b'),
+}
+
+
+def _run_case(make, frame: str, fmt: str, tmp_path, capsys) -> tuple[int, str]:
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(make()), encoding="utf-8")
+    code = main(["diagram", "--input", str(path), "--format", fmt,
+                 "--title", "%s {0} & <b> 100%", *FRAMES[frame]])
+    return code, hashlib.md5(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name,make,frame,fmt", [
+    (name, make, frame, fmt) for name, make, frames, fmts in _more_cases()
+    for frame in frames for fmt in fmts])
+def test_chunked_and_odd_label_outputs_are_byte_identical(name, make, frame, fmt,
+                                                          tmp_path, capsys):
+    assert _run_case(make, frame, fmt, tmp_path, capsys) == MORE_EXPECTED[name, frame, fmt]

@@ -190,3 +190,33 @@ def test_nothing_in_the_diagram_layer_recurses():
         assert leaves, f"recursion among {sorted(calls)}"
         calls = {name: callees - leaves for name, callees in calls.items()
                  if name not in leaves}
+
+
+def test_value_objects_skip_their_init_only_in_the_slot_filler():
+    """Only diagrams._filled builds an object without its __init__: no other
+    code takes object.__new__ or a slot descriptor's __set__, Diagram.__new__
+    is the only other __new__, and the filler builds Event1p1 and Segment,
+    for d.events and resolved_segments, which call no constructor."""
+    def bypass(node):
+        return isinstance(node, ast.Attribute) and (
+            node.attr == "__set__" or node.attr == "__new__" and ast.unparse(node.value) != "Diagram")
+
+    assert _scopes(bypass) == {"diagrams._filled"}
+    filled = {scope: ast.unparse(node.args[0]) for scope, node in NODES
+              if isinstance(node, ast.Call) and ast.unparse(node.func) == "_filled"}
+    assert filled == {"diagrams.Diagram.events": "Event1p1",
+                      "diagrams.resolved_segments": "Segment"}
+    assert not _scopes(lambda node: isinstance(node, ast.Call)
+                       and ast.unparse(node.func) in ("Event1p1", "Segment")) & set(filled)
+
+
+def test_render_formats_no_coordinate_per_row_with_an_f_string():
+    """render.py writes each coordinate column in one %-format call and fills
+    rows from %-templates: no comprehension in it holds an f-string, and its
+    only loop statement walks the two light-cone guides."""
+    tree = ast.parse(Path(superlum.render.__file__).read_text(encoding="utf-8"))
+    comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    assert not [ast.unparse(node) for comp in ast.walk(tree) if isinstance(comp, comprehensions)
+                for node in ast.walk(comp) if isinstance(node, ast.JoinedStr)]
+    loops = [ast.unparse(node.iter) for node in ast.walk(tree) if isinstance(node, (ast.For, ast.While))]
+    assert loops == ["(1.0, -1.0)"]
