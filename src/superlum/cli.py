@@ -215,9 +215,9 @@ def _records(template: str, records: list[dict], keys: tuple[str, ...]) -> str:
 
 def _events(events: dict) -> str:
     labels = sorted(events)
-    t, x = zip(*map(events.__getitem__, labels)) if labels else ((), ())
-    return _list(_EVENT, [map(_encode, labels), map(float.__repr__, t),
-                          map(float.__repr__, x)], 1, "{}")
+    coords = list(map(events.__getitem__, labels))
+    return _list(_EVENT, [map(_encode, labels), *(map(float.__repr__, map(itemgetter(k), coords))
+                                                   for k in (0, 1))], 1, "{}")
 
 
 def _census(section: dict) -> str:

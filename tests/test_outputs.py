@@ -6,7 +6,10 @@ seeded bundles, each at rest, at V = 0.6, at W = 2.5 and at W = inf; and md5s
 of the default `superlum verify --seed N` report and of `superlum verify
 --seed 0` under each sabotage switch and a tight tolerance, recorded from
 the column verify rows once sum_fails_multiplicativity's two invariants
-share beta and gamma."""
+share beta and gamma; and the exit code and stdout md5 of `superlum diagram`
+on labels that templates or encoders could mangle, on events without
+segments, on drawings of 1023-1025 rows and on the 10**5-event chain,
+recorded before the drawing and the report were written from columns."""
 
 import hashlib
 import json
