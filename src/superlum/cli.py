@@ -15,7 +15,6 @@ import io
 import json
 import math
 import sys
-from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -52,7 +51,7 @@ from .kinematics import (
     boost_1p3_superluminal,
     compose_boosts_1p1,
 )
-from .render import render_svg
+from .render import _rows, render_svg
 from .verify import run_suite, suite_report
 
 
@@ -183,19 +182,13 @@ _encode = json.encoder.encode_basestring_ascii
 
 def _list(template: str, columns: list, depth: int, brackets: str = "[]") -> str:
     """A JSON list, or with brackets "{}" an object, at nesting depth, laid
-    out as json.dumps(indent=2) lays it out.  Its items are the template
-    with its %s fields filled from the columns, one item per row, in one
-    join; every column must hold text already written as JSON."""
+    out as json.dumps(indent=2) lays it out.  Its items are the %-template
+    filled from each row of the columns, which hold text already written as
+    JSON, through the drawing's row writer."""
     inner = "\n" + "  " * (depth + 1)
-    texts = template.split("%s")
-    texts[-1] += "," + inner  # each item's separator, cut off after the last
-    streams = [repeat(texts[0])]
-    for column, text in zip(columns, texts[1:]):
-        streams += [column, repeat(text)]
-    body = "".join(chain.from_iterable(zip(*streams)))
-    if not body:
-        return brackets
-    return f"{brackets[0]}{inner}{body[:-len(inner) - 1]}\n{'  ' * depth}{brackets[1]}"
+    sep = "," + inner
+    items = sep.join(_rows(template, [list(c) for c in columns], sep))
+    return f"{brackets[0]}{inner}{items}\n{'  ' * depth}{brackets[1]}" if items else brackets
 
 
 def _strings(values, depth: int) -> str:
@@ -241,9 +234,9 @@ _SECTIONS = {
 
 def _report_text(report: dict) -> str:
     """json.dumps(report, indent=2, sort_keys=True) of a _diagram_report,
-    written one join per list: floats through float.__repr__ and labels
-    through json's ASCII string encoder, as json writes them, and the
-    scalars through json.dumps."""
+    each list filled from a template in one pass: floats through
+    float.__repr__ and labels through json's ASCII string encoder, as json
+    writes them, and the scalars through json.dumps."""
     return _object({key: _SECTIONS.get(key, json.dumps)(value)
                     for key, value in report.items()}, 0)
 

@@ -42,9 +42,10 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-# The drawing's rows are written this many to a string.  Each % call holds its
-# template and its fields at once, so one call for every row of a large
-# drawing would raise the peak memory.
+# Rows of the drawing and items of the diagram report's lists are written
+# this many to a string.  Each % call holds its template and its fields at
+# once, so one call for every row of a large drawing would raise the peak
+# memory.
 CHUNK = 1024
 
 
@@ -58,11 +59,11 @@ def _style(key: str) -> str:
     return str(STYLE[key]).replace("%", "%%")
 
 
-def _chunks(row: str, columns: list[list]) -> list[str]:
+def _rows(row: str, columns: list[list], sep: str = "\n") -> list[str]:
     """The %-template row filled from each row of the columns, which hold
-    its fields in order, CHUNK rows to a string joined by newlines."""
+    its fields in order, CHUNK rows to a string joined by sep."""
     n = len(columns[0])
-    return ["\n".join([row] * min(CHUNK, n - i))
+    return [sep.join([row] * min(CHUNK, n - i))
             % tuple(chain.from_iterable(zip(*(c[i:i + CHUNK] for c in columns))))
             for i in range(0, n, CHUNK)]
 
@@ -88,8 +89,8 @@ def _marks(d: Diagram, cx: np.ndarray, cy: np.ndarray) -> list[str]:
     mark = (f'<circle cx="%s" cy="%s" r="{_style("event_radius")}" '
             f'fill="{_style("event_color")}"/>\n'
             f'<text x="%s" y="%s" style="font:{_style("font")}">%s</text>')
-    return (_chunks(line, [a.tolist() for a in (xs[frm], ys[frm], xs[to], ys[to], dash)])
-            + _chunks(mark, [xs[by_label].tolist(), ys[by_label].tolist(),
+    return (_rows(line, [a.tolist() for a in (xs[frm], ys[frm], xs[to], ys[to], dash)])
+            + _rows(mark, [xs[by_label].tolist(), ys[by_label].tolist(),
                              _fixed(cx[by_label] + off), _fixed(cy[by_label] - off), labels]))
 
 
