@@ -191,6 +191,11 @@ def _list(template: str, columns: list, depth: int, brackets: str = "[]") -> str
     return f"{brackets[0]}{inner}{items}\n{'  ' * depth}{brackets[1]}" if items else brackets
 
 
+def _small(value, depth: int) -> str:
+    """A small field at nesting depth, through the generic json.dumps."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+
+
 def _strings(values, depth: int) -> str:
     return _list("%s", [map(_encode, values)], depth)
 
@@ -218,7 +223,7 @@ def _census(section: dict) -> str:
     def written(key: str, value) -> str:
         if key == "paths":
             return _list("%s", [[_strings(path, 3) for path in value]], 2)
-        return _strings(value, 2) if isinstance(value, list) else json.dumps(value)
+        return _strings(value, 2) if isinstance(value, list) else _small(value, 2)
 
     return _object({key: written(key, value) for key, value in section.items()}, 1)
 
@@ -236,8 +241,8 @@ def _report_text(report: dict) -> str:
     """json.dumps(report, indent=2, sort_keys=True) of a _diagram_report,
     each list filled from a template in one pass: floats through
     float.__repr__ and labels through json's ASCII string encoder, as json
-    writes them, and the scalars through json.dumps."""
-    return _object({key: _SECTIONS.get(key, json.dumps)(value)
+    writes them, and the other fields through json.dumps."""
+    return _object({key: _SECTIONS[key](value) if key in _SECTIONS else _small(value, 1)
                     for key, value in report.items()}, 0)
 
 

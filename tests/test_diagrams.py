@@ -35,7 +35,6 @@ from superlum import (
     transform_diagram,
 )
 from superlum import diagrams
-from superlum.render import STYLE
 from superlum.diagrams import (
     FIXTURE_NAMES,
     Segment,
@@ -45,6 +44,7 @@ from superlum.diagrams import (
     scenario_to_dict,
     terminal_events,
 )
+from superlum.render import STYLE
 
 E = Event1p1
 
@@ -562,6 +562,7 @@ def _checked_diagram(draw):
     coords = st.floats(-1e6, 1e6, allow_subnormal=True) | st.sampled_from([-0.0, 0.0, 5e-324])
     labels = draw(st.lists(st.text(max_size=4), min_size=1, max_size=12, unique=True))
     events = {label: (draw(coords), draw(coords)) for label in labels}
+
     def apart(a, b):
         (t1, x1), (t2, x2) = events[a], events[b]
         return abs(t1 - t2) + abs(x1 - x2) > 1e-3
