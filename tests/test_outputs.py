@@ -9,10 +9,13 @@ the column verify rows once sum_fails_multiplicativity's two invariants
 share beta and gamma; and the exit code and stdout md5 of `superlum diagram`
 on labels that templates or encoders could mangle, on events without
 segments, on drawings of 1023-1025 rows and on the 10**5-event chain,
-recorded before the drawing and the report were written from columns."""
+recorded before the drawing and the report were written from columns; and
+the exit code and md5s of stdout and stderr of `superlum scan`, recorded
+from the scan that valued each n's trials in one array."""
 
 import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -338,3 +341,44 @@ def _run_case(make, frame: str, fmt: str, tmp_path, capsys) -> tuple[int, str]:
 def test_chunked_and_odd_label_outputs_are_byte_identical(name, make, frame, fmt,
                                                           tmp_path, capsys):
     assert _run_case(make, frame, fmt, tmp_path, capsys) == MORE_EXPECTED[name, frame, fmt]
+
+
+# Inputs of `superlum scan` and their seeds: the default input, an imaginary
+# and a real spec and the overflowing spec at the benchmark's n values and
+# 100 trials, and a complex alpha whose trials at n = 10**4 straddle
+# SAFE_EXPONENT: 10 of them reach |Re(alpha*phi)| > 600 and 90 do not.
+BENCH_NS = [100, 1000, 10000]
+HALF = {"low": 0.0, "high": math.pi}
+SCAN_CASES = {
+    "default": None,
+    "imaginary": ({"alpha": [0.0, -1.1], "beta": 2.4, "gamma": 0.7, "n_values": BENCH_NS,
+                   "trials": 100, "sampler": HALF}, 11),
+    "real": ({"alpha": [0.6, 0.0], "beta": 1.2, "gamma": 1.1, "n_values": BENCH_NS,
+              "trials": 100, "sampler": HALF}, 12),
+    "overflow": ({"alpha": [300.0, 0.0], "beta": 0.0, "gamma": 1.0, "n_values": BENCH_NS,
+                  "trials": 100, "sampler": HALF}, 13),
+    "straddle": ({"alpha": [0.7, 0.3], "beta": 2.0, "gamma": 1.0, "n_values": [100, 10000],
+                  "trials": 100, "sampler": {"low": 0.0, "high": 857.153}}, 4),
+}
+# (exit code, md5 of stdout, md5 of stderr)
+SCAN_EXPECTED = {
+    "default": (0, "c0d42dbb4e03dcef2b11ee4fa87f37cb", "d41d8cd98f00b204e9800998ecf8427e"),
+    "imaginary": (0, "51c8eb658ae162740346864ab0fb9b5e", "d41d8cd98f00b204e9800998ecf8427e"),
+    "real": (0, "7d6f630d437635afde74caf03f1b0b63", "d41d8cd98f00b204e9800998ecf8427e"),
+    "overflow": (2, "d41d8cd98f00b204e9800998ecf8427e", "73e7eab492ced0d22bdcbb3152d285b3"),
+    "straddle": (0, "2e4073e8418b48a434d744049ea98ebd", "d41d8cd98f00b204e9800998ecf8427e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_CASES))
+def test_scan_outputs_are_byte_identical(name, tmp_path, capsys):
+    argv = ["scan"]
+    if SCAN_CASES[name] is not None:
+        data, seed = SCAN_CASES[name]
+        path = tmp_path / "scan.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        argv += ["--input", str(path), "--seed", str(seed)]
+    code = main(argv)
+    out = capsys.readouterr()
+    assert (code, *(hashlib.md5(text.encode()).hexdigest() for text in (out.out, out.err))
+            ) == SCAN_EXPECTED[name]
