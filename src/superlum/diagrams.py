@@ -146,17 +146,23 @@ def _columns(d: Diagram, labels: list[str], xy: np.ndarray,
     return _frame(d, xy[:, 0], xy[:, 1], seg)
 
 
-def _frame(d: Diagram, t: np.ndarray, x: np.ndarray, seg: np.ndarray) -> Diagram:
+def _frame(d: Diagram, t: np.ndarray, x: np.ndarray, seg: np.ndarray,
+           boost: Boost | None = None) -> Diagram:
     """Store one frame's coordinates, from the columns t and x, its segments,
     sorted, and their speed codes, classified once here; d already holds the
-    labels, their index and ranks, and c."""
+    labels, their index and ranks, and c.  The columns are the image under
+    boost of a frame whose segments all have extent, if boost is given."""
     frm, to = seg[:, 0], seg[:, 1]
     with np.errstate(over="ignore"):
         dt, dx = t[to] - t[frm], x[to] - x[frm]
         flat = np.flatnonzero((dt == 0.0) & (dx == 0.0))
         if len(flat):
             frm, to = d._labels[seg[flat[0]]]
-            raise ZeroExtent(f"segment ({frm!r}, {to!r}) has zero extent")
+            if boost is None:
+                raise ZeroExtent(f"segment ({frm!r}, {to!r}) has zero extent")
+            raise ZeroExtent(
+                f"segment ({frm!r}, {to!r}) has extent, but its image under the "
+                f"{boost.branch.value} boost at speed {boost.speed!r} underflowed to a point")
         order = np.lexsort((x[to], t[to], x[frm], t[frm]))
         d._codes = _speed_code(dt[order], dx[order], d.c)
     d._xy, d._seg, d._events = np.stack((t, x), axis=1), seg[order], None
@@ -194,7 +200,7 @@ def transform_diagram(d: Diagram, b: Boost) -> Diagram:
     seg[back] = seg[back, ::-1]
     moved = Diagram.__new__(Diagram)
     moved._c, moved._labels, moved._index, moved._rank = d._c, d._labels, d._index, d._rank
-    return _frame(moved, t, x, seg)
+    return _frame(moved, t, x, seg, b)
 
 
 def role_report(d: Diagram) -> tuple[tuple[str, Role], ...]:

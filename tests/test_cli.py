@@ -551,6 +551,17 @@ def test_scan_counts_must_be_whole_numbers(tmp_path, capsys, field, text, shown)
         assert f'takes whole numbers >= 1, got {shown}' in lines[0]
 
 
+@pytest.mark.parametrize("sampler", [
+    {"low": -1e308, "high": 1e308}, {"high": "nan"}, {"low": 1, "high": 0}])
+def test_scan_sampler_bounds_are_named(tmp_path, capsys, sampler):
+    inp = _write(tmp_path, "scan.json", {"sampler": sampler})
+    code, out, err = _run(capsys, "scan", "--input", inp)
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ValueError: ")
+    assert "low=" in lines[0] and "high=" in lines[0]
+
+
 # ---------------------------------------------------------------------------
 # amplitude
 
@@ -663,3 +674,24 @@ def test_removed_flags_are_usage_errors(capsys, command, flag, value):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args([*line, flag, value])
     assert exc.value.code == 2
+
+
+def test_one_parser_reads_each_command_line_as_a_fresh_parser_does(capsys, monkeypatch):
+    # a flag or default of one command line must not carry over to the next
+    lines = [["scan"], ["verify", "--seed", "1", "--timings"], ["verify", "--seed", "1"],
+             ["diagram", "--input", "fig5a", "--format", "json", "--boost-w", "2.5"],
+             ["diagram", "--input", "fig5a", "--format", "json"]]
+
+    def run_all():
+        runs = []
+        for line in lines:
+            code, out, err = _run(capsys, *line)
+            if "--timings" in line:  # the seconds vary from run to run; the rows do not
+                err = sorted(json.loads(err)["row_seconds"])
+            runs.append((code, out, err))
+        return runs
+
+    assert build_parser() is not build_parser()
+    cached = run_all()
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    assert cached == run_all()

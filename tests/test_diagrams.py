@@ -90,6 +90,14 @@ def test_classify_zero_extent():
 # Diagram construction
 
 
+def test_a_boost_image_that_underflows_to_a_point_names_the_boost():
+    d = _diagram({"a": (0, 0), "b": (0, 5e-324)}, [("a", "b")], c=3.0)
+    with pytest.raises(ZeroExtent, match=r"segment \('a', 'b'\) has extent, but its image "
+                                         r"under the superluminal boost at speed 9\.0 "
+                                         r"underflowed to a point"):
+        transform_diagram(d, Boost(Branch.SUPERLUMINAL, 9.0, 1 / 9))
+
+
 def test_diagram_validates_labels_and_extent():
     with pytest.raises(InvalidScenario):
         _diagram({"A": (0, 0)}, [("A", "Z")])

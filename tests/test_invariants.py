@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -28,7 +29,11 @@ from superlum import (
     relative_deviation,
     uniform_phase_sampler,
 )
+from superlum import invariants
 from superlum.invariants import (
+    SAFE_EXPONENT,
+    _blocked_log_P,
+    _log_P,
     _log_sums,
     amplitude_invariant,
     as_phases,
@@ -355,6 +360,58 @@ def test_scan_budget_and_shape_validation():
         finiteness_scan(spec, (100, 1000), half, trials=500)
     with pytest.raises(ValueError, match="trials=0"):
         finiteness_scan(spec, (100, 1000), half, trials=0)
+
+
+@pytest.mark.parametrize("alpha, n, high", [
+    (0.7, 10**4, 857.153), (0.7 + 0.3j, 10**4, 857.153),
+    (-1.1j, 997, math.pi), (0.6, 997, math.pi)])
+@pytest.mark.parametrize("block", [None, 1])
+def test_blocked_log_P_is_the_one_shot_log_P_bit_for_bit(alpha, n, high, block, monkeypatch):
+    # on [0, 857.153] some trials reach |Re(alpha*phi)| > SAFE_EXPONENT and
+    # some do not, so a block that chose its own branch would move bits;
+    # with block 1 each trial is a block of its own
+    phi = uniform_phase_sampler(0.0, high)(np.random.default_rng(4), (100, n))
+    if high > math.pi:
+        over = 0.7 * phi.max(axis=1) > SAFE_EXPONENT
+        assert 0 < over.sum() < len(over)
+    if block is not None:
+        monkeypatch.setattr(invariants, "_BLOCK", block)
+    spec = InvariantSpec(alpha, 2.0, 1.0)
+    for got, want in zip(_blocked_log_P(spec, phi), _log_P(spec, phi), strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_a_scan_names_an_overflowing_half_angle_by_its_trial_among_all_trials():
+    half = uniform_phase_sampler(0.0, math.pi)
+
+    def planted(rng, size):
+        phi = half(rng, size)
+        if size[1] == 10**4:
+            phi[97, 5] = 1e308
+        return phi
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonfiniteResult, match=r"alpha \* phase \(97, 5\) = 5j \* 1e\+308"):
+            finiteness_scan(InvariantSpec(5j, 2.0, 1.0), (100, 10**4), planted,
+                            rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("low, high", [
+    (0.0, math.pi), (-3.7, 2.2), (0.0, 857.153), (1e-3, 1e5), (2.5, 2.5), (-1e300, 1e300)])
+def test_uniform_phase_sampler_draws_what_rng_uniform_draws(low, high):
+    for seed in range(3):
+        got = uniform_phase_sampler(low, high)(np.random.default_rng(seed), (40, 1001))
+        want = np.random.default_rng(seed).uniform(low, high, (40, 1001))
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("low, high", [
+    (-1e308, 1e308), (0.0, math.nan), (math.nan, 1.0), (1.0, 0.0), (0.0, math.inf),
+    (-math.inf, 0.0)])
+def test_uniform_phase_sampler_names_bounds_it_cannot_draw_between(low, high):
+    with pytest.raises(ValueError, match=re.escape(f"low={low!r}, high={high!r}")):
+        uniform_phase_sampler(low, high)
 
 
 def test_scan_is_deterministic_for_fixed_seed():
