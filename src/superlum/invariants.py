@@ -377,7 +377,9 @@ def _blocked_log_P(spec: InvariantSpec, phi: np.ndarray):
     per block of max(1, _BLOCK // n) rows: each row is reduced along its own
     axis, and every block takes the branch of the whole array's reach."""
     rows = max(1, _BLOCK // phi.shape[1])
-    reach = _reach(complex(spec.alpha), phi)
+    alpha = complex(spec.alpha)
+    # a purely imaginary alpha takes neither branch, so it needs no reach
+    reach = _reach(alpha, phi) if alpha.real or not alpha.imag else None
     try:
         parts = [_log_P(spec, phi[i:i + rows], reach) for i in range(0, len(phi), rows)]
     except NonfiniteResult:
