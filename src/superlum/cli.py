@@ -312,6 +312,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     spec = InvariantSpec(complex(*map(float, parts)), float(data.get("beta", 2.0)),
                          float(data.get("gamma", 1.0)))
     sampler_cfg = data.get("sampler", {})
+    if not isinstance(sampler_cfg, dict):
+        raise SuperlumError(f'"sampler" must be a JSON object, got {sampler_cfg!r}')
     sampler = uniform_phase_sampler(
         float(sampler_cfg.get("low", 0.0)),
         float(sampler_cfg.get("high", np.pi)),

@@ -562,6 +562,14 @@ def test_scan_sampler_bounds_are_named(tmp_path, capsys, sampler):
     assert "low=" in lines[0] and "high=" in lines[0]
 
 
+@pytest.mark.parametrize("sampler", [5, [0, 1], "uniform"])
+def test_scan_sampler_must_be_an_object(tmp_path, capsys, sampler):
+    inp = _write(tmp_path, "scan.json", {"sampler": sampler})
+    code, out, err = _run(capsys, "scan", "--input", inp)
+    assert code == 2 and out == ""
+    assert err == f'error: SuperlumError: "sampler" must be a JSON object, got {sampler!r}\n'
+
+
 # ---------------------------------------------------------------------------
 # amplitude
 
