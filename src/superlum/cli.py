@@ -15,12 +15,14 @@ import functools
 import io
 import json
 import math
+import reprlib
 import sys
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
+from ._input import is_label, is_number, read_json
 from .diagrams import (
     FIXTURE_NAMES,
     Scenario,
@@ -56,21 +58,56 @@ from .render import _rows, render_svg
 from .verify import run_suite, suite_report
 
 
-def _read_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise SuperlumError(f"{path} must hold a JSON object")
-    return data
+# The field reader: every field of a JSON input is read through _read.  An
+# error names the field by its JSON path, "key" at the top of the input,
+# where.key below it and path[i] for a list item, and shows the value, cut
+# to a few items and digits by reprlib, so that a long list or int in the
+# input does not make a long message.
+
+_REQUIRED = object()  # the default of a field that must be present
+_BRANCHES = [b.value for b in Branch]
+_KINDS = {"number": ("must be a JSON number", "numbers"), None: ("", "values"),
+          "count": ("takes whole numbers >= 1", "whole numbers"),
+          "complex": ("must be a number or an [re, im] pair", ""),
+          "branch": (f"must be one of {_BRANCHES}", "")}  # kind: (rule, list noun)
 
 
-def _field(obj, key: str, where: str):
-    """obj[key], or an error naming where the field is missing."""
+def _read(obj, key: str, where: str = "input", default=_REQUIRED, kind: str | None = "number",
+          lengths: tuple[int, ...] | None = None):
+    """obj[key], or default when obj has no key, as a kind of value: a float
+    for a JSON "number" (_input.is_number), an int for a "count", a whole
+    number >= 1, a "complex" for a number or an [re, im] pair of them, a
+    Branch for a "branch" label (_input.is_label), or any value for None.
+    With lengths, a list of that kind of one of those lengths (any, when
+    empty)."""
     if not isinstance(obj, dict):
-        raise SuperlumError(f"{where} must be a JSON object, got {obj!r}")
-    if key not in obj:
+        raise SuperlumError(f"{where} must be a JSON object, got {reprlib.repr(obj)}")
+    if key not in obj and default is _REQUIRED:
         raise SuperlumError(f'{where} has no "{key}"')
-    return obj[key]
+    value, path = obj.get(key, default), f'"{key}"' if where == "input" else f"{where}.{key}"
+    if lengths is None:
+        return _as(kind, value, path)
+    if not isinstance(value, list) or lengths and len(value) not in lengths:
+        size = " or ".join(("two", "three", "four")[n - 2] for n in lengths) + " " if lengths else ""
+        raise SuperlumError(f"{path} must be a list of {size}{_KINDS[kind][1]}, "
+                            f"got {reprlib.repr(value)}")
+    return [_as(kind, item, f"{path}[{i}]") for i, item in enumerate(value)]
+
+
+def _as(kind: str | None, value, path: str):
+    if kind is None:
+        return value
+    if kind == "branch" and is_label(value) and value in _BRANCHES:
+        return Branch(value)
+    if kind == "number" and is_number(value):
+        return float(value)
+    if kind == "count" and is_number(value) and value >= 1 and float(value).is_integer():
+        return int(value)
+    if kind == "complex":
+        parts = value if isinstance(value, list) else [value, 0.0]
+        if len(parts) == 2 and all(map(is_number, parts)):
+            return complex(*map(float, parts))
+    raise SuperlumError(f"{path} {_KINDS[kind][0]}, got {reprlib.repr(value)}")
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -84,59 +121,41 @@ def _dump(data: dict, output: str | None) -> None:
     _emit(json.dumps(data, indent=2, sort_keys=True), output)
 
 
-def _parse_boost(obj: dict, K: float, where: str) -> Boost:
-    branch = Branch(_field(obj, "branch", where))
-    speed = _field(obj, "speed", where)
-    if isinstance(speed, list):
-        speed = tuple(float(v) for v in speed)
-    else:
-        speed = float(speed)
-    return Boost(branch, speed, K)
+def _parse_boost(obj, K: float, where: str, dims: int = 1) -> Boost:
+    """A boost object: its speed a number, or for dims 3 a list of three."""
+    branch = _read(obj, "branch", where, kind="branch")
+    speed = _read(obj, "speed", where, lengths=None if dims == 1 else (dims,))
+    return Boost(branch, speed if dims == 1 else tuple(speed), K)
 
 
 def cmd_boost(args: argparse.Namespace) -> int:
-    data = _read_json(args.input)
-    c = float(data.get("c", args.c))
-    event = [float(v) for v in _field(data, "event", "input")]
-    spec = _field(data, "boost", "input")
+    data = read_json(args.input)
+    c = _read(data, "c", default=args.c)
+    event = _read(data, "event", lengths=(2, 4))
+    b = _parse_boost(_read(data, "boost", kind=None), K_from_c(c), "boost", len(event) - 1)
     if len(event) == 2:
-        b = _parse_boost(spec, K_from_c(c), "boost")
         out = boost_1p1(Event1p1(*event), b)
         _dump({"event": [out.t, out.x], "branch": b.branch.value}, args.output)
         return 0
-    if len(event) != 4:
-        raise SuperlumError("event must have 2 or 4 coordinates")
     e = Event1p3(event[0], tuple(event[1:]))
-    speed = _field(spec, "speed", "boost")
-    if not isinstance(speed, list) or len(speed) != 3:
-        raise SuperlumError("1+3 boosts need a 3-vector speed")
-    if Branch(_field(spec, "branch", "boost")) is Branch.SUBLUMINAL:
-        out = boost_1p3_subluminal(e, speed, c)
+    if b.branch is Branch.SUBLUMINAL:
+        out = boost_1p3_subluminal(e, b.speed, c)
         _dump({"event": [out.t, *out.r], "branch": "subluminal"}, args.output)
     else:
-        sup = boost_1p3_superluminal(e, speed, c)
+        sup = boost_1p3_superluminal(e, b.speed, c)
         _dump({"tvec": list(sup.tvec), "x": sup.x, "branch": "superluminal"},
               args.output)
     return 0
 
 
 def cmd_compose(args: argparse.Namespace) -> int:
-    data = _read_json(args.input)
-    K = K_from_c(float(data.get("c", args.c)))
-    boosts = _field(data, "boosts", "input")
-    if not isinstance(boosts, list) or len(boosts) != 2:
-        raise SuperlumError("compose expects exactly two boosts")
+    data = read_json(args.input)
+    K = K_from_c(_read(data, "c", default=args.c))
+    boosts = _read(data, "boosts", kind=None, lengths=(2,))
     b1, b2 = (_parse_boost(obj, K, f"boosts[{i}]") for i, obj in enumerate(boosts))
     composed = compose_boosts_1p1(b1, b2)
-    _dump(
-        {
-            "branch": composed.branch.value,
-            "speed": composed.speed,
-            "K": composed.K,
-            "velocity_composition": composed.speed,  # the same law's speed
-        },
-        args.output,
-    )
+    _dump({"branch": composed.branch.value, "speed": composed.speed, "K": composed.K,
+           "velocity_composition": composed.speed}, args.output)  # the same law's speed
     return 0
 
 
@@ -248,10 +267,7 @@ def _report_text(report: dict) -> str:
 
 
 def cmd_diagram(args: argparse.Namespace) -> int:
-    if args.input in FIXTURE_NAMES:
-        sc = load_fixture(args.input)
-    else:
-        sc = load_scenario(args.input)
+    sc = (load_fixture if args.input in FIXTURE_NAMES else load_scenario)(args.input)
     d = sc.diagram
     K = K_from_c(d.c)
     if args.infinite:
@@ -274,83 +290,44 @@ def cmd_diagram(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     timings = {} if args.timings else None
-    reports = run_suite(
-        seed=args.seed,
-        tolerance=args.tolerance,
-        break_antisymmetric_term=args.break_antisymmetric_term,
-        perturb_cauchy=args.perturb_cauchy,
-        timings=timings,
-    )
+    knobs = {"tolerance": args.tolerance, "perturb_cauchy": args.perturb_cauchy,
+             "break_antisymmetric_term": args.break_antisymmetric_term}
+    reports = run_suite(seed=args.seed, timings=timings, **knobs)
     if timings is not None:
         sys.stderr.write(json.dumps({"row_seconds": timings}) + "\n")
-    payload = suite_report(
-        reports,
-        args.seed,
-        tolerance=args.tolerance,
-        break_antisymmetric_term=args.break_antisymmetric_term,
-        perturb_cauchy=args.perturb_cauchy,
-    )
+    payload = suite_report(reports, args.seed, **knobs)
     _dump(payload, args.output)
     return 0 if payload["all_passed"] else 1
 
 
-def _count(value, key: str) -> int:
-    """A JSON number that is a whole number >= 1, as an int, or an error
-    naming the field and the value."""
-    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value) and value == int(value) and value >= 1):
-        raise SuperlumError(f'"{key}" takes whole numbers >= 1, got {value!r}')
-    return int(value)
-
-
 def cmd_scan(args: argparse.Namespace) -> int:
-    data = _read_json(args.input) if args.input else {}
-    alpha = data.get("alpha", [0.0, 1.0])
-    parts = alpha if isinstance(alpha, list) else [alpha, 0.0]
-    if len(parts) != 2 or not all(isinstance(v, (int, float)) for v in parts):
-        raise SuperlumError(f'"alpha" must be a number or an [re, im] pair, got {alpha!r}')
-    spec = InvariantSpec(complex(*map(float, parts)), float(data.get("beta", 2.0)),
-                         float(data.get("gamma", 1.0)))
-    sampler_cfg = data.get("sampler", {})
-    if not isinstance(sampler_cfg, dict):
-        raise SuperlumError(f'"sampler" must be a JSON object, got {sampler_cfg!r}')
-    sampler = uniform_phase_sampler(
-        float(sampler_cfg.get("low", 0.0)),
-        float(sampler_cfg.get("high", np.pi)),
-    )
-    n_values = data.get("n_values", [100, 1000, 10000])
-    if not isinstance(n_values, list):
-        raise SuperlumError(f'"n_values" must be a list of whole numbers, got {n_values!r}')
+    data = read_json(args.input) if args.input else {}
+    spec = InvariantSpec(_read(data, "alpha", default=[0.0, 1.0], kind="complex"),
+                         _read(data, "beta", default=2.0),
+                         _read(data, "gamma", default=1.0))
+    bounds = _read(data, "sampler", default={}, kind=None)
+    # the sampler checks its own bounds by the number rule, and names both
+    sampler = uniform_phase_sampler(_read(bounds, "low", '"sampler"', 0.0, kind=None),
+                                    _read(bounds, "high", '"sampler"', np.pi, kind=None))
     result = finiteness_scan(
         spec,
-        [_count(n, "n_values") for n in n_values],
+        _read(data, "n_values", default=[100, 1000, 10000], kind="count", lengths=()),
         sampler,
-        trials=_count(data.get("trials", 100), "trials"),
+        trials=_read(data, "trials", default=100, kind="count"),
         rng=np.random.default_rng(args.seed),
     )
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n", "median_abs_P", "classification"])
-    for n, med, label in result.rows():
-        writer.writerow([n, repr(med), label])
+    csv.writer(buf).writerows([("n", "median_abs_P", "classification"),
+                               *((n, repr(med), label) for n, med, label in result.rows())])
     _emit(buf.getvalue(), args.output)
     return 0
 
 
 def cmd_amplitude(args: argparse.Namespace) -> int:
-    data = _read_json(args.input)
-    phases = _field(data, "phases", "input")
-    if not isinstance(phases, list):
-        raise SuperlumError(f'"phases" must be a list of numbers, got {phases!r}')
-    amp = amplitude(phases, float(data.get("alpha_mag", 1.0)))
-    _dump(
-        {
-            "value": [amp.value.real, amp.value.imag],
-            "probability": abs(amp.value) ** 2,
-            "n_paths": amp.n_paths,
-        },
-        args.output,
-    )
+    data = read_json(args.input)
+    amp = amplitude(_read(data, "phases", lengths=()), _read(data, "alpha_mag", default=1.0))
+    _dump({"value": [amp.value.real, amp.value.imag], "probability": abs(amp.value) ** 2,
+           "n_paths": amp.n_paths}, args.output)
     return 0
 
 
@@ -373,21 +350,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, needs_input=True, light_speed=False) -> None:
+    def command(name: str, func, help: str, needs_input=True,
+                light_speed=False) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         if needs_input:
             p.add_argument("--input", required=True, help="input JSON path")
         p.add_argument("--output", help="output file (default stdout)")
         if light_speed:
             p.add_argument("--c", type=float, default=1.0,
                            help="light speed, unless the input sets c")
+        return p
 
-    p_boost = sub.add_parser("boost", help="transform one event")
-    common(p_boost, light_speed=True)
-    p_boost.set_defaults(func=cmd_boost)
-
-    p_compose = sub.add_parser("compose", help="compose two boosts")
-    common(p_compose, light_speed=True)
-    p_compose.set_defaults(func=cmd_compose)
+    command("boost", cmd_boost, "transform one event", light_speed=True)
+    command("compose", cmd_compose, "compose two boosts", light_speed=True)
 
     p_diagram = sub.add_parser(
         "diagram", help="render a scenario and report roles and paths"
@@ -412,8 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="apply the infinite-speed axis swap")
     p_diagram.set_defaults(func=cmd_diagram)
 
-    p_verify = sub.add_parser("verify", help="run the verification suite")
-    common(p_verify, needs_input=False)
+    p_verify = command("verify", cmd_verify, "run the verification suite", needs_input=False)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--tolerance", type=_finite, default=None,
                           help="replace every default pass tolerance")
@@ -429,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--timings", action="store_true",
         help="write the seconds of each suite row to stderr as one JSON object",
     )
-    p_verify.set_defaults(func=cmd_verify)
 
     p_scan = sub.add_parser("scan", help="finiteness scan over path counts")
     p_scan.add_argument("--input", help="scan parameters JSON path")
@@ -437,9 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--seed", type=int, default=0)
     p_scan.set_defaults(func=cmd_scan)
 
-    p_amp = sub.add_parser("amplitude", help="sum a phase set into an amplitude")
-    common(p_amp)
-    p_amp.set_defaults(func=cmd_amplitude)
+    command("amplitude", cmd_amplitude, "sum a phase set into an amplitude")
 
     return parser
 
@@ -460,7 +432,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (SuperlumError, OSError, KeyError, ValueError, TypeError) as exc:
-        # json.JSONDecodeError is a ValueError
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -19,6 +19,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from ._input import is_label, is_number, read_json
 from .errors import (
     CyclicDiagram,
     InvalidScenario,
@@ -393,16 +394,20 @@ def count_paths(d: Diagram, source: str, sinks: Iterable[str]) -> tuple[int, Pat
 
 
 def _known(d: Diagram, source: str | None, sinks: Iterable[str]) -> tuple[str, ...]:
-    """sinks as a tuple of label strings, once source, unless None, and each
-    sink name an event of d.  A string or a mapping is not a list of sinks."""
+    """sinks as a tuple, once source, unless None, and each sink is a label
+    string that names an event of d.  A string or a mapping is not a list of
+    sinks."""
     if isinstance(sinks, (str, Mapping)) or not isinstance(sinks, Iterable):
         raise InvalidScenario(f"sinks must list event labels, got {sinks!r}")
-    sinks = tuple(map(str, sinks))
-    if source is not None and source not in d._index:
-        raise InvalidScenario(f"unknown source {source!r}")
-    for s in sinks:
-        if s not in d._index:
-            raise InvalidScenario(f"unknown sink {s!r}")
+    sinks = tuple(sinks)
+    named = [(f"sinks[{i}]", s) for i, s in enumerate(sinks)]
+    if source is not None:
+        named.insert(0, ("source", source))
+    for where, label in named:
+        if not is_label(label):
+            raise InvalidScenario(f"{where} must be an event label string, got {label!r}")
+        if label not in d._index:
+            raise InvalidScenario(f"{where} names no event: {label!r}")
     return sinks
 
 
@@ -487,12 +492,11 @@ def scenario_from_dict(data: Mapping) -> Scenario:
     if not isinstance(data["events"], Mapping):
         raise InvalidScenario("scenario 'events' must map labels to [t, x]")
     xy = _coordinates(data["events"])
-    try:
-        c = float(data.get("c", 1.0))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidScenario(f"light speed c must be a number, got {data['c']!r}") from exc
+    c = data.get("c", 1.0)
+    if not is_number(c):
+        raise InvalidScenario(f"light speed c must be a number, got {c!r}")
     diagram = _columns(Diagram.__new__(Diagram), list(map(str, data["events"])), xy,
-                       _label_pairs(data["segments"]), c)
+                       _label_pairs(data["segments"]), float(c))
     source = data.get("source")
     return Scenario(diagram, source, _known(diagram, source, data.get("sinks", ())))
 
@@ -515,12 +519,7 @@ def scenario_to_dict(sc: Scenario) -> dict:
 def load_scenario(source: str | Path | Mapping) -> Scenario:
     if isinstance(source, Mapping):
         return scenario_from_dict(source)
-    try:
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InvalidScenario(f"invalid JSON in {source}: {exc}") from exc
-    return scenario_from_dict(data)
+    return scenario_from_dict(read_json(source, InvalidScenario))
 
 
 FIXTURE_NAMES = ("fig2a", "fig3a", "fig4a", "fig5a")

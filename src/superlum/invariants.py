@@ -26,6 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._input import is_number
 from .errors import NonfiniteResult, SuperluminalSegment
 from .kinematics import Event1p1, _squares
 from .report import CheckReport, relative_deviation
@@ -335,10 +336,13 @@ def uniform_phase_sampler(low: float, high: float) -> Callable:
     """i.i.d. uniform phases on [low, high), the draws of rng.uniform bit for
     bit: numpy forms low + (high - low) * u from rng.random's u, and so do
     the two in-place passes here, with no call per element.  low and high
-    must be finite with low <= high and a finite width high - low."""
-    low, high = float(low), float(high)
-    if not (high >= low and math.isfinite(high - low)):  # false for any nan or inf too
-        raise ValueError(f"a uniform phase sampler needs finite low <= high with a "
+    must be numbers (_input.is_number: no bool, string or int beyond a float),
+    finite, with low <= high and a finite width high - low."""
+    numbers = is_number(low) and is_number(high)
+    if numbers:
+        low, high = float(low), float(high)
+    if not (numbers and high >= low and math.isfinite(high - low)):  # false for nan or inf too
+        raise ValueError(f"a uniform phase sampler needs numbers low <= high with a "
                          f"finite width high - low, got low={low!r}, high={high!r}")
 
     def sample(rng: np.random.Generator, size) -> np.ndarray:
@@ -418,8 +422,8 @@ def finiteness_scan(
     """
     rng = rng or np.random.default_rng(0)
     ns = [int(n) for n in n_values]
-    if len(ns) < 2 or any(n < 1 for n in ns):
-        raise ValueError("need at least two positive n values")
+    if len(set(ns)) < 2 or any(n < 1 for n in ns):  # one n value fits no slope
+        raise ValueError(f"need at least two distinct positive n values, got n_values={ns}")
     if not 1 <= trials <= 100:
         raise ValueError(f"scan budget: trials must be 1..100, got trials={trials!r}")
     if max(ns) > 10**4:

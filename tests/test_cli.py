@@ -1,7 +1,12 @@
 """End-to-end command-line behavior: exit codes, JSON reports, artifacts."""
 
+import csv
+import io
 import json
 import math
+import re
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from xml.etree import ElementTree
 
 import pytest
@@ -703,3 +708,216 @@ def test_one_parser_reads_each_command_line_as_a_fresh_parser_does(capsys, monke
     cached = run_all()
     monkeypatch.setattr(cli, "_parser", build_parser)
     assert cached == run_all()
+
+
+# ---------------------------------------------------------------------------
+# The field reader: numbers are JSON numbers, labels strings, and an error
+# names the field by its JSON path
+
+BIG = "1" + "0" * 400  # a JSON int beyond the float range
+BOOST = '"boost": {"branch": "subluminal", "speed": 0.5}'
+SCENE = '"events": {"a": [0, 0], "b": [1, 0.5]}, "segments": [["a", "b"]]'
+
+
+def _run_text(tmp_path, capsys, command, text):
+    path = tmp_path / "in.json"
+    path.write_text(text, encoding="utf-8")
+    extra = ("--format", "json") if command == "diagram" else ()
+    return (*_run(capsys, command, "--input", str(path), *extra), path)
+
+
+@pytest.mark.parametrize("command, text, named", [
+    # an int beyond the float range
+    ("boost", '{"event": [1, 0], "boost": {"branch": "subluminal", "speed": %s}}' % BIG,
+     "boost.speed"),
+    ("amplitude", '{"phases": [0, 1], "alpha_mag": %s}' % BIG, '"alpha_mag"'),
+    ("scan", '{"alpha": [%s, 0]}' % BIG, '"alpha"'),
+    ("scan", '{"trials": %s}' % BIG, '"trials"'),
+    # a string or a bool where a number belongs
+    ("boost", '{"event": "01", %s}' % BOOST, '"event"'),
+    ("boost", '{"event": [true, false], %s}' % BOOST, '"event"[0]'),
+    ("boost", '{"c": true, "event": [1, 0], %s}' % BOOST, '"c"'),
+    ("boost", '{"event": [1, 0], "boost": {"branch": "subluminal", "speed": "0.5"}}',
+     "boost.speed"),
+    ("scan", '{"beta": "2"}', '"beta"'),
+    ("amplitude", '{"phases": ["0", "1"]}', '"phases"[0]'),
+    ("diagram", '{"c": true, %s}' % SCENE, "light speed c"),
+    ("diagram", '{"c": "1", %s}' % SCENE, "light speed c"),
+    # a value of the wrong shape, type or name
+    ("diagram", '{%s, "source": ["a"], "sinks": ["b"]}' % SCENE, "source"),
+    ("diagram", '{%s, "source": "a", "sinks": [["b"]]}' % SCENE, "sinks[0]"),
+    ("boost", '{"event": 5, %s}' % BOOST, '"event"'),
+    ("boost", '{"event": [0, "a"], %s}' % BOOST, '"event"[1]'),
+    ("boost", '{"event": [1, 0], "boost": {"branch": "subluminal", "speed": {"a": 1}}}',
+     "boost.speed"),
+    ("boost", '{"event": [1, 0], "boost": {"branch": "sideways", "speed": 0.5}}',
+     "boost.branch"),
+    ("compose", '{"boosts": [{"branch": ["x"], "speed": 0.2}, '
+                '{"branch": "subluminal", "speed": 0.5}]}', "boosts[0].branch"),
+])
+def test_a_field_that_breaks_its_rule_is_named(tmp_path, capsys, command, text, named):
+    code, out, err, _ = _run_text(tmp_path, capsys, command, text)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
+
+
+def test_an_error_shows_a_long_value_cut_short(tmp_path, capsys):
+    code, out, err, _ = _run_text(tmp_path, capsys, "amplitude",
+                                  json.dumps({"phases": "0" * 10**5}))
+    assert code == 2 and out == ""
+    assert err.startswith('error: SuperlumError: "phases" must be a list of numbers, got \'000')
+    assert len(err) < 150
+
+
+@pytest.mark.parametrize("command", ["boost", "compose", "amplitude", "scan", "diagram"])
+def test_json_nested_past_the_parser_is_named(tmp_path, capsys, command):
+    depth = 10**5
+    code, out, err, path = _run_text(tmp_path, capsys, command,
+                                     '{"phases": ' + "[" * depth + "]" * depth + "}")
+    error = "InvalidScenario" if command == "diagram" else "SuperlumError"
+    assert code == 2 and out == ""
+    assert err == f"error: {error}: {path} nests its JSON too deeply to read\n"
+
+
+# The fuzz: valid inputs, each perturbed at one place.  A number is an int
+# (not a bool) that fits in a float, or a float, and a branch one of two
+# names; FIELD_NAMES gives, for each field whose rule the reader checks,
+# what the error line must name when a value breaks the rule.  Event
+# coordinates and segment pairs keep looser readings, so they are perturbed
+# but not held to a name.
+
+FUZZ_BASES = [
+    ("boost", {"c": 1.0, "event": [1.0, 0.5],
+               "boost": {"branch": "superluminal", "speed": 2.0}}),
+    ("boost", {"event": [1.0, 0.5, 0.0, -1.0],
+               "boost": {"branch": "subluminal", "speed": [0.1, 0.2, 0.3]}}),
+    ("compose", {"c": 2.0, "boosts": [{"branch": "subluminal", "speed": 0.5},
+                                      {"branch": "superluminal", "speed": 3.0}]}),
+    ("amplitude", {"phases": [0.0, 1.0, 2.5], "alpha_mag": 1.5}),
+    ("scan", {"alpha": [0.0, 1.0], "beta": 2.0, "gamma": 1.0, "n_values": [10, 30],
+              "trials": 5, "sampler": {"low": 0.0, "high": 3.0}}),
+    ("diagram", {"c": 1.0, "events": {"a": [0.0, 0.0], "b": [1.0, 0.5], "c": [2.0, 4.0]},
+                 "segments": [["a", "b"], ["b", "c"]], "source": "a", "sinks": ["c"]}),
+]
+
+FIELD_NAMES = {
+    "boost": {("c",): '"c"', ("event",): '"event"', ("event", "#"): '"event"[#]',
+              ("boost",): "boost", ("boost", "branch"): "boost.branch",
+              ("boost", "speed"): "boost.speed", ("boost", "speed", "#"): "boost.speed[#]"},
+    "compose": {("c",): '"c"', ("boosts",): '"boosts"', ("boosts", "#"): "boosts[#]",
+                ("boosts", "#", "branch"): "boosts[#].branch",
+                ("boosts", "#", "speed"): "boosts[#].speed"},
+    "amplitude": {("phases",): '"phases"', ("phases", "#"): '"phases"[#]',
+                  ("alpha_mag",): '"alpha_mag"'},
+    "scan": {("alpha",): '"alpha"', ("alpha", "#"): '"alpha"', ("beta",): '"beta"',
+             ("gamma",): '"gamma"', ("sampler",): '"sampler"', ("sampler", "low"): "low=",
+             ("sampler", "high"): "high=", ("n_values",): '"n_values"',
+             ("n_values", "#"): '"n_values"[#]', ("trials",): '"trials"'},
+    "diagram": {("c",): "light speed c", ("source",): "source", ("sinks",): "sinks",
+                ("sinks", "#"): "sinks[#]"},
+}
+
+JUNK = st.one_of(
+    st.sampled_from(["", "01", "0.5", "nan", "subluminal", True, False, None, [], {},
+                     10**400, -(10**400), 2**1024, 5e-324, -5e-324, math.inf, -math.inf,
+                     math.nan, 0, -1, 1e308, 10**4, 2.5]),
+    st.floats(), st.integers(), st.text(max_size=3),
+    st.recursive(st.none() | st.booleans() | st.floats() | st.text(max_size=2),
+                 lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+                 max_leaves=6),
+)
+
+
+def _is_number(value) -> bool:
+    return (isinstance(value, float) or isinstance(value, int) and not isinstance(value, bool)
+            and abs(value) <= 1.7976931348623157e308)
+
+
+def _paths(value, path=()):
+    """Every path below the root of a JSON value."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) \
+        if isinstance(value, list) else ()
+    for key, item in items:
+        yield (*path, key)
+        yield from _paths(item, (*path, key))
+
+
+def _breaks_rule(command, path, old, new) -> bool:
+    if path[-1] == "branch":
+        return new not in ("subluminal", "superluminal")
+    if command == "scan" and path == ("alpha",):
+        return not (_is_number(new) or isinstance(new, list))
+    if command == "diagram" and path == ("source",) and new is None:
+        return False  # "source": null reads as no source
+    return not _is_number(new) if _is_number(old) else type(new) is not type(old)
+
+
+@st.composite
+def _perturbed(draw):
+    """(command, input, what the error must name or None) for a valid input
+    changed at one place: a value replaced by junk, a field removed, or a
+    list emptied, shortened, lengthened or given a repeated item."""
+    command, base = draw(st.sampled_from(FUZZ_BASES))
+    data = json.loads(json.dumps(base))
+    path = draw(st.sampled_from(list(_paths(data))))
+    holder = data
+    for key in path[:-1]:
+        holder = holder[key]
+    old = holder[path[-1]]
+    actions = ["replace", "remove"] + (["empty", "drop", "extend", "twin"] * 2
+                                       if isinstance(old, list) and old else [])
+    action = draw(st.sampled_from(actions))
+    named = None
+    if action == "remove":
+        del holder[path[-1]]  # an item, for a list: its length changes
+    elif action == "replace":
+        new = holder[path[-1]] = draw(JUNK)
+        pattern = tuple("#" if isinstance(key, int) else key for key in path)
+        name = FIELD_NAMES[command].get(pattern)
+        if name is not None and _breaks_rule(command, path, old, new):
+            index = next((key for key in path if isinstance(key, int)), None)
+            named = name.replace("#", str(index))
+    else:
+        holder[path[-1]] = {"empty": [], "drop": old[:-1], "extend": old + old[-1:],
+                            "twin": old[:1] * 2}[action]
+    fmt = draw(st.sampled_from(["json", "svg"])) if command == "diagram" else None
+    return command, data, named, fmt
+
+
+def _finite_svg(text: str) -> bool:
+    numbers = re.findall(r'(?<![\w#])[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|nan|inf', text)
+    return text.startswith("<svg") and all(math.isfinite(float(n)) for n in numbers)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=_perturbed())
+def test_malformed_input_gets_an_answer_or_one_named_error(tmp_path_factory, case):
+    command, data, named, fmt = case
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(data), encoding="utf-8")  # nan and inf as NaN, Infinity
+    argv = [command, "--input", str(path)] + (["--format", fmt] if fmt else [])
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), (argv, data, code, err)
+    if code == 2:
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: "), (data, err)
+        assert named is None or named in err, (data, named, err)
+        return
+    assert named is None, (data, named, out)
+    assert err == ""
+    if command == "scan":
+        header, *rows = csv.reader(out.splitlines())
+        assert header == ["n", "median_abs_P", "classification"] and rows
+        assert all(math.isfinite(float(median)) for _, median, _ in rows)
+    elif fmt == "svg":
+        assert _finite_svg(out), out
+    else:
+        def reject(constant):
+            raise AssertionError(f"not strict JSON: {constant}")
+
+        json.loads(out, parse_constant=reject)

@@ -271,6 +271,19 @@ def test_sinks_must_be_a_list_of_labels(sinks):
         scenario_from_dict({**scenario_to_dict(Scenario(d)), "source": "A", "sinks": sinks})
 
 
+@pytest.mark.parametrize("source, sinks, named", [
+    (["A"], ("B",), "source"), ("A", (["B"],), "sinks[0]"), ("A", ("B", 3), "sinks[1]")])
+def test_source_and_sinks_must_be_label_strings(source, sinks, named):
+    """A label is a string: no other value is read as its str()."""
+    d = _diagram({"A": (0, 0), "B": (1, 0), "3": (2, 0)}, [("A", "B"), ("B", "3")])
+    message = re.escape(f"{named} must be an event label string")
+    with pytest.raises(InvalidScenario, match=message):
+        count_paths(d, source, sinks)
+    with pytest.raises(InvalidScenario, match=message):
+        scenario_from_dict({**scenario_to_dict(Scenario(d)), "source": source,
+                            "sinks": list(sinks)})
+
+
 def test_cyclic_diagram_detected():
     d = _diagram({"P": (0, 0), "Q": (0, 1)}, [("P", "Q"), ("Q", "P")])
     with pytest.raises(CyclicDiagram):

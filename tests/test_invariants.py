@@ -362,6 +362,19 @@ def test_scan_budget_and_shape_validation():
         finiteness_scan(spec, (100, 1000), half, trials=0)
 
 
+@pytest.mark.parametrize("n_values", [(10, 10), (30, 30, 30)])
+def test_scan_with_one_distinct_n_value_fits_no_slope(n_values):
+    """Repeated n values are named before any sampling, not fitted by a
+    degenerate line (np.polyfit's RankWarning and a class read off it)."""
+    def never(rng, size):
+        raise AssertionError("sampled")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"n_values={list(n_values)}")):
+            finiteness_scan(InvariantSpec(1j, 2.0, 1.0), n_values, never)
+
+
 @pytest.mark.parametrize("alpha, n, high", [
     (0.7, 10**4, 857.153), (0.7 + 0.3j, 10**4, 857.153),
     (-1.1j, 997, math.pi), (0.6, 997, math.pi)])
@@ -408,7 +421,7 @@ def test_uniform_phase_sampler_draws_what_rng_uniform_draws(low, high):
 
 @pytest.mark.parametrize("low, high", [
     (-1e308, 1e308), (0.0, math.nan), (math.nan, 1.0), (1.0, 0.0), (0.0, math.inf),
-    (-math.inf, 0.0)])
+    (-math.inf, 0.0), ("0", 1.0), (0.0, True), (0.0, 10**400), (None, 1.0)])
 def test_uniform_phase_sampler_names_bounds_it_cannot_draw_between(low, high):
     with pytest.raises(ValueError, match=re.escape(f"low={low!r}, high={high!r}")):
         uniform_phase_sampler(low, high)

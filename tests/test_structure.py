@@ -220,3 +220,32 @@ def test_render_formats_no_coordinate_per_row_with_an_f_string():
                 for node in ast.walk(comp) if isinstance(node, ast.JoinedStr)]
     loops = [ast.unparse(node.iter) for node in ast.walk(tree) if isinstance(node, (ast.For, ast.While))]
     assert loops == ["(1.0, -1.0)"]
+
+
+def test_json_fields_are_read_only_through_the_field_reader():
+    """cli calls the builtins float, int and complex only in its field
+    reader and in the argparse type _finite, so no field is converted
+    unchecked; "is a JSON number" (the one bool exclusion) and "is a label"
+    (the one bare str check of the modules that read JSON) are each
+    defined in one scope."""
+    def builtin_call(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("float", "int", "complex"))
+
+    assert {scope for scope in _scopes(builtin_call) if scope.startswith("cli.")} == {
+        "cli._as", "cli._finite"}
+
+    def checks(kind: str):
+        def match(node):
+            return (isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
+                    and ast.unparse(node.args[1]) == kind)
+        return match
+
+    assert _scopes(checks("bool")) == {"_input.is_number"}
+    assert {scope for scope in _scopes(checks("str"))
+            if scope.split(".")[0] in ("_input", "cli", "diagrams", "invariants")} == {
+        "_input.is_label"}
+    defined = [f"{path.stem}.{node.name}" for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef) and node.name in ("is_number", "is_label")]
+    assert sorted(defined) == ["_input.is_label", "_input.is_number"]

@@ -87,6 +87,15 @@ def test_tight_tolerance_still_catches_the_cauchy_sabotage(seed):
     assert {r.name for r in perturbed if not r.passed} == {"cauchy_condition"}
 
 
+def test_a_tolerance_below_a_rows_rounding_floor_fails_that_row():
+    """velocity_matrix_agreement reads a speed back from a product of two
+    matrices; at seed 18 that read-back rounds 1.5e-12 away, so under a
+    1e-12 tolerance it is the one failing row, and verify exits 1."""
+    failing = [(r.name, r.deviation) for r in run_suite(seed=18, tolerance=1e-12)
+               if not r.passed]
+    assert failing == [("velocity_matrix_agreement", 1.5118807149009675e-12)]
+
+
 INTERVAL_CHECKS = {
     "interval_sign_flip_1p1",
     "interval_sign_flip_1p3",
