@@ -8,6 +8,7 @@ is what makes emission and absorption roles frame-dependent.
 from __future__ import annotations
 
 import json
+import reprlib
 from collections import deque
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -139,7 +140,8 @@ def _columns(d: Diagram, labels: list[str], xy: np.ndarray,
     unknown = np.flatnonzero((seg < 0).any(axis=1))
     if len(unknown):
         frm, to = segments[unknown[0]]
-        raise InvalidScenario(f"segment ({frm!r}, {to!r}) names unknown events")
+        raise InvalidScenario(
+            f"segment ({reprlib.repr(frm)}, {reprlib.repr(to)}) names unknown events")
     rank = np.empty(len(labels), np.intp)
     rank[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
     d._c, d._index, d._rank = c, index, rank
@@ -398,16 +400,17 @@ def _known(d: Diagram, source: str | None, sinks: Iterable[str]) -> tuple[str, .
     string that names an event of d.  A string or a mapping is not a list of
     sinks."""
     if isinstance(sinks, (str, Mapping)) or not isinstance(sinks, Iterable):
-        raise InvalidScenario(f"sinks must list event labels, got {sinks!r}")
+        raise InvalidScenario(f"sinks must list event labels, got {reprlib.repr(sinks)}")
     sinks = tuple(sinks)
     named = [(f"sinks[{i}]", s) for i, s in enumerate(sinks)]
     if source is not None:
         named.insert(0, ("source", source))
     for where, label in named:
         if not is_label(label):
-            raise InvalidScenario(f"{where} must be an event label string, got {label!r}")
+            raise InvalidScenario(f"{where} must be an event label string, "
+                                  f"got {reprlib.repr(label)}")
         if label not in d._index:
-            raise InvalidScenario(f"{where} names no event: {label!r}")
+            raise InvalidScenario(f"{where} names no event: {reprlib.repr(label)}")
     return sinks
 
 
@@ -446,7 +449,8 @@ def _scenario_event(label, coords) -> Event1p1:
         return Event1p1(float(t), float(x))
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidScenario(
-            f"event {label!r} must be [t, x] with finite numbers, got {coords!r}"
+            f"event {reprlib.repr(label)} must be [t, x] with finite numbers, "
+            f"got {reprlib.repr(coords)}"
         ) from exc
 
 
@@ -475,11 +479,12 @@ def _label_pairs(segments) -> tuple[tuple[str, str], ...]:
         pass
     if not isinstance(segments, Iterable):
         raise InvalidScenario(f"scenario 'segments' must list [start, end] pairs, "
-                              f"got {segments!r}")
+                              f"got {reprlib.repr(segments)}")
     pairs = []
     for i, seg in enumerate(segments):
         if not (isinstance(seg, (list, tuple)) and len(seg) == 2):
-            raise InvalidScenario(f"segment {i} must be [start, end] labels, got {seg!r}")
+            raise InvalidScenario(f"segment {i} must be [start, end] labels, "
+                                  f"got {reprlib.repr(seg)}")
         pairs.append((str(seg[0]), str(seg[1])))
     return tuple(pairs)
 
@@ -494,7 +499,7 @@ def scenario_from_dict(data: Mapping) -> Scenario:
     xy = _coordinates(data["events"])
     c = data.get("c", 1.0)
     if not is_number(c):
-        raise InvalidScenario(f"light speed c must be a number, got {c!r}")
+        raise InvalidScenario(f"light speed c must be a number, got {reprlib.repr(c)}")
     diagram = _columns(Diagram.__new__(Diagram), list(map(str, data["events"])), xy,
                        _label_pairs(data["segments"]), float(c))
     source = data.get("source")

@@ -22,7 +22,7 @@ import cmath
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -110,6 +110,29 @@ class InvariantSpec:
             raise ValueError(f"invariant parameters must be finite ({_spec_text(self)})")
 
 
+class _Columns(NamedTuple):
+    """The parameters of k specs, valued by _log_P on a (k, n) array of
+    phases: alpha is a (k, 1) complex column against the phases, and beta
+    and gamma are (k,) arrays, one value per row of the result.  The alphas
+    are of one kind (real, purely imaginary or general complex), so that the
+    first stands for all (_lead), and a caller passes the reach, so that
+    every row takes the branch of _log_sums that it takes alone."""
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+
+
+def _all(test) -> bool:
+    """A test on a scalar parameter, or on every row of a column of them."""
+    return bool(test.all()) if isinstance(test, np.ndarray) else test
+
+
+def _lead(alpha) -> complex:
+    """alpha, or the first alpha of a column, which is of its column's kind."""
+    return complex(alpha.flat[0]) if isinstance(alpha, np.ndarray) else alpha
+
+
 _QUIET = contextlib.nullcontext()  # no half angle overflows: nothing to silence
 
 # Below this |Re(alpha*phi)|, exp(+/-alpha*phi) and any realistic count of
@@ -117,8 +140,9 @@ _QUIET = contextlib.nullcontext()  # no half angle overflows: nothing to silence
 SAFE_EXPONENT = 600.0
 
 
-def _phasor_sum(omega: float, phi: np.ndarray, name: str, coefficient):
-    """sum_k exp(i*omega*phi_k) along the last axis, from one tan pass.
+def _phasor_sum(omega, phi: np.ndarray, name: str, coefficient):
+    """sum_k exp(i*omega*phi_k) along the last axis, from one tan pass;
+    omega is a float or a column of them, one per row of phi.
 
     With t = tan(x/2) and r = 1/(1 + t**2), cos x = 2r - 1 and sin x = 2tr.
     numpy 2 vectorises float64 tan on x86-64 but not cos and sin: on 10**6
@@ -131,7 +155,7 @@ def _phasor_sum(omega: float, phi: np.ndarray, name: str, coefficient):
     name, and its value.  For |omega| <= 2 the pass skips np.errstate and
     the check, which cost about 5 us a call.
     """
-    may_overflow = abs(omega) > 2.0
+    may_overflow = not _all(abs(omega) <= 2.0)
     with np.errstate(over="ignore", invalid="ignore") if may_overflow else _QUIET:
         t = (0.5 * omega) * phi
         np.tan(t, out=t)
@@ -144,6 +168,8 @@ def _phasor_sum(omega: float, phi: np.ndarray, name: str, coefficient):
         with np.errstate(over="ignore"):
             k = np.unravel_index(np.argmin(np.isfinite((0.5 * omega) * phi)), phi.shape)
         where = int(k[0]) if len(k) == 1 else tuple(map(int, k))
+        if isinstance(coefficient, np.ndarray):  # a column: the row's own
+            coefficient = complex(coefficient.flat[k[0]])
         raise NonfiniteResult(
             f"{name} * phase {where} = {coefficient!r} * {float(phi[k])!r} = "
             f"10**{math.log10(abs(coefficient)) + math.log10(abs(phi[k])):.6g} "
@@ -158,9 +184,11 @@ def _reach(alpha: complex, phi: np.ndarray) -> float:
     return abs(alpha.real) * max(phi.max(), -phi.min())
 
 
-def _log_sums(alpha: complex, phi: np.ndarray, reach: float | None = None):
+def _log_sums(alpha, phi: np.ndarray, reach: float | None = None):
     """log S(alpha) and log S(-alpha) along the last axis of phi, where
     S(a) = sum_k exp(a*phi_k), without forming a value that can overflow.
+    alpha is a complex number, or the alpha column of _Columns against a
+    (k, n) phi, each row summed with its own alpha.
 
     Purely imaginary alpha: one pass of _phasor_sum, since S(-alpha) =
     conj S(alpha).  Real alpha: real exp, so real logs.  General complex
@@ -169,15 +197,17 @@ def _log_sums(alpha: complex, phi: np.ndarray, reach: float | None = None):
     SAFE_EXPONENT; beyond it, each sign gets its own exp pass shifted by the
     largest real part of its exponents (logsumexp).  The branch is taken by
     reach, the _reach of phi unless given: rows of a larger array valued
-    apart pass that array's reach, so that they keep its branch and bits.
+    apart pass that array's reach, so that they keep its branch and bits,
+    and a column of alphas is given the reach of its rows.
     Complex logs are principal; a sum that vanishes exactly gives a real
     part of -inf.
     """
+    lead = _lead(alpha)
     with np.errstate(divide="ignore"):
-        if alpha.real == 0.0 and alpha.imag != 0.0:
+        if lead.real == 0.0 and lead.imag != 0.0:
             lp = np.log(_phasor_sum(alpha.imag, phi, "alpha", alpha))
             return lp, np.conj(lp)
-        x = (alpha if alpha.imag else alpha.real) * phi
+        x = (alpha if lead.imag else alpha.real) * phi
         re = x.real
         if (_reach(alpha, phi) if reach is None else reach) <= SAFE_EXPONENT:
             np.exp(x, out=x)
@@ -197,22 +227,28 @@ def _log_sums(alpha: complex, phi: np.ndarray, reach: float | None = None):
         return tuple(logs)
 
 
-def _log_P(spec: InvariantSpec, phi: np.ndarray, reach: float | None = None):
-    """log|P| and arg P along the last axis of phi; reach as in _log_sums.
+def _log_P(spec: InvariantSpec | _Columns, phi: np.ndarray, reach: float | None = None):
+    """log|P| and arg P along the last axis of phi, for one spec or for the
+    _Columns of one per row of phi; reach as in _log_sums.
 
     arg P is gamma times the argument of S(alpha) * S(-alpha) wrapped to
     (-pi, pi], so the power keeps the principal branch of
     (S(alpha) * S(-alpha))**gamma.  It is exactly 0 for real and for purely
-    imaginary alpha, where the product is positive.
+    imaginary alpha, where the product is positive.  A gamma of 0 raises
+    the product to a power of exactly 0, also where a sum vanishes, where
+    gamma * log would be 0 * -inf = nan.
     """
-    alpha = complex(spec.alpha)
+    alpha = spec.alpha if isinstance(spec, _Columns) else complex(spec.alpha)
     lp, lm = _log_sums(alpha, phi, reach)
     total = lp + lm
     theta = total.imag
-    if alpha.real and alpha.imag:
+    lead = _lead(alpha)
+    if lead.real and lead.imag:
         theta = theta - 2 * math.pi * np.ceil((theta - math.pi) / (2 * math.pi))
-    power = spec.gamma * total.real if spec.gamma else np.zeros_like(total.real)
-    return power - spec.beta * math.log(phi.shape[-1]), spec.gamma * theta
+    gamma = spec.gamma
+    power = gamma * total.real if _all(gamma != 0.0) else np.multiply(
+        gamma, total.real, out=np.zeros_like(total.real), where=gamma != 0.0)
+    return power - spec.beta * math.log(phi.shape[-1]), gamma * theta
 
 
 def _magnitude(log_abs: float, describe: Callable[[str], str]) -> float:
@@ -252,21 +288,42 @@ def invariant_P(spec: InvariantSpec, phases) -> complex:
     return _value(spec, float(log_abs), float(theta), phi.size)
 
 
-def _invariant_Ps(spec: InvariantSpec, phase_sets) -> list[complex]:
-    """invariant_P of each of several phase sets, bit for bit, from one
-    _log_P per set size: the sets of one size are the rows of one array,
-    and _log_P reduces along the last axis.  Sets are never padded to one
-    size, since a padded 0 would add exp(0) = 1 to each sum.  The sets must
-    be valid phase sets that take one branch of _log_sums together, as sets
-    with |Re(alpha*phi)| <= SAFE_EXPONENT throughout do."""
-    out = [None] * len(phase_sets)
-    by_size: dict[int, list[int]] = {}
-    for i, phi in enumerate(phase_sets):
-        by_size.setdefault(len(phi), []).append(i)
-    for n, rows in by_size.items():
-        log_abs, theta = _log_P(spec, np.array([phase_sets[i] for i in rows]))
+def _invariant_Ps(pairs) -> list[complex]:
+    """invariant_P(spec, phi) of each (spec, phi) pair, bit for bit, from one
+    _log_P per group of sets that share a size, a kind of alpha (real,
+    purely imaginary or general complex) and a branch of _log_sums, whatever
+    their specs: the sets of a group are the rows of one array, their specs
+    its _Columns, and _log_P reduces along the last axis.  Sets are never
+    padded to one size, since a padded 0 would add exp(0) = 1 to each sum.
+    Each phi must be a valid phase set (as_phases).  P is formed per set on
+    Python floats (_value), and a set that overflows raises NonfiniteResult
+    as invariant_P does."""
+    specs, sets = zip(*pairs)
+    alpha = np.array([complex(s.alpha) for s in specs])
+    beta = np.array([s.beta for s in specs], float)
+    gamma = np.array([s.gamma for s in specs], float)
+    sizes = [len(phi) for phi in sets]
+    # each set's own _reach, so that it keeps the branch it takes alone
+    reach = np.abs(alpha.real) * np.maximum.reduceat(np.abs(np.concatenate(sets)),
+                                                     np.cumsum([0] + sizes[:-1]))
+    # the kind of each alpha: 0 real, 1 purely imaginary, 2 general complex
+    kind = np.where(alpha.imag == 0.0, 0, np.where(alpha.real == 0.0, 1, 2))
+    groups: dict[tuple[int, int, bool], list[int]] = {}
+    for i, key in enumerate(zip(sizes, kind.tolist(), (reach <= SAFE_EXPONENT).tolist())):
+        groups.setdefault(key, []).append(i)
+    out = [None] * len(pairs)
+    for (n, _, _), rows in groups.items():
+        at = np.array(rows)
+        phi = np.array([sets[i] for i in rows])
+        try:
+            log_abs, theta = _log_P(_Columns(alpha[at, None], beta[at], gamma[at]), phi,
+                                    float(reach[at].max()))
+        except NonfiniteResult:
+            for i, row in zip(rows, phi):  # raises again, naming the set's own spec
+                _log_P(specs[i], row)
+            raise
         for i, la, th in zip(rows, log_abs.tolist(), theta.tolist()):
-            out[i] = _value(spec, la, th, n)
+            out[i] = _value(specs[i], la, th, n)
     return out
 
 
@@ -306,7 +363,11 @@ def check_time_reversal(f: Callable, phases, tol: float = 1e-12) -> CheckReport:
 
 
 def pairwise_phase_sums(phases_a, phases_b) -> np.ndarray:
-    a, b = as_phases(phases_a), as_phases(phases_b)
+    return _pairwise_sums(as_phases(phases_a), as_phases(phases_b))
+
+
+def _pairwise_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """pairwise_phase_sums of two phase sets already checked by as_phases."""
     return np.add.outer(a, b).ravel()
 
 

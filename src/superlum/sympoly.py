@@ -37,6 +37,7 @@ from .errors import TruncationInsufficient
 from .invariants import (
     _log_sums,
     _magnitude,
+    _pairwise_sums,
     as_phases,
     check_multiplicativity,
     pairwise_phase_sums,
@@ -85,18 +86,43 @@ def _newton_deviation(r: int, Ea, Eb, direct: float, scale: float) -> float:
     return relative_deviation(direct, convolved, scale)
 
 
-def _newton_deviations(phases_a, phases_b, r_max: int = 8) -> list[float]:
+def _power_table(v: np.ndarray, r_max: int) -> np.ndarray:
+    """The (r_max + 1, len(v)) stack of the powers v**r, each raised to one
+    scalar r as power_sum raises it: numpy's power has fast paths for the
+    scalar exponents 0, 1 and 2 that an array of exponents misses.  A row
+    sum along the last axis is power_sum's sum, bit for bit."""
+    return np.stack([v ** r for r in range(r_max + 1)])
+
+
+def _newton_deviations(instances, r_max: int = 8) -> list[list[float]]:
     """newton_convolution_check(r, phases_a, phases_b).deviation for every r
-    in 0..r_max, bit for bit.  Each table of power sums is one stack of the
-    powers v**r, each raised to one scalar r as power_sum raises it (numpy's
-    power has fast paths for the scalar exponents 0, 1 and 2 that an array
-    of exponents misses), summed row by row."""
-    a, b = as_phases(phases_a), as_phases(phases_b)
-    sums = pairwise_phase_sums(a, b)
-    Ea, Eb, direct, scale = (
-        np.stack([v ** r for r in range(r_max + 1)]).sum(axis=-1).tolist()
-        for v in (a, b, sums, np.abs(sums)))
-    return [_newton_deviation(r, Ea, Eb, direct[r], scale[r]) for r in range(r_max + 1)]
+    in 0..r_max, bit for bit, for each (phases_a, phases_b) instance.
+
+    The two sets, the pairwise sums and their magnitudes of every instance
+    are concatenated, and the concatenation takes one _power_table.  Each
+    power sum is then the sum of its own stretch of a row; the stretches of
+    one length are summed together as the rows of one array, and none is
+    padded, which would change numpy's pairwise summation order from 8
+    values on."""
+    sets = []
+    for phases_a, phases_b in instances:
+        a, b = as_phases(phases_a), as_phases(phases_b)
+        sums = _pairwise_sums(a, b)
+        sets += [a, b, sums, np.abs(sums)]
+    ends = np.cumsum([len(v) for v in sets])
+    table = _power_table(np.concatenate(sets), r_max)
+    by_length: dict[int, list[int]] = {}
+    for i, v in enumerate(sets):
+        by_length.setdefault(len(v), []).append(i)
+    power_sums = [None] * len(sets)
+    for n, rows in by_length.items():
+        cells = (ends[rows] - n)[:, None] + np.arange(n)
+        # np.take, unlike table[:, cells], lays each stretch out contiguously,
+        # which the pairwise summation along the last axis needs
+        for i, column in zip(rows, np.take(table, cells, axis=1).sum(axis=-1).T.tolist()):
+            power_sums[i] = column
+    return [[_newton_deviation(r, Ea, Eb, direct[r], scale[r]) for r in range(r_max + 1)]
+            for Ea, Eb, direct, scale in zip(*[iter(power_sums)] * 4)]
 
 
 @dataclass(frozen=True)
@@ -322,7 +348,7 @@ def expansion_reconstruction_check(
         )
     truncated = _coefficient_box(ct, truncation, n)
     # a power sum past the box would only meet coefficients that are 0
-    powers = np.array([power_sum(t, phi) for t in range(truncated.shape[0])])
+    powers = _power_table(phi, truncated.shape[0] - 1).sum(axis=-1)
     for _ in range(ct.order):  # elementwise, so no BLAS kernel reorders the sums
         truncated = (truncated * powers).sum(axis=-1)
     closed = closed_product(ct, phi)

@@ -26,11 +26,12 @@ order; a run of scalar rng.uniform draws becomes one rng.random block
 mapped as above.  What the draws produce is then valued on columns, by
 private twins of the public kernels that give their bits: the phase rows
 boost every vertex in one call and sum proper times with _path_phases, the
-invariant rows value each instance's phase sets with one _log_P per set
-size (_invariant_Ps), newton_convolution stacks its powers
-(_newton_deviations), and two_path_interference takes one _phasor_sum over
-all its deltas.  The remaining rows draw little and run trial by trial
-through per_trial.
+two invariant rows value the phase sets of all their instances, whatever
+their specs, with one _log_P per group of one set size, kind of alpha and
+branch (_invariant_Ps), newton_convolution raises the sets of all its
+instances to each power in one pass (_newton_deviations), and
+two_path_interference takes one _phasor_sum over all its deltas.  The
+remaining rows draw little and run trial by trial through per_trial.
 
 The two sabotage switches exist to demonstrate that the suite actually
 bites: break_antisymmetric_term drops the W/|W| factor from superluminal
@@ -50,12 +51,12 @@ from . import kinematics as kin
 from .invariants import (
     InvariantSpec,
     _invariant_Ps,
+    _pairwise_sums,
     _path_phases,
     _phasor_sum,
     amplitude_invariant,
     check_time_reversal,
     invariant_P,
-    pairwise_phase_sums,
 )
 from .kinematics import Boost, Branch, EventColumns
 from .report import CheckReport, relative_deviation
@@ -381,18 +382,20 @@ def _infinite_limit(rng, opts, n):
 
 
 def _invariant_axioms(rng, opts, n):
-    """Each instance's phase sets (the set, five permutations, its negation,
-    the second set and the pairwise sums) are valued by one _invariant_Ps
-    call, which takes one _log_P per set size."""
-    devs = []
+    """The phase sets of every instance (the set, five permutations, its
+    negation, the second set and the pairwise sums) are valued by one
+    _invariant_Ps call, one _log_P per size, kind of alpha and branch."""
+    pairs = []
     for i in range(n):
         spec = _random_spec(rng, complex_alpha=(i % 2 == 0))
         k, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
         phi = rng.uniform(-1, 1, k)
         xi = rng.uniform(-1, 1, m)
         perms = [rng.permutation(phi) for _ in range(5)]
-        base, *moved, back, f_xi, f_pairs = _invariant_Ps(
-            spec, [phi, *perms, -phi, xi, pairwise_phase_sums(phi, xi)])
+        pairs += [(spec, v) for v in (phi, *perms, -phi, xi, _pairwise_sums(phi, xi))]
+    values = _invariant_Ps(pairs)
+    devs = []
+    for base, *moved, back, f_xi, f_pairs in zip(*[iter(values)] * 9):
         worst = 0.0  # as check_symmetry folds its trials
         for value in moved:
             worst = max(worst, relative_deviation(value, base))
@@ -404,7 +407,8 @@ def _invariant_axioms(rng, opts, n):
 def _sum_fails(rng, opts, n):
     """f1 + f2 for two invariants that share beta in [0, 1) and gamma in
     [0.5, 2), with alpha1 in [0.2, 1) and alpha2 in [1.2, 2); the two doubles
-    drawn for a beta and gamma of f2's own are discarded.
+    drawn for a beta and gamma of f2's own are discarded.  The sets of every
+    instance, under both specs, are valued by one _invariant_Ps call.
 
     Each f_i is multiplicative, so on the sets a and b the deviation is
     (r_a + r_b) / ((1 + r_a) * (1 + r_b)), with r = f1/f2 = (Q1/Q2)**gamma
@@ -414,7 +418,7 @@ def _sum_fails(rng, opts, n):
     each r <= 1, so every instance deviates by at least 2r/(1 + r)**2 at
     r = cosh(4)**-2, 2.67e-3, above the floor of 1e-3.
     """
-    devs = []
+    pairs = []
     for _ in range(n):
         u = rng.random(6).tolist()
         s1 = InvariantSpec(_uniform(u[0], 0.2, 1.0), _uniform(u[1], 0.0, 1.0),
@@ -422,10 +426,9 @@ def _sum_fails(rng, opts, n):
         s2 = InvariantSpec(_uniform(u[3], 0.2, 1.0) + 1.0, s1.beta, s1.gamma)
         phi = rng.uniform(-1, 1, int(rng.integers(2, 7)))
         xi = rng.uniform(-1, 1, int(rng.integers(2, 7)))
-        sets = [phi, xi, pairwise_phase_sums(phi, xi)]
-        (a1, b1, ab1), (a2, b2, ab2) = (_invariant_Ps(s, sets) for s in (s1, s2))
-        devs.append(relative_deviation(ab1 + ab2, (a1 + a2) * (b1 + b2)))
-    return devs
+        pairs += [(s, v) for s in (s1, s2) for v in (phi, xi, _pairwise_sums(phi, xi))]
+    return [relative_deviation(ab1 + ab2, (a1 + a2) * (b1 + b2))
+            for a1, b1, ab1, a2, b2, ab2 in zip(*[iter(_invariant_Ps(pairs))] * 6)]
 
 
 def _two_path(rng, opts, n):
@@ -459,13 +462,12 @@ def _phase_additivity(rng, opts, n):
 
 
 def _newton(rng, opts, n):
-    devs = []
+    """Every instance's power sums come from one _newton_deviations call."""
+    instances = []
     for _ in range(n):
         k, m = int(rng.integers(9, 13)), int(rng.integers(9, 13))
-        phi = rng.uniform(-1, 1, k)
-        xi = rng.uniform(-1, 1, m)
-        devs.append(max(_newton_deviations(phi, xi)))
-    return devs
+        instances.append((rng.uniform(-1, 1, k), rng.uniform(-1, 1, m)))
+    return [max(devs) for devs in _newton_deviations(instances)]
 
 
 def _cauchy(rng, opts, i):

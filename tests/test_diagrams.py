@@ -504,6 +504,30 @@ def test_scenario_validation():
         load_fixture("fig9z")
 
 
+LONG = "x" * 10**6
+BASE = {"events": {"A": [0, 0], "B": [1, 0]}, "segments": [["A", "B"]]}
+
+
+@pytest.mark.parametrize("scenario, start", [
+    ({**BASE, "sinks": LONG}, "sinks must list event labels, got 'xxx"),
+    ({**BASE, "sinks": [LONG]}, "sinks[0] names no event: 'xxx"),
+    ({**BASE, "sinks": [[LONG]]}, "sinks[0] must be an event label string, got ['xxx"),
+    ({**BASE, "source": LONG}, "source names no event: 'xxx"),
+    ({**BASE, "events": {"A": [0, 0], "B": "y" * 10**6}}, "event 'B' must be [t, x] "),
+    ({**BASE, "events": {LONG: [0, 0], "B": None}}, "event 'B' must be [t, x] "),
+    ({**BASE, "events": {"A": [0, 0], LONG: "y"}}, "event 'xxx"),
+    ({**BASE, "segments": [LONG]}, "segment 0 must be [start, end] labels, got 'xxx"),
+    ({**BASE, "segments": [["A", "B"], [LONG, "B"]]}, "segment ('xxx"),
+    ({**BASE, "c": LONG}, "light speed c must be a number, got 'xxx"),
+])
+def test_scenario_errors_cut_the_values_they_show(scenario, start):
+    """A scenario error shows a value cut by reprlib, not all of a long one:
+    "sinks": "x" * 10**6 made a 1 000 036-character message."""
+    with pytest.raises(InvalidScenario) as err:
+        scenario_from_dict(scenario)
+    assert str(err.value).startswith(start) and len(str(err.value)) < 200
+
+
 def test_load_scenario_rejects_bad_json(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json", encoding="utf-8")

@@ -32,7 +32,9 @@ from superlum import (
 from superlum import invariants
 from superlum.invariants import (
     SAFE_EXPONENT,
+    _Columns,
     _blocked_log_P,
+    _invariant_Ps,
     _log_P,
     _log_sums,
     amplitude_invariant,
@@ -392,6 +394,78 @@ def test_blocked_log_P_is_the_one_shot_log_P_bit_for_bit(alpha, n, high, block, 
     spec = InvariantSpec(alpha, 2.0, 1.0)
     for got, want in zip(_blocked_log_P(spec, phi), _log_P(spec, phi), strict=True):
         assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _column_sets(draw, kind: str, far: bool, n: int):
+    """A spec and a phase set of size n of one kind of alpha, with a reach
+    |Re(alpha)| * max|phi| beyond SAFE_EXPONENT when far (at least 700) and
+    at most 500 when not; gamma is 0 about a quarter of the time."""
+    re, im = (draw(st.floats(1.0, 5.0)) * draw(st.sampled_from((-1, 1))) for _ in range(2))
+    alpha = _alpha(kind, re, im)
+    gamma = draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+                           st.floats(-2.0, 2.0)))
+    top = 700.0 * 5.0 if far else 100.0
+    phi = draw(st.lists(st.floats(-top, top), min_size=n, max_size=n))
+    if far:
+        phi[draw(st.integers(0, n - 1))] = draw(st.sampled_from((-1, 1))) * 700.0
+    return InvariantSpec(alpha, draw(st.floats(0.0, 2.0)), gamma), np.array(phi)
+
+
+@st.composite
+def _column_groups(draw):
+    kind, far, n = draw(st.sampled_from(KINDS)), draw(st.booleans()), draw(st.integers(1, 40))
+    return draw(st.lists(_column_sets(kind, far, n), min_size=1, max_size=8))
+
+
+@given(_column_groups())
+def test_column_log_P_is_the_one_spec_log_P_row_by_row(group):
+    """Real, purely imaginary and general alpha, on both sides of
+    SAFE_EXPONENT, with gamma = 0 mixed into the column."""
+    specs, sets = zip(*group)
+    cols = _Columns(np.array([complex(s.alpha) for s in specs])[:, None],
+                    np.array([s.beta for s in specs]), np.array([s.gamma for s in specs]))
+    phi = np.array(sets)
+    reach = max(abs(complex(s.alpha).real) * np.abs(row).max() for s, row in group)
+    got = _log_P(cols, phi, reach)
+    for j, (spec, row) in enumerate(group):
+        for column, want in zip(got, _log_P(spec, row), strict=True):
+            assert column[j].tobytes() == want.tobytes()
+
+
+@given(st.lists(_column_groups(), min_size=1, max_size=4))
+def test_invariant_Ps_of_many_specs_is_invariant_P_bit_for_bit(groups):
+    pairs = [pair for group in groups for pair in group]
+    want = []
+    for spec, phi in pairs:
+        try:
+            want.append(invariant_P(spec, phi))
+        except NonfiniteResult:  # |P| beyond a float: the batch raises too
+            with pytest.raises(NonfiniteResult):
+                _invariant_Ps(pairs)
+            return
+    got = _invariant_Ps(pairs)
+    assert [complex(v).__repr__() for v in got] == [v.__repr__() for v in want]
+
+
+def test_a_zero_gamma_in_a_column_gives_a_power_of_0_where_a_sum_vanishes(monkeypatch):
+    """0 * log 0 would be nan (and a RuntimeWarning, an error here); a row
+    with gamma = 0 gets exactly 0, as one spec does."""
+    monkeypatch.setattr(invariants, "_log_sums", lambda alpha, phi, reach=None: (
+        np.full(phi.shape[:-1], -math.inf), np.zeros(phi.shape[:-1])))
+    cols = _Columns(np.full((2, 1), 0.5 + 0j), np.zeros(2), np.array([0.0, 1.0]))
+    log_abs, theta = _log_P(cols, np.zeros((2, 3)))
+    assert log_abs.tolist() == [0.0, -math.inf] and theta.tolist() == [0.0, 0.0]
+    assert float(_log_P(InvariantSpec(0.5, 0.0, 0.0), np.zeros(3))[0]) == 0.0
+
+
+def test_invariant_Ps_names_an_overflowing_half_angle_by_its_own_spec():
+    pairs = [(InvariantSpec(0.5j, 0, 1), np.array([1.0, 2.0])),
+             (InvariantSpec(1e308j, 0, 1), np.array([1e308, 1.0]))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonfiniteResult, match=r"alpha \* phase 0 = 1e\+308j \* 1e\+308 "):
+            _invariant_Ps(pairs)
 
 
 def test_a_scan_names_an_overflowing_half_angle_by_its_trial_among_all_trials():

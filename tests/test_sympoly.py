@@ -23,7 +23,7 @@ from superlum import (
     power_sum,
 )
 from superlum.invariants import InvariantSpec
-from superlum.sympoly import ORDER_BOUND, _coefficient_box, _tail_bound
+from superlum.sympoly import ORDER_BOUND, _coefficient_box, _newton_deviations, _tail_bound
 
 APPROX = pytest.approx
 
@@ -47,6 +47,20 @@ def test_newton_convolution_exact_cases(rng):
         assert rep.passed, (r, rep.deviation)
     with pytest.raises(ValueError):
         newton_convolution_check(9, a, b)
+
+
+PHASE_SET = st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=20).map(np.array)
+
+
+@given(st.lists(st.tuples(PHASE_SET, PHASE_SET), min_size=1, max_size=6))
+def test_newton_deviations_of_many_instances_are_the_checks_bit_for_bit(instances):
+    """One power table for every instance, summed by length with no padding:
+    sets of 1 to 20 phases, and pairwise sums of up to 400, on both sides of
+    numpy's eight-value pairwise summation block."""
+    got = _newton_deviations(instances)
+    want = [[newton_convolution_check(r, a, b).deviation for r in range(9)]
+            for a, b in instances]
+    assert [[d.hex() for d in row] for row in got] == [[d.hex() for d in row] for row in want]
 
 
 # ---------------------------------------------------------------------------
