@@ -10,11 +10,11 @@ from __future__ import annotations
 import json
 import reprlib
 from collections import deque
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from types import MappingProxyType
 
@@ -95,8 +95,11 @@ class Diagram:
     endpoint rows sorted stably by (start t, start x, end t, end x), and
     each label's rank in sorted order, which every frame shares.  events is
     a read-only Mapping built on first use; segments is the tuple of label
-    pairs in stored order.  Zero-length segments are rejected; segment
-    labels must name existing events.
+    pairs in stored order.  The census graph of the frame, its successor
+    rows and Kahn order, is likewise built on first use and shared by every
+    later count_paths and count_paths_auto of the frame; a transformed
+    diagram is a new frame and builds its own.  Zero-length segments are
+    rejected; segment labels must name existing events.
     """
 
     # The constructor's arguments as dataclass fields, so that fields(),
@@ -104,7 +107,8 @@ class Diagram:
     events: Mapping[str, Event1p1]
     segments: tuple[tuple[str, str], ...]
     c: float
-    __slots__ = ("_c", "_labels", "_index", "_rank", "_xy", "_seg", "_codes", "_events")
+    __slots__ = ("_c", "_labels", "_index", "_rank", "_xy", "_seg", "_codes", "_events",
+                 "_graph")
 
     def __init__(self, events: Mapping[str, Event1p1],
                  segments: Iterable[tuple[str, str]] = (), c: float = 1.0) -> None:
@@ -128,14 +132,14 @@ class Diagram:
 
 
 def _columns(d: Diagram, labels: list[str], xy: np.ndarray,
-             segments: Iterable[tuple[str, str]], c: float) -> Diagram:
+             segments: Iterable[Sequence[str]], c: float) -> Diagram:
     """Fill d from labels, their (t, x) rows and label pairs, checked once."""
     K_from_c(c)  # rejects a c that is not positive and finite, or whose K over- or underflows
     index = dict(zip(labels, range(len(labels))))
     if len(index) < len(labels):
         raise InvalidScenario("event labels must be distinct")
-    get, segments = index.get, tuple(segments)
-    seg = np.fromiter((get(label, -1) for frm, to in segments for label in (frm, to)),
+    segments = tuple(segments)
+    seg = np.fromiter(map(index.get, chain.from_iterable(segments), repeat(-1)),
                       np.intp, 2 * len(segments)).reshape(-1, 2)
     unknown = np.flatnonzero((seg < 0).any(axis=1))
     if len(unknown):
@@ -152,23 +156,30 @@ def _columns(d: Diagram, labels: list[str], xy: np.ndarray,
 def _frame(d: Diagram, t: np.ndarray, x: np.ndarray, seg: np.ndarray,
            boost: Boost | None = None) -> Diagram:
     """Store one frame's coordinates, from the columns t and x, its segments,
-    sorted, and their speed codes, classified once here; d already holds the
-    labels, their index and ranks, and c.  The columns are the image under
-    boost of a frame whose segments all have extent, if boost is given."""
+    sorted stably by (start t, start x, end t, end x), and their speed codes,
+    classified once here; d already holds the labels, their index and ranks,
+    and c.  This is the one place a frame's columns are set, so it drops the
+    cached events and census graph.  The columns are the image under boost
+    of a frame whose segments all have extent, if boost is given."""
     frm, to = seg[:, 0], seg[:, 1]
     with np.errstate(over="ignore"):
         dt, dx = t[to] - t[frm], x[to] - x[frm]
         flat = np.flatnonzero((dt == 0.0) & (dx == 0.0))
         if len(flat):
-            frm, to = d._labels[seg[flat[0]]]
+            frm, to = map(reprlib.repr, d._labels[seg[flat[0]]])
             if boost is None:
-                raise ZeroExtent(f"segment ({frm!r}, {to!r}) has zero extent")
+                raise ZeroExtent(f"segment ({frm}, {to}) has zero extent")
             raise ZeroExtent(
-                f"segment ({frm!r}, {to!r}) has extent, but its image under the "
+                f"segment ({frm}, {to}) has extent, but its image under the "
                 f"{boost.branch.value} boost at speed {boost.speed!r} underflowed to a point")
-        order = np.lexsort((x[to], t[to], x[frm], t[frm]))
+        start = t[frm]
+        order = np.argsort(start, kind="stable")
+        ordered = start[order]
+        if (ordered[1:] == ordered[:-1]).any():  # a shared start time: sort by all four keys
+            order = np.lexsort((x[to], t[to], x[frm], start))
         d._codes = _speed_code(dt[order], dx[order], d.c)
-    d._xy, d._seg, d._events = np.stack((t, x), axis=1), seg[order], None
+    d._xy, d._seg = np.stack((t, x), axis=1), seg[order]
+    d._events = d._graph = None
     return d
 
 
@@ -216,7 +227,8 @@ def role_report(d: Diagram) -> tuple[tuple[str, Role], ...]:
     """
     touched = np.bincount(d._seg.ravel(), minlength=len(d._labels))
     if not touched.all():
-        raise IsolatedEvent(f"event {d._labels[touched.argmin()]!r} touches no segment")
+        raise IsolatedEvent(f"event {reprlib.repr(d._labels[touched.argmin()])} "
+                            "touches no segment")
     fast = d._seg[d._codes == 2]
     rows = np.concatenate((fast[:, 1], fast[:, 0]))  # absorptions, then emissions
     keys, first = np.unique(2 * d._rank[rows] + (np.arange(len(rows)) >= len(fast)),
@@ -246,9 +258,29 @@ _MEMO_LABELS = 2**16
 
 
 def _successors(d: Diagram, sources: list[int]) -> tuple[list[list[int]], list[int], list[int]]:
-    """Successor rows of every event in label order, the Kahn order, and the
-    number of chains from sources into each event, counted in the same pass
-    with exact Python ints.
+    """Successor rows of every event in label order, the Kahn order, both
+    from the frame's census graph, and the number of chains from sources
+    into each event, by a dynamic program over that order with exact Python
+    ints.  The graph is built by _census_graph on the frame's first census
+    and kept in d._graph; a cyclic frame keeps none, so each census raises.
+    """
+    if d._graph is None:
+        d._graph = _census_graph(d)
+    succ, order = d._graph
+    ways = [0] * len(order)
+    for i in sources:
+        ways[i] = 1
+    for node in order:
+        here = ways[node]
+        if here:
+            for nxt in succ[node]:
+                ways[nxt] += here
+    return succ, order, ways
+
+
+def _census_graph(d: Diagram) -> tuple[list[list[int]], list[int]]:
+    """Successor rows of every event, each sorted by label, and the Kahn
+    order of the frame.
 
     The pass peels off events whose predecessors are all gone (Kahn 1962);
     events left over lie on a directed cycle or downstream of one, and the
@@ -257,26 +289,22 @@ def _successors(d: Diagram, sources: list[int]) -> tuple[list[list[int]], list[i
     """
     n = len(d._labels)
     frm, to = d._seg[:, 0], d._seg[:, 1]
-    by_start = np.lexsort((d._rank[to], frm))
+    by_start = np.argsort(frm * n + d._rank[to], kind="stable")  # by start, then end label
     ends = to[by_start].tolist()
     stops = np.bincount(frm, minlength=n).cumsum().tolist()
     succ = [ends[a:b] for a, b in zip([0, *stops], stops)]
-    waiting = np.bincount(to, minlength=n).tolist()  # predecessors not yet peeled off
-    ready = [i for i, w in enumerate(waiting) if not w]
-    ways = [0] * n
-    for i in sources:
-        ways[i] = 1
+    into = np.bincount(to, minlength=n)
+    waiting = into.tolist()  # predecessors not yet peeled off
+    ready = np.flatnonzero(into == 0).tolist()
     order: list[int] = []
-    visit = order.append
+    visit, push, pop = order.append, ready.append, ready.pop
     while ready:
-        node = ready.pop()
+        node = pop()
         visit(node)
-        here = ways[node]
         for nxt in succ[node]:
-            ways[nxt] += here
             waiting[nxt] -= 1
             if not waiting[nxt]:
-                ready.append(nxt)
+                push(nxt)
     if len(order) < n:
         # Every leftover event has a leftover predecessor, so walking back
         # along them must revisit an event, and that event is on a cycle.
@@ -288,8 +316,8 @@ def _successors(d: Diagram, sources: list[int]) -> tuple[list[list[int]], list[i
         while node not in seen:
             seen.add(node)
             node = pred[node]
-        raise CyclicDiagram(f"directed cycle through {d._labels[node]!r}")
-    return succ, order, ways
+        raise CyclicDiagram(f"directed cycle through {reprlib.repr(d._labels[node])}")
+    return succ, order
 
 
 def _suffixes(names: list[str], succ: list[list[int]], order: list[int],
@@ -357,9 +385,10 @@ def _walk(succ: list[list[int]], names: list[str], source: int, sinks: frozenset
 
 def _census(d: Diagram, sources: Iterable[str], sinks: Iterable[str]
             ) -> tuple[int, list[tuple[tuple[str, ...], ...]]]:
-    """The exact count of chains from any source to any sink, from the Kahn
-    pass, and each source's listing by _walk, which reads the suffix memo
-    only when the census is output-bound."""
+    """The exact count of chains from any source to any sink, from the
+    dynamic program of _successors, taken before and apart from the listing,
+    and each source's listing by _walk, which reads the suffix memo only
+    when the census is output-bound."""
     names, index = d._labels.tolist(), d._index
     starts = [index[s] for s in sources]
     ends = frozenset(index[s] for s in sinks)
@@ -381,9 +410,12 @@ def count_paths(d: Diagram, source: str, sinks: Iterable[str]) -> tuple[int, Pat
     reaches.  Paths are listed in pre-order: from each event the successors
     are taken in sorted label order, and a prefix comes before its
     extensions.  The count is an exact int from a dynamic program over the
-    Kahn order, linear in the events and segments.  The listing costs that
-    plus the total length of the listed paths, and no recursion limit caps
-    the depth.  When the chains outnumber events plus segments more than
+    Kahn order, linear in the events and segments, taken apart from the
+    listing.  The successor rows and the Kahn order are the frame's census
+    graph, built by the frame's first census and shared by every later
+    count_paths and count_paths_auto of it.  The listing costs the count's
+    time plus the total length of the listed paths, and no recursion limit
+    caps the depth.  When the chains outnumber events plus segments more than
     twofold, the listing first memoises the chains from the events nearest
     the sinks, up to 2**16 labels in all, and joins each walked prefix to
     them with one tuple concatenation per path.
@@ -425,8 +457,9 @@ def terminal_events(d: Diagram) -> tuple[tuple[str, ...], tuple[str, ...]]:
 def count_paths_auto(d: Diagram) -> tuple[int, tuple[PathSet, ...]]:
     """Path census of the current frame: chains from every pure start event
     of the segment graph to the pure end events, one PathSet per start
-    event in label order.  The graph, the count and the suffix memo of
-    count_paths are built and checked once and shared by every start event."""
+    event in label order.  The count and the suffix memo of count_paths are
+    built once and shared by every start event, and the census graph of the
+    frame, built once, by every later census of it, as count_paths says."""
     sources, sinks = terminal_events(d)
     count, listings = _census(d, sources, sinks)
     return count, tuple(PathSet(src, sinks, paths) for src, paths in zip(sources, listings))
@@ -446,34 +479,44 @@ class Scenario:
 def _scenario_event(label, coords) -> Event1p1:
     try:
         t, x = coords
-        return Event1p1(float(t), float(x))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidScenario(
-            f"event {reprlib.repr(label)} must be [t, x] with finite numbers, "
-            f"got {reprlib.repr(coords)}"
-        ) from exc
+        if is_number(t) and is_number(x):
+            return Event1p1(float(t), float(x))
+    except (TypeError, ValueError):
+        pass
+    raise InvalidScenario(f"event {reprlib.repr(label)} must be [t, x] with finite numbers, "
+                          f"got {reprlib.repr(coords)}")
 
 
 def _coordinates(events: Mapping) -> np.ndarray:
-    """The (n, 2) float array of the [t, x] values, converted in one call;
-    where that fails, event by event, so that the error names the event."""
+    """The (n, 2) float array of the [t, x] values, converted in one pass
+    when every value holds two items, each a float or an int that fits in a
+    float; otherwise event by event, each coordinate a JSON number, so that
+    the error names the event."""
+    values = list(events.values())
     try:
-        xy = np.array(list(events.values()), float)
-        if xy.shape == (len(events), 2) and np.isfinite(xy).all():
-            return xy
-    except (TypeError, ValueError, OverflowError):
+        if {*map(len, values)} <= {2}:
+            flat = list(chain.from_iterable(values))
+            if {*map(type, flat)} <= {float, int}:
+                xy = np.fromiter(flat, float, len(flat))
+                if np.isfinite(xy).all():
+                    return xy.reshape(-1, 2)
+    except (TypeError, OverflowError):  # a value of no length, or an int beyond a float
         pass
     pairs = [_scenario_event(label, coords) for label, coords in events.items()]
     return np.array([(e.t, e.x) for e in pairs], float).reshape(-1, 2)
 
 
-def _label_pairs(segments) -> tuple[tuple[str, str], ...]:
-    """The [start, end] label pairs as strings, converted in one pass when
-    every segment is a list or tuple; otherwise segment by segment, so that
-    the error names the segment.  A string or an object of two items is not
-    a pair."""
+def _label_pairs(segments) -> Sequence[Sequence[str]]:
+    """The [start, end] label pairs as strings: segments itself when every
+    segment is a list or tuple of two strings, converted by str() in one
+    pass when every segment is a list or tuple; otherwise segment by
+    segment, so that the error names the segment.  A string or an object of
+    two items is not a pair."""
     try:
         if isinstance(segments, (list, tuple)) and {*map(type, segments)} <= {list, tuple}:
+            if ({*map(len, segments)} <= {2}
+                    and {*map(type, chain.from_iterable(segments))} <= {str}):
+                return segments
             return tuple((str(a), str(b)) for a, b in segments)
     except (TypeError, ValueError):
         pass
@@ -500,8 +543,11 @@ def scenario_from_dict(data: Mapping) -> Scenario:
     c = data.get("c", 1.0)
     if not is_number(c):
         raise InvalidScenario(f"light speed c must be a number, got {reprlib.repr(c)}")
-    diagram = _columns(Diagram.__new__(Diagram), list(map(str, data["events"])), xy,
-                       _label_pairs(data["segments"]), float(c))
+    labels = list(data["events"])
+    if not {*map(type, labels)} <= {str}:
+        labels = list(map(str, labels))
+    diagram = _columns(Diagram.__new__(Diagram), labels, xy, _label_pairs(data["segments"]),
+                       float(c))
     source = data.get("source")
     return Scenario(diagram, source, _known(diagram, source, data.get("sinks", ())))
 

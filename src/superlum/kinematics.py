@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import reprlib
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -22,6 +23,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from ._input import is_label
 from .errors import (
     BranchSpeedViolation,
     DegenerateA,
@@ -280,10 +282,11 @@ def _image(m, t, x, boost, names=None, then=None):
     floats or float64 columns, m four floats or columns, carried on to a 1+3
     result by then where given; the tuple of result components.  Every
     transform's result is checked here and only here: a component beyond a
-    float raises NonfiniteResult naming the first such event, names[i] or
-    else its row i, and boost, the Boost or text of the transform or a
-    function of the row giving it; where the 1+1 image overflows, also log10
-    of its magnitude, from the law re-run on the events scaled by 2**-64."""
+    float raises NonfiniteResult naming the first such event, names[i] (a
+    label cut by reprlib) or else its row i, and boost, the Boost or text of
+    the transform or a function of the row giving it; where the 1+1 image
+    overflows, also log10 of its magnitude, from the law re-run on the
+    events scaled by 2**-64."""
     column = isinstance(x, np.ndarray)
     with np.errstate(over="ignore", invalid="ignore") if column else _FLOATS:
         out = (m[0] * t + m[1] * x, m[2] * t + m[3] * x)
@@ -302,8 +305,9 @@ def _image(m, t, x, boost, names=None, then=None):
             b = boost(i) if callable(boost) else boost
             how = b if isinstance(b, str) else (
                 f"to {b.branch.value} speed {b.speed!r} (K={b.K!r})")
-            raise NonfiniteResult(f"event {i if names is None else names[i]!r} boosted "
-                                  f"{how} has a coordinate{big}, beyond a float")
+            name = i if names is None else names[i]
+            raise NonfiniteResult(f"event {reprlib.repr(name) if is_label(name) else repr(name)} "
+                                  f"boosted {how} has a coordinate{big}, beyond a float")
     return out
 
 

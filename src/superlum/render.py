@@ -9,6 +9,7 @@ dictionaries below.
 from __future__ import annotations
 
 import math
+import reprlib
 from itertools import chain
 
 import numpy as np
@@ -112,7 +113,7 @@ def render_svg(d: Diagram, title: str | None = None) -> str:
         i = int(np.argmax(np.maximum(abs(x), abs(ct))))
         t, xi = d._xy[i].tolist()
         raise NonfiniteResult(
-            f"event {d._labels[i]!r} at t={t!r}, x={xi!r} (c={d.c!r}) makes the "
+            f"event {reprlib.repr(d._labels[i])} at t={t!r}, x={xi!r} (c={d.c!r}) makes the "
             f"drawing {width:.6g} by {height:.6g} pixels, beyond a float")
 
     def px(x: float) -> float:

@@ -8,6 +8,7 @@ import re
 import weakref
 from xml.etree import ElementTree
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,6 +114,33 @@ def test_segments_sorted_by_start_coordinates():
         [("B", "C"), ("A", "B")],
     )
     assert d.segments == (("A", "B"), ("B", "C"))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_frame_order_is_the_four_key_lexsort(data):
+    """_frame's stored order is the stable sort by (start t, start x, end t,
+    end x), whether it takes the one-key sort of distinct start times or
+    the lexsort of shared ones; -0.0 and 0.0 are the same time."""
+    n = data.draw(st.integers(2, 10))
+    value = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]) | st.floats(-3, 3)
+    t = data.draw(st.lists(value, min_size=n, max_size=n, unique=data.draw(st.booleans())))
+    x = data.draw(st.lists(value, min_size=n, max_size=n))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: (t[p[0]], x[p[0]]) != (t[p[1]], x[p[1]]))
+    distinct_starts = data.draw(st.booleans())
+    seg = np.array(data.draw(st.lists(pairs, min_size=1, max_size=12,
+                                      unique_by=(lambda p: p[0]) if distinct_starts else None)))
+    t, x = np.array(t), np.array(x)
+    frm, to = seg[:, 0], seg[:, 1]
+    tied = len(set(t[frm].tolist())) < len(seg)
+    lexsorts = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "lexsort", lambda keys, real=np.lexsort: lexsorts.append(1) or real(keys))
+        d = diagrams._columns(Diagram.__new__(Diagram), [f"e{i}" for i in range(n)],
+                              np.stack((t, x), axis=1), [(f"e{i}", f"e{j}") for i, j in seg], 1.0)
+    assert len(lexsorts) == tied
+    assert d._seg.tolist() == seg[np.lexsort((x[to], t[to], x[frm], t[frm]))].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +501,29 @@ def test_unreachable_cycle_is_named(d, length, data):
         assert named and named.group(1) in ring
 
 
+def test_a_frame_builds_its_census_graph_once(monkeypatch):
+    """count_paths_auto, then count_paths, on one frame build its successor
+    rows and Kahn order once; a transformed diagram is a frame of its own."""
+    built = []
+    build = diagrams._census_graph
+    monkeypatch.setattr(diagrams, "_census_graph", lambda d: built.append(d) or build(d))
+    d = _ladder(5)
+    moved = transform_diagram(d, Boost(Branch.SUBLUMINAL, 0.5))
+    for frame in (d, moved):
+        auto, (listed,) = count_paths_auto(frame)
+        declared, ps = count_paths(frame, "s", ("t",))
+        assert auto == declared == 2**5 and listed.paths == ps.paths
+    assert [id(frame) for frame in built] == [id(d), id(moved)]
+
+
+def test_a_cyclic_frame_raises_on_every_census():
+    d = _diagram({"P": (0, 0), "Q": (0, 1)}, [("P", "Q"), ("Q", "P")])
+    for call in (lambda: count_paths_auto(d), lambda: count_paths(d, "P", ("Q",)),
+                 lambda: count_paths_auto(d)):
+        with pytest.raises(CyclicDiagram, match="directed cycle through 'P'"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # Scenario serialization
 
@@ -526,6 +577,53 @@ def test_scenario_errors_cut_the_values_they_show(scenario, start):
     with pytest.raises(InvalidScenario) as err:
         scenario_from_dict(scenario)
     assert str(err.value).startswith(start) and len(str(err.value)) < 200
+
+
+@pytest.mark.parametrize("error, fail", [
+    (IsolatedEvent, lambda: role_report(
+        _diagram({LONG: (0, 0), "A": (1, 0), "B": (2, 0)}, [("A", "B")]))),
+    (ZeroExtent, lambda: _diagram({LONG: (0, 0), "B": (0, 0)}, [(LONG, "B")])),
+    (ZeroExtent, lambda: transform_diagram(
+        _diagram({LONG: (0, 0), "b": (0, 5e-324)}, [(LONG, "b")], c=3.0),
+        Boost(Branch.SUPERLUMINAL, 9.0, 1 / 9))),
+    (CyclicDiagram, lambda: count_paths_auto(
+        _diagram({LONG: (0, 0), "Q": (0, 1)}, [(LONG, "Q"), ("Q", LONG)]))),
+    (NonfiniteResult, lambda: render_svg(_diagram({"B": (0, 0), LONG: (1e308, 0.5)},
+                                                  [("B", LONG)]))),
+    (NonfiniteResult, lambda: transform_diagram(
+        _diagram({"B": (0, 0), LONG: (1e308, -1e308)}, [(LONG, "B")]),
+        Boost(Branch.SUPERLUMINAL, 1.0001))),
+])
+def test_errors_of_a_loaded_diagram_cut_the_labels_they_show(error, fail):
+    """An event label of 10**6 characters made a 1 000 025- to 1 000 033-
+    character IsolatedEvent, ZeroExtent or CyclicDiagram message."""
+    with pytest.raises(error) as err:
+        fail()
+    assert "'xxx" in str(err.value) and len(str(err.value)) < 200
+
+
+@pytest.mark.parametrize("events, named", [
+    ({"a": ["0", True], "b": [1, "0.5"]}, "a"),
+    ({"a": [0, 1], "b": [1, "0.5"]}, "b"),
+    ({"a": [0, 1], "b": [False, 0.5]}, "b"),
+    ({"a": [0, 1], "b": [1, None]}, "b"),
+    ({"a": [0, 10**400], "b": [1, 0]}, "a"),
+    ({"a": [0, 1], "b": [1, float("nan")]}, "b"),
+    ({"a": [0, 1], "b": [1, 0.5, 2]}, "b"),
+])
+def test_event_coordinates_are_json_numbers(events, named):
+    """A coordinate is a float or an int that fits in a float: "0" and true
+    loaded as 0.0 and 1.0."""
+    with pytest.raises(InvalidScenario, match=rf"event '{named}' must be \[t, x\]"):
+        scenario_from_dict({"events": events, "segments": [["a", "b"]]})
+
+
+def test_event_coordinates_of_other_number_types_load_event_by_event():
+    one = scenario_from_dict({"events": {"a": (0, 1), "b": [1, 0.5]}, "segments": [("a", "b")]})
+    other = scenario_from_dict({"events": {"a": np.array([0.0, 1.0]), "b": [np.float64(1), 0.5]},
+                                "segments": [["a", "b"]]})
+    assert scenario_to_dict(one) == scenario_to_dict(other)
+    assert one.diagram._xy.tolist() == [[0.0, 1.0], [1.0, 0.5]]
 
 
 def test_load_scenario_rejects_bad_json(tmp_path):

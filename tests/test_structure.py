@@ -249,3 +249,30 @@ def test_json_fields_are_read_only_through_the_field_reader():
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.FunctionDef) and node.name in ("is_number", "is_label")]
     assert sorted(defined) == ["_input.is_label", "_input.is_number"]
+
+
+def test_the_four_key_sort_runs_only_when_start_times_tie():
+    """Segments are sorted by one stable argsort of their start times; the
+    only np.lexsort of the package is _frame's, in the branch taken when two
+    segments share a start time."""
+    assert _scopes(lambda node: _attribute(node, "np", "lexsort")) == {"diagrams._frame"}
+    frame = next(node for node in ast.walk(ast.parse(inspect.getsource(superlum.diagrams)))
+                 if isinstance(node, ast.FunctionDef) and node.name == "_frame")
+    branches = [node for node in ast.walk(frame) if isinstance(node, ast.If)
+                and any(_attribute(sub, "np", "lexsort") for sub in ast.walk(node))]
+    assert len(branches) == 1 and not branches[0].orelse
+    assert "argsort" in ast.unparse(frame)
+
+
+def test_the_census_graph_is_built_in_one_function():
+    """Only _census_graph slices the successor rows out of the segment
+    ends, and only _successors, which keeps its result on the diagram,
+    calls it."""
+    def slices_rows(node):
+        return (isinstance(node, ast.ListComp) and isinstance(node.elt, ast.Subscript)
+                and isinstance(node.elt.slice, ast.Slice))
+
+    assert {scope for scope in _scopes(slices_rows)
+            if scope.startswith("diagrams.")} == {"diagrams._census_graph"}
+    assert _scopes(lambda node: isinstance(node, ast.Call)
+                   and ast.unparse(node.func) == "_census_graph") == {"diagrams._successors"}
