@@ -17,6 +17,7 @@ import json
 import math
 import reprlib
 import sys
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 
@@ -54,7 +55,7 @@ from .kinematics import (
     boost_1p3_superluminal,
     compose_boosts_1p1,
 )
-from .render import _rows, render_svg
+from .render import render_svg
 from .verify import run_suite, suite_report
 
 
@@ -192,6 +193,21 @@ def _diagram_report(sc: Scenario) -> dict:
     return report
 
 
+# Items of the diagram report's lists are written this many to a string.
+# Each % call holds its template and its fields at once, so one call for
+# every item of a long list would raise the peak memory.
+CHUNK = 1024
+
+
+def _rows(row: str, columns: list[list], sep: str) -> list[str]:
+    """The %-template row filled from each row of the columns, which hold
+    its fields in order, CHUNK rows to a string joined by sep."""
+    n = len(columns[0])
+    return [sep.join([row] * min(CHUNK, n - i))
+            % tuple(chain.from_iterable(zip(*(c[i:i + CHUNK] for c in columns))))
+            for i in range(0, n, CHUNK)]
+
+
 # One item of each long list of objects in the diagram report, at the depth
 # where the report holds it, as json.dumps(indent=2) lays it out.
 _EVENT = '%s: [\n      %s,\n      %s\n    ]'
@@ -204,7 +220,7 @@ def _list(template: str, columns: list, depth: int, brackets: str = "[]") -> str
     """A JSON list, or with brackets "{}" an object, at nesting depth, laid
     out as json.dumps(indent=2) lays it out.  Its items are the %-template
     filled from each row of the columns, which hold text already written as
-    JSON, through the drawing's row writer."""
+    JSON."""
     inner = "\n" + "  " * (depth + 1)
     sep = "," + inner
     items = sep.join(_rows(template, [list(c) for c in columns], sep))

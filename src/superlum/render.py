@@ -4,18 +4,25 @@ Time runs up, space runs right, and both axes share one scale so the light
 cone sits at 45 degrees.  Line style encodes the speed class: solid below c,
 dashed above c, dotted on the cone.  All styling constants live in the two
 dictionaries below.
+
+The segment and event rows are written as the rows of uint8 matrices, ROWS
+rows to a matrix and so to a string.  Each field of a row is a block of
+columns: text every row shares is copied into its block for all rows at
+once, and the coordinates (see _tenths), the dash attribute and the UTF-8
+bytes of the labels a block at a time.  A field shorter than its block is
+padded with PAD, which one bytes.translate deletes before the matrix is
+decoded.
 """
 
 from __future__ import annotations
 
 import math
 import reprlib
-from itertools import chain
 
 import numpy as np
 
 from .diagrams import Diagram, SpeedClass
-from .errors import NonfiniteResult
+from .errors import InvalidScenario, NonfiniteResult
 
 STYLE = {
     "scale": 90.0,          # pixels per unit of x and of c*t
@@ -43,63 +50,200 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-# Rows of the drawing and items of the diagram report's lists are written
-# this many to a string.  Each % call holds its template and its fields at
-# once, so one call for every row of a large drawing would raise the peak
-# memory.
-CHUNK = 1024
+# Rows of the drawing written to one matrix, and so to one string: at a few
+# hundred bytes a row, a matrix takes some 150-300 KB.
+ROWS = 1024
+# The padding of a field shorter than its column block: a byte that UTF-8
+# text never holds, deleted when a matrix becomes a string.
+PAD = b"\xff"
+# True, False, ... : which runs of a label column hold a label's bytes.
+_LABEL_THEN_PAD = np.arange(2 * ROWS) % 2 == 0
 
 
-def _fixed(values: np.ndarray) -> list[str]:
-    """Each value with one decimal, as f"{v:.1f}" writes it, in one call."""
-    return ("%.1f\0" * len(values) % tuple(values.tolist())).split("\0")[:-1]
+def _tenths(values: np.ndarray) -> np.ndarray:
+    """Each value as "%.1f" writes it, one row of a uint8 matrix to a value,
+    right-aligned and padded on the left with PAD.
+
+    For v > 0, q = v * 10.0 is within half an ulp of 10 v, and 10 v is
+    never a half-integer, since (2j + 1) / 20 is not a dyadic rational.  So
+    when q is nearer to an integer than 0.5 - q * 2**-49 (a margin of more
+    than 8 ulp), rint(q) is the correctly rounded count of tenths of v,
+    which is what "%.1f" prints, and its digits are taken in numpy, one
+    scalar // 10 pass a digit.  Every other value (zero, negative, not
+    finite, of 2**48 tenths or more, or near a tie) goes through "%.1f"
+    itself."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = values * 10.0
+        r = np.rint(q)
+        exact = q > 0.0
+        gap = q * 2.0 ** -49
+        q -= r
+        gap += np.abs(q, out=q)
+        exact &= gap < 0.5
+    rest = np.flatnonzero(~exact)
+    texts = list(map(b"%.1f".__mod__, values[rest].tolist()))
+    r[rest] = 0.0
+    count, higher, digit = q.view(np.int64), gap.view(np.int64), r.view(np.int64)
+    np.copyto(count, r, casting="unsafe")
+    digits = max(len(str(count.max())), 2)  # of the count of tenths: the units and the tenth
+    width = max(digits + 1, max(map(len, texts), default=0))
+    out = np.empty((len(values), width), np.uint8)
+    out[:, :width - 1 - digits] = ord(PAD)
+    out[:, -2] = ord(".")
+    for place, column in enumerate((width - 1, *range(width - 3, width - 2 - digits, -1))):
+        np.floor_divide(count, 10, out=higher)
+        np.multiply(higher, -10, out=digit)
+        digit += count
+        digit += ord("0")
+        if place > 1:  # left of the units, a zero with no digit left of it is padding
+            digit[count == 0] = ord(PAD)
+        out[:, column] = digit
+        count, higher = higher, count
+    for i, text in zip(rest.tolist(), texts):
+        out[i, :width - len(text)] = ord(PAD)
+        out[i, width - len(text):] = np.frombuffer(text, np.uint8)
+    return out
 
 
-def _style(key: str) -> str:
-    """A STYLE value as template text: a % in it is written %%."""
-    return str(STYLE[key]).replace("%", "%%")
+def _cells(rows: np.ndarray) -> np.ndarray:
+    """A uint8 matrix's rows as single items of one void type, so that a
+    gather or a copy moves each row whole."""
+    return rows.view(f"V{rows.shape[1]}")[:, 0]
 
 
-def _rows(row: str, columns: list[list], sep: str = "\n") -> list[str]:
-    """The %-template row filled from each row of the columns, which hold
-    its fields in order, CHUNK rows to a string joined by sep."""
-    n = len(columns[0])
-    return [sep.join([row] * min(CHUNK, n - i))
-            % tuple(chain.from_iterable(zip(*(c[i:i + CHUNK] for c in columns))))
-            for i in range(0, n, CHUNK)]
+def _put(rows: np.ndarray, start: int, cells: np.ndarray) -> None:
+    """Write one cell to each row of the matrix, from column start."""
+    _cells(rows[:, start:start + cells.itemsize])[:] = cells
 
 
-def _marks(d: Diagram, cx: np.ndarray, cy: np.ndarray) -> list[str]:
-    """Segment lines in stored order, then the circle and label of each
-    event in label order, from the events' pixel coordinates.  Each
-    coordinate is formatted once, and segments and circles share the text.
-    Labels are template fields, never template text, and are escaped only
-    when one of them holds markup."""
-    xs, ys = (np.array(_fixed(a), object) for a in (cx, cy))
-    frm, to = d._seg[:, 0], d._seg[:, 1]
-    dash = np.array([' stroke-dasharray="%s"' % DASH[k] if DASH[k] else ""
-                     for k in SpeedClass], object)[d._codes]
-    line = ('<line x1="%s" y1="%s" x2="%s" y2="%s" '
-            f'stroke="{_style("segment_color")}" stroke-width="1.6"%s/>')
-    by_label = np.argsort(d._rank)
+def _layout(*pieces: bytes | int) -> tuple[bytes, list[int]]:
+    """A row's template from its pieces, where bytes are text every row
+    shares and an int is a field of that many bytes, held as PAD; and the
+    column at which each field starts."""
+    template, starts = b"", []
+    for piece in pieces:
+        if isinstance(piece, int):
+            starts.append(len(template))
+            piece = PAD * piece
+        template += piece
+    return template, starts
+
+
+def _matrix(template: bytes, rows: int) -> tuple[bytearray, np.ndarray]:
+    """Rows copies of the template, as a bytearray and as a uint8 matrix
+    viewing it, a template to a row."""
+    text = bytearray(rows * len(template))
+    matrix = np.frombuffer(text, np.uint8).reshape(rows, len(template))
+    matrix[:] = np.frombuffer(template, np.uint8)
+    return text, matrix
+
+
+def _string(text: bytearray) -> str:
+    """Rows that each end in a newline as one string: the PAD bytes
+    deleted and the last row's newline dropped."""
+    text[-1] = ord(PAD)
+    return text.translate(None, PAD).decode()
+
+
+def _unencodable(what: str, text: str) -> InvalidScenario:
+    return InvalidScenario(f"{what} {reprlib.repr(text)} holds a lone surrogate, "
+                           "which UTF-8 cannot encode")
+
+
+def _labels(d: Diagram, by_label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The labels in label order, escaped only when one of them holds
+    markup, as their UTF-8 bytes joined; and the offset of each label's
+    bytes in them, then the total.  A label that UTF-8 cannot encode raises
+    InvalidScenario naming it."""
     labels = d._labels[by_label].tolist()
     joined = "".join(labels)
     if "&" in joined or "<" in joined or ">" in joined:
         labels = list(map(_escape, labels))
+        joined = "".join(labels)
+    ends = np.zeros(len(labels) + 1, np.intp)
+    np.cumsum(np.fromiter(map(len, labels), np.intp, len(labels)), out=ends[1:])
+    try:
+        text = np.frombuffer(joined.encode(), np.uint8)
+    except UnicodeEncodeError as exc:
+        label = d._labels[by_label[np.searchsorted(ends, exc.start, side="right") - 1]]
+        raise _unencodable("event label", label) from None
+    if len(text) > len(joined):  # some label is not ASCII: offsets in bytes
+        np.cumsum(np.fromiter(map(len, map(str.encode, labels)), np.intp, len(labels)),
+                  out=ends[1:])
+    return text, ends
+
+
+def _marks(d: Diagram, cx: np.ndarray, cy: np.ndarray) -> list[str]:
+    """Segment lines in stored order, then the circle and label of each
+    event in label order, from the events' pixel coordinates, as strings of
+    at most ROWS rows.  Each coordinate is formatted once, in label order,
+    and segments and circles share its digits.  A matrix of event rows is
+    split in two while padding its labels to the longest would make it hold
+    more than 1.5 times its text, so that one long label does not pad every
+    row of its matrix."""
+    n = len(cx)
+    if not n:
+        return []
+    by_label = np.argsort(d._rank)
+    x, y = cx[by_label], cy[by_label]
     off = STYLE["label_offset"]
-    mark = (f'<circle cx="%s" cy="%s" r="{_style("event_radius")}" '
-            f'fill="{_style("event_color")}"/>\n'
-            f'<text x="%s" y="%s" style="font:{_style("font")}">%s</text>')
-    return (_rows(line, [a.tolist() for a in (xs[frm], ys[frm], xs[to], ys[to], dash)])
-            + _rows(mark, [xs[by_label].tolist(), ys[by_label].tolist(),
-                             _fixed(cx[by_label] + off), _fixed(cy[by_label] - off), labels]))
+    digits = _cells(_tenths(np.concatenate((x, y, x + off, y - off)))).reshape(4, n)
+    w = digits.itemsize
+    dashes = [b' stroke-dasharray="%s"' % DASH[k].encode() if DASH[k] else b""
+              for k in SpeedClass]
+    dashed = max(map(len, dashes))
+    dash = np.frombuffer(b"".join(s.ljust(dashed, PAD) for s in dashes), f"V{dashed}")
+    line, fields = _layout(
+        b'<line x1="', w, b'" y1="', w, b'" x2="', w, b'" y2="', w,
+        b'" stroke="%s" stroke-width="1.6"' % str(STYLE["segment_color"]).encode(),
+        dashed, b"/>\n")
+    frm, to = d._rank[d._seg].T
+    out = []
+    for i in range(0, len(frm), ROWS):
+        text, rows = _matrix(line, min(ROWS, len(frm) - i))
+        start, end = frm[i:i + ROWS], to[i:i + ROWS]
+        cells = (digits[0][start], digits[1][start], digits[0][end], digits[1][end],
+                 dash[d._codes[i:i + ROWS]])
+        for column, field in zip(fields, cells):
+            _put(rows, column, field)
+        out.append(_string(text))
+    mark, fields = _layout(
+        b'<circle cx="', w, b'" cy="', w, b'" r="%s" fill="%s"/>\n<text x="' % (
+            str(STYLE["event_radius"]).encode(), str(STYLE["event_color"]).encode()),
+        w, b'" y="', w, b'" style="font:%s">' % str(STYLE["font"]).encode())
+    labels, offsets = _labels(d, by_label)
+    lengths = offsets[1:] - offsets[:-1]
+    chunks = [(i, min(i + ROWS, n)) for i in range(0, n, ROWS)][::-1]
+    while chunks:
+        i, j = chunks.pop()
+        longest = lengths[i:j].max()
+        if 2 * (j - i) * longest > (j - i) * len(mark) + 3 * (offsets[j] - offsets[i]):
+            chunks += [((i + j) // 2, j), (i, (i + j) // 2)]
+            continue
+        text, rows = _matrix(mark + PAD * longest + b"</text>\n", j - i)
+        for column, field in zip(fields, digits[:, i:j]):
+            _put(rows, column, field)
+        runs = np.empty(2 * (j - i), np.intp)  # each label's length, then its padding
+        runs[0::2] = lengths[i:j]
+        np.subtract(longest, lengths[i:j], out=runs[1::2])
+        rows[:, len(mark):len(mark) + longest][
+            np.repeat(_LABEL_THEN_PAD[:2 * (j - i)], runs).reshape(j - i, longest)] = (
+                labels[offsets[i]:offsets[j]])
+        out.append(_string(text))
+    return out
 
 
 def render_svg(d: Diagram, title: str | None = None) -> str:
     """Render one diagram to a standalone SVG string.  A drawing whose size
     in pixels does not fit in a float raises NonfiniteResult naming the
-    event farthest out.  A diagram of no events draws the padding around
-    the origin."""
+    event farthest out, and a label or title that UTF-8 cannot encode
+    raises InvalidScenario naming it.  A diagram of no events draws the
+    padding around the origin."""
+    if title:
+        try:
+            title.encode()
+        except UnicodeEncodeError:
+            raise _unencodable("title", title) from None
     with np.errstate(over="ignore"):
         x, ct = d._xy[:, 1], d._xy[:, 0] * d.c
     pad = STYLE["pad"]

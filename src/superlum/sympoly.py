@@ -160,7 +160,9 @@ class CoefficientTensor:
         return True
 
 
-@functools.lru_cache(maxsize=None)
+# Bounded: verify's Cauchy check draws fresh alphas on every run, and their
+# entries are never hit again; the fixed alphas' entries stay recent.
+@functools.lru_cache(maxsize=256)
 def _permutation_sum_sorted(
     alphas: tuple[complex, ...], indices: tuple[int, ...]
 ) -> complex:

@@ -426,6 +426,27 @@ def test_diagram_too_large_to_draw_names_the_event(tmp_path, capsys, fmt):
     assert "NonfiniteResult: event 'A' at t=1e+308, x=0.0" in err
 
 
+@pytest.mark.parametrize("label,title,named", [
+    ("\ud800", "t", "event label '\\ud800'"),
+    ("a", "x\udfff", "title 'x\\udfff'"),
+])
+def test_diagram_text_utf8_cannot_encode_is_named_before_any_file_opens(
+        tmp_path, capsys, label, title, named):
+    """A label or title holding a lone surrogate exited 2 with a bare
+    UnicodeEncodeError, and left an empty --output file behind; the JSON
+    report escapes the surrogate and still exits 0."""
+    inp = _write(tmp_path, "s.json",
+                 {"events": {label: [0, 0], "B": [1, 0.5]}, "segments": [[label, "B"]]})
+    svg = tmp_path / "d.svg"
+    code, out, err = _run(capsys, "diagram", "--input", inp, "--title", title,
+                          "--output", str(svg))
+    assert code == 2 and out == "" and not svg.exists()
+    assert f"InvalidScenario: {named} holds a lone surrogate" in err
+    code, out, err = _run(capsys, "diagram", "--input", inp, "--title", title,
+                          "--format", "json")
+    assert code == 0 and err == "" and json.loads(out)["roles"] == []
+
+
 def test_diagram_unknown_fixture(capsys):
     code, _, err = _run(capsys, "diagram", "--input", "fig7q", "--format", "json")
     assert code == 2

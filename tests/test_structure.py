@@ -210,16 +210,42 @@ def test_value_objects_skip_their_init_only_in_the_slot_filler():
                        and ast.unparse(node.func) in ("Event1p1", "Segment")) & set(filled)
 
 
-def test_render_formats_no_coordinate_per_row_with_an_f_string():
-    """render.py writes each coordinate column in one %-format call and fills
-    rows from %-templates: no comprehension in it holds an f-string, and its
-    only loop statement walks the two light-cone guides."""
+# What each loop of render.py walks, by the source of its iterable (or, for a
+# while loop, of its test).  None runs once per row or per event.
+RENDER_LOOPS = {
+    "enumerate((width - 1, *range(width - 3, width - 2 - digits, -1)))": "digit columns",
+    "zip(rest.tolist(), texts)": "values the digit kernel leaves to %.1f",
+    "pieces": "a row's pieces",
+    "zip(fields, cells)": "a segment row's fields",
+    "zip(fields, digits[:, i:j])": "an event row's coordinate fields",
+    "range(0, len(frm), ROWS)": "chunk starts of the segment rows",
+    "range(0, n, ROWS)": "chunk starts of the event rows",
+    "chunks": "event row chunks, split while their labels are uneven",
+    "SpeedClass": "the three speed classes",
+    "dashes": "the three speed classes' dash attributes",
+    "box": "the two axes of the bounding box",
+    "(1.0, -1.0)": "the two light-cone guides",
+}
+
+
+def test_render_writes_rows_as_matrices_with_no_loop_per_row():
+    """render.py writes the segment and event rows as rows of uint8
+    matrices, each field a column block: no comprehension in it holds an
+    f-string, and no loop in it runs once per row or per event (its loops
+    are those of RENDER_LOOPS).  The %-template row writer of the JSON
+    report's lists is defined in cli alone."""
     tree = ast.parse(Path(superlum.render.__file__).read_text(encoding="utf-8"))
     comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     assert not [ast.unparse(node) for comp in ast.walk(tree) if isinstance(comp, comprehensions)
                 for node in ast.walk(comp) if isinstance(node, ast.JoinedStr)]
-    loops = [ast.unparse(node.iter) for node in ast.walk(tree) if isinstance(node, (ast.For, ast.While))]
-    assert loops == ["(1.0, -1.0)"]
+    loops = sorted(ast.unparse(node.test if isinstance(node, ast.While) else node.iter)
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.For, ast.While, ast.comprehension)))
+    assert loops == sorted(RENDER_LOOPS)
+    defined = [f"{path.stem}.{node.name}" for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef) and node.name == "_rows"]
+    assert defined == ["cli._rows"]
 
 
 def test_json_fields_are_read_only_through_the_field_reader():
