@@ -62,7 +62,7 @@ _LABEL_THEN_PAD = np.arange(2 * ROWS) % 2 == 0
 
 def _tenths(values: np.ndarray) -> np.ndarray:
     """Each value as "%.1f" writes it, one row of a uint8 matrix to a value,
-    right-aligned and padded on the left with PAD.
+    padded with PAD.
 
     For v > 0, q = v * 10.0 is within half an ulp of 10 v, and 10 v is
     never a half-integer, since (2j + 1) / 20 is not a dyadic rational.  So
@@ -81,7 +81,7 @@ def _tenths(values: np.ndarray) -> np.ndarray:
         gap += np.abs(q, out=q)
         exact &= gap < 0.5
     rest = np.flatnonzero(~exact)
-    texts = list(map(b"%.1f".__mod__, values[rest].tolist()))
+    texts = list(map("%.1f".__mod__, values[rest].tolist()))
     r[rest] = 0.0
     count, higher, digit = q.view(np.int64), gap.view(np.int64), r.view(np.int64)
     np.copyto(count, r, casting="unsafe")
@@ -99,9 +99,10 @@ def _tenths(values: np.ndarray) -> np.ndarray:
             digit[count == 0] = ord(PAD)
         out[:, column] = digit
         count, higher = higher, count
-    for i, text in zip(rest.tolist(), texts):
-        out[i, :width - len(text)] = ord(PAD)
-        out[i, width - len(text):] = np.frombuffer(text, np.uint8)
+    if texts:
+        fallback = np.array(texts, f"S{width}").view(np.uint8).reshape(len(rest), width)
+        fallback[fallback == 0] = ord(PAD)  # numpy pads the texts with NUL
+        out[rest] = fallback
     return out
 
 

@@ -123,6 +123,9 @@ def _diagrams(draw):
 
 
 @given(_diagrams(), st.sampled_from([None, "", "plain", "%s {0} & <b> 100%", "两\nlines"]))
+@example(Diagram({"": Event1p1(0.0, 0.0)}), None)
+@example(Diagram({"": Event1p1(0.0, 0.0), "\U0001f600": Event1p1(1.0, 3.0)},
+                 [("", "\U0001f600")]), "t")
 @settings(max_examples=40, deadline=None)
 def test_the_row_matrices_write_the_bytes_of_the_template_writer(d, title):
     assert render_svg(d, title=title) == by_templates(d, title)

@@ -214,7 +214,6 @@ def test_value_objects_skip_their_init_only_in_the_slot_filler():
 # while loop, of its test).  None runs once per row or per event.
 RENDER_LOOPS = {
     "enumerate((width - 1, *range(width - 3, width - 2 - digits, -1)))": "digit columns",
-    "zip(rest.tolist(), texts)": "values the digit kernel leaves to %.1f",
     "pieces": "a row's pieces",
     "zip(fields, cells)": "a segment row's fields",
     "zip(fields, digits[:, i:j])": "an event row's coordinate fields",
