@@ -18,7 +18,6 @@ import math
 import reprlib
 import sys
 from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,6 @@ from .diagrams import (
     load_fixture,
     load_scenario,
     role_report,
-    scenario_to_dict,
     terminal_events,
     transform_diagram,
 )
@@ -115,7 +113,9 @@ def _emit(text: str, output: str | None) -> None:
     if output:
         Path(output).write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)  # not text + "\n", which would copy the whole text
+        if not text.endswith("\n"):
+            sys.stdout.write("\n")
 
 
 def _dump(data: dict, output: str | None) -> None:
@@ -160,39 +160,6 @@ def cmd_compose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _diagram_report(sc: Scenario) -> dict:
-    d = sc.diagram
-    roles = [
-        {"event": label, "role": role.value} for label, role in role_report(d)
-    ]
-    sources, sinks = terminal_events(d)
-    auto_count, auto_sets = count_paths_auto(d)
-    scenario = scenario_to_dict(sc)
-    classes = [k.value for k in SpeedClass]  # a stored speed code indexes this
-    report = {
-        "c": d.c,
-        "events": scenario["events"],
-        "segments": [{"from": frm, "to": to, "speed_class": classes[k]}
-                     for (frm, to), k in zip(scenario["segments"], d._codes.tolist())],
-        "roles": roles,
-        "frame": {
-            "sources": list(sources),
-            "sinks": list(sinks),
-            "path_count": auto_count,
-            "paths": [list(p) for ps in auto_sets for p in ps.paths],
-        },
-    }
-    if sc.source is not None and sc.sinks:
-        declared_count, declared = count_paths(d, sc.source, sc.sinks)
-        report["declared"] = {
-            "source": sc.source,
-            "sinks": list(sc.sinks),
-            "path_count": declared_count,
-            "paths": [list(p) for p in declared.paths],
-        }
-    return report
-
-
 # Items of the diagram report's lists are written this many to a string.
 # Each % call holds its template and its fields at once, so one call for
 # every item of a long list would raise the peak memory.
@@ -214,6 +181,7 @@ _EVENT = '%s: [\n      %s,\n      %s\n    ]'
 _SEGMENT = '{\n      "from": %s,\n      "speed_class": %s,\n      "to": %s\n    }'
 _ROLE = '{\n      "event": %s,\n      "role": %s\n    }'
 _encode = json.encoder.encode_basestring_ascii
+_CLASS_NAMES = [_encode(k.value) for k in SpeedClass]  # a stored speed code indexes this
 
 
 def _list(template: str, columns: list, depth: int, brackets: str = "[]") -> str:
@@ -242,44 +210,42 @@ def _object(fields: dict[str, str], depth: int) -> str:
     return _list("%s: %s", [map(_encode, keys), map(fields.__getitem__, keys)], depth, "{}")
 
 
-def _records(template: str, records: list[dict], keys: tuple[str, ...]) -> str:
-    """A list of objects of strings at depth 1, keys in template order."""
-    return _list(template, [map(_encode, map(itemgetter(key), records)) for key in keys], 1)
+def _census(count: int, paths, **terminals: str) -> str:
+    """The report's frame or declared section at depth 1: its terminal
+    events, already written, its path count and its paths."""
+    return _object({**terminals, "path_count": _small(count, 2),
+                    "paths": _list("%s", [[_strings(path, 3) for path in paths]], 2)}, 1)
 
 
-def _events(events: dict) -> str:
-    labels = sorted(events)
-    coords = list(map(events.__getitem__, labels))
-    return _list(_EVENT, [map(_encode, labels), *(map(float.__repr__, map(itemgetter(k), coords))
-                                                   for k in (0, 1))], 1, "{}")
-
-
-def _census(section: dict) -> str:
-    """The report's frame or declared section: a count, labels and paths."""
-    def written(key: str, value) -> str:
-        if key == "paths":
-            return _list("%s", [[_strings(path, 3) for path in value]], 2)
-        return _strings(value, 2) if isinstance(value, list) else _small(value, 2)
-
-    return _object({key: written(key, value) for key, value in section.items()}, 1)
-
-
-_SECTIONS = {
-    "events": _events,
-    "segments": lambda rows: _records(_SEGMENT, rows, ("from", "speed_class", "to")),
-    "roles": lambda rows: _records(_ROLE, rows, ("event", "role")),
-    "frame": _census,
-    "declared": _census,
-}
-
-
-def _report_text(report: dict) -> str:
-    """json.dumps(report, indent=2, sort_keys=True) of a _diagram_report,
-    each list filled from a template in one pass: floats through
-    float.__repr__ and labels through json's ASCII string encoder, as json
-    writes them, and the other fields through json.dumps."""
-    return _object({key: _SECTIONS[key](value) if key in _SECTIONS else _small(value, 1)
-                    for key, value in report.items()}, 0)
+def _report_text(sc: Scenario) -> str:
+    """The diagram report of sc, as json.dumps(indent=2, sort_keys=True)
+    writes it, each list filled from a template in one pass straight from
+    the frame's columns: floats through float.__repr__ and labels through
+    json's ASCII string encoder, as json writes them, and the other fields
+    through json.dumps.  Roles, the frame's census and the declared census
+    are taken in that order, so the first fault found is the one raised."""
+    d = sc.diagram
+    roles = role_report(d)
+    sources, sinks = terminal_events(d)
+    count, sets = count_paths_auto(d)
+    sections = {"c": _small(d.c, 1),
+                "roles": _list(_ROLE, [[_encode(label) for label, _ in roles],
+                                       [_encode(role.value) for _, role in roles]], 1),
+                "frame": _census(count, (p for ps in sets for p in ps.paths),
+                                 sources=_strings(sources, 2), sinks=_strings(sinks, 2))}
+    if sc.source is not None and sc.sinks:
+        count, declared = count_paths(d, sc.source, sc.sinks)
+        sections["declared"] = _census(count, declared.paths, source=_encode(sc.source),
+                                       sinks=_strings(sc.sinks, 2))
+    by_label = np.argsort(d._rank)
+    t, x = d._xy[by_label].T.tolist()
+    sections["events"] = _list(_EVENT, [map(_encode, d._labels[by_label].tolist()),
+                                        map(float.__repr__, t), map(float.__repr__, x)], 1, "{}")
+    ends = d._labels[d._seg]
+    sections["segments"] = _list(_SEGMENT, [map(_encode, ends[:, 0].tolist()),
+                                            map(_CLASS_NAMES.__getitem__, d._codes.tolist()),
+                                            map(_encode, ends[:, 1].tolist())], 1)
+    return _object(sections, 0)
 
 
 def cmd_diagram(args: argparse.Namespace) -> int:
@@ -294,9 +260,9 @@ def cmd_diagram(args: argparse.Namespace) -> int:
         d = transform_diagram(d, Boost(Branch.SUPERLUMINAL, args.boost_w, K))
     sc = Scenario(d, sc.source, sc.sinks)
     if args.format == "json":
-        _emit(_report_text(_diagram_report(sc)), args.output)
+        _emit(_report_text(sc), args.output)
     elif args.output:
-        report = _report_text(_diagram_report(sc))  # first, so a rejected scenario writes no file
+        report = _report_text(sc)  # first, so a rejected scenario writes no file
         _emit(render_svg(d, title=args.title), args.output)
         _emit(report, None)
     else:

@@ -4,18 +4,31 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import sys
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from xml.etree import ElementTree
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superlum import cli
 from superlum.cli import build_parser, main
-from superlum.diagrams import Scenario, scenario_from_dict, transform_diagram
+from superlum.diagrams import (
+    Scenario,
+    count_paths,
+    count_paths_auto,
+    resolved_segments,
+    role_report,
+    scenario_from_dict,
+    scenario_to_dict,
+    terminal_events,
+    transform_diagram,
+)
 from superlum.kinematics import Boost, Branch
 
 
@@ -270,18 +283,24 @@ def test_diagram_of_no_events_draws_as_it_reports(tmp_path, capsys):
 
 @st.composite
 def _scenario(draw):
-    """A forest of chains over any text labels, some declaring a source and
-    sinks, moved by a boost of either branch or none."""
+    """A DAG over any text labels, each event after its predecessors in time,
+    with up to two of them, so that a source may reach a sink by several
+    paths, some segments faster than light and some on the cone.  Some
+    scenarios declare a source and sinks, which may repeat and come in any
+    order.  The frame is moved by a boost of either branch or none."""
     labels = draw(st.lists(st.text(max_size=5), min_size=2, max_size=14, unique=True))
-    events = {label: [i + draw(st.floats(0.0, 0.5)), draw(st.floats(-50, 50))]
+    events = {label: [i + draw(st.sampled_from([0.0, 0.5])),
+                      draw(st.one_of(st.integers(-3, 3).map(float), st.floats(-3, 3)))]
               for i, label in enumerate(labels)}
-    cuts = draw(st.sets(st.integers(0, len(labels) - 2)))
-    segments = [[a, b] for i, (a, b) in enumerate(zip(labels, labels[1:])) if i not in cuts]
+    segments = [[labels[i], label] for j, label in enumerate(labels[1:], 1)
+                for i in sorted(draw(st.sets(st.integers(0, j - 1), max_size=2)))]
     ends = {label for pair in segments for label in pair}
     data = {"c": draw(st.sampled_from([1.0, 2.0])),
             "events": {k: v for k, v in events.items() if k in ends}, "segments": segments}
     if segments and draw(st.booleans()):
-        data["source"], data["sinks"] = segments[0][0], [segments[-1][1]]
+        named = list(data["events"])
+        data["source"] = draw(st.sampled_from(named))
+        data["sinks"] = draw(st.lists(st.sampled_from(named), min_size=1, max_size=4))
     sc = scenario_from_dict(data)
     K = 1.0 / (sc.diagram.c * sc.diagram.c)
     boost = draw(st.sampled_from([None, Boost(Branch.SUBLUMINAL, 0.3, K),
@@ -291,11 +310,53 @@ def _scenario(draw):
     return Scenario(transform_diagram(sc.diagram, boost), sc.source, sc.sinks)
 
 
+def _report(sc: Scenario) -> dict:
+    """The diagram report as a dict, from the public functions: the oracle
+    of the report writer."""
+    d = sc.diagram
+    roles = [{"event": label, "role": role.value} for label, role in role_report(d)]
+    sources, sinks = terminal_events(d)
+    count, sets = count_paths_auto(d)
+    report = {
+        "c": d.c,
+        "events": scenario_to_dict(sc)["events"],
+        "segments": [{"from": s.start_label, "to": s.end_label,
+                      "speed_class": s.speed_class.value} for s in resolved_segments(d)],
+        "roles": roles,
+        "frame": {"sources": list(sources), "sinks": list(sinks), "path_count": count,
+                  "paths": [list(p) for ps in sets for p in ps.paths]},
+    }
+    if sc.source is not None and sc.sinks:
+        count, declared = count_paths(d, sc.source, sc.sinks)
+        report["declared"] = {"source": sc.source, "sinks": list(sc.sinks),
+                              "path_count": count, "paths": [list(p) for p in declared.paths]}
+    return report
+
+
 @given(_scenario())
+@example(scenario_from_dict({"events": {"s": [0, 0], "t": [1, 0], "u": [2, 0]},
+                             "segments": [["s", "t"], ["t", "u"]],
+                             "source": "s", "sinks": ["u", "t", "u"]}))
 @settings(max_examples=200, deadline=None)
 def test_the_report_writer_writes_the_bytes_of_indented_json_dumps(sc):
-    report = cli._diagram_report(sc)
-    assert cli._report_text(report) == json.dumps(report, indent=2, sort_keys=True)
+    report = _report(sc)
+    assert cli._report_text(sc) == json.dumps(report, indent=2, sort_keys=True)
+
+
+def test_stdout_gets_the_text_with_no_copy_of_it(monkeypatch):
+    """_emit added the last newline by concatenation, a second copy of the
+    whole document before the stream encoded it: 2.0 times the text at the
+    allocation peak."""
+    text = "x" * (20 << 20)
+    with open(os.devnull, "w", encoding="utf-8") as devnull:
+        monkeypatch.setattr(sys, "stdout", devnull)
+        tracemalloc.start()
+        try:
+            cli._emit(text, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1.5 * len(text)
 
 
 def test_diagram_deep_chain(tmp_path, capsys):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import superlum
+import superlum.cli
 
 SOURCES = sorted(Path(superlum.__file__).parent.glob("*.py"))
 
@@ -132,6 +133,18 @@ def test_the_duplicate_boost_and_classification_paths_are_gone():
         assert not hasattr(getattr(superlum, module) if module else superlum, name)
     for function in (superlum.diagrams.resolved_segments, superlum.diagrams.classify_endpoints):
         assert "tol" not in inspect.signature(function).parameters
+
+
+def test_the_diagram_report_is_written_from_the_columns_with_no_report_dict():
+    """cli._report_text writes each section from the frame itself; no scope
+    of cli goes through the scenario dict, and no report dict is built for
+    the writer to read back."""
+    assert not {scope for scope in _scopes(lambda node: isinstance(node, ast.Call)
+                                           and ast.unparse(node.func).split(".")[-1]
+                                           == "scenario_to_dict")
+                if scope.split(".")[0] == "cli"}
+    for name in ("_diagram_report", "_SECTIONS", "_records", "_events", "scenario_to_dict"):
+        assert not hasattr(superlum.cli, name)
 
 
 def test_a_boost_result_beyond_a_float_is_raised_only_by_the_kernel():
