@@ -17,6 +17,7 @@ from importlib import resources
 from itertools import chain, repeat
 from pathlib import Path
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,11 +96,12 @@ class Diagram:
     endpoint rows sorted stably by (start t, start x, end t, end x), and
     each label's rank in sorted order, which every frame shares.  events is
     a read-only Mapping built on first use; segments is the tuple of label
-    pairs in stored order.  The census graph of the frame, its successor
-    rows and Kahn order, is likewise built on first use and shared by every
-    later count_paths and count_paths_auto of the frame; a transformed
-    diagram is a new frame and builds its own.  Zero-length segments are
-    rejected; segment labels must name existing events.
+    pairs in stored order.  The census graph of the frame, its runs of
+    events (see count_paths), their successor rows and Kahn order, is
+    likewise built on first use and shared by every later count_paths and
+    count_paths_auto of the frame; a transformed diagram is a new frame and
+    builds its own.  Zero-length segments are rejected; segment labels must
+    name existing events.
     """
 
     # The constructor's arguments as dataclass fields, so that fields(),
@@ -256,59 +258,112 @@ class PathSet:
 _OUTPUT_BOUND = 2
 _MEMO_LABELS = 2**16
 
+# The census graph contracts runs only when at least this share of the
+# segments is contractible.  Finding the runs costs a few dozen numpy passes
+# and one list per run, and each run saves a step of every later pass for
+# each event past its head: on bundles of five-event worldlines (a quarter of
+# the segments contractible, runs of 2.1 events) that lost, and the graph
+# build took 1.4x as long; on chains (all contractible) the census ran 4-40x
+# faster.
+_RUN_SHARE = 0.5
 
-def _successors(d: Diagram, sources: list[int]) -> tuple[list[list[int]], list[int], list[int]]:
-    """Successor rows of every event in label order, the Kahn order, both
-    from the frame's census graph, and the number of chains from sources
-    into each event, by a dynamic program over that order with exact Python
-    ints.  The graph is built by _census_graph on the frame's first census
-    and kept in d._graph; a cyclic frame keeps none, so each census raises.
+
+class _Graph(NamedTuple):
+    """The census graph of a frame, over its runs.
+
+    A segment is contractible when it is the only segment out of its start
+    and the only one into its end.  A run is a maximal path of events joined
+    by contractible segments, so only its head has a segment in from outside
+    and only its tail a segment out; an event on no contractible segment is a
+    run of its own, and so is every event when less than _RUN_SHARE of the
+    segments is contractible.  Each run has a tag, the rank of its head
+    among the heads in the order of the diagram's labels, that indexes
+    succ, names and the census's lists.
     """
+
+    succ: list[list[int]]  # each run's successor tags (its tail's), sorted by label
+    order: list[int]  # the tags in Kahn order
+    names: list  # a lone event's label; a longer run's tuple of labels
+    runs: frozenset[int]  # the tags t of the runs of several events, and their marks ~t
+    tag: np.ndarray | None  # each event's tag; None when the tags are the events
+    place: np.ndarray | None  # each event's place in its run, 0 at the head
+
+
+def _graph(d: Diagram) -> _Graph:
+    """The frame's census graph, built by _census_graph on its first census
+    and kept in d._graph; a cyclic frame keeps none, so each census raises."""
     if d._graph is None:
         d._graph = _census_graph(d)
-    succ, order = d._graph
-    ways = [0] * len(order)
-    for i in sources:
-        ways[i] = 1
-    for node in order:
-        here = ways[node]
-        if here:
-            for nxt in succ[node]:
-                ways[nxt] += here
-    return succ, order, ways
+    return d._graph
 
 
-def _census_graph(d: Diagram) -> tuple[list[list[int]], list[int]]:
-    """Successor rows of every event, each sorted by label, and the Kahn
-    order of the frame.
+def _census_graph(d: Diagram) -> _Graph:
+    """The census graph of the frame, from numpy passes over its segments
+    and one Python pass per run.
 
-    The pass peels off events whose predecessors are all gone (Kahn 1962);
-    events left over lie on a directed cycle or downstream of one, and the
-    CyclicDiagram message names one that lies on the cycle.  No recursion,
-    so depth is unbounded.
+    Each event finds its run's head and its place in it by pointer doubling
+    over the contractible segments, so a run of k events costs log k
+    passes.  A ring of contractible segments has no head, so its events are
+    left runs of their own.  The Kahn pass visits runs whose predecessors
+    have all been visited (Kahn 1962); runs left over lie on a directed
+    cycle or downstream of one, and the CyclicDiagram message names an
+    event that lies on the cycle.  No recursion, so depth is unbounded.
     """
     n = len(d._labels)
     frm, to = d._seg[:, 0], d._seg[:, 1]
-    by_start = np.argsort(frm * n + d._rank[to], kind="stable")  # by start, then end label
-    ends = to[by_start].tolist()
-    stops = np.bincount(frm, minlength=n).cumsum().tolist()
+    out, into = np.bincount(frm, minlength=n), np.bincount(to, minlength=n)
+    inner = out[frm] * into[to] == 1  # contractible
+    tag = place = None
+    waiting, runs = into, frozenset()
+    contractible = np.count_nonzero(inner)
+    if contractible and contractible >= _RUN_SHARE * len(inner):
+        head, place = np.arange(n), np.zeros(n, np.intp)
+        head[to[inner]], place[to[inner]] = frm[inner], 1
+        for _ in range((n - 1).bit_length()):
+            hop = place[head]
+            if not hop.any():  # every event points at its head
+                break
+            place += hop
+            head = head[head]
+        else:  # a ring, or the longest run ended on the last pass
+            ring = place[head] > 0
+            inner &= ~ring[to]
+            head[ring], place[ring] = np.flatnonzero(ring), 0
+        first = place == 0  # the heads, whose ranks are the tags
+        tag = (first.cumsum() - 1)[head]
+        waiting, names = into[first], d._labels[first].tolist()
+        sizes = np.bincount(tag)
+        starts = sizes.cumsum() - sizes
+        flat = np.empty(n, np.intp)
+        flat[starts[tag] + place] = np.arange(n)  # each run's events in order
+        labels = d._labels[flat].tolist()
+        long = np.flatnonzero(sizes > 1)
+        spans = map(slice, starts[long].tolist(), (starts + sizes)[long].tolist())
+        deque(map(names.__setitem__, long.tolist(), map(tuple, map(labels.__getitem__, spans))),
+              maxlen=0)
+        runs = frozenset(np.concatenate((long, ~long)).tolist())
+        frm, to = tag[frm[~inner]], to[~inner]
+        out = np.bincount(frm, minlength=len(names))
+    else:
+        names = d._labels.tolist()
+    by_start = np.argsort(frm * n + d._rank[to], kind="stable")  # by run, then end label
+    ends = (to[by_start] if tag is None else tag[to[by_start]]).tolist()
+    stops = out.cumsum().tolist()
     succ = [ends[a:b] for a, b in zip([0, *stops], stops)]
-    into = np.bincount(to, minlength=n)
-    waiting = into.tolist()  # predecessors not yet peeled off
-    ready = np.flatnonzero(into == 0).tolist()
-    order: list[int] = []
-    visit, push, pop = order.append, ready.append, ready.pop
-    while ready:
-        node = pop()
-        visit(node)
+    order = np.flatnonzero(waiting == 0).tolist()
+    waiting = waiting.tolist()  # predecessors not yet visited
+    visit = order.append
+    for node in order:
         for nxt in succ[node]:
             waiting[nxt] -= 1
             if not waiting[nxt]:
-                push(nxt)
-    if len(order) < n:
+                visit(nxt)
+    if len(order) < len(names):
         # Every leftover event has a leftover predecessor, so walking back
         # along them must revisit an event, and that event is on a cycle.
         left = np.array(waiting) > 0
+        left = left if tag is None else left[tag]
+        frm, to = d._seg[:, 0], d._seg[:, 1]
         live = left[frm] & left[to]
         pred = dict(zip(to[live].tolist(), frm[live].tolist()))
         node = int(left.argmax())
@@ -317,88 +372,156 @@ def _census_graph(d: Diagram) -> tuple[list[list[int]], list[int]]:
             seen.add(node)
             node = pred[node]
         raise CyclicDiagram(f"directed cycle through {reprlib.repr(d._labels[node])}")
-    return succ, order
+    return _Graph(succ, order, names, runs, tag, place)
 
 
-def _suffixes(names: list[str], succ: list[list[int]], order: list[int],
-              ways: list[int], sinks: frozenset[int]) -> dict[int, list[tuple[str, ...]]]:
-    """Every chain from an event to a sink, in _walk's pre-order, for the
-    events whose lists fit in _MEMO_LABELS labels counted over all lists.
+def _ways(g: _Graph, heads: list[int], late: list[tuple[int, int]]) -> list[int]:
+    """The number of chains from the sources into the head of each run, by
+    a dynamic program over the Kahn order with exact Python ints.  heads
+    holds the tags of the sources that head their runs, late the (tag,
+    place) of those after their run's head, which add only to the run's
+    successors here; the census adds them to the run's own events after
+    them."""
+    succ = g.succ
+    ways = [0] * len(succ)
+    for node in heads:
+        ways[node] = 1
+    for node, _ in late:
+        for nxt in succ[node]:
+            ways[nxt] += 1
+    for node in g.order:
+        here = ways[node]
+        if here:
+            for nxt in succ[node]:
+                ways[nxt] += here
+    return ways
 
-    One pass in reverse Kahn order builds an event's list from its
-    successors' lists, so an event is kept only when all its successors are;
-    events that no chain reaches (ways 0) are skipped.
+
+def _suffixes(g: _Graph, ways: list[int], marks: Mapping[int, Sequence[int]]
+              ) -> dict[int, list[tuple[str, ...]]]:
+    """Every chain from a run's head to a sink, in _walk's pre-order, for
+    the runs whose lists fit in _MEMO_LABELS labels counted over all lists;
+    marks holds the places of the sinks in each run that has any.
+
+    One pass in reverse Kahn order builds a run's list from its own sinks
+    and its successors' lists, so a run is kept only when all its successors
+    are; runs whose heads no chain reaches (ways 0) are skipped.
     """
+    succ, names, runs = g.succ, g.names, g.runs
     memo: dict[int, list[tuple[str, ...]]] = {}
     size: dict[int, int] = {}  # labels in each kept list
     total = 0
-    for v in reversed(order):
+    for v in reversed(g.order):
         kids = succ[v]
         if not ways[v] or not all(w in memo for w in kids):
             continue
-        labels = (v in sinks) + sum(size[w] + len(memo[w]) for w in kids)
+        run = names[v] if v in runs else (names[v],)
+        k = len(run)
+        labels = sum(size[w] + k * len(memo[w]) for w in kids)
+        if v in marks:  # the chains that end in the run itself
+            labels += sum(marks[v]) + len(marks[v])
         if total + labels > _MEMO_LABELS:
             continue
-        head = (names[v],)
-        chains = [head] if v in sinks else []
+        chains = [run[:at + 1] for at in marks[v]] if v in marks else []
         for w in kids:
-            chains += map(head.__add__, memo[w])
+            chains += map(run.__add__, memo[w])
         memo[v], size[v] = chains, labels
         total += labels
     return memo
 
 
-def _walk(succ: list[list[int]], names: list[str], source: int, sinks: frozenset[int],
-          memo: Mapping[int, list[tuple[str, ...]]]) -> tuple[tuple[str, ...], ...]:
-    """Every chain from source that ends on a sink, as labels, in pre-order
-    over the sorted successors.  An explicit stack of successor iterators and
-    one mutable trail replace recursion; a trail is copied only when it
-    counts.  On reaching an event whose chains memo holds, the walk emits the
-    trail joined to each of them instead of descending.
+def _walk(g: _Graph, starts: list[int], at: Iterable[int], marks: Mapping[int, Sequence[int]],
+          memo: Mapping[int, list[tuple[str, ...]]]) -> list[tuple[tuple[str, ...], ...]]:
+    """For each source, given by its run's tag in starts and its place in
+    that run in at, every chain from it that ends on a sink, as labels, in
+    pre-order over the sorted successors.  An explicit stack of successor
+    iterators and one mutable trail replace recursion; a trail is copied
+    only when it counts.  A run of several events is entered by one extend
+    of the trail, each sink in it emitting its prefix, and its row is
+    followed by its mark, on which one slice delete takes all its labels
+    but its head's off the trail.  On reaching a run whose chains memo
+    holds, the walk emits the trail joined to each of them instead of
+    descending.
     """
-    if source in memo:  # its own list, less the chain of no segment
-        return tuple(memo[source][source in sinks:])
-    found: list[tuple[str, ...]] = []
-    trail = [names[source]]
-    stack = [iter(succ[source])]
+    succ, names, runs = g.succ, g.names, g.runs
+    special = runs.union(memo) if runs and memo else memo or runs
+    listings, found, trail, stack = [], [], [], []
     # bound methods, looked up once: this loop runs once per listed step
     push, pop, emit, join = stack.append, stack.pop, found.append, found.extend
-    step, back = trail.append, trail.pop
-    while stack:
-        for nxt in stack[-1]:  # advance the deepest iterator by one
-            if nxt in memo:
-                join(map(tuple(trail).__add__, memo[nxt]))
+    step, back, grow = trail.append, trail.pop, trail.extend
+    for source, place in zip(starts, at):
+        if source not in special:
+            step(names[source])
+        elif not place and source in memo:  # its own list, less the chain of no segment
+            own = marks.get(source, ())
+            listings.append(tuple(memo[source][bool(own) and not own[0]:]))
+            continue
+        else:  # in a run of several events
+            grow(names[source][place:])
+            for q in marks.get(source, ()):  # the sinks after it in its run
+                if q > place:
+                    emit(tuple(trail[:q + 1 - place]))
+        push(iter(succ[source]))
+        while stack:
+            for nxt in stack[-1]:  # advance the deepest iterator by one
+                if nxt in special:
+                    if nxt < 0:  # a run's mark: all its labels off but its head's
+                        del trail[1 - len(names[~nxt]):]
+                    elif nxt in memo:
+                        join(map(tuple(trail).__add__, memo[nxt]))
+                    else:
+                        cut = len(trail)
+                        grow(names[nxt])
+                        if nxt in marks:
+                            join([tuple(trail[:cut + q + 1]) for q in marks[nxt]])
+                        push(chain(succ[nxt], (~nxt,)))
+                    break
+                step(names[nxt])
+                if nxt in marks:
+                    emit(tuple(trail))
+                if succ[nxt]:
+                    push(iter(succ[nxt]))
+                else:
+                    back()
                 break
-            step(names[nxt])
-            if nxt in sinks:
-                emit(tuple(trail))
-            if succ[nxt]:
-                push(iter(succ[nxt]))
-            else:
+            else:  # exhausted: retreat one event
+                pop()
                 back()
-            break
-        else:  # exhausted: retreat one event
-            pop()
-            back()
-    return tuple(found)
+        listings.append(tuple(found))
+        found.clear()
+        trail.clear()  # a run's labels before the last stay when its walk ends
+    return listings
 
 
 def _census(d: Diagram, sources: Iterable[str], sinks: Iterable[str]
             ) -> tuple[int, list[tuple[tuple[str, ...], ...]]]:
     """The exact count of chains from any source to any sink, from the
-    dynamic program of _successors, taken before and apart from the listing,
-    and each source's listing by _walk, which reads the suffix memo only
-    when the census is output-bound."""
-    names, index = d._labels.tolist(), d._index
+    dynamic program of _ways, taken before and apart from the listing, and
+    each source's listing by _walk, which reads the suffix memo only when
+    the census is output-bound."""
+    g = _graph(d)
+    index = d._index
     starts = [index[s] for s in sources]
-    ends = frozenset(index[s] for s in sinks)
-    succ, order, ways = _successors(d, starts)
+    ends = sorted({index[s] for s in sinks})
     # the chain of no segment at a source that is also a sink is no path
-    count = sum(ways[k] for k in ends) - len(ends.intersection(starts))
+    count = -len(set(ends).intersection(starts))
+    heads, late, at = starts, [], repeat(0)
+    marks: dict[int, Sequence[int]] = dict.fromkeys(ends, (0,))  # each run's sink places
+    if g.runs:  # the events as (tag, place) of their runs
+        at, sunk = g.place[starts].tolist(), g.place[ends].tolist()
+        starts, ends = g.tag[starts].tolist(), g.tag[ends].tolist()
+        heads = [node for node, a in zip(starts, at) if not a]
+        late = [(node, a) for node, a in zip(starts, at) if a]  # after their run's head
+        marks = {}
+        for node, place in sorted(zip(ends, sunk)):
+            marks.setdefault(node, []).append(place)
+        count += sum(s == node and a <= place for s, a in late for node, place in zip(ends, sunk))
+    ways = _ways(g, heads, late)
+    count += sum(ways[node] * len(places) for node, places in marks.items())
     memo = {}
-    if count > _OUTPUT_BOUND * (len(order) + len(d._seg)):
-        memo = _suffixes(names, succ, order, ways, ends)
-    return count, [_walk(succ, names, s, ends, memo) for s in starts]
+    if count > _OUTPUT_BOUND * (len(d._labels) + len(d._seg)):
+        memo = _suffixes(g, ways, marks)
+    return count, _walk(g, starts, at, marks, memo)
 
 
 def count_paths(d: Diagram, source: str, sinks: Iterable[str]) -> tuple[int, PathSet]:
@@ -409,16 +532,22 @@ def count_paths(d: Diagram, source: str, sinks: Iterable[str]) -> tuple[int, Pat
     The segment graph must be acyclic anywhere, not only where the source
     reaches.  Paths are listed in pre-order: from each event the successors
     are taken in sorted label order, and a prefix comes before its
-    extensions.  The count is an exact int from a dynamic program over the
-    Kahn order, linear in the events and segments, taken apart from the
-    listing.  The successor rows and the Kahn order are the frame's census
-    graph, built by the frame's first census and shared by every later
-    count_paths and count_paths_auto of it.  The listing costs the count's
-    time plus the total length of the listed paths, and no recursion limit
-    caps the depth.  When the chains outnumber events plus segments more than
-    twofold, the listing first memoises the chains from the events nearest
-    the sinks, up to 2**16 labels in all, and joins each walked prefix to
-    them with one tuple concatenation per path.
+    extensions.  The census works on runs: a run is a maximal path of
+    events joined by segments that are each the only one out of their start
+    and the only one into their end, so a chain of events is one run.  The
+    runs, their successor rows and their Kahn order are the frame's census
+    graph, built by the frame's first census with numpy passes and one
+    Python step per run, and shared by every later count_paths and
+    count_paths_auto of it; when fewer than half the segments lie inside
+    runs, every event stays a run of its own.  The count is an exact int
+    from a dynamic program over the Kahn order, linear in the runs and the
+    segments between them, taken apart from the listing.  The listing adds
+    the total length of the listed paths, with one list extend per run
+    entered, and no recursion limit caps the depth.  A source or sink inside
+    a run is placed there at census time.  When the chains outnumber events
+    plus segments more than twofold, the listing first memoises the chains
+    from the runs nearest the sinks, up to 2**16 labels in all, and joins
+    each walked prefix to them with one tuple concatenation per path.
     """
     sink_set = tuple(sorted(set(_known(d, source, sinks))))
     if not sink_set:
@@ -459,7 +588,8 @@ def count_paths_auto(d: Diagram) -> tuple[int, tuple[PathSet, ...]]:
     of the segment graph to the pure end events, one PathSet per start
     event in label order.  The count and the suffix memo of count_paths are
     built once and shared by every start event, and the census graph of the
-    frame, built once, by every later census of it, as count_paths says."""
+    frame, its runs built once, by every later census of it, at the cost
+    count_paths gives: linear in the runs, plus the listed labels."""
     sources, sinks = terminal_events(d)
     count, listings = _census(d, sources, sinks)
     return count, tuple(PathSet(src, sinks, paths) for src, paths in zip(sources, listings))

@@ -451,20 +451,22 @@ def _ladder(rungs):
 
 
 def _ladder_memo(rungs):
-    """The ladder, its successor rows and its suffix memo from s to t."""
+    """The ladder, its census graph and its suffix memo from s to t.  A
+    ladder has no contractible segment, so each event is a run of its own
+    and its tag is its index."""
     d = _ladder(rungs)
-    succ, order, ways = diagrams._successors(d, [d._index["s"]])
-    memo = diagrams._suffixes(d._labels.tolist(), succ, order, ways,
-                              frozenset({d._index["t"]}))
-    return d, succ, memo
+    g = diagrams._graph(d)
+    assert not g.runs and len(g.succ) == len(d.events)
+    ways = diagrams._ways(g, [d._index["s"]], [])
+    memo = diagrams._suffixes(g, ways, {d._index["t"]: (0,)})
+    return d, g, memo
 
 
 def test_ladder_listing_from_the_memo_equals_the_plain_walk():
-    d, succ, memo = _ladder_memo(12)
+    d, g, memo = _ladder_memo(12)
     assert 2**12 > diagrams._OUTPUT_BOUND * (len(d.events) + len(d.segments))
     assert len(memo) > 2  # output-bound, so the census reads the memo
-    plain = diagrams._walk(succ, d._labels.tolist(), d._index["s"],
-                           frozenset({d._index["t"]}), {})
+    (plain,) = diagrams._walk(g, [d._index["s"]], [0], {d._index["t"]: (0,)}, {})
     count, sets = count_paths_auto(d)
     assert count == len(plain) == 2**12
     assert [ps.paths for ps in sets] == [plain]
@@ -477,6 +479,82 @@ def test_the_memo_holds_no_more_labels_than_its_budget(monkeypatch, budget):
         _, _, memo = _ladder_memo(rungs)
         assert sum(len(chain) for chains in memo.values() for chain in chains) <= budget
         assert bool(memo) == (budget > 0)  # the sink's own list is the 1 label (t,)
+
+
+@st.composite
+def _railed_dag(draw):
+    """Rails, chains of 2-8 events whose segments are all contractible,
+    joined at hub events, with a few more segments between hubs.  Every
+    event sits at the time of its topological index, so each segment runs
+    forward; labels sort in a random order against that index."""
+    hubs = draw(st.integers(1, 4))
+    rails = draw(st.lists(st.integers(2, 8), min_size=1, max_size=4))
+    n = hubs + sum(rails)
+    labels = [f"e{i:02d}" for i in draw(st.permutations(range(n)))]
+    rank = draw(st.permutations(range(n)))  # topological index of each event
+    events = {labels[i]: (float(rank[i]), 0.5 * (i % 3)) for i in range(n)}
+    segments = []
+    first = hubs
+    for length in rails:
+        rail = sorted(range(first, first + length), key=rank.__getitem__)
+        first += length
+        segments += [(labels[a], labels[b]) for a, b in zip(rail, rail[1:])]
+        into, out = (draw(st.none() | st.integers(0, hubs - 1)) for _ in "io")
+        if into is not None and rank[into] < rank[rail[0]]:
+            segments.append((labels[into], labels[rail[0]]))
+        if out is not None and rank[rail[-1]] < rank[out]:
+            segments.append((labels[rail[-1]], labels[out]))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, hubs - 1), st.integers(0, hubs - 1)),
+                              max_size=4)):
+        if rank[i] < rank[j]:
+            segments.append((labels[i], labels[j]))
+    return _diagram(events, segments)
+
+
+@pytest.mark.parametrize("bound, budget", [(None, None), (0, 3), (0, 2**16)])
+@given(d=_railed_dag(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_runs_with_sources_and_sinks_inside_them(bound, budget, d, data):
+    """Runs contracted on every frame, a declared source and sinks drawn
+    anywhere, mid-run included, with the suffix memo off and forced on."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diagrams, "_RUN_SHARE", 0)
+        if bound is not None:
+            mp.setattr(diagrams, "_OUTPUT_BOUND", bound)
+            mp.setattr(diagrams, "_MEMO_LABELS", budget)
+        _check_census(d, data)
+    assert diagrams._graph(d).runs  # a rail of two events or more is a run
+
+
+def test_a_source_and_sinks_mid_run():
+    """On one chain, a source after the head and sinks before, at and after
+    it: only those after it end a path, each as the walk passes it."""
+    d = _chain(12)
+    count, ps = count_paths(d, "c4", ("c2", "c4", "c6", "c11"))
+    assert diagrams._graph(d).runs
+    assert count == 2 and ps.paths == (
+        ("c4", "c5", "c6"), tuple(f"c{i}" for i in range(4, 12)))
+
+
+@pytest.mark.parametrize("share", [0, 0.5])
+@given(length=st.integers(2, 33), beside=st.booleans(), dag=_random_dag(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_ring_of_unary_events_is_cyclic(share, length, beside, dag, data):
+    """A ring whose events each have one segment in and one out has no run
+    head; the census still stops, and names the ring's event listed first,
+    alone or beside a DAG, whether or not the frame contracts runs."""
+    ring = [f"r{i}" for i in data.draw(st.permutations(range(length)))]
+    events = {z: (0.0, float(i)) for i, z in enumerate(ring)}  # simultaneous: kept as given
+    segments = list(zip(ring, ring[1:] + ring[:1]))
+    if beside:
+        events = {**{k: (e.t, e.x) for k, e in dag.events.items()}, **events}
+        segments = [*dag.segments, *segments]
+    d = _diagram(events, segments)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diagrams, "_RUN_SHARE", share)
+        for call in (lambda: count_paths_auto(d), lambda: count_paths(d, ring[0], ring[1:2])):
+            with pytest.raises(CyclicDiagram, match=f"^directed cycle through '{ring[0]}'$"):
+                call()
 
 
 @given(_random_dag(), st.integers(2, 4), st.data())
@@ -502,18 +580,22 @@ def test_unreachable_cycle_is_named(d, length, data):
 
 
 def test_a_frame_builds_its_census_graph_once(monkeypatch):
-    """count_paths_auto, then count_paths, on one frame build its successor
-    rows and Kahn order once; a transformed diagram is a frame of its own."""
+    """count_paths_auto, then count_paths, on one frame build its runs,
+    successor rows and Kahn order once; a transformed diagram is a frame of
+    its own."""
     built = []
     build = diagrams._census_graph
     monkeypatch.setattr(diagrams, "_census_graph", lambda d: built.append(d) or build(d))
-    d = _ladder(5)
-    moved = transform_diagram(d, Boost(Branch.SUBLUMINAL, 0.5))
-    for frame in (d, moved):
-        auto, (listed,) = count_paths_auto(frame)
-        declared, ps = count_paths(frame, "s", ("t",))
-        assert auto == declared == 2**5 and listed.paths == ps.paths
-    assert [id(frame) for frame in built] == [id(d), id(moved)]
+    frames = []
+    for d, source, sink, paths in ((_ladder(5), "s", "t", 2**5), (_chain(40), "c0", "c39", 1)):
+        moved = transform_diagram(d, Boost(Branch.SUBLUMINAL, 0.5))
+        for frame in (d, moved):
+            auto, (listed,) = count_paths_auto(frame)
+            declared, ps = count_paths(frame, source, (sink,))
+            assert auto == declared == paths and listed.paths == ps.paths
+            frames.append(frame)
+    assert [id(frame) for frame in built] == list(map(id, frames))
+    assert bool(diagrams._graph(frames[-1]).runs) and not diagrams._graph(frames[0]).runs
 
 
 def test_a_cyclic_frame_raises_on_every_census():

@@ -1,9 +1,12 @@
 """One fact, one place: where the package may check a bound, sum exponentials,
 form a boost scale, reject a boost result, compose speeds and classify
-segments, read from the source with ast."""
+segments, read from the source with ast; and how many lines the path census
+runs, counted by a trace function."""
 
 import ast
 import inspect
+import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -304,13 +307,50 @@ def test_the_four_key_sort_runs_only_when_start_times_tie():
 
 def test_the_census_graph_is_built_in_one_function():
     """Only _census_graph slices the successor rows out of the segment
-    ends, and only _successors, which keeps its result on the diagram,
-    calls it."""
+    ends, and only _graph, which keeps its result on the diagram, calls
+    it."""
     def slices_rows(node):
         return (isinstance(node, ast.ListComp) and isinstance(node.elt, ast.Subscript)
-                and isinstance(node.elt.slice, ast.Slice))
+                and isinstance(node.elt.slice, ast.Slice)
+                and any(isinstance(gen.iter, ast.Call) and ast.unparse(gen.iter.func) == "zip"
+                        for gen in node.generators))
 
     assert {scope for scope in _scopes(slices_rows)
             if scope.startswith("diagrams.")} == {"diagrams._census_graph"}
     assert _scopes(lambda node: isinstance(node, ast.Call)
-                   and ast.unparse(node.func) == "_census_graph") == {"diagrams._successors"}
+                   and ast.unparse(node.func) == "_census_graph") == {"diagrams._graph"}
+
+
+def _census_lines(n: int) -> int:
+    """Lines of diagrams.py run by count_paths_auto and count_paths on a
+    fresh chain of n events, counted by a trace function."""
+    d = superlum.Diagram({f"c{i}": superlum.Event1p1(float(i), 0.0) for i in range(n)},
+                         [(f"c{i}", f"c{i + 1}") for i in range(n - 1)])
+    source = superlum.diagrams.__file__
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code.co_filename == source else None
+
+    before = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        superlum.count_paths_auto(d)
+        superlum.count_paths(d, "c0", (f"c{n - 1}", f"c{n // 2}"))
+    finally:
+        sys.settrace(before)
+    return lines
+
+
+def test_no_census_loop_steps_once_per_event_of_a_run():
+    """A chain is one run, so the census's Python lines grow with the
+    passes of its pointer doubling, log n, and not with its events: a
+    chain of 10**4 events runs at most 10 lines more per doubling of n than
+    one of 10**2 events (a loop per event would add about 10**4)."""
+    small, large = _census_lines(10**2), _census_lines(10**4)
+    assert large - small <= 10 * math.log2(10**4 / 10**2)
