@@ -32,7 +32,6 @@ from .diagrams import (
     load_fixture,
     load_scenario,
     role_report,
-    terminal_events,
     transform_diagram,
 )
 from .errors import SuperlumError
@@ -166,13 +165,36 @@ def cmd_compose(args: argparse.Namespace) -> int:
 CHUNK = 1024
 
 
-def _rows(row: str, columns: list[list], sep: str) -> list[str]:
+@functools.cache
+def _layout(depth: int, brackets: str) -> tuple[str, str, str]:
+    """What json.dumps(indent=2) writes before, between and after the items
+    of a list, or with brackets "{}" an object, at nesting depth; cached,
+    since every listed path asks for it."""
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner, "," + inner, "\n" + "  " * depth + brackets[1]
+
+
+def _join(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """A list of items already written as JSON, laid out at depth by one
+    join, which copies each item once."""
+    head, sep, tail = _layout(depth, brackets)
+    parts = [sep] * (2 * len(items) + 1)
+    parts[1::2], parts[0], parts[-1] = items, head, tail
+    return "".join(parts) if items else brackets
+
+
+def _rows(row: str, columns: list, depth: int, brackets: str = "[]") -> str:
     """The %-template row filled from each row of the columns, which hold
-    its fields in order, CHUNK rows to a string joined by sep."""
+    its fields in order as text already written as JSON, CHUNK rows to a
+    string, laid out at depth.  The first and last templates hold the
+    brackets, so that a list of one chunk copies its fields once."""
+    columns = [list(c) for c in columns]
     n = len(columns[0])
-    return [sep.join([row] * min(CHUNK, n - i))
-            % tuple(chain.from_iterable(zip(*(c[i:i + CHUNK] for c in columns))))
-            for i in range(0, n, CHUNK)]
+    head, sep, tail = _layout(depth, brackets)
+    return sep.join([(head * (i == 0) + sep.join([row] * min(CHUNK, n - i))
+                      + tail * (n - i <= CHUNK))
+                     % tuple(chain.from_iterable(zip(*(c[i:i + CHUNK] for c in columns))))
+                     for i in range(0, n, CHUNK)]) or brackets
 
 
 # One item of each long list of objects in the diagram report, at the depth
@@ -184,65 +206,48 @@ _encode = json.encoder.encode_basestring_ascii
 _CLASS_NAMES = [_encode(k.value) for k in SpeedClass]  # a stored speed code indexes this
 
 
-def _list(template: str, columns: list, depth: int, brackets: str = "[]") -> str:
-    """A JSON list, or with brackets "{}" an object, at nesting depth, laid
-    out as json.dumps(indent=2) lays it out.  Its items are the %-template
-    filled from each row of the columns, which hold text already written as
-    JSON."""
-    inner = "\n" + "  " * (depth + 1)
-    sep = "," + inner
-    items = sep.join(_rows(template, [list(c) for c in columns], sep))
-    return f"{brackets[0]}{inner}{items}\n{'  ' * depth}{brackets[1]}" if items else brackets
-
-
-def _small(value, depth: int) -> str:
-    """A small field at nesting depth, through the generic json.dumps."""
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
-
-
 def _strings(values, depth: int) -> str:
-    return _list("%s", [map(_encode, values)], depth)
+    return _join(list(map(_encode, values)), depth)
 
 
 def _object(fields: dict[str, str], depth: int) -> str:
     """A JSON object of values already written, with its keys sorted."""
     keys = sorted(fields)
-    return _list("%s: %s", [map(_encode, keys), map(fields.__getitem__, keys)], depth, "{}")
+    return _rows("%s: %s", [map(_encode, keys), map(fields.__getitem__, keys)], depth, "{}")
 
 
 def _census(count: int, paths, **terminals: str) -> str:
     """The report's frame or declared section at depth 1: its terminal
     events, already written, its path count and its paths."""
-    return _object({**terminals, "path_count": _small(count, 2),
-                    "paths": _list("%s", [[_strings(path, 3) for path in paths]], 2)}, 1)
+    return _object({**terminals, "path_count": int.__repr__(count),
+                    "paths": _join([_strings(path, 3) for path in paths], 2)}, 1)
 
 
 def _report_text(sc: Scenario) -> str:
     """The diagram report of sc, as json.dumps(indent=2, sort_keys=True)
-    writes it, each list filled from a template in one pass straight from
-    the frame's columns: floats through float.__repr__ and labels through
-    json's ASCII string encoder, as json writes them, and the other fields
-    through json.dumps.  Roles, the frame's census and the declared census
-    are taken in that order, so the first fault found is the one raised."""
+    writes it, straight from the frame's columns: numbers by their __repr__
+    and labels by json's ASCII string encoder, as json writes them.  Roles,
+    the frame's census and the declared census are taken in that order, so
+    the first fault found is the one raised."""
     d = sc.diagram
     roles = role_report(d)
-    sources, sinks = terminal_events(d)
-    count, sets = count_paths_auto(d)
-    sections = {"c": _small(d.c, 1),
-                "roles": _list(_ROLE, [[_encode(label) for label, _ in roles],
+    count, sets = count_paths_auto(d)  # a frame with no source has no segment, so no sink
+    sections = {"c": float.__repr__(d.c),
+                "roles": _rows(_ROLE, [[_encode(label) for label, _ in roles],
                                        [_encode(role.value) for _, role in roles]], 1),
                 "frame": _census(count, (p for ps in sets for p in ps.paths),
-                                 sources=_strings(sources, 2), sinks=_strings(sinks, 2))}
+                                 sources=_strings((ps.source for ps in sets), 2),
+                                 sinks=_strings(sets[0].sinks if sets else (), 2))}
     if sc.source is not None and sc.sinks:
         count, declared = count_paths(d, sc.source, sc.sinks)
         sections["declared"] = _census(count, declared.paths, source=_encode(sc.source),
                                        sinks=_strings(sc.sinks, 2))
     by_label = np.argsort(d._rank)
     t, x = d._xy[by_label].T.tolist()
-    sections["events"] = _list(_EVENT, [map(_encode, d._labels[by_label].tolist()),
+    sections["events"] = _rows(_EVENT, [map(_encode, d._labels[by_label].tolist()),
                                         map(float.__repr__, t), map(float.__repr__, x)], 1, "{}")
     ends = d._labels[d._seg]
-    sections["segments"] = _list(_SEGMENT, [map(_encode, ends[:, 0].tolist()),
+    sections["segments"] = _rows(_SEGMENT, [map(_encode, ends[:, 0].tolist()),
                                             map(_CLASS_NAMES.__getitem__, d._codes.tolist()),
                                             map(_encode, ends[:, 1].tolist())], 1)
     return _object(sections, 0)

@@ -638,18 +638,13 @@ def _coordinates(events: Mapping) -> np.ndarray:
 
 def _label_pairs(segments) -> Sequence[Sequence[str]]:
     """The [start, end] label pairs as strings: segments itself when every
-    segment is a list or tuple of two strings, converted by str() in one
-    pass when every segment is a list or tuple; otherwise segment by
-    segment, so that the error names the segment.  A string or an object of
-    two items is not a pair."""
-    try:
-        if isinstance(segments, (list, tuple)) and {*map(type, segments)} <= {list, tuple}:
-            if ({*map(len, segments)} <= {2}
-                    and {*map(type, chain.from_iterable(segments))} <= {str}):
-                return segments
-            return tuple((str(a), str(b)) for a, b in segments)
-    except (TypeError, ValueError):
-        pass
+    segment is a list or tuple of two strings; otherwise converted by str()
+    segment by segment, so that an error names the segment.  A string or an
+    object of two items is not a pair."""
+    if (isinstance(segments, (list, tuple)) and {*map(type, segments)} <= {list, tuple}
+            and {*map(len, segments)} <= {2}
+            and {*map(type, chain.from_iterable(segments))} <= {str}):
+        return segments
     if not isinstance(segments, Iterable):
         raise InvalidScenario(f"scenario 'segments' must list [start, end] pairs, "
                               f"got {reprlib.repr(segments)}")

@@ -146,16 +146,32 @@ def _string(text: bytearray) -> str:
     return text.translate(None, PAD).decode()
 
 
-def _unencodable(what: str, text: str) -> InvalidScenario:
-    return InvalidScenario(f"{what} {reprlib.repr(text)} holds a lone surrogate, "
-                           "which UTF-8 cannot encode")
+# The characters XML 1.0 forbids, apart from the lone surrogates, which UTF-8
+# cannot encode: the C0 controls other than tab, LF and CR, U+FFFE and U+FFFF.
+# Each is translated to NUL, one of them, so that one find locates them all.
+_NOT_XML = dict.fromkeys([*range(9), 11, 12, *range(14, 32), 0xFFFE, 0xFFFF], 0)
+
+
+def _unwritable(what: str, text: str) -> InvalidScenario | None:
+    """The error naming a label or title that an SVG cannot hold, if text
+    holds a character of _NOT_XML or one that UTF-8 cannot encode."""
+    if "\0" in text.translate(_NOT_XML):
+        return InvalidScenario(f"{what} {reprlib.repr(text)} holds a character that XML 1.0 "
+                               "forbids")
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        return InvalidScenario(f"{what} {reprlib.repr(text)} holds a lone surrogate, "
+                               "which UTF-8 cannot encode")
+    return None
 
 
 def _labels(d: Diagram, by_label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The labels in label order, escaped only when one of them holds
     markup, as their UTF-8 bytes joined; and the offset of each label's
-    bytes in them, then the total.  A label that UTF-8 cannot encode raises
-    InvalidScenario naming it."""
+    bytes in them, then the total.  A label that UTF-8 cannot encode, or
+    that holds a character XML 1.0 forbids, raises InvalidScenario naming
+    it."""
     labels = d._labels[by_label].tolist()
     joined = "".join(labels)
     if "&" in joined or "<" in joined or ">" in joined:
@@ -166,8 +182,15 @@ def _labels(d: Diagram, by_label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
         text = np.frombuffer(joined.encode(), np.uint8)
     except UnicodeEncodeError as exc:
-        label = d._labels[by_label[np.searchsorted(ends, exc.start, side="right") - 1]]
-        raise _unencodable("event label", label) from None
+        at = exc.start  # where in joined the first character an SVG cannot hold is
+    else:
+        # in UTF-8 a C0 control is one byte, and every byte of another character is >= 32
+        forbidden = (text[text < 32].tobytes().translate(None, b"\t\n\r")
+                     or "\ufffe" in joined or "\uffff" in joined)
+        at = joined.translate(_NOT_XML).index("\0") if forbidden else -1
+    if at >= 0:
+        raise _unwritable("event label",
+                          d._labels[by_label[np.searchsorted(ends, at, side="right") - 1]])
     if len(text) > len(joined):  # some label is not ASCII: offsets in bytes
         np.cumsum(np.fromiter(map(len, map(str.encode, labels)), np.intp, len(labels)),
                   out=ends[1:])
@@ -237,14 +260,11 @@ def _marks(d: Diagram, cx: np.ndarray, cy: np.ndarray) -> list[str]:
 def render_svg(d: Diagram, title: str | None = None) -> str:
     """Render one diagram to a standalone SVG string.  A drawing whose size
     in pixels does not fit in a float raises NonfiniteResult naming the
-    event farthest out, and a label or title that UTF-8 cannot encode
-    raises InvalidScenario naming it.  A diagram of no events draws the
-    padding around the origin."""
-    if title:
-        try:
-            title.encode()
-        except UnicodeEncodeError:
-            raise _unencodable("title", title) from None
+    event farthest out, and a label or title that UTF-8 cannot encode, or
+    that holds a character XML 1.0 forbids, raises InvalidScenario naming
+    it.  A diagram of no events draws the padding around the origin."""
+    if title and (error := _unwritable("title", title)):
+        raise error
     with np.errstate(over="ignore"):
         x, ct = d._xy[:, 1], d._xy[:, 0] * d.c
     pad = STYLE["pad"]

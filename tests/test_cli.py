@@ -343,6 +343,30 @@ def test_the_report_writer_writes_the_bytes_of_indented_json_dumps(sc):
     assert cli._report_text(sc) == json.dumps(report, indent=2, sort_keys=True)
 
 
+def _ladder(rungs: int) -> dict:
+    """A source s, rungs of two events each, and a sink t: 2**rungs paths."""
+    events = {"s": [0.0, 0.0], "t": [float(rungs + 1), 0.0]}
+    segments, prev = [], ["s"]
+    for i in range(1, rungs + 1):
+        rung = [f"a{i}", f"b{i}"]
+        events.update({rung[0]: [float(i), -0.3], rung[1]: [float(i), 0.3]})
+        segments += [[p, r] for p in prev for r in rung]
+        prev = rung
+    return {"events": events, "segments": segments + [[p, "t"] for p in prev]}
+
+
+@pytest.mark.parametrize("rungs", [10, 12])
+def test_the_report_of_a_ladder_is_the_bytes_of_indented_json_dumps(rungs):
+    """Thousands of listed paths, in the frame and in a declared census whose
+    sinks repeat and are not sorted, each path ending on a rung or on t."""
+    sc = scenario_from_dict({**_ladder(rungs), "source": "s",
+                             "sinks": ["t", f"b{rungs // 2}", "t", "a3", f"b{rungs // 2}"]})
+    report = _report(sc)
+    assert report["frame"]["path_count"] == 2 ** rungs
+    assert report["declared"]["sinks"] == ["t", f"b{rungs // 2}", "t", "a3", f"b{rungs // 2}"]
+    assert cli._report_text(sc) == json.dumps(report, indent=2, sort_keys=True)
+
+
 def test_stdout_gets_the_text_with_no_copy_of_it(monkeypatch):
     """_emit added the last newline by concatenation, a second copy of the
     whole document before the stream encoded it: 2.0 times the text at the
@@ -506,6 +530,29 @@ def test_diagram_text_utf8_cannot_encode_is_named_before_any_file_opens(
     code, out, err = _run(capsys, "diagram", "--input", inp, "--title", title,
                           "--format", "json")
     assert code == 0 and err == "" and json.loads(out)["roles"] == []
+
+
+@pytest.mark.parametrize("label, title, named", [
+    ("a\x01b", None, "event label 'a\\x01b'"),
+    ("a\ufffeb", None, "event label 'a\\ufffeb'"),
+    ("a", "x\x02y", "title 'x\\x02y'"),
+    ("a", "x\uffff", "title 'x\\uffff'"),
+])
+def test_diagram_text_xml_forbids_is_named_before_any_file_opens(
+        tmp_path, capsys, label, title, named):
+    """A label or title holding a character XML 1.0 forbids exited 0 with an
+    SVG that no XML parser reads; the JSON report escapes the character and
+    still exits 0."""
+    inp = _write(tmp_path, "s.json",
+                 {"events": {label: [0, 0], "z": [1, 0.2]}, "segments": [[label, "z"]]})
+    titled = ["--title", title] if title else []
+    svg = tmp_path / "d.svg"
+    for output in (["--output", str(svg)], []):
+        code, out, err = _run(capsys, "diagram", "--input", inp, *titled, *output)
+        assert code == 2 and out == "" and not svg.exists()
+        assert err == f"error: InvalidScenario: {named} holds a character that XML 1.0 forbids\n"
+    code, out, err = _run(capsys, "diagram", "--input", inp, *titled, "--format", "json")
+    assert code == 0 and err == "" and json.loads(out)["frame"]["sources"] == [label]
 
 
 def test_diagram_unknown_fixture(capsys):

@@ -312,6 +312,17 @@ def test_source_and_sinks_must_be_label_strings(source, sinks, named):
                             "sinks": list(sinks)})
 
 
+@pytest.mark.parametrize("pairs", [[[1, 2], [2, 3]], ((1, 2), (2, 3)), [(1, "2"), ["2", 3]]])
+def test_segment_labels_that_are_not_strings_load_as_their_str(pairs):
+    """A pair of ints, in a list or a tuple, names the events its str() names."""
+    data = {"events": {"1": [0, 0], "2": [1, 0.2], "3": [2, 0]}, "segments": pairs}
+    d = scenario_from_dict(data).diagram
+    expected = scenario_from_dict({**data, "segments": [["1", "2"], ["2", "3"]]}).diagram
+    assert d.segments == expected.segments == (("1", "2"), ("2", "3"))
+    assert resolved_segments(d) == resolved_segments(expected)
+    assert count_paths_auto(d) == count_paths_auto(expected)
+
+
 def test_cyclic_diagram_detected():
     d = _diagram({"P": (0, 0), "Q": (0, 1)}, [("P", "Q"), ("Q", "P")])
     with pytest.raises(CyclicDiagram):

@@ -6,8 +6,10 @@ the writer it replaced, kept as the oracle: every coordinate through
 "%.1f" and every row filled from a %-template, CHUNK rows to a string."""
 
 import math
+import re
 import tracemalloc
 from itertools import chain
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -164,3 +166,27 @@ def test_a_title_utf8_cannot_encode_is_named():
     d = Diagram({"a": Event1p1(0.0, 0.0), "b": Event1p1(1.0, 0.5)}, [("a", "b")])
     with pytest.raises(InvalidScenario, match="title 'x\\\\ud800' holds a lone surrogate"):
         render_svg(d, title="x\ud800")
+
+
+@pytest.mark.parametrize("char", ["\x00", "\x01", "\x08", "\x0b", "\x0c", "\x0e", "\x1f",
+                                  "\ufffe", "\uffff"])
+def test_a_label_or_title_holding_a_character_xml_forbids_is_named(char):
+    """Such a character made an SVG that no XML parser reads.  The label
+    before it holds markup and a character of two UTF-8 bytes."""
+    label = f"a{char}b"
+    d = Diagram({"A&é": Event1p1(0.0, 0.0), label: Event1p1(1.0, 0.5), "é": Event1p1(2.0, 0.0)},
+                [("A&é", label), (label, "é")])
+    with pytest.raises(InvalidScenario, match="event label " + re.escape(repr(label))
+                       + " holds a character that XML 1.0 forbids"):
+        render_svg(d)
+    with pytest.raises(InvalidScenario, match="title " + re.escape(repr(label))
+                       + " holds a character that XML 1.0 forbids"):
+        render_svg(Diagram({"a": Event1p1(0.0, 0.0)}), title=label)
+
+
+def test_tab_lf_and_cr_stay_allowed_in_labels_and_titles():
+    labels = ["a\tb", "c\nd", "e\rf", "g&<h"]
+    d = Diagram({label: Event1p1(float(i), 0.0) for i, label in enumerate(labels)},
+                list(zip(labels, labels[1:])))
+    root = ElementTree.fromstring(render_svg(d, title="t\t\n\r"))
+    assert len(root.findall("{http://www.w3.org/2000/svg}text")) == len(labels) + 1

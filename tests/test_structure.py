@@ -150,6 +150,24 @@ def test_the_diagram_report_is_written_from_the_columns_with_no_report_dict():
         assert not hasattr(superlum.cli, name)
 
 
+def test_the_report_writer_joins_written_items_and_reads_terminals_from_the_census():
+    """No scope of cli calls terminal_events, since the frame's sources and
+    sinks come with the census's path sets, and every template that reaches
+    _rows has fields around its %s: items already written are joined by
+    _join, not copied through a bare "%s"."""
+    def called(name):
+        return lambda node: (isinstance(node, ast.Call)
+                             and ast.unparse(node.func).split(".")[-1] == name)
+
+    assert not {scope for scope in _scopes(called("terminal_events"))
+                if scope.split(".")[0] == "cli"}
+    templates = [node.args[0] for scope, node in NODES
+                 if scope.split(".")[0] == "cli" and called("_rows")(node)]
+    assert templates and all(isinstance(t, ast.Name) or t.value != "%s" for t in templates)
+    assert {t.id for t in templates if isinstance(t, ast.Name)} <= {"_EVENT", "_SEGMENT", "_ROLE"}
+    assert "%s" not in (superlum.cli._EVENT, superlum.cli._SEGMENT, superlum.cli._ROLE)
+
+
 def test_a_boost_result_beyond_a_float_is_raised_only_by_the_kernel():
     assert {scope for scope in _scopes(_raises("NonfiniteResult"))
             if scope.split(".")[0] in ("kinematics", "diagrams")} == {"kinematics._image"}

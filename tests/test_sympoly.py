@@ -15,6 +15,7 @@ from superlum import (
     alpha_coefficient,
     amplitude_invariant,
     cauchy_condition_check,
+    check_multiplicativity,
     closed_product,
     closure_checks,
     expansion_reconstruction_check,
@@ -318,6 +319,37 @@ def test_closure_checks_split_pass_and_fail(rng):
     assert reports["closure_ratio"].passed
     assert reports["closure_sum"].passed  # records that the sum deviates
     assert reports["closure_sum"].deviation > 1e-3
+
+
+def test_closure_checks_call_each_invariant_once_on_each_set(rng):
+    """Once on the pairwise sums and once on each set: 3 calls, not the 12
+    and 9 of a multiplicativity check per combination."""
+    calls = {"f1": 0, "f2": 0}
+
+    def counted(name, spec):
+        def f(phi):
+            calls[name] += 1
+            return invariant_P(spec, phi)
+        return f
+
+    closure_checks((counted("f1", InvariantSpec(0.7, 0.4, 1.0)),
+                    counted("f2", InvariantSpec(0.3, 1.1, 2.0))),
+                   rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 3))
+    assert calls == {"f1": 3, "f2": 3}
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.7, 0.3j, 0.5 + 0.2j]))
+def test_closure_checks_keep_the_bits_of_a_multiplicativity_check_per_combination(seed, alpha):
+    rng = np.random.default_rng(seed)
+    f1 = amplitude_invariant(InvariantSpec(alpha, 0.4, 1.0))
+    f2 = amplitude_invariant(InvariantSpec(0.3, 1.1, 2.0))
+    a, b = rng.uniform(-1, 1, rng.integers(1, 6)), rng.uniform(-1, 1, rng.integers(1, 6))
+    combos = [lambda p: f1(p) * f2(p), lambda p: f1(p) ** 1.5,
+              lambda p: f1(p) / f2(p), lambda p: f1(p) + f2(p)]
+    expected = [check_multiplicativity(fn, a, b).deviation for fn in combos]
+    reports = closure_checks((f1, f2), a, b)
+    assert [r.deviation for r in reports] == expected
+    assert [r.passed for r in reports] == [d <= 1e-9 for d in expected[:3]] + [expected[3] > 1e-3]
 
 
 # ---------------------------------------------------------------------------
