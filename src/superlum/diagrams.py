@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from itertools import chain, repeat
+from operator import add
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
@@ -400,20 +401,32 @@ def _ways(g: _Graph, heads: list[int], late: list[tuple[int, int]]) -> list[int]
 def _suffixes(g: _Graph, ways: list[int], marks: Mapping[int, Sequence[int]]
               ) -> dict[int, list[tuple[str, ...]]]:
     """Every chain from a run's head to a sink, in _walk's pre-order, for
-    the runs whose lists fit in _MEMO_LABELS labels counted over all lists;
-    marks holds the places of the sinks in each run that has any.
+    the runs nearest the sinks; marks holds the places of the sinks in each
+    run that has any.
 
     One pass in reverse Kahn order builds a run's list from its own sinks
     and its successors' lists, so a run is kept only when all its successors
-    are; runs whose heads no chain reaches (ways 0) are skipped.
+    are; runs whose heads no chain reaches (ways 0) are skipped.  The split
+    is balanced: a run is kept only while the square of its number of chains
+    is at most the count, ways times sinks summed over the marked runs (the
+    census count before its corrections for sources inside runs or on
+    sinks), both exact ints, and while the lists fit in _MEMO_LABELS labels
+    counted over all lists.  The walk then meets the memo halfway, listing
+    about the square root of the count in prefixes against about as many
+    suffixes here.  Each list is joined from its successors' by one C-level
+    map of operator.add per successor.
     """
     succ, names, runs = g.succ, g.names, g.runs
+    count = sum(ways[v] * len(places) for v, places in marks.items())
     memo: dict[int, list[tuple[str, ...]]] = {}
     size: dict[int, int] = {}  # labels in each kept list
     total = 0
     for v in reversed(g.order):
         kids = succ[v]
         if not ways[v] or not all(w in memo for w in kids):
+            continue
+        tails = sum(len(memo[w]) for w in kids) + len(marks.get(v, ()))
+        if tails * tails > count:
             continue
         run = names[v] if v in runs else (names[v],)
         k = len(run)
@@ -424,7 +437,7 @@ def _suffixes(g: _Graph, ways: list[int], marks: Mapping[int, Sequence[int]]
             continue
         chains = [run[:at + 1] for at in marks[v]] if v in marks else []
         for w in kids:
-            chains += map(run.__add__, memo[w])
+            chains += map(add, repeat(run), memo[w])
         memo[v], size[v] = chains, labels
         total += labels
     return memo
@@ -468,7 +481,7 @@ def _walk(g: _Graph, starts: list[int], at: Iterable[int], marks: Mapping[int, S
                     if nxt < 0:  # a run's mark: all its labels off but its head's
                         del trail[1 - len(names[~nxt]):]
                     elif nxt in memo:
-                        join(map(tuple(trail).__add__, memo[nxt]))
+                        join(map(add, repeat(tuple(trail)), memo[nxt]))
                     else:
                         cut = len(trail)
                         grow(names[nxt])
@@ -546,8 +559,12 @@ def count_paths(d: Diagram, source: str, sinks: Iterable[str]) -> tuple[int, Pat
     entered, and no recursion limit caps the depth.  A source or sink inside
     a run is placed there at census time.  When the chains outnumber events
     plus segments more than twofold, the listing first memoises the chains
-    from the runs nearest the sinks, up to 2**16 labels in all, and joins
-    each walked prefix to them with one tuple concatenation per path.
+    from the runs nearest the sinks, each run only while the square of its
+    number of chains is at most the count and up to 2**16 labels in all, so
+    the walk meets the memo halfway: on a ladder of 2**k paths, about
+    2**(k/2) prefixes joined to about 2**(k/2) suffixes.  Each walked prefix
+    is joined to a memo list by one C-level map of operator.add, one tuple
+    concatenation per path.
     """
     sink_set = tuple(sorted(set(_known(d, source, sinks))))
     if not sink_set:

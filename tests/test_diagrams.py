@@ -483,10 +483,24 @@ def test_ladder_listing_from_the_memo_equals_the_plain_walk():
     assert [ps.paths for ps in sets] == [plain]
 
 
+@pytest.mark.parametrize("rungs, most", [(10, 127), (12, 255)])
+def test_the_memo_meets_the_walk_halfway(rungs, most):
+    """The memo keeps a run only while the square of its number of chains
+    to the sink is at most the count, so it holds about the count's square
+    root in suffixes, and the census still lists the plain walk's paths."""
+    d, g, memo = _ladder_memo(rungs)
+    assert sum(map(len, memo.values())) <= most
+    assert max(len(chains) for chains in memo.values()) ** 2 <= 2**rungs
+    (plain,) = diagrams._walk(g, [d._index["s"]], [0], {d._index["t"]: (0,)}, {})
+    count, sets = count_paths_auto(d)
+    assert count == len(plain) == 2**rungs
+    assert [ps.paths for ps in sets] == [plain]
+
+
 @pytest.mark.parametrize("budget", [0, 7, 100, 2**16])
 def test_the_memo_holds_no_more_labels_than_its_budget(monkeypatch, budget):
     monkeypatch.setattr(diagrams, "_MEMO_LABELS", budget)
-    for rungs in (3, 8, 16):
+    for rungs in (3, 8, 16, 40):  # 2**40 chains: the memo only, no listing
         _, _, memo = _ladder_memo(rungs)
         assert sum(len(chain) for chains in memo.values() for chain in chains) <= budget
         assert bool(memo) == (budget > 0)  # the sink's own list is the 1 label (t,)
