@@ -10,14 +10,13 @@ from __future__ import annotations
 import json
 import reprlib
 from collections import deque
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import ItemsView, Iterable, Mapping, Sequence, ValuesView
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from itertools import chain, repeat
 from operator import add
 from pathlib import Path
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -88,21 +87,72 @@ def classify_endpoints(start: Event1p1, end: Event1p1, c: float = 1.0) -> SpeedC
     return _CLASSES[_speed_code(dt, dx, c)]
 
 
+class _Events(Mapping):
+    """A frame's events as a read-only Mapping from label to Event1p1, in
+    the order of the labels: the frame's label index and one list of its
+    events, in the same order."""
+
+    __slots__ = ("_index", "_events")
+
+    def __init__(self, index: dict[str, int], events: list[Event1p1]) -> None:
+        self._index, self._events = index, events
+
+    def __getitem__(self, label: str) -> Event1p1:
+        return self._events[self._index[label]]
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __repr__(self) -> str:
+        return repr(dict(zip(self._index, self._events)))
+
+    # Views that iterate the index and the list themselves, in C, rather
+    # than looking each label up again.
+    def items(self) -> ItemsView:
+        return _EventItems(self)
+
+    def values(self) -> ValuesView:
+        return _EventValues(self)
+
+
+class _EventItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping._index, self._mapping._events)
+
+
+class _EventValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self._mapping._events)
+
+
 @dataclass(init=False)
 class Diagram:
     """Events plus directed segments, all in one frame with light speed c.
 
     The constructor converts and checks its input once, into columns: the
     labels, an (n, 2) float array of (t, x), an (m, 2) int array of segment
-    endpoint rows sorted stably by (start t, start x, end t, end x), and
-    each label's rank in sorted order, which every frame shares.  events is
-    a read-only Mapping built on first use; segments is the tuple of label
-    pairs in stored order.  The census graph of the frame, its runs of
-    events (see count_paths), their successor rows and Kahn order, is
-    likewise built on first use and shared by every later count_paths and
-    count_paths_auto of the frame; a transformed diagram is a new frame and
-    builds its own.  Zero-length segments are rejected; segment labels must
-    name existing events.
+    endpoint rows and each label's rank in sorted order, which every frame
+    shares.  The stored order of the segments is the stable sort by (start
+    t, start x, end t, end x) of the rows as given, and their speed codes
+    classify them in that order; both are built on first read, by segments,
+    resolved_segments, role_report, render_svg or the diagram report, and
+    kept.  The census and terminal_events read the rows in any order, so a
+    frame that is only counted never sorts them.  A transformed diagram is
+    sorted when it is made.  events is a read-only Mapping view, over the
+    label index and one list of Event1p1 built on first use; segments is the
+    tuple of label pairs in stored order.  The census graph of the frame,
+    its runs of events (see count_paths), their successor rows and Kahn
+    order, is likewise built on first use and shared by every later
+    count_paths and count_paths_auto of the frame; a transformed diagram is
+    a new frame and builds its own.  Zero-length segments are rejected;
+    segment labels must name existing events.
     """
 
     # The constructor's arguments as dataclass fields, so that fields(),
@@ -110,7 +160,7 @@ class Diagram:
     events: Mapping[str, Event1p1]
     segments: tuple[tuple[str, str], ...]
     c: float
-    __slots__ = ("_c", "_labels", "_index", "_rank", "_xy", "_seg", "_codes", "_events",
+    __slots__ = ("_c", "_labels", "_index", "_rank", "_xy", "_pairs", "_speeds", "_events",
                  "_graph")
 
     def __init__(self, events: Mapping[str, Event1p1],
@@ -124,14 +174,28 @@ class Diagram:
     @property
     def events(self) -> Mapping[str, Event1p1]:
         if self._events is None:
-            events = _filled(Event1p1, *self._xy.T.tolist())
-            self._events = MappingProxyType(dict(zip(self._labels.tolist(), events)))
+            self._events = _Events(self._index, _filled(Event1p1, *self._xy.T.tolist()))
         return self._events
 
     @property
     def segments(self) -> tuple[tuple[str, str], ...]:
         ends = self._labels[self._seg]
         return tuple(zip(ends[:, 0].tolist(), ends[:, 1].tolist()))
+
+    # The segment endpoint rows in stored order and their speed codes, which
+    # index SpeedClass: the frame's one ordered and classified view of its
+    # segments, sorted on the first read of either.
+    @property
+    def _seg(self) -> np.ndarray:
+        if self._speeds is None:
+            _sort(self)
+        return self._pairs
+
+    @property
+    def _codes(self) -> np.ndarray:
+        if self._speeds is None:
+            _sort(self)
+        return self._speeds
 
 
 def _columns(d: Diagram, labels: list[str], xy: np.ndarray,
@@ -158,42 +222,75 @@ def _columns(d: Diagram, labels: list[str], xy: np.ndarray,
 
 def _frame(d: Diagram, t: np.ndarray, x: np.ndarray, seg: np.ndarray,
            boost: Boost | None = None) -> Diagram:
-    """Store one frame's coordinates, from the columns t and x, its segments,
-    sorted stably by (start t, start x, end t, end x), and their speed codes,
-    classified once here; d already holds the labels, their index and ranks,
-    and c.  This is the one place a frame's columns are set, so it drops the
-    cached events and census graph.  The columns are the image under boost
-    of a frame whose segments all have extent, if boost is given."""
+    """Store one frame's coordinates, from the columns t and x, and its
+    segment rows seg as they come, once every segment has extent; d already
+    holds the labels, their index and ranks, and c.  This is the one place
+    a frame's coordinates are set, so it drops the cached order, events and
+    census graph.  The columns are the image under boost of a frame whose
+    segments all have extent, if boost is given."""
+    frm, to = seg[:, 0], seg[:, 1]
+    flat = np.flatnonzero((t[to] == t[frm]) & (x[to] == x[frm]))
+    if len(flat):
+        frm, to = map(reprlib.repr, d._labels[seg[flat[0]]])
+        if boost is None:
+            raise ZeroExtent(f"segment ({frm}, {to}) has zero extent")
+        raise ZeroExtent(
+            f"segment ({frm}, {to}) has extent, but its image under the "
+            f"{boost.branch.value} boost at speed {boost.speed!r} underflowed to a point")
+    d._xy, d._pairs = np.stack((t, x), axis=1), seg
+    d._speeds = d._events = d._graph = None
+    return d
+
+
+def _sort(d: Diagram) -> bool:
+    """Put the frame's segment rows in stored order, the stable sort by
+    (start t, start x, end t, end x), and classify them in that order.
+
+    One stable argsort orders the rows by start time.  Only when start
+    times tie does np.lexsort run, once, by all four keys, over the rows of
+    the tied groups alone, in place within that order: the result is the
+    four-key lexsort of the rows as held.  False when two rows tie on all
+    four keys, so that the order they were held in decided theirs."""
+    t, x, seg = d._xy[:, 0], d._xy[:, 1], d._pairs
+    head, tail = seg[:, 0], seg[:, 1]
+    start = t[head]
+    order = np.argsort(start, kind="stable")
+    ordered = start[order]
+    same = ordered[1:] == ordered[:-1]
+    exact = True
+    if same.any():  # a shared start time: lexsort the tied rows by all four keys
+        edge = np.zeros(len(order) + 1, bool)
+        edge[1:-1] = same
+        tied = np.flatnonzero(edge[1:] | edge[:-1])  # the rows of the groups
+        rows = order[tied]
+        frm, to = head[rows], tail[rows]
+        keys = x[to], t[to], x[frm], ordered[tied]
+        by = np.lexsort(keys)
+        order[tied] = rows[by]
+        tie = True
+        for key in keys:  # neighbours equal on every key so far
+            key = key[by]
+            tie = tie & (key[1:] == key[:-1])
+            if not tie.any():
+                break
+        else:
+            exact = False
+    d._pairs = seg = seg[order]
     frm, to = seg[:, 0], seg[:, 1]
     with np.errstate(over="ignore"):
-        dt, dx = t[to] - t[frm], x[to] - x[frm]
-        flat = np.flatnonzero((dt == 0.0) & (dx == 0.0))
-        if len(flat):
-            frm, to = map(reprlib.repr, d._labels[seg[flat[0]]])
-            if boost is None:
-                raise ZeroExtent(f"segment ({frm}, {to}) has zero extent")
-            raise ZeroExtent(
-                f"segment ({frm}, {to}) has extent, but its image under the "
-                f"{boost.branch.value} boost at speed {boost.speed!r} underflowed to a point")
-        start = t[frm]
-        order = np.argsort(start, kind="stable")
-        ordered = start[order]
-        if (ordered[1:] == ordered[:-1]).any():  # a shared start time: sort by all four keys
-            order = np.lexsort((x[to], t[to], x[frm], start))
-        d._codes = _speed_code(dt[order], dx[order], d.c)
-    d._xy, d._seg = np.stack((t, x), axis=1), seg[order]
-    d._events = d._graph = None
-    return d
+        d._speeds = _speed_code(t[to] - t[frm], x[to] - x[frm], d.c)
+    return exact
 
 
 def resolved_segments(d: Diagram) -> tuple[Segment, ...]:
     """The segments in stored order with their endpoint events, the objects
     of d.events, and speed classes, built from the diagram's columns."""
-    events = list(d.events.values())
-    ends = d._labels[d._seg]
+    events = d.events._events  # the frame's events, by row
+    seg = d._seg
+    ends = d._labels[seg]
     return tuple(_filled(Segment, ends[:, 0].tolist(), ends[:, 1].tolist(),
-                         list(map(events.__getitem__, d._seg[:, 0].tolist())),
-                         list(map(events.__getitem__, d._seg[:, 1].tolist())),
+                         list(map(events.__getitem__, seg[:, 0].tolist())),
+                         list(map(events.__getitem__, seg[:, 1].tolist())),
                          list(map(_CLASSES.__getitem__, d._codes.tolist()))))
 
 
@@ -212,12 +309,24 @@ def transform_diagram(d: Diagram, b: Boost) -> Diagram:
             f"boost K={b.K!r} is inconsistent with diagram light speed c={d.c!r}"
         )
     t, x = _image(_entries(b), d._xy[:, 0], d._xy[:, 1], b, d._labels)
-    seg = d._seg.copy()
-    back = t[seg[:, 1]] < t[seg[:, 0]]
-    seg[back] = seg[back, ::-1]
     moved = Diagram.__new__(Diagram)
     moved._c, moved._labels, moved._index, moved._rank = d._c, d._labels, d._index, d._rank
-    return _frame(moved, t, x, seg, b)
+    _frame(moved, t, x, _forward(t, d._pairs), b)
+    # Rows tied on all four keys keep their order in d's stored rows: if d
+    # held its rows as given, sort again from its stored order.
+    if not _sort(moved) and d._speeds is None:
+        moved._pairs = _forward(t, d._seg)
+        _sort(moved)
+    return moved
+
+
+def _forward(t: np.ndarray, seg: np.ndarray) -> np.ndarray:
+    """A copy of the rows seg, each turned where its end comes strictly
+    before its start in the times t."""
+    seg = seg.copy()
+    back = t[seg[:, 1]] < t[seg[:, 0]]
+    seg[back] = seg[back, ::-1]
+    return seg
 
 
 def role_report(d: Diagram) -> tuple[tuple[str, Role], ...]:
@@ -311,7 +420,7 @@ def _census_graph(d: Diagram) -> _Graph:
     event that lies on the cycle.  No recursion, so depth is unbounded.
     """
     n = len(d._labels)
-    frm, to = d._seg[:, 0], d._seg[:, 1]
+    frm, to = d._pairs[:, 0], d._pairs[:, 1]
     out, into = np.bincount(frm, minlength=n), np.bincount(to, minlength=n)
     inner = out[frm] * into[to] == 1  # contractible
     tag = place = None
@@ -364,7 +473,7 @@ def _census_graph(d: Diagram) -> _Graph:
         # along them must revisit an event, and that event is on a cycle.
         left = np.array(waiting) > 0
         left = left if tag is None else left[tag]
-        frm, to = d._seg[:, 0], d._seg[:, 1]
+        frm, to = d._seg[:, 0], d._seg[:, 1]  # in stored order, so the event named is fixed
         live = left[frm] & left[to]
         pred = dict(zip(to[live].tolist(), frm[live].tolist()))
         node = int(left.argmax())
@@ -532,7 +641,7 @@ def _census(d: Diagram, sources: Iterable[str], sinks: Iterable[str]
     ways = _ways(g, heads, late)
     count += sum(ways[node] * len(places) for node, places in marks.items())
     memo = {}
-    if count > _OUTPUT_BOUND * (len(d._labels) + len(d._seg)):
+    if count > _OUTPUT_BOUND * (len(d._labels) + len(d._pairs)):
         memo = _suffixes(g, ways, marks)
     return count, _walk(g, starts, at, marks, memo)
 
@@ -595,7 +704,7 @@ def _known(d: Diagram, source: str | None, sinks: Iterable[str]) -> tuple[str, .
 def terminal_events(d: Diagram) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Labels with only outgoing segments, and labels with only incoming."""
     n = len(d._labels)
-    out, into = (np.bincount(d._seg[:, k], minlength=n) > 0 for k in (0, 1))
+    out, into = (np.bincount(d._pairs[:, k], minlength=n) > 0 for k in (0, 1))
     return tuple(tuple(d._labels[rows[np.argsort(d._rank[rows])]].tolist())
                  for rows in (np.flatnonzero(out & ~into), np.flatnonzero(into & ~out)))
 

@@ -17,7 +17,7 @@ doubles used, so the generator ends each row where one draw at a time
 would leave it.  The trials then run as numpy operations on columns,
 through the column twins of the kinematics kernels; the few calls with no
 bit-exact numpy twin (math.hypot, math.atan2, x ** 2, which is libm pow,
-and the BLAS dot of np.linalg.norm and dr @ dr) run per trial on Python
+and the BLAS dots of the norms and of dr @ dr) run per trial on Python
 floats.  Each deviation is the one a per-trial evaluation gives.
 
 The six rows after them draw integers, permutations and arrays of drawn
@@ -224,8 +224,10 @@ def _timelike_paths(rng, n: int, extra: int = 0):
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each row, one call per row (a BLAS dot)."""
-    return np.array([np.linalg.norm(row) for row in rows])
+    """The Euclidean norm of each row as np.linalg.norm computes it for a
+    1-D real row, the square root of the row's BLAS dot with itself, one
+    dot per row, without that function's Python wrapper."""
+    return np.array([math.sqrt(row.dot(row)) for row in rows])
 
 
 def _relative(lhs, rhs, scale):

@@ -1,16 +1,19 @@
 """Diagram bookkeeping: speed classes, frame changes, roles, path counts."""
 
+import copy
 import dataclasses
 import json
 import math
 import pickle
 import re
 import weakref
+from collections import Counter
+from collections.abc import Mapping
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from superlum import (
@@ -119,9 +122,11 @@ def test_segments_sorted_by_start_coordinates():
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_frame_order_is_the_four_key_lexsort(data):
-    """_frame's stored order is the stable sort by (start t, start x, end t,
-    end x), whether it takes the one-key sort of distinct start times or
-    the lexsort of shared ones; -0.0 and 0.0 are the same time."""
+    """_sort's stored order is the stable sort by (start t, start x, end t,
+    end x) of the rows as given, whether it takes the one-key sort of
+    distinct start times or the lexsort of shared ones, which runs once,
+    over the rows of the tied groups only; -0.0 and 0.0 are the same time.
+    Loading the frame sorts nothing; its first read of the order does."""
     n = data.draw(st.integers(2, 10))
     value = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]) | st.floats(-3, 3)
     t = data.draw(st.lists(value, min_size=n, max_size=n, unique=data.draw(st.booleans())))
@@ -133,13 +138,16 @@ def test_frame_order_is_the_four_key_lexsort(data):
                                       unique_by=(lambda p: p[0]) if distinct_starts else None)))
     t, x = np.array(t), np.array(x)
     frm, to = seg[:, 0], seg[:, 1]
-    tied = len(set(t[frm].tolist())) < len(seg)
+    tied_rows = sum(k for k in Counter(t[frm].tolist()).values() if k > 1)
     lexsorts = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np, "lexsort", lambda keys, real=np.lexsort: lexsorts.append(1) or real(keys))
+        mp.setattr(np, "lexsort",
+                   lambda keys, real=np.lexsort: lexsorts.append(len(keys[0])) or real(keys))
         d = diagrams._columns(Diagram.__new__(Diagram), [f"e{i}" for i in range(n)],
                               np.stack((t, x), axis=1), [(f"e{i}", f"e{j}") for i, j in seg], 1.0)
-    assert len(lexsorts) == tied
+        assert not lexsorts
+        diagrams._sort(d)
+    assert lexsorts == ([tied_rows] if tied_rows else [])
     assert d._seg.tolist() == seg[np.lexsort((x[to], t[to], x[frm], t[frm]))].tolist()
 
 
@@ -893,3 +901,131 @@ def test_objects_built_from_the_columns_equal_the_checked_constructors(data):
 def test_the_event_constructor_still_rejects_a_non_finite_coordinate(t, x):
     with pytest.raises(ValueError, match="must be finite"):
         Event1p1(t, x)
+
+
+def _lexsorted(frame: Diagram, rows: list[tuple[str, str]]) -> tuple[tuple[str, str], ...]:
+    """rows sorted stably by (start t, start x, end t, end x) in frame."""
+    t = np.array([frame.events[a].t for a, _ in rows] + [frame.events[b].t for _, b in rows])
+    x = np.array([frame.events[a].x for a, _ in rows] + [frame.events[b].x for _, b in rows])
+    m = len(rows)
+    order = np.lexsort((x[m:], t[m:], x[:m], t[:m])) if m else []
+    return tuple(rows[i] for i in order)
+
+
+def _flipped(frame: Diagram, rows) -> list[tuple[str, str]]:
+    """Each row of the parent frame run from its earlier end in frame: a row
+    is turned only where its end comes strictly first."""
+    t = {label: e.t for label, e in frame.events.items()}
+    return [(b, a) if t[b] < t[a] else (a, b) for a, b in rows]
+
+
+@st.composite
+def _coincident_scenario(draw):
+    """Up to 8 events on a coarse grid holding -0.0 and 0.0, so that events
+    coincide and start times tie, with segments drawn in either direction
+    and now and then twice."""
+    grid = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
+    n = draw(st.integers(2, 8))
+    events = {f"e{i}": (draw(grid), draw(grid)) for i in range(n)}
+    pairs = [(a, b) for a in events for b in events if events[a] != events[b]]
+    assume(pairs)
+    return events, draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=12))
+
+
+def _boost_or_reject(d: Diagram, b: Boost) -> Diagram:
+    try:
+        return transform_diagram(d, b)
+    except ZeroExtent:  # two ends of a segment rounded onto one point
+        reject()
+
+
+@given(_coincident_scenario(), _boost_of_each_kind(1.0), _boost_of_each_kind(1.0),
+       st.booleans())
+@example(({"A": (0, 0), "B": (0, 0), "C": (1, 0)}, [("C", "B"), ("A", "C")]),
+         Boost(Branch.SUBLUMINAL, 0.5), Boost.infinite(), False)
+@settings(max_examples=300, deadline=None)
+def test_every_frame_holds_the_lexsort_of_its_base_rows(scenario, first, second, read_first):
+    """A loaded frame holds the four-key lexsort of its segments in the
+    order given; a boosted frame holds that of its parent's stored rows,
+    each turned to run forward in time, so that segments tied on all four
+    keys keep their order in the parent, through one boost and two, on
+    both branches, whether or not the loaded frame's order was read before
+    the boost."""
+    events, rows = scenario
+    loaded = _diagram(events, rows)
+    if read_first:
+        loaded.segments
+    frames = [loaded]
+    for b in (first, second):
+        frames.append(_boost_or_reject(frames[-1], b))
+    assert loaded.segments == _lexsorted(loaded, rows)
+    for parent, moved in zip(frames, frames[1:]):
+        assert moved.segments == _lexsorted(moved, _flipped(moved, parent.segments))
+
+
+def test_coincident_events_keep_their_segments_order_across_a_boost():
+    """A and B coincide, so (A, C) and the turned (C, B) tie on all four
+    keys after the boost; they keep the loaded frame's stored order."""
+    d = load_scenario({"events": {"A": [0, 0], "B": [0, 0], "C": [1, 0]},
+                       "segments": [["C", "B"], ["A", "C"]]}).diagram
+    moved = transform_diagram(d, Boost(Branch.SUBLUMINAL, 0.5))
+    assert moved.segments == (("A", "C"), ("B", "C"))
+    assert d.segments == (("A", "C"), ("C", "B"))
+
+
+@pytest.mark.parametrize("step", ["events", "census", "subluminal", "superluminal"])
+def test_a_diagram_pickles_and_deep_copies_once_its_caches_are_filled(step):
+    """The events read, the census graph built, or a frame boosted on either
+    branch and resolved: the diagram still round-trips by pickle and by
+    deepcopy to an equal one."""
+    d = load_fixture("fig3a").diagram
+    if step == "census":
+        count_paths_auto(d)
+    elif step != "events":
+        branch, speed = ((Branch.SUBLUMINAL, 0.5) if step == "subluminal"
+                         else (Branch.SUPERLUMINAL, 2.0))
+        d = transform_diagram(d, Boost(branch, speed))
+        resolved_segments(d)
+        count_paths_auto(d)
+    d.events
+    for copied in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+        assert copied == d and copied is not d
+        assert role_report(copied) == role_report(d)
+
+
+def test_diagram_events_is_a_read_only_view_in_label_order():
+    d = _diagram({"b": (1, 0), "a": (0, 0), "c": (2, 1.5)}, [("b", "c"), ("a", "b")])
+    events = d.events
+    assert isinstance(events, Mapping)
+    with pytest.raises(TypeError):
+        events["a"] = E(5, 5)
+    with pytest.raises(TypeError):
+        del events["a"]
+    assert len(events) == 3 and "a" in events and "z" not in events
+    assert events.get("a") == E(0, 0) and events.get("z") is None
+    expected = {"b": E(1, 0), "a": E(0, 0), "c": E(2, 1.5)}
+    assert list(events) == ["b", "a", "c"]
+    assert list(events.items()) == list(expected.items())
+    assert list(events.values()) == list(expected.values())
+    assert ("a", E(0, 0)) in events.items() and E(2, 1.5) in events.values()
+    assert events == expected and expected == events
+    assert "Event1p1(t=1.0, x=0.0)" in repr(d) and "Event1p1(t=2.0, x=1.5)" in repr(d)
+    for segment in resolved_segments(d):
+        assert segment.start is d.events[segment.start_label]
+        assert segment.end is d.events[segment.end_label]
+
+
+@pytest.mark.parametrize("census", [
+    count_paths_auto,
+    lambda d: count_paths(d, "s", ("t", "a02")),
+    terminal_events,
+])
+def test_a_loaded_frame_that_is_only_counted_never_orders_its_segments(census):
+    """The census and terminal_events read the segment rows in any order, so
+    a loaded frame they alone read never sorts or classifies them."""
+    d = _ladder(3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diagrams, "_sort", lambda d: pytest.fail("the frame sorted its segments"))
+        census(d)
+        census(d)
+    assert d._speeds is None

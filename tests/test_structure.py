@@ -312,11 +312,11 @@ def test_json_fields_are_read_only_through_the_field_reader():
 
 def test_the_four_key_sort_runs_only_when_start_times_tie():
     """Segments are sorted by one stable argsort of their start times; the
-    only np.lexsort of the package is _frame's, in the branch taken when two
+    only np.lexsort of the package is _sort's, in the branch taken when two
     segments share a start time."""
-    assert _scopes(lambda node: _attribute(node, "np", "lexsort")) == {"diagrams._frame"}
+    assert _scopes(lambda node: _attribute(node, "np", "lexsort")) == {"diagrams._sort"}
     frame = next(node for node in ast.walk(ast.parse(inspect.getsource(superlum.diagrams)))
-                 if isinstance(node, ast.FunctionDef) and node.name == "_frame")
+                 if isinstance(node, ast.FunctionDef) and node.name == "_sort")
     branches = [node for node in ast.walk(frame) if isinstance(node, ast.If)
                 and any(_attribute(sub, "np", "lexsort") for sub in ast.walk(node))]
     assert len(branches) == 1 and not branches[0].orelse
