@@ -140,7 +140,8 @@ _QUIET = contextlib.nullcontext()  # no half angle overflows: nothing to silence
 SAFE_EXPONENT = 600.0
 
 
-def _phasor_sum(omega, phi: np.ndarray, name: str, coefficient):
+def _phasor_sum(omega, phi: np.ndarray, name: str, coefficient,
+                scratch: np.ndarray | None = None):
     """sum_k exp(i*omega*phi_k) along the last axis, from one tan pass;
     omega is a float or a column of them, one per row of phi.
 
@@ -154,17 +155,24 @@ def _phasor_sum(omega, phi: np.ndarray, name: str, coefficient):
     first such phase and the coefficient whose product with it overflows:
     name, and its value.  For |omega| <= 2 the pass skips np.errstate and
     the check, which cost about 5 us a call.
+
+    Given scratch (as in _log_sums), the pass overwrites phi and scratch
+    and makes no array of phi's size, with the same bits.  It then cannot
+    name the phase whose half angle overflows: the caller names it from
+    phi formed again.
     """
     may_overflow = not _all(abs(omega) <= 2.0)
     with np.errstate(over="ignore", invalid="ignore") if may_overflow else _QUIET:
-        t = (0.5 * omega) * phi
+        t = np.multiply(0.5 * omega, phi, out=None if scratch is None else phi)
         np.tan(t, out=t)
-    r = t * t
+    r = np.multiply(t, t, out=scratch)
     r += 1.0
     np.divide(1.0, r, out=r)
     t *= r
     total = (2.0 * r.sum(axis=-1) - phi.shape[-1]) + 2j * t.sum(axis=-1)
     if may_overflow and not np.isfinite(total).all():
+        if scratch is not None:
+            raise NonfiniteResult(f"{name} * a phase does not fit in a float")
         with np.errstate(over="ignore"):
             k = np.unravel_index(np.argmin(np.isfinite((0.5 * omega) * phi)), phi.shape)
         where = int(k[0]) if len(k) == 1 else tuple(map(int, k))
@@ -184,7 +192,8 @@ def _reach(alpha: complex, phi: np.ndarray) -> float:
     return abs(alpha.real) * max(phi.max(), -phi.min())
 
 
-def _log_sums(alpha, phi: np.ndarray, reach: float | None = None):
+def _log_sums(alpha, phi: np.ndarray, reach: float | None = None,
+              scratch: np.ndarray | None = None):
     """log S(alpha) and log S(-alpha) along the last axis of phi, where
     S(a) = sum_k exp(a*phi_k), without forming a value that can overflow.
     alpha is a complex number, or the alpha column of _Columns against a
@@ -200,14 +209,21 @@ def _log_sums(alpha, phi: np.ndarray, reach: float | None = None):
     apart pass that array's reach, so that they keep its branch and bits,
     and a column of alphas is given the reach of its rows.
     Complex logs are principal; a sum that vanishes exactly gives a real
-    part of -inf.
+    part of -inf.  Given scratch, a float64 array of phi's shape, with phi
+    a writeable float64 array, both in C order, a real or purely imaginary
+    alpha overwrites phi and scratch and makes no array of phi's size, with
+    the same bits; a general complex alpha ignores scratch, since its
+    exponents are complex.
     """
     lead = _lead(alpha)
     with np.errstate(divide="ignore"):
         if lead.real == 0.0 and lead.imag != 0.0:
-            lp = np.log(_phasor_sum(alpha.imag, phi, "alpha", alpha))
+            lp = np.log(_phasor_sum(alpha.imag, phi, "alpha", alpha, scratch))
             return lp, np.conj(lp)
-        x = (alpha if lead.imag else alpha.real) * phi
+        if lead.imag:
+            x, scratch = alpha * phi, None
+        else:
+            x = np.multiply(alpha.real, phi, out=None if scratch is None else phi)
         re = x.real
         if (_reach(alpha, phi) if reach is None else reach) <= SAFE_EXPONENT:
             np.exp(x, out=x)
@@ -220,16 +236,20 @@ def _log_sums(alpha, phi: np.ndarray, reach: float | None = None):
         hi = re.max(axis=-1, keepdims=True)
         lo = re.min(axis=-1, keepdims=True)
         logs = []
-        for y, shift in ((x - hi, hi[..., 0]), (lo - x, -lo[..., 0])):
+        # with scratch, lo - x overwrites x, which it is the last to read
+        shifted = ((np.subtract(x, hi, out=scratch), hi[..., 0]),
+                   (np.subtract(lo, x, out=None if scratch is None else x), -lo[..., 0]))
+        for y, shift in shifted:
             np.maximum(y, -SAFE_EXPONENT, out=y)
             np.exp(y, out=y)
             logs.append(np.log(y.sum(axis=-1)) + shift)
         return tuple(logs)
 
 
-def _log_P(spec: InvariantSpec | _Columns, phi: np.ndarray, reach: float | None = None):
+def _log_P(spec: InvariantSpec | _Columns, phi: np.ndarray, reach: float | None = None,
+           scratch: np.ndarray | None = None):
     """log|P| and arg P along the last axis of phi, for one spec or for the
-    _Columns of one per row of phi; reach as in _log_sums.
+    _Columns of one per row of phi; reach and scratch as in _log_sums.
 
     arg P is gamma times the argument of S(alpha) * S(-alpha) wrapped to
     (-pi, pi], so the power keeps the principal branch of
@@ -239,7 +259,7 @@ def _log_P(spec: InvariantSpec | _Columns, phi: np.ndarray, reach: float | None 
     gamma * log would be 0 * -inf = nan.
     """
     alpha = spec.alpha if isinstance(spec, _Columns) else complex(spec.alpha)
-    lp, lm = _log_sums(alpha, phi, reach)
+    lp, lm = _log_sums(alpha, phi, reach, scratch)
     total = lp + lm
     theta = total.imag
     lead = _lead(alpha)
@@ -396,9 +416,14 @@ def check_multiplicativity(
 def uniform_phase_sampler(low: float, high: float) -> Callable:
     """i.i.d. uniform phases on [low, high), the draws of rng.uniform bit for
     bit: numpy forms low + (high - low) * u from rng.random's u, and so do
-    the two in-place passes here, with no call per element.  low and high
+    the in-place passes here, with no call per element.  low and high
     must be numbers (_input.is_number: no bool, string or int beyond a float),
-    finite, with low <= high and a finite width high - low."""
+    finite, with low <= high and a finite width high - low.
+
+    finiteness_scan calls the sampler once per row block, in row order.  It
+    draws only from rng, one double per phase, so the blocks of a draw hold
+    the bits of one rng.uniform call over all rows, leave rng in the same
+    state, and can be drawn again from a saved state."""
     numbers = is_number(low) and is_number(high)
     if numbers:
         low, high = float(low), float(high)
@@ -409,10 +434,10 @@ def uniform_phase_sampler(low: float, high: float) -> Callable:
     def sample(rng: np.random.Generator, size) -> np.ndarray:
         phi = rng.random(size)
         phi *= high - low
-        phi += low
+        if low:  # adding a low of +0 or -0 to phases >= +0 keeps their bits
+            phi += low
         return phi
 
-    sample.low, sample.high = low, high
     return sample
 
 
@@ -430,28 +455,58 @@ class ScanResult:
         ]
 
 
-# The scan values a (trials, n) array _BLOCK phases at a time, so that a block
-# and the temporaries _log_P makes of it stay in a core's 4 MB L2 cache.
+# The scan draws and values a (trials, n) array _BLOCK phases at a time, so
+# that a block and the scratch block _log_P works in stay in a core's 4 MB
+# L2 cache.
 # Timed on scans at n = 100, 1000 and 10**4 with 100 trials, the time was
 # flat from 2**15 to 2**17, 1.1-1.2x that at 2**12 and 2**18 and 1.6x
 # unblocked (BENCH_15.json).
 _BLOCK = 2**16
 
 
-def _blocked_log_P(spec: InvariantSpec, phi: np.ndarray):
-    """_log_P(spec, phi) of a (trials, n) array bit for bit, from one _log_P
-    per block of max(1, _BLOCK // n) rows: each row is reduced along its own
-    axis, and every block takes the branch of the whole array's reach."""
-    rows = max(1, _BLOCK // phi.shape[1])
+def _blocked_log_P(spec: InvariantSpec, phase_sampler: Callable,
+                   rng: np.random.Generator, shape: tuple[int, int]):
+    """_log_P(spec, phase_sampler(rng, shape)) of a (trials, n) draw bit for
+    bit, drawn and valued one block of max(1, _BLOCK // n) rows at a time:
+    phase_sampler(rng, (rows, n)) is called once per block, in row order,
+    and _log_P values the block while it is in cache.  It works in the
+    block and one scratch block where that keeps the bits.  Each row is
+    reduced along its own axis, and every block takes the branch of the
+    whole draw's reach.  A running reach decides it: when a block lifts it
+    past SAFE_EXPONENT after earlier blocks took the unshifted branch, rng
+    goes back to its state before the first block, and every block is drawn
+    and valued again on the shifted branch.  A half angle that overflows
+    raises NonfiniteResult naming its trial among all trials, from the whole
+    draw made again from that state."""
+    trials, n = shape
+    rows = min(trials, max(1, _BLOCK // n))
+    sizes = [(min(rows, trials - i), n) for i in range(0, trials, rows)]
     alpha = complex(spec.alpha)
     # a purely imaginary alpha takes neither branch, so it needs no reach
-    reach = _reach(alpha, phi) if alpha.real or not alpha.imag else None
+    track, reach = bool(alpha.real or not alpha.imag), 0.0
+    scratch = np.empty((rows, n))
+    start = rng.bit_generator.state
     try:
-        parts = [_log_P(spec, phi[i:i + rows], reach) for i in range(0, len(phi), rows)]
+        while True:  # a second time when a later block crosses SAFE_EXPONENT
+            parts = []
+            for i, size in enumerate(sizes):
+                phi = phase_sampler(rng, size)
+                if track and not _reach(alpha, phi) <= SAFE_EXPONENT:  # also for a nan
+                    track, reach = False, math.inf
+                    if i:
+                        break
+                # the kernel keeps its bits in a writeable float64 block in C order
+                own = phi.dtype == np.float64 and phi.flags.writeable and phi.flags.c_contiguous
+                parts.append(_log_P(spec, phi, reach, scratch[:len(phi)] if own else None))
+                del phi  # so that the next block can take its memory
+            else:
+                return tuple(np.concatenate(column) for column in zip(*parts))
+            rng.bit_generator.state = start
     except NonfiniteResult:
+        rng.bit_generator.state = start
+        phi = np.concatenate([phase_sampler(rng, size) for size in sizes])
         _log_P(spec, phi)  # raises again, naming the trial by its row in phi
         raise
-    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _log_median(logs: np.ndarray) -> float:
@@ -476,10 +531,17 @@ def finiteness_scan(
     least-squares slope of log median against log n classifies the spec as
     diverging (slope > threshold), vanishing (slope < -threshold) or bounded.
     This is a finite-n statement only, not a limit claim.  Each n's trials
-    come from one phase_sampler(rng, (trials, n)) call, valued in cache-sized
-    row blocks with the bits of one pass.  The medians and the fit are
-    formed in the log domain; a median that does not fit in a
-    float raises NonfiniteResult naming n, the slope and the class.
+    are drawn and valued in cache-sized row blocks: phase_sampler(rng,
+    (rows, n)) is called once per block, in row order, and returns a new
+    (rows, n) array of phases, which the scan may overwrite.  The sampler
+    must draw only from rng, so that a block can be drawn again from a saved
+    state of rng; the scan does so when a later block moves the whole
+    draw's branch of the kernel, or to name a phase whose half angle does not
+    fit in a float by its trial among all trials.  For uniform_phase_sampler
+    the values have the bits of one (trials, n) draw valued in one pass, and
+    rng ends in the same state.  The medians and the fit are formed in the
+    log domain; a median that does not fit in a float raises NonfiniteResult
+    naming n, the slope and the class.
     """
     rng = rng or np.random.default_rng(0)
     ns = [int(n) for n in n_values]
@@ -491,8 +553,7 @@ def finiteness_scan(
         raise ValueError(f"scan budget: n must be <= 10**4, got n={max(ns)!r}")
     log_medians = []
     for n in ns:
-        phi = phase_sampler(rng, (trials, n))
-        log_medians.append(_log_median(_blocked_log_P(spec, phi)[0]))
+        log_medians.append(_log_median(_blocked_log_P(spec, phase_sampler, rng, (trials, n))[0]))
     slope = float(np.polyfit(np.log(ns), log_medians, 1)[0])
     if not math.isfinite(slope):  # a median |P| of exactly 0 or inf
         raise NonfiniteResult(

@@ -385,15 +385,98 @@ def test_blocked_log_P_is_the_one_shot_log_P_bit_for_bit(alpha, n, high, block, 
     # on [0, 857.153] some trials reach |Re(alpha*phi)| > SAFE_EXPONENT and
     # some do not, so a block that chose its own branch would move bits;
     # with block 1 each trial is a block of its own
-    phi = uniform_phase_sampler(0.0, high)(np.random.default_rng(4), (100, n))
+    sampler = uniform_phase_sampler(0.0, high)
+    phi = sampler(np.random.default_rng(4), (100, n))
     if high > math.pi:
         over = 0.7 * phi.max(axis=1) > SAFE_EXPONENT
         assert 0 < over.sum() < len(over)
     if block is not None:
         monkeypatch.setattr(invariants, "_BLOCK", block)
     spec = InvariantSpec(alpha, 2.0, 1.0)
-    for got, want in zip(_blocked_log_P(spec, phi), _log_P(spec, phi), strict=True):
+    blocked = _blocked_log_P(spec, sampler, np.random.default_rng(4), (100, n))
+    for got, want in zip(blocked, _log_P(spec, phi), strict=True):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 997, 10**4])
+@pytest.mark.parametrize("block", [None, 1])
+def test_the_scan_draws_its_blocks_with_the_bits_of_one_draw(n, block, monkeypatch):
+    """The uniform sampler's blocks, drawn in row order, are one (trials, n)
+    draw, and the generator ends in the state that draw leaves."""
+    if block is not None:
+        monkeypatch.setattr(invariants, "_BLOCK", block)
+    rows = min(100, max(1, invariants._BLOCK // n))
+    half = uniform_phase_sampler(0.0, math.pi)
+    sizes, drawn = [], []
+
+    def spy(rng, size):
+        phi = half(rng, size)
+        sizes.append(size)
+        drawn.append(phi.copy())  # the kernel overwrites the block it is given
+        return phi
+
+    rng, one = np.random.default_rng(6), np.random.default_rng(6)
+    _blocked_log_P(InvariantSpec(0.6, 2.0, 1.0), spy, rng, (100, n))
+    assert sizes == [(min(rows, 100 - i), n) for i in range(0, 100, rows)]
+    assert np.concatenate(drawn).tobytes() == half(one, (100, n)).tobytes()
+    assert rng.bit_generator.state == one.bit_generator.state
+
+
+@pytest.mark.parametrize("alpha, n, high", [
+    (0.7, 10**4, 857.153), (0.7 + 0.3j, 10**4, 857.153),
+    (-1.1j, 997, math.pi), (0.6, 997, math.pi)])
+@pytest.mark.parametrize("block", [None, 1])
+def test_a_scan_values_each_n_as_one_shot_log_P_of_its_whole_draw(alpha, n, high, block,
+                                                                    monkeypatch):
+    # on [0, 857.153] at n = 10**4 the first trial stays below SAFE_EXPONENT
+    # and a later one crosses it, so with block 1 the scan draws again
+    spec, ns = InvariantSpec(alpha, 2.0, 1.0), (7, n)
+    sampler = uniform_phase_sampler(0.0, high)
+    rng = np.random.default_rng(4)
+    phis = [sampler(rng, (100, m)) for m in ns]
+    want = [_log_P(spec, phi)[0] for phi in phis]
+    if block is not None:
+        monkeypatch.setattr(invariants, "_BLOCK", block)
+    logs, sizes = [], []
+    log_median = invariants._log_median
+    monkeypatch.setattr(invariants, "_log_median", lambda l: logs.append(l.copy()) or log_median(l))
+
+    def spy(rng, size):
+        sizes.append(size)
+        return sampler(rng, size)
+
+    got = finiteness_scan(spec, ns, spy, rng=np.random.default_rng(4))
+    assert [l.tobytes() for l in logs] == [w.tobytes() for w in want]
+    if high > math.pi:
+        over = 0.7 * phis[1].max(axis=1) > SAFE_EXPONENT
+        assert not over[0] and over.any()
+        if block == 1:
+            assert sizes.count((1, n)) > 100
+    monkeypatch.setattr(invariants, "_blocked_log_P",
+                        lambda spec, sampler, rng, shape: _log_P(spec, sampler(rng, shape)))
+    assert got == finiteness_scan(spec, ns, sampler, rng=np.random.default_rng(4))
+
+
+def _read_only(phi):
+    phi.setflags(write=False)
+    return phi
+
+
+@pytest.mark.parametrize("sampler", [
+    lambda rng, size: rng.integers(0, 4, size),
+    lambda rng, size: rng.random(size, dtype=np.float32) * 3,
+    lambda rng, size: _read_only(rng.random(size) * 3),
+    lambda rng, size: np.asfortranarray(rng.random(size) * 3)],
+    ids=["int64", "float32", "read-only", "fortran"])
+@pytest.mark.parametrize("alpha", [0.9j, 0.6, 3j])
+def test_a_scan_values_blocks_it_cannot_overwrite_as_one_shot_log_P(sampler, alpha, monkeypatch):
+    """Blocks that are not writeable float64 arrays in C order are valued
+    without the scratch block, with the bits of one pass."""
+    spec, ns = InvariantSpec(alpha, 2.0, 1.0), (7, 997)
+    got = finiteness_scan(spec, ns, sampler, rng=np.random.default_rng(3))
+    monkeypatch.setattr(invariants, "_blocked_log_P",
+                        lambda spec, sampler, rng, shape: _log_P(spec, sampler(rng, shape)))
+    assert got == finiteness_scan(spec, ns, sampler, rng=np.random.default_rng(3))
 
 
 @st.composite
@@ -451,7 +534,7 @@ def test_invariant_Ps_of_many_specs_is_invariant_P_bit_for_bit(groups):
 def test_a_zero_gamma_in_a_column_gives_a_power_of_0_where_a_sum_vanishes(monkeypatch):
     """0 * log 0 would be nan (and a RuntimeWarning, an error here); a row
     with gamma = 0 gets exactly 0, as one spec does."""
-    monkeypatch.setattr(invariants, "_log_sums", lambda alpha, phi, reach=None: (
+    monkeypatch.setattr(invariants, "_log_sums", lambda alpha, phi, reach=None, scratch=None: (
         np.full(phi.shape[:-1], -math.inf), np.zeros(phi.shape[:-1])))
     cols = _Columns(np.full((2, 1), 0.5 + 0j), np.zeros(2), np.array([0.0, 1.0]))
     log_abs, theta = _log_P(cols, np.zeros((2, 3)))
@@ -470,11 +553,14 @@ def test_invariant_Ps_names_an_overflowing_half_angle_by_its_own_spec():
 
 def test_a_scan_names_an_overflowing_half_angle_by_its_trial_among_all_trials():
     half = uniform_phase_sampler(0.0, math.pi)
+    rng = np.random.default_rng(0)
+    half(rng, (100, 100))
+    row = half(rng, (100, 10**4))[97]  # the 98th row drawn at n = 10**4
 
     def planted(rng, size):
         phi = half(rng, size)
         if size[1] == 10**4:
-            phi[97, 5] = 1e308
+            phi[(phi == row).all(axis=1), 5] = 1e308
         return phi
 
     with warnings.catch_warnings():
@@ -485,7 +571,8 @@ def test_a_scan_names_an_overflowing_half_angle_by_its_trial_among_all_trials():
 
 
 @pytest.mark.parametrize("low, high", [
-    (0.0, math.pi), (-3.7, 2.2), (0.0, 857.153), (1e-3, 1e5), (2.5, 2.5), (-1e300, 1e300)])
+    (0.0, math.pi), (-3.7, 2.2), (0.0, 857.153), (1e-3, 1e5), (2.5, 2.5), (-1e300, 1e300),
+    (-0.0, 1.0), (0.0, 0.0), (-0.0, -0.0)])
 def test_uniform_phase_sampler_draws_what_rng_uniform_draws(low, high):
     for seed in range(3):
         got = uniform_phase_sampler(low, high)(np.random.default_rng(seed), (40, 1001))
