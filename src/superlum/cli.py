@@ -242,7 +242,7 @@ def _report_text(sc: Scenario) -> str:
         count, declared = count_paths(d, sc.source, sc.sinks)
         sections["declared"] = _census(count, declared.paths, source=_encode(sc.source),
                                        sinks=_strings(sc.sinks, 2))
-    by_label = np.argsort(d._rank)
+    by_label = d._by_label
     t, x = d._xy[by_label].T.tolist()
     sections["events"] = _rows(_EVENT, [map(_encode, d._labels[by_label].tolist()),
                                         map(float.__repr__, t), map(float.__repr__, x)], 1, "{}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import reprlib
 from collections import deque
-from collections.abc import ItemsView, Iterable, Mapping, Sequence, ValuesView
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -109,28 +109,6 @@ class _Events(Mapping):
     def __repr__(self) -> str:
         return repr(dict(zip(self._index, self._events)))
 
-    # Views that iterate the index and the list themselves, in C, rather
-    # than looking each label up again.
-    def items(self) -> ItemsView:
-        return _EventItems(self)
-
-    def values(self) -> ValuesView:
-        return _EventValues(self)
-
-
-class _EventItems(ItemsView):
-    __slots__ = ()
-
-    def __iter__(self):
-        return zip(self._mapping._index, self._mapping._events)
-
-
-class _EventValues(ValuesView):
-    __slots__ = ()
-
-    def __iter__(self):
-        return iter(self._mapping._events)
-
 
 @dataclass(init=False)
 class Diagram:
@@ -138,21 +116,21 @@ class Diagram:
 
     The constructor converts and checks its input once, into columns: the
     labels, an (n, 2) float array of (t, x), an (m, 2) int array of segment
-    endpoint rows and each label's rank in sorted order, which every frame
-    shares.  The stored order of the segments is the stable sort by (start
-    t, start x, end t, end x) of the rows as given, and their speed codes
-    classify them in that order; both are built on first read, by segments,
-    resolved_segments, role_report, render_svg or the diagram report, and
-    kept.  The census and terminal_events read the rows in any order, so a
-    frame that is only counted never sorts them.  A transformed diagram is
-    sorted when it is made.  events is a read-only Mapping view, over the
-    label index and one list of Event1p1 built on first use; segments is the
-    tuple of label pairs in stored order.  The census graph of the frame,
-    its runs of events (see count_paths), their successor rows and Kahn
-    order, is likewise built on first use and shared by every later
-    count_paths and count_paths_auto of the frame; a transformed diagram is
-    a new frame and builds its own.  Zero-length segments are rejected;
-    segment labels must name existing events.
+    endpoint rows, and each label's rank in sorted order and the rows in
+    that order, which every frame shares.  The stored order of the segments
+    is the stable sort by (start t, start x, end t, end x) of the rows as
+    given, and their speed codes classify them in that order; both are built
+    on first read, by segments, resolved_segments, role_report, render_svg
+    or the diagram report, and kept.  The census and terminal_events read
+    the rows in any order, so a frame that is only counted never sorts them.
+    A transformed diagram is sorted when it is made.  events is a read-only
+    Mapping over the label index and one list of Event1p1 built on first
+    use; segments is the tuple of label pairs in stored order.  The census
+    graph of the frame, its runs of events (see count_paths), their
+    successor rows and Kahn order, is likewise built on first use and shared
+    by every later count_paths and count_paths_auto of the frame; a
+    transformed diagram is a new frame and builds its own.  Zero-length
+    segments are rejected; segment labels must name existing events.
     """
 
     # The constructor's arguments as dataclass fields, so that fields(),
@@ -160,8 +138,8 @@ class Diagram:
     events: Mapping[str, Event1p1]
     segments: tuple[tuple[str, str], ...]
     c: float
-    __slots__ = ("_c", "_labels", "_index", "_rank", "_xy", "_pairs", "_speeds", "_events",
-                 "_graph")
+    __slots__ = ("_c", "_labels", "_index", "_rank", "_by_label", "_xy", "_pairs", "_speeds",
+                 "_events", "_graph")
 
     def __init__(self, events: Mapping[str, Event1p1],
                  segments: Iterable[tuple[str, str]] = (), c: float = 1.0) -> None:
@@ -213,9 +191,11 @@ def _columns(d: Diagram, labels: list[str], xy: np.ndarray,
         frm, to = segments[unknown[0]]
         raise InvalidScenario(
             f"segment ({reprlib.repr(frm)}, {reprlib.repr(to)}) names unknown events")
+    by_label = np.fromiter(sorted(range(len(labels)), key=labels.__getitem__), np.intp,
+                           len(labels))
     rank = np.empty(len(labels), np.intp)
-    rank[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
-    d._c, d._index, d._rank = c, index, rank
+    rank[by_label] = np.arange(len(labels))
+    d._c, d._index, d._rank, d._by_label = c, index, rank, by_label
     d._labels = np.fromiter(labels, object, len(labels))
     return _frame(d, xy[:, 0], xy[:, 1], seg)
 
@@ -223,13 +203,15 @@ def _columns(d: Diagram, labels: list[str], xy: np.ndarray,
 def _frame(d: Diagram, t: np.ndarray, x: np.ndarray, seg: np.ndarray,
            boost: Boost | None = None) -> Diagram:
     """Store one frame's coordinates, from the columns t and x, and its
-    segment rows seg as they come, once every segment has extent; d already
-    holds the labels, their index and ranks, and c.  This is the one place
-    a frame's coordinates are set, so it drops the cached order, events and
-    census graph.  The columns are the image under boost of a frame whose
-    segments all have extent, if boost is given."""
+    segment rows seg, once every segment has extent; d already holds the
+    labels, their index, ranks and order, and c.  This is the one place a
+    frame's coordinates are set, so it drops the cached order, events and
+    census graph.  If boost is given, the columns are the image under boost
+    of a frame whose segments all have extent, and a copy of seg is stored
+    with each row turned where its end comes strictly before its start."""
     frm, to = seg[:, 0], seg[:, 1]
-    flat = np.flatnonzero((t[to] == t[frm]) & (x[to] == x[frm]))
+    start, end = t[frm], t[to]
+    flat = np.flatnonzero((end == start) & (x[to] == x[frm]))
     if len(flat):
         frm, to = map(reprlib.repr, d._labels[seg[flat[0]]])
         if boost is None:
@@ -237,6 +219,10 @@ def _frame(d: Diagram, t: np.ndarray, x: np.ndarray, seg: np.ndarray,
         raise ZeroExtent(
             f"segment ({frm}, {to}) has extent, but its image under the "
             f"{boost.branch.value} boost at speed {boost.speed!r} underflowed to a point")
+    if boost is not None:
+        back = end < start
+        seg = seg.copy()
+        seg[back] = seg[back, ::-1]
     d._xy, d._pairs = np.stack((t, x), axis=1), seg
     d._speeds = d._events = d._graph = None
     return d
@@ -310,23 +296,14 @@ def transform_diagram(d: Diagram, b: Boost) -> Diagram:
         )
     t, x = _image(_entries(b), d._xy[:, 0], d._xy[:, 1], b, d._labels)
     moved = Diagram.__new__(Diagram)
-    moved._c, moved._labels, moved._index, moved._rank = d._c, d._labels, d._index, d._rank
-    _frame(moved, t, x, _forward(t, d._pairs), b)
+    moved._c, moved._labels, moved._index = d._c, d._labels, d._index
+    moved._rank, moved._by_label = d._rank, d._by_label
+    _frame(moved, t, x, d._pairs, b)
     # Rows tied on all four keys keep their order in d's stored rows: if d
     # held its rows as given, sort again from its stored order.
     if not _sort(moved) and d._speeds is None:
-        moved._pairs = _forward(t, d._seg)
-        _sort(moved)
+        _sort(_frame(moved, t, x, d._seg, b))
     return moved
-
-
-def _forward(t: np.ndarray, seg: np.ndarray) -> np.ndarray:
-    """A copy of the rows seg, each turned where its end comes strictly
-    before its start in the times t."""
-    seg = seg.copy()
-    back = t[seg[:, 1]] < t[seg[:, 0]]
-    seg[back] = seg[back, ::-1]
-    return seg
 
 
 def role_report(d: Diagram) -> tuple[tuple[str, Role], ...]:
@@ -572,12 +549,8 @@ def _walk(g: _Graph, starts: list[int], at: Iterable[int], marks: Mapping[int, S
     push, pop, emit, join = stack.append, stack.pop, found.append, found.extend
     step, back, grow = trail.append, trail.pop, trail.extend
     for source, place in zip(starts, at):
-        if source not in special:
+        if source not in runs:
             step(names[source])
-        elif not place and source in memo:  # its own list, less the chain of no segment
-            own = marks.get(source, ())
-            listings.append(tuple(memo[source][bool(own) and not own[0]:]))
-            continue
         else:  # in a run of several events
             grow(names[source][place:])
             for q in marks.get(source, ()):  # the sinks after it in its run
@@ -702,11 +675,12 @@ def _known(d: Diagram, source: str | None, sinks: Iterable[str]) -> tuple[str, .
 
 
 def terminal_events(d: Diagram) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Labels with only outgoing segments, and labels with only incoming."""
+    """Labels with only outgoing segments, and labels with only incoming,
+    each in label order: the frame's rows in label order, filtered."""
     n = len(d._labels)
-    out, into = (np.bincount(d._pairs[:, k], minlength=n) > 0 for k in (0, 1))
-    return tuple(tuple(d._labels[rows[np.argsort(d._rank[rows])]].tolist())
-                 for rows in (np.flatnonzero(out & ~into), np.flatnonzero(into & ~out)))
+    out, into = (np.bincount(d._pairs[:, k], minlength=n)[d._by_label] > 0 for k in (0, 1))
+    return tuple(tuple(d._labels[d._by_label[keep]].tolist())
+                 for keep in (out & ~into, into & ~out))
 
 
 def count_paths_auto(d: Diagram) -> tuple[int, tuple[PathSet, ...]]:
@@ -805,10 +779,9 @@ def scenario_from_dict(data: Mapping) -> Scenario:
 
 def scenario_to_dict(sc: Scenario) -> dict:
     d = sc.diagram
-    by_label = np.argsort(d._rank)
     out: dict = {
         "c": d.c,
-        "events": dict(zip(d._labels[by_label].tolist(), d._xy[by_label].tolist())),
+        "events": dict(zip(d._labels[d._by_label].tolist(), d._xy[d._by_label].tolist())),
         "segments": [list(pair) for pair in d.segments],
     }
     if sc.source is not None:

@@ -62,40 +62,74 @@ def path_phase(p: Path, scale: float = 1.0, c: float = 1.0) -> float:
 
     Each segment contributes dt*sqrt(1 - v**2/c**2).  Segments at or above c
     raise SuperluminalSegment; the phase is additive over concatenation and
-    unchanged by subluminal boosts.
+    unchanged by subluminal boosts.  A phase beyond a float raises
+    NonfiniteResult.
     """
     t = np.array([[v.t for v in p.vertices]])
     x = np.array([[v.x for v in p.vertices]])
-    return scale * float(_path_phases(t, x, np.array([0]), np.array([t.size]), c)[0])
+    return float(_path_phases(t, x, np.array([0]), np.array([t.size]), c, scale)[0])
 
 
 def _path_phases(t: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                 c: float = 1.0) -> np.ndarray:
-    """The proper time of each row's path through its vertices lo..hi-1,
-    given the (n, k) vertex times t and positions x.
+                 c: float = 1.0, scale: float = 1.0) -> np.ndarray:
+    """scale times the proper time of each row's path through its vertices
+    lo..hi-1, given the (n, k) vertex times t and positions x.
 
     Vertices outside a row's range may hold any finite values.  Each total
     adds its segments in path order starting from 0.0, one column at a
-    time, with exactly 0.0 for a segment outside the range, so a row's time
-    is path_phase's bit for bit.  v**2 is libm pow per value (_squares), and
-    np.sqrt is correctly rounded like math.sqrt.  The first segment at or
-    above c, by row and then by segment, raises SuperluminalSegment.
+    time, with exactly 0.0 for a segment outside the range, and is then
+    multiplied by scale, so a row's phase is path_phase's bit for bit.
+    v**2 is libm pow per value (_squares), and np.sqrt is correctly rounded
+    like math.sqrt.  The first segment at or above c, by row and then by
+    segment, raises SuperluminalSegment.
+
+    A row whose phase is not finite, or on one of whose segments c*dt
+    overflowed, is run once more on its coordinates scaled by 2**-k, the
+    least power that keeps every c*dt and dx of finite coordinates in range,
+    and its phase is scaled back by 2**k; a phase still beyond a float
+    raises NonfiniteResult naming the path's span, c and scale.  A segment
+    whose c*dt and dx both overflowed is checked against c on that run.
     """
-    dt, dx = t[:, 1:] - t[:, :-1], x[:, 1:] - x[:, :-1]
-    ct = c * dt
-    j = np.arange(dt.shape[1])
-    live = (lo[:, None] <= j) & (j < hi[:, None] - 1)
-    fast = live & (np.abs(dx) >= ct)
-    if fast.any():
-        i, k = np.argwhere(fast)[0]
-        raise SuperluminalSegment(
-            f"segment speed |{float(dx[i, k] / dt[i, k])!r}| is not below c={c!r}")
-    term = np.zeros(dt.shape)
-    term[live] = dt[live] * np.sqrt(1.0 - _squares(dx[live] / ct[live]))
-    total = np.zeros(len(term))
-    for col in term.T:
-        total += col
-    return total
+    tk, xk, a, b, k = t, x, lo, hi, 0
+    while True:
+        with np.errstate(over="ignore", invalid="ignore"):
+            dt, dx = tk[:, 1:] - tk[:, :-1], xk[:, 1:] - xk[:, :-1]
+            ct = c * dt
+            j = np.arange(dt.shape[1])
+            live = (a[:, None] <= j) & (j < b[:, None] - 1)
+            fast = live & (np.abs(dx) >= ct)
+            if fast.any():
+                fast &= ct < np.inf  # where c*dt and dx both overflowed, the scaled run checks
+                if fast.any():
+                    i, s = np.argwhere(fast)[0]
+                    raise SuperluminalSegment(
+                        f"segment speed |{float(dx[i, s] / dt[i, s])!r}| is not below c={c!r}")
+            term = np.zeros(dt.shape)
+            term[live] = dt[live] * np.sqrt(1.0 - _squares(dx[live] / ct[live]))
+            total = np.zeros(len(term))
+            for col in term.T:
+                total += col
+            if k:
+                phase[rows] = total * scale * 2.0**k
+                break
+            phase = total * scale
+        if np.isfinite(phase).all() and np.isfinite(ct).all():
+            return phase
+        rows = np.flatnonzero(~np.isfinite(phase) | (live & np.isinf(ct)).any(axis=1))
+        k = 1 + max(0, math.frexp(c)[1])
+        tk, xk, a, b = t[rows] * 2.0**-k, x[rows] * 2.0**-k, lo[rows], hi[rows]
+    bad = np.flatnonzero(~np.isfinite(phase[rows]))
+    if not len(bad):
+        return phase
+    r = int(bad[0])
+    i, first, last = rows[r], a[r], b[r] - 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        size = np.log10(abs(total[r])) + np.log10(abs(scale)) + k * np.log10(2.0)
+    raise NonfiniteResult(
+        f"path from (t, x) = ({float(t[i, first])!r}, {float(x[i, first])!r}) to "
+        f"({float(t[i, last])!r}, {float(x[i, last])!r}) with c={c!r} and scale={scale!r} "
+        f"has a phase{f' of magnitude 10**{size:.6g}' if np.isfinite(size) else ''}, "
+        "beyond a float")
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ import reprlib
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -436,9 +437,49 @@ def rapidity(b: Boost) -> float:
 
 
 def interval_1p1(e1: Event1p1, e2: Event1p1, c: float = 1.0) -> float:
-    dt = e2.t - e1.t
-    dx = e2.x - e1.x
-    return c * c * dt * dt - dx * dx
+    """c**2 * dt**2 - dx**2 from e1 to e2, two Event1p1 or the rows of two
+    EventColumns; exactly rounded where this float formula is not finite
+    (_exact_forms)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dt = e2.t - e1.t
+        dx = e2.x - e1.x
+        s2 = c * c * dt * dt - dx * dx
+
+    def inputs(i: int) -> list[float]:  # row i's t1, x1, t2, x2
+        return [float(np.broadcast_to(v, np.shape(s2)).flat[i])
+                for v in (e1.t, e1.x, e2.t, e2.x)]
+
+    def increments(i: int):
+        t1, x1, t2, x2 = map(Fraction, inputs(i))
+        return [t2 - t1], [x2 - x1]
+
+    return _exact_forms(s2, c, increments, lambda i: "events (t, x) = ({!r}, {!r}) and "
+                        "({!r}, {!r})".format(*inputs(i)))
+
+
+def _exact_forms(s2, c: float, increments: Callable, named: Callable):
+    """s2, the float values of the form c**2 * sum(dt**2) - sum(dr**2), a
+    float or an array, with each value that is not finite replaced by the
+    form's exactly rounded value, from Fractions, where c and its row's
+    inputs are finite: increments(i) gives the temporal and spatial
+    increments of row i as Fractions, and named(i) names its inputs.  A
+    value beyond a float raises NonfiniteResult naming them and c."""
+    if np.isfinite(s2).all():
+        return s2
+    out = np.array(s2, float)
+    for i in np.flatnonzero(~np.isfinite(out)).tolist():
+        try:
+            C, (dts, drs) = Fraction(c), increments(i)
+        except (OverflowError, ValueError):  # an input that is not finite has no exact value
+            continue
+        value = C * C * sum(d * d for d in dts) - sum(d * d for d in drs)
+        try:
+            out.flat[i] = float(value)
+        except OverflowError:
+            size = math.log10(abs(value.numerator)) - math.log10(value.denominator)
+            raise NonfiniteResult(f"the interval of {named(i)} with c={c!r} has magnitude "
+                                  f"10**{size:.6g}, beyond a float") from None
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -544,11 +585,19 @@ def boost_1p3_superluminal(e: Event1p3, W, c: float = 1.0) -> SuperluminalEvent1
 def interval_nm(dts: Sequence[float], drs: Sequence[float], c: float = 1.0):
     """Quadratic form with n temporal and m spatial increments:
     c**2 * sum(dt**2) - sum(dr**2).  Given (k, n) and (k, m) arrays it
-    returns the k forms of their rows."""
+    returns the k forms of their rows.  Exactly rounded where this float
+    formula is not finite (_exact_forms)."""
     dts = np.atleast_1d(np.asarray(dts, dtype=float))
     drs = np.atleast_1d(np.asarray(drs, dtype=float))
-    s2 = c * c * np.sum(dts * dts, axis=-1) - np.sum(drs * drs, axis=-1)
-    return float(s2) if s2.ndim == 0 else s2
+    with np.errstate(over="ignore", invalid="ignore"):
+        s2 = c * c * np.sum(dts * dts, axis=-1) - np.sum(drs * drs, axis=-1)
+
+    def row(v: np.ndarray, i: int) -> list[float]:  # row i of the increments v, broadcast
+        return np.broadcast_to(v, s2.shape + v.shape[-1:]).reshape(-1, v.shape[-1])[i].tolist()
+
+    s2 = _exact_forms(s2, c, lambda i: [[*map(Fraction, row(v, i))] for v in (dts, drs)],
+                      lambda i: f"increments dt={row(dts, i)} and dr={row(drs, i)}")
+    return float(s2) if np.ndim(s2) == 0 else s2
 
 
 # ---------------------------------------------------------------------------

@@ -208,7 +208,7 @@ def _marks(d: Diagram, cx: np.ndarray, cy: np.ndarray) -> list[str]:
     n = len(cx)
     if not n:
         return []
-    by_label = np.argsort(d._rank)
+    by_label = d._by_label
     x, y = cx[by_label], cy[by_label]
     off = STYLE["label_offset"]
     digits = _cells(_tenths(np.concatenate((x, y, x + off, y - off)))).reshape(4, n)

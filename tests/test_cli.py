@@ -333,14 +333,29 @@ def _report(sc: Scenario) -> dict:
     return report
 
 
+_UNSORTED = scenario_from_dict({"events": {"u": [2, 0], "s": [0, 0], "t": [1, 0.5], "a": [3, 9]},
+                                "segments": [["u", "a"], ["s", "t"], ["t", "u"]],
+                                "source": "s", "sinks": ["u", "t", "u"]})
+
+
 @given(_scenario())
 @example(scenario_from_dict({"events": {"s": [0, 0], "t": [1, 0], "u": [2, 0]},
                              "segments": [["s", "t"], ["t", "u"]],
                              "source": "s", "sinks": ["u", "t", "u"]}))
+@example(_UNSORTED)
+@example(Scenario(transform_diagram(_UNSORTED.diagram, Boost(Branch.SUPERLUMINAL, -3.0)),
+                  _UNSORTED.source, _UNSORTED.sinks))
 @settings(max_examples=200, deadline=None)
 def test_the_report_writer_writes_the_bytes_of_indented_json_dumps(sc):
+    """The report's bytes, and its events, the scenario dict's events and
+    the frame's terminal events in label order, however the labels were
+    loaded and whether or not the frame was boosted."""
     report = _report(sc)
     assert cli._report_text(sc) == json.dumps(report, indent=2, sort_keys=True)
+    assert list(report["events"]) == sorted(sc.diagram.events)
+    assert list(json.loads(cli._report_text(sc))["events"]) == list(report["events"])
+    for labels in terminal_events(sc.diagram):
+        assert list(labels) == sorted(labels)
 
 
 def _ladder(rungs: int) -> dict:

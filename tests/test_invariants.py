@@ -91,6 +91,34 @@ def test_path_phase_unchanged_by_subluminal_boost(rng):
         assert path_phase(moved) == APPROX(base, rel=1e-10)
 
 
+def test_path_phase_of_a_path_whose_floats_overflow_is_rescaled_or_raises():
+    """A row whose increments, c*dt or total overflow is run again on its
+    coordinates scaled by a power of two: its phase is finite where it fits
+    in a float, and NonfiniteResult names the span, c and scale where it
+    does not.  Rows that do not overflow keep their bits."""
+    wide = (E(-1e308, -0.9e308), E(1e308, 0.9e308))
+    assert path_phase(Path(wide)) == APPROX(2 * (1e308 * math.sqrt(1 - 0.81)), rel=1e-15)
+    assert path_phase(Path((E(-1e308, 0), E(1e308, 0))), scale=0.25) == 5e307
+    # c*dt overflows while the total fits: dx/(c*dt) is not 0
+    assert path_phase(Path((E(0, 0), E(0.5e308, 0.9e308))), c=4.0) == APPROX(
+        0.5e308 * math.sqrt(1 - 0.45**2), rel=1e-15)
+    with pytest.raises(NonfiniteResult, match=r"path from \(t, x\) = \(-1e\+308, 0\.0\) to "
+                                              r"\(1e\+308, 0\.0\) with c=1\.0 and scale=1\.0 "
+                                              r"has a phase of magnitude 10\*\*308\.30"):
+        path_phase(Path((E(-1e308, 0), E(1e308, 0))))
+    with pytest.raises(NonfiniteResult, match=r"scale=1e\+300 has a phase of magnitude 10\*\*600"):
+        path_phase(Path((E(0, 0), E(1e300, 0))), scale=1e300)
+    with pytest.raises(SuperluminalSegment, match=r"\|1\.0\| is not below c=1\.0"):
+        path_phase(Path((E(-1e308, -1e308), E(1e308, 1e308))))
+    t = np.array([[0.0, 1.0, 2.5], [-1e308, 0.0, 1e308]])
+    x = np.array([[0.0, 0.6, -0.1], [-0.9e308, 0.0, 0.9e308]])
+    lo, hi = np.zeros(2, int), np.full(2, 3)
+    rows = invariants._path_phases(t, x, lo, hi)
+    assert rows[0].hex() == invariants._path_phases(t[:1], x[:1], lo[:1], hi[:1])[0].hex()
+    assert rows[0].hex() == path_phase(Path(tuple(map(E, t[0], x[0])))).hex()
+    assert rows[1] == path_phase(Path(wide))
+
+
 def test_path_requires_increasing_time():
     with pytest.raises(ValueError):
         Path((E(0, 0),))

@@ -492,6 +492,31 @@ def test_interval_nm_quadratic_form():
     assert interval_nm([1.0, 2.0], [1.0], c=2.0) == APPROX(19.0)
 
 
+def test_intervals_that_overflow_in_floats_are_exactly_rounded_or_raise():
+    """Where the float formula overflows for finite events, the interval is
+    the exactly rounded value, or NonfiniteResult naming the events and c
+    when that is beyond a float; finite rows keep the formula's bits."""
+    near = float(np.nextafter(2e154, 0.0))  # (2e154)**2 and near**2 overflow; their difference fits
+    exact = float(Fraction(2e154) ** 2 - Fraction(near) ** 2)
+    assert 0.0 < exact < 1e300
+    assert interval_1p1(Event1p1(1e308, 1e308), Event1p1(-1e308, -1e308)) == 0.0
+    assert interval_1p1(Event1p1(-1e154, 0.0), Event1p1(1e154, near)) == exact
+    assert interval_nm([1e200], [1e200]) == 0.0 and type(interval_nm([1e200], [1e200])) is float
+    assert interval_nm([2e154], [near]) == exact
+    t1, x1 = np.array([0.0, 1e308, -1e154]), np.array([0.0, 1e308, 0.0])
+    t2, x2 = np.array([0.3, -1e308, 1e154]), np.array([0.1, -1e308, near])
+    rows = interval_1p1(kin.EventColumns(t1, x1), kin.EventColumns(t2, x2))
+    assert rows.tolist() == [0.3 * 0.3 - 0.1 * 0.1, 0.0, exact]
+    dts = np.array([[0.3], [1e200], [2e154]])
+    drs = np.array([[0.1, 0.2], [1e200, 0.0], [near, 0.0]])
+    assert interval_nm(dts, drs).tolist() == [0.3 * 0.3 - (0.1 * 0.1 + 0.2 * 0.2), 0.0, exact]
+    with pytest.raises(NonfiniteResult, match=r"events \(t, x\) = \(0\.0, 0\.0\) and "
+                                              r"\(1\.0, 0\.0\) with c=1e\+300 .*10\*\*600"):
+        interval_1p1(Event1p1(0, 0), Event1p1(1, 0), c=1e300)
+    with pytest.raises(NonfiniteResult, match=r"increments dt=\[1e\+200\] and dr=\[0\.0\]"):
+        interval_nm([1e200], [0.0])
+
+
 def _random_unit(rng) -> np.ndarray:
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)

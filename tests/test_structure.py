@@ -169,8 +169,11 @@ def test_the_report_writer_joins_written_items_and_reads_terminals_from_the_cens
 
 
 def test_a_boost_result_beyond_a_float_is_raised_only_by_the_kernel():
+    """Boost results are checked only in _image, and the one other
+    NonfiniteResult of these modules is the interval forms' rounding."""
     assert {scope for scope in _scopes(_raises("NonfiniteResult"))
-            if scope.split(".")[0] in ("kinematics", "diagrams")} == {"kinematics._image"}
+            if scope.split(".")[0] in ("kinematics", "diagrams")} == {
+        "kinematics._image", "kinematics._exact_forms"}
 
 
 PER_TRIAL_FORMS = {"Path", "Event1p1", "boost_1p1", "path_phase", "amplitude",
@@ -321,6 +324,21 @@ def test_the_four_key_sort_runs_only_when_start_times_tie():
                 and any(_attribute(sub, "np", "lexsort") for sub in ast.walk(node))]
     assert len(branches) == 1 and not branches[0].orelse
     assert "argsort" in ast.unparse(frame)
+
+
+def test_each_frame_fact_has_one_derivation():
+    """The labels' sorted order is kept on the frame when it is loaded, so
+    no scope sorts the ranks back into it; a boosted frame turns its rows
+    in _frame, with no second pass; and d.events has Mapping's own views."""
+    def argsorts_rank(node):  # np.argsort of the ranks, or of some of them
+        if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "np.argsort"):
+            return False
+        arg = node.args[0].value if isinstance(node.args[0], ast.Subscript) else node.args[0]
+        return isinstance(arg, ast.Attribute) and arg.attr == "_rank"
+
+    assert _scopes(argsorts_rank) == set()
+    for name in ("_forward", "_EventItems", "_EventValues"):
+        assert not hasattr(superlum.diagrams, name)
 
 
 def test_the_census_graph_is_built_in_one_function():
