@@ -9,6 +9,7 @@ from .errors import (
     IsolatedEvent,
     LightSpeedResult,
     MixedK,
+    NonfiniteInput,
     NonfiniteResult,
     NonpositiveK,
     NotConstant,

@@ -54,7 +54,8 @@ class Segment:
     speed_class: SpeedClass
 
 
-_CLASSES = tuple(SpeedClass)  # a speed code indexes this
+_CLASSES = np.array(tuple(SpeedClass), object)  # a speed code indexes this
+_ROLES = np.array((Role.ABSORPTION, Role.EMISSION), object)  # a role bit indexes this
 
 
 def _filled(cls: type, *columns: list) -> list:
@@ -271,13 +272,12 @@ def _sort(d: Diagram) -> bool:
 def resolved_segments(d: Diagram) -> tuple[Segment, ...]:
     """The segments in stored order with their endpoint events, the objects
     of d.events, and speed classes, built from the diagram's columns."""
-    events = d.events._events  # the frame's events, by row
+    events = np.fromiter(d.events._events, object, len(d._labels))  # by row
     seg = d._seg
-    ends = d._labels[seg]
+    ends, pairs = d._labels[seg], events[seg]
     return tuple(_filled(Segment, ends[:, 0].tolist(), ends[:, 1].tolist(),
-                         list(map(events.__getitem__, seg[:, 0].tolist())),
-                         list(map(events.__getitem__, seg[:, 1].tolist())),
-                         list(map(_CLASSES.__getitem__, d._codes.tolist()))))
+                         pairs[:, 0].tolist(), pairs[:, 1].tolist(),
+                         _CLASSES[d._codes].tolist()))
 
 
 def transform_diagram(d: Diagram, b: Boost) -> Diagram:
@@ -319,12 +319,11 @@ def role_report(d: Diagram) -> tuple[tuple[str, Role], ...]:
         raise IsolatedEvent(f"event {reprlib.repr(d._labels[touched.argmin()])} "
                             "touches no segment")
     fast = d._seg[d._codes == 2]
-    rows = np.concatenate((fast[:, 1], fast[:, 0]))  # absorptions, then emissions
-    keys, first = np.unique(2 * d._rank[rows] + (np.arange(len(rows)) >= len(fast)),
-                            return_index=True)
-    roles = (Role.ABSORPTION, Role.EMISSION)
-    return tuple(zip(d._labels[rows[first]].tolist(),
-                     map(roles.__getitem__, (keys & 1).tolist())))
+    # slot 2 * rank + role of each event's roles, absorption 0 and emission 1
+    held = np.zeros(2 * len(d._labels), bool)
+    held[2 * d._rank[fast[:, 1]]] = held[2 * d._rank[fast[:, 0]] + 1] = True
+    keys = np.flatnonzero(held)
+    return tuple(zip(d._labels[d._by_label[keys >> 1]].tolist(), _ROLES[keys & 1].tolist()))
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,10 @@ class TruncationInsufficient(SuperlumError):
     """The exponential-series tail bound exceeds the requested tolerance."""
 
 
+class NonfiniteInput(SuperlumError, ValueError):
+    """An input that must be finite is not; the message names it."""
+
+
 class NonfiniteResult(SuperlumError):
     """A value's magnitude does not fit in a float; the message names the
     inputs and log10 of the magnitude."""

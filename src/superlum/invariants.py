@@ -27,8 +27,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from ._input import is_number
-from .errors import NonfiniteResult, SuperluminalSegment
-from .kinematics import Event1p1, _squares
+from .errors import NonfiniteInput, NonfiniteResult, SuperluminalSegment
+from .kinematics import Event1p1, K_from_c, _squares
 from .report import CheckReport, relative_deviation
 
 
@@ -63,8 +63,12 @@ def path_phase(p: Path, scale: float = 1.0, c: float = 1.0) -> float:
     Each segment contributes dt*sqrt(1 - v**2/c**2).  Segments at or above c
     raise SuperluminalSegment; the phase is additive over concatenation and
     unchanged by subluminal boosts.  A phase beyond a float raises
-    NonfiniteResult.
+    NonfiniteResult.  c must pass K_from_c, and a scale that is not finite
+    raises NonfiniteInput.
     """
+    K_from_c(c)
+    if not math.isfinite(scale):
+        raise NonfiniteInput(f"path_phase needs a finite scale, got scale={scale!r}")
     t = np.array([[v.t for v in p.vertices]])
     x = np.array([[v.x for v in p.vertices]])
     return float(_path_phases(t, x, np.array([0]), np.array([t.size]), c, scale)[0])

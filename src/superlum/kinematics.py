@@ -30,6 +30,7 @@ from .errors import (
     DegenerateA,
     LightSpeedResult,
     MixedK,
+    NonfiniteInput,
     NonfiniteResult,
     NonpositiveK,
     NotConstant,
@@ -439,7 +440,8 @@ def rapidity(b: Boost) -> float:
 def interval_1p1(e1: Event1p1, e2: Event1p1, c: float = 1.0) -> float:
     """c**2 * dt**2 - dx**2 from e1 to e2, two Event1p1 or the rows of two
     EventColumns; exactly rounded where this float formula is not finite
-    (_exact_forms)."""
+    (_exact_forms).  c must pass K_from_c."""
+    K_from_c(c)
     with np.errstate(over="ignore", invalid="ignore"):
         dt = e2.t - e1.t
         dx = e2.x - e1.x
@@ -460,18 +462,20 @@ def interval_1p1(e1: Event1p1, e2: Event1p1, c: float = 1.0) -> float:
 def _exact_forms(s2, c: float, increments: Callable, named: Callable):
     """s2, the float values of the form c**2 * sum(dt**2) - sum(dr**2), a
     float or an array, with each value that is not finite replaced by the
-    form's exactly rounded value, from Fractions, where c and its row's
-    inputs are finite: increments(i) gives the temporal and spatial
-    increments of row i as Fractions, and named(i) names its inputs.  A
-    value beyond a float raises NonfiniteResult naming them and c."""
+    form's exactly rounded value, from Fractions: increments(i) gives the
+    temporal and spatial increments of row i as Fractions, and named(i)
+    names its inputs.  c is finite (K_from_c).  A row with an input that is
+    not finite raises NonfiniteInput, and a value beyond a float raises
+    NonfiniteResult, each naming the row's inputs."""
     if np.isfinite(s2).all():
         return s2
-    out = np.array(s2, float)
+    out, C = np.array(s2, float), Fraction(c)
     for i in np.flatnonzero(~np.isfinite(out)).tolist():
         try:
-            C, (dts, drs) = Fraction(c), increments(i)
+            dts, drs = increments(i)
         except (OverflowError, ValueError):  # an input that is not finite has no exact value
-            continue
+            raise NonfiniteInput(f"the interval of {named(i)} has an input that is not "
+                                 "finite") from None
         value = C * C * sum(d * d for d in dts) - sum(d * d for d in drs)
         try:
             out.flat[i] = float(value)
@@ -586,7 +590,8 @@ def interval_nm(dts: Sequence[float], drs: Sequence[float], c: float = 1.0):
     """Quadratic form with n temporal and m spatial increments:
     c**2 * sum(dt**2) - sum(dr**2).  Given (k, n) and (k, m) arrays it
     returns the k forms of their rows.  Exactly rounded where this float
-    formula is not finite (_exact_forms)."""
+    formula is not finite (_exact_forms).  c must pass K_from_c."""
+    K_from_c(c)
     dts = np.atleast_1d(np.asarray(dts, dtype=float))
     drs = np.atleast_1d(np.asarray(drs, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -12,18 +12,22 @@ The eleven kinematics rows draw only uniform doubles.  Each draws all its
 trials in one rng.random block, and maps a column u of it to
 lo + (hi - lo) * u, which is what rng.uniform(lo, hi) returns, bit for bit.
 A trial that draws a random boost uses two or three doubles, by its branch
-draw; those rows walk an upper-bound block and then redraw exactly the
-doubles used, so the generator ends each row where one draw at a time
-would leave it.  The trials then run as numpy operations on columns,
-through the column twins of the kinematics kernels; the few calls with no
-bit-exact numpy twin (math.hypot, math.atan2, x ** 2, which is libm pow,
-and the BLAS dots of the norms and of dr @ dr) run per trial on Python
-floats.  Each deviation is the one a per-trial evaluation gives.
+draw; those rows walk an upper-bound block of raw words (_Raw, below),
+which leaves the generator advanced by exactly the doubles used, where one
+draw at a time would leave it.  The trials then run as numpy operations
+on columns, through the column twins of the kinematics kernels; the few
+calls with no bit-exact numpy twin (math.hypot, math.atan2, x ** 2, which
+is libm pow, and the BLAS dots of the norms and of dr @ dr) run per trial
+on Python floats.  Each deviation is the one a per-trial evaluation gives.
 
 The six rows after them draw integers, permutations and arrays of drawn
-sizes, so they keep the draw calls of one trial at a time, in the same
-order; a run of scalar rng.uniform draws becomes one rng.random block
-mapped as above.  What the draws produce is then valued on columns, by
+sizes.  Each of the five among them that draw (the two invariant rows, the
+two phase rows and newton_convolution) reads one block of raw PCG64 words
+through _Raw, which gives what the Generator's random, uniform, integers
+and permutation give, bit for bit.  The row walks the block trial by trial
+in the order those calls ran, then gathers the doubles it took as columns,
+so it makes no Generator call per trial and leaves the generator where
+the calls would.  What the draws produce is then valued on columns, by
 private twins of the public kernels that give their bits: the phase rows
 boost every vertex in one call and sum proper times with _path_phases, the
 two invariant rows value the phase sets of all their instances, whatever
@@ -134,6 +138,85 @@ def _uniform(u, lo: float, hi: float):
     return lo + (hi - lo) * u
 
 
+class _Raw:
+    """A row's draws from rng, read from one block of raw PCG64 words.
+
+    The row walks the block in the order its samplers would have run, and
+    each draw gives what the Generator's sampler gives, bit for bit:
+    take(k) the k doubles of rng.random(k), as numpy's next_double reads a
+    word w, (w >> 11) * 2**-53; integer(lo, hi) rng.integers(lo, hi), by
+    Lemire's multiply-and-reject on a 32-bit half; permutation(k) the order
+    in which rng.permutation(k) leaves k items, by a Fisher-Yates shuffle
+    from the last item down with random_interval's mask-and-reject.  A
+    32-bit draw takes the low half of a fresh word and keeps its high half
+    for the next one, as next_uint32 does, across doubles and rows (the
+    state's has_uint32 and uinteger).  The block grows when rejections use
+    it up.  close() leaves the generator where the samplers would have: the
+    saved state, advanced by the words used, with the kept half-word set
+    again.  It returns the doubles of the whole block, whose words past
+    those used were never drawn as far as the generator goes.
+    """
+
+    def __init__(self, rng, words: int):
+        self.bitgen = rng.bit_generator
+        self.state = self.bitgen.state
+        assert self.state["bit_generator"] == "PCG64"
+        self.raw = self.bitgen.random_raw(words)
+        self.pos = 0
+        self.has_half, self.half = self.state["has_uint32"], self.state["uinteger"]
+
+    def _grow(self, need: int) -> None:
+        more = self.bitgen.random_raw(max(need, self.raw.size))
+        self.raw = np.concatenate([self.raw, more])
+
+    def take(self, k: int) -> slice:
+        """The place of the next k doubles in close()'s array."""
+        start = self.pos
+        self.pos += k
+        if self.pos > self.raw.size:
+            self._grow(self.pos - self.raw.size)
+        return slice(start, self.pos)
+
+    def _uint32(self) -> int:
+        if self.has_half:
+            self.has_half = 0
+            return self.half
+        if self.pos == self.raw.size:
+            self._grow(1)
+        word = self.raw.item(self.pos)
+        self.pos += 1
+        self.has_half, self.half = 1, word >> 32
+        return word & 0xFFFFFFFF
+
+    def integer(self, lo: int, hi: int) -> int:
+        span = hi - lo
+        assert 0 < span < 1 << 32
+        if span == 1:
+            return lo
+        least, m = (1 << 32) % span, self._uint32() * span
+        while m & 0xFFFFFFFF < least:
+            m = self._uint32() * span
+        return lo + (m >> 32)
+
+    def permutation(self, k: int) -> list[int]:
+        order, draw = list(range(k)), self._uint32
+        for i in range(k - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = draw() & mask
+            while j > i:
+                j = draw() & mask
+            order[i], order[j] = order[j], order[i]
+        return order
+
+    def close(self) -> np.ndarray:
+        self.bitgen.state = self.state
+        self.bitgen.advance(self.pos)
+        state = self.bitgen.state
+        state["has_uint32"], state["uinteger"] = self.has_half, self.half
+        self.bitgen.state = state
+        return (self.raw >> 11) * 2.0**-53
+
+
 def _subluminal(u):
     return _uniform(u, -0.95, 0.95)
 
@@ -150,22 +233,20 @@ def _boost_draws(rng, n: int, boosts: int, rest: int):
 
     A random boost draws its branch (below 0.5: subluminal), then a speed,
     and above c also the speed's sign: two or three doubles.  So the block
-    holds the most the trials can use, a cursor walks it, and the generator
-    is restored and advanced by exactly the doubles used.  Returns the
+    holds the most the trials can use, and the walk reads each branch draw
+    from its word's top bit, which is 0 for a double below 0.5.  Returns the
     (subluminal mask, speed) columns of each boost and the (n, rest) doubles.
     """
-    state = rng.bit_generator.state
-    block = rng.random(n * (3 * boosts + rest))
-    u = block.tolist()
-    starts, pos = [], 0
+    raw = _Raw(rng, n * (3 * boosts + rest))
+    top, starts, pos = (raw.raw >> 63).tolist(), [], 0
     for _ in range(n):
         for _ in range(boosts):
             starts.append(pos)
-            pos += 2 if u[pos] < 0.5 else 3
+            pos += 2 + top[pos]
         starts.append(pos)
         pos += rest
-    rng.bit_generator.state = state
-    rng.random(pos)
+    raw.take(pos)
+    block = raw.close()
     at = np.array(starts).reshape(n, boosts + 1)
     drawn = []
     for j in range(boosts):
@@ -181,11 +262,11 @@ def _events(u) -> EventColumns:
     return EventColumns(_uniform(u[:, 0], -2, 2), _uniform(u[:, 1], -2, 2))
 
 
-def _random_spec(rng, complex_alpha: bool) -> InvariantSpec:
-    """alpha's real part in [-1, 1) and, if complex_alpha, its imaginary
-    part in [-0.3, 0.3); beta in [0, 2) and gamma in [-2, 2)."""
-    u = rng.random(4 if complex_alpha else 3).tolist()
-    im = _uniform(u[1], -0.3, 0.3) if complex_alpha else 0.0
+def _random_spec(u: list[float]) -> InvariantSpec:
+    """From the doubles u, alpha's real part in [-1, 1) and, given a fourth
+    double, its imaginary part in [-0.3, 0.3); beta in [0, 2) and gamma in
+    [-2, 2)."""
+    im = _uniform(u[1], -0.3, 0.3) if len(u) == 4 else 0.0
     return InvariantSpec(complex(_uniform(u[0], -1.0, 1.0), im),
                          _uniform(u[-2], 0.0, 2.0), _uniform(u[-1], -2.0, 2.0))
 
@@ -194,28 +275,30 @@ def _timelike_paths(rng, n: int, extra: int = 0):
     """n random timelike paths of 2 to 5 segments, each slower than 0.9.
 
     A path draws its start x, its segment count, then (dt, v) for each
-    segment and `extra` more doubles for its trial.  The doubles after the
-    count come as one rng.random block, the doubles that one scalar
-    rng.uniform call each drew.  Returns the (n, 6) vertex times and
-    positions, finite but meaningless past each path's last vertex, the
-    vertex counts, and the (n, extra) extra doubles.
+    segment and `extra` more doubles for its trial.  Returns the (n, 6)
+    vertex times and positions, finite but meaningless past each path's
+    last vertex, the vertex counts, and the (n, extra) extra doubles.
     """
-    start, count = np.empty(n), np.empty(n, int)
-    u = np.zeros((n, 10 + extra))
-    for i in range(n):
-        start[i] = rng.random()
-        k = int(rng.integers(2, 6))
-        count[i] = k + 1
-        block = rng.random(2 * k + extra)
-        u[i, :2 * k] = block[:2 * k]
-        u[i, 10:] = block[2 * k:]
-    dt, v = _uniform(u[:, 0:10:2], 0.2, 1.0), _uniform(u[:, 1:10:2], -0.9, 0.9)
+    raw = _Raw(rng, n * (12 + extra))
+    starts, counts = [], []
+    for _ in range(n):
+        x0 = raw.take(1).start
+        k = raw.integer(2, 6)
+        starts.append((x0, raw.take(2 * k + extra).start))
+        counts.append(k + 1)
+    u = np.append(raw.close(), 0.0)
+    x0, seg = np.array(starts).T
+    count = np.array(counts)
+    j = np.arange(10)
+    # a segment past the path's last reads the appended 0.0, as dt 0.2 and v -0.9
+    cols = np.where(j < 2 * count[:, None] - 2, seg[:, None] + j, -1)
+    dt, v = _uniform(u[cols[:, 0::2]], 0.2, 1.0), _uniform(u[cols[:, 1::2]], -0.9, 0.9)
     t, x = np.zeros((n, 6)), np.zeros((n, 6))
-    x[:, 0] = _uniform(start, -1, 1)
+    x[:, 0] = _uniform(u[x0], -1, 1)
     for j in range(5):
         t[:, j + 1] = t[:, j] + dt[:, j]
         x[:, j + 1] = x[:, j] + v[:, j] * dt[:, j]
-    return t, x, count, u[:, 10:]
+    return t, x, count, u[(seg + 2 * count - 2)[:, None] + np.arange(extra)]
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +470,18 @@ def _invariant_axioms(rng, opts, n):
     """The phase sets of every instance (the set, five permutations, its
     negation, the second set and the pairwise sums) are valued by one
     _invariant_Ps call, one _log_P per size, kind of alpha and branch."""
-    pairs = []
+    raw, drawn = _Raw(rng, 40 * n), []
     for i in range(n):
-        spec = _random_spec(rng, complex_alpha=(i % 2 == 0))
-        k, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-        phi = rng.uniform(-1, 1, k)
-        xi = rng.uniform(-1, 1, m)
-        perms = [rng.permutation(phi) for _ in range(5)]
-        pairs += [(spec, v) for v in (phi, *perms, -phi, xi, _pairwise_sums(phi, xi))]
+        spec = raw.take(4 if i % 2 == 0 else 3)  # complex alpha on even instances
+        k, m = raw.integer(1, 7), raw.integer(1, 7)
+        drawn.append((spec, raw.take(k), raw.take(m), [raw.permutation(k) for _ in range(5)]))
+    u = raw.close()
+    v = _uniform(u, -1, 1)
+    pairs = []
+    for spec, a, b, perms in drawn:
+        spec, phi, xi = _random_spec(u[spec].tolist()), v[a], v[b]
+        pairs += [(spec, w) for w in (phi, *(phi[p] for p in perms), -phi, xi,
+                                      _pairwise_sums(phi, xi))]
     values = _invariant_Ps(pairs)
     devs = []
     for base, *moved, back, f_xi, f_pairs in zip(*[iter(values)] * 9):
@@ -420,15 +507,21 @@ def _sum_fails(rng, opts, n):
     each r <= 1, so every instance deviates by at least 2r/(1 + r)**2 at
     r = cosh(4)**-2, 2.67e-3, above the floor of 1e-3.
     """
-    pairs = []
+    raw, drawn = _Raw(rng, 20 * n), []
     for _ in range(n):
-        u = rng.random(6).tolist()
-        s1 = InvariantSpec(_uniform(u[0], 0.2, 1.0), _uniform(u[1], 0.0, 1.0),
-                           _uniform(u[2], 0.5, 2.0))
-        s2 = InvariantSpec(_uniform(u[3], 0.2, 1.0) + 1.0, s1.beta, s1.gamma)
-        phi = rng.uniform(-1, 1, int(rng.integers(2, 7)))
-        xi = rng.uniform(-1, 1, int(rng.integers(2, 7)))
-        pairs += [(s, v) for s in (s1, s2) for v in (phi, xi, _pairwise_sums(phi, xi))]
+        spec = raw.take(6)
+        a = raw.take(raw.integer(2, 7))
+        drawn.append((spec, a, raw.take(raw.integer(2, 7))))
+    u = raw.close()
+    v = _uniform(u, -1, 1)
+    pairs = []
+    for spec, a, b in drawn:
+        d = u[spec].tolist()
+        s1 = InvariantSpec(_uniform(d[0], 0.2, 1.0), _uniform(d[1], 0.0, 1.0),
+                           _uniform(d[2], 0.5, 2.0))
+        s2 = InvariantSpec(_uniform(d[3], 0.2, 1.0) + 1.0, s1.beta, s1.gamma)
+        phi, xi = v[a], v[b]
+        pairs += [(s, w) for s in (s1, s2) for w in (phi, xi, _pairwise_sums(phi, xi))]
     return [relative_deviation(ab1 + ab2, (a1 + a2) * (b1 + b2))
             for a1, b1, ab1, a2, b2, ab2 in zip(*[iter(_invariant_Ps(pairs))] * 6)]
 
@@ -465,11 +558,12 @@ def _phase_additivity(rng, opts, n):
 
 def _newton(rng, opts, n):
     """Every instance's power sums come from one _newton_deviations call."""
-    instances = []
+    raw, drawn = _Raw(rng, 25 * n), []
     for _ in range(n):
-        k, m = int(rng.integers(9, 13)), int(rng.integers(9, 13))
-        instances.append((rng.uniform(-1, 1, k), rng.uniform(-1, 1, m)))
-    return [max(devs) for devs in _newton_deviations(instances)]
+        k, m = raw.integer(9, 13), raw.integer(9, 13)
+        drawn.append((raw.take(k), raw.take(m)))
+    v = _uniform(raw.close(), -1, 1)
+    return [max(devs) for devs in _newton_deviations([(v[a], v[b]) for a, b in drawn])]
 
 
 def _cauchy(rng, opts, i):

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from superlum import (
     Amplitude,
@@ -15,7 +15,9 @@ from superlum import (
     Branch,
     Event1p1,
     InvariantSpec,
+    NonfiniteInput,
     NonfiniteResult,
+    NonpositiveK,
     Path,
     SuperluminalSegment,
     amplitude,
@@ -117,6 +119,19 @@ def test_path_phase_of_a_path_whose_floats_overflow_is_rescaled_or_raises():
     assert rows[0].hex() == invariants._path_phases(t[:1], x[:1], lo[:1], hi[:1])[0].hex()
     assert rows[0].hex() == path_phase(Path(tuple(map(E, t[0], x[0])))).hex()
     assert rows[1] == path_phase(Path(wide))
+
+
+def test_path_phase_checks_its_light_speed_and_scale():
+    """c goes through K_from_c, where c = 0 and c = -1 raised
+    SuperluminalSegment and c = NaN raised NonfiniteResult; a scale that is
+    not finite names the scale, where NaN raised NonfiniteResult."""
+    p = Path((E(0, 0), E(1, 0.1)))
+    for c in (0.0, -1.0, math.nan, math.inf, 1e300):
+        with pytest.raises(NonpositiveK, match=re.escape(f"c={c!r}")):
+            path_phase(p, c=c)
+    for scale in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonfiniteInput, match=re.escape(f"scale={scale!r}")):
+            path_phase(p, scale=scale)
 
 
 def test_path_requires_increasing_time():
@@ -265,14 +280,16 @@ def test_nonfinite_invariant_parameters_are_rejected(alpha, beta, gamma):
 
 
 @given(COEFF, COEFF, PHASES, st.floats(0.0, 2.0), st.floats(-2.0, 2.0))
+@example(0.5, 5e-324, np.array([1.0, 1.0]), 0.0, 0.0)
 def test_general_alpha_invariant_keeps_the_principal_branch(re, im, phi, beta, gamma):
     alpha = complex(re, im)
     (splus, sp_scale), (sminus, sm_scale) = _direct(alpha, phi), _direct(-alpha, phi)
     product = splus * sminus
     # away from cancellation and from the branch cut, where rounding alone
-    # moves the reference
+    # moves the reference; math.atan2, since cmath.phase raises OverflowError
+    # on a subnormal imaginary part such as the example's -1e-323
     assume(abs(splus) > 1e-2 * sp_scale and abs(sminus) > 1e-2 * sm_scale)
-    assume(math.pi - abs(cmath.phase(product)) > 1e-6)
+    assume(math.pi - abs(math.atan2(product.imag, product.real)) > 1e-6)
     ref = phi.size ** (-beta) * product ** gamma
     assert relative_deviation(invariant_P(InvariantSpec(alpha, beta, gamma), phi),
                               ref) <= 1e-12

@@ -5,6 +5,7 @@ sweeps live in the verify suite and the acceptance tests.
 """
 
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from superlum import (
     GeneralTransformFamily,
     LightSpeedResult,
     MixedK,
+    NonfiniteInput,
     NonfiniteResult,
     NonpositiveK,
     NotConstant,
@@ -511,10 +513,28 @@ def test_intervals_that_overflow_in_floats_are_exactly_rounded_or_raise():
     drs = np.array([[0.1, 0.2], [1e200, 0.0], [near, 0.0]])
     assert interval_nm(dts, drs).tolist() == [0.3 * 0.3 - (0.1 * 0.1 + 0.2 * 0.2), 0.0, exact]
     with pytest.raises(NonfiniteResult, match=r"events \(t, x\) = \(0\.0, 0\.0\) and "
-                                              r"\(1\.0, 0\.0\) with c=1e\+300 .*10\*\*600"):
-        interval_1p1(Event1p1(0, 0), Event1p1(1, 0), c=1e300)
+                                              r"\(10000000000\.0, 0\.0\) with c=1e\+150 .*10\*\*320"):
+        interval_1p1(Event1p1(0, 0), Event1p1(1e10, 0), c=1e150)
     with pytest.raises(NonfiniteResult, match=r"increments dt=\[1e\+200\] and dr=\[0\.0\]"):
         interval_nm([1e200], [0.0])
+
+
+def test_intervals_name_an_input_or_a_light_speed_that_is_not_finite():
+    """A non-finite increment raises NonfiniteInput naming the row's inputs,
+    where it came back as an inf or a NaN, and c is checked by K_from_c."""
+    with pytest.raises(NonfiniteInput, match=r"increments dt=\[inf\] and dr=\[0\.0\]"):
+        interval_nm([math.inf], [0.0])
+    with pytest.raises(NonfiniteInput, match=r"increments dt=\[1\.0\] and dr=\[nan\]"):
+        interval_nm([[0.5], [1.0]], [[0.1], [math.nan]])
+    with pytest.raises(NonfiniteInput, match=r"events \(t, x\) = \(0\.0, inf\) and "
+                                             r"\(1\.0, 0\.0\)"):
+        interval_1p1(kin.EventColumns(np.array([0.0, 0.0]), np.array([0.0, math.inf])),
+                     kin.EventColumns(np.array([1.0, 1.0]), np.array([0.0, 0.0])))
+    for c in (math.nan, math.inf, 0.0, -1.0, 1e300):
+        with pytest.raises(NonpositiveK, match=re.escape(f"c={c!r}")):
+            interval_1p1(Event1p1(0, 0), Event1p1(1, 0), c=c)
+        with pytest.raises(NonpositiveK, match=re.escape(f"c={c!r}")):
+            interval_nm([1.0], [0.0], c=c)
 
 
 def _random_unit(rng) -> np.ndarray:

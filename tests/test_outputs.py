@@ -6,12 +6,14 @@ seeded bundles, each at rest, at V = 0.6, at W = 2.5 and at W = inf; and md5s
 of the default `superlum verify --seed N` report and of `superlum verify
 --seed 0` under each sabotage switch and a tight tolerance, recorded from
 the column verify rows once sum_fails_multiplicativity's two invariants
-share beta and gamma; and the exit code and stdout md5 of `superlum diagram`
-on labels that templates or encoders could mangle, on events without
-segments, on drawings of 1023-1025 rows and on the 10**5-event chain,
-recorded before the drawing and the report were written from columns; and
-the exit code and md5s of stdout and stderr of `superlum scan`, recorded
-from the scan that valued each n's trials in one array."""
+share beta and gamma; one md5 over the suite reports of seeds 0-39 in those
+four modes, recorded while five rows still drew one trial at a time; and
+the exit code and stdout md5 of `superlum diagram` on labels that templates
+or encoders could mangle, on events without segments, on drawings of
+1023-1025 rows and on the 10**5-event chain, recorded before the drawing
+and the report were written from columns; and the exit code and md5s of
+stdout and stderr of `superlum scan`, recorded from the scan that valued
+each n's trials in one array."""
 
 import hashlib
 import json
@@ -22,6 +24,7 @@ import pytest
 
 from superlum.cli import main
 from superlum.diagrams import CLASSIFY_TOL, FIXTURE_NAMES
+from superlum.verify import run_suite, suite_report
 
 FRAMES = {
     "rest": [],
@@ -240,6 +243,22 @@ def test_verify_modes_are_byte_identical(flags, capsys):
     digest, code = VERIFY_MODES_EXPECTED[flags]
     assert main(["verify", "--seed", "0", *flags.split()]) == code
     assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# md5 of the suite_report JSON lines of run_suite seeds 0-39, each seed in
+# the clean mode, under each sabotage switch and at a tight tolerance
+SUITE_MODES = ({}, {"break_antisymmetric_term": True}, {"perturb_cauchy": 1e-3},
+               {"tolerance": 1e-12})
+SUITE_REPORTS_EXPECTED = "792808d814989de2b71ef7ac5c4cc22c"
+
+
+def test_suite_reports_of_forty_seeds_are_byte_identical():
+    digest = hashlib.md5()
+    for seed in range(40):
+        for knobs in SUITE_MODES:
+            report = suite_report(run_suite(seed=seed, **knobs), seed, **knobs)
+            digest.update((json.dumps(report) + "\n").encode())
+    assert digest.hexdigest() == SUITE_REPORTS_EXPECTED
 
 
 # Labels that a %-template, a str.format template, the markup escaper or the

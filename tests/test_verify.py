@@ -6,7 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from superlum import kinematics as kin
 from superlum import run_suite, suite_report, sympoly, verify
@@ -163,6 +163,79 @@ def test_a_sum_of_invariants_misses_multiplicativity_by_its_bound(
     f2 = amplitude_invariant(InvariantSpec(alpha2, beta, gamma))
     dev = check_multiplicativity(lambda p: f1(p) + f2(p), phi, xi).deviation
     assert dev >= 2.67e-3
+
+
+_DRAW = st.one_of(
+    st.tuples(st.just("random"), st.integers(0, 6)),
+    st.tuples(st.just("uniform"), st.sampled_from([(-1, 1), (0.2, 1.0), (1.05, 20.0)]),
+              st.integers(0, 6)),
+    st.tuples(st.just("integers"), st.integers(-3, 9), st.sampled_from([1, 4, 5, 6, 400])),
+    st.tuples(st.just("permutation"), st.integers(0, 8)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.none() | st.integers(0, 2**32 - 1),
+       st.integers(0, 2) | st.just(64), st.lists(st.lists(_DRAW, max_size=12),
+                                                 min_size=1, max_size=3))
+@example(0, 0, 1, [[("integers", 1, 6), ("integers", 0, 5), ("permutation", 8)]])
+def test_a_raw_block_draws_what_the_generator_draws(seed, half, first, rows):
+    """Each row opens a _Raw block of `first` words, too few for most rows,
+    and draws what the Generator's samplers draw, bit for bit, leaving the
+    generator in the same state.  A generator may start with a kept
+    half-word; a kept 0 makes spans 5 and 6 reject."""
+    rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    if half is not None:
+        for g in (rng, oracle):
+            state = g.bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, half
+            g.bit_generator.state = state
+    for draws in rows:
+        raw, got, want = verify._Raw(rng, first), [], []
+        for kind, *args in draws:
+            if kind == "integers":
+                lo, span = args
+                got.append(raw.integer(lo, lo + span))
+                want.append(int(oracle.integers(lo, lo + span)))
+            elif kind == "permutation":
+                got.append(raw.permutation(args[0]))
+                want.append(oracle.permutation(args[0]).tolist())
+            elif kind == "random":
+                got.append((raw.take(args[0]), 0.0, 1.0))
+                want.append(oracle.random(args[0]).tobytes())
+            else:
+                (lo, hi), k = args
+                got.append((raw.take(k), lo, hi))
+                want.append(oracle.uniform(lo, hi, k).tobytes())
+        u = raw.close()
+        got = [verify._uniform(u[g[0]], *g[1:]).tobytes() if isinstance(g, tuple) else g
+               for g in got]
+        assert got == want
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+class _CountingGenerator:
+    """A Generator that counts the calls of its samplers; its bit_generator
+    is the wrapped one's."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    bit_generator = property(lambda self: self.rng.bit_generator)
+
+    def __getattr__(self, name):
+        self.calls += 1
+        return getattr(self.rng, name)
+
+
+def test_no_row_calls_the_generator_per_trial():
+    """A row of many trials makes at most one Generator call: the kinematics
+    rows one rng.random block, the rest none, since they read raw words."""
+    rng = np.random.default_rng(11)
+    for row in verify.SUITE:
+        counting = _CountingGenerator(rng)
+        row.trial(counting, verify.Opts(True, 0.0), row.trials)
+        assert row.trials == 1 or counting.calls <= 1, row.name
 
 
 def test_timings_name_every_row_and_leave_the_reports_alone():
