@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -33,12 +34,27 @@ from .report import CheckReport, relative_deviation
 
 
 def as_phases(phases) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(phases, dtype=float))
+    """phases as a non-empty 1-D float64 array.  A phase that is not finite,
+    or an int beyond a float, raises NonfiniteInput naming the first such
+    phase by its index and its value, cut by reprlib."""
+    try:
+        arr = np.atleast_1d(np.asarray(phases, dtype=float))
+    except OverflowError:  # an int beyond a float, named below
+        arr = np.atleast_1d(np.asarray(phases, dtype=object))
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("a phase set is a non-empty 1-D array of reals")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("phases must be finite")
+    if arr.dtype == object or not np.isfinite(arr).all():
+        i, phase = next((i, p) for i, p in enumerate(arr.tolist()) if not _finite(p))
+        raise NonfiniteInput(f"phases must be finite; phase {i} is {reprlib.repr(phase)}")
     return arr
+
+
+def _finite(value) -> bool:
+    """A number that converts to a finite float."""
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -149,12 +165,12 @@ class InvariantSpec:
 
 
 class _Columns(NamedTuple):
-    """The parameters of k specs, valued by _log_P on a (k, n) array of
-    phases: alpha is a (k, 1) complex column against the phases, and beta
-    and gamma are (k,) arrays, one value per row of the result.  The alphas
-    are of one kind (real, purely imaginary or general complex), so that the
-    first stands for all (_lead), and a caller passes the reach, so that
-    every row takes the branch of _log_sums that it takes alone."""
+    """The parameters of k specs, valued by _log_P on k rows of phases of
+    any lengths (see _row_sums): alpha, beta and gamma are (k,) arrays, one
+    value per row.  The alphas are of one kind (real, purely imaginary or
+    general complex), so that the first stands for all (_lead), and a caller
+    passes the reach of all the rows, so that every row takes the branch of
+    _log_sums that it takes alone."""
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -162,13 +178,62 @@ class _Columns(NamedTuple):
 
 
 def _all(test) -> bool:
-    """A test on a scalar parameter, or on every row of a column of them."""
+    """A test on a scalar parameter, or on every value of an array of them."""
     return bool(test.all()) if isinstance(test, np.ndarray) else test
 
 
 def _lead(alpha) -> complex:
-    """alpha, or the first alpha of a column, which is of its column's kind."""
+    """alpha, or the first alpha of an array, which is of its array's kind."""
     return complex(alpha.flat[0]) if isinstance(alpha, np.ndarray) else alpha
+
+
+def _row_sums(x: np.ndarray, lengths: np.ndarray | None = None) -> np.ndarray:
+    """The sum of each row of x along its last axis, bit for bit as numpy
+    sums that row alone as a contiguous array: the whole axis is one row,
+    or, given lengths, a 1-D int array, the axis holds rows of those lengths
+    laid end to end.  No row is padded to a common length: a padded 0 would
+    change numpy's pairwise summation order, which unrolls by 8 values and
+    splits blocks of 128.  Each run of consecutive rows of one length is
+    summed as the rows of one reshape view of x.  Rows that do not come in
+    order of length are first laid out in that order, by a stable sort and
+    one np.take, so that each length is one run; when every row has one
+    length, the whole of x is one view, with no copy."""
+    if lengths is None:
+        return x.sum(axis=-1)
+    if (np.diff(lengths) < 0).any():
+        order = np.argsort(lengths, kind="stable")
+        starts = np.cumsum(lengths) - lengths
+        laid = np.take(x, _stretches(starts[order], lengths[order]), axis=-1)
+        sums = _row_sums(laid, lengths[order])
+        out = np.empty_like(sums)
+        out[..., order] = sums
+        return out
+    sizes, lead = lengths.tolist(), x.shape[:-1]
+    cuts = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), len(sizes)]
+    pieces, at = [], 0
+    for a, b in zip(cuts, cuts[1:]):
+        n = sizes[a]
+        pieces.append(x[..., at:at + (b - a) * n].reshape(*lead, b - a, n).sum(axis=-1))
+        at += (b - a) * n
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=-1)
+
+
+def _stretches(starts, lengths: np.ndarray) -> np.ndarray:
+    """The indices start, start + 1, ..., start + length - 1 of each stretch
+    of the given starts (an array, or one int for all) and lengths, laid end
+    to end."""
+    return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
+
+
+def _row_reduce(ufunc: np.ufunc, x: np.ndarray, lengths: np.ndarray | None = None):
+    """ufunc (np.maximum or np.minimum) over each row of x, the rows as in
+    _row_sums, and those values spread over the elements of their rows:
+    broadcast against x, or, given lengths, repeated along its last axis."""
+    if lengths is None:
+        out = ufunc.reduce(x, axis=-1, keepdims=True)
+        return out[..., 0], out
+    out = ufunc.reduceat(x, np.cumsum(lengths) - lengths, axis=-1)
+    return out, np.repeat(out, lengths, axis=-1)
 
 
 _QUIET = contextlib.nullcontext()  # no half angle overflows: nothing to silence
@@ -179,9 +244,10 @@ SAFE_EXPONENT = 600.0
 
 
 def _phasor_sum(omega, phi: np.ndarray, name: str, coefficient,
-                scratch: np.ndarray | None = None):
-    """sum_k exp(i*omega*phi_k) along the last axis, from one tan pass;
-    omega is a float or a column of them, one per row of phi.
+                scratch: np.ndarray | None = None, lengths: np.ndarray | None = None):
+    """sum_k exp(i*omega*phi_k) over each row of phi, the rows as in
+    _row_sums, from one tan pass; omega is a float or an array of them
+    broadcast against phi (one per phase of ragged rows).
 
     With t = tan(x/2) and r = 1/(1 + t**2), cos x = 2r - 1 and sin x = 2tr.
     numpy 2 vectorises float64 tan on x86-64 but not cos and sin: on 10**6
@@ -207,14 +273,15 @@ def _phasor_sum(omega, phi: np.ndarray, name: str, coefficient,
     r += 1.0
     np.divide(1.0, r, out=r)
     t *= r
-    total = (2.0 * r.sum(axis=-1) - phi.shape[-1]) + 2j * t.sum(axis=-1)
+    count = phi.shape[-1] if lengths is None else lengths
+    total = (2.0 * _row_sums(r, lengths) - count) + 2j * _row_sums(t, lengths)
     if may_overflow and not np.isfinite(total).all():
         if scratch is not None:
             raise NonfiniteResult(f"{name} * a phase does not fit in a float")
         with np.errstate(over="ignore"):
             k = np.unravel_index(np.argmin(np.isfinite((0.5 * omega) * phi)), phi.shape)
         where = int(k[0]) if len(k) == 1 else tuple(map(int, k))
-        if isinstance(coefficient, np.ndarray):  # a column: the row's own
+        if isinstance(coefficient, np.ndarray):  # the phase's own, by its row or index
             coefficient = complex(coefficient.flat[k[0]])
         raise NonfiniteResult(
             f"{name} * phase {where} = {coefficient!r} * {float(phi[k])!r} = "
@@ -231,11 +298,13 @@ def _reach(alpha: complex, phi: np.ndarray) -> float:
 
 
 def _log_sums(alpha, phi: np.ndarray, reach: float | None = None,
-              scratch: np.ndarray | None = None):
-    """log S(alpha) and log S(-alpha) along the last axis of phi, where
+              scratch: np.ndarray | None = None, lengths: np.ndarray | None = None):
+    """log S(alpha) and log S(-alpha) of each row of phi, where
     S(a) = sum_k exp(a*phi_k), without forming a value that can overflow.
-    alpha is a complex number, or the alpha column of _Columns against a
-    (k, n) phi, each row summed with its own alpha.
+    The rows are as in _row_sums: phi's last axis, or, given lengths, the
+    stretches of those lengths of a flat phi, each summed as it is alone.
+    alpha is a complex number, or an array of them of one kind broadcast
+    against phi, such as the alpha of each phase's row (_log_P).
 
     Purely imaginary alpha: one pass of _phasor_sum, since S(-alpha) =
     conj S(alpha).  Real alpha: real exp, so real logs.  General complex
@@ -245,7 +314,7 @@ def _log_sums(alpha, phi: np.ndarray, reach: float | None = None,
     largest real part of its exponents (logsumexp).  The branch is taken by
     reach, the _reach of phi unless given: rows of a larger array valued
     apart pass that array's reach, so that they keep its branch and bits,
-    and a column of alphas is given the reach of its rows.
+    and an array of alphas is given the reach of its rows.
     Complex logs are principal; a sum that vanishes exactly gives a real
     part of -inf.  Given scratch, a float64 array of phi's shape, with phi
     a writeable float64 array, both in C order, a real or purely imaginary
@@ -256,7 +325,7 @@ def _log_sums(alpha, phi: np.ndarray, reach: float | None = None,
     lead = _lead(alpha)
     with np.errstate(divide="ignore"):
         if lead.real == 0.0 and lead.imag != 0.0:
-            lp = np.log(_phasor_sum(alpha.imag, phi, "alpha", alpha, scratch))
+            lp = np.log(_phasor_sum(alpha.imag, phi, "alpha", alpha, scratch, lengths))
             return lp, np.conj(lp)
         if lead.imag:
             x, scratch = alpha * phi, None
@@ -265,29 +334,31 @@ def _log_sums(alpha, phi: np.ndarray, reach: float | None = None,
         re = x.real
         if (_reach(alpha, phi) if reach is None else reach) <= SAFE_EXPONENT:
             np.exp(x, out=x)
-            sp = x.sum(axis=-1)
+            sp = _row_sums(x, lengths)
             np.divide(1.0, x, out=x)
-            return np.log(sp), np.log(x.sum(axis=-1))
+            return np.log(sp), np.log(_row_sums(x, lengths))
         # Each shifted sum is >= 1.  Exponents are raised to -SAFE_EXPONENT,
         # which changes a sum by less than n*1e-260 and keeps numpy off its
         # slow path for results that underflow.
-        hi = re.max(axis=-1, keepdims=True)
-        lo = re.min(axis=-1, keepdims=True)
+        top, hi = _row_reduce(np.maximum, re, lengths)
+        bottom, lo = _row_reduce(np.minimum, re, lengths)
         logs = []
         # with scratch, lo - x overwrites x, which it is the last to read
-        shifted = ((np.subtract(x, hi, out=scratch), hi[..., 0]),
-                   (np.subtract(lo, x, out=None if scratch is None else x), -lo[..., 0]))
+        shifted = ((np.subtract(x, hi, out=scratch), top),
+                   (np.subtract(lo, x, out=None if scratch is None else x), -bottom))
         for y, shift in shifted:
             np.maximum(y, -SAFE_EXPONENT, out=y)
             np.exp(y, out=y)
-            logs.append(np.log(y.sum(axis=-1)) + shift)
+            logs.append(np.log(_row_sums(y, lengths)) + shift)
         return tuple(logs)
 
 
 def _log_P(spec: InvariantSpec | _Columns, phi: np.ndarray, reach: float | None = None,
-           scratch: np.ndarray | None = None):
-    """log|P| and arg P along the last axis of phi, for one spec or for the
-    _Columns of one per row of phi; reach and scratch as in _log_sums.
+           scratch: np.ndarray | None = None, lengths: np.ndarray | None = None):
+    """log|P| and arg P of each row of phi, for one spec or for the _Columns
+    of one spec per row; the rows, reach and scratch as in _log_sums.  A
+    _Columns comes with lengths, and each row's alpha is repeated over its
+    phases.  The -beta*log(n) term takes math.log of each row's length.
 
     arg P is gamma times the argument of S(alpha) * S(-alpha) wrapped to
     (-pi, pi], so the power keeps the principal branch of
@@ -296,8 +367,8 @@ def _log_P(spec: InvariantSpec | _Columns, phi: np.ndarray, reach: float | None 
     the product to a power of exactly 0, also where a sum vanishes, where
     gamma * log would be 0 * -inf = nan.
     """
-    alpha = spec.alpha if isinstance(spec, _Columns) else complex(spec.alpha)
-    lp, lm = _log_sums(alpha, phi, reach, scratch)
+    alpha = np.repeat(spec.alpha, lengths) if isinstance(spec, _Columns) else complex(spec.alpha)
+    lp, lm = _log_sums(alpha, phi, reach, scratch, lengths)
     total = lp + lm
     theta = total.imag
     lead = _lead(alpha)
@@ -306,7 +377,9 @@ def _log_P(spec: InvariantSpec | _Columns, phi: np.ndarray, reach: float | None 
     gamma = spec.gamma
     power = gamma * total.real if _all(gamma != 0.0) else np.multiply(
         gamma, total.real, out=np.zeros_like(total.real), where=gamma != 0.0)
-    return power - spec.beta * math.log(phi.shape[-1]), gamma * theta
+    log_n = (math.log(phi.shape[-1]) if lengths is None
+             else np.array([math.log(n) for n in lengths.tolist()]))
+    return power - spec.beta * log_n, gamma * theta
 
 
 def _magnitude(log_abs: float, describe: Callable[[str], str]) -> float:
@@ -346,41 +419,47 @@ def invariant_P(spec: InvariantSpec, phases) -> complex:
     return _value(spec, float(log_abs), float(theta), phi.size)
 
 
-def _invariant_Ps(pairs) -> list[complex]:
-    """invariant_P(spec, phi) of each (spec, phi) pair, bit for bit, from one
-    _log_P per group of sets that share a size, a kind of alpha (real,
-    purely imaginary or general complex) and a branch of _log_sums, whatever
-    their specs: the sets of a group are the rows of one array, their specs
-    its _Columns, and _log_P reduces along the last axis.  Sets are never
-    padded to one size, since a padded 0 would add exp(0) = 1 to each sum.
-    Each phi must be a valid phase set (as_phases).  P is formed per set on
-    Python floats (_value), and a set that overflows raises NonfiniteResult
-    as invariant_P does."""
-    specs, sets = zip(*pairs)
+def _invariant_Ps(specs: Sequence[InvariantSpec], phi: np.ndarray,
+                  lengths: np.ndarray) -> list[complex]:
+    """invariant_P(specs[i], row i) of each row of the flat float64 phi,
+    whose rows have the given lengths and lie end to end, bit for bit.  The
+    rows are valued by one _log_P per kind of alpha (real, purely imaginary
+    or general complex) and branch of _log_sums present, whatever their
+    specs and lengths: one gather lays the rows out by group and, within a
+    group, in order of length (so that _row_sums sums each length as one
+    view), and the rows of a group are the ragged rows of one call, their
+    specs its _Columns.  Each row must be a valid phase set (as_phases).  P
+    is formed per row on Python floats (_value), and a row that overflows
+    raises NonfiniteResult as invariant_P does: a group that raises is
+    valued again row by row, so that the error names the row's own spec."""
     alpha = np.array([complex(s.alpha) for s in specs])
     beta = np.array([s.beta for s in specs], float)
     gamma = np.array([s.gamma for s in specs], float)
-    sizes = [len(phi) for phi in sets]
-    # each set's own _reach, so that it keeps the branch it takes alone
-    reach = np.abs(alpha.real) * np.maximum.reduceat(np.abs(np.concatenate(sets)),
-                                                     np.cumsum([0] + sizes[:-1]))
-    # the kind of each alpha: 0 real, 1 purely imaginary, 2 general complex
+    starts = np.cumsum(lengths) - lengths
+    # each row's own _reach, so that it keeps the branch it takes alone
+    reach = np.abs(alpha.real) * np.maximum.reduceat(np.abs(phi), starts)
+    # the kind of each alpha (0 real, 1 purely imaginary, 2 general complex)
+    # and its branch
     kind = np.where(alpha.imag == 0.0, 0, np.where(alpha.real == 0.0, 1, 2))
-    groups: dict[tuple[int, int, bool], list[int]] = {}
-    for i, key in enumerate(zip(sizes, kind.tolist(), (reach <= SAFE_EXPONENT).tolist())):
-        groups.setdefault(key, []).append(i)
-    out = [None] * len(pairs)
-    for (n, _, _), rows in groups.items():
-        at = np.array(rows)
-        phi = np.array([sets[i] for i in rows])
+    group = 2 * kind + (reach <= SAFE_EXPONENT)
+    order = np.argsort(group * (lengths.max() + 1) + lengths, kind="stable")
+    laid = phi[_stretches(starts[order], lengths[order])]
+    cuts = [0, *(np.flatnonzero(np.diff(group[order])) + 1).tolist(), len(order)]
+    out, at = [None] * len(specs), 0
+    for a, b in zip(cuts, cuts[1:]):
+        rows = order[a:b]
+        sizes = lengths[rows]
+        part = laid[at:at + sizes.sum()]
+        at += len(part)
         try:
-            log_abs, theta = _log_P(_Columns(alpha[at, None], beta[at], gamma[at]), phi,
-                                    float(reach[at].max()))
+            log_abs, theta = _log_P(_Columns(alpha[rows], beta[rows], gamma[rows]), part,
+                                    float(reach[rows].max()), lengths=sizes)
         except NonfiniteResult:
-            for i, row in zip(rows, phi):  # raises again, naming the set's own spec
-                _log_P(specs[i], row)
+            for i in rows.tolist():  # raises again, naming the row's own spec
+                _log_P(specs[i], phi[starts[i]:starts[i] + lengths[i]])
             raise
-        for i, la, th in zip(rows, log_abs.tolist(), theta.tolist()):
+        for i, la, th, n in zip(rows.tolist(), log_abs.tolist(), theta.tolist(),
+                                sizes.tolist()):
             out[i] = _value(specs[i], la, th, n)
     return out
 
@@ -503,7 +582,8 @@ _BLOCK = 2**16
 
 
 def _blocked_log_P(spec: InvariantSpec, phase_sampler: Callable,
-                   rng: np.random.Generator, shape: tuple[int, int]):
+                   rng: np.random.Generator, shape: tuple[int, int],
+                   scratch: np.ndarray | None = None):
     """_log_P(spec, phase_sampler(rng, shape)) of a (trials, n) draw bit for
     bit, drawn and valued one block of max(1, _BLOCK // n) rows at a time:
     phase_sampler(rng, (rows, n)) is called once per block, in row order,
@@ -515,14 +595,20 @@ def _blocked_log_P(spec: InvariantSpec, phase_sampler: Callable,
     goes back to its state before the first block, and every block is drawn
     and valued again on the shifted branch.  A half angle that overflows
     raises NonfiniteResult naming its trial among all trials, from the whole
-    draw made again from that state."""
+    draw made again from that state.
+
+    scratch, a flat float64 array of at least max(_BLOCK, n) values, holds
+    the scratch block, as a view of each block's shape; finiteness_scan
+    passes one for all its n values, so that they reuse its pages.  Without
+    it, the call makes one of rows * n values."""
     trials, n = shape
     rows = min(trials, max(1, _BLOCK // n))
     sizes = [(min(rows, trials - i), n) for i in range(0, trials, rows)]
     alpha = complex(spec.alpha)
     # a purely imaginary alpha takes neither branch, so it needs no reach
     track, reach = bool(alpha.real or not alpha.imag), 0.0
-    scratch = np.empty((rows, n))
+    if scratch is None:
+        scratch = np.empty(rows * n)
     start = rng.bit_generator.state
     try:
         while True:  # a second time when a later block crosses SAFE_EXPONENT
@@ -535,7 +621,8 @@ def _blocked_log_P(spec: InvariantSpec, phase_sampler: Callable,
                         break
                 # the kernel keeps its bits in a writeable float64 block in C order
                 own = phi.dtype == np.float64 and phi.flags.writeable and phi.flags.c_contiguous
-                parts.append(_log_P(spec, phi, reach, scratch[:len(phi)] if own else None))
+                block = scratch[:phi.size].reshape(phi.shape) if own else None
+                parts.append(_log_P(spec, phi, reach, block))
                 del phi  # so that the next block can take its memory
             else:
                 return tuple(np.concatenate(column) for column in zip(*parts))
@@ -589,9 +676,11 @@ def finiteness_scan(
         raise ValueError(f"scan budget: trials must be 1..100, got trials={trials!r}")
     if max(ns) > 10**4:
         raise ValueError(f"scan budget: n must be <= 10**4, got n={max(ns)!r}")
+    scratch = np.empty(max(_BLOCK, max(ns)))  # one for every n
     log_medians = []
     for n in ns:
-        log_medians.append(_log_median(_blocked_log_P(spec, phase_sampler, rng, (trials, n))[0]))
+        log_medians.append(_log_median(
+            _blocked_log_P(spec, phase_sampler, rng, (trials, n), scratch)[0]))
     slope = float(np.polyfit(np.log(ns), log_medians, 1)[0])
     if not math.isfinite(slope):  # a median |P| of exactly 0 or inf
         raise NonfiniteResult(

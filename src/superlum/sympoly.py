@@ -38,6 +38,7 @@ from .invariants import (
     _log_sums,
     _magnitude,
     _pairwise_sums,
+    _row_sums,
     as_phases,
     pairwise_phase_sums,
 )
@@ -99,27 +100,15 @@ def _newton_deviations(instances, r_max: int = 8) -> list[list[float]]:
 
     The two sets, the pairwise sums and their magnitudes of every instance
     are concatenated, and the concatenation takes one _power_table.  Each
-    power sum is then the sum of its own stretch of a row; the stretches of
-    one length are summed together as the rows of one array, and none is
-    padded, which would change numpy's pairwise summation order from 8
-    values on."""
+    power sum is then the sum of its own stretch of a row, as that stretch
+    sums alone (invariants._row_sums)."""
     sets = []
     for phases_a, phases_b in instances:
         a, b = as_phases(phases_a), as_phases(phases_b)
         sums = _pairwise_sums(a, b)
         sets += [a, b, sums, np.abs(sums)]
-    ends = np.cumsum([len(v) for v in sets])
     table = _power_table(np.concatenate(sets), r_max)
-    by_length: dict[int, list[int]] = {}
-    for i, v in enumerate(sets):
-        by_length.setdefault(len(v), []).append(i)
-    power_sums = [None] * len(sets)
-    for n, rows in by_length.items():
-        cells = (ends[rows] - n)[:, None] + np.arange(n)
-        # np.take, unlike table[:, cells], lays each stretch out contiguously,
-        # which the pairwise summation along the last axis needs
-        for i, column in zip(rows, np.take(table, cells, axis=1).sum(axis=-1).T.tolist()):
-            power_sums[i] = column
+    power_sums = _row_sums(table, np.array([len(v) for v in sets])).T.tolist()
     return [[_newton_deviation(r, Ea, Eb, direct[r], scale[r]) for r in range(r_max + 1)]
             for Ea, Eb, direct, scale in zip(*[iter(power_sums)] * 4)]
 

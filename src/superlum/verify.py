@@ -30,11 +30,12 @@ so it makes no Generator call per trial and leaves the generator where
 the calls would.  What the draws produce is then valued on columns, by
 private twins of the public kernels that give their bits: the phase rows
 boost every vertex in one call and sum proper times with _path_phases, the
-two invariant rows value the phase sets of all their instances, whatever
-their specs, with one _log_P per group of one set size, kind of alpha and
-branch (_invariant_Ps), newton_convolution raises the sets of all its
-instances to each power in one pass (_newton_deviations), and
-two_path_interference takes one _phasor_sum over all its deltas.  The
+two invariant rows gather the phase sets of all their instances kind by
+kind from the drawn block, with no array per instance (_sets), and value
+them, whatever their specs and sizes, as the ragged rows of one _log_P per
+kind of alpha and branch (_invariant_Ps), newton_convolution raises the
+sets of all its instances to each power in one pass (_newton_deviations),
+and two_path_interference takes one _phasor_sum over all its deltas.  The
 remaining rows draw little and run trial by trial through per_trial.
 
 The two sabotage switches exist to demonstrate that the suite actually
@@ -55,9 +56,9 @@ from . import kinematics as kin
 from .invariants import (
     InvariantSpec,
     _invariant_Ps,
-    _pairwise_sums,
     _path_phases,
     _phasor_sum,
+    _stretches,
     amplitude_invariant,
     check_time_reversal,
     invariant_P,
@@ -466,30 +467,49 @@ def _infinite_limit(rng, opts, n):
     ])
 
 
+def _sets(v: np.ndarray, a: np.ndarray, k: np.ndarray, b: np.ndarray, m: np.ndarray):
+    """The phase sets of instances that each drew a set of k_i phases at a_i
+    of v and a second set of m_i at b_i: the first sets, the second sets,
+    and the pairwise sums of each pair in the order of _pairwise_sums, each
+    kind laid end to end by one gather from v.  So every set has the bits of
+    the array an instance would build for it alone."""
+    km = k * m
+    j = _stretches(0, km)  # each sum's place in its set
+    per = np.repeat(m, km)
+    sums = v[np.repeat(a, km) + j // per] + v[np.repeat(b, km) + j % per]
+    return v[_stretches(a, k)], v[_stretches(b, m)], sums
+
+
 def _invariant_axioms(rng, opts, n):
-    """The phase sets of every instance (the set, five permutations, its
-    negation, the second set and the pairwise sums) are valued by one
-    _invariant_Ps call, one _log_P per size, kind of alpha and branch."""
-    raw, drawn = _Raw(rng, 40 * n), []
+    """The nine phase sets of every instance (the set, five permutations,
+    its negation, the second set and the pairwise sums) are gathered from
+    the block kind by kind (_sets), laid end to end and valued by one
+    _invariant_Ps call, one _log_P per kind of alpha and branch."""
+    raw, drawn, perms = _Raw(rng, 40 * n), [], []
     for i in range(n):
         spec = raw.take(4 if i % 2 == 0 else 3)  # complex alpha on even instances
         k, m = raw.integer(1, 7), raw.integer(1, 7)
-        drawn.append((spec, raw.take(k), raw.take(m), [raw.permutation(k) for _ in range(5)]))
+        drawn.append((spec, raw.take(k).start, k, raw.take(m).start, m))
+        for _ in range(5):
+            perms += raw.permutation(k)
     u = raw.close()
+    spec, a, k, b, m = zip(*drawn)
+    specs = [_random_spec(u[s].tolist()) for s in spec]
+    a, k, b, m = map(np.array, (a, k, b, m))
     v = _uniform(u, -1, 1)
-    pairs = []
-    for spec, a, b, perms in drawn:
-        spec, phi, xi = _random_spec(u[spec].tolist()), v[a], v[b]
-        pairs += [(spec, w) for w in (phi, *(phi[p] for p in perms), -phi, xi,
-                                      _pairwise_sums(phi, xi))]
-    values = _invariant_Ps(pairs)
+    phi, xi, sums = _sets(v, a, k, b, m)
+    moved = v[np.repeat(a, 5 * k) + perms]
+    values = _invariant_Ps(specs + [s for s in specs for _ in range(5)] + specs * 3,
+                           np.concatenate([phi, moved, -phi, xi, sums]),
+                           np.concatenate([k, np.repeat(k, 5), k, m, k * m]))
+    base, back, f_xi, f_pairs = (values[j * n:(j + 1) * n] for j in (0, 6, 7, 8))
     devs = []
-    for base, *moved, back, f_xi, f_pairs in zip(*[iter(values)] * 9):
+    for i in range(n):
         worst = 0.0  # as check_symmetry folds its trials
-        for value in moved:
-            worst = max(worst, relative_deviation(value, base))
-        devs.append((worst, relative_deviation(base, back),
-                     relative_deviation(f_pairs, base * f_xi)))
+        for value in values[n + 5 * i:n + 5 * i + 5]:
+            worst = max(worst, relative_deviation(value, base[i]))
+        devs.append((worst, relative_deviation(base[i], back[i]),
+                     relative_deviation(f_pairs[i], base[i] * f_xi[i])))
     return devs
 
 
@@ -497,7 +517,8 @@ def _sum_fails(rng, opts, n):
     """f1 + f2 for two invariants that share beta in [0, 1) and gamma in
     [0.5, 2), with alpha1 in [0.2, 1) and alpha2 in [1.2, 2); the two doubles
     drawn for a beta and gamma of f2's own are discarded.  The sets of every
-    instance, under both specs, are valued by one _invariant_Ps call.
+    instance, under both specs, are gathered kind by kind (_sets) and
+    valued by one _invariant_Ps call.
 
     Each f_i is multiplicative, so on the sets a and b the deviation is
     (r_a + r_b) / ((1 + r_a) * (1 + r_b)), with r = f1/f2 = (Q1/Q2)**gamma
@@ -510,20 +531,24 @@ def _sum_fails(rng, opts, n):
     raw, drawn = _Raw(rng, 20 * n), []
     for _ in range(n):
         spec = raw.take(6)
-        a = raw.take(raw.integer(2, 7))
-        drawn.append((spec, a, raw.take(raw.integer(2, 7))))
+        k = raw.integer(2, 7)
+        a = raw.take(k).start
+        m = raw.integer(2, 7)
+        drawn.append((spec, a, k, raw.take(m).start, m))
     u = raw.close()
-    v = _uniform(u, -1, 1)
-    pairs = []
-    for spec, a, b in drawn:
-        d = u[spec].tolist()
-        s1 = InvariantSpec(_uniform(d[0], 0.2, 1.0), _uniform(d[1], 0.0, 1.0),
-                           _uniform(d[2], 0.5, 2.0))
-        s2 = InvariantSpec(_uniform(d[3], 0.2, 1.0) + 1.0, s1.beta, s1.gamma)
-        phi, xi = v[a], v[b]
-        pairs += [(s, w) for s in (s1, s2) for w in (phi, xi, _pairwise_sums(phi, xi))]
-    return [relative_deviation(ab1 + ab2, (a1 + a2) * (b1 + b2))
-            for a1, b1, ab1, a2, b2, ab2 in zip(*[iter(_invariant_Ps(pairs))] * 6)]
+    spec, a, k, b, m = zip(*drawn)
+    s1, s2 = [], []
+    for d in (u[s].tolist() for s in spec):
+        s1.append(InvariantSpec(_uniform(d[0], 0.2, 1.0), _uniform(d[1], 0.0, 1.0),
+                                _uniform(d[2], 0.5, 2.0)))
+        s2.append(InvariantSpec(_uniform(d[3], 0.2, 1.0) + 1.0, s1[-1].beta, s1[-1].gamma))
+    a, k, b, m = map(np.array, (a, k, b, m))
+    phi, xi, sums = _sets(_uniform(u, -1, 1), a, k, b, m)
+    values = _invariant_Ps(s1 * 3 + s2 * 3, np.concatenate([phi, xi, sums] * 2),
+                           np.concatenate([k, m, k * m] * 2))
+    a1, b1, ab1, a2, b2, ab2 = (values[j * n:(j + 1) * n] for j in range(6))
+    return [relative_deviation(ab1[i] + ab2[i], (a1[i] + a2[i]) * (b1[i] + b2[i]))
+            for i in range(n)]
 
 
 def _two_path(rng, opts, n):

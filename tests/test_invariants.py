@@ -4,6 +4,7 @@ import cmath
 import math
 import re
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from superlum.invariants import (
     _invariant_Ps,
     _log_P,
     _log_sums,
+    _row_sums,
     amplitude_invariant,
     as_phases,
     pairwise_phase_sums,
@@ -59,6 +61,20 @@ def test_as_phases_validation():
         as_phases([[0.1, 0.2], [0.3, 0.4]])
     with pytest.raises(ValueError):
         as_phases([0.0, math.inf])
+
+
+@pytest.mark.parametrize("phases, index, shown", [
+    ([10**400], 0, r"1000+\.\.\.0+"), ([1.0, -10**400], 1, r"-1000+\.\.\.0+"),
+    ([1.0, math.nan], 1, "nan"), ([math.inf, math.nan], 0, "inf")])
+def test_a_phase_that_is_not_a_finite_float_is_named(phases, index, shown):
+    """An int beyond a float and a non-finite float are a named
+    NonfiniteInput, never a builtin OverflowError, with the index of the
+    first such phase and its value cut short."""
+    for call in (as_phases, partial(invariant_P, InvariantSpec(0.5, 1, 1)), amplitude):
+        with pytest.raises(NonfiniteInput,
+                           match=rf"^phases must be finite; phase {index} is {shown}$") as info:
+            call(phases)
+        assert len(str(info.value)) < 100
 
 
 def test_pairwise_phase_sums_enumerates_all_pairs():
@@ -497,8 +513,8 @@ def test_a_scan_values_each_n_as_one_shot_log_P_of_its_whole_draw(alpha, n, high
         assert not over[0] and over.any()
         if block == 1:
             assert sizes.count((1, n)) > 100
-    monkeypatch.setattr(invariants, "_blocked_log_P",
-                        lambda spec, sampler, rng, shape: _log_P(spec, sampler(rng, shape)))
+    monkeypatch.setattr(invariants, "_blocked_log_P", lambda spec, sampler, rng, shape, scratch:
+                        _log_P(spec, sampler(rng, shape)))
     assert got == finiteness_scan(spec, ns, sampler, rng=np.random.default_rng(4))
 
 
@@ -519,8 +535,8 @@ def test_a_scan_values_blocks_it_cannot_overwrite_as_one_shot_log_P(sampler, alp
     without the scratch block, with the bits of one pass."""
     spec, ns = InvariantSpec(alpha, 2.0, 1.0), (7, 997)
     got = finiteness_scan(spec, ns, sampler, rng=np.random.default_rng(3))
-    monkeypatch.setattr(invariants, "_blocked_log_P",
-                        lambda spec, sampler, rng, shape: _log_P(spec, sampler(rng, shape)))
+    monkeypatch.setattr(invariants, "_blocked_log_P", lambda spec, sampler, rng, shape, scratch:
+                        _log_P(spec, sampler(rng, shape)))
     assert got == finiteness_scan(spec, ns, sampler, rng=np.random.default_rng(3))
 
 
@@ -542,20 +558,31 @@ def _column_sets(draw, kind: str, far: bool, n: int):
 
 @st.composite
 def _column_groups(draw):
+    """Sets of one kind of alpha and one side of SAFE_EXPONENT, of one
+    length or of lengths drawn apart (ragged rows)."""
     kind, far, n = draw(st.sampled_from(KINDS)), draw(st.booleans()), draw(st.integers(1, 40))
-    return draw(st.lists(_column_sets(kind, far, n), min_size=1, max_size=8))
+    lengths = st.just(n) if draw(st.booleans()) else st.integers(1, 40)
+    sets = lengths.flatmap(lambda m: _column_sets(kind, far, m))
+    return draw(st.lists(sets, min_size=1, max_size=8))
+
+
+def _flat(pairs):
+    """The specs, the phases laid end to end and the lengths of (spec, set)
+    pairs, as _invariant_Ps takes them."""
+    specs, sets = zip(*pairs)
+    return specs, np.concatenate(sets), np.array([len(phi) for phi in sets])
 
 
 @given(_column_groups())
 def test_column_log_P_is_the_one_spec_log_P_row_by_row(group):
     """Real, purely imaginary and general alpha, on both sides of
-    SAFE_EXPONENT, with gamma = 0 mixed into the column."""
-    specs, sets = zip(*group)
-    cols = _Columns(np.array([complex(s.alpha) for s in specs])[:, None],
+    SAFE_EXPONENT, with gamma = 0 mixed into the column, on rows of one
+    length and on ragged rows."""
+    specs, phi, lengths = _flat(group)
+    cols = _Columns(np.array([complex(s.alpha) for s in specs]),
                     np.array([s.beta for s in specs]), np.array([s.gamma for s in specs]))
-    phi = np.array(sets)
     reach = max(abs(complex(s.alpha).real) * np.abs(row).max() for s, row in group)
-    got = _log_P(cols, phi, reach)
+    got = _log_P(cols, phi, reach, lengths=lengths)
     for j, (spec, row) in enumerate(group):
         for column, want in zip(got, _log_P(spec, row), strict=True):
             assert column[j].tobytes() == want.tobytes()
@@ -570,19 +597,67 @@ def test_invariant_Ps_of_many_specs_is_invariant_P_bit_for_bit(groups):
             want.append(invariant_P(spec, phi))
         except NonfiniteResult:  # |P| beyond a float: the batch raises too
             with pytest.raises(NonfiniteResult):
-                _invariant_Ps(pairs)
+                _invariant_Ps(*_flat(pairs))
             return
-    got = _invariant_Ps(pairs)
+    got = _invariant_Ps(*_flat(pairs))
     assert [complex(v).__repr__() for v in got] == [v.__repr__() for v in want]
+
+
+def test_invariant_Ps_makes_one_kernel_call_per_kind_of_alpha_and_branch(monkeypatch):
+    """Sets of six lengths under real, purely imaginary and general complex
+    alphas, the real and the general ones on both sides of SAFE_EXPONENT,
+    take five _log_sums calls, not one per length as well."""
+    calls = []
+    log_sums = invariants._log_sums
+
+    def counted(alpha, *args, **kwargs):
+        calls.append(_alpha_kind(complex(np.ravel(alpha)[0])))
+        return log_sums(alpha, *args, **kwargs)
+
+    monkeypatch.setattr(invariants, "_log_sums", counted)
+    rng = np.random.default_rng(5)
+    pairs = [(InvariantSpec(alpha, 1.0, 0.5), rng.uniform(-top, top, n))
+             for alpha, top in ((0.5, 1.0), (0.5j, 1.0), (0.5 + 0.2j, 1.0), (1.0, 700.0),
+                                (1.0 - 0.1j, 700.0))
+             for n in range(1, 7)]
+    assert _invariant_Ps(*_flat(pairs)) == [invariant_P(spec, phi) for spec, phi in pairs]
+    assert sorted(calls[:5]) == ["complex", "complex", "imaginary", "real", "real"]
+    assert len(calls) == 5 + len(pairs)  # the oracle's own calls, one per set
+
+
+def _alpha_kind(alpha: complex) -> str:
+    return "real" if not alpha.imag else "imaginary" if not alpha.real else "complex"
+
+
+@given(st.lists(st.integers(1, 300), min_size=1, max_size=12), st.integers(1, 3),
+       st.sampled_from((np.float64, np.complex128)), st.integers(0, 2**32 - 1))
+@example([200, 200, 200], 1, np.float64, 0)
+@example([7, 8, 9, 127, 128, 129, 300], 2, np.complex128, 1)
+def test_row_sums_are_each_rows_own_sum_bit_for_bit(lengths, lead, dtype, seed):
+    """Rows of 1 to 300 values of widely spread magnitudes, mixed in one
+    call, with leading axes as the power table of the Newton check has:
+    each sum has the bits of the row's own sum, across numpy's 8-value
+    unrolling and its 128-value pairwise blocks."""
+    rng = np.random.default_rng(seed)
+    shape = (lead, sum(lengths))
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    if dtype is np.complex128:
+        x = x + 1j * rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    got = _row_sums(x, np.array(lengths))
+    want = [[row.sum() for row in np.split(line, np.cumsum(lengths)[:-1])] for line in x]
+    assert got.dtype == dtype and got.tobytes() == np.array(want, dtype).tobytes()
 
 
 def test_a_zero_gamma_in_a_column_gives_a_power_of_0_where_a_sum_vanishes(monkeypatch):
     """0 * log 0 would be nan (and a RuntimeWarning, an error here); a row
     with gamma = 0 gets exactly 0, as one spec does."""
-    monkeypatch.setattr(invariants, "_log_sums", lambda alpha, phi, reach=None, scratch=None: (
-        np.full(phi.shape[:-1], -math.inf), np.zeros(phi.shape[:-1])))
-    cols = _Columns(np.full((2, 1), 0.5 + 0j), np.zeros(2), np.array([0.0, 1.0]))
-    log_abs, theta = _log_P(cols, np.zeros((2, 3)))
+    def vanishing(alpha, phi, reach=None, scratch=None, lengths=None):
+        zeros = _row_sums(phi, lengths)  # phi is all zeros
+        return zeros - math.inf, zeros
+
+    monkeypatch.setattr(invariants, "_log_sums", vanishing)
+    cols = _Columns(np.full(2, 0.5 + 0j), np.zeros(2), np.array([0.0, 1.0]))
+    log_abs, theta = _log_P(cols, np.zeros(6), lengths=np.array([2, 4]))
     assert log_abs.tolist() == [0.0, -math.inf] and theta.tolist() == [0.0, 0.0]
     assert float(_log_P(InvariantSpec(0.5, 0.0, 0.0), np.zeros(3))[0]) == 0.0
 
@@ -593,7 +668,7 @@ def test_invariant_Ps_names_an_overflowing_half_angle_by_its_own_spec():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonfiniteResult, match=r"alpha \* phase 0 = 1e\+308j \* 1e\+308 "):
-            _invariant_Ps(pairs)
+            _invariant_Ps(*_flat(pairs))
 
 
 def test_a_scan_names_an_overflowing_half_angle_by_its_trial_among_all_trials():
