@@ -53,12 +53,15 @@ class Parity(Enum):
 
 
 def _require_finite(name: str, value: float) -> None:
+    """NonfiniteInput, a ValueError, naming name and value unless value is
+    finite: the one check of every finite kinematics input."""
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+        raise NonfiniteInput(f"{name} must be finite, got {value!r}")
 
 
 def _finite3(name: str, values) -> tuple[float, float, float]:
-    """values as a triple of finite floats, or ValueError naming name."""
+    """values as a triple of finite floats; ValueError naming name if there
+    are not three, NonfiniteInput if one is not finite."""
     vec = tuple(float(v) for v in values)
     if len(vec) != 3:
         raise ValueError(f"{name} must have exactly three components")
@@ -627,7 +630,7 @@ def _squares(col: np.ndarray) -> np.ndarray:
 
 
 def _require_finite_columns(**columns: np.ndarray) -> None:
-    """ValueError naming the first non-finite value, as Event1p1 raises."""
+    """NonfiniteInput naming the first non-finite value, as Event1p1 raises."""
     for name, col in columns.items():
         bad = np.flatnonzero(~np.isfinite(col))
         if len(bad):
@@ -674,10 +677,11 @@ def boost_1p3_superluminal_columns(t: np.ndarray, r: np.ndarray, W: np.ndarray,
                                    c: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """boost_1p3_superluminal on columns: t is (n,), r and W are (n, 3).
     Returns tvec, (n, 3), and x, (n,).  |W| is math.hypot of each speed, on
-    Python floats: hypot has no bit-exact numpy twin."""
+    Python floats, mapped over the three component lists with no Python
+    frame per speed: hypot has no bit-exact numpy twin."""
     K = K_from_c(c)
     _require_finite_columns(**{"speed component": W, "t": t, "r component": r})
-    w = np.array([math.hypot(*v) for v in W.tolist()])
+    w = np.array(list(map(math.hypot, *W.T.tolist())))
     m = column_entries(Branch.SUPERLUMINAL, w, K)
     with np.errstate(over="ignore", invalid="ignore"):
         *tvec, x = _superluminal_along(t, r.T, W.T, w, m, c, lambda i: Boost(

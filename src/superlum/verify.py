@@ -15,10 +15,14 @@ A trial that draws a random boost uses two or three doubles, by its branch
 draw; those rows walk an upper-bound block of raw words (_Raw, below),
 which leaves the generator advanced by exactly the doubles used, where one
 draw at a time would leave it.  The trials then run as numpy operations
-on columns, through the column twins of the kinematics kernels; the few
-calls with no bit-exact numpy twin (math.hypot, math.atan2, x ** 2, which
-is libm pow, and the BLAS dots of the norms and of dr @ dr) run per trial
-on Python floats.  Each deviation is the one a per-trial evaluation gives.
+on columns, through the column twins of the kinematics kernels, each
+kernel called once per row on every column it moves (_boost_both, one
+_matrices call for both speeds of a matrix product): the kernels are
+elementwise, so each part has the bits of its own call.  The few calls with
+no bit-exact numpy twin (math.hypot, math.atan2, x ** 2, which is libm pow)
+run per trial on Python floats, and the BLAS dots of the norms and of
+dr @ dr run per trial, as one stacked np.matmul (_dots).  Each deviation is
+the one a per-trial evaluation gives.
 
 The six rows after them draw integers, permutations and arrays of drawn
 sizes.  Each of the five among them that draw (the two invariant rows, the
@@ -29,7 +33,8 @@ in the order those calls ran, then gathers the doubles it took as columns,
 so it makes no Generator call per trial and leaves the generator where
 the calls would.  What the draws produce is then valued on columns, by
 private twins of the public kernels that give their bits: the phase rows
-boost every vertex in one call and sum proper times with _path_phases, the
+boost every vertex in one call and sum the proper times of all their
+paths and parts of paths in one _path_phases call, the
 two invariant rows gather the phase sets of all their instances kind by
 kind from the drawn block, with no array per instance (_sets), and value
 them, whatever their specs and sizes, as the ragged rows of one _log_P per
@@ -307,11 +312,18 @@ def _timelike_paths(rng, n: int, extra: int = 0):
 # the elementwise forms of the scalar ones.
 
 
+def _dots(rows: np.ndarray) -> np.ndarray:
+    """Each row's dot with itself as row @ row and row.dot(row) compute it
+    for a 1-D real row: np.matmul of the (n, 1, k) and (n, k, 1) stacks
+    makes the same BLAS dot for each item, in one call."""
+    return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+
+
 def _norms(rows: np.ndarray) -> np.ndarray:
     """The Euclidean norm of each row as np.linalg.norm computes it for a
-    1-D real row, the square root of the row's BLAS dot with itself, one
-    dot per row, without that function's Python wrapper."""
-    return np.array([math.sqrt(row.dot(row)) for row in rows])
+    1-D real row, the square root of the row's BLAS dot with itself (_dots);
+    np.sqrt is correctly rounded like math.sqrt."""
+    return np.sqrt(_dots(rows))
 
 
 def _relative(lhs, rhs, scale):
@@ -327,13 +339,26 @@ def _matrices(branch, V, antisymmetric_term: bool = True) -> np.ndarray:
     return m.T.reshape(-1, 2, 2)
 
 
+def _boost_both(e1: EventColumns, e2: EventColumns, branch, V):
+    """e1 and e2 each boosted by the speeds V on branch (a Branch or a mask),
+    from one boost_1p1_columns call on their stacked columns: the law is
+    elementwise, so each half has the bits of its own call."""
+    n = len(V)
+    out = kin.boost_1p1_columns(
+        EventColumns(np.concatenate([e1.t, e2.t]), np.concatenate([e1.x, e2.x])),
+        branch if isinstance(branch, Branch) else np.tile(branch, 2), np.tile(V, 2))
+    return EventColumns(out.t[:n], out.x[:n]), EventColumns(out.t[n:], out.x[n:])
+
+
 # ---------------------------------------------------------------------------
 # Trials.  Each draws and evaluates the n trials of its row.
 
 
 def _inverse_law(branch, V, antisymmetric_term: bool = True) -> np.ndarray:
-    product = np.matmul(_matrices(branch, -V, antisymmetric_term),
-                        _matrices(branch, V, antisymmetric_term))
+    """M(-V) @ M(V) against the identity; the matrices of -V and V come
+    from one _matrices call."""
+    m = _matrices(branch, np.concatenate([-V, V]), antisymmetric_term)
+    product = np.matmul(m[:len(V)], m[len(V):])
     return np.abs(product - IDENTITY).max(axis=(1, 2))
 
 
@@ -352,8 +377,7 @@ def _light_cone(rng, opts, n):
     e1 = _events(u)
     dt = _uniform(u[:, 2], 0.1, 2.0)
     e2 = EventColumns(e1.t + dt, e1.x + np.copysign(dt, _uniform(u[:, 3], -1, 1)))
-    return np.abs(kin.interval_1p1(kin.boost_1p1_columns(e1, sub, V),
-                                   kin.boost_1p1_columns(e2, sub, V)))
+    return np.abs(kin.interval_1p1(*_boost_both(e1, e2, sub, V)))
 
 
 def _interval_1p1(branch, V, u, sign: float) -> np.ndarray:
@@ -362,8 +386,7 @@ def _interval_1p1(branch, V, u, sign: float) -> np.ndarray:
     events drawn as the four columns of u."""
     e1, e2 = _events(u[:, :2]), _events(u[:, 2:])
     s2 = kin.interval_1p1(e1, e2)
-    s2p = kin.interval_1p1(kin.boost_1p1_columns(e1, branch, V),
-                           kin.boost_1p1_columns(e2, branch, V))
+    s2p = kin.interval_1p1(*_boost_both(e1, e2, branch, V))
     scale = kin._squares(e2.t - e1.t) + kin._squares(e2.x - e1.x)
     return _relative(s2p, sign * s2, scale)
 
@@ -382,10 +405,11 @@ def _sign_flip_1p3(rng, opts, n):
     t2, r2 = _uniform(u[:, 8], -2, 2), _uniform(u[:, 9:12], -2, 2)
     dt, dr = t2 - t1, r2 - r1
     s2 = kin.interval_nm(dt[:, None], dr)
-    f1 = kin.boost_1p3_superluminal_columns(t1, r1, w)
-    f2 = kin.boost_1p3_superluminal_columns(t2, r2, w)
-    s2p = kin.interval_nm(f2[0] - f1[0], (f2[1] - f1[1])[:, None])
-    return _relative(s2p, -s2, dt * dt + np.array([d @ d for d in dr]))
+    # both events in one call, each row by its own w, as the law is elementwise
+    tvec, x = kin.boost_1p3_superluminal_columns(np.concatenate([t1, t2]),
+                                                 np.concatenate([r1, r2]), np.tile(w, (2, 1)))
+    s2p = kin.interval_nm(tvec[n:] - tvec[:n], (x[n:] - x[:n])[:, None])
+    return _relative(s2p, -s2, dt * dt + _dots(dr))
 
 
 def _sub_invariance(rng, opts, n):
@@ -412,7 +436,8 @@ def _velocity_antisymmetry(rng, opts, n):
 
 def _velocity_matrix_agreement(rng, opts, n):
     ((sub1, V1), (sub2, V2)), _ = _boost_draws(rng, n, 2, 0)
-    m = np.matmul(_matrices(sub2, V2), _matrices(sub1, V1))
+    m = _matrices(np.concatenate([sub2, sub1]), np.concatenate([V2, V1]))
+    m = np.matmul(m[:n], m[n:])
     return _relative(kin.velocity_of_matrix(m), kin._compose(V1, V2, 1.0), 1.0)
 
 
@@ -566,19 +591,22 @@ def _phase_invariance(rng, opts, n):
     speed = np.repeat(_subluminal(u[:, 0]), t.shape[1])
     moved = kin.boost_1p1_columns(EventColumns(t.ravel(), x.ravel()),
                                   Branch.SUBLUMINAL, speed)
-    lo = np.zeros(n, int)
-    return _relative(_path_phases(moved.t.reshape(t.shape), moved.x.reshape(t.shape),
-                                  lo, count),
-                     _path_phases(t, x, lo, count), 0.0)
+    phases = _path_phases(np.concatenate([moved.t.reshape(t.shape), t]),
+                          np.concatenate([moved.x.reshape(t.shape), x]),
+                          np.zeros(2 * n, int), np.tile(count, 2))
+    return _relative(phases[:n], phases[n:], 0.0)
 
 
 def _phase_additivity(rng, opts, n):
     """Each path of 3 to 6 vertices is cut at its middle vertex, so both
-    parts have a segment."""
+    parts have a segment.  The two parts and the whole path are the rows of
+    one _path_phases call, over the paths stacked three times."""
     t, x, count, _ = _timelike_paths(rng, n)
     cut, lo = count // 2, np.zeros(n, int)
-    return _relative(_path_phases(t, x, lo, cut + 1) + _path_phases(t, x, cut, count),
-                     _path_phases(t, x, lo, count), 0.0)
+    first, second, whole = _path_phases(np.tile(t, (3, 1)), np.tile(x, (3, 1)),
+                                        np.concatenate([lo, cut, lo]),
+                                        np.concatenate([cut + 1, count, count])).reshape(3, n)
+    return _relative(first + second, whole, 0.0)
 
 
 def _newton(rng, opts, n):

@@ -58,6 +58,16 @@ def test_boost_zero_velocity_is_identity(tmp_path, capsys):
     assert json.loads(out)["event"] == [0.75, -0.25]
 
 
+def test_a_boost_event_that_is_not_finite_is_named(tmp_path, capsys):
+    inp = _write(
+        tmp_path, "b.json",
+        {"event": [math.inf, 0.0], "boost": {"branch": "subluminal", "speed": 0.5}},
+    )
+    code, out, err = _run(capsys, "boost", "--input", inp)
+    assert (code, out) == (2, "")
+    assert err == "error: NonfiniteInput: t must be finite, got inf\n"
+
+
 def test_boost_huge_speed_swaps_axes(tmp_path, capsys):
     inp = _write(
         tmp_path, "b.json",

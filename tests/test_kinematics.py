@@ -519,6 +519,16 @@ def test_intervals_that_overflow_in_floats_are_exactly_rounded_or_raise():
         interval_nm([1e200], [0.0])
 
 
+def test_a_kinematics_input_that_is_not_finite_raises_nonfinite_input():
+    """The one finiteness check of events and columns raises the named
+    error, a ValueError, where it raised a plain ValueError."""
+    with pytest.raises(NonfiniteInput, match=r"^t must be finite, got nan$"):
+        Event1p1(math.nan, 0.0)
+    with pytest.raises(NonfiniteInput, match=r"^x must be finite, got inf$"):
+        kin.boost_1p1_columns(kin.EventColumns(np.zeros(2), np.array([0.0, math.inf])),
+                              Branch.SUBLUMINAL, np.zeros(2))
+
+
 def test_intervals_name_an_input_or_a_light_speed_that_is_not_finite():
     """A non-finite increment raises NonfiniteInput naming the row's inputs,
     where it came back as an inf or a NaN, and c is checked by K_from_c."""

@@ -176,6 +176,15 @@ def test_a_boost_result_beyond_a_float_is_raised_only_by_the_kernel():
         "kinematics._image", "kinematics._exact_forms"}
 
 
+def test_a_nonfinite_kinematics_input_is_raised_only_by_the_one_check():
+    """Events, triples and columns are checked for finiteness only in
+    _require_finite; the one other NonfiniteInput of kinematics is an
+    interval input that has no exact value."""
+    assert {scope for scope in _scopes(_raises("NonfiniteInput"))
+            if scope.split(".")[0] == "kinematics"} == {
+        "kinematics._require_finite", "kinematics._exact_forms"}
+
+
 PER_TRIAL_FORMS = {"Path", "Event1p1", "boost_1p1", "path_phase", "amplitude",
                    "check_symmetry", "check_multiplicativity", "newton_convolution_check"}
 

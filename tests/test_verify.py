@@ -14,6 +14,7 @@ from superlum.cli import main
 from superlum.invariants import (
     InvariantSpec,
     Path,
+    _path_phases,
     amplitude,
     amplitude_invariant,
     check_multiplicativity,
@@ -561,3 +562,152 @@ def test_the_permutation_sum_cache_stays_bounded_over_many_seeds():
         verify._cauchy(np.random.default_rng(seed), verify.Opts(True, 0.0), 0)
     info = sympoly._permutation_sum_sorted.cache_info()
     assert info.misses > 2000 and info.currsize <= 256
+
+
+
+# ---------------------------------------------------------------------------
+# Stacked calls: a row passes every column one kernel moves in one call, and
+# each part of the result has the bits of that part's own call.
+
+_COORD = st.floats(-1e6, 1e6)
+_SUB = st.floats(-0.999, 0.999)
+_SUPER = st.tuples(st.floats(1.001, 1e6), st.booleans()).map(lambda w: w[0] if w[1] else -w[0])
+
+
+def _bits(*arrays) -> list[bytes]:
+    return [np.asarray(a, float).tobytes() for a in arrays]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_COORD, _COORD, _COORD, _COORD, st.booleans(), _SUB, _SUPER),
+                min_size=1, max_size=12))
+def test_one_boost_call_on_both_events_gives_each_events_bits(rows):
+    """With a Branch and with a mask, the stacked call of _boost_both gives
+    the bits of one boost_1p1_columns call per event column."""
+    t1, x1, t2, x2, sub, v, w = map(np.array, zip(*rows))
+    e1, e2 = kin.EventColumns(t1, x1), kin.EventColumns(t2, x2)
+    for branch, V in ((sub, np.where(sub, v, w)), (Branch.SUBLUMINAL, v),
+                      (Branch.SUPERLUMINAL, w)):
+        got = verify._boost_both(e1, e2, branch, V)
+        want = (kin.boost_1p1_columns(e1, branch, V), kin.boost_1p1_columns(e2, branch, V))
+        assert _bits(*got[0], *got[1]) == _bits(*want[0], *want[1])
+
+
+_VECTOR = st.tuples(_COORD, _COORD, _COORD)
+_SPEED3 = st.tuples(st.floats(-50, 50), st.floats(-50, 50), st.floats(-50, 50)).filter(
+    lambda w: math.hypot(*w) > 1.001)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_COORD, _VECTOR, _COORD, _VECTOR, _SPEED3), min_size=1, max_size=12))
+def test_one_1p3_boost_call_on_both_events_gives_each_events_bits(rows):
+    t1, r1, t2, r2, w = map(np.array, zip(*rows))
+    n = len(rows)
+    tvec, x = kin.boost_1p3_superluminal_columns(np.concatenate([t1, t2]),
+                                                 np.concatenate([r1, r2]), np.tile(w, (2, 1)))
+    (tvec1, x1), (tvec2, x2) = (kin.boost_1p3_superluminal_columns(t, r, w)
+                                for t, r in ((t1, r1), (t2, r2)))
+    assert _bits(tvec[:n], x[:n], tvec[n:], x[n:]) == _bits(tvec1, x1, tvec2, x2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), _SUB, _SUPER), min_size=1, max_size=12),
+       st.lists(st.tuples(st.booleans(), _SUB, _SUPER), min_size=1, max_size=12),
+       st.booleans())
+def test_one_matrix_call_on_two_speed_columns_gives_each_columns_bits(a, b, antisymmetric):
+    """column_entries through _matrices, on a Branch and on a mask."""
+    (sub_a, v_a, w_a), (sub_b, v_b, w_b) = (map(np.array, zip(*rows)) for rows in (a, b))
+    for branch_a, V_a, branch_b, V_b in (
+            (sub_a, np.where(sub_a, v_a, w_a), sub_b, np.where(sub_b, v_b, w_b)),
+            (Branch.SUBLUMINAL, v_a, Branch.SUBLUMINAL, v_b),
+            (Branch.SUPERLUMINAL, w_a, Branch.SUPERLUMINAL, w_b)):
+        branch = (branch_a if isinstance(branch_a, Branch)
+                  else np.concatenate([branch_a, branch_b]))
+        got = verify._matrices(branch, np.concatenate([V_a, V_b]), antisymmetric)
+        want = np.concatenate([verify._matrices(branch_a, V_a, antisymmetric),
+                               verify._matrices(branch_b, V_b, antisymmetric)])
+        assert _bits(got) == _bits(want)
+
+
+@st.composite
+def _spans(draw):
+    """A timelike path of 2 to 6 vertices, padded to 6 with finite values,
+    and a span lo..hi-1 of at least two of its vertices."""
+    k = draw(st.integers(2, 6))
+    t, x = [0.0], [draw(st.floats(-1e3, 1e3))]
+    for _ in range(k - 1):
+        dt = draw(st.floats(1e-3, 1e3))
+        t.append(t[-1] + dt)
+        x.append(x[-1] + draw(st.floats(-0.99, 0.99)) * dt)
+    pad = draw(st.floats(-1e3, 1e3))
+    lo = draw(st.integers(0, k - 2))
+    return t + [pad] * (6 - k), x + [pad] * (6 - k), lo, draw(st.integers(lo + 2, k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_spans(), min_size=1, max_size=9), st.data())
+def test_one_path_phase_call_on_stacked_rows_gives_each_parts_bits(rows, data):
+    """Rows of mixed lo and hi, cut into parts at drawn places: the phases
+    of the whole stack are those of the parts' own calls."""
+    t, x, lo, hi = map(np.array, zip(*rows))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=3)))
+    parts = [_path_phases(t[a:b], x[a:b], lo[a:b], hi[a:b])
+             for a, b in zip([0] + cuts, cuts + [len(rows)])]
+    assert _bits(_path_phases(t, x, lo, hi)) == _bits(np.concatenate(parts))
+
+
+_DOT_ENTRY = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308])
+              | st.floats(-1e3, 1e3)
+              | st.floats(1e-160, 1e-140) | st.floats(-1e-140, -1e-160)
+              | st.floats(1e140, 1e153) | st.floats(-1e153, -1e140))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_DOT_ENTRY, _DOT_ENTRY, _DOT_ENTRY), min_size=1, max_size=20))
+def test_the_stacked_dots_are_the_blas_dots_of_each_row(rows):
+    """_dots and _norms against row @ row, np.linalg.norm and
+    math.sqrt(row.dot(row)), on ±0, subnormals and values near 1e±150."""
+    rows = np.array(rows)
+    assert _bits(verify._dots(rows)) == _bits([row @ row for row in rows])
+    assert (_bits(verify._norms(rows)) == _bits([math.sqrt(row.dot(row)) for row in rows])
+            == _bits([np.linalg.norm(row) for row in rows]))
+
+
+def test_each_row_moves_its_columns_through_each_kernel_once(monkeypatch):
+    """The rows that boost two sets of events, build two sets of matrices or
+    sum three sets of paths make one call of that kernel, not one per set.
+    A call on a mask (light_cone_preservation, velocity_matrix_agreement)
+    is one call, which column_entries splits by branch into two more."""
+    from superlum import invariants
+
+    calls = {}
+
+    def spy(name, real):
+        def kernel(*args, **kwargs):
+            branch = args[0] if name == "column_entries" else None
+            key = f"{name} on a mask" if isinstance(branch, np.ndarray) else name
+            calls[key] = calls.get(key, 0) + 1
+            return real(*args, **kwargs)
+        return kernel
+
+    for name in ("boost_1p1_columns", "boost_1p3_superluminal_columns", "column_entries"):
+        monkeypatch.setattr(kin, name, spy(name, getattr(kin, name)))
+    monkeypatch.setattr(verify, "_path_phases", spy("_path_phases", invariants._path_phases))
+    expected = {
+        verify._sign_flip_1p3: {"boost_1p3_superluminal_columns": 1, "column_entries": 1},
+        verify._sign_flip_1p1: {"boost_1p1_columns": 1, "column_entries": 1},
+        verify._sub_invariance: {"boost_1p1_columns": 1, "column_entries": 1},
+        verify._light_cone: {"boost_1p1_columns": 1, "column_entries on a mask": 1,
+                             "column_entries": 2},
+        verify._subluminal_inverse: {"column_entries": 1},
+        verify._superluminal_inverse: {"column_entries": 1},
+        verify._velocity_matrix_agreement: {"column_entries on a mask": 1,
+                                            "column_entries": 2},
+        verify._phase_additivity: {"_path_phases": 1},
+        verify._phase_invariance: {"boost_1p1_columns": 1, "column_entries": 1,
+                                   "_path_phases": 1},
+    }
+    for trial, counts in expected.items():
+        calls.clear()
+        trial(np.random.default_rng(5), verify.Opts(True, 0.0), 200)
+        assert calls == counts, trial.__name__
