@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -39,3 +41,9 @@ def relative_deviation(lhs: complex, rhs: complex, scale: float = 0.0) -> float:
     """|lhs - rhs| over the largest available magnitude."""
     denom = max(abs(lhs), abs(rhs), scale, 1e-300)
     return abs(lhs - rhs) / denom
+
+
+def _relative(lhs, rhs, scale):
+    """relative_deviation on columns: the same value on finite inputs."""
+    denom = np.maximum(np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), scale), 1e-300)
+    return np.abs(lhs - rhs) / denom

@@ -25,32 +25,28 @@ k_i <= truncation).
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
+import operator
+import reprlib
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TruncationInsufficient
-from .invariants import (
-    _log_sums,
-    _magnitude,
-    _pairwise_sums,
-    _row_sums,
-    as_phases,
-    pairwise_phase_sums,
-)
-from .report import CheckReport, relative_deviation
+from .errors import NonfiniteInput, NonfiniteResult, TruncationInsufficient
+from .invariants import _finite, _log_sums, _magnitude, _pairwise_sums, _row_sums, as_phases
+from .report import CheckReport, _relative, relative_deviation
 
 
 def power_sum(k: int, phases) -> float:
-    """E_k = sum_j phi_j**k; E_0 is the number of phases."""
+    """E_k = sum_j phi_j**k; E_0 is the number of phases.  Raises
+    NonfiniteResult when the sum does not fit in a float."""
     if k < 0:
         raise ValueError("power sums need k >= 0")
-    phi = as_phases(phases)
-    return float(np.sum(phi**k))
+    return float(_power_sums(as_phases(phases), range(k, k + 1))[0])
 
 
 def newton_convolution_check(
@@ -61,14 +57,18 @@ def newton_convolution_check(
     Direct enumeration of sum_{ij} (phi_i + xi_j)**r is compared with
     sum_t C(r, t) * E_t(phi) * E_{r-t}(xi).  The deviation is measured
     relative to the cancellation-free scale sum_{ij} |phi_i + xi_j|**r.
+    Each set is checked once and gives E_0..E_r from one power table; the
+    pairwise sums are raised to the power r alone.  Raises NonfiniteResult
+    when a power sum or the convolution does not fit in a float.
     """
     if not 0 <= r <= r_max:
         raise ValueError(f"r must satisfy 0 <= r <= {r_max}")
     a, b = as_phases(phases_a), as_phases(phases_b)
-    sums = pairwise_phase_sums(a, b)
-    dev = _newton_deviation(
-        r, [power_sum(t, a) for t in range(r + 1)], [power_sum(t, b) for t in range(r + 1)],
-        float(np.sum(sums**r)), float(np.sum(np.abs(sums) ** r)))
+    with np.errstate(over="ignore"):  # a sum beyond a float fails its power sums
+        sums = _pairwise_sums(a, b)
+    Ea, Eb = (_power_sums(v, range(r + 1))[None] for v in (a, b))
+    direct, scale = (_power_sums(v, range(r, r + 1))[None] for v in (sums, np.abs(sums)))
+    dev = float(_newton_columns(Ea, Eb, direct, scale)[0, 0])
     return CheckReport(
         "newton_convolution",
         dev,
@@ -78,39 +78,103 @@ def newton_convolution_check(
     )
 
 
-def _newton_deviation(r: int, Ea, Eb, direct: float, scale: float) -> float:
-    """The deviation of newton_convolution_check from the power sums Ea and
-    Eb of the two sets (E_t at index t, t <= r) and the direct and scale sums
-    of order r over their pairwise sums."""
-    convolved = sum(math.comb(r, t) * Ea[t] * Eb[r - t] for t in range(r + 1))
-    return relative_deviation(direct, convolved, scale)
+def _convolution(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """For t, r < size: C(r, t) at [t, r], rounded to a float as the
+    int * float of the scalar formula rounds it (exact up to r = 56), and
+    the index r - t, clipped to 0 where t > r and C(r, t) is 0."""
+    t, r = np.indices((size, size))
+    combs = np.array([[math.comb(j, i) for j in range(size)] for i in range(size)], float)
+    return combs, np.maximum(r - t, 0)
 
 
-def _power_table(v: np.ndarray, r_max: int) -> np.ndarray:
-    """The (r_max + 1, len(v)) stack of the powers v**r, each raised to one
-    scalar r as power_sum raises it: numpy's power has fast paths for the
-    scalar exponents 0, 1 and 2 that an array of exponents misses.  A row
-    sum along the last axis is power_sum's sum, bit for bit."""
-    return np.stack([v ** r for r in range(r_max + 1)])
+_CONVOLUTION = _convolution(9)  # the orders up to the default r_max of 8
 
 
-def _newton_deviations(instances, r_max: int = 8) -> list[list[float]]:
+def _newton_columns(Ea, Eb, direct, scale) -> np.ndarray:
+    """The relative deviation of direct from the binomial convolution
+    sum_t C(r, t) * Ea[t] * Eb[r - t], for each instance (row) and order r
+    (column).  Ea and Eb hold E_0..E_R of each instance's two sets, R + 1
+    columns; direct and scale hold the direct and the cancellation-free sums
+    over its pairwise sums at the last k orders, R - k + 1..R, and so does
+    the result.
+
+    Each term is formed as the two multiplies of C(r, t) * Ea[t] * Eb[r - t],
+    all of them at once, and each convolution adds its terms for t = 0, 1,
+    ... in order to 0.0, as Python's sum adds them to the int 0.  The terms
+    past t = r are 0 (C(r, t) = 0 times finite power sums) and leave a sum
+    as it is.  The deviation is report._relative, which is
+    relative_deviation on finite values, so each cell has the bits of the
+    scalar formula.  Raises NonfiniteResult when a convolution does not fit
+    in a float: its power sums are finite, so only an overflowing term makes
+    it inf or NaN."""
+    size, low = Ea.shape[-1], Ea.shape[-1] - direct.shape[-1]
+    combs, shifts = _CONVOLUTION if size <= len(_CONVOLUTION[0]) else _convolution(size)
+    convolved = np.zeros(direct.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # named below
+        terms = combs[:size, low:size] * Ea[:, :, None] * Eb[:, shifts[:size, low:size]]
+        for t in range(size):
+            convolved += terms[:, t]
+    if not np.isfinite(convolved).all():
+        row, col = np.argwhere(~np.isfinite(convolved))[0].tolist()
+        raise NonfiniteResult(
+            f"the binomial convolution of order {low + col} does not fit in a float "
+            f"(power sums of the two sets up to {float(np.abs(Ea[row]).max())!r} "
+            f"and {float(np.abs(Eb[row]).max())!r})")
+    return _relative(direct, convolved, scale)
+
+
+def _power_table(v: np.ndarray, orders: range) -> np.ndarray:
+    """The (len(orders), *v.shape) stack of the powers v**r for r in orders,
+    each raised to one scalar r as power_sum raises it: numpy's power has
+    fast paths for the scalar exponents 0, 1 and 2 that an array of
+    exponents misses.  A row sum along the last axis is power_sum's sum,
+    bit for bit.  One order is a view of its powers, not a copy."""
+    if len(orders) == 1:
+        return (v ** orders[0])[None]
+    return np.stack([v ** r for r in orders])
+
+
+def _power_sums(v: np.ndarray, orders: range, lengths: np.ndarray | None = None) -> np.ndarray:
+    """E_r of every row of v for r in orders, with the orders on the first
+    axis: the row sums (invariants._row_sums, rows as there) of one
+    _power_table.  This is where every power sum is formed, and so where a
+    sum that does not fit in a float raises NonfiniteResult, naming its
+    order and the largest |phase| of its row."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = _row_sums(_power_table(v, orders), lengths)
+    if not np.isfinite(sums).all():
+        order, *row = np.argwhere(~np.isfinite(sums))[0].tolist()
+        if lengths is None:
+            phases = v[tuple(row)]
+        else:
+            start = int(lengths[:row[0]].sum())
+            phases = v[start:start + int(lengths[row[0]])]
+        raise NonfiniteResult(
+            f"the power sum E_{orders[order]} does not fit in a float "
+            f"(largest |phase| {float(np.abs(phases).max())!r})")
+    return sums
+
+
+def _newton_deviations(instances, r_max: int = 8) -> np.ndarray:
     """newton_convolution_check(r, phases_a, phases_b).deviation for every r
-    in 0..r_max, bit for bit, for each (phases_a, phases_b) instance.
+    in 0..r_max, bit for bit, for each (phases_a, phases_b) instance, as the
+    rows of an (instances, r_max + 1) array.
 
     The two sets, the pairwise sums and their magnitudes of every instance
     are concatenated, and the concatenation takes one _power_table.  Each
     power sum is then the sum of its own stretch of a row, as that stretch
-    sums alone (invariants._row_sums)."""
+    sums alone (invariants._row_sums), and one _newton_columns call forms
+    every convolution and deviation."""
     sets = []
-    for phases_a, phases_b in instances:
-        a, b = as_phases(phases_a), as_phases(phases_b)
-        sums = _pairwise_sums(a, b)
-        sets += [a, b, sums, np.abs(sums)]
-    table = _power_table(np.concatenate(sets), r_max)
-    power_sums = _row_sums(table, np.array([len(v) for v in sets])).T.tolist()
-    return [[_newton_deviation(r, Ea, Eb, direct[r], scale[r]) for r in range(r_max + 1)]
-            for Ea, Eb, direct, scale in zip(*[iter(power_sums)] * 4)]
+    with np.errstate(over="ignore"):  # a sum beyond a float fails its power sums
+        for phases_a, phases_b in instances:
+            a, b = as_phases(phases_a), as_phases(phases_b)
+            sums = _pairwise_sums(a, b)
+            sets += [a, b, sums, np.abs(sums)]
+    power_sums = _power_sums(np.concatenate(sets), range(r_max + 1),
+                             np.array([len(v) for v in sets]))
+    Ea, Eb, direct, scale = power_sums.T.reshape(-1, 4, r_max + 1).transpose(1, 0, 2)
+    return _newton_columns(Ea, Eb, direct, scale)
 
 
 @dataclass(frozen=True)
@@ -119,16 +183,19 @@ class CoefficientTensor:
 
     alphas of a solution that also respects time reversal come in +/- pairs,
     which forces an even count; the constructor does not enforce this so that
-    deliberately broken tensors remain expressible.
+    deliberately broken tensors remain expressible.  An alpha or a
+    beta_prime that is not finite (NaN, an inf, or an int beyond a float)
+    raises NonfiniteInput naming it.
     """
 
     alphas: tuple[complex, ...]
     beta_prime: float = 0.0
 
     def __post_init__(self) -> None:
-        alphas = tuple(complex(a) for a in self.alphas)
+        alphas = tuple(_finite_complex(a, f"alpha {i}") for i, a in enumerate(self.alphas))
         if not alphas:
             raise ValueError("at least one alpha is required")
+        _finite_complex(self.beta_prime, "beta_prime")
         object.__setattr__(self, "alphas", alphas)
 
     @property
@@ -146,6 +213,17 @@ class CoefficientTensor:
             else:
                 return False
         return True
+
+
+def _finite_complex(value, name: str) -> complex:
+    """complex(value), or NonfiniteInput naming it when a part is not finite."""
+    try:
+        z = complex(value)
+    except OverflowError:  # an int beyond a float
+        z = complex(math.inf)
+    if not cmath.isfinite(z):
+        raise NonfiniteInput(f"{name} must be finite, got {reprlib.repr(value)}")
+    return z
 
 
 # Bounded: verify's Cauchy check draws fresh alphas on every run, and their
@@ -186,6 +264,8 @@ def alpha_coefficient(
 INDEX_BOUND = 4
 ORDER_BOUND = 4
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# k_i + s_i <= 2 * INDEX_BOUND, and N <= ORDER_BOUND
+_FACTORIALS = [math.factorial(v) for v in range(2 * INDEX_BOUND + 1)]
 
 
 def cauchy_condition_check(
@@ -203,6 +283,17 @@ def cauchy_condition_check(
     sum over permutations pi of prod_i (k_i + s_pi(i))! * a^(nm)_{k + s_pi}.
     perturb is added to the a^(n)_k factor on the left; any nonzero value
     breaks the identity whenever a^(m)_s is nonzero.
+
+    k, s, n and m are checked once, and n**-beta', m**-beta' and
+    (n*m)**-beta' taken once each.  Every coefficient is formed as
+    alpha_coefficient forms it, with the same float operations in the same
+    order: its scale, times the cached permutation sum of its sorted
+    indices, over the int N! * prod_i idx_i!.  A term of the sum depends on
+    its merged indices only as a multiset, so each distinct one is formed
+    once and added wherever it recurs, in permutation order.  n and m must
+    be at least 1;
+    one that is not finite, or an n*m beyond a float, raises NonfiniteInput,
+    and a count**-beta' beyond a float NonfiniteResult.
     """
     k = tuple(int(v) for v in k)
     s = tuple(int(v) for v in s)
@@ -213,20 +304,38 @@ def cauchy_condition_check(
         raise ValueError(f"order N <= {ORDER_BOUND} required")
     if any(v < 0 or v > INDEX_BOUND for v in k + s):
         raise ValueError(f"indices must lie in [0, {INDEX_BOUND}]")
-    fac = math.factorial
+    for name, count in (("n", n), ("m", m), ("n*m", n * m)):
+        if not _finite(count):
+            raise NonfiniteInput(f"{name} = {reprlib.repr(count)} is not a finite float")
+        if count < 1:
+            raise ValueError(f"{name} must be positive")
+    try:
+        n_scale, m_scale, nm_scale = (count ** (-ct.beta_prime) for count in (n, m, n * m))
+    except OverflowError:
+        raise NonfiniteResult(f"a count**{-ct.beta_prime!r} does not fit in a float "
+                              f"(n={n!r}, m={m!r})") from None
+    fac, alphas = _FACTORIALS, ct.alphas
+
+    def coefficient(indices, weight, scale):
+        return scale * _permutation_sum_sorted(alphas, tuple(sorted(indices))) / (fac[N] * weight)
+
+    k_weight, s_weight = math.prod(fac[v] for v in k), math.prod(fac[v] for v in s)
     lhs = (
-        fac(N)
-        * math.prod(fac(v) for v in k)
-        * math.prod(fac(v) for v in s)
-        * (alpha_coefficient(ct, k, n) + perturb)
-        * alpha_coefficient(ct, s, m)
+        fac[N]
+        * k_weight
+        * s_weight
+        * (coefficient(k, k_weight, n_scale) + perturb)
+        * coefficient(s, s_weight, m_scale)
     )
     rhs = 0.0 + 0.0j
     scale = 0.0
-    for pi in itertools.permutations(range(N)):
-        merged = tuple(k[i] + s[pi[i]] for i in range(N))
-        weight = math.prod(fac(v) for v in merged)
-        term = weight * alpha_coefficient(ct, merged, n * m)
+    terms = {}  # a term depends on its merged indices only as a multiset
+    for permuted in itertools.permutations(s):
+        merged = tuple(sorted(map(operator.add, k, permuted)))
+        if merged not in terms:
+            weight = math.prod(fac[v] for v in merged)
+            terms[merged] = weight * coefficient(merged, weight, nm_scale)
+        term = terms[merged]
         rhs += term
         scale += abs(term)
     dev = relative_deviation(lhs, rhs, scale)
@@ -243,10 +352,13 @@ def closed_product(ct: CoefficientTensor, phases, n_override: int | None = None)
     """n**(-beta') * prod_i sum_j exp(alpha_i * phi_j), the resummed series.
 
     The factors are multiplied as logs and exponentiated once; raises
-    NonfiniteResult when the magnitude does not fit in a float.
+    NonfiniteResult when the magnitude does not fit in a float, and
+    NonfiniteInput for an n_override that is not a positive finite count.
     """
     phi = as_phases(phases)
     n = phi.size if n_override is None else n_override
+    if not 0 < n < math.inf:
+        raise NonfiniteInput(f"n_override must be positive and finite, got {reprlib.repr(n)}")
     log_value = -ct.beta_prime * math.log(n) + sum(complex(_log_sums(a, phi)[0])
                                                    for a in ct.alphas)
     mag = _magnitude(log_value.real, lambda log10: (
@@ -263,16 +375,23 @@ def _tail_bound(ct: CoefficientTensor, phi: np.ndarray, truncation: int) -> floa
     m_ij = |alpha_i*phi_j|; the product difference is bounded by a telescoping
     sum with the remaining factors at their absolute-value ceilings
     sum_j exp(m_ij).  Both sums come from _log_sums and are combined as logs.
+    Both depend on alpha_i only through |alpha_i|, so each distinct |alpha_i|
+    takes one pair of _log_sums calls: the +/- pairs of a time-symmetric
+    tensor take half the calls, with the same terms in the same order.
     """
     abs_phi = np.abs(phi)
-    log_ceilings = [float(_log_sums(abs(a), abs_phi)[0]) for a in ct.alphas]
-    log_terms = []
-    for i, a in enumerate(ct.alphas):
-        m = abs(a) * abs_phi
-        m = m[m > 0]  # zero terms add nothing to delta_i
-        if m.size:
-            log_delta = float(_log_sums(1.0, m + (truncation + 1) * np.log(m))[0])
-            log_terms.append(log_delta + sum(log_ceilings[:i] + log_ceilings[i + 1:]))
+    logs = {}  # |alpha| -> (log ceiling, log delta or None when delta is 0)
+    for a in map(abs, ct.alphas):
+        if a not in logs:
+            m = a * abs_phi
+            m = m[m > 0]  # zero terms add nothing to delta_i
+            logs[a] = (float(_log_sums(a, abs_phi)[0]),
+                       float(_log_sums(1.0, m + (truncation + 1) * np.log(m))[0])
+                       if m.size else None)
+    pairs = [logs[abs(a)] for a in ct.alphas]
+    log_ceilings = [ceiling for ceiling, _ in pairs]
+    log_terms = [log_delta + sum(log_ceilings[:i] + log_ceilings[i + 1:])
+                 for i, (_, log_delta) in enumerate(pairs) if log_delta is not None]
     if not log_terms:
         return 0.0
     top = max(log_terms)
@@ -338,7 +457,7 @@ def expansion_reconstruction_check(
         )
     truncated = _coefficient_box(ct, truncation, n)
     # a power sum past the box would only meet coefficients that are 0
-    powers = _power_table(phi, truncated.shape[0] - 1).sum(axis=-1)
+    powers = _power_sums(phi, range(truncated.shape[0]))
     for _ in range(ct.order):  # elementwise, so no BLAS kernel reorders the sums
         truncated = (truncated * powers).sum(axis=-1)
     closed = closed_product(ct, phi)

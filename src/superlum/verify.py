@@ -39,8 +39,9 @@ two invariant rows gather the phase sets of all their instances kind by
 kind from the drawn block, with no array per instance (_sets), and value
 them, whatever their specs and sizes, as the ragged rows of one _log_P per
 kind of alpha and branch (_invariant_Ps), newton_convolution raises the
-sets of all its instances to each power in one pass (_newton_deviations),
-and two_path_interference takes one _phasor_sum over all its deltas.  The
+sets of all its instances to each power in one pass and forms every
+convolution and deviation in one kernel call (_newton_deviations), and
+two_path_interference takes one _phasor_sum over all its deltas.  The
 remaining rows draw little and run trial by trial through per_trial.
 
 The two sabotage switches exist to demonstrate that the suite actually
@@ -69,7 +70,7 @@ from .invariants import (
     invariant_P,
 )
 from .kinematics import Boost, Branch, EventColumns
-from .report import CheckReport, relative_deviation
+from .report import CheckReport, _relative, relative_deviation
 from .sympoly import (
     CoefficientTensor,
     _newton_deviations,
@@ -324,12 +325,6 @@ def _norms(rows: np.ndarray) -> np.ndarray:
     1-D real row, the square root of the row's BLAS dot with itself (_dots);
     np.sqrt is correctly rounded like math.sqrt."""
     return np.sqrt(_dots(rows))
-
-
-def _relative(lhs, rhs, scale):
-    """relative_deviation on columns."""
-    denom = np.maximum(np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), scale), 1e-300)
-    return np.abs(lhs - rhs) / denom
 
 
 def _matrices(branch, V, antisymmetric_term: bool = True) -> np.ndarray:
@@ -610,13 +605,13 @@ def _phase_additivity(rng, opts, n):
 
 
 def _newton(rng, opts, n):
-    """Every instance's power sums come from one _newton_deviations call."""
+    """Every instance's deviations come from one _newton_deviations call."""
     raw, drawn = _Raw(rng, 25 * n), []
     for _ in range(n):
         k, m = raw.integer(9, 13), raw.integer(9, 13)
         drawn.append((raw.take(k), raw.take(m)))
     v = _uniform(raw.close(), -1, 1)
-    return [max(devs) for devs in _newton_deviations([(v[a], v[b]) for a, b in drawn])]
+    return _newton_deviations([(v[a], v[b]) for a, b in drawn]).max(axis=1)
 
 
 def _cauchy(rng, opts, i):

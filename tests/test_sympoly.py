@@ -6,10 +6,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from superlum import (
     CoefficientTensor,
+    NonfiniteInput,
     NonfiniteResult,
     TruncationInsufficient,
     alpha_coefficient,
@@ -23,8 +24,16 @@ from superlum import (
     newton_convolution_check,
     power_sum,
 )
-from superlum.invariants import InvariantSpec
-from superlum.sympoly import ORDER_BOUND, _coefficient_box, _newton_deviations, _tail_bound
+from superlum import sympoly
+from superlum.invariants import InvariantSpec, _log_sums
+from superlum.report import relative_deviation
+from superlum.sympoly import (
+    ORDER_BOUND,
+    _coefficient_box,
+    _newton_columns,
+    _newton_deviations,
+    _tail_bound,
+)
 
 APPROX = pytest.approx
 
@@ -64,6 +73,57 @@ def test_newton_deviations_of_many_instances_are_the_checks_bit_for_bit(instance
     assert [[d.hex() for d in row] for row in got] == [[d.hex() for d in row] for row in want]
 
 
+def _scalar_newton(Ea, Eb, direct, scale, r):
+    """The deviation of one instance at order r, formed on Python floats."""
+    convolved = sum(math.comb(r, t) * Ea[t] * Eb[r - t] for t in range(r + 1))
+    return relative_deviation(direct, convolved, scale)
+
+
+_SUMS = st.floats(-1e100, 1e100) | st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -1e16])
+
+
+@given(st.integers(1, 5), st.integers(1, 12), st.integers(1, 12), st.data())
+def test_newton_columns_are_the_scalar_formula_bit_for_bit(rows, size, k, data):
+    """Every (instance, order) cell, and the last k orders alone as the
+    check asks for them, with terms that cancel and signed zeros."""
+    k = min(k, size)
+    Ea, Eb, direct = (np.array(data.draw(st.lists(st.lists(_SUMS, min_size=size, max_size=size),
+                                                    min_size=rows, max_size=rows)))
+                      for _ in range(3))
+    scale = np.abs(data.draw(st.sampled_from([direct, direct * 0.0, direct * 3.0])))
+    got = _newton_columns(Ea, Eb, direct[:, size - k:], scale[:, size - k:])
+    want = [[_scalar_newton(Ea[i], Eb[i], direct[i, r], scale[i, r], r)
+             for r in range(size - k, size)] for i in range(rows)]
+    assert [[d.hex() for d in row] for row in got] == [[d.hex() for d in row] for row in want]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: power_sum(8, [1e300]),
+    lambda: newton_convolution_check(8, [1e300], [1e300]),
+    lambda: newton_convolution_check(3, [1e120], [-1e120]),
+    lambda: newton_convolution_check(1, [1e308], [1e308]),
+    lambda: _newton_deviations([([0.5], [0.25]), ([1e300], [1.0])]),
+])
+def test_a_power_sum_beyond_a_float_is_named(call):
+    """A power sum of finite phases that overflows was an inf presented as a
+    result, or a NaN deviation."""
+    with pytest.raises(NonfiniteResult, match=r"power sum E_\d does not fit in a float "
+                                                r"\(largest \|phase\| (1e\+\d+|2e\+300|inf)\)"):
+        call()
+
+
+def test_a_convolution_beyond_a_float_is_named():
+    """Each power sum fits, and so do the direct sums (the pairwise sums are
+    0), but C(8, 4) * E_4(a) * E_4(b) = 70e308 does not: the deviation was NaN."""
+    with pytest.raises(NonfiniteResult, match="binomial convolution of order 8"):
+        newton_convolution_check(8, [1e38] * 100, [-1e38] * 100)
+
+
+def test_an_order_zero_newton_check_of_sums_beyond_a_float_holds():
+    """E_0 counts the pairwise sums, so an inf among them is no fault."""
+    assert newton_convolution_check(0, [1e308], [1e308]).deviation == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Coefficient tensor
 
@@ -72,6 +132,44 @@ def test_tensor_validation_and_order():
     with pytest.raises(ValueError):
         CoefficientTensor(())
     assert CoefficientTensor((1j, -1j)).order == 2
+
+
+@pytest.mark.parametrize("alphas, beta_prime, named", [
+    ((0.5,), math.inf, "beta_prime must be finite, got inf"),
+    ((0.5,), math.nan, "beta_prime must be finite, got nan"),
+    ((0.5, complex(0.0, math.nan)), 1.0, r"alpha 1 must be finite, got nanj"),
+    ((0.5, -math.inf), 1.0, "alpha 1 must be finite, got -inf"),
+    ((10**400, 0.5), 1.0, "alpha 0 must be finite, got 1000"),
+], ids=["inf beta'", "nan beta'", "nan alpha", "inf alpha", "int alpha beyond a float"])
+def test_a_tensor_part_that_is_not_finite_is_named(alphas, beta_prime, named):
+    """An infinite beta' made closed_product return 0j, and a NaN alpha or
+    beta' raised NonfiniteResult blaming the result."""
+    with pytest.raises(NonfiniteInput, match=named):
+        CoefficientTensor(alphas, beta_prime)
+
+
+@pytest.mark.parametrize("n_override", [0, -3, math.inf, math.nan])
+def test_closed_product_names_an_n_override_that_is_not_a_positive_count(n_override):
+    """0 raised `ValueError: math domain error`."""
+    with pytest.raises(NonfiniteInput, match="n_override must be positive and finite"):
+        closed_product(CoefficientTensor((0.5,)), [0.1], n_override=n_override)
+
+
+@pytest.mark.parametrize("n, m, named", [
+    (10**200, 10**200, r"n\*m = 1000.* is not a finite float"),
+    (10**400, 2, "n = 1000.* is not a finite float"),
+    (2, math.nan, "m = nan is not a finite float"),
+], ids=["n*m", "n", "m"])
+def test_cauchy_condition_names_a_count_beyond_a_float(n, m, named):
+    """n*m = 10**400 raised a builtin OverflowError."""
+    with pytest.raises(NonfiniteInput, match=named):
+        cauchy_condition_check(CoefficientTensor((0.5, -0.5), 2.0), (1, 0), (0, 1), n, m)
+
+
+def test_cauchy_condition_names_a_count_power_beyond_a_float():
+    """n*m fits in a float, but (n*m)**2 at beta' = -2 does not."""
+    with pytest.raises(NonfiniteResult, match=r"a count\*\*2.0 does not fit in a float"):
+        cauchy_condition_check(CoefficientTensor((0.5, -0.5), -2.0), (1, 0), (0, 1), 10**160, 2)
 
 
 def test_time_symmetry_requires_plus_minus_pairs():
@@ -143,6 +241,42 @@ def test_cauchy_condition_breaks_under_perturbation():
     assert rep.deviation > 1e-3
 
 
+def _cauchy_per_coefficient(ct, k, s, n, m, perturb):
+    """The check's deviation as one alpha_coefficient call per coefficient
+    forms it."""
+    fac, N = math.factorial, ct.order
+    lhs = (fac(N) * math.prod(fac(v) for v in k) * math.prod(fac(v) for v in s)
+           * (alpha_coefficient(ct, k, n) + perturb) * alpha_coefficient(ct, s, m))
+    rhs, scale = 0.0 + 0.0j, 0.0
+    for pi in itertools.permutations(range(N)):
+        merged = tuple(k[i] + s[pi[i]] for i in range(N))
+        term = math.prod(fac(v) for v in merged) * alpha_coefficient(ct, merged, n * m)
+        rhs += term
+        scale += abs(term)
+    return relative_deviation(lhs, rhs, scale)
+
+
+_PART = st.floats(-2.0, 2.0) | st.just(0.0)
+
+
+@given(st.integers(1, ORDER_BOUND).flatmap(lambda N: st.tuples(
+           st.lists(st.builds(complex, _PART, _PART), min_size=N, max_size=N),
+           st.lists(st.integers(0, 4), min_size=N, max_size=N),
+           st.lists(st.integers(0, 4), min_size=N, max_size=N))),
+       st.integers(1, 12), st.integers(1, 12), st.floats(0.0, 2.0),
+       st.sampled_from([0.0, 1e-3]) | st.floats(-1.0, 1.0))
+@example(([0.6, -0.6, 0.4, -0.4], [2, 1, 1, 0], [1, 0, 2, 1]), 5, 7, 0.5, 0.0)
+@example(([0.8j, -0.8j], [1, 1], [1, 1]), 2, 2, 1.0, 0.1)
+def test_cauchy_condition_is_its_per_coefficient_formula_bit_for_bit(case, n, m, beta_prime,
+                                                                     perturb):
+    alphas, k, s = case
+    ct = CoefficientTensor(tuple(alphas), beta_prime)
+    rep = cauchy_condition_check(ct, k, s, n, m, perturb=perturb)
+    want = _cauchy_per_coefficient(ct, tuple(k), tuple(s), n, m, perturb)
+    assert rep.deviation.hex() == want.hex()
+    assert rep.params == {"k": k, "s": s, "n": n, "m": m, "perturb": perturb}
+
+
 def test_cauchy_condition_validation():
     ct = CoefficientTensor((1.0, -1.0))
     with pytest.raises(ValueError):
@@ -152,6 +286,9 @@ def test_cauchy_condition_validation():
     big = CoefficientTensor((0.1, -0.1, 0.2, -0.2, 0.3))
     with pytest.raises(ValueError):
         cauchy_condition_check(big, (0,) * 5, (0,) * 5, 2, 2)
+    for n, m in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError, match="must be positive"):
+            cauchy_condition_check(ct, (1, 0), (0, 1), n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -392,3 +529,61 @@ def test_tail_bound_matches_its_direct_formula(alphas, phases, truncation, beta_
         direct = _direct_tail_bound(ct, phi, truncation)
     assume(math.isfinite(direct))
     assert _tail_bound(ct, phi, truncation) == APPROX(direct, rel=1e-12, abs=1e-300)
+
+
+def _tail_bound_per_alpha(ct, phi, truncation):
+    """The bound with one pair of _log_sums calls per alpha."""
+    abs_phi = np.abs(phi)
+    log_ceilings = [float(_log_sums(abs(a), abs_phi)[0]) for a in ct.alphas]
+    log_terms = []
+    for i, a in enumerate(ct.alphas):
+        m = abs(a) * abs_phi
+        m = m[m > 0]
+        if m.size:
+            log_delta = float(_log_sums(1.0, m + (truncation + 1) * np.log(m))[0])
+            log_terms.append(log_delta + sum(log_ceilings[:i] + log_ceilings[i + 1:]))
+    if not log_terms:
+        return 0.0
+    top = max(log_terms)
+    log_total = top + math.log(math.fsum(math.exp(x - top) for x in log_terms))
+    try:
+        return math.exp(log_total - math.log(math.factorial(truncation + 1))
+                        - ct.beta_prime * math.log(phi.size))
+    except OverflowError:
+        return math.inf
+
+
+# alphas that share a magnitude: repeated, opposite, rotated by i, and 0
+_ALPHA = st.builds(lambda mag, turn: mag * (1, -1, 1j, -1j)[turn],
+                   st.sampled_from([0.0, 0.3, 0.8]) | _scaled, st.integers(0, 3))
+
+
+@given(alphas=st.lists(_ALPHA, min_size=1, max_size=4),
+       phases=st.lists(_scaled | st.just(0.0), min_size=1, max_size=12),
+       truncation=st.integers(1, 20), beta_prime=st.floats(-1.0, 2.0))
+@example(alphas=[0.8, -0.8], phases=[0.5, -0.25, 0.0], truncation=12, beta_prime=1.0)
+@example(alphas=[0.0, 0.0j], phases=[0.5], truncation=12, beta_prime=1.0)
+def test_tail_bound_is_its_per_alpha_formula_bit_for_bit(alphas, phases, truncation,
+                                                         beta_prime):
+    ct = CoefficientTensor(tuple(alphas), beta_prime)
+    phi = np.asarray(phases)
+    assert _tail_bound(ct, phi, truncation).hex() == _tail_bound_per_alpha(
+        ct, phi, truncation).hex()
+
+
+@pytest.mark.parametrize("alphas, distinct", [
+    ((0.8, -0.8), 1), ((0.8j, -0.8j), 1), ((0.6, -0.6, 0.3, -0.3), 2),
+    ((0.6, -0.6, 0.6j, -0.6j), 1), ((0.5, -0.5, 0.3), 2), ((0.9, 0.2j, -0.4), 3)])
+def test_tail_bound_takes_one_pair_of_log_sums_per_distinct_magnitude(monkeypatch, alphas,
+                                                                       distinct):
+    """A ceiling and a delta per distinct |alpha|: 2 calls, not 4, for the
+    +/- pairs that verify and phase_scan check."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return _log_sums(*args, **kwargs)
+
+    monkeypatch.setattr(sympoly, "_log_sums", counted)
+    _tail_bound(CoefficientTensor(alphas, 1.0), np.array([0.3, -0.7, 0.1]), 12)
+    assert len(calls) == 2 * distinct
