@@ -14,7 +14,6 @@ import csv
 import functools
 import io
 import json
-import math
 import reprlib
 import sys
 from itertools import chain
@@ -22,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._input import is_label, is_number, read_json
+from ._input import finite, is_label, is_number, read_json
 from .diagrams import (
     FIXTURE_NAMES,
     Scenario,
@@ -350,14 +349,11 @@ def cmd_amplitude(args: argparse.Namespace) -> int:
 
 
 def _finite(text: str) -> float:
-    """An argparse type: a float that must be finite."""
+    """An argparse type: a float that must be finite (_input.finite)."""
     try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
+        return finite("value", float(text))
+    except ValueError:  # not a number, or NonfiniteInput
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,13 +364,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, func, help: str, needs_input=True,
-                light_speed=False) -> argparse.ArgumentParser:
+    def command(name: str, func, help: str, required=True, light_speed=False,
+                inputs="input JSON path",
+                output="output file (default stdout)") -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
-        if needs_input:
-            p.add_argument("--input", required=True, help="input JSON path")
-        p.add_argument("--output", help="output file (default stdout)")
+        if inputs:
+            p.add_argument("--input", required=required, help=inputs)
+        p.add_argument("--output", help=output)
         if light_speed:
             p.add_argument("--c", type=float, default=1.0,
                            help="light speed, unless the input sets c")
@@ -383,18 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
     command("boost", cmd_boost, "transform one event", light_speed=True)
     command("compose", cmd_compose, "compose two boosts", light_speed=True)
 
-    p_diagram = sub.add_parser(
-        "diagram", help="render a scenario and report roles and paths"
-    )
-    p_diagram.add_argument(
-        "--input", required=True,
-        help=f"scenario JSON path or fixture name {FIXTURE_NAMES}",
-    )
-    p_diagram.add_argument(
-        "--output",
-        help="file for the --format document (default stdout); with --format "
-        "svg and --output, the JSON report goes to stdout",
-    )
+    p_diagram = command(
+        "diagram", cmd_diagram, "render a scenario and report roles and paths",
+        inputs=f"scenario JSON path or fixture name {FIXTURE_NAMES}",
+        output="file for the --format document (default stdout); with --format "
+        "svg and --output, the JSON report goes to stdout")
     p_diagram.add_argument("--format", choices=("svg", "json"), default="svg")
     p_diagram.add_argument("--title", default=None)
     group = p_diagram.add_mutually_exclusive_group()
@@ -404,9 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="apply a superluminal boost before reporting")
     group.add_argument("--infinite", action="store_true",
                        help="apply the infinite-speed axis swap")
-    p_diagram.set_defaults(func=cmd_diagram)
 
-    p_verify = command("verify", cmd_verify, "run the verification suite", needs_input=False)
+    p_verify = command("verify", cmd_verify, "run the verification suite", inputs=None)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--tolerance", type=_finite, default=None,
                           help="replace every default pass tolerance")
@@ -423,11 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the seconds of each suite row to stderr as one JSON object",
     )
 
-    p_scan = sub.add_parser("scan", help="finiteness scan over path counts")
-    p_scan.add_argument("--input", help="scan parameters JSON path")
-    p_scan.add_argument("--output", help="CSV output path (default stdout)")
+    p_scan = command("scan", cmd_scan, "finiteness scan over path counts", required=False,
+                     inputs="scan parameters JSON path", output="CSV output path (default stdout)")
     p_scan.add_argument("--seed", type=int, default=0)
-    p_scan.set_defaults(func=cmd_scan)
 
     command("amplitude", cmd_amplitude, "sum a phase set into an amplitude")
 

@@ -18,43 +18,17 @@ and one whose magnitude does not fit in a float raises NonfiniteResult.
 
 from __future__ import annotations
 
-import cmath
 import contextlib
 import math
-import reprlib
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._input import is_number
-from .errors import NonfiniteInput, NonfiniteResult, SuperluminalSegment
+from ._input import as_phases, finite, finite_count, is_number
+from .errors import NonfiniteResult, SuperluminalSegment
 from .kinematics import Event1p1, K_from_c, _squares
 from .report import CheckReport, relative_deviation
-
-
-def as_phases(phases) -> np.ndarray:
-    """phases as a non-empty 1-D float64 array.  A phase that is not finite,
-    or an int beyond a float, raises NonfiniteInput naming the first such
-    phase by its index and its value, cut by reprlib."""
-    try:
-        arr = np.atleast_1d(np.asarray(phases, dtype=float))
-    except OverflowError:  # an int beyond a float, named below
-        arr = np.atleast_1d(np.asarray(phases, dtype=object))
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("a phase set is a non-empty 1-D array of reals")
-    if arr.dtype == object or not np.isfinite(arr).all():
-        i, phase = next((i, p) for i, p in enumerate(arr.tolist()) if not _finite(p))
-        raise NonfiniteInput(f"phases must be finite; phase {i} is {reprlib.repr(phase)}")
-    return arr
-
-
-def _finite(value) -> bool:
-    """A number that converts to a finite float."""
-    try:
-        return math.isfinite(float(value))
-    except OverflowError:
-        return False
 
 
 @dataclass(frozen=True)
@@ -79,12 +53,10 @@ def path_phase(p: Path, scale: float = 1.0, c: float = 1.0) -> float:
     Each segment contributes dt*sqrt(1 - v**2/c**2).  Segments at or above c
     raise SuperluminalSegment; the phase is additive over concatenation and
     unchanged by subluminal boosts.  A phase beyond a float raises
-    NonfiniteResult.  c must pass K_from_c, and a scale that is not finite
-    raises NonfiniteInput.
+    NonfiniteResult.  c must pass K_from_c, and scale _input.finite.
     """
     K_from_c(c)
-    if not math.isfinite(scale):
-        raise NonfiniteInput(f"path_phase needs a finite scale, got scale={scale!r}")
+    finite("scale", scale)
     t = np.array([[v.t for v in p.vertices]])
     x = np.array([[v.x for v in p.vertices]])
     return float(_path_phases(t, x, np.array([0]), np.array([t.size]), c, scale)[0])
@@ -159,9 +131,9 @@ class InvariantSpec:
     gamma: float
 
     def __post_init__(self):
-        if not (cmath.isfinite(complex(self.alpha)) and math.isfinite(self.beta)
-                and math.isfinite(self.gamma)):
-            raise ValueError(f"invariant parameters must be finite ({_spec_text(self)})")
+        finite("alpha", self.alpha, complex)
+        finite("beta", self.beta)
+        finite("gamma", self.gamma)
 
 
 class _Columns(NamedTuple):
@@ -257,8 +229,8 @@ def _phasor_sum(omega, phi: np.ndarray, name: str, coefficient,
     So a sum that is not finite means a half angle omega*phi/2 beyond a
     float, which needs |omega| > 2.  That raises NonfiniteResult naming the
     first such phase and the coefficient whose product with it overflows:
-    name, and its value.  For |omega| <= 2 the pass skips np.errstate and
-    the check, which cost about 5 us a call.
+    name, and its value (_unfit).  For |omega| <= 2 the pass skips
+    np.errstate and the check, which cost about 5 us a call.
 
     Given scratch (as in _log_sums), the pass overwrites phi and scratch
     and makes no array of phi's size, with the same bits.  It then cannot
@@ -276,25 +248,32 @@ def _phasor_sum(omega, phi: np.ndarray, name: str, coefficient,
     count = phi.shape[-1] if lengths is None else lengths
     total = (2.0 * _row_sums(r, lengths) - count) + 2j * _row_sums(t, lengths)
     if may_overflow and not np.isfinite(total).all():
-        if scratch is not None:
-            raise NonfiniteResult(f"{name} * a phase does not fit in a float")
-        with np.errstate(over="ignore"):
-            k = np.unravel_index(np.argmin(np.isfinite((0.5 * omega) * phi)), phi.shape)
-        where = int(k[0]) if len(k) == 1 else tuple(map(int, k))
-        if isinstance(coefficient, np.ndarray):  # the phase's own, by its row or index
-            coefficient = complex(coefficient.flat[k[0]])
-        raise NonfiniteResult(
-            f"{name} * phase {where} = {coefficient!r} * {float(phi[k])!r} = "
-            f"10**{math.log10(abs(coefficient)) + math.log10(abs(phi[k])):.6g} "
-            f"does not fit in a float")
+        _unfit(name, 0.5 * omega, None if scratch is not None else phi, coefficient)
     return total
 
 
+def _unfit(name: str, factor, phi: np.ndarray | None, coefficient):
+    """NonfiniteResult naming the first phase whose product with factor is
+    beyond a float, and name, of value coefficient (the phase's own for an
+    array); phi None (overwritten) names no phase, so the caller does."""
+    if phi is None:
+        raise NonfiniteResult(f"{name} * a phase does not fit in a float")
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = np.unravel_index(np.argmin(np.isfinite(factor * phi)), phi.shape)
+    where = int(k[0]) if len(k) == 1 else tuple(map(int, k))
+    if isinstance(coefficient, np.ndarray):
+        coefficient = complex(coefficient.flat[k[0]])
+    raise NonfiniteResult(
+        f"{name} * phase {where} = {coefficient!r} * {float(phi[k])!r} = "
+        f"10**{math.log10(abs(coefficient)) + math.log10(abs(phi[k])):.6g} "
+        f"does not fit in a float")
+
+
 def _reach(alpha: complex, phi: np.ndarray) -> float:
-    """The largest |Re(alpha*phi_k)| over all of phi.  Rounding a product is
-    monotone and symmetric in sign, so this is |Re alpha| times the largest
-    |phi_k|, the same float, with no pass over the products."""
-    return abs(alpha.real) * max(phi.max(), -phi.min())
+    """The largest |Re(alpha*phi_k)| over all of phi, or inf: rounding a
+    product is monotone and symmetric in sign, so this is |Re alpha| times
+    the largest |phi_k|, the same float, with no pass over the products."""
+    return abs(alpha.real) * float(max(phi.max(), -phi.min()))
 
 
 def _log_sums(alpha, phi: np.ndarray, reach: float | None = None,
@@ -314,25 +293,28 @@ def _log_sums(alpha, phi: np.ndarray, reach: float | None = None,
     largest real part of its exponents (logsumexp).  The branch is taken by
     reach, the _reach of phi unless given: rows of a larger array valued
     apart pass that array's reach, so that they keep its branch and bits,
-    and an array of alphas is given the reach of its rows.
-    Complex logs are principal; a sum that vanishes exactly gives a real
-    part of -inf.  Given scratch, a float64 array of phi's shape, with phi
-    a writeable float64 array, both in C order, a real or purely imaginary
-    alpha overwrites phi and scratch and makes no array of phi's size, with
-    the same bits; a general complex alpha ignores scratch, since its
-    exponents are complex.
+    and an array of alphas is given the reach of its rows.  Complex logs are
+    principal; a sum that vanishes exactly gives a real part of -inf, and an
+    alpha*phi_k beyond a float raises NonfiniteResult (_unfit).  Given
+    scratch, a float64 array of phi's shape, with phi a writeable float64
+    array, both in C order, a real or purely imaginary alpha overwrites phi
+    and scratch and makes no array of phi's size, with the same bits; a
+    general complex alpha ignores scratch, since its exponents are complex.
     """
     lead = _lead(alpha)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # named below
         if lead.real == 0.0 and lead.imag != 0.0:
             lp = np.log(_phasor_sum(alpha.imag, phi, "alpha", alpha, scratch, lengths))
             return lp, np.conj(lp)
         if lead.imag:
             x, scratch = alpha * phi, None
+            if not np.isfinite(x).all():
+                _unfit("alpha", alpha, phi, alpha)
         else:
             x = np.multiply(alpha.real, phi, out=None if scratch is None else phi)
         re = x.real
-        if (_reach(alpha, phi) if reach is None else reach) <= SAFE_EXPONENT:
+        reach = _reach(alpha, phi) if reach is None else reach
+        if reach <= SAFE_EXPONENT:
             np.exp(x, out=x)
             sp = _row_sums(x, lengths)
             np.divide(1.0, x, out=x)
@@ -342,6 +324,9 @@ def _log_sums(alpha, phi: np.ndarray, reach: float | None = None,
         # slow path for results that underflow.
         top, hi = _row_reduce(np.maximum, re, lengths)
         bottom, lo = _row_reduce(np.minimum, re, lengths)
+        # a finite reach bounds every |Re(alpha*phi_k)|, so none overflowed
+        if not reach < math.inf and not (np.isfinite(top).all() and np.isfinite(bottom).all()):
+            _unfit("alpha", alpha, phi if scratch is None else None, alpha)
         logs = []
         # with scratch, lo - x overwrites x, which it is the last to read
         shifted = ((np.subtract(x, hi, out=scratch), top),
@@ -369,17 +354,18 @@ def _log_P(spec: InvariantSpec | _Columns, phi: np.ndarray, reach: float | None 
     """
     alpha = np.repeat(spec.alpha, lengths) if isinstance(spec, _Columns) else complex(spec.alpha)
     lp, lm = _log_sums(alpha, phi, reach, scratch, lengths)
-    total = lp + lm
-    theta = total.imag
-    lead = _lead(alpha)
-    if lead.real and lead.imag:
-        theta = theta - 2 * math.pi * np.ceil((theta - math.pi) / (2 * math.pi))
     gamma = spec.gamma
-    power = gamma * total.real if _all(gamma != 0.0) else np.multiply(
-        gamma, total.real, out=np.zeros_like(total.real), where=gamma != 0.0)
     log_n = (math.log(phi.shape[-1]) if lengths is None
              else np.array([math.log(n) for n in lengths.tolist()]))
-    return power - spec.beta * log_n, gamma * theta
+    with np.errstate(over="ignore", invalid="ignore"):  # _polar names a value beyond a float
+        total = lp + lm
+        theta = total.imag
+        lead = _lead(alpha)
+        if lead.real and lead.imag:
+            theta = theta - 2 * math.pi * np.ceil((theta - math.pi) / (2 * math.pi))
+        power = gamma * total.real if _all(gamma != 0.0) else np.multiply(
+            gamma, total.real, out=np.zeros_like(total.real), where=gamma != 0.0)
+        return power - spec.beta * log_n, gamma * theta
 
 
 def _magnitude(log_abs: float, describe: Callable[[str], str]) -> float:
@@ -398,10 +384,15 @@ def _spec_text(spec: InvariantSpec) -> str:
     return f"alpha={complex(spec.alpha)!r}, beta={spec.beta!r}, gamma={spec.gamma!r}"
 
 
-def _value(spec: InvariantSpec, log_abs: float, theta: float, n: int) -> complex:
-    """P from log|P| and arg P, exponentiated once on Python floats."""
+def _polar(log_abs: float, theta: float, name: str, given: Callable[[], str]) -> complex:
+    """exp(log_abs + i*theta) on Python floats; a magnitude beyond a float,
+    or a nonzero one at an argument beyond a float, names name and given()."""
     mag = _magnitude(log_abs, lambda log10: (
-        f"|P| = 10**{log10} does not fit in a float ({_spec_text(spec)}, n={n})"))
+        f"|{name}| = 10**{log10} does not fit in a float ({given()})"))
+    if not math.isfinite(theta):
+        if mag:
+            raise NonfiniteResult(f"arg {name} = {theta!r} does not fit in a float ({given()})")
+        theta = 0.0
     return complex(mag * math.cos(theta), mag * math.sin(theta))
 
 
@@ -416,7 +407,7 @@ def invariant_P(spec: InvariantSpec, phases) -> complex:
     """
     phi = as_phases(phases)
     log_abs, theta = _log_P(spec, phi)
-    return _value(spec, float(log_abs), float(theta), phi.size)
+    return _polar(float(log_abs), float(theta), "P", lambda: f"{_spec_text(spec)}, n={phi.size}")
 
 
 def _invariant_Ps(specs: Sequence[InvariantSpec], phi: np.ndarray,
@@ -429,7 +420,7 @@ def _invariant_Ps(specs: Sequence[InvariantSpec], phi: np.ndarray,
     group, in order of length (so that _row_sums sums each length as one
     view), and the rows of a group are the ragged rows of one call, their
     specs its _Columns.  Each row must be a valid phase set (as_phases).  P
-    is formed per row on Python floats (_value), and a row that overflows
+    is formed per row on Python floats (_polar), and a row that overflows
     raises NonfiniteResult as invariant_P does: a group that raises is
     valued again row by row, so that the error names the row's own spec."""
     alpha = np.array([complex(s.alpha) for s in specs])
@@ -460,7 +451,7 @@ def _invariant_Ps(specs: Sequence[InvariantSpec], phi: np.ndarray,
             raise
         for i, la, th, n in zip(rows.tolist(), log_abs.tolist(), theta.tolist(),
                                 sizes.tolist()):
-            out[i] = _value(specs[i], la, th, n)
+            out[i] = _polar(la, th, "P", lambda: f"{_spec_text(specs[i])}, n={n}")
     return out
 
 
@@ -500,18 +491,29 @@ def check_time_reversal(f: Callable, phases, tol: float = 1e-12) -> CheckReport:
 
 
 def pairwise_phase_sums(phases_a, phases_b) -> np.ndarray:
-    return _pairwise_sums(as_phases(phases_a), as_phases(phases_b))
+    """Every sum a[i] + b[j] of two phase sets, i major.  A sum beyond a
+    float raises NonfiniteResult naming its two phases."""
+    a, b = as_phases(phases_a), as_phases(phases_b)
+    with np.errstate(over="ignore"):  # named below
+        sums = _pairwise_sums(a, b)
+    if not np.isfinite(sums).all():
+        i, j = divmod(int(np.argmin(np.isfinite(sums))), b.size)
+        raise NonfiniteResult(f"the sum of phases a[{i}] = {float(a[i])!r} and "
+                              f"b[{j}] = {float(b[j])!r} does not fit in a float")
+    return sums
 
 
 def _pairwise_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """pairwise_phase_sums of two phase sets already checked by as_phases."""
+    """pairwise_phase_sums of two phase sets already checked by as_phases,
+    unchecked."""
     return np.add.outer(a, b).ravel()
 
 
 def check_multiplicativity(
     f: Callable, phases_a, phases_b, tol: float = 1e-9
 ) -> CheckReport:
-    """f over all pairwise sums must factor into f(a) * f(b).
+    """f over all pairwise sums (pairwise_phase_sums) must factor into
+    f(a) * f(b).
 
     For complex alpha the gamma powers use the principal branch, so the
     comparison is meaningful while |Im(alpha) * phi| stays well below pi;
@@ -666,10 +668,11 @@ def finiteness_scan(
     the values have the bits of one (trials, n) draw valued in one pass, and
     rng ends in the same state.  The medians and the fit are formed in the
     log domain; a median that does not fit in a float raises NonfiniteResult
-    naming n, the slope and the class.
+    naming n, the slope and the class.  Each n value is a count
+    (_input.finite_count).
     """
     rng = rng or np.random.default_rng(0)
-    ns = [int(n) for n in n_values]
+    ns = [int(finite_count("n value", n)) for n in n_values]
     if len(set(ns)) < 2 or any(n < 1 for n in ns):  # one n value fits no slope
         raise ValueError(f"need at least two distinct positive n values, got n_values={ns}")
     if not 1 <= trials <= 100:
@@ -719,7 +722,6 @@ def amplitude(phases, alpha_mag: float = 1.0) -> Amplitude:
     naming alpha_mag and the first such phase.
     """
     phi = as_phases(phases)
-    if not math.isfinite(alpha_mag):
-        raise ValueError(f"alpha_mag must be finite, got {alpha_mag!r}")
+    finite("alpha_mag", alpha_mag)
     total = _phasor_sum(alpha_mag, phi, "alpha_mag", alpha_mag)
     return Amplitude(complex(total) / phi.size, int(phi.size))

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._input import is_label
+from ._input import finite, finite_column, is_finite, is_label, real_array
 from .errors import (
     BranchSpeedViolation,
     DegenerateA,
@@ -52,35 +52,17 @@ class Parity(Enum):
     ANTISYMMETRIC = "antisymmetric"
 
 
-def _require_finite(name: str, value: float) -> None:
-    """NonfiniteInput, a ValueError, naming name and value unless value is
-    finite: the one check of every finite kinematics input."""
-    if not math.isfinite(value):
-        raise NonfiniteInput(f"{name} must be finite, got {value!r}")
-
-
-def _finite3(name: str, values) -> tuple[float, float, float]:
-    """values as a triple of finite floats; ValueError naming name if there
-    are not three, NonfiniteInput if one is not finite."""
-    vec = tuple(float(v) for v in values)
-    if len(vec) != 3:
-        raise ValueError(f"{name} must have exactly three components")
-    for v in vec:
-        _require_finite(f"{name} component", v)
-    return vec
-
-
 @dataclass(frozen=True, slots=True)
 class Event1p1:
-    """Event with one time and one space coordinate.  Slotted, so it has no
-    __dict__; diagrams._filled builds it from checked columns."""
+    """Event with one time and one space coordinate, finite floats.  Slotted,
+    so it has no __dict__; diagrams._filled builds it from checked columns."""
 
     t: float
     x: float
 
     def __post_init__(self) -> None:
-        _require_finite("t", self.t)
-        _require_finite("x", self.x)
+        object.__setattr__(self, "t", finite("t", self.t))
+        object.__setattr__(self, "x", finite("x", self.x))
 
 
 @dataclass(frozen=True)
@@ -91,8 +73,8 @@ class Event1p3:
     r: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        _require_finite("t", self.t)
-        object.__setattr__(self, "r", _finite3("r", self.r))
+        object.__setattr__(self, "t", finite("t", self.t))
+        object.__setattr__(self, "r", finite_column("r component", self.r, 3))
 
 
 @dataclass(frozen=True)
@@ -108,8 +90,8 @@ class SuperluminalEvent1p3:
     x: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tvec", _finite3("tvec", self.tvec))
-        _require_finite("x", self.x)
+        object.__setattr__(self, "tvec", finite_column("tvec component", self.tvec, 3))
+        object.__setattr__(self, "x", finite("x", self.x))
 
 
 @dataclass(frozen=True)
@@ -129,13 +111,17 @@ class Boost:
     K: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.K > 0) or not math.isfinite(self.K):
+        if not (is_finite(self.K) and self.K > 0):
             raise NonpositiveK(f"boosts require K > 0, got K={self.K!r}")
         if isinstance(self.speed, (tuple, list, np.ndarray)):
-            object.__setattr__(self, "speed", _finite3("speed", self.speed))
+            object.__setattr__(self, "speed", finite_column("speed component", self.speed, 3))
             mag = math.hypot(*self.speed)
         else:
-            mag = abs(float(self.speed))
+            try:
+                mag = abs(float(self.speed))
+            except OverflowError:  # an int beyond a float
+                raise BranchSpeedViolation(
+                    f"speed {reprlib.repr(self.speed)} does not fit in a float") from None
         c = 1.0 / math.sqrt(self.K)
         if self.branch is Branch.SUBLUMINAL:
             if not mag < c * (1.0 - BOUNDARY_BAND):
@@ -171,10 +157,10 @@ class GeneralTransformFamily:
     parity: Parity
 
     def parity_deviation(self, samples: Sequence[float]) -> float:
-        """Worst relative parity violation of A over the sample velocities."""
+        """Worst relative parity violation of A over the sample velocities (_scales)."""
         worst = 0.0
         for v in samples:
-            a, am = self.A(v), self.A(-v)
+            a, am = _scales(self, v)
             diff = a - am if self.parity is Parity.SYMMETRIC else a + am
             scale = max(abs(a), abs(am), 1e-300)
             worst = max(worst, abs(diff) / scale)
@@ -213,9 +199,10 @@ def superluminal_family(
 def K_from_c(c: float) -> float:
     """K = 1/c**2 for a light speed c, which must be positive and finite, and
     neither so small that K overflows nor so large that it underflows to 0."""
-    if not (c > 0 and math.isfinite(c)):
+    if not (is_finite(c) and c > 0):
         raise NonpositiveK(f"light speed c must be positive and finite, got c={c!r}")
-    K = 1.0 / (c * c) if c * c else math.inf
+    c2 = float(c) * c
+    K = 1.0 / c2 if c2 else math.inf
     if math.isinf(K):
         raise NonpositiveK(f"K = 1/c**2 does not fit in a float for light speed c={c!r}")
     if not K:
@@ -353,18 +340,24 @@ def velocity_of_matrix(M: np.ndarray) -> float:
     Read off as minus the ratio of the x-row coefficients (t column over
     x column); the overall scale of the matrix cancels.  An x-x entry of
     exactly 0 means the matrix is the axis swap of the infinite-speed frame,
-    which has no velocity; any other entry gives a speed, however large.
-    M may also be a stack of matrices, (n, 2, 2), read one by one.
+    which has no velocity, and raises PoleError, as does a speed beyond the
+    float range.  The entries must be finite (_input.finite_column).  M may
+    also be a stack of matrices, (n, 2, 2), read one by one.
     """
+    M = finite_column("matrix entry", M)
     if (M[..., 1, 1] == 0.0).any():
         raise PoleError("matrix maps onto the infinite-speed frame")
-    v = -M[..., 1, 0] / M[..., 1, 1]
+    with np.errstate(over="ignore"):
+        v = -M[..., 1, 0] / M[..., 1, 1]
+    if not np.isfinite(v).all():
+        raise PoleError("the speed of the matrix lies beyond the float range")
     return float(v) if M.ndim == 2 else v
 
 
 def branch_of_matrix(M: np.ndarray) -> Branch:
-    det = float(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
-    return Branch.SUBLUMINAL if det > 0 else Branch.SUPERLUMINAL
+    """The branch of a 2x2 matrix by the sign of its determinant, taken exactly."""
+    (a, b), (c, d) = ([*map(Fraction, row)] for row in finite_column("matrix entry", M).tolist())
+    return Branch.SUBLUMINAL if a * d - b * c > 0 else Branch.SUPERLUMINAL
 
 
 def _point(V: float, K: float) -> tuple[float, float]:
@@ -393,6 +386,8 @@ def _compose(V1, V2, K: float):
         if not q.all():
             i = int(np.argmin(q != 0.0))
             return _compose(float(V1[i]), float(V2[i]), K)
+    elif q != q:  # K*p1 beyond a float, times a p2 of 0
+        q = q1 * q2
     elif q == 0.0:
         if (q1 * q2 == 0.0 and q1 and q2) or (K * p1 * p2 == 0.0 and p1 and p2):
             # a product of nonzero factors underflowed: q is tiny, not 0
@@ -420,9 +415,10 @@ def compose_velocities_1p1(V1: float, V2: float, K: float = 1.0) -> float:
     the rest frame, by the law above; +/-inf is a valid operand, NaN a
     ValueError.  Raises PoleError at 1 + K*V1*V2 = 0 and warns
     LightSpeedResult within BOUNDARY_BAND of the light cone."""
+    Boost.infinite(K)  # checks K as every boost does
     for name, v in (("V1", V1), ("V2", V2)):
-        if math.isnan(v):
-            raise ValueError(f"{name} must be a number, got {v!r}")
+        if not (is_finite(v, name) or abs(v) == math.inf):
+            raise ValueError(f"{name} must be a number or +/-inf, got {reprlib.repr(v)}")
     v = _compose(V1, V2, K)
     if abs(abs(v) * math.sqrt(K) - 1.0) <= BOUNDARY_BAND:
         warnings.warn(f"composed velocity {v!r} lies on the light cone",
@@ -493,11 +489,25 @@ def _exact_forms(s2, c: float, increments: Callable, named: Callable):
 # General transform family: apply and extract K.
 
 
-def _k_expression(fam: GeneralTransformFamily, V: float) -> float:
-    a, am = fam.A(V), fam.A(-V)
-    if not (math.isfinite(a) and math.isfinite(am)) or abs(a * am) < 1e-300:
+def _scales(fam: GeneralTransformFamily, V: float) -> tuple[float, float]:
+    """A(V) and A(-V) at a finite V, the one evaluation of a family's A; or
+    DegenerateA naming V where A raises an ArithmeticError or a ValueError,
+    or where A(V)*A(-V) is not finite or vanishes or V*V*A(V)*A(-V) underflows."""
+    V = finite("V", V)
+    try:
+        a, am = fam.A(V), fam.A(-V)
+        degenerate = not is_finite(a * am) or abs(a * am) < 1e-300 or (V and not V * V * a * am)
+    except (ArithmeticError, ValueError) as exc:  # a pole, or beyond the family's light speed
+        raise DegenerateA(f"A is not defined at V={V!r} or -V: {exc!r}") from None
+    if degenerate:
         raise DegenerateA(f"A(V)*A(-V) degenerate at V={V!r}: A(V)={a!r}, A(-V)={am!r}")
-    return (a * am - 1.0) / (V * V * a * am)
+    return a, am
+
+
+def _k_expression(fam: GeneralTransformFamily, V: float) -> tuple[float, float]:
+    """The K expression at V, and A(V), from _scales."""
+    a, am = _scales(fam, V)
+    return (a * am - 1.0) / (V * V * a * am), a
 
 
 def general_boost_1p1(e: Event1p1, fam: GeneralTransformFamily, V: float) -> Event1p1:
@@ -508,10 +518,8 @@ def general_boost_1p1(e: Event1p1, fam: GeneralTransformFamily, V: float) -> Eve
     """
     if V == 0:
         raise ZeroVelocity("the general transform is undefined at V = 0")
-    a = fam.A(V)
-    if not math.isfinite(a) or abs(a) < 1e-300:
-        raise DegenerateA(f"A({V!r}) = {a!r}")
-    return Event1p1(*_image(_form(a, a * V, _k_expression(fam, V)), e.t, e.x,
+    kappa, a = _k_expression(fam, V)
+    return Event1p1(*_image(_form(a, a * V, kappa), e.t, e.x,
                             f"by the {fam.parity.value} family at V={V!r}", (e,)))
 
 
@@ -521,17 +529,18 @@ def extract_K(
     rtol: float = 1e-8,
     atol: float = 1e-10,
 ) -> float:
-    """Evaluate the K expression on the samples and require it constant.
+    """Evaluate the K expression on the samples, which must be finite, and
+    require it constant.
 
     Returns the shared value; raises NotConstant when the spread exceeds
     atol + rtol * max|value|, and ZeroVelocity for a zero sample.
     """
-    sam = [float(v) for v in samples]
+    sam = [finite("sample velocity", v) for v in samples]
     if len(set(sam)) < 2:
         raise ValueError("need at least two distinct sample velocities")
     if any(v == 0 for v in sam):
         raise ZeroVelocity("K extraction samples must be nonzero")
-    values = [_k_expression(fam, v) for v in sam]
+    values = [_k_expression(fam, v)[0] for v in sam]
     spread = max(values) - min(values)
     scale = max(abs(v) for v in values)
     if spread > atol + rtol * max(1.0, scale):
@@ -595,13 +604,13 @@ def interval_nm(dts: Sequence[float], drs: Sequence[float], c: float = 1.0):
     returns the k forms of their rows.  Exactly rounded where this float
     formula is not finite (_exact_forms).  c must pass K_from_c."""
     K_from_c(c)
-    dts = np.atleast_1d(np.asarray(dts, dtype=float))
-    drs = np.atleast_1d(np.asarray(drs, dtype=float))
+    dts = np.atleast_1d(real_array("dt", dts))
+    drs = np.atleast_1d(real_array("dr", drs))
     with np.errstate(over="ignore", invalid="ignore"):
         s2 = c * c * np.sum(dts * dts, axis=-1) - np.sum(drs * drs, axis=-1)
 
     def row(v: np.ndarray, i: int) -> list[float]:  # row i of the increments v, broadcast
-        return np.broadcast_to(v, s2.shape + v.shape[-1:]).reshape(-1, v.shape[-1])[i].tolist()
+        return np.broadcast_to(v, s2.shape + v.shape[-1:]).reshape(s2.size, -1)[i].tolist()
 
     s2 = _exact_forms(s2, c, lambda i: [[*map(Fraction, row(v, i))] for v in (dts, drs)],
                       lambda i: f"increments dt={row(dts, i)} and dr={row(drs, i)}")
@@ -627,14 +636,6 @@ class EventColumns(NamedTuple):
 def _squares(col: np.ndarray) -> np.ndarray:
     """col ** 2 as a scalar computes it: libm pow, not always col * col."""
     return np.array([v ** 2 for v in col.tolist()])
-
-
-def _require_finite_columns(**columns: np.ndarray) -> None:
-    """NonfiniteInput naming the first non-finite value, as Event1p1 raises."""
-    for name, col in columns.items():
-        bad = np.flatnonzero(~np.isfinite(col))
-        if len(bad):
-            _require_finite(name, float(col.flat[bad[0]]))
 
 
 def column_boost(branch: Branch, V: np.ndarray, K: float = 1.0) -> Boost:
@@ -663,7 +664,8 @@ def column_entries(branch, V: np.ndarray, K: float = 1.0, *,
 
 def boost_1p1_columns(e: EventColumns, branch, V, K: float = 1.0) -> EventColumns:
     """boost_1p1 on columns: event i moved by the boost of speed V[i]."""
-    _require_finite_columns(t=e.t, x=e.x)
+    finite_column("t", e.t)
+    finite_column("x", e.x)
 
     def boost(i):
         one = branch if isinstance(branch, Branch) else (
@@ -680,7 +682,8 @@ def boost_1p3_superluminal_columns(t: np.ndarray, r: np.ndarray, W: np.ndarray,
     Python floats, mapped over the three component lists with no Python
     frame per speed: hypot has no bit-exact numpy twin."""
     K = K_from_c(c)
-    _require_finite_columns(**{"speed component": W, "t": t, "r component": r})
+    for name, col in (("speed component", W), ("t", t), ("r component", r)):
+        finite_column(name, col)
     w = np.array(list(map(math.hypot, *W.T.tolist())))
     m = column_entries(Branch.SUPERLUMINAL, w, K)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import NonfiniteResult
 
 
 @dataclass(frozen=True)
@@ -38,9 +41,15 @@ class CheckReport:
 
 
 def relative_deviation(lhs: complex, rhs: complex, scale: float = 0.0) -> float:
-    """|lhs - rhs| over the largest available magnitude."""
-    denom = max(abs(lhs), abs(rhs), scale, 1e-300)
-    return abs(lhs - rhs) / denom
+    """|lhs - rhs| over the largest available magnitude; NonfiniteResult
+    where a value it compares, or their difference, is beyond a float."""
+    try:
+        dev = abs(lhs - rhs) / max(abs(lhs), abs(rhs), scale, 1e-300)
+    except OverflowError:  # the magnitude of a complex value
+        dev = math.inf
+    if not math.isfinite(dev):
+        raise NonfiniteResult(f"the deviation of {lhs!r} from {rhs!r} does not fit in a float")
+    return dev
 
 
 def _relative(lhs, rhs, scale):

@@ -30,14 +30,14 @@ import functools
 import itertools
 import math
 import operator
-import reprlib
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonfiniteInput, NonfiniteResult, TruncationInsufficient
-from .invariants import _finite, _log_sums, _magnitude, _pairwise_sums, _row_sums, as_phases
+from ._input import as_phases, finite, finite_count
+from .errors import NonfiniteResult, TruncationInsufficient
+from .invariants import _log_sums, _pairwise_sums, _polar, _row_sums, pairwise_phase_sums
 from .report import CheckReport, _relative, relative_deviation
 
 
@@ -183,19 +183,18 @@ class CoefficientTensor:
 
     alphas of a solution that also respects time reversal come in +/- pairs,
     which forces an even count; the constructor does not enforce this so that
-    deliberately broken tensors remain expressible.  An alpha or a
-    beta_prime that is not finite (NaN, an inf, or an int beyond a float)
-    raises NonfiniteInput naming it.
+    deliberately broken tensors remain expressible.  Each alpha and
+    beta_prime must be finite (_input.finite).
     """
 
     alphas: tuple[complex, ...]
     beta_prime: float = 0.0
 
     def __post_init__(self) -> None:
-        alphas = tuple(_finite_complex(a, f"alpha {i}") for i, a in enumerate(self.alphas))
+        alphas = tuple(finite(f"alpha {i}", a, complex) for i, a in enumerate(self.alphas))
         if not alphas:
             raise ValueError("at least one alpha is required")
-        _finite_complex(self.beta_prime, "beta_prime")
+        finite("beta_prime", self.beta_prime, complex)
         object.__setattr__(self, "alphas", alphas)
 
     @property
@@ -213,17 +212,6 @@ class CoefficientTensor:
             else:
                 return False
         return True
-
-
-def _finite_complex(value, name: str) -> complex:
-    """complex(value), or NonfiniteInput naming it when a part is not finite."""
-    try:
-        z = complex(value)
-    except OverflowError:  # an int beyond a float
-        z = complex(math.inf)
-    if not cmath.isfinite(z):
-        raise NonfiniteInput(f"{name} must be finite, got {reprlib.repr(value)}")
-    return z
 
 
 # Bounded: verify's Cauchy check draws fresh alphas on every run, and their
@@ -249,16 +237,23 @@ def _permutation_sum(alphas: tuple[complex, ...], indices: tuple[int, ...]) -> c
 def alpha_coefficient(
     ct: CoefficientTensor, indices: tuple[int, ...], n: int
 ) -> complex:
-    """Coefficient of E_{k_1} * ... * E_{k_N} in the n-path expansion."""
+    """Coefficient of E_{k_1} * ... * E_{k_N} in the n-path expansion, n a
+    count (_input.finite_count); NonfiniteResult where it is beyond a float."""
     indices = tuple(int(k) for k in indices)
     if len(indices) != ct.order:
         raise ValueError(f"expected {ct.order} indices, got {len(indices)}")
     if any(k < 0 for k in indices):
         raise ValueError("indices must be nonnegative")
-    if n < 1:
-        raise ValueError("n must be positive")
+    finite_count("n", n)
     norm = math.factorial(ct.order) * math.prod(math.factorial(k) for k in indices)
-    return n ** (-ct.beta_prime) * _permutation_sum(ct.alphas, indices) / norm
+    try:
+        value = n ** (-ct.beta_prime) * _permutation_sum(ct.alphas, indices) / norm
+    except OverflowError:  # an n**-beta' or an alpha**k beyond a float
+        value = math.inf
+    if not cmath.isfinite(value):
+        raise NonfiniteResult(f"the coefficient of indices {indices} at n={n!r} does not fit "
+                              f"in a float (alphas={ct.alphas!r}, beta_prime={ct.beta_prime!r})")
+    return value
 
 
 INDEX_BOUND = 4
@@ -290,10 +285,9 @@ def cauchy_condition_check(
     order: its scale, times the cached permutation sum of its sorted
     indices, over the int N! * prod_i idx_i!.  A term of the sum depends on
     its merged indices only as a multiset, so each distinct one is formed
-    once and added wherever it recurs, in permutation order.  n and m must
-    be at least 1;
-    one that is not finite, or an n*m beyond a float, raises NonfiniteInput,
-    and a count**-beta' beyond a float NonfiniteResult.
+    once and added wherever it recurs, in permutation order.  n, m and n*m
+    are counts (_input.finite_count); a count**-beta' or a term beyond a
+    float raises NonfiniteResult.
     """
     k = tuple(int(v) for v in k)
     s = tuple(int(v) for v in s)
@@ -304,41 +298,42 @@ def cauchy_condition_check(
         raise ValueError(f"order N <= {ORDER_BOUND} required")
     if any(v < 0 or v > INDEX_BOUND for v in k + s):
         raise ValueError(f"indices must lie in [0, {INDEX_BOUND}]")
-    for name, count in (("n", n), ("m", m), ("n*m", n * m)):
-        if not _finite(count):
-            raise NonfiniteInput(f"{name} = {reprlib.repr(count)} is not a finite float")
-        if count < 1:
-            raise ValueError(f"{name} must be positive")
+    finite_count("n*m", finite_count("n", n) * finite_count("m", m))
     try:
         n_scale, m_scale, nm_scale = (count ** (-ct.beta_prime) for count in (n, m, n * m))
     except OverflowError:
         raise NonfiniteResult(f"a count**{-ct.beta_prime!r} does not fit in a float "
                               f"(n={n!r}, m={m!r})") from None
     fac, alphas = _FACTORIALS, ct.alphas
+    rhs, scale = 0.0 + 0.0j, 0.0
 
     def coefficient(indices, weight, scale):
         return scale * _permutation_sum_sorted(alphas, tuple(sorted(indices))) / (fac[N] * weight)
 
-    k_weight, s_weight = math.prod(fac[v] for v in k), math.prod(fac[v] for v in s)
-    lhs = (
-        fac[N]
-        * k_weight
-        * s_weight
-        * (coefficient(k, k_weight, n_scale) + perturb)
-        * coefficient(s, s_weight, m_scale)
-    )
-    rhs = 0.0 + 0.0j
-    scale = 0.0
-    terms = {}  # a term depends on its merged indices only as a multiset
-    for permuted in itertools.permutations(s):
-        merged = tuple(sorted(map(operator.add, k, permuted)))
-        if merged not in terms:
-            weight = math.prod(fac[v] for v in merged)
-            terms[merged] = weight * coefficient(merged, weight, nm_scale)
-        term = terms[merged]
-        rhs += term
-        scale += abs(term)
-    dev = relative_deviation(lhs, rhs, scale)
+    try:
+        k_weight, s_weight = math.prod(fac[v] for v in k), math.prod(fac[v] for v in s)
+        lhs = (
+            fac[N]
+            * k_weight
+            * s_weight
+            * (coefficient(k, k_weight, n_scale) + perturb)
+            * coefficient(s, s_weight, m_scale)
+        )
+        terms = {}  # a term depends on its merged indices only as a multiset
+        for permuted in itertools.permutations(s):
+            merged = tuple(sorted(map(operator.add, k, permuted)))
+            if merged not in terms:
+                weight = math.prod(fac[v] for v in merged)
+                terms[merged] = weight * coefficient(merged, weight, nm_scale)
+            term = terms[merged]
+            rhs += term
+            scale += abs(term)
+        dev = relative_deviation(lhs, rhs, scale)
+    except OverflowError:  # an alpha**k, or the magnitude of a term, beyond a float
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise NonfiniteResult(f"a term of the Cauchy condition does not fit in a float "
+                              f"(alphas={alphas!r}, k={k}, s={s}, n={n!r}, m={m!r})")
     return CheckReport(
         "cauchy_condition",
         dev,
@@ -351,20 +346,15 @@ def cauchy_condition_check(
 def closed_product(ct: CoefficientTensor, phases, n_override: int | None = None) -> complex:
     """n**(-beta') * prod_i sum_j exp(alpha_i * phi_j), the resummed series.
 
-    The factors are multiplied as logs and exponentiated once; raises
-    NonfiniteResult when the magnitude does not fit in a float, and
-    NonfiniteInput for an n_override that is not a positive finite count.
+    The factors are multiplied as logs and exponentiated once (_polar);
+    n_override is a count (_input.finite_count).
     """
     phi = as_phases(phases)
-    n = phi.size if n_override is None else n_override
-    if not 0 < n < math.inf:
-        raise NonfiniteInput(f"n_override must be positive and finite, got {reprlib.repr(n)}")
+    n = phi.size if n_override is None else finite_count("n_override", n_override)
     log_value = -ct.beta_prime * math.log(n) + sum(complex(_log_sums(a, phi)[0])
                                                    for a in ct.alphas)
-    mag = _magnitude(log_value.real, lambda log10: (
-        f"|closed product| = 10**{log10} does not fit in a float "
-        f"(alphas={ct.alphas!r}, beta_prime={ct.beta_prime!r}, n={n})"))
-    return complex(mag * math.cos(log_value.imag), mag * math.sin(log_value.imag))
+    return _polar(log_value.real, log_value.imag, "closed product", lambda: (
+        f"alphas={ct.alphas!r}, beta_prime={ct.beta_prime!r}, n={n}"))
 
 
 def _tail_bound(ct: CoefficientTensor, phi: np.ndarray, truncation: int) -> float:
@@ -383,10 +373,10 @@ def _tail_bound(ct: CoefficientTensor, phi: np.ndarray, truncation: int) -> floa
     logs = {}  # |alpha| -> (log ceiling, log delta or None when delta is 0)
     for a in map(abs, ct.alphas):
         if a not in logs:
+            ceiling = float(_log_sums(a, abs_phi)[0])  # names an a*|phi_j| beyond a float
             m = a * abs_phi
             m = m[m > 0]  # zero terms add nothing to delta_i
-            logs[a] = (float(_log_sums(a, abs_phi)[0]),
-                       float(_log_sums(1.0, m + (truncation + 1) * np.log(m))[0])
+            logs[a] = (ceiling, float(_log_sums(1.0, m + (truncation + 1) * np.log(m))[0])
                        if m.size else None)
     pairs = [logs[abs(a)] for a in ct.alphas]
     log_ceilings = [ceiling for ceiling, _ in pairs]
@@ -395,6 +385,8 @@ def _tail_bound(ct: CoefficientTensor, phi: np.ndarray, truncation: int) -> floa
     if not log_terms:
         return 0.0
     top = max(log_terms)
+    if top == math.inf:  # a product of ceilings beyond a float
+        return math.inf
     log_total = top + math.log(math.fsum(math.exp(x - top) for x in log_terms))
     try:
         return math.exp(log_total - math.log(math.factorial(truncation + 1))
@@ -437,7 +429,8 @@ def expansion_reconstruction_check(
     Raises ValueError for N > ORDER_BOUND, for a negative truncation, and
     for a truncation whose last cell's normalisation N! * truncation!**N
     exceeds the float range (truncation > 57 at N = 4); the box holds up to
-    (truncation + 1)**N complex cells.
+    (truncation + 1)**N complex cells.  A truncated sum beyond a float
+    raises NonfiniteResult.
     """
     if ct.order > ORDER_BOUND:
         raise ValueError(f"order N <= {ORDER_BOUND} required, got N={ct.order}")
@@ -455,13 +448,17 @@ def expansion_reconstruction_check(
             f"series tail bound {bound!r} exceeds tol={tol!r}; raise the "
             "truncation or shrink |alpha*phi|"
         )
-    truncated = _coefficient_box(ct, truncation, n)
-    # a power sum past the box would only meet coefficients that are 0
-    powers = _power_sums(phi, range(truncated.shape[0]))
-    for _ in range(ct.order):  # elementwise, so no BLAS kernel reorders the sums
-        truncated = (truncated * powers).sum(axis=-1)
-    closed = closed_product(ct, phi)
-    dev = relative_deviation(complex(truncated), closed)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # relative_deviation names it
+            truncated = _coefficient_box(ct, truncation, n)
+            # a power sum past the box would only meet coefficients that are 0
+            powers = _power_sums(phi, range(truncated.shape[0]))
+            for _ in range(ct.order):  # elementwise, so no BLAS kernel reorders the sums
+                truncated = (truncated * powers).sum(axis=-1)
+        truncated = complex(truncated)
+    except OverflowError:  # an n**-beta' beyond a float
+        truncated = math.inf
+    dev = relative_deviation(truncated, closed_product(ct, phi))  # names one beyond a float
     return CheckReport(
         "expansion_reconstruction",
         dev,
@@ -484,12 +481,15 @@ def closure_checks(
     f1, f2 = make_invariants
     a, b = as_phases(phases_a), as_phases(phases_b)
     # each invariant once on each set, in the order the product's check calls them
-    values = [(f1(phi), f2(phi)) for phi in (_pairwise_sums(a, b), a, b)]
+    values = [(f1(phi), f2(phi)) for phi in (pairwise_phase_sums(a, b), a, b)]
     combos = {"closure_product": lambda u, v: u * v, "closure_power": lambda u, v: u ** 1.5,
               "closure_ratio": lambda u, v: u / v, "closure_sum": lambda u, v: u + v}
     out = []
     for name, fn in combos.items():
-        both, on_a, on_b = (complex(fn(*pair)) for pair in values)
+        try:
+            both, on_a, on_b = (complex(fn(*pair)) for pair in values)
+        except (OverflowError, ZeroDivisionError):  # a power, or a ratio over 0, beyond a float
+            raise NonfiniteResult(f"{name} of the two invariants does not fit in a float") from None
         dev = relative_deviation(both, on_a * on_b)  # check_multiplicativity's deviation
         out.append(CheckReport(name, dev, fail_floor, dev > fail_floor, {"expected": "failure"})
                    if name == "closure_sum" else CheckReport(name, dev, tol, dev <= tol, {}))

@@ -82,6 +82,18 @@ def test_pairwise_phase_sums_enumerates_all_pairs():
     assert sorted(out) == [10.0, 11.0, 20.0, 21.0]
 
 
+@pytest.mark.parametrize("call", [
+    lambda a, b: pairwise_phase_sums(a, b),
+    lambda a, b: check_multiplicativity(amplitude_invariant(InvariantSpec(0.5, 1.0, 1.0)), a, b),
+], ids=["pairwise_phase_sums", "check_multiplicativity"])
+def test_a_pairwise_sum_beyond_a_float_names_its_two_phases(call):
+    """pairwise_phase_sums returned [inf] with a RuntimeWarning, and
+    check_multiplicativity blamed the input: "phase 0 is inf"."""
+    with pytest.raises(NonfiniteResult, match=r"^the sum of phases a\[1\] = 1e\+308 and "
+                                              r"b\[0\] = 1e\+308 does not fit in a float$"):
+        call([0.5, 1e308], [1e308, -1.0])
+
+
 # ---------------------------------------------------------------------------
 # Path phases
 
@@ -146,7 +158,7 @@ def test_path_phase_checks_its_light_speed_and_scale():
         with pytest.raises(NonpositiveK, match=re.escape(f"c={c!r}")):
             path_phase(p, c=c)
     for scale in (math.nan, math.inf, -math.inf):
-        with pytest.raises(NonfiniteInput, match=re.escape(f"scale={scale!r}")):
+        with pytest.raises(NonfiniteInput, match=re.escape(f"scale must be finite, got {scale!r}")):
             path_phase(p, scale=scale)
 
 

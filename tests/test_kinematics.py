@@ -385,6 +385,23 @@ def test_general_transform_degenerate_cases():
         general_boost_1p1(Event1p1(1.0, 0.0), vanishing, 1.0)
 
 
+@pytest.mark.parametrize("call, V", [
+    (lambda: extract_K(lorentz_family(1.0), [1.0, 0.3]), "1.0"),
+    (lambda: general_boost_1p1(Event1p1(1, 0), lorentz_family(1.0), 1.0), "1.0"),
+    (lambda: lorentz_family(1.0).parity_deviation([1.0]), "1.0"),
+    (lambda: extract_K(lorentz_family(1.0), [5e-324, 0.3]), "5e-324"),
+    (lambda: extract_K(lorentz_family(1.0), [1e308, 0.3]), "1e+308"),
+    (lambda: general_boost_1p1(Event1p1(1, 0), lorentz_family(1.0), 2.0), "2.0"),
+    (lambda: extract_K(superluminal_family(), [0.5, 2.0]), "0.5"),
+], ids=["pole extract_K", "pole general_boost", "pole parity", "V*V underflow",
+        "domain extract_K", "domain general_boost", "domain superluminal"])
+def test_a_family_scale_that_is_undefined_or_underflows_names_V(call, V):
+    """A pole of A raised ZeroDivisionError, V*V underflowing to 0 did too,
+    and A beyond the family's light speed raised `math domain error`."""
+    with pytest.raises(DegenerateA, match=rf"at V={re.escape(V)}\b"):
+        call()
+
+
 @pytest.mark.parametrize(
     "fam,expected",
     [

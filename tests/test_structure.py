@@ -6,6 +6,7 @@ runs, counted by a trace function."""
 import ast
 import inspect
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -176,13 +177,23 @@ def test_a_boost_result_beyond_a_float_is_raised_only_by_the_kernel():
         "kinematics._image", "kinematics._exact_forms"}
 
 
-def test_a_nonfinite_kinematics_input_is_raised_only_by_the_one_check():
-    """Events, triples and columns are checked for finiteness only in
-    _require_finite; the one other NonfiniteInput of kinematics is an
-    interval input that has no exact value."""
-    assert {scope for scope in _scopes(_raises("NonfiniteInput"))
-            if scope.split(".")[0] == "kinematics"} == {
-        "kinematics._require_finite", "kinematics._exact_forms"}
+def test_a_nonfinite_input_is_raised_only_by_the_input_checks():
+    """Every NonfiniteInput of the package is raised in _input, by its
+    scalar, column, phase-set and count checks, or by the interval forms'
+    rounding, for an increment that has no exact value; and no module but
+    _input defines a finiteness helper: the one other function named for
+    finiteness is cli's argparse type, which calls _input.finite."""
+    scopes = _scopes(_raises("NonfiniteInput"))
+    assert {scope for scope in scopes if not scope.startswith("_input.")} == {
+        "kinematics._exact_forms"}
+    assert {"_input.finite", "_input.as_phases", "_input.finite_count"} <= scopes
+    named = {f"{path.stem}.{node.name}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.FunctionDef)
+             and re.search(r"(?<!in)finite(?!ness)", node.name)}
+    assert {name for name in named if not name.startswith("_input.")} == {"cli._finite"}
+    assert _scopes(lambda node: isinstance(node, ast.Call)
+                   and ast.unparse(node.func) == "finite") >= {"cli._finite"}
 
 
 PER_TRIAL_FORMS = {"Path", "Event1p1", "boost_1p1", "path_phase", "amplitude",

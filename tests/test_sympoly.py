@@ -458,6 +458,13 @@ def test_closure_checks_split_pass_and_fail(rng):
     assert reports["closure_sum"].deviation > 1e-3
 
 
+def test_closure_checks_name_a_pairwise_sum_beyond_a_float():
+    """The sum 1e308 + 1e308 overflowed with a RuntimeWarning."""
+    f = amplitude_invariant(InvariantSpec(0.5, 1.0, 1.0))
+    with pytest.raises(NonfiniteResult, match=r"a\[0\] = 1e\+308 and b\[0\] = 1e\+308"):
+        closure_checks((f, f), [1e308], [1e308])
+
+
 def test_closure_checks_call_each_invariant_once_on_each_set(rng):
     """Once on the pairwise sums and once on each set: 3 calls, not the 12
     and 9 of a multiplicativity check per combination."""
