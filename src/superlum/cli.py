@@ -436,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (SuperlumError, OSError, KeyError, ValueError, TypeError) as exc:
+    except (SuperlumError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -5,11 +5,18 @@ class SuperlumError(Exception):
     """Base class for every error raised by this package."""
 
 
+class InvalidInput(SuperlumError, ValueError, TypeError):
+    """An input the package cannot take: no number, complex where a real
+    number is required, or of the wrong shape, size or range; the message
+    names it.  Also a ValueError and a TypeError, the builtins such inputs
+    raised before, so a caller that catches either keeps working."""
+
+
 class BranchSpeedViolation(SuperlumError):
     """Speed is outside the valid range for the requested branch."""
 
 
-class NonpositiveK(SuperlumError, ValueError):
+class NonpositiveK(InvalidInput):
     """K = 1/c**2 must be positive and finite, and so must a light speed c."""
 
 
@@ -53,7 +60,7 @@ class TruncationInsufficient(SuperlumError):
     """The exponential-series tail bound exceeds the requested tolerance."""
 
 
-class NonfiniteInput(SuperlumError, ValueError):
+class NonfiniteInput(InvalidInput):
     """An input that must be finite is not; the message names it."""
 
 

@@ -25,8 +25,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._input import as_phases, finite, finite_count, is_number
-from .errors import NonfiniteResult, SuperluminalSegment
+from ._input import as_phases, finite, is_number, whole
+from .errors import InvalidInput, NonfiniteResult, SuperluminalSegment
 from .kinematics import Event1p1, K_from_c, _squares
 from .report import CheckReport, relative_deviation
 
@@ -40,10 +40,10 @@ class Path:
     def __post_init__(self) -> None:
         verts = tuple(self.vertices)
         if len(verts) < 2:
-            raise ValueError("a path needs at least two vertices")
+            raise InvalidInput("a path needs at least two vertices")
         for a, b in zip(verts, verts[1:]):
             if not b.t > a.t:
-                raise ValueError("path vertices must have strictly increasing t")
+                raise InvalidInput("path vertices must have strictly increasing t")
         object.__setattr__(self, "vertices", verts)
 
 
@@ -473,6 +473,7 @@ def check_symmetry(
 ) -> CheckReport:
     """f must be invariant under random permutations of the phase set."""
     rng = rng or np.random.default_rng(0)
+    trials = whole("trials", trials)
     phi = as_phases(phases)
     base = complex(f(phi))
     worst = 0.0
@@ -547,8 +548,8 @@ def uniform_phase_sampler(low: float, high: float) -> Callable:
     if numbers:
         low, high = float(low), float(high)
     if not (numbers and high >= low and math.isfinite(high - low)):  # false for nan or inf too
-        raise ValueError(f"a uniform phase sampler needs numbers low <= high with a "
-                         f"finite width high - low, got low={low!r}, high={high!r}")
+        raise InvalidInput(f"a uniform phase sampler needs numbers low <= high with a "
+                           f"finite width high - low, got low={low!r}, high={high!r}")
 
     def sample(rng: np.random.Generator, size) -> np.ndarray:
         phi = rng.random(size)
@@ -668,17 +669,16 @@ def finiteness_scan(
     the values have the bits of one (trials, n) draw valued in one pass, and
     rng ends in the same state.  The medians and the fit are formed in the
     log domain; a median that does not fit in a float raises NonfiniteResult
-    naming n, the slope and the class.  Each n value is a count
-    (_input.finite_count).
+    naming n, the slope and the class.  Each n value is a whole number >= 1
+    (_input.whole).
     """
     rng = rng or np.random.default_rng(0)
-    ns = [int(finite_count("n value", n)) for n in n_values]
-    if len(set(ns)) < 2 or any(n < 1 for n in ns):  # one n value fits no slope
-        raise ValueError(f"need at least two distinct positive n values, got n_values={ns}")
-    if not 1 <= trials <= 100:
-        raise ValueError(f"scan budget: trials must be 1..100, got trials={trials!r}")
+    ns = [whole("n value", n, 1) for n in n_values]
+    if len(set(ns)) < 2:  # one n value fits no slope
+        raise InvalidInput(f"need at least two distinct positive n values, got n_values={ns}")
+    trials = whole("trials", trials, 1, 100)  # the scan's budget
     if max(ns) > 10**4:
-        raise ValueError(f"scan budget: n must be <= 10**4, got n={max(ns)!r}")
+        raise InvalidInput(f"scan budget: n must be <= 10**4, got n={max(ns)!r}")
     scratch = np.empty(max(_BLOCK, max(ns)))  # one for every n
     log_medians = []
     for n in ns:

@@ -24,10 +24,11 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._input import finite, finite_column, is_finite, is_label, real_array
+from ._input import finite, finite_column, is_finite, is_label, real, real_array
 from .errors import (
     BranchSpeedViolation,
     DegenerateA,
+    InvalidInput,
     LightSpeedResult,
     MixedK,
     NonfiniteInput,
@@ -111,17 +112,13 @@ class Boost:
     K: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (is_finite(self.K) and self.K > 0):
+        if not 0 < real("K", self.K) < math.inf:
             raise NonpositiveK(f"boosts require K > 0, got K={self.K!r}")
         if isinstance(self.speed, (tuple, list, np.ndarray)):
             object.__setattr__(self, "speed", finite_column("speed component", self.speed, 3))
             mag = math.hypot(*self.speed)
         else:
-            try:
-                mag = abs(float(self.speed))
-            except OverflowError:  # an int beyond a float
-                raise BranchSpeedViolation(
-                    f"speed {reprlib.repr(self.speed)} does not fit in a float") from None
+            mag = abs(real("speed", self.speed))
         c = 1.0 / math.sqrt(self.K)
         if self.branch is Branch.SUBLUMINAL:
             if not mag < c * (1.0 - BOUNDARY_BAND):
@@ -168,7 +165,9 @@ class GeneralTransformFamily:
 
 
 def lorentz_family(K: float = 1.0) -> GeneralTransformFamily:
-    """Symmetric family A(V) = 1/sqrt(1 - K*V**2); K may be <= 0 here."""
+    """Symmetric family A(V) = 1/sqrt(1 - K*V**2); K may be <= 0 here, but
+    must be real (_input.real)."""
+    K = real("K", K)
     return GeneralTransformFamily(
         A=lambda v: 1.0 / math.sqrt(1.0 - K * v * v), parity=Parity.SYMMETRIC
     )
@@ -181,7 +180,8 @@ def galilean_family() -> GeneralTransformFamily:
 def superluminal_family(
     K: float = 1.0, positive_convention: bool = False
 ) -> GeneralTransformFamily:
-    """Antisymmetric family A(W) = -(W/|W|)/sqrt(K*W**2 - 1)."""
+    """Antisymmetric family A(W) = -(W/|W|)/sqrt(K*W**2 - 1), K real."""
+    K = real("K", K)
     sign = 1.0 if positive_convention else -1.0
 
     def scale(w: float) -> float:
@@ -199,7 +199,7 @@ def superluminal_family(
 def K_from_c(c: float) -> float:
     """K = 1/c**2 for a light speed c, which must be positive and finite, and
     neither so small that K overflows nor so large that it underflows to 0."""
-    if not (is_finite(c) and c > 0):
+    if not 0 < real("light speed c", c) < math.inf:
         raise NonpositiveK(f"light speed c must be positive and finite, got c={c!r}")
     c2 = float(c) * c
     K = 1.0 / c2 if c2 else math.inf
@@ -249,7 +249,7 @@ def _entries(
     """
     if V is None:
         if isinstance(b.speed, tuple):
-            raise TypeError("1+1 operations require a scalar-speed boost")
+            raise InvalidInput("1+1 operations require a scalar-speed boost")
         V = b.speed
     K = b.K
     column = isinstance(V, np.ndarray)
@@ -261,7 +261,7 @@ def _entries(
     s = (1.0 if positive_convention else -1.0) / sqrt(K - r * r)
     if not antisymmetric_term:
         if np.any(r == 0.0):  # an infinite speed
-            raise ValueError("the broken variant has no infinite-speed limit")
+            raise InvalidInput("the broken variant has no infinite-speed limit")
         s = (np.copysign if column else math.copysign)(s, V)
     return _form(s * r / w, s, K)
 
@@ -412,14 +412,11 @@ def compose_boosts_1p1(b1: Boost, b2: Boost) -> Boost:
 
 def compose_velocities_1p1(V1: float, V2: float, K: float = 1.0) -> float:
     """Relative velocity (V1 + V2)/(1 + K*V1*V2) of frame 2 with respect to
-    the rest frame, by the law above; +/-inf is a valid operand, NaN a
-    ValueError.  Raises PoleError at 1 + K*V1*V2 = 0 and warns
+    the rest frame, by the law above; each operand is a real number, finite
+    or +/-inf (_input.finite).  Raises PoleError at 1 + K*V1*V2 = 0 and warns
     LightSpeedResult within BOUNDARY_BAND of the light cone."""
     Boost.infinite(K)  # checks K as every boost does
-    for name, v in (("V1", V1), ("V2", V2)):
-        if not (is_finite(v, name) or abs(v) == math.inf):
-            raise ValueError(f"{name} must be a number or +/-inf, got {reprlib.repr(v)}")
-    v = _compose(V1, V2, K)
+    v = _compose(finite("V1", V1, infinite=True), finite("V2", V2, infinite=True), K)
     if abs(abs(v) * math.sqrt(K) - 1.0) <= BOUNDARY_BAND:
         warnings.warn(f"composed velocity {v!r} lies on the light cone",
                       LightSpeedResult)
@@ -537,7 +534,7 @@ def extract_K(
     """
     sam = [finite("sample velocity", v) for v in samples]
     if len(set(sam)) < 2:
-        raise ValueError("need at least two distinct sample velocities")
+        raise InvalidInput("need at least two distinct sample velocities")
     if any(v == 0 for v in sam):
         raise ZeroVelocity("K extraction samples must be nonzero")
     values = [_k_expression(fam, v)[0] for v in sam]

@@ -18,9 +18,10 @@ permutations.  The resummation check needs every coefficient of the index
 box [0, T]**N at once and builds them as one numpy tensor: with
 A[i, t] = alpha_i**t / t!, the box is the sum over permutations pi of the
 outer products A[pi(0)] x ... x A[pi(N-1)], so it costs N! outer products of
-(T+1)**N cells.  Both paths accept N <= ORDER_BOUND; binomial coefficients
+(T+1)**N cells.  Both paths, and the Cauchy check, accept N <= ORDER_BOUND,
+checked first, with the index tuples, by _indices; binomial coefficients
 and factorials are exact integers for the index ranges used (r <= 8,
-k_i <= truncation).
+k_i <= truncation).  Each bad input raises InvalidInput naming it.
 """
 
 from __future__ import annotations
@@ -30,13 +31,14 @@ import functools
 import itertools
 import math
 import operator
+import reprlib
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._input import as_phases, finite, finite_count
-from .errors import NonfiniteResult, TruncationInsufficient
+from ._input import as_phases, finite, finite_count, whole
+from .errors import InvalidInput, NonfiniteResult, TruncationInsufficient
 from .invariants import _log_sums, _pairwise_sums, _polar, _row_sums, pairwise_phase_sums
 from .report import CheckReport, _relative, relative_deviation
 
@@ -44,8 +46,7 @@ from .report import CheckReport, _relative, relative_deviation
 def power_sum(k: int, phases) -> float:
     """E_k = sum_j phi_j**k; E_0 is the number of phases.  Raises
     NonfiniteResult when the sum does not fit in a float."""
-    if k < 0:
-        raise ValueError("power sums need k >= 0")
+    k = whole("k", k)
     return float(_power_sums(as_phases(phases), range(k, k + 1))[0])
 
 
@@ -61,8 +62,7 @@ def newton_convolution_check(
     pairwise sums are raised to the power r alone.  Raises NonfiniteResult
     when a power sum or the convolution does not fit in a float.
     """
-    if not 0 <= r <= r_max:
-        raise ValueError(f"r must satisfy 0 <= r <= {r_max}")
+    r = whole("r", r, 0, r_max)
     a, b = as_phases(phases_a), as_phases(phases_b)
     with np.errstate(over="ignore"):  # a sum beyond a float fails its power sums
         sums = _pairwise_sums(a, b)
@@ -193,7 +193,7 @@ class CoefficientTensor:
     def __post_init__(self) -> None:
         alphas = tuple(finite(f"alpha {i}", a, complex) for i, a in enumerate(self.alphas))
         if not alphas:
-            raise ValueError("at least one alpha is required")
+            raise InvalidInput("at least one alpha is required")
         finite("beta_prime", self.beta_prime, complex)
         object.__setattr__(self, "alphas", alphas)
 
@@ -238,12 +238,9 @@ def alpha_coefficient(
     ct: CoefficientTensor, indices: tuple[int, ...], n: int
 ) -> complex:
     """Coefficient of E_{k_1} * ... * E_{k_N} in the n-path expansion, n a
-    count (_input.finite_count); NonfiniteResult where it is beyond a float."""
-    indices = tuple(int(k) for k in indices)
-    if len(indices) != ct.order:
-        raise ValueError(f"expected {ct.order} indices, got {len(indices)}")
-    if any(k < 0 for k in indices):
-        raise ValueError("indices must be nonnegative")
+    count (_input.finite_count), indices N whole numbers >= 0 and N at most
+    ORDER_BOUND (_indices); NonfiniteResult where it is beyond a float."""
+    (indices,) = _indices(ct, indices=indices)
     finite_count("n", n)
     norm = math.factorial(ct.order) * math.prod(math.factorial(k) for k in indices)
     try:
@@ -261,6 +258,29 @@ ORDER_BOUND = 4
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # k_i + s_i <= 2 * INDEX_BOUND, and N <= ORDER_BOUND
 _FACTORIALS = [math.factorial(v) for v in range(2 * INDEX_BOUND + 1)]
+
+
+def _indices(ct: CoefficientTensor, bound: int | None = None,
+             **tuples) -> list[tuple[int, ...]]:
+    """Each index tuple of tuples, by its name, as a tuple of N = ct.order
+    whole numbers in [0, bound] (no upper bound where bound is None), once
+    N <= ORDER_BOUND: the order and index checks of the coefficient, Cauchy
+    and expansion checks, each fault an InvalidInput naming it.  The order
+    comes first, so that no check starts the N! permutations of an order
+    past the bound."""
+    N = ct.order
+    if N > ORDER_BOUND:
+        raise InvalidInput(f"order N <= {ORDER_BOUND} required, got N={N}")
+    out = []
+    for name, given in tuples.items():
+        try:
+            given = tuple(given)
+        except TypeError:  # no sequence
+            pass
+        if not (isinstance(given, tuple) and len(given) == N):
+            raise InvalidInput(f"{name} must hold N={N} indices, got {reprlib.repr(given)}")
+        out.append(tuple(whole(f"{name}[{i}]", k, 0, bound) for i, k in enumerate(given)))
+    return out
 
 
 def cauchy_condition_check(
@@ -289,15 +309,8 @@ def cauchy_condition_check(
     are counts (_input.finite_count); a count**-beta' or a term beyond a
     float raises NonfiniteResult.
     """
-    k = tuple(int(v) for v in k)
-    s = tuple(int(v) for v in s)
+    k, s = _indices(ct, INDEX_BOUND, k=k, s=s)
     N = ct.order
-    if len(k) != N or len(s) != N:
-        raise ValueError(f"index tuples must have length {N}")
-    if N > ORDER_BOUND:
-        raise ValueError(f"order N <= {ORDER_BOUND} required")
-    if any(v < 0 or v > INDEX_BOUND for v in k + s):
-        raise ValueError(f"indices must lie in [0, {INDEX_BOUND}]")
     finite_count("n*m", finite_count("n", n) * finite_count("m", m))
     try:
         n_scale, m_scale, nm_scale = (count ** (-ct.beta_prime) for count in (n, m, n * m))
@@ -389,8 +402,9 @@ def _tail_bound(ct: CoefficientTensor, phi: np.ndarray, truncation: int) -> floa
         return math.inf
     log_total = top + math.log(math.fsum(math.exp(x - top) for x in log_terms))
     try:
+        # |n**-beta'| = n**-Re(beta')
         return math.exp(log_total - math.log(math.factorial(truncation + 1))
-                        - ct.beta_prime * math.log(phi.size))
+                        - ct.beta_prime.real * math.log(phi.size))
     except OverflowError:
         return math.inf
 
@@ -426,18 +440,16 @@ def expansion_reconstruction_check(
     [0, truncation]**N and compares with closed_product.  Raises
     TruncationInsufficient when the series tail bound exceeds tol; keep
     |alpha_i * phi_j| <= 1 with truncation 12 for comfortable headroom.
-    Raises ValueError for N > ORDER_BOUND, for a negative truncation, and
+    Raises InvalidInput for N > ORDER_BOUND, for a negative truncation, and
     for a truncation whose last cell's normalisation N! * truncation!**N
     exceeds the float range (truncation > 57 at N = 4); the box holds up to
     (truncation + 1)**N complex cells.  A truncated sum beyond a float
     raises NonfiniteResult.
     """
-    if ct.order > ORDER_BOUND:
-        raise ValueError(f"order N <= {ORDER_BOUND} required, got N={ct.order}")
-    if truncation < 0:
-        raise ValueError(f"truncation must be >= 0, got truncation={truncation!r}")
+    _indices(ct)
+    truncation = whole("truncation", truncation)
     if ct.order * math.lgamma(truncation + 1) + math.lgamma(ct.order + 1) > _LOG_FLOAT_MAX:
-        raise ValueError(
+        raise InvalidInput(
             f"truncation={truncation!r} at order N={ct.order}: the last cell's "
             "normalisation N! * truncation!**N does not fit in a float")
     phi = as_phases(phases)

@@ -718,8 +718,21 @@ def test_scan_sampler_bounds_are_named(tmp_path, capsys, sampler):
     code, out, err = _run(capsys, "scan", "--input", inp)
     assert code == 2 and out == ""
     lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ValueError: ")
+    assert len(lines) == 1 and lines[0].startswith("error: InvalidInput: ")
     assert "low=" in lines[0] and "high=" in lines[0]
+
+
+def test_a_builtin_from_a_fault_of_the_program_is_not_shown_as_a_bad_input(monkeypatch, capsys):
+    """main catches only SuperlumError and OSError: a KeyError from the
+    census, a fault of the program, propagates with its traceback, where it
+    was written as "error: KeyError" with exit 2, as if the input were bad."""
+    def broken(d):
+        raise KeyError("a")
+
+    monkeypatch.setattr(cli, "count_paths_auto", broken)
+    with pytest.raises(KeyError):
+        main(["diagram", "--input", "fig5a", "--format", "json"])
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("sampler", [5, [0, 1], "uniform"])

@@ -15,6 +15,7 @@ from superlum import (
     Boost,
     Branch,
     Event1p1,
+    InvalidInput,
     InvariantSpec,
     NonfiniteInput,
     NonfiniteResult,
@@ -75,6 +76,19 @@ def test_a_phase_that_is_not_a_finite_float_is_named(phases, index, shown):
                            match=rf"^phases must be finite; phase {index} is {shown}$") as info:
             call(phases)
         assert len(str(info.value)) < 100
+
+
+@pytest.mark.parametrize("phases, shown", [
+    (np.array([0.1, 0.2 + 3j]), r"(0.2+3j) at entry 1"), ([0.1, 1j], "1j at entry 1"),
+    ([0.1, np.complex64(1)], "at entry 1"), (np.array([1.0, 2.0], complex), "(1+0j) at entry 0")])
+def test_a_complex_phase_is_named_not_cast(phases, shown):
+    """A complex array was cast to float64 with its imaginary part dropped
+    (invariant_P returned a value), and a list with a complex entry raised
+    numpy's TypeError: both raise InvalidInput naming the first complex entry."""
+    for call in (as_phases, partial(invariant_P, InvariantSpec(0.5, 1, 1)), amplitude):
+        with pytest.raises(InvalidInput, match=re.escape(f"a phase set must be real, got ")
+                           + ".*" + re.escape(shown)):
+            call(phases)
 
 
 def test_pairwise_phase_sums_enumerates_all_pairs():

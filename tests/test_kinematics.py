@@ -22,6 +22,7 @@ from superlum import (
     Event1p1,
     Event1p3,
     GeneralTransformFamily,
+    InvalidInput,
     LightSpeedResult,
     MixedK,
     NonfiniteInput,
@@ -544,6 +545,29 @@ def test_a_kinematics_input_that_is_not_finite_raises_nonfinite_input():
     with pytest.raises(NonfiniteInput, match=r"^x must be finite, got inf$"):
         kin.boost_1p1_columns(kin.EventColumns(np.zeros(2), np.array([0.0, math.inf])),
                               Branch.SUBLUMINAL, np.zeros(2))
+
+
+@pytest.mark.parametrize("call, shown", [
+    (lambda: Event1p1(1j, 0.0), "t must be real, got 1j"),
+    (lambda: Event1p3(0.0, (0.0, 1 + 0j, 0.0)), "r component must be real, got (1+0j) at entry 1"),
+    (lambda: Boost(Branch.SUBLUMINAL, 0.5 + 0.5j), "speed must be real, got (0.5+0.5j)"),
+    (lambda: Boost(Branch.SUBLUMINAL, 0.5, 1j), "K must be real, got 1j"),
+    (lambda: kin.K_from_c(np.complex128(1)), "light speed c must be real"),
+    (lambda: compose_velocities_1p1(0.5, 1j), "V2 must be real, got 1j"),
+    (lambda: lorentz_family(1j), "K must be real, got 1j"),
+    (lambda: superluminal_family(1 + 0j), "K must be real, got (1+0j)"),
+    (lambda: velocity_of_matrix(np.array([[1, 0.5j], [0.1 + 0.2j, 1]])),
+     r"matrix entry must be real, got 0.5j at entry 1"),
+    (lambda: branch_of_matrix(np.array([[1, 0], [0, 1]], complex)),
+     r"matrix entry must be real, got (1+0j) at entry 0"),
+])
+def test_a_complex_value_where_a_real_number_is_required_is_named(call, shown):
+    """One real-number rule (_input.real): a complex value, whatever its
+    imaginary part, raises InvalidInput naming it, where it raised a builtin
+    TypeError or, as a complex array, lost its imaginary part to a
+    ComplexWarning (velocity_of_matrix returned -0.1)."""
+    with pytest.raises(InvalidInput, match=re.escape(shown)):
+        call()
 
 
 def test_intervals_name_an_input_or_a_light_speed_that_is_not_finite():

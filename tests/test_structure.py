@@ -4,6 +4,7 @@ segments, read from the source with ast; and how many lines the path census
 runs, counted by a trace function."""
 
 import ast
+import builtins
 import inspect
 import math
 import re
@@ -194,6 +195,26 @@ def test_a_nonfinite_input_is_raised_only_by_the_input_checks():
     assert {name for name in named if not name.startswith("_input.")} == {"cli._finite"}
     assert _scopes(lambda node: isinstance(node, ast.Call)
                    and ast.unparse(node.func) == "finite") >= {"cli._finite"}
+
+
+def test_every_bad_input_raises_a_superlum_error_and_main_catches_no_builtin():
+    """No scope of the package raises a builtin exception but cli._json,
+    which raises json's TypeError for a value the program built: a bad input
+    raises a SuperlumError, InvalidInput where no narrower class names the
+    fault.  So cli.main catches only SuperlumError and OSError, and a
+    builtin from a fault of the program is not shown as a bad input with
+    exit 2."""
+    def raises_builtin(node):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        found = getattr(builtins, exc.id, None) if isinstance(exc, ast.Name) else None
+        return isinstance(found, type) and issubclass(found, BaseException)
+
+    assert _scopes(raises_builtin) == {"cli._json"}
+    handlers = [ast.unparse(node.type) for scope, node in NODES
+                if scope == "cli.main" and isinstance(node, ast.ExceptHandler)]
+    assert handlers == ["SystemExit", "(SuperlumError, OSError)"]
 
 
 PER_TRIAL_FORMS = {"Path", "Event1p1", "boost_1p1", "path_phase", "amplitude",

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import assume, example, given, strategies as st
 
 from superlum import (
     CoefficientTensor,
+    InvalidInput,
     NonfiniteInput,
     NonfiniteResult,
     TruncationInsufficient,
@@ -213,6 +215,39 @@ def test_alpha_coefficient_validation():
         alpha_coefficient(ct, (1, 1), 0)
 
 
+def test_alpha_coefficient_rejects_an_order_above_the_bound_before_any_permutation(monkeypatch):
+    """The order is checked first, as in the Cauchy and expansion checks: at
+    N = 12 the permutation sum would take 12! terms, hours; at N = 9 it took
+    0.79 s."""
+    def started(*args):
+        raise AssertionError("a permutation sum started")
+
+    monkeypatch.setattr(sympoly, "_permutation_sum_sorted", started)
+    with pytest.raises(InvalidInput, match=f"order N <= {ORDER_BOUND} required, got N=12"):
+        alpha_coefficient(CoefficientTensor((0.1,) * 12), (0,) * 12, 3)
+
+
+@pytest.mark.parametrize("call, shown", [
+    (lambda ct: alpha_coefficient(ct, (1, 2.5), 2),
+     "indices[1] must be a whole number >= 0, got indices[1]=2.5"),
+    (lambda ct: alpha_coefficient(ct, (1, "2"), 2), "got indices[1]='2'"),
+    (lambda ct: alpha_coefficient(ct, 5, 2), "indices must hold N=2 indices, got 5"),
+    (lambda ct: cauchy_condition_check(ct, (1, 0), (0, 5), 2, 3),
+     "s[1] must be a whole number in [0, 4], got s[1]=5"),
+    (lambda ct: cauchy_condition_check(ct, (1, math.nan), (0, 1), 2, 3), "got k[1]=nan"),
+    (lambda ct: expansion_reconstruction_check(ct, [0.1], 2.5), "got truncation=2.5"),
+    (lambda ct: power_sum(1j, [0.1]), "k must be a whole number >= 0, got k=1j"),
+    (lambda ct: newton_convolution_check(2.5, [0.1], [0.2]),
+     "r must be a whole number in [0, 8], got r=2.5"),
+])
+def test_an_index_or_order_that_is_no_whole_number_in_range_is_named(call, shown):
+    """One whole-number rule (_input.whole) for every index, order and
+    truncation, where a float, a string or a complex value raised a builtin
+    TypeError or was cut to an int."""
+    with pytest.raises(InvalidInput, match=re.escape(shown)):
+        call(CoefficientTensor((0.5, -0.5)))
+
+
 # ---------------------------------------------------------------------------
 # The factorial product condition
 
@@ -368,6 +403,16 @@ def test_expansion_rejects_a_box_whose_normalisation_overflows():
     with pytest.raises(ValueError, match="truncation=58"):
         expansion_reconstruction_check(ct, (0.1,), truncation=58)
     assert math.factorial(4) * math.factorial(57) ** 4 < 1.7976931348623157e308
+
+
+def test_the_tail_bound_takes_a_complex_beta_prime_by_its_real_part():
+    """|n**-beta'| = n**-Re(beta'): a complex beta_prime raised a TypeError
+    from math.exp."""
+    ct = CoefficientTensor((0.5, -0.5), 1j)
+    rep = expansion_reconstruction_check(ct, [0.1, 0.2])
+    assert rep.passed and rep.deviation < 1e-15
+    assert _tail_bound(ct, np.array([0.1, 0.2]), 12) == _tail_bound(
+        CoefficientTensor((0.5, -0.5), 0.0), np.array([0.1, 0.2]), 12)
 
 
 @pytest.mark.parametrize("alphas", [(0.0, 0.0), (1e-40, -1e-40)])
