@@ -1,12 +1,14 @@
 """The rules for input, each in one place: what is a number, a real number,
-a whole number, a label or a finite value (real, whole, finite,
-finite_column, as_phases and finite_count), and the one reader of JSON
-files.  A value that breaks a rule raises InvalidInput naming it, or its
-kind NonfiniteInput where the value is not finite."""
+a whole number, a label, a finite value, a sequence or a value of a given
+type (real, whole, finite, finite_column, as_phases, finite_count, sequence
+and instance), and the one reader of JSON files.  A value that breaks a
+rule raises InvalidInput naming it, or its kind NonfiniteInput where the
+value is not finite."""
 
 import cmath
 import json
 import math
+import os
 import reprlib
 import sys
 
@@ -62,11 +64,7 @@ def finite(name: str, value, kind: type = float, infinite: bool = False):
     """value as a float (real's rule) or, for kind complex, a complex; or
     NonfiniteInput "{name} must be finite, got {value}" where value is not
     finite, save +/-inf where infinite is set."""
-    try:
-        good = cmath.isfinite(value)
-    except (OverflowError, TypeError):
-        good = is_finite(value, name)  # False for an int beyond a float; InvalidInput for no number
-    if not (good or infinite and abs(value) == math.inf):
+    if not (is_finite(value, name) or infinite and abs(value) == math.inf):
         rule = " or +/-inf" if infinite else ""
         raise NonfiniteInput(f"{name} must be finite{rule}, got {reprlib.repr(value)}")
     return real(name, value) if kind is float else complex(value)
@@ -162,9 +160,38 @@ def whole(name: str, value, low: int = 0, high: int | None = None) -> int:
     return n
 
 
+def instance(name: str, value, kind: type | tuple[type, ...]):
+    """value, where it is an instance of kind (a type or a tuple of them);
+    InvalidInput "{name} must be of type {kind}, got {value}" otherwise."""
+    if not isinstance(value, kind):
+        kinds = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise InvalidInput(f"{name} must be of type {kinds}, got {reprlib.repr(value)}")
+    return value
+
+
+def sequence(name: str, value, kind: type | tuple[type, ...] | None = None,
+             rule: str = "be a sequence") -> tuple:
+    """The items of value as a tuple, for a value that can be iterated, and,
+    given kind, each an instance of it (instance, naming the item "{name}[i]");
+    InvalidInput "{name} must {rule}, got {value}" for one that cannot."""
+    try:
+        items = tuple(value)
+    except TypeError:
+        raise InvalidInput(f"{name} must {rule}, got {reprlib.repr(value)}") from None
+    if kind is not None:
+        for i, item in enumerate(items):
+            instance(f"{name}[{i}]", item, kind)
+    return items
+
+
 def read_json(path, error: type[SuperlumError] = SuperlumError):
-    """The JSON value in the file at path.  Text that is not JSON, and JSON
-    nested deeper than the parser's recursion limit, raise error naming path."""
+    """The JSON value in the file at path, a str or an os.PathLike; error
+    naming path for any other path, so that no file descriptor or other
+    value reaches open.  Text that is not JSON, and JSON nested deeper than
+    the parser's recursion limit, raise error naming path."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise error(f"a JSON file path must be a str or an os.PathLike, "
+                    f"got {reprlib.repr(path)}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)

@@ -21,9 +21,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._input import is_label, is_number, read_json
+from ._input import instance, is_label, is_number, read_json, sequence
 from .errors import (
     CyclicDiagram,
+    InvalidInput,
     InvalidScenario,
     IsolatedEvent,
     MixedK,
@@ -144,8 +145,19 @@ class Diagram:
 
     def __init__(self, events: Mapping[str, Event1p1],
                  segments: Iterable[tuple[str, str]] = (), c: float = 1.0) -> None:
-        xy = np.fromiter((v for e in events.values() for v in (e.t, e.x)), float,
-                         2 * len(events)).reshape(-1, 2)
+        instance("events", events, Mapping)
+        try:
+            xy = np.fromiter((v for e in events.values() for v in (e.t, e.x)), float,
+                             2 * len(events)).reshape(-1, 2)
+        except (AttributeError, TypeError, ValueError):  # a value that is no Event1p1
+            for label, e in events.items():
+                instance(f"event {reprlib.repr(label)}", e, Event1p1)
+            raise
+        segments = sequence("segments", segments)
+        for i, pair in enumerate(segments):
+            if len(sequence(f"segments[{i}]", pair)) != 2:
+                raise InvalidInput(f"segments[{i}] must be a (start, end) pair of labels, "
+                                   f"got {reprlib.repr(pair)}")
         _columns(self, list(events), xy, segments, c)
 
     c = property(lambda self: self._c)

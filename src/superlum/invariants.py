@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._input import as_phases, finite, is_number, whole
+from ._input import as_phases, finite, is_number, sequence, whole
 from .errors import InvalidInput, NonfiniteResult, SuperluminalSegment
 from .kinematics import Event1p1, K_from_c, _squares
 from .report import CheckReport, relative_deviation
@@ -38,7 +38,7 @@ class Path:
     vertices: tuple[Event1p1, ...]
 
     def __post_init__(self) -> None:
-        verts = tuple(self.vertices)
+        verts = sequence("path vertices", self.vertices, Event1p1)
         if len(verts) < 2:
             raise InvalidInput("a path needs at least two vertices")
         for a, b in zip(verts, verts[1:]):
@@ -126,14 +126,17 @@ def _path_phases(t: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
 @dataclass(frozen=True)
 class InvariantSpec:
+    """The parameters of one member of the family, stored as checked: alpha
+    a finite complex, beta and gamma finite floats (_input.finite)."""
+
     alpha: complex
     beta: float
     gamma: float
 
     def __post_init__(self):
-        finite("alpha", self.alpha, complex)
-        finite("beta", self.beta)
-        finite("gamma", self.gamma)
+        object.__setattr__(self, "alpha", finite("alpha", self.alpha, complex))
+        object.__setattr__(self, "beta", finite("beta", self.beta))
+        object.__setattr__(self, "gamma", finite("gamma", self.gamma))
 
 
 class _Columns(NamedTuple):
@@ -166,20 +169,11 @@ def _row_sums(x: np.ndarray, lengths: np.ndarray | None = None) -> np.ndarray:
     laid end to end.  No row is padded to a common length: a padded 0 would
     change numpy's pairwise summation order, which unrolls by 8 values and
     splits blocks of 128.  Each run of consecutive rows of one length is
-    summed as the rows of one reshape view of x.  Rows that do not come in
-    order of length are first laid out in that order, by a stable sort and
-    one np.take, so that each length is one run; when every row has one
-    length, the whole of x is one view, with no copy."""
+    summed as the rows of one reshape view of x, so rows laid out in order
+    of length take one view per length; when every row has one length, the
+    whole of x is one view, with no copy."""
     if lengths is None:
         return x.sum(axis=-1)
-    if (np.diff(lengths) < 0).any():
-        order = np.argsort(lengths, kind="stable")
-        starts = np.cumsum(lengths) - lengths
-        laid = np.take(x, _stretches(starts[order], lengths[order]), axis=-1)
-        sums = _row_sums(laid, lengths[order])
-        out = np.empty_like(sums)
-        out[..., order] = sums
-        return out
     sizes, lead = lengths.tolist(), x.shape[:-1]
     cuts = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), len(sizes)]
     pieces, at = [], 0
@@ -352,7 +346,7 @@ def _log_P(spec: InvariantSpec | _Columns, phi: np.ndarray, reach: float | None 
     the product to a power of exactly 0, also where a sum vanishes, where
     gamma * log would be 0 * -inf = nan.
     """
-    alpha = np.repeat(spec.alpha, lengths) if isinstance(spec, _Columns) else complex(spec.alpha)
+    alpha = np.repeat(spec.alpha, lengths) if isinstance(spec, _Columns) else spec.alpha
     lp, lm = _log_sums(alpha, phi, reach, scratch, lengths)
     gamma = spec.gamma
     log_n = (math.log(phi.shape[-1]) if lengths is None
@@ -381,7 +375,7 @@ def _magnitude(log_abs: float, describe: Callable[[str], str]) -> float:
 
 
 def _spec_text(spec: InvariantSpec) -> str:
-    return f"alpha={complex(spec.alpha)!r}, beta={spec.beta!r}, gamma={spec.gamma!r}"
+    return f"alpha={spec.alpha!r}, beta={spec.beta!r}, gamma={spec.gamma!r}"
 
 
 def _polar(log_abs: float, theta: float, name: str, given: Callable[[], str]) -> complex:
@@ -423,7 +417,7 @@ def _invariant_Ps(specs: Sequence[InvariantSpec], phi: np.ndarray,
     is formed per row on Python floats (_polar), and a row that overflows
     raises NonfiniteResult as invariant_P does: a group that raises is
     valued again row by row, so that the error names the row's own spec."""
-    alpha = np.array([complex(s.alpha) for s in specs])
+    alpha = np.array([s.alpha for s in specs])
     beta = np.array([s.beta for s in specs], float)
     gamma = np.array([s.gamma for s in specs], float)
     starts = np.cumsum(lengths) - lengths
@@ -607,7 +601,7 @@ def _blocked_log_P(spec: InvariantSpec, phase_sampler: Callable,
     trials, n = shape
     rows = min(trials, max(1, _BLOCK // n))
     sizes = [(min(rows, trials - i), n) for i in range(0, trials, rows)]
-    alpha = complex(spec.alpha)
+    alpha = spec.alpha
     # a purely imaginary alpha takes neither branch, so it needs no reach
     track, reach = bool(alpha.real or not alpha.imag), 0.0
     if scratch is None:
@@ -673,7 +667,7 @@ def finiteness_scan(
     (_input.whole).
     """
     rng = rng or np.random.default_rng(0)
-    ns = [whole("n value", n, 1) for n in n_values]
+    ns = [whole("n value", n, 1) for n in sequence("n_values", n_values)]
     if len(set(ns)) < 2:  # one n value fits no slope
         raise InvalidInput(f"need at least two distinct positive n values, got n_values={ns}")
     trials = whole("trials", trials, 1, 100)  # the scan's budget

@@ -24,7 +24,16 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._input import finite, finite_column, is_finite, is_label, real, real_array
+from ._input import (
+    finite,
+    finite_column,
+    instance,
+    is_finite,
+    is_label,
+    real,
+    real_array,
+    sequence,
+)
 from .errors import (
     BranchSpeedViolation,
     DegenerateA,
@@ -104,7 +113,8 @@ class Boost:
     subluminal needs |V| < c and superluminal needs |W| > c, with speeds
     inside a 1e-12 relative band of c rejected by both.  math.inf is a valid
     superluminal speed and denotes the exact infinite-speed transform (time
-    and space axes exchanged).
+    and space axes exchanged).  K and the speed are stored as checked: K and
+    a scalar speed as floats, a vector speed as a tuple of three.
     """
 
     branch: Branch
@@ -112,13 +122,15 @@ class Boost:
     K: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0 < real("K", self.K) < math.inf:
+        object.__setattr__(self, "K", real("K", self.K))
+        if not 0 < self.K < math.inf:
             raise NonpositiveK(f"boosts require K > 0, got K={self.K!r}")
         if isinstance(self.speed, (tuple, list, np.ndarray)):
             object.__setattr__(self, "speed", finite_column("speed component", self.speed, 3))
             mag = math.hypot(*self.speed)
         else:
-            mag = abs(real("speed", self.speed))
+            object.__setattr__(self, "speed", finite("speed", self.speed, infinite=True))
+            mag = abs(self.speed)
         c = 1.0 / math.sqrt(self.K)
         if self.branch is Branch.SUBLUMINAL:
             if not mag < c * (1.0 - BOUNDARY_BAND):
@@ -156,7 +168,7 @@ class GeneralTransformFamily:
     def parity_deviation(self, samples: Sequence[float]) -> float:
         """Worst relative parity violation of A over the sample velocities (_scales)."""
         worst = 0.0
-        for v in samples:
+        for v in sequence("samples", samples):
             a, am = _scales(self, v)
             diff = a - am if self.parity is Parity.SYMMETRIC else a + am
             scale = max(abs(a), abs(am), 1e-300)
@@ -228,6 +240,13 @@ def _reciprocal(V):
     return w, w / V
 
 
+def _scalar_speed(b: Boost) -> float:
+    """b's speed, which a 1+1 operation requires to be a scalar."""
+    if isinstance(b.speed, tuple):
+        raise InvalidInput("1+1 operations require a scalar-speed boost")
+    return b.speed
+
+
 def _entries(
     b: Boost, V: float | None = None, *, positive_convention: bool = False,
     antisymmetric_term: bool = True,
@@ -248,9 +267,7 @@ def _entries(
     math.sqrt, so each entry equals the scalar call's bit for bit.
     """
     if V is None:
-        if isinstance(b.speed, tuple):
-            raise InvalidInput("1+1 operations require a scalar-speed boost")
-        V = b.speed
+        V = _scalar_speed(b)
     K = b.K
     column = isinstance(V, np.ndarray)
     sqrt = np.sqrt if column else math.sqrt
@@ -334,6 +351,17 @@ def boost_1p1(e: Event1p1, b: Boost) -> Event1p1:
     return Event1p1(*_image(_entries(b), e.t, e.x, b, (e,)))
 
 
+def _matrix(M, stack: bool = False) -> np.ndarray:
+    """M as a float64 2x2 array of finite entries (_input.finite_column), or
+    with stack also an (n, 2, 2) stack of them; InvalidInput naming the shape
+    of any other array."""
+    M = finite_column("matrix entry", M)
+    if M.shape[-2:] != (2, 2) or M.ndim > 2 + stack:
+        raise InvalidInput(f"a boost matrix must have shape (2, 2){' or (n, 2, 2)' * stack}, "
+                           f"got an array of shape {M.shape}")
+    return M
+
+
 def velocity_of_matrix(M: np.ndarray) -> float:
     """Velocity of the frame a boost matrix maps into.
 
@@ -341,10 +369,10 @@ def velocity_of_matrix(M: np.ndarray) -> float:
     x column); the overall scale of the matrix cancels.  An x-x entry of
     exactly 0 means the matrix is the axis swap of the infinite-speed frame,
     which has no velocity, and raises PoleError, as does a speed beyond the
-    float range.  The entries must be finite (_input.finite_column).  M may
-    also be a stack of matrices, (n, 2, 2), read one by one.
+    float range.  M is a 2x2 matrix or a stack of them, (n, 2, 2), read one
+    by one (_matrix).
     """
-    M = finite_column("matrix entry", M)
+    M = _matrix(M, stack=True)
     if (M[..., 1, 1] == 0.0).any():
         raise PoleError("matrix maps onto the infinite-speed frame")
     with np.errstate(over="ignore"):
@@ -356,7 +384,7 @@ def velocity_of_matrix(M: np.ndarray) -> float:
 
 def branch_of_matrix(M: np.ndarray) -> Branch:
     """The branch of a 2x2 matrix by the sign of its determinant, taken exactly."""
-    (a, b), (c, d) = ([*map(Fraction, row)] for row in finite_column("matrix entry", M).tolist())
+    (a, b), (c, d) = ([*map(Fraction, row)] for row in _matrix(M).tolist())
     return Branch.SUBLUMINAL if a * d - b * c > 0 else Branch.SUPERLUMINAL
 
 
@@ -370,7 +398,6 @@ def _point(V: float, K: float) -> tuple[float, float]:
             near = K * V * V <= 1.0
         w, r = _reciprocal(np.where(near, 1.0, V))
         return np.where(near, V, w), np.where(near, 1.0, r)
-    V = float(V)
     return (V, 1.0) if K * V * V <= 1.0 else _reciprocal(V)
 
 
@@ -407,7 +434,7 @@ def compose_boosts_1p1(b1: Boost, b2: Boost) -> Boost:
     if b1.K != b2.K:
         raise MixedK(f"operands carry different K: {b1.K!r} vs {b2.K!r}")
     branch = Branch.SUBLUMINAL if b1.branch is b2.branch else Branch.SUPERLUMINAL
-    return Boost(branch, _compose(b1.speed, b2.speed, b1.K), b1.K)
+    return Boost(branch, _compose(_scalar_speed(b1), _scalar_speed(b2), b1.K), b1.K)
 
 
 def compose_velocities_1p1(V1: float, V2: float, K: float = 1.0) -> float:
@@ -437,6 +464,8 @@ def interval_1p1(e1: Event1p1, e2: Event1p1, c: float = 1.0) -> float:
     """c**2 * dt**2 - dx**2 from e1 to e2, two Event1p1 or the rows of two
     EventColumns; exactly rounded where this float formula is not finite
     (_exact_forms).  c must pass K_from_c."""
+    for name, e in (("e1", e1), ("e2", e2)):
+        instance(name, e, (Event1p1, EventColumns))
     K_from_c(c)
     with np.errstate(over="ignore", invalid="ignore"):
         dt = e2.t - e1.t
@@ -532,7 +561,7 @@ def extract_K(
     Returns the shared value; raises NotConstant when the spread exceeds
     atol + rtol * max|value|, and ZeroVelocity for a zero sample.
     """
-    sam = [finite("sample velocity", v) for v in samples]
+    sam = [finite("sample velocity", v) for v in sequence("samples", samples)]
     if len(set(sam)) < 2:
         raise InvalidInput("need at least two distinct sample velocities")
     if any(v == 0 for v in sam):
@@ -571,7 +600,7 @@ def _superluminal_along(t, r, speed, w, m, c: float, boost, names=None):
 def boost_1p3_subluminal(e: Event1p3, V, c: float = 1.0) -> Event1p3:
     """Boost along an arbitrary direction; the component of r along V mixes
     with t and the perpendicular part is untouched.  V = 0 is the identity."""
-    b = Boost(Branch.SUBLUMINAL, tuple(V), K_from_c(c))
+    b = Boost(Branch.SUBLUMINAL, finite_column("speed component", V, 3), K_from_c(c))
     v = math.hypot(*b.speed)
     if v == 0.0:
         return Event1p3(e.t, e.r)
@@ -589,7 +618,7 @@ def boost_1p3_superluminal(e: Event1p3, W, c: float = 1.0) -> SuperluminalEvent1
     the perpendicular part of r enters tvec' divided by c.  As |W| grows the
     result approaches x' = c*t, tvec' = r/c for every direction of W.
     """
-    b = Boost(Branch.SUPERLUMINAL, tuple(W), K_from_c(c))
+    b = Boost(Branch.SUPERLUMINAL, finite_column("speed component", W, 3), K_from_c(c))
     w = math.hypot(*b.speed)
     *tvec, x = _superluminal_along(e.t, e.r, b.speed, w, _entries(b, w), c, b, (e,))
     return SuperluminalEvent1p3(tuple(tvec), x)

@@ -20,8 +20,9 @@ A[i, t] = alpha_i**t / t!, the box is the sum over permutations pi of the
 outer products A[pi(0)] x ... x A[pi(N-1)], so it costs N! outer products of
 (T+1)**N cells.  Both paths, and the Cauchy check, accept N <= ORDER_BOUND,
 checked first, with the index tuples, by _indices; binomial coefficients
-and factorials are exact integers for the index ranges used (r <= 8,
-k_i <= truncation).  Each bad input raises InvalidInput naming it.
+and factorials are exact integers for the index ranges used
+(r <= NEWTON_R_MAX, k_i <= truncation).  Each bad input raises InvalidInput
+naming it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._input import as_phases, finite, finite_count, whole
+from ._input import as_phases, finite, finite_count, sequence, whole
 from .errors import InvalidInput, NonfiniteResult, TruncationInsufficient
 from .invariants import _log_sums, _pairwise_sums, _polar, _row_sums, pairwise_phase_sums
 from .report import CheckReport, _relative, relative_deviation
@@ -50,8 +51,13 @@ def power_sum(k: int, phases) -> float:
     return float(_power_sums(as_phases(phases), range(k, k + 1))[0])
 
 
+# The highest order of the Newton convolution checks: verify's row checks
+# every r up to it, and newton_convolution_check accepts r up to it by default.
+NEWTON_R_MAX = 8
+
+
 def newton_convolution_check(
-    r: int, phases_a, phases_b, r_max: int = 8, tol: float = 1e-9
+    r: int, phases_a, phases_b, r_max: int = NEWTON_R_MAX, tol: float = 1e-9
 ) -> CheckReport:
     """E_r over the n*m pairwise sums vs the binomial convolution.
 
@@ -87,7 +93,7 @@ def _convolution(size: int) -> tuple[np.ndarray, np.ndarray]:
     return combs, np.maximum(r - t, 0)
 
 
-_CONVOLUTION = _convolution(9)  # the orders up to the default r_max of 8
+_CONVOLUTION = _convolution(NEWTON_R_MAX + 1)
 
 
 def _newton_columns(Ea, Eb, direct, scale) -> np.ndarray:
@@ -155,25 +161,30 @@ def _power_sums(v: np.ndarray, orders: range, lengths: np.ndarray | None = None)
     return sums
 
 
-def _newton_deviations(instances, r_max: int = 8) -> np.ndarray:
+def _newton_deviations(instances) -> np.ndarray:
     """newton_convolution_check(r, phases_a, phases_b).deviation for every r
-    in 0..r_max, bit for bit, for each (phases_a, phases_b) instance, as the
-    rows of an (instances, r_max + 1) array.
+    in 0..NEWTON_R_MAX, bit for bit, for each (phases_a, phases_b) instance,
+    as the rows of an (instances, NEWTON_R_MAX + 1) array.
 
     The two sets, the pairwise sums and their magnitudes of every instance
-    are concatenated, and the concatenation takes one _power_table.  Each
-    power sum is then the sum of its own stretch of a row, as that stretch
-    sums alone (invariants._row_sums), and one _newton_columns call forms
-    every convolution and deviation."""
+    are concatenated in order of length, and the concatenation takes one
+    _power_table.  Each power sum is then the sum of its own stretch of a
+    row, as that stretch sums alone (invariants._row_sums, one view per
+    length), and is put back in instance order; one _newton_columns call
+    forms every convolution and deviation.  Where several power sums do
+    not fit in a float, the one named is the first in order of length."""
     sets = []
     with np.errstate(over="ignore"):  # a sum beyond a float fails its power sums
         for phases_a, phases_b in instances:
             a, b = as_phases(phases_a), as_phases(phases_b)
             sums = _pairwise_sums(a, b)
             sets += [a, b, sums, np.abs(sums)]
-    power_sums = _power_sums(np.concatenate(sets), range(r_max + 1),
-                             np.array([len(v) for v in sets]))
-    Ea, Eb, direct, scale = power_sums.T.reshape(-1, 4, r_max + 1).transpose(1, 0, 2)
+    lengths = np.array([len(v) for v in sets])
+    order = np.argsort(lengths, kind="stable")
+    power_sums = np.empty((NEWTON_R_MAX + 1, len(sets)))
+    power_sums[:, order] = _power_sums(np.concatenate([sets[i] for i in order.tolist()]),
+                                       range(NEWTON_R_MAX + 1), lengths[order])
+    Ea, Eb, direct, scale = power_sums.T.reshape(-1, 4, NEWTON_R_MAX + 1).transpose(1, 0, 2)
     return _newton_columns(Ea, Eb, direct, scale)
 
 
@@ -191,7 +202,8 @@ class CoefficientTensor:
     beta_prime: float = 0.0
 
     def __post_init__(self) -> None:
-        alphas = tuple(finite(f"alpha {i}", a, complex) for i, a in enumerate(self.alphas))
+        alphas = tuple(finite(f"alpha {i}", a, complex)
+                       for i, a in enumerate(sequence("alphas", self.alphas)))
         if not alphas:
             raise InvalidInput("at least one alpha is required")
         finite("beta_prime", self.beta_prime, complex)
@@ -220,6 +232,9 @@ class CoefficientTensor:
 def _permutation_sum_sorted(
     alphas: tuple[complex, ...], indices: tuple[int, ...]
 ) -> complex:
+    """The sum over permutations pi of prod_i alphas[i]**indices[pi(i)].  It
+    is symmetric in the index tuple, so callers pass the indices sorted and
+    each multiset takes one cache entry."""
     total = 0.0 + 0.0j
     for pi in itertools.permutations(range(len(alphas))):
         term = 1.0 + 0.0j
@@ -227,11 +242,6 @@ def _permutation_sum_sorted(
             term *= a ** indices[pi[i]]
         total += term
     return total
-
-
-def _permutation_sum(alphas: tuple[complex, ...], indices: tuple[int, ...]) -> complex:
-    # The sum over permutations is symmetric in the index tuple.
-    return _permutation_sum_sorted(alphas, tuple(sorted(indices)))
 
 
 def alpha_coefficient(
@@ -244,7 +254,8 @@ def alpha_coefficient(
     finite_count("n", n)
     norm = math.factorial(ct.order) * math.prod(math.factorial(k) for k in indices)
     try:
-        value = n ** (-ct.beta_prime) * _permutation_sum(ct.alphas, indices) / norm
+        value = (n ** (-ct.beta_prime) * _permutation_sum_sorted(ct.alphas, tuple(sorted(indices)))
+                 / norm)
     except OverflowError:  # an n**-beta' or an alpha**k beyond a float
         value = math.inf
     if not cmath.isfinite(value):
@@ -272,13 +283,11 @@ def _indices(ct: CoefficientTensor, bound: int | None = None,
     if N > ORDER_BOUND:
         raise InvalidInput(f"order N <= {ORDER_BOUND} required, got N={N}")
     out = []
+    rule = f"hold N={N} indices"
     for name, given in tuples.items():
-        try:
-            given = tuple(given)
-        except TypeError:  # no sequence
-            pass
-        if not (isinstance(given, tuple) and len(given) == N):
-            raise InvalidInput(f"{name} must hold N={N} indices, got {reprlib.repr(given)}")
+        given = sequence(name, given, rule=rule)
+        if len(given) != N:
+            raise InvalidInput(f"{name} must {rule}, got {reprlib.repr(given)}")
         out.append(tuple(whole(f"{name}[{i}]", k, 0, bound) for i, k in enumerate(given)))
     return out
 

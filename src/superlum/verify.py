@@ -59,6 +59,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import kinematics as kin
+from ._input import whole
 from .invariants import (
     InvariantSpec,
     _invariant_Ps,
@@ -72,6 +73,7 @@ from .invariants import (
 from .kinematics import Boost, Branch, EventColumns
 from .report import CheckReport, _relative, relative_deviation
 from .sympoly import (
+    NEWTON_R_MAX,
     CoefficientTensor,
     _newton_deviations,
     cauchy_condition_check,
@@ -687,7 +689,7 @@ SUITE: tuple[Row, ...] = (
         _two_path, unit="deltas"),
     Row((tol("phase_boost_invariance", 1e-10),), 100, _phase_invariance),
     Row((tol("phase_additivity", 1e-12),), 100, _phase_additivity),
-    Row((tol("newton_convolution", 1e-9, r_max=8),), 10, _newton,
+    Row((tol("newton_convolution", 1e-9, r_max=NEWTON_R_MAX),), 10, _newton,
         unit="instances"),
     Row((tol("cauchy_condition", 1e-10, perturb=lambda o: o.perturb, orders=[2, 4]),),
         1, per_trial(_cauchy), unit=None),
@@ -723,7 +725,7 @@ def run_suite(
     and the report then fails, against a tolerance and a floor alike.
     timings, when given, receives the seconds of each row under Row.name.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(whole("seed", seed))
     opts = Opts(not break_antisymmetric_term, perturb_cauchy)
     reports: list[CheckReport] = []
     for row in SUITE:

@@ -21,9 +21,14 @@ EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.na
 COMPLEX = [1j, 0.5 + 0.5j, 1 + 0j]  # an error where a real number is required
 reals = st.one_of(st.sampled_from(EDGES[:-2] + COMPLEX), st.floats(-4.0, 4.0))
 numbers = st.one_of(reals, st.sampled_from(EDGES[-2:]), st.integers(-3, 3))
-# empty and ragged sequences among the sets
-sets = st.one_of(st.lists(numbers, max_size=4), st.just([[0.1], [0.2, 0.3]]))
+# empty and ragged sequences, and a bare number, among the sets
+sets = st.one_of(st.lists(numbers, max_size=4), st.just([[0.1], [0.2, 0.3]]), numbers)
 triples = st.one_of(st.lists(numbers, min_size=3, max_size=3), sets)
+# a 2x2 matrix, and arrays of other shapes (a stack of two among them)
+matrices = st.sampled_from([(2, 2), (), (2,), (3, 3), (2, 2, 2)]).flatmap(
+    lambda shape: st.lists(reals, min_size=math.prod(shape), max_size=math.prod(shape)).map(
+        lambda entries: np.array(entries).reshape(shape)))
+points = st.tuples(numbers, numbers)  # a (t, x) tuple where an event is required
 branches = st.sampled_from(sl.Branch)
 families = st.tuples(st.sampled_from(["lorentz", "superluminal", "galilean"]), numbers)
 
@@ -43,12 +48,16 @@ def _family(kind, K):
     return (sl.lorentz_family if kind == "lorentz" else sl.superluminal_family)(K)
 
 
+def _matrix(*entries):
+    return np.array(entries).reshape(2, 2)
+
+
 def _tensor(alphas, beta_prime):
-    return sl.CoefficientTensor(tuple(alphas), beta_prime)
+    return sl.CoefficientTensor(alphas, beta_prime)
 
 
-def _path(points):
-    return sl.Path(tuple(sl.Event1p1(t, x) for t, x in points))
+def _path(vertices):
+    return sl.Path(tuple(sl.Event1p1(t, x) for t, x in vertices))
 
 
 def _invariant(alpha, beta, gamma):
@@ -73,16 +82,18 @@ CALLS = {
     "boost_matrix_1p1": (lambda *b: sl.boost_matrix_1p1(sl.Boost(*b)), (branches, numbers, numbers)),
     "subluminal_matrix": (sl.subluminal_matrix, (numbers, numbers)),
     "superluminal_matrix": (sl.superluminal_matrix, (numbers, numbers)),
-    "velocity_of_matrix": (lambda *m: sl.velocity_of_matrix(np.array(m).reshape(2, 2)),
-                           (reals,) * 4),
-    "branch_of_matrix": (lambda *m: sl.branch_of_matrix(np.array(m).reshape(2, 2)), (reals,) * 4),
+    "velocity_of_matrix": (sl.velocity_of_matrix, (matrices,)),
+    "branch_of_matrix": (sl.branch_of_matrix, (matrices,)),
     "compose_boosts_1p1": (lambda b1, v1, b2, v2, K: sl.compose_boosts_1p1(
-        sl.Boost(b1, v1, K), sl.Boost(b2, v2, K)), (branches, numbers, branches, numbers, numbers)),
+        sl.Boost(b1, v1, K), sl.Boost(b2, v2, K)),
+        (branches, st.one_of(numbers, triples), branches, st.one_of(numbers, triples), numbers)),
     "compose_velocities_1p1": (sl.compose_velocities_1p1, (numbers, numbers, numbers)),
     "rapidity": (lambda *b: sl.rapidity(sl.Boost(*b)), (branches, st.one_of(numbers, triples),
                                                           numbers)),
     "interval_1p1": (lambda t1, x1, t2, x2, c: sl.interval_1p1(
         sl.Event1p1(t1, x1), sl.Event1p1(t2, x2), c), (numbers,) * 5),
+    "interval_1p1 (t, x)": (sl.interval_1p1, (st.one_of(points, numbers),
+                                              st.one_of(points, numbers), numbers)),
     "interval_nm": (sl.interval_nm, (sets, sets, numbers)),
     "extract_K": (lambda fam, samples: sl.extract_K(_family(*fam), samples), (families, sets)),
     "general_boost_1p1": (lambda t, x, fam, V: sl.general_boost_1p1(
@@ -93,8 +104,11 @@ CALLS = {
     "invariant_P": (lambda a, b, g, phases: sl.invariant_P(sl.InvariantSpec(a, b, g), phases),
                     (numbers, numbers, numbers, sets)),
     "amplitude": (sl.amplitude, (sets, numbers)),
-    "path_phase": (lambda points, scale, c: sl.path_phase(_path(points), scale, c),
-                   (st.lists(st.tuples(numbers, numbers), max_size=3), numbers, numbers)),
+    "path_phase": (lambda vertices, scale, c: sl.path_phase(_path(vertices), scale, c),
+                   (st.lists(points, max_size=3), numbers, numbers)),
+    "path_phase (t, x)": (lambda vertices, scale, c: sl.path_phase(sl.Path(vertices), scale, c),
+                          (st.one_of(st.lists(points, max_size=3).map(tuple), numbers), numbers,
+                           numbers)),
     "pairwise_phase_sums": (sl.pairwise_phase_sums, (sets, sets)),
     "check_symmetry": (lambda a, b, g, phases, trials: sl.check_symmetry(
         _invariant(a, b, g), phases, trials), (numbers, numbers, numbers, sets, whole(0, 2))),
@@ -104,8 +118,8 @@ CALLS = {
         _invariant(a, b, g), pa, pb), (numbers, numbers, numbers, sets, sets)),
     "finiteness_scan": (lambda a, b, g, ns, low, high, trials: sl.finiteness_scan(
         sl.InvariantSpec(a, b, g), ns, sl.uniform_phase_sampler(low, high), trials),
-        (numbers, numbers, numbers, st.lists(st.one_of(small, numbers), max_size=3), numbers,
-         numbers, whole(0, 3))),
+        (numbers, numbers, numbers, st.one_of(st.lists(st.one_of(small, numbers), max_size=3),
+                                              numbers), numbers, numbers, whole(0, 3))),
     "uniform_phase_sampler": (lambda low, high: sl.uniform_phase_sampler(low, high)(
         np.random.default_rng(0), 3), (numbers, numbers)),
     "power_sum": (sl.power_sum, (small, sets)),
@@ -199,9 +213,9 @@ LEAKS = [
     ("compose_velocities_1p1", (-5e-324, -5e-324, -5e-324)),
     ("compose_velocities_1p1", (1e308, 0.0, 1e308)),
     # a matrix entry that is not finite, or a ratio or product beyond a float
-    ("velocity_of_matrix", (1.0, 0.0, math.nan, 1.0)),
-    ("velocity_of_matrix", (math.inf, 0.0, -1.5, -5e-324)),
-    ("branch_of_matrix", (5e-324, 2.0, -1e308, 2.0)),
+    ("velocity_of_matrix", (_matrix(1.0, 0.0, math.nan, 1.0),)),
+    ("velocity_of_matrix", (_matrix(math.inf, 0.0, -1.5, -5e-324),)),
+    ("branch_of_matrix", (_matrix(5e-324, 2.0, -1e308, 2.0),)),
     # alpha * phi_k, gamma * log S or alpha**k beyond a float: a RuntimeWarning,
     # an OverflowError or a NaN deviation
     ("invariant_P", (-1e308, 0.0, -3.0, [0.5, -3.5])),
@@ -226,7 +240,7 @@ BUILTINS = [
     ("extract_K", (("lorentz", 1j), [0.5, 0.3])),
     ("extract_K", (("superluminal", 1 + 0j), [2.0, 3.0])),
     # a complex array cast to float, its imaginary part dropped with a ComplexWarning
-    ("velocity_of_matrix", (1.0, 0.5j, 0.1 + 0.2j, 1.0)),
+    ("velocity_of_matrix", (_matrix(1.0, 0.5j, 0.1 + 0.2j, 1.0),)),
     ("invariant_P", (0.5, 1.0, 1.0, np.array([0.1, 0.2 + 3j]))),
     # a complex beta_prime in the tail bound's math.exp
     ("expansion_reconstruction_check", ([0.5, -0.5], 1j, [0.1, 0.2], 12)),
@@ -240,10 +254,31 @@ BUILTINS = [
     ("check_symmetry", (0.5, 1.0, 1.0, [0.1, 0.2], 1.5)),
     ("finiteness_scan", (0.5, 1.0, 1.0, [2, 3], 0.0, 1.0, 2.5)),
 ]
+# A number or a (t, x) tuple where a sequence or an event is required, an
+# array of another shape where a matrix is, or a vector speed where a 1+1
+# operation needs a scalar: a TypeError, ValueError, IndexError or
+# AttributeError of Python or numpy
+SHAPES = [
+    ("CoefficientTensor", (0.5, 1.0)),
+    ("compose_boosts_1p1", (sl.Branch.SUBLUMINAL, [0.1, 0.0, 0.0], sl.Branch.SUBLUMINAL, 0.2,
+                            1.0)),
+    ("boost_1p3_subluminal", (0.0, [1.0, 2.0, 3.0], 0.5, 1.0)),
+    ("boost_1p3_superluminal", (0.0, [1.0, 2.0, 3.0], 5.0, 1.0)),
+    ("extract_K", (("lorentz", 1.0), 5)),
+    ("parity_deviation", (("lorentz", 1.0), 5)),
+    ("finiteness_scan", (0.5, 1.0, 1.0, 5, 0.0, 1.0, 2)),
+    ("velocity_of_matrix", (np.ones(2),)),
+    ("branch_of_matrix", (np.array(0.5),)),
+    ("branch_of_matrix", (np.eye(3),)),
+    ("interval_1p1 (t, x)", (1, 2, 1.0)),
+    ("interval_1p1 (t, x)", ((0.0, 0.0), (1.0, 0.0), 1.0)),
+    ("path_phase (t, x)", (5, 1.0, 1.0)),
+    ("path_phase (t, x)", (((0.0, 0.0), (1.0, 0.0)), 1.0, 1.0)),
+]
 
 
 def _with_examples(test):
-    for case in AA + AB + LEAKS + BUILTINS:
+    for case in AA + AB + LEAKS + BUILTINS + SHAPES:
         test = example(case)(test)
     return test
 

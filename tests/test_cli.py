@@ -613,6 +613,14 @@ def test_verify_is_bit_identical_for_fixed_seed(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["verify", "scan"])
+def test_a_negative_seed_is_a_named_error(command, capsys):
+    """numpy's ValueError from SeedSequence escaped main as a traceback."""
+    code, out, err = _run(capsys, command, "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: InvalidInput: seed must be a whole number >= 0, got seed=-1\n"
+
+
 def test_verify_timings_go_to_stderr_and_leave_the_report_alone(tmp_path, capsys):
     code, plain, err = _run(capsys, "verify", "--seed", "2")
     assert code == 0 and err == ""

@@ -1,9 +1,11 @@
 """Diagram bookkeeping: speed classes, frame changes, roles, path counts."""
 
+import contextlib
 import copy
 import dataclasses
 import json
 import math
+import os
 import pickle
 import re
 import weakref
@@ -22,6 +24,7 @@ from superlum import (
     CyclicDiagram,
     Diagram,
     Event1p1,
+    InvalidInput,
     InvalidScenario,
     IsolatedEvent,
     MixedK,
@@ -746,6 +749,81 @@ def test_load_scenario_rejects_bad_json(tmp_path):
     p.write_text("{not json", encoding="utf-8")
     with pytest.raises(InvalidScenario):
         load_scenario(p)
+
+
+def test_a_scenario_file_that_holds_a_json_list_is_rejected(tmp_path):
+    p = tmp_path / "list.json"
+    p.write_text("[1, 2]", encoding="utf-8")
+    with pytest.raises(InvalidScenario, match="^scenario must be a JSON object$"):
+        load_scenario(p)
+
+
+@pytest.mark.parametrize("source", [[1, 2], 1.5, b"scene.json", None])
+def test_load_scenario_takes_only_a_path_or_a_mapping(source):
+    """A list or a float raised open's TypeError; an int is the next test."""
+    with pytest.raises(InvalidScenario, match=re.escape(
+            f"a JSON file path must be a str or an os.PathLike, got {source!r}")):
+        load_scenario(source)
+
+
+def test_load_scenario_reads_no_file_descriptor(tmp_path):
+    """An int was read as an open file descriptor, which open then closed."""
+    p = tmp_path / "scene.json"
+    p.write_text(json.dumps(scenario_to_dict(load_fixture("fig2a"))), encoding="utf-8")
+    fd = os.open(p, os.O_RDONLY)
+    inode = os.fstat(fd).st_ino
+    try:
+        with pytest.raises(InvalidScenario, match=re.escape(
+                f"a JSON file path must be a str or an os.PathLike, got {fd}")):
+            load_scenario(fd)
+        assert os.fstat(fd).st_ino == inode  # still open, on the same file
+    finally:
+        with contextlib.suppress(OSError):  # close fd only while it is still this file's
+            if os.fstat(fd).st_ino == inode:
+                os.close(fd)
+
+
+def test_segments_that_are_no_list_are_rejected():
+    with pytest.raises(InvalidScenario, match=re.escape(
+            "scenario 'segments' must list [start, end] pairs, got 5")):
+        scenario_from_dict({**BASE, "segments": 5})
+
+
+def test_event_labels_that_are_not_strings_load_as_their_str():
+    sc = scenario_from_dict({"events": {1: [0, 0], 2: [1, 0]}, "segments": [[1, 2]]})
+    assert scenario_to_dict(sc) == {"c": 1.0, "events": {"1": [0.0, 0.0], "2": [1.0, 0.0]},
+                                    "segments": [["1", "2"]]}
+
+
+def test_event_labels_equal_under_str_are_rejected():
+    with pytest.raises(InvalidScenario, match="^event labels must be distinct$"):
+        scenario_from_dict({"events": {1: [0, 0], "1": [1, 0]}, "segments": []})
+
+
+@pytest.mark.parametrize("events, shown", [
+    ({"a": (0, 0)}, "event 'a' must be of type Event1p1, got (0, 0)"),
+    ({"a": E(0, 0), "b": 5}, "event 'b' must be of type Event1p1, got 5"),
+    (5, "events must be of type Mapping, got 5"),
+    ([E(0, 0)], "events must be of type Mapping, got [Event1p1(t=0.0, x=0.0)]"),
+])
+def test_diagram_events_must_map_labels_to_events(events, shown):
+    """A value that is no Event1p1 raised AttributeError from its missing t."""
+    with pytest.raises(InvalidInput, match=re.escape(shown)):
+        Diagram(events)
+
+
+@pytest.mark.parametrize("segments, shown", [
+    (5, "segments must be a sequence, got 5"),
+    ([("a", "b"), 7], "segments[1] must be a sequence, got 7"),
+    ([("a",)], "segments[0] must be a (start, end) pair of labels, got ('a',)"),
+    ([("a", "b", "a"), ("b",)], "segments[0] must be a (start, end) pair of labels"),
+])
+def test_diagram_segments_must_be_label_pairs(segments, shown):
+    """A number raised tuple()'s TypeError and a one-label segment numpy's
+    ValueError, while a three-label segment and a one-label one were read
+    silently as two pairs, ("a", "b") twice."""
+    with pytest.raises(InvalidInput, match=re.escape(shown)):
+        Diagram({"a": E(0, 0), "b": E(1, 0)}, segments)
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,34 @@ def test_path_requires_increasing_time():
         Path((E(0, 0), E(0, 1)))
 
 
+@pytest.mark.parametrize("vertices, shown", [
+    (5, "path vertices must be a sequence, got 5"),
+    (((0, 0), (1, 0)), "path vertices[0] must be of type Event1p1, got (0, 0)"),
+    ((E(0, 0), 1.0), "path vertices[1] must be of type Event1p1, got 1.0"),
+])
+def test_path_vertices_must_be_a_sequence_of_events(vertices, shown):
+    """A number raised tuple()'s TypeError, and (t, x) tuples an
+    AttributeError."""
+    with pytest.raises(InvalidInput, match=re.escape(shown)):
+        Path(vertices)
+
+
+def test_an_invariant_spec_stores_its_checked_parameters():
+    """alpha as a complex, beta and gamma as floats, with the bits given, so
+    that no caller converts them again."""
+    spec = InvariantSpec(np.float64(0.5), 2, np.int64(-3))
+    assert (type(spec.alpha), type(spec.beta), type(spec.gamma)) == (complex, float, float)
+    assert (spec.alpha, spec.beta, spec.gamma) == (0.5 + 0j, 2.0, -3.0)
+    assert InvariantSpec(-0.0, -0.0, 0.1).beta.hex() == (-0.0).hex()
+    with pytest.raises(NonfiniteInput, match="^alpha must be finite, got"):
+        InvariantSpec(complex(0.0, math.nan), 1.0, 1.0)
+
+
+def test_the_scan_n_values_must_be_a_sequence():
+    with pytest.raises(InvalidInput, match=re.escape("n_values must be a sequence, got 5")):
+        finiteness_scan(InvariantSpec(1j, 2.0, 1.0), 5, uniform_phase_sampler(0.0, 1.0))
+
+
 def test_path_phase_rejects_fast_segments():
     with pytest.raises(SuperluminalSegment):
         path_phase(Path((E(0, 0), E(1, 1.0))))

@@ -96,6 +96,58 @@ def test_infinite_speed_is_superluminal_only():
         Boost(Branch.SUBLUMINAL, math.inf)
 
 
+@pytest.mark.parametrize("branch", list(Branch))
+def test_a_nan_speed_is_a_nonfinite_input_scalar_or_vector(branch):
+    """A NaN scalar speed raised BranchSpeedViolation, a NaN component
+    NonfiniteInput: one bad speed, one error class."""
+    with pytest.raises(NonfiniteInput, match=r"^speed must be finite or \+/-inf, got nan$"):
+        Boost(branch, math.nan)
+    with pytest.raises(NonfiniteInput, match=r"^speed component must be finite, got nan$"):
+        Boost(branch, (math.nan, 0.0, 2.0))
+
+
+def test_a_boost_stores_its_checked_speed_and_K():
+    b = Boost(Branch.SUPERLUMINAL, np.float64(-2.5), np.float64(0.25))
+    assert type(b.speed) is float and type(b.K) is float
+    assert (b.speed, b.K) == (-2.5, 0.25)
+    assert Boost(Branch.SUBLUMINAL, 0, 1).speed.hex() == (0.0).hex()
+    assert Boost(Branch.SUBLUMINAL, -0.0).speed.hex() == (-0.0).hex()
+    assert Boost(Branch.SUPERLUMINAL, -math.inf).speed == -math.inf
+
+
+@pytest.mark.parametrize("speed", [5, 0.5, None, "abc"])
+def test_a_1p3_boost_needs_three_speed_components(speed):
+    """A number raised TypeError from tuple()."""
+    e = Event1p3(0.0, (1.0, 2.0, 3.0))
+    for boost in (boost_1p3_subluminal, boost_1p3_superluminal):
+        with pytest.raises(InvalidInput, match="speed component"):
+            boost(e, speed)
+
+
+def test_events_of_an_interval_must_be_events():
+    """Numbers and (t, x) tuples raised AttributeError."""
+    with pytest.raises(InvalidInput, match=re.escape(
+            "e1 must be of type Event1p1 or EventColumns, got 1")):
+        interval_1p1(1, 2)
+    with pytest.raises(InvalidInput, match=re.escape(
+            "e2 must be of type Event1p1 or EventColumns, got (1.0, 0.0)")):
+        interval_1p1(Event1p1(0.0, 0.0), (1.0, 0.0))
+
+
+def test_k_extraction_samples_must_be_a_sequence():
+    with pytest.raises(InvalidInput, match=re.escape("samples must be a sequence, got 5")):
+        extract_K(lorentz_family(), 5)
+
+
+def test_composing_vector_speed_boosts_is_a_1p1_operation():
+    """A vector speed raised float()'s TypeError."""
+    b = Boost(Branch.SUBLUMINAL, (0.1, 0.0, 0.0))
+    with pytest.raises(InvalidInput, match=r"1\+1 operations require a scalar-speed boost"):
+        compose_boosts_1p1(b, Boost(Branch.SUBLUMINAL, 0.2))
+    with pytest.raises(InvalidInput, match=r"1\+1 operations require a scalar-speed boost"):
+        compose_boosts_1p1(Boost(Branch.SUBLUMINAL, 0.2), b)
+
+
 def test_boost_inverse_negates_speed():
     assert Boost(Branch.SUBLUMINAL, 0.6).inverse().speed == -0.6
     assert Boost(Branch.SUPERLUMINAL, (3.0, 0.0, -4.0)).inverse().speed == (
@@ -172,6 +224,26 @@ def test_velocity_and_branch_recovered_from_matrix():
     assert branch_of_matrix(superluminal_matrix(3.0)) is Branch.SUPERLUMINAL
     with pytest.raises(PoleError):
         velocity_of_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (3, 3), (2, 3), (1, 2, 2, 2)])
+def test_a_boost_matrix_of_another_shape_is_named(shape):
+    """np.eye(3) gave a velocity of -0.0, np.ones(2) an IndexError, and
+    branch_of_matrix a ValueError or TypeError from unpacking."""
+    M = np.ones(shape) if shape != (3, 3) else np.eye(3)
+    with pytest.raises(InvalidInput, match=re.escape(
+            f"must have shape (2, 2) or (n, 2, 2), got an array of shape {shape}")):
+        velocity_of_matrix(M)
+    with pytest.raises(InvalidInput, match=re.escape(
+            f"must have shape (2, 2), got an array of shape {shape}")):
+        branch_of_matrix(M)
+
+
+def test_a_stack_of_matrices_is_read_one_by_one_but_has_no_one_branch():
+    M = np.stack([subluminal_matrix(0.6), superluminal_matrix(3.0)])
+    assert velocity_of_matrix(M).tolist() == [velocity_of_matrix(m) for m in M]
+    with pytest.raises(InvalidInput, match=re.escape("got an array of shape (2, 2, 2)")):
+        branch_of_matrix(M)
 
 
 def test_velocity_of_matrix_far_above_c():
@@ -997,10 +1069,13 @@ def test_compose_on_columns_names_the_first_pole():
     (Branch.SUPERLUMINAL, -1.0), (Branch.SUPERLUMINAL, math.nan),
 ])
 def test_a_column_is_validated_by_its_extreme_speed(branch, bad):
+    """A NaN speed is no speed on either branch: NonfiniteInput, as for a
+    NaN component of a vector speed."""
     good = 0.5 if branch is Branch.SUBLUMINAL else 2.0
-    with pytest.raises(BranchSpeedViolation):
+    error = NonfiniteInput if math.isnan(bad) else BranchSpeedViolation
+    with pytest.raises(error):
         kin.column_entries(branch, np.array([good, bad, good]))
-    with pytest.raises(BranchSpeedViolation):
+    with pytest.raises(error):
         kin.column_entries(np.array([True, branch is Branch.SUBLUMINAL]), np.array([0.5, bad]))
 
 

@@ -431,3 +431,27 @@ def test_no_census_loop_steps_once_per_event_of_a_run():
     one of 10**2 events (a loop per event would add about 10**4)."""
     small, large = _census_lines(10**2), _census_lines(10**4)
     assert large - small <= 10 * math.log2(10**4 / 10**2)
+
+
+def test_each_job_has_one_implementation():
+    """No second copy of a job the package does elsewhere: _row_sums sums
+    rows already laid out in order of length (its caller lays them out) with
+    no sort, gather or recursion of its own; finite reads finiteness from
+    is_finite with no try of its own; the permutation sum is taken only from
+    its cached kernel, on sorted indices; the Newton rows take their order
+    bound from one constant, not a parameter; and the scan CSV is joined
+    from its rows, with no csv module."""
+    row_sums = {ast.unparse(node.func) for scope, node in NODES
+                if scope == "invariants._row_sums" and isinstance(node, ast.Call)}
+    assert not {"np.argsort", "np.take", "_row_sums"} & row_sums
+    assert not any(scope == "_input.finite" and isinstance(node, ast.Try)
+                   for scope, node in NODES)
+    assert _scopes(lambda node: isinstance(node, ast.Call)
+                   and ast.unparse(node.func) == "is_finite") >= {"_input.finite"}
+    assert not hasattr(superlum.sympoly, "_permutation_sum")
+    assert not _scopes(lambda node: isinstance(node, ast.Name) and node.id == "_permutation_sum")
+    assert "r_max" not in inspect.signature(superlum.sympoly._newton_deviations).parameters
+    assert superlum.sympoly._CONVOLUTION[0].shape == (superlum.sympoly.NEWTON_R_MAX + 1,) * 2
+    imported = {alias.name for scope, node in NODES if isinstance(node, ast.Import)
+                for alias in node.names}
+    assert "csv" not in imported and "io" not in imported

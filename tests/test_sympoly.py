@@ -248,6 +248,13 @@ def test_an_index_or_order_that_is_no_whole_number_in_range_is_named(call, shown
         call(CoefficientTensor((0.5, -0.5)))
 
 
+@pytest.mark.parametrize("alphas", [0.5, None])
+def test_a_tensor_needs_a_sequence_of_alphas(alphas):
+    """A number raised enumerate()'s TypeError."""
+    with pytest.raises(InvalidInput, match=re.escape(f"alphas must be a sequence, got {alphas}")):
+        CoefficientTensor(alphas)
+
+
 # ---------------------------------------------------------------------------
 # The factorial product condition
 

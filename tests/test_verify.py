@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from superlum import kinematics as kin
-from superlum import run_suite, suite_report, sympoly, verify
+from superlum import InvalidInput, run_suite, suite_report, sympoly, verify
 from superlum.cli import main
 from superlum.invariants import (
     InvariantSpec,
@@ -551,6 +552,16 @@ def test_instance_rows_take_one_kernel_call_per_group(monkeypatch):
         assert len(groups) == len(set(groups)) == calls, name
     (size,) = tables["newton_convolution"]
     assert size > 10 * 2 * (81 + 18)  # every instance's two sets, sums and |sums|
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, "3", None])
+def test_the_seed_is_a_whole_number(seed):
+    """1.5 raised numpy's TypeError and -1 its ValueError from SeedSequence;
+    None drew a seed from the operating system, so the report was not
+    reproducible."""
+    with pytest.raises(InvalidInput, match=re.escape(f"seed must be a whole number >= 0, "
+                                                     f"got seed={seed!r}")):
+        run_suite(seed)
 
 
 def test_the_permutation_sum_cache_stays_bounded_over_many_seeds():
