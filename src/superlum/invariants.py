@@ -28,7 +28,7 @@ import numpy as np
 from ._input import as_phases, finite, is_number, sequence, whole
 from .errors import InvalidInput, NonfiniteResult, SuperluminalSegment
 from .kinematics import Event1p1, K_from_c, _squares
-from .report import CheckReport, relative_deviation
+from .report import CheckReport, relative_deviation, verdict
 
 
 @dataclass(frozen=True)
@@ -473,16 +473,14 @@ def check_symmetry(
     worst = 0.0
     for _ in range(trials):
         worst = max(worst, relative_deviation(complex(f(rng.permutation(phi))), base))
-    return CheckReport(
-        "symmetry", worst, tol, worst <= tol, {"n": int(phi.size), "trials": trials}
-    )
+    return verdict("symmetry", worst, tol, {"n": int(phi.size), "trials": trials})
 
 
 def check_time_reversal(f: Callable, phases, tol: float = 1e-12) -> CheckReport:
     """f must agree on the phase set and its negation."""
     phi = as_phases(phases)
     dev = relative_deviation(complex(f(phi)), complex(f(-phi)))
-    return CheckReport("time_reversal", dev, tol, dev <= tol, {"n": int(phi.size)})
+    return verdict("time_reversal", dev, tol, {"n": int(phi.size)})
 
 
 def pairwise_phase_sums(phases_a, phases_b) -> np.ndarray:
@@ -518,9 +516,7 @@ def check_multiplicativity(
     lhs = complex(f(pairwise_phase_sums(a, b)))
     rhs = complex(f(a)) * complex(f(b))
     dev = relative_deviation(lhs, rhs)
-    return CheckReport(
-        "multiplicativity", dev, tol, dev <= tol, {"n": int(a.size), "m": int(b.size)}
-    )
+    return verdict("multiplicativity", dev, tol, {"n": int(a.size), "m": int(b.size)})
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,17 @@ class CheckReport:
         }
 
 
+def verdict(name: str, deviation: float, bound: float, params: dict,
+            floor: bool = False) -> CheckReport:
+    """The one pass rule of every check: a report passes when deviation <=
+    bound, or, for an expected failure (floor), when deviation > bound, and
+    is then marked "expected": "failure".  A NaN deviation fails both."""
+    if floor:
+        return CheckReport(name, deviation, bound, deviation > bound,
+                           {**params, "expected": "failure"})
+    return CheckReport(name, deviation, bound, deviation <= bound, params)
+
+
 def relative_deviation(lhs: complex, rhs: complex, scale: float = 0.0) -> float:
     """|lhs - rhs| over the largest available magnitude; NonfiniteResult
     where a value it compares, or their difference, is beyond a float."""

@@ -41,7 +41,7 @@ import numpy as np
 from ._input import as_phases, finite, finite_count, sequence, whole
 from .errors import InvalidInput, NonfiniteResult, TruncationInsufficient
 from .invariants import _log_sums, _pairwise_sums, _polar, _row_sums, pairwise_phase_sums
-from .report import CheckReport, _relative, relative_deviation
+from .report import CheckReport, _relative, relative_deviation, verdict
 
 
 def power_sum(k: int, phases) -> float:
@@ -75,13 +75,7 @@ def newton_convolution_check(
     Ea, Eb = (_power_sums(v, range(r + 1))[None] for v in (a, b))
     direct, scale = (_power_sums(v, range(r, r + 1))[None] for v in (sums, np.abs(sums)))
     dev = float(_newton_columns(Ea, Eb, direct, scale)[0, 0])
-    return CheckReport(
-        "newton_convolution",
-        dev,
-        tol,
-        dev <= tol,
-        {"r": r, "n": int(a.size), "m": int(b.size)},
-    )
+    return verdict("newton_convolution", dev, tol, {"r": r, "n": int(a.size), "m": int(b.size)})
 
 
 def _convolution(size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -356,13 +350,8 @@ def cauchy_condition_check(
     if not math.isfinite(scale):
         raise NonfiniteResult(f"a term of the Cauchy condition does not fit in a float "
                               f"(alphas={alphas!r}, k={k}, s={s}, n={n!r}, m={m!r})")
-    return CheckReport(
-        "cauchy_condition",
-        dev,
-        tol,
-        dev <= tol,
-        {"k": list(k), "s": list(s), "n": n, "m": m, "perturb": perturb},
-    )
+    return verdict("cauchy_condition", dev, tol,
+                   {"k": list(k), "s": list(s), "n": n, "m": m, "perturb": perturb})
 
 
 def closed_product(ct: CoefficientTensor, phases, n_override: int | None = None) -> complex:
@@ -480,13 +469,8 @@ def expansion_reconstruction_check(
     except OverflowError:  # an n**-beta' beyond a float
         truncated = math.inf
     dev = relative_deviation(truncated, closed_product(ct, phi))  # names one beyond a float
-    return CheckReport(
-        "expansion_reconstruction",
-        dev,
-        tol,
-        dev <= tol,
-        {"N": ct.order, "n": n, "truncation": truncation},
-    )
+    return verdict("expansion_reconstruction", dev, tol,
+                   {"N": ct.order, "n": n, "truncation": truncation})
 
 
 def closure_checks(
@@ -512,6 +496,6 @@ def closure_checks(
         except (OverflowError, ZeroDivisionError):  # a power, or a ratio over 0, beyond a float
             raise NonfiniteResult(f"{name} of the two invariants does not fit in a float") from None
         dev = relative_deviation(both, on_a * on_b)  # check_multiplicativity's deviation
-        out.append(CheckReport(name, dev, fail_floor, dev > fail_floor, {"expected": "failure"})
-                   if name == "closure_sum" else CheckReport(name, dev, tol, dev <= tol, {}))
+        floor = name == "closure_sum"
+        out.append(verdict(name, dev, fail_floor if floor else tol, {}, floor))
     return out

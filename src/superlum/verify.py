@@ -4,9 +4,9 @@ The suite is one table, SUITE.  Each row draws the inputs of all its trials
 and returns one deviation per trial and report; run_suite keeps the worst
 deviation of each report (the largest against a tolerance, the smallest
 against the floor of an expected failure, NaN wherever a trial gave NaN)
-and builds the CheckReports.  All randomness comes from one seeded
-generator, consumed in table order, so a fixed seed gives a bit-identical
-report.
+and builds the CheckReports through report.verdict.  All randomness comes
+from one seeded generator, consumed in table order, so a fixed seed gives a
+bit-identical report.
 
 The eleven kinematics rows draw only uniform doubles.  Each draws all its
 trials in one rng.random block, and maps a column u of it to
@@ -71,7 +71,7 @@ from .invariants import (
     invariant_P,
 )
 from .kinematics import Boost, Branch, EventColumns
-from .report import CheckReport, _relative, relative_deviation
+from .report import CheckReport, _relative, relative_deviation, verdict
 from .sympoly import (
     NEWTON_R_MAX,
     CoefficientTensor,
@@ -739,14 +739,8 @@ def run_suite(
             params = {row.unit: row.trials} if row.unit else {}
             params.update({k: v(opts) if callable(v) else v
                            for k, v in check.params.items()})
-            if check.kind == "floor":
-                params["expected"] = "failure"
-                reports.append(CheckReport(check.name, dev, check.bound,
-                                           dev > check.bound, params))
-            else:
-                fixed = tolerance is None or check.kind == "gap"
-                bound = check.bound if fixed else tolerance
-                reports.append(CheckReport(check.name, dev, bound, dev <= bound, params))
+            bound = check.bound if tolerance is None or check.kind != "tol" else tolerance
+            reports.append(verdict(check.name, dev, bound, params, check.kind == "floor"))
     return reports
 
 

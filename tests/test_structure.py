@@ -455,3 +455,13 @@ def test_each_job_has_one_implementation():
     imported = {alias.name for scope, node in NODES if isinstance(node, ast.Import)
                 for alias in node.names}
     assert "csv" not in imported and "io" not in imported
+
+
+def test_every_report_gets_its_verdict_from_one_rule():
+    """Every CheckReport of the package is built by report.verdict, the one
+    rule that turns a deviation and its bound into pass or fail, and only
+    that rule marks a report "expected": "failure"."""
+    assert _scopes(lambda node: isinstance(node, ast.Call)
+                   and ast.unparse(node.func) == "CheckReport") == {"report.verdict"}
+    assert _scopes(lambda node: isinstance(node, ast.Constant)
+                   and node.value in ("expected", "failure")) == {"report.verdict"}
