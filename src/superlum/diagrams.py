@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import reprlib
+import sys
 from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ from .errors import (
 )
 from .kinematics import Boost, Event1p1, K_from_c, _entries, _image
 
-CLASSIFY_TOL = 1e-9
+CLASSIFY_TOL = 1e-9  # relative to a segment's speed, by _speed_code
 
 
 class SpeedClass(Enum):
@@ -71,11 +72,16 @@ def _filled(cls: type, *columns: list) -> list:
 
 
 def _speed_code(dt, dx, c: float):
-    """Index into SpeedClass, elementwise for arrays: subluminal when
-    |dx| < c*|dt| - CLASSIFY_TOL, luminal within that band around the cone,
-    superluminal otherwise."""
+    """Index into SpeedClass, elementwise for arrays: luminal when |dx| and
+    c*|dt| differ by at most CLASSIFY_TOL times the larger of them, a band
+    relative to the speed, as Boost's BOUNDARY_BAND is, so the class does not
+    depend on the diagram's units; else subluminal when |dx| < c*|dt| and
+    superluminal otherwise.  An increment beyond a float keeps a finite band:
+    an infinite dt alone is subluminal, an infinite dx superluminal, and both
+    luminal."""
     adx, cdt = abs(dx), c * abs(dt)
-    return np.where(adx < cdt - CLASSIFY_TOL, 0, np.where(adx <= cdt + CLASSIFY_TOL, 1, 2))
+    band = CLASSIFY_TOL * np.minimum(np.maximum(adx, cdt), sys.float_info.max)
+    return np.where(adx < cdt - band, 0, np.where(adx <= cdt + band, 1, 2))
 
 
 def classify_endpoints(start: Event1p1, end: Event1p1, c: float = 1.0) -> SpeedClass:

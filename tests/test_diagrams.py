@@ -93,6 +93,76 @@ def test_classify_zero_extent():
         classify_endpoints(E(1, 1), E(1, 1))
 
 
+def test_the_luminal_band_is_relative_to_the_speed():
+    """At extent 1e-10 a rest leg stays subluminal and a speed-5 leg
+    superluminal; a band of 1e-9 in the diagram's units made both luminal."""
+    e = [E(0, 0), E(1e-10, 0), E(2e-10, 5e-10)]
+    assert [classify_endpoints(a, b) for a, b in zip(e, e[1:])] == [
+        SpeedClass.SUBLUMINAL, SpeedClass.SUPERLUMINAL]
+    assert classify_endpoints(E(0, 0), E(1e8, 1e8 * (1 + 5e-10))) is SpeedClass.LUMINAL
+    assert classify_endpoints(E(0, 0), E(1e-8, 1e-8 * (1 - 2e-9))) is SpeedClass.SUBLUMINAL
+
+
+def test_large_luminal_segments_stay_luminal_in_every_frame():
+    """2 000 luminal segments with endpoints in +/-1e8 and extents 1e6-1e8
+    are luminal at rest and after boosts on both branches, the class law of
+    transform_diagram; against a band of 1e-9 in the diagram's units, the
+    rounding of their endpoints made most of them sub- or superluminal."""
+    rng = np.random.default_rng(7)
+    n = 2000
+    t0, x0 = rng.uniform(-1e8, 1e8, (2, n))
+    dt = rng.uniform(1e6, 1e8, n) * rng.choice((-1.0, 1.0), n)
+    dx = np.abs(dt) * rng.choice((-1.0, 1.0), n)
+    events = {f"a{i}": (t0[i], x0[i]) for i in range(n)}
+    events.update({f"b{i}": (t0[i] + dt[i], x0[i] + dx[i]) for i in range(n)})
+    d = _diagram(events, [(f"a{i}", f"b{i}") for i in range(n)])
+    for frame in (d, transform_diagram(d, Boost(Branch.SUBLUMINAL, 0.6)),
+                  transform_diagram(d, Boost(Branch.SUPERLUMINAL, 2.5))):
+        assert Counter(s.speed_class for s in resolved_segments(frame)) == {
+            SpeedClass.LUMINAL: n}
+
+
+def test_an_increment_beyond_a_float_keeps_its_class():
+    """The band stays finite where dt or dx overflows: an infinite dt alone
+    is subluminal, an infinite dx alone superluminal, and both luminal."""
+    m = 1.7e308
+    cases = {((-m, 0.0), (m, 1.0)): SpeedClass.SUBLUMINAL,
+             ((0.0, -m), (1.0, m)): SpeedClass.SUPERLUMINAL,
+             ((-m, -m), (m, m)): SpeedClass.LUMINAL}
+    for (a, b), expected in cases.items():
+        (seg,) = resolved_segments(_diagram({"a": a, "b": b}, [("a", "b")]))
+        assert seg.speed_class is expected
+
+
+# leg speeds on both sides of the luminal band, 1e-9 relative, and far from it
+LEG_SPEEDS = (0.0, 0.5, 1.0, -1.0, 1 + 1e-10, 1 - 1e-10, -1 - 5e-10,
+              1 + 3e-9, 1 - 3e-9, 5.0, math.inf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-1000, 1000), st.integers(-1000, 1000),
+       st.lists(st.tuples(st.floats(1e-3, 1e3), st.sampled_from(LEG_SPEEDS)),
+                min_size=1, max_size=8),
+       st.integers(-60, 60))
+def test_scaling_every_coordinate_by_a_power_of_two_keeps_every_class(t, x, legs, k):
+    """A diagram drawn in other units has the same speed classes, at rest
+    and after a boost: scaling by 2**k is exact, and so is the band."""
+    events = {"e0": (float(t), float(x))}
+    for i, (dt, v) in enumerate(legs, 1):
+        dt, dx = (0.0, dt) if v == math.inf else (dt, v * dt)
+        t, x = t + dt, x + dx
+        events[f"e{i}"] = (t, x)
+    segments = [(f"e{i - 1}", f"e{i}") for i in range(1, len(events))]
+    scale = 2.0 ** k
+    d = _diagram(events, segments)
+    scaled = _diagram({label: (t * scale, x * scale) for label, (t, x) in events.items()},
+                      segments)
+    b = Boost(Branch.SUBLUMINAL, 0.6)
+    for one, other in ((d, scaled), (transform_diagram(d, b), transform_diagram(scaled, b))):
+        assert [s.speed_class for s in resolved_segments(one)] == [
+            s.speed_class for s in resolved_segments(other)]
+
+
 # ---------------------------------------------------------------------------
 # Diagram construction
 

@@ -2,7 +2,9 @@
 
 md5s of `superlum diagram` in SVG and in JSON, recorded from the per-event
 implementation of diagrams.py and render.py, for the four fixtures and five
-seeded bundles, each at rest, at V = 0.6, at W = 2.5 and at W = inf; and md5s
+seeded bundles, each at rest, at V = 0.6, at W = 2.5 and at W = inf (the
+15 bundle frames where an edge leg changed class re-recorded once the
+luminal band became relative to the segment's speed); and md5s
 of the default `superlum verify --seed N` report and of `superlum verify
 --seed 0` under each sabotage switch and a tight tolerance, recorded from
 the column verify rows once sum_fails_multiplicativity's two invariants
@@ -38,9 +40,11 @@ MARKUP = '<&"'
 
 def _bundle(seed: int) -> dict:
     """Chains of events whose legs are slow, fast, simultaneous (dt = 0),
-    luminal, or within CLASSIFY_TOL of the cone on either side; some labels
-    carry markup, some events share coordinates (equal segment sort keys),
-    and one sits at (-0.0, 0.0).  The segment graph is a forest, so it has
+    luminal, or CLASSIFY_TOL times 0.2-1.8 from the cone on either side in
+    the diagram's units, which puts such a leg inside or outside the
+    relative luminal band by its extent; some labels carry markup, some
+    events share coordinates (equal segment sort keys), and one sits at
+    (-0.0, 0.0).  The segment graph is a forest, so it has
     no cycle in any frame."""
     rng = random.Random(seed)
     events, segments = {}, []
@@ -131,17 +135,17 @@ EXPECTED = {
         ('cded9af8d8f00a69c1b1b07f9dcf6f84',
          '4eb6edecc6f9f8f7da59fd5000438dcb'),
     ('bundle1', 'rest'):
-        ('efb3df740afed9bf81fcc8b82bcc622b',
-         '9d9eece8ea2c2ee16b7d59288e508ce3'),
+        ('8a2629e1e84d01d84e646b775fe38a1c',
+         '513a2b3c7ebb89406b50c37107cbb2c9'),
     ('bundle1', 'V=0.6'):
-        ('3e9067dbce60bee257885db0cbce9a79',
-         '28b79b77846eec3ec0542f3cf8eec8da'),
+        ('0cf771251bf89adaf22e328116d6226c',
+         '872706cae61f3a741e55eef028c77190'),
     ('bundle1', 'W=2.5'):
-        ('f43b8a387fb2f1e3ac679a480df52203',
-         'aa2f5639c9f2f405f0b5bac230567f29'),
+        ('c680f0af8b67d25707ca8eb3cd259a7f',
+         'd08ac48595ab9d277703804f3d09efe8'),
     ('bundle1', 'W=inf'):
-        ('3e03420c74a23d9ce5a0108e750d721b',
-         'a2e6d44b922bd90a3a80daf5178b82f4'),
+        ('f9e9444b61a1e156aa2db99ce6ba9252',
+         'f3227f92735abfe32e149bbb9626fc79'),
     ('bundle2', 'rest'):
         ('78bd15535b3af1cbb2edaed6218f90f6',
          '8abe67d18181b33934ed269ebca42b56'),
@@ -155,41 +159,41 @@ EXPECTED = {
         ('2c94df1cb007878aa3bac19d43400bb6',
          '3d58f6fe08c0df08dae3a66fc8245359'),
     ('bundle3', 'rest'):
-        ('5dce0e7daf45cb5b41013bd963a8c135',
-         'ab1e22ac8c5a316d22306bd6ddc5b285'),
+        ('930f2fa30ad14721b6936eef5ba0fa1f',
+         '45968d79b1b0c2f7a784e792322594ba'),
     ('bundle3', 'V=0.6'):
-        ('1fc7ca7e4189557b0634c1b697d451e6',
-         '65e8155bc8a551155468221c83309e0f'),
+        ('4a9a085f9d0083da27bbbeed01396153',
+         'e0ad30d59439a8fc3c44cd76c64d1d13'),
     ('bundle3', 'W=2.5'):
         ('c712822b8944853dca55638fc44b20d1',
          '3d8817ae62a0dccc457d9d8dd5e56ce7'),
     ('bundle3', 'W=inf'):
-        ('3ea3f3c35d31f20047e4c53ab857abdb',
-         '57bac8193667490b8e2942e6d2e7e378'),
+        ('319571f67dea23a2841274de3068d631',
+         'a18df312aa67f9c90247baeda73cbfe2'),
     ('bundle4', 'rest'):
-        ('17405f93f926850d9a420bf8a2d76e4d',
-         'f9e9048d52e85ea393a44474c6b9fe4a'),
+        ('b5d3c8a21aa93f3b33e56c570c0b6e2b',
+         '8e9f5b7eebce6a8d54487224f7f04899'),
     ('bundle4', 'V=0.6'):
-        ('dfcedaddd86a37262b031f6ce3f356a7',
-         '7609bb01ec9166c868650f7919cd6666'),
+        ('9e8c40d752103a9a12bff3c8721d13ae',
+         '0c4e169121e5eb0000fa25c8dbaf5a0d'),
     ('bundle4', 'W=2.5'):
-        ('aaa5826a44b6e02d594518f01607bc47',
-         '94c0357acb5d3fc614327854b6a6d3d3'),
+        ('5d95a45575bd5dd34d3aceedb4bef2d9',
+         '518ebe12aff2cd06998c63d94e0bbcbe'),
     ('bundle4', 'W=inf'):
-        ('9df48791c95d6b3484878073de519a20',
-         '1796852e5c5041e7096c4fc08ff2275b'),
+        ('ff7db72f3941fa323af308db27147219',
+         '91b3c2eb86fe19a0f5e5e43c3b86af6a'),
     ('bundle5', 'rest'):
-        ('e27522482fda172bd038aa493fe82a99',
-         '64766a71447cf021e9eb734f22bf7656'),
+        ('98abbf3039f84ecc65a331cb10699565',
+         '4b7d6c85fca66c3c4c53459bf27c86fa'),
     ('bundle5', 'V=0.6'):
-        ('9af7fdefb2e50c44ca122891751412ff',
-         'e5872b103f80c9b7f81afdb4e1d85046'),
+        ('df82885a56c9fc7454185f32416eac39',
+         '0440315c4fd80c8de8247e1fd52b9cec'),
     ('bundle5', 'W=2.5'):
-        ('0ed8c9d483e73ba2449be57a895b32f3',
-         'f18d3a0e3b5ea06f7c73376157211207'),
+        ('f3e688b5945576d54b74af6c5e1b3e85',
+         'e959bcca83118ade0f1343ba3506c21f'),
     ('bundle5', 'W=inf'):
-        ('6c4500cba72ccc3c99d2771553162e44',
-         '5773df2e493d47b406c72667cb345ad9'),
+        ('6dfc6c4767c0fa44ec94b23bb6b81aab',
+         'e57bcffdbd4f181849afef53272745f2'),
 }
 
 
