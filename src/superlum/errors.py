@@ -20,7 +20,7 @@ class NonpositiveK(InvalidInput):
     """K = 1/c**2 must be positive and finite, and so must a light speed c."""
 
 
-class ZeroVelocity(SuperlumError):
+class ZeroVelocity(InvalidInput):
     """The general transform family is undefined at V = 0."""
 
 
@@ -32,7 +32,7 @@ class NotConstant(SuperlumError):
     """The extracted K expression varies across sample velocities."""
 
 
-class MixedK(SuperlumError):
+class MixedK(InvalidInput):
     """Operands carry inconsistent values of K (or of the light speed c)."""
 
 
@@ -69,7 +69,7 @@ class NonfiniteResult(SuperlumError):
     inputs and log10 of the magnitude."""
 
 
-class InvalidScenario(SuperlumError):
+class InvalidScenario(InvalidInput):
     """Scenario JSON does not match the expected schema."""
 
 

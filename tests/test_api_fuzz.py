@@ -10,6 +10,7 @@ import warnings
 from enum import Enum
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -289,3 +290,24 @@ def _with_examples(test):
 def test_every_public_call_returns_a_finite_result_or_a_named_error(case):
     _outcome(*case)
 
+
+
+def test_the_errors_that_name_a_bad_input_are_kinds_of_invalid_input():
+    """MixedK, ZeroVelocity and InvalidScenario are raised only for bad
+    inputs, so each is an InvalidInput; BranchSpeedViolation and ZeroExtent
+    are also raised for results (a composed speed, a boosted segment that
+    underflows to a point), so they are not."""
+    sub = sl.Branch.SUBLUMINAL
+    calls = [
+        (sl.MixedK, lambda: sl.compose_boosts_1p1(sl.Boost(sub, 0.5, 1.0),
+                                                  sl.Boost(sub, 0.5, 2.0))),
+        (sl.ZeroVelocity, lambda: sl.general_boost_1p1(sl.Event1p1(0.0, 0.0),
+                                                       sl.lorentz_family(), 0)),
+        (sl.InvalidScenario, lambda: sl.diagrams.scenario_from_dict({"events": 5})),
+    ]
+    for error, call in calls:
+        with pytest.raises(error) as info:
+            call()
+        assert isinstance(info.value, sl.InvalidInput)
+    assert not issubclass(sl.BranchSpeedViolation, sl.InvalidInput)
+    assert not issubclass(sl.ZeroExtent, sl.InvalidInput)
