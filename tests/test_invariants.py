@@ -821,3 +821,44 @@ def test_an_imaginary_alpha_whose_half_angle_overflows_names_alpha_and_the_phase
 )
 def test_amplitude_magnitude_never_exceeds_one(phases):
     assert abs(amplitude(phases).value) <= 1.0 + 1e-12
+
+
+def test_a_complex_alpha_times_a_phase_beyond_a_float_names_the_phase():
+    with pytest.raises(NonfiniteResult, match=re.escape(
+            "alpha * phase 0 = (1e+200+1e+200j) * 1e+200 = 10**400.151 does not fit in a float")):
+        invariant_P(InvariantSpec(1e200 + 1e200j, 0, 1), [1e200, 1.0])
+
+
+def test_a_scan_median_of_zero_or_inf_names_the_slope():
+    with pytest.raises(NonfiniteResult, match=re.escape(
+            "the growth slope is nan (alpha=(1+0j), beta=0.0, gamma=1e+308, n=[10, 100])")):
+        finiteness_scan(InvariantSpec(1.0, 0, 1e308), (10, 100), uniform_phase_sampler(0, 3),
+                        trials=3)
+
+
+def test_a_deviation_of_a_complex_value_beyond_a_float_is_named():
+    with pytest.raises(NonfiniteResult, match=re.escape(
+            "the deviation of (1.7e+308+1.7e+308j) from 0 does not fit in a float")):
+        relative_deviation(complex(1.7e308, 1.7e308), 0)
+
+
+def test_an_argument_of_p_beyond_a_float_is_dropped_only_where_p_is_zero():
+    """At gamma = 1e308, gamma * arg P does not fit in a float wherever
+    |arg P| > 1.8.  Around an alpha where |S(alpha) * S(-alpha)| = 1 and
+    arg P is 2.3, log|P| is gamma times a rounding of either sign, or
+    exactly 0: P is then 0 (its argument dropped), |P| beyond a float, or
+    |P| = 1 at an argument beyond a float, which raises NonfiniteResult
+    naming it.  Each of the three happens on this grid of alphas."""
+    z = cmath.acosh((cmath.exp(2.3j) - 2) / 2)
+    seen = set()
+    for j in range(-30, 31):
+        for i in range(-30, 31):
+            spec = InvariantSpec(complex(z.real + i * 2.0**-53, z.imag + j * 2.0**-51), 0, 1e308)
+            try:
+                assert invariant_P(spec, [0.0, 1.0]) == 0
+                seen.add("zero")
+            except NonfiniteResult as exc:
+                assert re.match(r"\|P\| = 10\*\*\S+ does not fit|arg P = inf does not fit",
+                                str(exc))
+                seen.add(str(exc)[:3])
+    assert seen == {"zero", "|P|", "arg"}

@@ -1132,3 +1132,19 @@ def test_velocity_of_a_matrix_stack_and_interval_rows():
     dts, drs = rng.uniform(-2, 2, (16, 1)), rng.uniform(-2, 2, (16, 3))
     assert _bits(interval_nm(dts, drs)) == _bits([interval_nm(a, b) for a, b in zip(dts, drs)])
     assert type(interval_nm(dts[0], drs[0])) is float
+
+
+def test_a_matrix_speed_beyond_a_float_is_a_pole():
+    with pytest.raises(PoleError, match="^the speed of the matrix lies beyond the float range$"):
+        velocity_of_matrix([[1, 0], [1e308, 1e-10]])
+
+
+def test_a_number_with_only_a_complex_form_is_not_real():
+    """A number that converts to complex but not to float is no real number,
+    as a value of a complex type is not."""
+    class OnlyComplex:
+        def __complex__(self):
+            return 1 + 0j
+
+    with pytest.raises(InvalidInput, match="^t must be real, got "):
+        Event1p1(OnlyComplex(), 0.0)

@@ -646,3 +646,27 @@ def test_tail_bound_takes_one_pair_of_log_sums_per_distinct_magnitude(monkeypatc
     monkeypatch.setattr(sympoly, "_log_sums", counted)
     _tail_bound(CoefficientTensor(alphas, 1.0), np.array([0.3, -0.7, 0.1]), 12)
     assert len(calls) == 2 * distinct
+
+
+def test_a_cauchy_term_beyond_a_float_is_named():
+    with pytest.raises(NonfiniteResult, match=re.escape(
+            "a term of the Cauchy condition does not fit in a float (alphas=((1e+100+0j), "
+            "(-1e+100+0j)), k=(4, 4), s=(4, 4), n=2, m=3)")):
+        cauchy_condition_check(CoefficientTensor((1e100, -1e100)), (4, 4), (4, 4), 2, 3)
+
+
+def test_an_n_power_beyond_a_float_fails_the_expansion_check_by_name():
+    """n**-beta' overflows in the truncated sum and in the closed product;
+    the closed product names it."""
+    with pytest.raises(NonfiniteResult, match=re.escape(
+            "|closed product| = 10**3.0103e+09 does not fit in a float")):
+        expansion_reconstruction_check(CoefficientTensor((0.0, 0.0), -1e10), [0.0, 0.0])
+
+
+def test_a_product_of_tail_ceilings_beyond_a_float_is_an_infinite_bound():
+    """Each factor's log ceiling, about 1.5e308, fits in a float; their sum
+    does not, so the bound is inf and the check asks for more terms."""
+    ct = CoefficientTensor((1e308, 1e308))
+    assert _tail_bound(ct, np.array([1.5]), 12) == math.inf
+    with pytest.raises(TruncationInsufficient, match="^series tail bound inf exceeds tol=1e-08"):
+        expansion_reconstruction_check(ct, [1.5])
