@@ -15,7 +15,9 @@ or encoders could mangle, on events without segments, on drawings of
 1023-1025 rows and on the 10**5-event chain, recorded before the drawing
 and the report were written from columns; and the exit code and md5s of
 stdout and stderr of `superlum scan`, recorded from the scan that valued
-each n's trials in one array."""
+each n's trials in one array; and md5s of the `superlum boost`, `compose`
+and `amplitude` reports, recorded while a hand-written copy of
+json.dumps(indent=2, sort_keys=True) still wrote them."""
 
 import hashlib
 import json
@@ -405,3 +407,50 @@ def test_scan_outputs_are_byte_identical(name, tmp_path, capsys):
     out = capsys.readouterr()
     assert (code, *(hashlib.md5(text.encode()).hexdigest() for text in (out.out, out.err))
             ) == SCAN_EXPECTED[name]
+
+
+# Inputs of the small JSON reports: an event boosted on each branch in 1+1
+# and in 1+3 dimensions, a pair of boosts composed for each pairing of
+# branches, and one phase set summed into an amplitude.  Each report has the
+# same bits with numpy's AVX-512 kernels switched off.
+EVENT_1P1, EVENT_1P3 = [1.25, -0.4], [1.25, -0.4, 0.3, 2.0]
+REPORT_CASES = {
+    "boost 1+1 subluminal": ("boost", {"c": 1.0, "event": EVENT_1P1,
+                                       "boost": {"branch": "subluminal", "speed": 0.6}}),
+    "boost 1+1 superluminal": ("boost", {"c": 1.0, "event": EVENT_1P1,
+                                         "boost": {"branch": "superluminal", "speed": 2.5}}),
+    "boost 1+3 subluminal": ("boost", {"c": 1.0, "event": EVENT_1P3, "boost": {
+        "branch": "subluminal", "speed": [0.3, -0.2, 0.5]}}),
+    "boost 1+3 superluminal": ("boost", {"c": 1.0, "event": EVENT_1P3, "boost": {
+        "branch": "superluminal", "speed": [1.5, 2.0, -0.7]}}),
+    "compose subluminal subluminal": ("compose", {"boosts": [
+        {"branch": "subluminal", "speed": 0.6}, {"branch": "subluminal", "speed": -0.3}]}),
+    "compose subluminal superluminal": ("compose", {"boosts": [
+        {"branch": "subluminal", "speed": 0.6}, {"branch": "superluminal", "speed": 2.5}]}),
+    "compose superluminal subluminal": ("compose", {"boosts": [
+        {"branch": "superluminal", "speed": -3.0}, {"branch": "subluminal", "speed": 0.45}]}),
+    "compose superluminal superluminal": ("compose", {"boosts": [
+        {"branch": "superluminal", "speed": 2.5}, {"branch": "superluminal", "speed": 4.0}]}),
+    "amplitude": ("amplitude", {"phases": [0.0, 0.7, 1.9, 3.1, -2.2], "alpha_mag": 1.3}),
+}
+# md5 of each report on stdout
+REPORT_EXPECTED = {
+    "boost 1+1 subluminal": "17da707d98d4329adffb63d9040fa895",
+    "boost 1+1 superluminal": "a8f3572686ca4af52884f0afbe0503d4",
+    "boost 1+3 subluminal": "23b5605f6ac44e039f664cbf9be6c075",
+    "boost 1+3 superluminal": "343aaf07debf180f02ff55d42d9484cd",
+    "compose subluminal subluminal": "d0fc02d637abe7b69fea6c980d716d81",
+    "compose subluminal superluminal": "6027b7d98d743a85603f6a272e96e571",
+    "compose superluminal subluminal": "33cc19e0880aecf123741a39cc1a85c9",
+    "compose superluminal superluminal": "49f4a723a0112dfe458671e6349c97a9",
+    "amplitude": "d1779c90188a494a88e50e7b1ff4de65",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_CASES))
+def test_small_reports_are_byte_identical(name, tmp_path, capsys):
+    command, data = REPORT_CASES[name]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main([command, "--input", str(path)]) == 0
+    assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == REPORT_EXPECTED[name]
