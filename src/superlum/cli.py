@@ -115,7 +115,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _dump(data: dict, output: str | None) -> None:
-    _emit(_json(data, 0), output)
+    _emit(json.dumps(data, indent=2, sort_keys=True), output)
 
 
 def _parse_boost(obj, K: float, where: str, dims: int = 1) -> Boost:
@@ -171,13 +171,13 @@ def _layout(depth: int, brackets: str) -> tuple[str, str, str]:
     return brackets[0] + inner, "," + inner, "\n" + "  " * depth + brackets[1]
 
 
-def _join(items: list[str], depth: int, brackets: str = "[]") -> str:
+def _join(items: list[str], depth: int) -> str:
     """A list of items already written as JSON, laid out at depth by one
     join, which copies each item once."""
-    head, sep, tail = _layout(depth, brackets)
+    head, sep, tail = _layout(depth, "[]")
     parts = [sep] * (2 * len(items) + 1)
     parts[1::2], parts[0], parts[-1] = items, head, tail
-    return "".join(parts) if items else brackets
+    return "".join(parts) if items else "[]"
 
 
 def _rows(row: str, columns: list, depth: int, brackets: str = "[]") -> str:
@@ -201,37 +201,6 @@ _SEGMENT = '{\n      "from": %s,\n      "speed_class": %s,\n      "to": %s\n    
 _ROLE = '{\n      "event": %s,\n      "role": %s\n    }'
 _encode = json.encoder.encode_basestring_ascii
 _CLASS_NAMES = [_encode(k.value) for k in SpeedClass]  # a stored speed code indexes this
-_CONSTANTS = {None: "null", True: "true", False: "false",
-              "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float(value: float) -> str:
-    text = float.__repr__(value)
-    return _CONSTANTS.get(text, text)  # nan, inf and -inf as json writes them
-
-
-# How json writes each scalar type.
-_SCALARS = {str: _encode, float: _float, int: int.__repr__, bool: _CONSTANTS.__getitem__,
-            type(None): _CONSTANTS.__getitem__}
-
-
-def _json(value, depth: int) -> str:
-    """value as json.dumps(value, indent=2, sort_keys=True) writes it at
-    nesting depth, without json's pure-Python encoder, which indent selects.
-    Keys must be strings, as every report's are.  A value that json rejects
-    raises json's TypeError, and so does a key that is not a string."""
-    write = _SCALARS.get(type(value))
-    if write is not None:
-        return write(value)
-    if isinstance(value, dict):
-        return _join([f"{_encode(key)}: {_json(item, depth + 1)}"
-                      for key, item in sorted(value.items())], depth, "{}")
-    if isinstance(value, (list, tuple)):
-        return _join([_json(item, depth + 1) for item in value], depth)
-    for base in (str, int, float):  # a subclass is written as its base class
-        if isinstance(value, base):
-            return _SCALARS[base](value)
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def _strings(values, depth: int) -> str:

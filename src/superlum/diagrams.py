@@ -181,7 +181,7 @@ class Diagram:
 
     # The segment endpoint rows in stored order and their speed codes, which
     # index SpeedClass: the frame's one ordered and classified view of its
-    # segments, sorted on the first read of either.
+    # segments, sorted on the first read of _seg, which _codes reads first.
     @property
     def _seg(self) -> np.ndarray:
         if self._speeds is None:
@@ -190,8 +190,7 @@ class Diagram:
 
     @property
     def _codes(self) -> np.ndarray:
-        if self._speeds is None:
-            _sort(self)
+        self._seg  # sorts the frame if no reader has yet
         return self._speeds
 
 

@@ -429,12 +429,19 @@ def compose_boosts_1p1(b1: Boost, b2: Boost) -> Boost:
     """Single boost equivalent to applying b1 and then b2.
 
     Within one branch the result is subluminal, across branches superluminal
-    (determinants multiply).  Raises MixedK when the operands disagree on K
-    and PoleError when the composition is the infinite-speed axis swap."""
+    (determinants multiply).  Raises MixedK when the operands disagree on K,
+    PoleError when the composition is the infinite-speed axis swap, and
+    BranchSpeedViolation, naming both operands, when the composed speed
+    rounds into the band around c that Boost rejects."""
     if b1.K != b2.K:
         raise MixedK(f"operands carry different K: {b1.K!r} vs {b2.K!r}")
     branch = Branch.SUBLUMINAL if b1.branch is b2.branch else Branch.SUPERLUMINAL
-    return Boost(branch, _compose(_scalar_speed(b1), _scalar_speed(b2), b1.K), b1.K)
+    try:
+        return Boost(branch, _compose(_scalar_speed(b1), _scalar_speed(b2), b1.K), b1.K)
+    except BranchSpeedViolation as exc:
+        exc.args = (f"{exc}, composing the {b1.branch.value} boost at speed {b1.speed!r} "
+                    f"with the {b2.branch.value} boost at speed {b2.speed!r}",)
+        raise
 
 
 def compose_velocities_1p1(V1: float, V2: float, K: float = 1.0) -> float:

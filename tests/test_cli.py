@@ -12,7 +12,6 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from xml.etree import ElementTree
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -1097,59 +1096,3 @@ def test_malformed_input_gets_an_answer_or_one_named_error(tmp_path_factory, cas
             raise AssertionError(f"not strict JSON: {constant}")
 
         json.loads(out, parse_constant=reject)
-
-
-# ---------------------------------------------------------------------------
-# The report writer of boost, compose, verify and amplitude
-
-_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.text()
-                 | st.floats(allow_nan=True, allow_infinity=True))
-_JSON_TREES = st.recursive(
-    _JSON_SCALARS,
-    lambda children: (st.lists(children, max_size=4) | st.tuples(children, children)
-                      | st.dictionaries(st.text(), children, max_size=4)),
-    max_leaves=25)
-
-
-@given(_JSON_TREES)
-@example([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 10**30])
-@example({"é": "ü \x00   \U0001f600", "": [], "a": {}, "b": [[{}], ()]})
-@example({"deviation": math.nan, "params": {"k": [1, 0], "passed": False, "tol": None}})
-def test_dump_writes_what_json_writes_with_indent_two_and_sorted_keys(value):
-    assert cli._json(value, 0) == json.dumps(value, indent=2, sort_keys=True)
-
-
-class _Label(str):
-    pass
-
-
-class _Count(int):
-    pass
-
-
-class _Real(float):
-    pass
-
-
-@pytest.mark.parametrize("value", [
-    {_Label("b"): _Label("x"), "a": [_Count(3), _Real(math.nan), _Real(0.5)]},
-    [np.float64(0.25), np.float64(-math.inf)],
-])
-def test_dump_writes_subclasses_as_json_writes_their_base_class(value):
-    assert cli._json(value, 0) == json.dumps(value, indent=2, sort_keys=True)
-
-
-@pytest.mark.parametrize("value", [
-    [object()], {"x": 1j}, {1: 2, "a": 3}, np.int64(3), {"x": {b"y"}}])
-def test_dump_rejects_what_json_rejects_with_its_type_error(value):
-    with pytest.raises(TypeError) as want:
-        json.dumps(value, indent=2, sort_keys=True)
-    with pytest.raises(TypeError) as got:
-        cli._json(value, 0)
-    assert str(got.value) == str(want.value)
-
-
-@pytest.mark.parametrize("value", [{1: "one"}, {None: 1}, {(1,): 2}])
-def test_dump_takes_only_string_keys(value):
-    with pytest.raises(TypeError):
-        cli._json(value, 0)

@@ -221,6 +221,20 @@ def test_frame_order_is_the_four_key_lexsort(data):
     assert d._seg.tolist() == seg[np.lexsort((x[to], t[to], x[frm], t[frm]))].tolist()
 
 
+def test_speed_codes_read_before_the_order_are_those_of_the_sorted_rows():
+    """A frame whose speed codes are read before its segment rows sorts on
+    that read, so each code is the class of the stored row it lines up with."""
+    events = {"a": (2.0, 0.0), "b": (0.0, 0.0), "c": (1.0, 3.0), "d": (3.0, 1.0)}
+    d = _diagram(events, [("a", "d"), ("c", "a"), ("b", "c"), ("b", "a")])
+    assert d._speeds is None
+    codes = d._codes.tolist()
+    rows = [tuple(map(str, pair)) for pair in d._labels[d._seg]]
+    assert rows == [("b", "c"), ("b", "a"), ("c", "a"), ("a", "d")]
+    classes = list(SpeedClass)
+    assert [classes[k] for k in codes] == [
+        classify_endpoints(d.events[frm], d.events[to]) for frm, to in rows]
+
+
 # ---------------------------------------------------------------------------
 # Frame changes
 

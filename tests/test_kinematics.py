@@ -360,6 +360,23 @@ def test_compose_boosts_rejects_mixed_K():
         )
 
 
+def test_a_composed_speed_on_the_light_cone_names_both_operands():
+    """Two boosts can compose to a speed that rounds into the band around c
+    that Boost rejects, on either branch; the error names the operands as
+    well as the composed speed, which the caller never gave."""
+    b = Boost(Branch.SUBLUMINAL, 0.9999999)
+    with pytest.raises(BranchSpeedViolation) as err:
+        compose_boosts_1p1(b, b)
+    assert str(err.value) == (
+        "subluminal branch requires |V| < c: |V|=0.999999999999995, c=1.0, composing "
+        "the subluminal boost at speed 0.9999999 with the subluminal boost at speed 0.9999999")
+    sup, sub = Boost(Branch.SUPERLUMINAL, 1.0000001), Boost(Branch.SUBLUMINAL, 0.9999999)
+    with pytest.raises(BranchSpeedViolation, match=r"\|W\|=.*, composing the superluminal "
+                       r"boost at speed 1\.0000001 with the subluminal boost at speed "
+                       r"0\.9999999$"):
+        compose_boosts_1p1(sup, sub)
+
+
 def test_compose_boosts_pole_maps_to_infinite_frame():
     with pytest.raises(PoleError):
         compose_boosts_1p1(

@@ -122,6 +122,15 @@ def test_composition_builds_no_matrix(function):
     assert not used
 
 
+def test_a_frame_is_sorted_only_by_its_one_lazy_accessor_and_by_a_boost():
+    """Reading Diagram._seg sorts and classifies an unsorted frame, and
+    every other reader of the order or the codes goes through it;
+    transform_diagram sorts the frame it builds."""
+    assert _scopes(lambda node: isinstance(node, ast.Call)
+                   and ast.unparse(node.func) == "_sort") == {
+        "diagrams.Diagram._seg", "diagrams.transform_diagram"}
+
+
 def test_segments_are_sorted_and_classified_on_the_diagram_arrays():
     """Roles, the SVG and the JSON report read the diagram's one
     classification; no package function asks for Segment objects, and no
@@ -198,8 +207,7 @@ def test_a_nonfinite_input_is_raised_only_by_the_input_checks():
 
 
 def test_every_bad_input_raises_a_superlum_error_and_main_catches_no_builtin():
-    """No scope of the package raises a builtin exception but cli._json,
-    which raises json's TypeError for a value the program built: a bad input
+    """No scope of the package raises a builtin exception: a bad input
     raises a SuperlumError, InvalidInput where no narrower class names the
     fault.  So cli.main catches only SuperlumError and OSError, and a
     builtin from a fault of the program is not shown as a bad input with
@@ -211,7 +219,7 @@ def test_every_bad_input_raises_a_superlum_error_and_main_catches_no_builtin():
         found = getattr(builtins, exc.id, None) if isinstance(exc, ast.Name) else None
         return isinstance(found, type) and issubclass(found, BaseException)
 
-    assert _scopes(raises_builtin) == {"cli._json"}
+    assert _scopes(raises_builtin) == set()
     handlers = [ast.unparse(node.type) for scope, node in NODES
                 if scope == "cli.main" and isinstance(node, ast.ExceptHandler)]
     assert handlers == ["SystemExit", "(SuperlumError, OSError)"]
