@@ -27,7 +27,7 @@ import numpy as np
 
 from ._input import as_phases, finite, is_number, sequence, whole
 from .errors import InvalidInput, NonfiniteResult, SuperluminalSegment
-from .kinematics import Event1p1, K_from_c, _squares
+from .kinematics import Event1p1, K_from_c
 from .report import CheckReport, relative_deviation, verdict
 
 
@@ -71,9 +71,9 @@ def _path_phases(t: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     adds its segments in path order starting from 0.0, one column at a
     time, with exactly 0.0 for a segment outside the range, and is then
     multiplied by scale, so a row's phase is path_phase's bit for bit.
-    v**2 is libm pow per value (_squares), and np.sqrt is correctly rounded
-    like math.sqrt.  The first segment at or above c, by row and then by
-    segment, raises SuperluminalSegment.
+    v**2 is v * v, and np.sqrt is correctly rounded like math.sqrt, so the
+    bits do not depend on the CPU.  The first segment at or above c, by row
+    and then by segment, raises SuperluminalSegment.
 
     A row whose phase is not finite, or on one of whose segments c*dt
     overflowed, is run once more on its coordinates scaled by 2**-k, the
@@ -97,7 +97,8 @@ def _path_phases(t: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                     raise SuperluminalSegment(
                         f"segment speed |{float(dx[i, s] / dt[i, s])!r}| is not below c={c!r}")
             term = np.zeros(dt.shape)
-            term[live] = dt[live] * np.sqrt(1.0 - _squares(dx[live] / ct[live]))
+            v = dx[live] / ct[live]
+            term[live] = dt[live] * np.sqrt(1.0 - v * v)
             total = np.zeros(len(term))
             for col in term.T:
                 total += col

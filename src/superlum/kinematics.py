@@ -666,11 +666,6 @@ class EventColumns(NamedTuple):
     x: np.ndarray
 
 
-def _squares(col: np.ndarray) -> np.ndarray:
-    """col ** 2 as a scalar computes it: libm pow, not always col * col."""
-    return np.array([v ** 2 for v in col.tolist()])
-
-
 def column_boost(branch: Branch, V: np.ndarray, K: float = 1.0) -> Boost:
     """The Boost of the column's extreme speed: the largest |V| below c, the
     smallest |W| above it, or the first NaN.  Constructing it checks the

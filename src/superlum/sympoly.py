@@ -45,8 +45,10 @@ from .report import CheckReport, _relative, relative_deviation, verdict
 
 
 def power_sum(k: int, phases) -> float:
-    """E_k = sum_j phi_j**k; E_0 is the number of phases.  Raises
-    NonfiniteResult when the sum does not fit in a float."""
+    """E_k = sum_j phi_j**k; E_0 is the number of phases.  k is any whole
+    number, one beyond a float included, and each power is a product of
+    repeated squares (_power_table), so the bits do not depend on the CPU.
+    Raises NonfiniteResult when the sum does not fit in a float."""
     k = whole("k", k)
     return float(_power_sums(as_phases(phases), range(k, k + 1))[0])
 
@@ -123,23 +125,51 @@ def _newton_columns(Ea, Eb, direct, scale) -> np.ndarray:
     return _relative(direct, convolved, scale)
 
 
+# Correctly rounded squaring is monotone, and the doubles next to 1 reach 0
+# (1 - 2**-53, after 63 squarings) or inf (1 + 2**-52, after 62) last, so
+# every double's repeated square s_j is 0, 1, inf or NaN, and s_j = s_63,
+# from j = 63 on.
+_FIXED_SQUARE = 63
+
+
 def _power_table(v: np.ndarray, orders: range) -> np.ndarray:
-    """The (len(orders), *v.shape) stack of the powers v**r for r in orders,
-    each raised to one scalar r as power_sum raises it: numpy's power has
-    fast paths for the scalar exponents 0, 1 and 2 that an array of
-    exponents misses.  A row sum along the last axis is power_sum's sum,
-    bit for bit.  One order is a view of its powers, not a copy."""
-    if len(orders) == 1:
-        return (v ** orders[0])[None]
-    return np.stack([v ** r for r in orders])
+    """The (len(orders), *v.shape) stack of the powers v**r for r in orders.
+
+    v**r is the product, in ascending bit order, of the repeated squares
+    s_j (s_0 = v, s_{j+1} = s_j * s_j) of the set bits j of r, and v**0 is
+    1.0, for NaN and inf too.  These are IEEE multiplications only, each
+    correctly rounded on every CPU, and the order, an int of any size, is
+    never rounded to a float.  So v**1 is v, v**2 is v * v, and 0, -0 and
+    -inf give their odd and even powers the IEEE signs.  A power meets r - 1
+    roundings in all (s_j meets 2**j - 1), so where every factor is in the
+    normal range, as it is wherever the power is, its relative error is at
+    most (1 + 2**-53)**(r - 1) - 1, below r * 2**-53.  The bits j >=
+    _FIXED_SQUARE all meet s_63, which is 0, 1, inf or NaN, and one product
+    with it stands for all of theirs, so no order takes more than 63
+    squarings.
+
+    Each row forms its products in the same order whatever orders it sits
+    among, so a power has the same bits alone as in a table, and a row sum
+    along the last axis is power_sum's sum, bit for bit.  One order is a
+    view of its powers, not a copy."""
+    rows = [None] * len(orders)  # each order's product of squares so far
+    square = v
+    for j in range(min(max(orders, default=0).bit_length(), _FIXED_SQUARE + 1)):
+        if j:
+            square = square * square
+        for i, r in enumerate(orders):
+            if (r >> j & 1) if j < _FIXED_SQUARE else (r >> j):
+                rows[i] = square if rows[i] is None else rows[i] * square
+    rows = [np.ones(v.shape) if row is None else row for row in rows]
+    return rows[0][None] if len(rows) == 1 else np.stack(rows)
 
 
 def _power_sums(v: np.ndarray, orders: range, lengths: np.ndarray | None = None) -> np.ndarray:
     """E_r of every row of v for r in orders, with the orders on the first
     axis: the row sums (invariants._row_sums, rows as there) of one
-    _power_table.  This is where every power sum is formed, and so where a
-    sum that does not fit in a float raises NonfiniteResult, naming its
-    order and the largest |phase| of its row."""
+    _power_table of IEEE products.  This is where every power sum is
+    formed, and so where a sum that does not fit in a float raises
+    NonfiniteResult, naming its order and the largest |phase| of its row."""
     with np.errstate(over="ignore", invalid="ignore"):
         sums = _row_sums(_power_table(v, orders), lengths)
     if not np.isfinite(sums).all():

@@ -18,11 +18,11 @@ draw at a time would leave it.  The trials then run as numpy operations
 on columns, through the column twins of the kinematics kernels, each
 kernel called once per row on every column it moves (_boost_both, one
 _matrices call for both speeds of a matrix product): the kernels are
-elementwise, so each part has the bits of its own call.  The few calls with
-no bit-exact numpy twin (math.hypot, math.atan2, x ** 2, which is libm pow)
-run per trial on Python floats, and the BLAS dots of the norms and of
-dr @ dr run per trial, as one stacked np.matmul (_dots).  Each deviation is
-the one a per-trial evaluation gives.
+elementwise, so each part has the bits of its own call.  A square is x * x,
+on columns.  The few calls with no bit-exact numpy twin (math.hypot,
+math.atan2) run per trial on Python floats, and the BLAS dots of the norms
+and of dr @ dr run per trial, as one stacked np.matmul (_dots).  Each
+deviation is the one a per-trial evaluation gives.
 
 The six rows after them draw integers, permutations and arrays of drawn
 sizes.  Each of the five among them that draw (the two invariant rows, the
@@ -384,7 +384,8 @@ def _interval_1p1(branch, V, u, sign: float) -> np.ndarray:
     e1, e2 = _events(u[:, :2]), _events(u[:, 2:])
     s2 = kin.interval_1p1(e1, e2)
     s2p = kin.interval_1p1(*_boost_both(e1, e2, branch, V))
-    scale = kin._squares(e2.t - e1.t) + kin._squares(e2.x - e1.x)
+    dt, dx = e2.t - e1.t, e2.x - e1.x
+    scale = dt * dt + dx * dx
     return _relative(s2p, sign * s2, scale)
 
 

@@ -277,9 +277,13 @@ SHAPES = [
     ("path_phase (t, x)", (((0.0, 0.0), (1.0, 0.0)), 1.0, 1.0)),
 ]
 
+# An order beyond a float: numpy rounded 2**53 + 1 to the even 2**53, and
+# raised OverflowError converting 10**400
+ORDERS = [("power_sum", (2**53 + 1, [1.0, -1.0])), ("power_sum", (BIG, [0.5]))]
+
 
 def _with_examples(test):
-    for case in AA + AB + LEAKS + BUILTINS + SHAPES:
+    for case in AA + AB + LEAKS + BUILTINS + SHAPES + ORDERS:
         test = example(case)(test)
     return test
 

@@ -9,7 +9,9 @@ of the default `superlum verify --seed N` report and of `superlum verify
 --seed 0` under each sabotage switch and a tight tolerance, recorded from
 the column verify rows once sum_fails_multiplicativity's two invariants
 share beta and gamma; one md5 over the suite reports of seeds 0-39 in those
-four modes, recorded while five rows still drew one trial at a time; and
+four modes, recorded while five rows still drew one trial at a time (seeds
+0 and 7, the modes and the forty seeds re-recorded once every power was a
+product of repeated squares, which moved newton_convolution); and
 the exit code and stdout md5 of `superlum diagram` on labels that templates
 or encoders could mangle, on events without segments, on drawings of
 1023-1025 rows and on the 10**5-event chain, recorded before the drawing
@@ -22,10 +24,17 @@ json.dumps(indent=2, sort_keys=True) still wrote them."""
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 
 import pytest
 
+import superlum
 from superlum.cli import main
 from superlum.diagrams import CLASSIFY_TOL, FIXTURE_NAMES
 from superlum.verify import run_suite, suite_report
@@ -223,9 +232,9 @@ def test_diagram_outputs_are_byte_identical(name, frame, tmp_path, capsys):
 
 # md5 of the default `superlum verify --seed N` report on stdout
 VERIFY_EXPECTED = {
-    0: "cebf9880e0684efde487e163e569252d",
+    0: "8ff53cc94cbd173e957c7d8fb69a38d7",
     1: "9b6000df7c924be09312c248adae343f",
-    7: "cb89dae1879ff253a39ed1432045a3ff",
+    7: "5c1f9fdd5fc909373c5e6c80fae8e0c8",
 }
 
 
@@ -238,9 +247,9 @@ def test_verify_output_is_byte_identical(seed, capsys):
 
 # md5 and exit code of `superlum verify --seed 0 FLAGS` on stdout
 VERIFY_MODES_EXPECTED = {
-    "--break-antisymmetric-term": ("7d41900c8a77a57bb2abf71a5ec8f230", 1),
-    "--perturb-cauchy 1e-3": ("6848692c770fae2362b9bae57cbc9785", 1),
-    "--tolerance 1e-12": ("c53dd0768d7f54c94a0d6964ebf1c77f", 0),
+    "--break-antisymmetric-term": ("be488075ea2575e1fda97d7a0e730a95", 1),
+    "--perturb-cauchy 1e-3": ("37b5af40d9fc5f526ecfcf74edbca4a5", 1),
+    "--tolerance 1e-12": ("53e162901ccf1034701c28ba02784c8c", 0),
 }
 
 
@@ -255,7 +264,7 @@ def test_verify_modes_are_byte_identical(flags, capsys):
 # the clean mode, under each sabotage switch and at a tight tolerance
 SUITE_MODES = ({}, {"break_antisymmetric_term": True}, {"perturb_cauchy": 1e-3},
                {"tolerance": 1e-12})
-SUITE_REPORTS_EXPECTED = "792808d814989de2b71ef7ac5c4cc22c"
+SUITE_REPORTS_EXPECTED = "ab0406dfc87c415ef6a48338763a7cf4"
 
 
 def test_suite_reports_of_forty_seeds_are_byte_identical():
@@ -265,6 +274,57 @@ def test_suite_reports_of_forty_seeds_are_byte_identical():
             report = suite_report(run_suite(seed=seed, **knobs), seed, **knobs)
             digest.update((json.dumps(report) + "\n").encode())
     assert digest.hexdigest() == SUITE_REPORTS_EXPECTED
+
+
+# numpy's AVX-512 levels, which numpy's float64 power, exp and log kernels
+# take where the CPU has them
+AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+# The newton_convolution deviations of run_suite seeds 0-39, power sums of
+# negative and positive bases up to order 20, and the phases of 50 random
+# timelike paths, as float.hex
+_POWER_BITS = """
+import numpy as np
+import superlum as sl
+from superlum.verify import run_suite
+
+
+def power_bits():
+    rng = np.random.default_rng(37)
+    phases = rng.uniform(-2.0, 2.0, 1000)
+    dt = rng.uniform(0.1, 1.0, (50, 5))
+    t = np.cumsum(np.hstack([np.zeros((50, 1)), dt]), axis=1)
+    x = np.cumsum(np.hstack([np.zeros((50, 1)), dt * rng.uniform(-0.99, 0.99, dt.shape)]), axis=1)
+    return {
+        "newton_convolution": [r.deviation.hex() for seed in range(40)
+                               for r in run_suite(seed=seed) if r.name == "newton_convolution"],
+        "power_sum": [sl.power_sum(k, phases).hex() for k in range(21)],
+        "path_phase": [sl.path_phase(sl.Path(tuple(map(sl.Event1p1, ti, xi)))).hex()
+                       for ti, xi in zip(t.tolist(), x.tolist())],
+    }
+"""
+
+
+def test_power_bits_do_not_depend_on_numpy_simd_dispatch():
+    """A child process with numpy's AVX-512 kernels switched off (the
+    variable acts only on the child) gives the bits of this process: powers
+    are IEEE products, and v**2 is v * v, on every dispatch level."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        pytest.skip(f"numpy {np.__version__} does not report its CPU features")
+    missing = [f for f in AVX512 if f not in __cpu_dispatch__ or not __cpu_features__.get(f)]
+    if missing:
+        pytest.skip(f"numpy reports no {' '.join(missing)} on this CPU, so switching "
+                    "AVX-512 off would not change the dispatch")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(AVX512),
+           "PYTHONPATH": str(Path(superlum.__file__).parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-c", _POWER_BITS + "import json; print(json.dumps(power_bits()))"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    here = {}
+    exec(_POWER_BITS, here)
+    assert json.loads(child.stdout) == here["power_bits"]()
 
 
 # Labels that a %-template, a str.format template, the markup escaper or the

@@ -3,7 +3,9 @@
 import itertools
 import math
 import re
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,6 +51,44 @@ def test_power_sum_basics():
     assert power_sum(2, (1.0, 2.0)) == 5.0
     with pytest.raises(ValueError):
         power_sum(-1, (1.0,))
+
+
+def test_power_sums_of_orders_beyond_a_float_are_exact():
+    """numpy rounded the order 2**53 + 1 to the even float 2**53, and an
+    order of 10**400 raised the builtin OverflowError converting it."""
+    assert power_sum(2**53 + 1, [-1.0]) == -1.0
+    assert power_sum(2**53 + 1, [1.0, -1.0]) == 0.0
+    assert power_sum(10**400, [0.5]) == 0.0
+    assert power_sum(10**400 + 1, [-1.0, 0.5, 1.0]) == 0.0
+
+
+_POWER_BASES = st.floats(-3.0, 3.0) | st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 5e-324, math.nextafter(1.0, 0.0)])
+
+
+@given(st.lists(_POWER_BASES, min_size=1, max_size=8).map(np.array), st.integers(0, 64),
+       st.integers(0, 64), st.integers(1, 9))
+@example(np.array([-1.5, math.nan, -math.inf, -0.0]), 0, 0, 9)
+def test_a_power_is_its_product_of_squares_alone_or_in_a_table(v, r, low, size):
+    """v**r has the same bits alone and as a row of any table that holds
+    it; v**2 is v * v; the 0th power is 1.0 even for NaN and inf, and 0, -0
+    and -inf give their odd and even powers the IEEE signs.  Where the power
+    is a normal float, its relative error against the exact power is at most
+    r * 2**-53."""
+    low = min(low, r)
+    alone = sympoly._power_table(v, range(r, r + 1))[0]
+    row = sympoly._power_table(v, range(low, max(low + size, r + 1)))[r - low]
+    assert alone.tobytes() == row.tobytes()
+    assert sympoly._power_table(v, range(2, 3))[0].tobytes() == (v * v).tobytes()
+    for x, got in zip(v.tolist(), alone.tolist()):
+        if r == 0:
+            assert got == 1.0
+        elif x in (0.0, math.inf, -math.inf):
+            want = math.copysign(abs(x), x if r % 2 else 1.0)
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+        elif math.isfinite(got) and abs(got) >= sys.float_info.min:
+            exact = Fraction(x) ** r
+            assert abs(Fraction(got) - exact) <= abs(exact) * Fraction(r, 2**53), (x, r)
 
 
 def test_newton_convolution_exact_cases(rng):

@@ -301,7 +301,8 @@ def _light_cone(rng, opts, i):
 def _interval_1p1(b, e1, e2, sign):
     s2 = kin.interval_1p1(e1, e2)
     s2p = kin.interval_1p1(kin.boost_1p1(e1, b), kin.boost_1p1(e2, b))
-    scale = (e2.t - e1.t) ** 2 + (e2.x - e1.x) ** 2
+    dt, dx = e2.t - e1.t, e2.x - e1.x
+    scale = dt * dt + dx * dx
     return relative_deviation(s2p, sign * s2, scale)
 
 
@@ -438,7 +439,8 @@ def _proper_time(p):
     for a, b in zip(p.vertices, p.vertices[1:]):
         dt, dx = b.t - a.t, b.x - a.x
         assert abs(dx) < dt
-        total += dt * math.sqrt(1.0 - (dx / dt) ** 2)
+        v = dx / dt
+        total += dt * math.sqrt(1.0 - v * v)
     return total
 
 
