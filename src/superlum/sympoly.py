@@ -144,9 +144,8 @@ def _power_table(v: np.ndarray, orders: range) -> np.ndarray:
     roundings in all (s_j meets 2**j - 1), so where every factor is in the
     normal range, as it is wherever the power is, its relative error is at
     most (1 + 2**-53)**(r - 1) - 1, below r * 2**-53.  The bits j >=
-    _FIXED_SQUARE all meet s_63, which is 0, 1, inf or NaN, and one product
-    with it stands for all of theirs, so no order takes more than 63
-    squarings.
+    _FIXED_SQUARE all meet s_63, and one product with it stands for all of
+    theirs, so no order takes more than 63 squarings.
 
     Each row forms its products in the same order whatever orders it sits
     among, so a power has the same bits alone as in a table, and a row sum

@@ -314,8 +314,9 @@ def test_power_bits_do_not_depend_on_numpy_simd_dispatch():
         pytest.skip(f"numpy {np.__version__} does not report its CPU features")
     missing = [f for f in AVX512 if f not in __cpu_dispatch__ or not __cpu_features__.get(f)]
     if missing:
-        pytest.skip(f"numpy reports no {' '.join(missing)} on this CPU, so switching "
-                    "AVX-512 off would not change the dispatch")
+        pytest.skip(f"numpy does not dispatch {' '.join(missing)} in this process (not on "
+                    "this CPU, or switched off), so a child without AVX-512 would run the "
+                    "same kernels")
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(AVX512),
            "PYTHONPATH": str(Path(superlum.__file__).parents[1])}
     child = subprocess.run(

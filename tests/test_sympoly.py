@@ -1,7 +1,9 @@
 """Power sums, expansion coefficients, and the identities tying them together."""
 
+import functools
 import itertools
 import math
+import operator
 import re
 import sys
 import warnings
@@ -62,20 +64,35 @@ def test_power_sums_of_orders_beyond_a_float_are_exact():
     assert power_sum(10**400 + 1, [-1.0, 0.5, 1.0]) == 0.0
 
 
+def test_a_power_past_the_fixed_square_is_its_whole_product_of_squares():
+    """From s_63 on every square is 0, 1, inf or NaN and stays so, so the
+    one product with s_63 that stands for the bits past 62 gives the bits
+    of the product over all of them."""
+    v = np.array([-1.5, 0.5, math.nextafter(1.0, 0.0), -math.nextafter(1.0, 2.0), -1.0,
+                  math.nan, -0.0, -math.inf, 5e-324])
+    squares = [v]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(70):
+            squares.append(squares[-1] * squares[-1])
+        for r in (2**62 + 1, 2**63, 2**64 + 3, 2**70 - 1):
+            want = functools.reduce(operator.mul, [squares[j] for j in range(71) if r >> j & 1])
+            assert sympoly._power_table(v, range(r, r + 1))[0].tobytes() == want.tobytes(), r
+
+
 _POWER_BASES = st.floats(-3.0, 3.0) | st.sampled_from(
     [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 5e-324, math.nextafter(1.0, 0.0)])
 
 
 @given(st.lists(_POWER_BASES, min_size=1, max_size=8).map(np.array), st.integers(0, 64),
-       st.integers(0, 64), st.integers(1, 9))
+       st.integers(0, 9), st.integers(1, 9))
 @example(np.array([-1.5, math.nan, -math.inf, -0.0]), 0, 0, 9)
-def test_a_power_is_its_product_of_squares_alone_or_in_a_table(v, r, low, size):
+def test_a_power_is_its_product_of_squares_alone_or_in_a_table(v, r, offset, size):
     """v**r has the same bits alone and as a row of any table that holds
     it; v**2 is v * v; the 0th power is 1.0 even for NaN and inf, and 0, -0
     and -inf give their odd and even powers the IEEE signs.  Where the power
     is a normal float, its relative error against the exact power is at most
     r * 2**-53."""
-    low = min(low, r)
+    low = max(r - offset, 0)
     alone = sympoly._power_table(v, range(r, r + 1))[0]
     row = sympoly._power_table(v, range(low, max(low + size, r + 1)))[r - low]
     assert alone.tobytes() == row.tobytes()
