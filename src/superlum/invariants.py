@@ -636,19 +636,24 @@ def _log_median(logs: np.ndarray) -> float:
     return float(np.logaddexp(part[(k - 1) // 2], part[k // 2]) - math.log(2))
 
 
+# The growth slope of log median |P| against log n past which finiteness_scan
+# classifies a spec as diverging, or below its negative as vanishing
+SLOPE_THRESHOLD = 0.2
+
+
 def finiteness_scan(
     spec: InvariantSpec,
     n_values: Sequence[int],
     phase_sampler: Callable,
     trials: int = 100,
     rng: np.random.Generator | None = None,
-    slope_threshold: float = 0.2,
 ) -> ScanResult:
     """Monte-Carlo growth scan of |P| with the number of paths.
 
     For each n the median of |P| over the trials is recorded; the
     least-squares slope of log median against log n classifies the spec as
-    diverging (slope > threshold), vanishing (slope < -threshold) or bounded.
+    diverging (slope > SLOPE_THRESHOLD), vanishing (slope < -SLOPE_THRESHOLD)
+    or bounded.
     This is a finite-n statement only, not a limit claim.  Each n's trials
     are drawn and valued in cache-sized row blocks: phase_sampler(rng,
     (rows, n)) is called once per block, in row order, and returns a new
@@ -679,9 +684,9 @@ def finiteness_scan(
     if not math.isfinite(slope):  # a median |P| of exactly 0 or inf
         raise NonfiniteResult(
             f"the growth slope is {slope!r} ({_spec_text(spec)}, n={ns})")
-    if slope > slope_threshold:
+    if slope > SLOPE_THRESHOLD:
         label = "diverging"
-    elif slope < -slope_threshold:
+    elif slope < -SLOPE_THRESHOLD:
         label = "vanishing"
     else:
         label = "bounded"

@@ -556,17 +556,18 @@ def general_boost_1p1(e: Event1p1, fam: GeneralTransformFamily, V: float) -> Eve
                             f"by the {fam.parity.value} family at V={V!r}", (e,)))
 
 
-def extract_K(
-    fam: GeneralTransformFamily,
-    samples: Sequence[float],
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
-) -> float:
+# The spread of the K expression over the samples that extract_K takes for
+# a constant: K_ATOL + K_RTOL * max(1, max|value|)
+K_RTOL, K_ATOL = 1e-8, 1e-10
+
+
+def extract_K(fam: GeneralTransformFamily, samples: Sequence[float]) -> float:
     """Evaluate the K expression on the samples, which must be finite, and
     require it constant.
 
     Returns the shared value; raises NotConstant when the spread exceeds
-    atol + rtol * max|value|, and ZeroVelocity for a zero sample.
+    K_ATOL + K_RTOL * max(1, max|value|), and ZeroVelocity for a zero
+    sample.
     """
     sam = [finite("sample velocity", v) for v in sequence("samples", samples)]
     if len(set(sam)) < 2:
@@ -576,7 +577,7 @@ def extract_K(
     values = [_k_expression(fam, v)[0] for v in sam]
     spread = max(values) - min(values)
     scale = max(abs(v) for v in values)
-    if spread > atol + rtol * max(1.0, scale):
+    if spread > K_ATOL + K_RTOL * max(1.0, scale):
         raise NotConstant(
             f"K expression varies over samples: spread={spread!r}, values={values!r}"
         )

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._input import as_phases, finite, finite_count, sequence, whole
+from ._input import as_phases, finite, finite_count, is_finite, sequence, whole
 from .errors import InvalidInput, NonfiniteResult, TruncationInsufficient
 from .invariants import _log_sums, _pairwise_sums, _polar, _row_sums, pairwise_phase_sums
 from .report import CheckReport, _relative, relative_deviation, verdict
@@ -54,13 +54,11 @@ def power_sum(k: int, phases) -> float:
 
 
 # The highest order of the Newton convolution checks: verify's row checks
-# every r up to it, and newton_convolution_check accepts r up to it by default.
+# every r up to it, and newton_convolution_check accepts r up to it.
 NEWTON_R_MAX = 8
 
 
-def newton_convolution_check(
-    r: int, phases_a, phases_b, r_max: int = NEWTON_R_MAX, tol: float = 1e-9
-) -> CheckReport:
+def newton_convolution_check(r: int, phases_a, phases_b, tol: float = 1e-9) -> CheckReport:
     """E_r over the n*m pairwise sums vs the binomial convolution.
 
     Direct enumeration of sum_{ij} (phi_i + xi_j)**r is compared with
@@ -70,7 +68,7 @@ def newton_convolution_check(
     pairwise sums are raised to the power r alone.  Raises NonfiniteResult
     when a power sum or the convolution does not fit in a float.
     """
-    r = whole("r", r, 0, r_max)
+    r = whole("r", r, 0, NEWTON_R_MAX)
     a, b = as_phases(phases_a), as_phases(phases_b)
     with np.errstate(over="ignore"):  # a sum beyond a float fails its power sums
         sums = _pairwise_sums(a, b)
@@ -96,7 +94,7 @@ def _newton_columns(Ea, Eb, direct, scale) -> np.ndarray:
     """The relative deviation of direct from the binomial convolution
     sum_t C(r, t) * Ea[t] * Eb[r - t], for each instance (row) and order r
     (column).  Ea and Eb hold E_0..E_R of each instance's two sets, R + 1
-    columns; direct and scale hold the direct and the cancellation-free sums
+    columns with R <= NEWTON_R_MAX; direct and scale hold the direct and the cancellation-free sums
     over its pairwise sums at the last k orders, R - k + 1..R, and so does
     the result.
 
@@ -110,7 +108,7 @@ def _newton_columns(Ea, Eb, direct, scale) -> np.ndarray:
     in a float: its power sums are finite, so only an overflowing term makes
     it inf or NaN."""
     size, low = Ea.shape[-1], Ea.shape[-1] - direct.shape[-1]
-    combs, shifts = _CONVOLUTION if size <= len(_CONVOLUTION[0]) else _convolution(size)
+    combs, shifts = _CONVOLUTION
     convolved = np.zeros(direct.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # named below
         terms = combs[:size, low:size] * Ea[:, :, None] * Eb[:, shifts[:size, low:size]]
@@ -328,8 +326,10 @@ def cauchy_condition_check(
 
     N! * prod(k_i!) * prod(s_i!) * a^(n)_k * a^(m)_s must equal
     sum over permutations pi of prod_i (k_i + s_pi(i))! * a^(nm)_{k + s_pi}.
-    perturb is added to the a^(n)_k factor on the left; any nonzero value
-    breaks the identity whenever a^(m)_s is nonzero.
+    perturb, a finite number (_input.finite), is added to the a^(n)_k
+    factor on the left; any nonzero value breaks the identity whenever
+    a^(m)_s is nonzero.  A left side beyond a float raises NonfiniteResult
+    naming perturb and the case.
 
     k, s, n and m are checked once, and n**-beta', m**-beta' and
     (n*m)**-beta' taken once each.  Every coefficient is formed as
@@ -342,6 +342,7 @@ def cauchy_condition_check(
     float raises NonfiniteResult.
     """
     k, s = _indices(ct, INDEX_BOUND, k=k, s=s)
+    perturb = finite("perturb", perturb)
     N = ct.order
     finite_count("n*m", finite_count("n", n) * finite_count("m", m))
     try:
@@ -364,6 +365,9 @@ def cauchy_condition_check(
             * (coefficient(k, k_weight, n_scale) + perturb)
             * coefficient(s, s_weight, m_scale)
         )
+        if not is_finite(lhs):
+            raise NonfiniteResult(f"the left side of the Cauchy condition does not fit in a "
+                                  f"float (perturb={perturb!r}, k={k}, s={s}, n={n!r}, m={m!r})")
         terms = {}  # a term depends on its merged indices only as a multiset
         for permuted in itertools.permutations(s):
             merged = tuple(sorted(map(operator.add, k, permuted)))
@@ -502,15 +506,20 @@ def expansion_reconstruction_check(
                    {"N": ct.order, "n": n, "truncation": truncation})
 
 
+# The smallest deviation of the sum of two invariants that counts as failing
+# multiplicativity, as closure_checks expects it to
+CLOSURE_FAIL_FLOOR = 1e-3
+
+
 def closure_checks(
-    make_invariants, phases_a, phases_b, tol: float = 1e-9, fail_floor: float = 1e-3
+    make_invariants, phases_a, phases_b, tol: float = 1e-9
 ) -> list[CheckReport]:
     """Products, powers and ratios of solutions stay multiplicative; sums fail.
 
     make_invariants is a pair of single-argument invariant callables.  Each
     returned report's passed field states whether the combination behaved as
     the algebra demands: near-zero deviation for product, power and ratio,
-    deviation above fail_floor for the sum.
+    deviation above CLOSURE_FAIL_FLOOR for the sum.
     """
     f1, f2 = make_invariants
     a, b = as_phases(phases_a), as_phases(phases_b)
@@ -526,5 +535,5 @@ def closure_checks(
             raise NonfiniteResult(f"{name} of the two invariants does not fit in a float") from None
         dev = relative_deviation(both, on_a * on_b)  # check_multiplicativity's deviation
         floor = name == "closure_sum"
-        out.append(verdict(name, dev, fail_floor if floor else tol, {}, floor))
+        out.append(verdict(name, dev, CLOSURE_FAIL_FLOOR if floor else tol, {}, floor))
     return out

@@ -8,41 +8,41 @@ and builds the CheckReports through report.verdict.  All randomness comes
 from one seeded generator, consumed in table order, so a fixed seed gives a
 bit-identical report.
 
-The eleven kinematics rows draw only uniform doubles.  Each draws all its
-trials in one rng.random block, and maps a column u of it to
-lo + (hi - lo) * u, which is what rng.uniform(lo, hi) returns, bit for bit.
-A trial that draws a random boost uses two or three doubles, by its branch
-draw; those rows walk an upper-bound block of raw words (_Raw, below),
-which leaves the generator advanced by exactly the doubles used, where one
-draw at a time would leave it.  The trials then run as numpy operations
-on columns, through the column twins of the kinematics kernels, each
-kernel called once per row on every column it moves (_boost_both, one
-_matrices call for both speeds of a matrix product): the kernels are
-elementwise, so each part has the bits of its own call.  A square is x * x,
-on columns.  The few calls with no bit-exact numpy twin (math.hypot,
-math.atan2) run per trial on Python floats, and the BLAS dots of the norms
-and of dr @ dr run per trial, as one stacked np.matmul (_dots).  Each
-deviation is the one a per-trial evaluation gives.
+Every row that draws makes one Generator call, rng.random, for all its
+trials, and maps a double u to lo + (hi - lo) * u, which is what
+rng.uniform(lo, hi) returns, bit for bit.  A trial that draws a random
+boost uses two or three doubles, by its branch draw; those rows walk an
+upper-bound block by the branch draws and then leave the generator
+advanced by exactly the doubles used, where one draw at a time would leave
+it (_boost_draws).  Every other row reads a fixed-width block, one row of
+it per trial or instance, laid out as the row's docstring says: a size in
+lo..hi is lo + floor((hi - lo + 1) * u) (_sizes), a set of drawn size k
+takes the first k of the doubles kept for it, and a permutation of a set
+of k phases is the argsort of the first k of the keys kept for it
+(_permutations).
 
-The six rows after them draw integers, permutations and arrays of drawn
-sizes.  Each of the five among them that draw (the two invariant rows, the
-two phase rows and newton_convolution) reads one block of raw PCG64 words
-through _Raw, which gives what the Generator's random, uniform, integers
-and permutation give, bit for bit.  The row walks the block trial by trial
-in the order those calls ran, then gathers the doubles it took as columns,
-so it makes no Generator call per trial and leaves the generator where
-the calls would.  What the draws produce is then valued on columns, by
-private twins of the public kernels that give their bits: the phase rows
-boost every vertex in one call and sum the proper times of all their
-paths and parts of paths in one _path_phases call, the
-two invariant rows gather the phase sets of all their instances kind by
-kind from the drawn block, with no array per instance (_sets), and value
-them, whatever their specs and sizes, as the ragged rows of one _log_P per
-kind of alpha and branch (_invariant_Ps), newton_convolution raises the
-sets of all its instances to each power in one pass and forms every
-convolution and deviation in one kernel call (_newton_deviations), and
-two_path_interference takes one _phasor_sum over all its deltas.  The
-remaining rows draw little and run trial by trial through per_trial.
+The eleven kinematics rows then run as numpy operations on columns,
+through the column twins of the kinematics kernels, each kernel called
+once per row on every column it moves (_boost_both, one _matrices call for
+both speeds of a matrix product): the kernels are elementwise, so each
+part has the bits of its own call.  A square is x * x, on columns.  The few
+calls with no bit-exact numpy twin (math.hypot, math.atan2) run per trial
+on Python floats, and the BLAS dots of the norms and of dr @ dr run per
+trial, as one stacked np.matmul (_dots).  Each deviation is the one a
+per-trial evaluation gives.
+
+The rows after them are valued on columns too, by private twins of the
+public kernels that give their bits: the phase rows boost every vertex in
+one call and sum the proper times of all their paths and parts of paths in
+one _path_phases call, the two invariant rows gather the phase sets of all
+their instances kind by kind from the drawn block, with no array per
+instance (_sets), and value them, whatever their specs and sizes, as the
+ragged rows of one _log_P per kind of alpha and branch (_invariant_Ps),
+newton_convolution raises the sets of all its instances to each power in
+one pass and forms every convolution and deviation in one kernel call
+(_newton_deviations), and two_path_interference takes one _phasor_sum over
+all its deltas.  The remaining rows draw little and run trial by trial
+through per_trial.
 
 The two sabotage switches exist to demonstrate that the suite actually
 bites: break_antisymmetric_term drops the W/|W| factor from superluminal
@@ -59,7 +59,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import kinematics as kin
-from ._input import whole
+from ._input import finite, whole
 from .invariants import (
     InvariantSpec,
     _invariant_Ps,
@@ -147,85 +147,6 @@ def _uniform(u, lo: float, hi: float):
     return lo + (hi - lo) * u
 
 
-class _Raw:
-    """A row's draws from rng, read from one block of raw PCG64 words.
-
-    The row walks the block in the order its samplers would have run, and
-    each draw gives what the Generator's sampler gives, bit for bit:
-    take(k) the k doubles of rng.random(k), as numpy's next_double reads a
-    word w, (w >> 11) * 2**-53; integer(lo, hi) rng.integers(lo, hi), by
-    Lemire's multiply-and-reject on a 32-bit half; permutation(k) the order
-    in which rng.permutation(k) leaves k items, by a Fisher-Yates shuffle
-    from the last item down with random_interval's mask-and-reject.  A
-    32-bit draw takes the low half of a fresh word and keeps its high half
-    for the next one, as next_uint32 does, across doubles and rows (the
-    state's has_uint32 and uinteger).  The block grows when rejections use
-    it up.  close() leaves the generator where the samplers would have: the
-    saved state, advanced by the words used, with the kept half-word set
-    again.  It returns the doubles of the whole block, whose words past
-    those used were never drawn as far as the generator goes.
-    """
-
-    def __init__(self, rng, words: int):
-        self.bitgen = rng.bit_generator
-        self.state = self.bitgen.state
-        assert self.state["bit_generator"] == "PCG64"
-        self.raw = self.bitgen.random_raw(words)
-        self.pos = 0
-        self.has_half, self.half = self.state["has_uint32"], self.state["uinteger"]
-
-    def _grow(self, need: int) -> None:
-        more = self.bitgen.random_raw(max(need, self.raw.size))
-        self.raw = np.concatenate([self.raw, more])
-
-    def take(self, k: int) -> slice:
-        """The place of the next k doubles in close()'s array."""
-        start = self.pos
-        self.pos += k
-        if self.pos > self.raw.size:
-            self._grow(self.pos - self.raw.size)
-        return slice(start, self.pos)
-
-    def _uint32(self) -> int:
-        if self.has_half:
-            self.has_half = 0
-            return self.half
-        if self.pos == self.raw.size:
-            self._grow(1)
-        word = self.raw.item(self.pos)
-        self.pos += 1
-        self.has_half, self.half = 1, word >> 32
-        return word & 0xFFFFFFFF
-
-    def integer(self, lo: int, hi: int) -> int:
-        span = hi - lo
-        assert 0 < span < 1 << 32
-        if span == 1:
-            return lo
-        least, m = (1 << 32) % span, self._uint32() * span
-        while m & 0xFFFFFFFF < least:
-            m = self._uint32() * span
-        return lo + (m >> 32)
-
-    def permutation(self, k: int) -> list[int]:
-        order, draw = list(range(k)), self._uint32
-        for i in range(k - 1, 0, -1):
-            mask = (1 << i.bit_length()) - 1
-            j = draw() & mask
-            while j > i:
-                j = draw() & mask
-            order[i], order[j] = order[j], order[i]
-        return order
-
-    def close(self) -> np.ndarray:
-        self.bitgen.state = self.state
-        self.bitgen.advance(self.pos)
-        state = self.bitgen.state
-        state["has_uint32"], state["uinteger"] = self.has_half, self.half
-        self.bitgen.state = state
-        return (self.raw >> 11) * 2.0**-53
-
-
 def _subluminal(u):
     return _uniform(u, -0.95, 0.95)
 
@@ -241,21 +162,27 @@ def _boost_draws(rng, n: int, boosts: int, rest: int):
     `rest` doubles, taken in one block.
 
     A random boost draws its branch (below 0.5: subluminal), then a speed,
-    and above c also the speed's sign: two or three doubles.  So the block
-    holds the most the trials can use, and the walk reads each branch draw
-    from its word's top bit, which is 0 for a double below 0.5.  Returns the
-    (subluminal mask, speed) columns of each boost and the (n, rest) doubles.
+    and above c also the speed's sign: two or three doubles.  So the row
+    draws the most its trials can use in one rng.random block, walks it by
+    the branch draws, and then sets the generator back to its state before
+    the block, advanced by the doubles used (one PCG64 word each), where one
+    draw at a time would leave it.  advance also drops a kept 32-bit
+    half-word, which is exact while no row draws a 32-bit integer.  Returns
+    the (subluminal mask, speed) columns of each boost and the (n, rest)
+    doubles.
     """
-    raw = _Raw(rng, n * (3 * boosts + rest))
-    top, starts, pos = (raw.raw >> 63).tolist(), [], 0
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    block = rng.random(n * (3 * boosts + rest))
+    above, starts, pos = (block >= 0.5).tolist(), [], 0
     for _ in range(n):
         for _ in range(boosts):
             starts.append(pos)
-            pos += 2 + top[pos]
+            pos += 2 + above[pos]
         starts.append(pos)
         pos += rest
-    raw.take(pos)
-    block = raw.close()
+    bitgen.state = state
+    bitgen.advance(pos)
     at = np.array(starts).reshape(n, boosts + 1)
     drawn = []
     for j in range(boosts):
@@ -266,48 +193,40 @@ def _boost_draws(rng, n: int, boosts: int, rest: int):
     return drawn, block[at[:, [boosts]] + np.arange(rest)]
 
 
+def _sizes(u, lo: int, hi: int) -> np.ndarray:
+    """A whole number in [lo, hi] from each double u, lo + floor((hi - lo + 1) * u)."""
+    return lo + ((hi - lo + 1) * u).astype(int)
+
+
+def _permutations(keys: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The permutations of range(k_i) that sort the first k_i keys of each
+    (instance i, permutation) row of the (n, p, w) keys, laid end to end:
+    each row's argsort with its other keys set to 2.0, above every double
+    that rng.random draws, cut to its first k_i places."""
+    used = np.broadcast_to(np.arange(keys.shape[-1]) < k[:, None, None], keys.shape)
+    return np.argsort(np.where(used, keys, 2.0), axis=-1, kind="stable")[used]
+
+
 def _events(u) -> EventColumns:
     """Events with t and x in [-2, 2) from two columns of doubles."""
     return EventColumns(_uniform(u[:, 0], -2, 2), _uniform(u[:, 1], -2, 2))
 
 
-def _random_spec(u: list[float]) -> InvariantSpec:
-    """From the doubles u, alpha's real part in [-1, 1) and, given a fourth
-    double, its imaginary part in [-0.3, 0.3); beta in [0, 2) and gamma in
-    [-2, 2)."""
-    im = _uniform(u[1], -0.3, 0.3) if len(u) == 4 else 0.0
-    return InvariantSpec(complex(_uniform(u[0], -1.0, 1.0), im),
-                         _uniform(u[-2], 0.0, 2.0), _uniform(u[-1], -2.0, 2.0))
-
-
 def _timelike_paths(rng, n: int, extra: int = 0):
     """n random timelike paths of 2 to 5 segments, each slower than 0.9.
 
-    A path draws its start x, its segment count, then (dt, v) for each
-    segment and `extra` more doubles for its trial.  Returns the (n, 6)
-    vertex times and positions, finite but meaningless past each path's
-    last vertex, the vertex counts, and the (n, extra) extra doubles.
+    Each path reads one row of an (n, 12 + extra) rng.random block: its
+    start x, its segment count, (dt, v) for five segments, of which it
+    takes the first count, then `extra` more doubles for its trial.  Returns
+    the (n, 6) vertex times and positions, finite but meaningless past each
+    path's last vertex, the vertex counts, and the (n, extra) extra doubles.
     """
-    raw = _Raw(rng, n * (12 + extra))
-    starts, counts = [], []
-    for _ in range(n):
-        x0 = raw.take(1).start
-        k = raw.integer(2, 6)
-        starts.append((x0, raw.take(2 * k + extra).start))
-        counts.append(k + 1)
-    u = np.append(raw.close(), 0.0)
-    x0, seg = np.array(starts).T
-    count = np.array(counts)
-    j = np.arange(10)
-    # a segment past the path's last reads the appended 0.0, as dt 0.2 and v -0.9
-    cols = np.where(j < 2 * count[:, None] - 2, seg[:, None] + j, -1)
-    dt, v = _uniform(u[cols[:, 0::2]], 0.2, 1.0), _uniform(u[cols[:, 1::2]], -0.9, 0.9)
-    t, x = np.zeros((n, 6)), np.zeros((n, 6))
-    x[:, 0] = _uniform(u[x0], -1, 1)
-    for j in range(5):
-        t[:, j + 1] = t[:, j] + dt[:, j]
-        x[:, j + 1] = x[:, j] + v[:, j] * dt[:, j]
-    return t, x, count, u[(seg + 2 * count - 2)[:, None] + np.arange(extra)]
+    u = rng.random((n, 12 + extra))
+    dt, v = _uniform(u[:, 2:12:2], 0.2, 1.0), _uniform(u[:, 3:12:2], -0.9, 0.9)
+    # cumsum adds along each row in order, as a walk from vertex to vertex does
+    t = np.cumsum(np.hstack([np.zeros((n, 1)), dt]), axis=1)
+    x = np.cumsum(np.hstack([_uniform(u[:, :1], -1, 1), v * dt]), axis=1)
+    return t, x, _sizes(u[:, 1], 2, 5) + 1, u[:, 12:]
 
 
 # ---------------------------------------------------------------------------
@@ -504,24 +423,23 @@ def _sets(v: np.ndarray, a: np.ndarray, k: np.ndarray, b: np.ndarray, m: np.ndar
 
 
 def _invariant_axioms(rng, opts, n):
-    """The nine phase sets of every instance (the set, five permutations,
-    its negation, the second set and the pairwise sums) are gathered from
-    the block kind by kind (_sets), laid end to end and valued by one
-    _invariant_Ps call, one _log_P per kind of alpha and branch."""
-    raw, drawn, perms = _Raw(rng, 40 * n), [], []
-    for i in range(n):
-        spec = raw.take(4 if i % 2 == 0 else 3)  # complex alpha on even instances
-        k, m = raw.integer(1, 7), raw.integer(1, 7)
-        drawn.append((spec, raw.take(k).start, k, raw.take(m).start, m))
-        for _ in range(5):
-            perms += raw.permutation(k)
-    u = raw.close()
-    spec, a, k, b, m = zip(*drawn)
-    specs = [_random_spec(u[s].tolist()) for s in spec]
-    a, k, b, m = map(np.array, (a, k, b, m))
-    v = _uniform(u, -1, 1)
-    phi, xi, sums = _sets(v, a, k, b, m)
-    moved = v[np.repeat(a, 5 * k) + perms]
+    """Each instance reads one row of an (n, 48) rng.random block: its spec
+    (alpha's real part, on even instances its imaginary part, beta and
+    gamma), its set sizes k and m in 1..6, six doubles for each set, of
+    which it takes the first k and m, and six keys for each of its five
+    permutations.  The nine phase sets of every instance (the set, five
+    permutations, its negation, the second set and the pairwise sums) are
+    gathered from the block kind by kind (_sets), laid end to end and valued
+    by one _invariant_Ps call, one _log_P per kind of alpha and branch."""
+    u = rng.random((n, 48))
+    im = np.where(np.arange(n) % 2 == 0, _uniform(u[:, 1], -0.3, 0.3), 0.0)
+    specs = [InvariantSpec(complex(re, i), beta, gamma) for re, i, beta, gamma in zip(
+        _uniform(u[:, 0], -1.0, 1.0).tolist(), im.tolist(),
+        _uniform(u[:, 2], 0.0, 2.0).tolist(), _uniform(u[:, 3], -2.0, 2.0).tolist())]
+    k, m = _sizes(u[:, 4], 1, 6), _sizes(u[:, 5], 1, 6)
+    v, a = _uniform(u, -1, 1).ravel(), 48 * np.arange(n) + 6
+    phi, xi, sums = _sets(v, a, k, a + 6, m)
+    moved = v[np.repeat(a, 5 * k) + _permutations(u[:, 18:].reshape(n, 5, 6), k)]
     values = _invariant_Ps(specs + [s for s in specs for _ in range(5)] + specs * 3,
                            np.concatenate([phi, moved, -phi, xi, sums]),
                            np.concatenate([k, np.repeat(k, 5), k, m, k * m]))
@@ -538,10 +456,11 @@ def _invariant_axioms(rng, opts, n):
 
 def _sum_fails(rng, opts, n):
     """f1 + f2 for two invariants that share beta in [0, 1) and gamma in
-    [0.5, 2), with alpha1 in [0.2, 1) and alpha2 in [1.2, 2); the two doubles
-    drawn for a beta and gamma of f2's own are discarded.  The sets of every
-    instance, under both specs, are gathered kind by kind (_sets) and
-    valued by one _invariant_Ps call.
+    [0.5, 2), with alpha1 in [0.2, 1) and alpha2 in [1.2, 2).  Each instance
+    reads one row of an (n, 18) rng.random block: alpha1, beta, gamma and
+    alpha2, its set sizes in 2..6, and six doubles for each set, of which it
+    takes the first k and m.  The sets of every instance, under both specs,
+    are gathered kind by kind (_sets) and valued by one _invariant_Ps call.
 
     Each f_i is multiplicative, so on the sets a and b the deviation is
     (r_a + r_b) / ((1 + r_a) * (1 + r_b)), with r = f1/f2 = (Q1/Q2)**gamma
@@ -551,22 +470,13 @@ def _sum_fails(rng, opts, n):
     each r <= 1, so every instance deviates by at least 2r/(1 + r)**2 at
     r = cosh(4)**-2, 2.67e-3, above the floor of 1e-3.
     """
-    raw, drawn = _Raw(rng, 20 * n), []
-    for _ in range(n):
-        spec = raw.take(6)
-        k = raw.integer(2, 7)
-        a = raw.take(k).start
-        m = raw.integer(2, 7)
-        drawn.append((spec, a, k, raw.take(m).start, m))
-    u = raw.close()
-    spec, a, k, b, m = zip(*drawn)
-    s1, s2 = [], []
-    for d in (u[s].tolist() for s in spec):
-        s1.append(InvariantSpec(_uniform(d[0], 0.2, 1.0), _uniform(d[1], 0.0, 1.0),
-                                _uniform(d[2], 0.5, 2.0)))
-        s2.append(InvariantSpec(_uniform(d[3], 0.2, 1.0) + 1.0, s1[-1].beta, s1[-1].gamma))
-    a, k, b, m = map(np.array, (a, k, b, m))
-    phi, xi, sums = _sets(_uniform(u, -1, 1), a, k, b, m)
+    u = rng.random((n, 18))
+    alpha1, beta, gamma, alpha2 = (_uniform(u[:, j], lo, hi).tolist() for j, (lo, hi) in
+                                   enumerate(((0.2, 1.0), (0.0, 1.0), (0.5, 2.0), (0.2, 1.0))))
+    s1 = [InvariantSpec(*spec) for spec in zip(alpha1, beta, gamma)]
+    s2 = [InvariantSpec(a2 + 1.0, b, g) for a2, b, g in zip(alpha2, beta, gamma)]
+    k, m, a = _sizes(u[:, 4], 2, 6), _sizes(u[:, 5], 2, 6), 18 * np.arange(n) + 6
+    phi, xi, sums = _sets(_uniform(u, -1, 1).ravel(), a, k, a + 6, m)
     values = _invariant_Ps(s1 * 3 + s2 * 3, np.concatenate([phi, xi, sums] * 2),
                            np.concatenate([k, m, k * m] * 2))
     a1, b1, ab1, a2, b2, ab2 = (values[j * n:(j + 1) * n] for j in range(6))
@@ -608,13 +518,15 @@ def _phase_additivity(rng, opts, n):
 
 
 def _newton(rng, opts, n):
-    """Every instance's deviations come from one _newton_deviations call."""
-    raw, drawn = _Raw(rng, 25 * n), []
-    for _ in range(n):
-        k, m = raw.integer(9, 13), raw.integer(9, 13)
-        drawn.append((raw.take(k), raw.take(m)))
-    v = _uniform(raw.close(), -1, 1)
-    return _newton_deviations([(v[a], v[b]) for a, b in drawn]).max(axis=1)
+    """Each instance reads one row of an (n, 26) rng.random block: its set
+    sizes k and m in 9..12, and twelve doubles for each set, of which it
+    takes the first k and m.  Every instance's deviations come from one
+    _newton_deviations call."""
+    u = rng.random((n, 26))
+    k, m = _sizes(u[:, 0], 9, 12).tolist(), _sizes(u[:, 1], 9, 12).tolist()
+    v = _uniform(u[:, 2:], -1, 1)
+    return _newton_deviations([(v[i, :k[i]], v[i, 12:12 + m[i]])
+                               for i in range(n)]).max(axis=1)
 
 
 def _cauchy(rng, opts, i):
@@ -722,12 +634,15 @@ def run_suite(
     expansion checks, whose deviations (up to a few 1e-12) are the
     truncation of the series at 12 terms, within their tail bound.
 
-    The worst deviation of a report is NaN when any of its trials gave NaN,
-    and the report then fails, against a tolerance and a floor alike.
+    tolerance (where given) and perturb_cauchy are finite numbers
+    (_input.finite).  The worst deviation of a report is NaN when any of its
+    trials gave NaN, and the report then fails, against a tolerance and a
+    floor alike.
     timings, when given, receives the seconds of each row under Row.name.
     """
     rng = np.random.default_rng(whole("seed", seed))
-    opts = Opts(not break_antisymmetric_term, perturb_cauchy)
+    tolerance = None if tolerance is None else finite("tolerance", tolerance)
+    opts = Opts(not break_antisymmetric_term, finite("perturb_cauchy", perturb_cauchy))
     reports: list[CheckReport] = []
     for row in SUITE:
         start = time.perf_counter()

@@ -128,9 +128,10 @@ CALLS = {
     "CoefficientTensor": (_tensor, (sets, numbers)),
     "alpha_coefficient": (lambda alphas, bp, k, n: sl.alpha_coefficient(_tensor(alphas, bp), k, n),
                           (sets, numbers, indices, st.one_of(small, numbers))),
-    "cauchy_condition_check": (lambda alphas, bp, k, s, n, m: sl.cauchy_condition_check(
-        _tensor(alphas, bp), k, s, n, m), (sets, numbers, indices, indices,
-                                           st.one_of(small, numbers), st.one_of(small, numbers))),
+    "cauchy_condition_check": (lambda alphas, bp, k, s, n, m, perturb=0.0: (
+        sl.cauchy_condition_check(_tensor(alphas, bp), k, s, n, m, perturb=perturb)),
+        (sets, numbers, indices, indices, st.one_of(small, numbers), st.one_of(small, numbers),
+         numbers)),
     "closed_product": (lambda alphas, bp, phases, n: sl.closed_product(
         _tensor(alphas, bp), phases, n), (sets, numbers, sets, st.one_of(st.none(), numbers))),
     "expansion_reconstruction_check": (lambda alphas, bp, phases, truncation: (
@@ -138,6 +139,8 @@ CALLS = {
         (sets, numbers, sets, small)),
     "closure_checks": (lambda a, b, g, pa, pb: sl.closure_checks(
         (_invariant(a, b, g), _invariant(b, a, g)), pa, pb), (numbers, numbers, numbers, sets, sets)),
+    "run_suite": (lambda tolerance, perturb: sl.run_suite(0, tolerance, perturb_cauchy=perturb),
+                  (st.one_of(st.none(), numbers), numbers)),
 }
 
 cases = st.sampled_from(sorted(CALLS)).flatmap(
@@ -280,10 +283,21 @@ SHAPES = [
 # An order beyond a float: numpy rounded 2**53 + 1 to the even 2**53, and
 # raised OverflowError converting 10**400
 ORDERS = [("power_sum", (2**53 + 1, [1.0, -1.0])), ("power_sum", (BIG, [0.5]))]
+# The suite's knobs, and the Cauchy check's perturbation, before they were
+# read as finite numbers: the TypeError of a comparison or a sum, and a
+# tolerance of nan or inf written into every report
+KNOBS = [
+    ("run_suite", ("x", 0.0)),
+    ("run_suite", (1j, 0.0)),
+    ("run_suite", (math.nan, 0.0)),
+    ("run_suite", (math.inf, 0.0)),
+    ("run_suite", (None, "x")),
+    ("cauchy_condition_check", ([0.5, -0.5], 0.0, (1, 0), (0, 1), 5, 6, "x")),
+]
 
 
 def _with_examples(test):
-    for case in AA + AB + LEAKS + BUILTINS + SHAPES + ORDERS:
+    for case in AA + AB + LEAKS + BUILTINS + SHAPES + ORDERS + KNOBS:
         test = example(case)(test)
     return test
 

@@ -473,3 +473,15 @@ def test_every_report_gets_its_verdict_from_one_rule():
                    and ast.unparse(node.func) == "CheckReport") == {"report.verdict"}
     assert _scopes(lambda node: isinstance(node, ast.Constant)
                    and node.value in ("expected", "failure")) == {"report.verdict"}
+
+
+def test_the_verify_rows_draw_only_through_the_generators_samplers():
+    """Every size and permutation of the verify rows comes from rng.random
+    doubles: verify has no emulation of the generator's samplers, and
+    nothing in the package reads the generator's raw words or its kept
+    32-bit half-word."""
+    assert not hasattr(superlum.verify, "_Raw")
+    for path in SOURCES:
+        text = path.read_text(encoding="utf-8")
+        assert not [name for name in ("random_raw", "has_uint32", "uinteger")
+                    if name in text], path.name

@@ -141,10 +141,12 @@ def _scalar_newton(Ea, Eb, direct, scale, r):
 _SUMS = st.floats(-1e100, 1e100) | st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -1e16])
 
 
-@given(st.integers(1, 5), st.integers(1, 12), st.integers(1, 12), st.data())
+@given(st.integers(1, 5), st.integers(1, sympoly.NEWTON_R_MAX + 1),
+       st.integers(1, sympoly.NEWTON_R_MAX + 1), st.data())
 def test_newton_columns_are_the_scalar_formula_bit_for_bit(rows, size, k, data):
-    """Every (instance, order) cell, and the last k orders alone as the
-    check asks for them, with terms that cancel and signed zeros."""
+    """Every (instance, order) cell of orders 0..NEWTON_R_MAX, and the last
+    k orders alone as the check asks for them, with terms that cancel and
+    signed zeros."""
     k = min(k, size)
     Ea, Eb, direct = (np.array(data.draw(st.lists(st.lists(_SUMS, min_size=size, max_size=size),
                                                     min_size=rows, max_size=rows)))
