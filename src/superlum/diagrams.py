@@ -159,11 +159,18 @@ class Diagram:
             for label, e in events.items():
                 instance(f"event {reprlib.repr(label)}", e, Event1p1)
             raise
+        for label in events:
+            if not is_label(label):
+                raise InvalidInput(f"event labels must be strings, got {reprlib.repr(label)}")
         segments = sequence("segments", segments)
         for i, pair in enumerate(segments):
             if len(sequence(f"segments[{i}]", pair)) != 2:
                 raise InvalidInput(f"segments[{i}] must be a (start, end) pair of labels, "
                                    f"got {reprlib.repr(pair)}")
+            for end in pair:
+                if not is_label(end):
+                    raise InvalidInput(f"segments[{i}] must name events by string labels, "
+                                       f"got {reprlib.repr(end)}")
         _columns(self, list(events), xy, segments, c)
 
     c = property(lambda self: self._c)

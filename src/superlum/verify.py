@@ -10,16 +10,15 @@ bit-identical report.
 
 Every row that draws makes one Generator call, rng.random, for all its
 trials, and maps a double u to lo + (hi - lo) * u, which is what
-rng.uniform(lo, hi) returns, bit for bit.  A trial that draws a random
-boost uses two or three doubles, by its branch draw; those rows walk an
-upper-bound block by the branch draws and then leave the generator
-advanced by exactly the doubles used, where one draw at a time would leave
-it (_boost_draws).  Every other row reads a fixed-width block, one row of
-it per trial or instance, laid out as the row's docstring says: a size in
-lo..hi is lo + floor((hi - lo + 1) * u) (_sizes), a set of drawn size k
-takes the first k of the doubles kept for it, and a permutation of a set
-of k phases is the argsort of the first k of the keys kept for it
-(_permutations).
+rng.uniform(lo, hi) returns, bit for bit.  A row of many trials reads a
+fixed-width block, one row of it per trial or instance, laid out as the
+row's docstring says: a random boost is three doubles, its branch, its
+speed and the sign of a speed above c, the sign drawn for a subluminal
+boost too (_boost); a size in lo..hi is lo + floor((hi - lo + 1) * u)
+(_sizes), a set of drawn size k takes the first k of the doubles kept for
+it, and a permutation of a set of k phases is the argsort of the first k
+of the keys kept for it (_permutations).  A row of one trial (per_trial)
+draws the doubles it uses in one rng.random call.
 
 The eleven kinematics rows then run as numpy operations on columns,
 through the column twins of the kinematics kernels, each kernel called
@@ -157,40 +156,12 @@ def _superluminal(u, sign):
     return np.where(sign < 0.5, w, -w)
 
 
-def _boost_draws(rng, n: int, boosts: int, rest: int):
-    """The draws of n trials that each draw `boosts` random boosts and then
-    `rest` doubles, taken in one block.
-
-    A random boost draws its branch (below 0.5: subluminal), then a speed,
-    and above c also the speed's sign: two or three doubles.  So the row
-    draws the most its trials can use in one rng.random block, walks it by
-    the branch draws, and then sets the generator back to its state before
-    the block, advanced by the doubles used (one PCG64 word each), where one
-    draw at a time would leave it.  advance also drops a kept 32-bit
-    half-word, which is exact while no row draws a 32-bit integer.  Returns
-    the (subluminal mask, speed) columns of each boost and the (n, rest)
-    doubles.
-    """
-    bitgen = rng.bit_generator
-    state = bitgen.state
-    block = rng.random(n * (3 * boosts + rest))
-    above, starts, pos = (block >= 0.5).tolist(), [], 0
-    for _ in range(n):
-        for _ in range(boosts):
-            starts.append(pos)
-            pos += 2 + above[pos]
-        starts.append(pos)
-        pos += rest
-    bitgen.state = state
-    bitgen.advance(pos)
-    at = np.array(starts).reshape(n, boosts + 1)
-    drawn = []
-    for j in range(boosts):
-        sub = block[at[:, j]] < 0.5
-        speed = np.where(sub, _subluminal(block[at[:, j] + 1]),
-                         _superluminal(block[at[:, j] + 1], block[at[:, j] + 2]))
-        drawn.append((sub, speed))
-    return drawn, block[at[:, [boosts]] + np.arange(rest)]
+def _boost(u):
+    """The (subluminal mask, speed) columns of random boosts from the three
+    columns of u: the branch (below 0.5: subluminal), the speed, and the
+    sign of a speed above c, drawn for a subluminal boost too and not used."""
+    sub = u[:, 0] < 0.5
+    return sub, np.where(sub, _subluminal(u[:, 1]), _superluminal(u[:, 1], u[:, 2]))
 
 
 def _sizes(u, lo: int, hi: int) -> np.ndarray:
@@ -289,10 +260,13 @@ def _superluminal_inverse(rng, opts, n):
 
 
 def _light_cone(rng, opts, n):
-    ((sub, V),), u = _boost_draws(rng, n, 1, 4)
-    e1 = _events(u)
-    dt = _uniform(u[:, 2], 0.1, 2.0)
-    e2 = EventColumns(e1.t + dt, e1.x + np.copysign(dt, _uniform(u[:, 3], -1, 1)))
+    """Each trial reads one row of an (n, 7) block: its boost (_boost), the
+    event e1, the time dt to e2 and the sign of e2's step in x."""
+    u = rng.random((n, 7))
+    sub, V = _boost(u[:, :3])
+    e1 = _events(u[:, 3:5])
+    dt = _uniform(u[:, 5], 0.1, 2.0)
+    e2 = EventColumns(e1.t + dt, e1.x + np.copysign(dt, _uniform(u[:, 6], -1, 1)))
     return np.abs(kin.interval_1p1(*_boost_both(e1, e2, sub, V)))
 
 
@@ -336,9 +310,11 @@ def _sub_invariance(rng, opts, n):
 
 def _branch_closure(rng, opts, n):
     """The composed boost is subluminal exactly where its operands share a
-    branch; validating it on that branch checks the XOR."""
-    ((sub1, V1), (sub2, V2)), u = _boost_draws(rng, n, 2, 2)
-    e = _events(u)
+    branch; validating it on that branch checks the XOR.  Each trial reads
+    one row of an (n, 8) block: its two boosts (_boost), then the event."""
+    u = rng.random((n, 8))
+    (sub1, V1), (sub2, V2) = _boost(u[:, :3]), _boost(u[:, 3:6])
+    e = _events(u[:, 6:])
     direct = kin.boost_1p1_columns(kin.boost_1p1_columns(e, sub1, V1), sub2, V2)
     via = kin.boost_1p1_columns(e, sub1 == sub2, kin._compose(V1, V2, 1.0))
     scale = np.maximum(np.maximum(np.abs(direct.t), np.abs(direct.x)), 1.0)
@@ -352,7 +328,8 @@ def _velocity_antisymmetry(rng, opts, n):
 
 
 def _velocity_matrix_agreement(rng, opts, n):
-    ((sub1, V1), (sub2, V2)), _ = _boost_draws(rng, n, 2, 0)
+    u = rng.random((n, 6))
+    (sub1, V1), (sub2, V2) = _boost(u[:, :3]), _boost(u[:, 3:])
     m = _matrices(np.concatenate([sub2, sub1]), np.concatenate([V2, V1]))
     m = np.matmul(m[:n], m[n:])
     return _relative(kin.velocity_of_matrix(m), kin._compose(V1, V2, 1.0), 1.0)
@@ -530,7 +507,7 @@ def _newton(rng, opts, n):
 
 
 def _cauchy(rng, opts, i):
-    a = float(rng.uniform(0.4, 1.0))
+    a = float(_uniform(rng.random(), 0.4, 1.0))
     ct2 = CoefficientTensor((a, -a))
     ct4 = CoefficientTensor((0.6, -0.6, 0.4, -0.4), beta_prime=0.5)
     return max(
@@ -546,7 +523,7 @@ def _cauchy(rng, opts, i):
 
 
 def _expansion(rng, opts, i):
-    phi = rng.uniform(-1, 1, 5)
+    phi = _uniform(rng.random(5), -1, 1)
     real_ct = CoefficientTensor((0.8, -0.8), beta_prime=1.0)
     imag_ct = CoefficientTensor((0.8j, -0.8j), beta_prime=1.0)
     cross = relative_deviation(
@@ -568,8 +545,8 @@ def _odd_tensor(rng, opts, i):
 def _closure(rng, opts, i):
     f1 = amplitude_invariant(InvariantSpec(0.7, 0.4, 1.0))
     f2 = amplitude_invariant(InvariantSpec(0.3, 1.1, 2.0))
-    phi = rng.uniform(-1, 1, 4)
-    xi = rng.uniform(-1, 1, 3)
+    u = _uniform(rng.random(7), -1, 1)
+    phi, xi = u[:4], u[4:]
     return tuple(r.deviation for r in closure_checks((f1, f2), phi, xi))
 
 

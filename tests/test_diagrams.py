@@ -886,9 +886,17 @@ def test_event_labels_equal_under_str_are_rejected():
     ({"a": E(0, 0), "b": 5}, "event 'b' must be of type Event1p1, got 5"),
     (5, "events must be of type Mapping, got 5"),
     ([E(0, 0)], "events must be of type Mapping, got [Event1p1(t=0.0, x=0.0)]"),
+    ({1: E(0, 0), 2: E(1, 0.1)}, "event labels must be strings, got 1"),
+    ({"a": E(0, 0), ("b",): E(1, 0)}, "event labels must be strings, got ('b',)"),
+    ({None: E(0, 0), "b": E(1, 0)}, "event labels must be strings, got None"),
+    ({"a": E(0, 0), 10 ** 100: E(1, 0)},
+     "event labels must be strings, got 100000000000000000...0000000000000000000"),
 ])
 def test_diagram_events_must_map_labels_to_events(events, shown):
-    """A value that is no Event1p1 raised AttributeError from its missing t."""
+    """A value that is no Event1p1 raised AttributeError from its missing t.
+    A label that is no string was taken, and render_svg's join of the labels
+    raised the builtin TypeError; a tuple or None beside a string raised it
+    from the sort of the labels."""
     with pytest.raises(InvalidInput, match=re.escape(shown)):
         Diagram(events)
 
@@ -898,11 +906,15 @@ def test_diagram_events_must_map_labels_to_events(events, shown):
     ([("a", "b"), 7], "segments[1] must be a sequence, got 7"),
     ([("a",)], "segments[0] must be a (start, end) pair of labels, got ('a',)"),
     ([("a", "b", "a"), ("b",)], "segments[0] must be a (start, end) pair of labels"),
+    ([(["a"], "b")], "segments[0] must name events by string labels, got ['a']"),
+    ([("a", "b"), ("a", 1)], "segments[1] must name events by string labels, got 1"),
 ])
 def test_diagram_segments_must_be_label_pairs(segments, shown):
     """A number raised tuple()'s TypeError and a one-label segment numpy's
     ValueError, while a three-label segment and a one-label one were read
-    silently as two pairs, ("a", "b") twice."""
+    silently as two pairs, ("a", "b") twice.  A list as a label raised the
+    builtin TypeError of the label lookup, and a number was named only as
+    an unknown event."""
     with pytest.raises(InvalidInput, match=re.escape(shown)):
         Diagram({"a": E(0, 0), "b": E(1, 0)}, segments)
 

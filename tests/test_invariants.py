@@ -221,9 +221,13 @@ def test_path_phase_rejects_fast_segments():
 @given(st.lists(st.tuples(st.floats(1e-3, 10.0), st.floats(-2.0, 2.0)), min_size=1,
                 max_size=8),
        st.floats(0.5, 3.0), st.floats(-5.0, 5.0))
+@example([(7.5, 0.6218945060428236)], 0.6317720479414497, 1.0)
 def test_path_phase_adds_its_segments_in_order(legs, c, scale):
     """path_phase runs on columns, with the bits of a loop over the segments
-    on Python floats, and names the same first segment that is too fast."""
+    on Python floats, and names the same first segment that is too fast.
+    The square is v * v, as in the kernel: at the example, v ** 2 (libm pow)
+    is one unit in the last place off the correctly rounded product, and
+    the cancellation in 1 - v * v makes that 11 units of the phase."""
     t, x = 0.0, 0.0
     verts = [E(t, x)]
     for dt, v in legs:
@@ -237,7 +241,8 @@ def test_path_phase_adds_its_segments_in_order(legs, c, scale):
                 path_phase(Path(tuple(verts)), scale, c)
             assert str(err.value) == f"segment speed |{dx/dt!r}| is not below c={c!r}"
             return
-        total += dt * math.sqrt(1.0 - (dx / (c * dt)) ** 2)
+        v = dx / (c * dt)
+        total += dt * math.sqrt(1.0 - v * v)
     assert path_phase(Path(tuple(verts)), scale, c).hex() == (scale * total).hex()
 
 

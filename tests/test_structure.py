@@ -485,3 +485,10 @@ def test_the_verify_rows_draw_only_through_the_generators_samplers():
         text = path.read_text(encoding="utf-8")
         assert not [name for name in ("random_raw", "has_uint32", "uinteger")
                     if name in text], path.name
+
+
+def test_the_verify_rows_never_read_or_set_the_generators_state():
+    """A row that draws random boosts reads fixed columns of its block, so
+    no row saves, restores or advances the bit generator."""
+    text = Path(superlum.verify.__file__).read_text(encoding="utf-8")
+    assert [name for name in ("bit_generator", "advance", ".state") if name in text] == []
