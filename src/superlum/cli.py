@@ -5,17 +5,20 @@ Subcommands: boost, compose, diagram, verify, scan, amplitude.  Exit codes:
 Reports are JSON on stdout unless --output is given; a fixed --seed makes
 them bit-identical across runs.  Each stream gets at most one document:
 diagram --format svg without --output prints the SVG alone.
+
+Each command imports the phase-sum, series, SVG and verify layers that it
+runs, from the package root, when it runs: a boost starts without them.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import reprlib
 import sys
 from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,12 +35,6 @@ from .diagrams import (
     transform_diagram,
 )
 from .errors import SuperlumError
-from .invariants import (
-    InvariantSpec,
-    amplitude,
-    finiteness_scan,
-    uniform_phase_sampler,
-)
 from .kinematics import (
     Boost,
     Branch,
@@ -49,8 +46,9 @@ from .kinematics import (
     boost_1p3_superluminal,
     compose_boosts_1p1,
 )
-from .render import render_svg
-from .verify import run_suite, suite_report
+
+if TYPE_CHECKING:  # argparse is imported where the parser is built
+    import argparse
 
 
 # The field reader: every field of a JSON input is read through _read.  An
@@ -263,7 +261,10 @@ def cmd_diagram(args: argparse.Namespace) -> int:
     sc = Scenario(d, sc.source, sc.sinks)
     if args.format == "json":
         _emit(_report_text(sc), args.output)
-    elif args.output:
+        return 0
+    from . import render_svg
+
+    if args.output:
         report = _report_text(sc)  # first, so a rejected scenario writes no file
         _emit(render_svg(d, title=args.title), args.output)
         _emit(report, None)
@@ -273,6 +274,8 @@ def cmd_diagram(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import run_suite, suite_report
+
     timings = {} if args.timings else None
     knobs = {"tolerance": args.tolerance, "perturb_cauchy": args.perturb_cauchy,
              "break_antisymmetric_term": args.break_antisymmetric_term}
@@ -285,6 +288,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    from . import InvariantSpec, finiteness_scan, uniform_phase_sampler
+
     data = read_json(args.input) if args.input else {}
     spec = InvariantSpec(_read(data, "alpha", default=[0.0, 1.0], kind="complex"),
                          _read(data, "beta", default=2.0),
@@ -308,6 +313,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_amplitude(args: argparse.Namespace) -> int:
+    from . import amplitude
+
     data = read_json(args.input)
     amp = amplitude(_read(data, "phases", lengths=()), _read(data, "alpha_mag", default=1.0))
     _dump({"value": [amp.value.real, amp.value.imag], "probability": abs(amp.value) ** 2,
@@ -317,6 +324,8 @@ def cmd_amplitude(args: argparse.Namespace) -> int:
 
 def _finite(text: str) -> float:
     """An argparse type: a float that must be finite (_input.finite)."""
+    import argparse
+
     try:
         return finite("value", float(text))
     except ValueError:  # not a number, or NonfiniteInput
@@ -324,6 +333,8 @@ def _finite(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="superlum",
         description="Subluminal and superluminal boosts, spacetime diagrams, "

@@ -19,7 +19,6 @@ import reprlib
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -384,7 +383,7 @@ def velocity_of_matrix(M: np.ndarray) -> float:
 
 def branch_of_matrix(M: np.ndarray) -> Branch:
     """The branch of a 2x2 matrix by the sign of its determinant, taken exactly."""
-    (a, b), (c, d) = ([*map(Fraction, row)] for row in _matrix(M).tolist())
+    (a, b), (c, d) = map(_fractions, _matrix(M).tolist())
     return Branch.SUBLUMINAL if a * d - b * c > 0 else Branch.SUPERLUMINAL
 
 
@@ -484,11 +483,19 @@ def interval_1p1(e1: Event1p1, e2: Event1p1, c: float = 1.0) -> float:
                 for v in (e1.t, e1.x, e2.t, e2.x)]
 
     def increments(i: int):
-        t1, x1, t2, x2 = map(Fraction, inputs(i))
+        t1, x1, t2, x2 = _fractions(inputs(i))
         return [t2 - t1], [x2 - x1]
 
     return _exact_forms(s2, c, increments, lambda i: "events (t, x) = ({!r}, {!r}) and "
                         "({!r}, {!r})".format(*inputs(i)))
+
+
+def _fractions(values) -> list:
+    """Each float of values as an exact Fraction, for the exact-arithmetic
+    fallbacks; fractions is imported only when a run reaches one."""
+    from fractions import Fraction
+
+    return [*map(Fraction, values)]
 
 
 def _exact_forms(s2, c: float, increments: Callable, named: Callable):
@@ -501,7 +508,7 @@ def _exact_forms(s2, c: float, increments: Callable, named: Callable):
     NonfiniteResult, each naming the row's inputs."""
     if np.isfinite(s2).all():
         return s2
-    out, C = np.array(s2, float), Fraction(c)
+    out, C = np.array(s2, float), _fractions([c])[0]
     for i in np.flatnonzero(~np.isfinite(out)).tolist():
         try:
             dts, drs = increments(i)
@@ -646,7 +653,7 @@ def interval_nm(dts: Sequence[float], drs: Sequence[float], c: float = 1.0):
     def row(v: np.ndarray, i: int) -> list[float]:  # row i of the increments v, broadcast
         return np.broadcast_to(v, s2.shape + v.shape[-1:]).reshape(s2.size, -1)[i].tolist()
 
-    s2 = _exact_forms(s2, c, lambda i: [[*map(Fraction, row(v, i))] for v in (dts, drs)],
+    s2 = _exact_forms(s2, c, lambda i: [_fractions(row(v, i)) for v in (dts, drs)],
                       lambda i: f"increments dt={row(dts, i)} and dr={row(drs, i)}")
     return float(s2) if np.ndim(s2) == 0 else s2
 

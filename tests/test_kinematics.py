@@ -442,6 +442,12 @@ def test_a_result_beyond_a_float_names_the_event_and_the_transform():
                                               r"boosted to superluminal speed 1\.0001 \(K=1\.0\) "
                                               + size):
         boost_1p1(e, Boost(Branch.SUPERLUMINAL, 1.0001))
+    # terms of mixed signs: one coordinate overflows and the other fits, so
+    # a sign flipped in either row of the re-run law drops the magnitude
+    for t, x in ((1.7e308, -5e307), (-5e307, 1.7e308)):
+        with pytest.raises(NonfiniteResult, match=r"subluminal speed 0\.5 \(K=1\.0\) has a "
+                                                  r"coordinate of magnitude 10\*\*308\.353, "):
+            boost_1p1(Event1p1(t, x), Boost(Branch.SUBLUMINAL, 0.5))
     with pytest.raises(NonfiniteResult, match=r"boosted by the symmetric family at V=0\.9999"):
         general_boost_1p1(e, lorentz_family(), 0.9999)
     with pytest.raises(NonfiniteResult, match=r"r=\(-1e\+308, 0\.0, 0\.0\)\) boosted to "

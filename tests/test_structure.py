@@ -1,13 +1,17 @@
 """One fact, one place: where the package may check a bound, sum exponentials,
 form a boost scale, reject a boost result, compose speeds and classify
-segments, read from the source with ast; and how many lines the path census
-runs, counted by a trace function."""
+segments, read from the source with ast; how many lines the path census
+runs, counted by a trace function; and which modules each entry point
+loads, read from sys.modules in a child process."""
 
 import ast
 import builtins
 import inspect
+import json
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -219,7 +223,10 @@ def test_every_bad_input_raises_a_superlum_error_and_main_catches_no_builtin():
         found = getattr(builtins, exc.id, None) if isinstance(exc, ast.Name) else None
         return isinstance(found, type) and issubclass(found, BaseException)
 
-    assert _scopes(raises_builtin) == set()
+    # the one exemption: a module __getattr__ must raise AttributeError for
+    # a name the module lacks (PEP 562), so that hasattr and getattr's
+    # default keep working on the package
+    assert _scopes(raises_builtin) == {"__init__._Layers.attribute"}
     handlers = [ast.unparse(node.type) for scope, node in NODES
                 if scope == "cli.main" and isinstance(node, ast.ExceptHandler)]
     assert handlers == ["SystemExit", "(SuperlumError, OSError)"]
@@ -492,3 +499,91 @@ def test_the_verify_rows_never_read_or_set_the_generators_state():
     no row saves, restores or advances the bit generator."""
     text = Path(superlum.verify.__file__).read_text(encoding="utf-8")
     assert [name for name in ("bit_generator", "advance", ".state") if name in text] == []
+
+
+# Every name that `from superlum import *` binds: the public names of the
+# package, its submodules among them.
+STAR_NAMES = set("""
+Amplitude Boost Branch BranchSpeedViolation CheckReport CoefficientTensor CyclicDiagram
+DegenerateA Diagram Event1p1 Event1p3 GeneralTransformFamily InvalidInput InvalidScenario
+InvariantSpec IsolatedEvent LightSpeedResult MixedK NonfiniteInput NonfiniteResult
+NonpositiveK NotConstant Parity Path PathSet PoleError Role ScanResult Scenario Segment
+SpeedClass SuperlumError SuperluminalEvent1p3 SuperluminalSegment TruncationInsufficient
+ZeroExtent ZeroVelocity alpha_coefficient amplitude amplitude_invariant boost_1p1
+boost_1p3_subluminal boost_1p3_superluminal boost_matrix_1p1 branch_of_matrix
+cauchy_condition_check check_multiplicativity check_symmetry check_time_reversal
+closed_product closure_checks compose_boosts_1p1 compose_velocities_1p1 count_paths
+count_paths_auto diagrams errors expansion_reconstruction_check extract_K finiteness_scan
+galilean_family general_boost_1p1 interval_1p1 interval_nm invariant_P invariants
+kinematics load_fixture load_scenario lorentz_family newton_convolution_check
+pairwise_phase_sums path_phase power_sum rapidity relative_deviation render render_svg
+report role_report run_suite subluminal_matrix suite_report superluminal_family
+superluminal_matrix sympoly transform_diagram uniform_phase_sampler velocity_of_matrix verify
+""".split())
+LAYERS = ("invariants", "sympoly", "render", "verify")  # loaded on first use
+
+# Run in a child: import the package, run the command line given as
+# arguments (if any) in process, and print the loaded modules and dir().
+_LOADED = """
+import io, json, sys
+import superlum
+if sys.argv[1:]:
+    import superlum.cli
+    stdout, sys.stdout = sys.stdout, io.StringIO()
+    code = superlum.cli.main(sys.argv[1:])
+    sys.stdout = stdout
+    assert code == 0, code
+print(json.dumps({"modules": sorted(sys.modules), "dir": dir(superlum)}))
+"""
+
+
+def _loaded(tmp_path, *argv) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(Path(superlum.__file__).parents[1])}
+    child = subprocess.run([sys.executable, "-c", _LOADED, *argv], cwd=tmp_path, env=env,
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
+
+
+BOOST = {"event": [1.0, 0.5], "boost": {"branch": "superluminal", "speed": 2.0}}
+COMPOSE = {"boosts": [{"branch": "subluminal", "speed": 0.5},
+                      {"branch": "superluminal", "speed": 2.0}]}
+
+
+@pytest.mark.parametrize("argv, payload, layers", [
+    ((), None, set()),
+    (("boost", "--input", "in.json"), BOOST, set()),
+    (("compose", "--input", "in.json"), COMPOSE, set()),
+    (("scan",), None, {"invariants"}),
+    (("diagram", "--input", "fig5a"), None, {"render"}),
+    (("verify", "--seed", "1"), None, {"invariants", "sympoly", "verify"}),
+], ids=["import", "boost", "compose", "scan", "diagram", "verify"])
+def test_each_entry_point_loads_only_the_layers_it_runs(tmp_path, argv, payload, layers):
+    """import superlum loads the kinematics and diagram layers, and the
+    phase-sum, series, SVG and verify layers only where a command runs
+    them; argparse and fractions only where they are used."""
+    if payload is not None:
+        (tmp_path / "in.json").write_text(json.dumps(payload), encoding="utf-8")
+    modules = set(_loaded(tmp_path, *argv)["modules"])
+    assert {layer for layer in LAYERS if f"superlum.{layer}" in modules} == layers
+    if not argv:
+        assert not {"fractions", "argparse"} & modules
+
+
+def test_the_lazy_names_keep_the_public_namespace(tmp_path):
+    """The star import binds the same 90 names as when every layer loaded
+    with the package; dir() lists them before any lazy layer is loaded;
+    each lazy name is its module's object; and a name the package lacks
+    raises AttributeError."""
+    star = {}
+    exec("from superlum import *", star)
+    assert set(star) - {"__builtins__"} == STAR_NAMES
+    listed = _loaded(tmp_path)
+    assert not {f"superlum.{layer}" for layer in LAYERS} & set(listed["modules"])
+    assert STAR_NAMES <= set(listed["dir"])
+    for layer, names in superlum._LAZY.items():
+        for name in names:
+            assert getattr(superlum, name) is getattr(getattr(superlum, layer), name), name
+    assert not hasattr(superlum, "no_such_name")
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        superlum.no_such_name
