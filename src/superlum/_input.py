@@ -94,10 +94,14 @@ def _array(values, name: str) -> np.ndarray:
 
 def _first_bad(arr: np.ndarray):
     """The flat index and value of arr's first entry that is not finite, or
-    None, after one np.isfinite pass over a float64 arr."""
-    if arr.dtype == object or not np.isfinite(arr).all():
-        return next((i, v) for i, v in enumerate(arr.ravel().tolist()) if not is_finite(v))
-    return None
+    None.  A float64 arr is finite where its least and largest entries are,
+    since a NaN reaches both and an inf one of them: two reductions and no
+    array of arr's size.  An object arr, or one that is not finite, is
+    scanned entry by entry."""
+    if arr.dtype != object and (not arr.size or math.isfinite(np.minimum.reduce(arr, axis=None))
+                                and math.isfinite(np.maximum.reduce(arr, axis=None))):
+        return None
+    return next((i, v) for i, v in enumerate(arr.ravel().tolist()) if not is_finite(v))
 
 
 def real_array(name: str, values) -> np.ndarray:

@@ -34,7 +34,7 @@ from .diagrams import (
     role_report,
     transform_diagram,
 )
-from .errors import SuperlumError
+from .errors import InvalidInput, SuperlumError
 from .kinematics import (
     Boost,
     Branch,
@@ -74,15 +74,15 @@ def _read(obj, key: str, where: str = "input", default=_REQUIRED, kind: str | No
     With lengths, a list of that kind of one of those lengths (any, when
     empty)."""
     if not isinstance(obj, dict):
-        raise SuperlumError(f"{where} must be a JSON object, got {reprlib.repr(obj)}")
+        raise InvalidInput(f"{where} must be a JSON object, got {reprlib.repr(obj)}")
     if key not in obj and default is _REQUIRED:
-        raise SuperlumError(f'{where} has no "{key}"')
+        raise InvalidInput(f'{where} has no "{key}"')
     value, path = obj.get(key, default), f'"{key}"' if where == "input" else f"{where}.{key}"
     if lengths is None:
         return _as(kind, value, path)
     if not isinstance(value, list) or lengths and len(value) not in lengths:
         size = " or ".join(("two", "three", "four")[n - 2] for n in lengths) + " " if lengths else ""
-        raise SuperlumError(f"{path} must be a list of {size}{_KINDS[kind][1]}, "
+        raise InvalidInput(f"{path} must be a list of {size}{_KINDS[kind][1]}, "
                             f"got {reprlib.repr(value)}")
     return [_as(kind, item, f"{path}[{i}]") for i, item in enumerate(value)]
 
@@ -100,7 +100,7 @@ def _as(kind: str | None, value, path: str):
         parts = value if isinstance(value, list) else [value, 0.0]
         if len(parts) == 2 and all(map(is_number, parts)):
             return complex(*map(float, parts))
-    raise SuperlumError(f"{path} {_KINDS[kind][0]}, got {reprlib.repr(value)}")
+    raise InvalidInput(f"{path} {_KINDS[kind][0]}, got {reprlib.repr(value)}")
 
 
 def _emit(text: str, output: str | None) -> None:

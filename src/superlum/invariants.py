@@ -14,6 +14,10 @@ matches the coherent scaling.
 Every phase sum S(a) = sum_k exp(a*phi_k) comes from one kernel, _log_sums,
 which works in the log domain; a value is exponentiated once, at the end,
 and one whose magnitude does not fit in a float raises NonfiniteResult.
+The kernel works in blocks of at most _BLOCK values, so that its passes run
+in cache: the scan hands it blocks of rows, and it walks a single row
+longer than that leaf by leaf along numpy's pairwise summation tree, with
+the bits of the one-shot sum.
 """
 
 from __future__ import annotations
@@ -210,6 +214,55 @@ _QUIET = contextlib.nullcontext()  # no half angle overflows: nothing to silence
 SAFE_EXPONENT = 600.0
 
 
+def _long_row(phi: np.ndarray, lengths: np.ndarray | None) -> bool:
+    """Whether the kernel values phi leaf by leaf (_leaves): one 1-D row of
+    more than _BLOCK phases."""
+    return lengths is None and phi.ndim == 1 and phi.size > _BLOCK
+
+
+def _leaves(phi: np.ndarray, dtype: type = np.float64, buffers: int = 2) -> list:
+    """The leaves of a long row phi (_long_row) as (part, out, spare,
+    depth): part a view of phi, out and spare the arrays its passes write,
+    and depth the part's depth in numpy's pairwise summation tree (_added).
+
+    numpy sums a contiguous row of n float64 values, for n above its block
+    of 128, as the sum of its first h values plus the sum of the rest, with
+    h = n//2 - (n//2) % 8; a complex128 row is split the same way as its 2n
+    floats, at h = (n - n % 8) // 2 values.  The walk splits phi there until
+    a part holds at most _BLOCK values (or fits in numpy's block), and lists
+    the leaves in order, out and spare being views of the leaf's length of
+    buffers of dtype made once per walk; spare is None where buffers is 1,
+    for passes that write one array.  phi is never written.  A row that is
+    not long is the kernel's one part, phi itself, of depth 0."""
+    width = 2 if dtype is np.complex128 else 1  # floats per value
+    leaf = max(_BLOCK, 128 // width)
+    work = np.empty((buffers, leaf), dtype)  # one allocation, which the next walk can reuse
+    parts, stack = [], [(0, phi.size, 0)]
+    while stack:
+        lo, hi, depth = stack.pop()
+        n = hi - lo
+        if n <= leaf:
+            parts.append((phi[lo:hi], work[0, :n], work[1, :n] if buffers == 2 else None, depth))
+        else:
+            half = (n - n % 8) // 2 if width == 2 else n // 2 - n // 2 % 8
+            stack += [(lo + half, hi, depth + 1), (lo, lo + half, depth + 1)]
+    return parts
+
+
+def _added(sums: list) -> tuple:
+    """The sums of _leaves' parts, a list of (tuple of sums, depth) in the
+    parts' order, added up in the order of numpy's tree: the two subtrees
+    last completed at one depth are siblings, left and right.  So each
+    total keeps the bits of one-shot numpy (which starts a sum from 0.0:
+    that only turns a -0.0 total into 0.0, at each leaf as at the root)."""
+    stack = []
+    for total, depth in sums:
+        while stack and stack[-1][1] == depth:
+            total, depth = tuple(a + b for a, b in zip(stack.pop()[0], total)), depth - 1
+        stack.append((total, depth))
+    return stack[0][0]
+
+
 def _phasor_sum(omega, phi: np.ndarray, name: str, coefficient,
                 scratch: np.ndarray | None = None, lengths: np.ndarray | None = None):
     """sum_k exp(i*omega*phi_k) over each row of phi, the rows as in
@@ -227,21 +280,30 @@ def _phasor_sum(omega, phi: np.ndarray, name: str, coefficient,
     name, and its value (_unfit).  For |omega| <= 2 the pass skips
     np.errstate and the check, which cost about 5 us a call.
 
-    Given scratch (as in _log_sums), the pass overwrites phi and scratch
-    and makes no array of phi's size, with the same bits.  It then cannot
-    name the phase whose half angle overflows: the caller names it from
-    phi formed again.
+    A long row (_long_row) is valued leaf by leaf (_leaves) in two buffers
+    of at most _BLOCK values.  Otherwise, given scratch (as in _log_sums),
+    the pass overwrites phi and scratch and makes no array of phi's size,
+    with the same bits.  It then cannot name the phase whose half angle
+    overflows: the caller names it from phi formed again.
     """
     may_overflow = not _all(abs(omega) <= 2.0)
-    with np.errstate(over="ignore", invalid="ignore") if may_overflow else _QUIET:
-        t = np.multiply(0.5 * omega, phi, out=None if scratch is None else phi)
-        np.tan(t, out=t)
-    r = np.multiply(t, t, out=scratch)
-    r += 1.0
-    np.divide(1.0, r, out=r)
-    t *= r
+    walk = _long_row(phi, lengths)
+    if walk:
+        scratch = None  # the walk leaves phi whole
+    sums = []
+    for part, out, spare, depth in (_leaves(phi) if walk else
+                                    ((phi, None if scratch is None else phi, scratch, 0),)):
+        with np.errstate(over="ignore", invalid="ignore") if may_overflow else _QUIET:
+            t = np.multiply(0.5 * omega, part, out=out)
+            np.tan(t, out=t)
+        r = np.multiply(t, t, out=spare)
+        r += 1.0
+        np.divide(1.0, r, out=r)
+        t *= r
+        sums.append(((_row_sums(r, lengths), _row_sums(t, lengths)), depth))
+    sum_r, sum_t = _added(sums) if walk else sums[0][0]
     count = phi.shape[-1] if lengths is None else lengths
-    total = (2.0 * _row_sums(r, lengths) - count) + 2j * _row_sums(t, lengths)
+    total = (2.0 * sum_r - count) + 2j * sum_t
     if may_overflow and not np.isfinite(total).all():
         _unfit(name, 0.5 * omega, None if scratch is not None else phi, coefficient)
     return total
@@ -268,7 +330,8 @@ def _reach(alpha: complex, phi: np.ndarray) -> float:
     """The largest |Re(alpha*phi_k)| over all of phi, or inf: rounding a
     product is monotone and symmetric in sign, so this is |Re alpha| times
     the largest |phi_k|, the same float, with no pass over the products."""
-    return abs(alpha.real) * float(max(phi.max(), -phi.min()))
+    return abs(alpha.real) * float(max(np.maximum.reduce(phi, axis=None),
+                                       -np.minimum.reduce(phi, axis=None)))
 
 
 def _log_sums(alpha, phi: np.ndarray, reach: float | None = None,
@@ -290,47 +353,72 @@ def _log_sums(alpha, phi: np.ndarray, reach: float | None = None,
     apart pass that array's reach, so that they keep its branch and bits,
     and an array of alphas is given the reach of its rows.  Complex logs are
     principal; a sum that vanishes exactly gives a real part of -inf, and an
-    alpha*phi_k beyond a float raises NonfiniteResult (_unfit).  Given
-    scratch, a float64 array of phi's shape, with phi a writeable float64
-    array, both in C order, a real or purely imaginary alpha overwrites phi
-    and scratch and makes no array of phi's size, with the same bits; a
-    general complex alpha ignores scratch, since its exponents are complex.
+    alpha*phi_k beyond a float raises NonfiniteResult (_unfit).
+
+    A long row (_long_row) is valued leaf by leaf (_leaves), in buffers of
+    at most _BLOCK values, only those its branch writes, and phi is not
+    written.  Its reach, unless given, and its shifts come from the whole
+    row's extremes of Re(alpha*phi), taken before the walk as Re(alpha)
+    times phi's extremes: the same floats, since rounding a product is
+    monotone and symmetric in sign.  Otherwise, given scratch, a float64
+    array of phi's shape, with phi a writeable float64 array, both in C
+    order, a real or purely imaginary alpha overwrites phi and scratch and
+    makes no array of phi's size, with the same bits; a general complex
+    alpha ignores scratch, since its exponents are complex.
     """
     lead = _lead(alpha)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # named below
         if lead.real == 0.0 and lead.imag != 0.0:
             lp = np.log(_phasor_sum(alpha.imag, phi, "alpha", alpha, scratch, lengths))
             return lp, np.conj(lp)
-        if lead.imag:
-            x, scratch = alpha * phi, None
-            if not np.isfinite(x).all():
-                _unfit("alpha", alpha, phi, alpha)
-        else:
-            x = np.multiply(alpha.real, phi, out=None if scratch is None else phi)
-        re = x.real
+        walk = _long_row(phi, lengths)
+        if walk or lead.imag:
+            scratch = None
+        if walk:  # the row's least and largest Re(alpha*phi_k), from phi's
+            low, high = sorted((alpha.real * float(np.minimum.reduce(phi)),
+                                alpha.real * float(np.maximum.reduce(phi))))
+            reach = max(-low, high) if reach is None else reach  # _reach's float
         reach = _reach(alpha, phi) if reach is None else reach
-        if reach <= SAFE_EXPONENT:
-            np.exp(x, out=x)
-            sp = _row_sums(x, lengths)
-            np.divide(1.0, x, out=x)
-            return np.log(sp), np.log(_row_sums(x, lengths))
-        # Each shifted sum is >= 1.  Exponents are raised to -SAFE_EXPONENT,
-        # which changes a sum by less than n*1e-260 and keeps numpy off its
-        # slow path for results that underflow.
-        top, hi = _row_reduce(np.maximum, re, lengths)
-        bottom, lo = _row_reduce(np.minimum, re, lengths)
-        # a finite reach bounds every |Re(alpha*phi_k)|, so none overflowed
-        if not reach < math.inf and not (np.isfinite(top).all() and np.isfinite(bottom).all()):
-            _unfit("alpha", alpha, phi if scratch is None else None, alpha)
-        logs = []
-        # with scratch, lo - x overwrites x, which it is the last to read
-        shifted = ((np.subtract(x, hi, out=scratch), top),
-                   (np.subtract(lo, x, out=None if scratch is None else x), -bottom))
-        for y, shift in shifted:
-            np.maximum(y, -SAFE_EXPONENT, out=y)
-            np.exp(y, out=y)
-            logs.append(np.log(_row_sums(y, lengths)) + shift)
-        return tuple(logs)
+        shifted = not reach <= SAFE_EXPONENT
+        sums, ends = [], None
+        for part, out, spare, depth in (
+                _leaves(phi, np.complex128 if lead.imag else np.float64, 2 if shifted else 1)
+                if walk else ((phi, None if scratch is None else phi, scratch, 0),)):
+            if lead.imag:
+                x = np.multiply(alpha, part, out=out)
+                if not np.isfinite(x).all():
+                    _unfit("alpha", alpha, phi, alpha)
+            else:
+                x = np.multiply(alpha.real, part, out=out)
+            if not shifted:
+                np.exp(x, out=x)
+                sp = _row_sums(x, lengths)
+                np.divide(1.0, x, out=x)
+                sums.append(((sp, _row_sums(x, lengths)), depth))
+                continue
+            # Each shifted sum is >= 1.  Exponents are raised to -SAFE_EXPONENT,
+            # which changes a sum by less than n*1e-260 and keeps numpy off its
+            # slow path for results that underflow.
+            if ends is None:
+                ends = ((high, high), (low, low)) if walk else (
+                    _row_reduce(np.maximum, x.real, lengths), _row_reduce(np.minimum, x.real, lengths))
+                (top, hi), (bottom, lo) = ends
+                # a finite reach bounds every |Re(alpha*phi_k)|, so none overflowed
+                if not reach < math.inf and not (np.isfinite(top).all()
+                                                 and np.isfinite(bottom).all()):
+                    _unfit("alpha", alpha, phi if scratch is None else None, alpha)
+            terms = []
+            # with spare, lo - x overwrites x, which it is the last to read
+            for y in (np.subtract(x, hi, out=spare),
+                      np.subtract(lo, x, out=None if spare is None else x)):
+                np.maximum(y, -SAFE_EXPONENT, out=y)
+                np.exp(y, out=y)
+                terms.append(_row_sums(y, lengths))
+            sums.append((tuple(terms), depth))
+        sp, sm = _added(sums) if walk else sums[0][0]
+        if not shifted:
+            return np.log(sp), np.log(sm)
+        return np.log(sp) + top, np.log(sm) + -bottom
 
 
 def _log_P(spec: InvariantSpec | _Columns, phi: np.ndarray, reach: float | None = None,
@@ -566,12 +654,16 @@ class ScanResult:
         ]
 
 
-# The scan draws and values a (trials, n) array _BLOCK phases at a time, so
-# that a block and the scratch block _log_P works in stay in a core's 4 MB
-# L2 cache.
+# The one block bound of the kernel, so that a block and the scratch block
+# _log_P works in stay in a core's 4 MB L2 cache: the scan draws and values
+# a (trials, n) array _BLOCK phases at a time, and the kernel values a
+# single row of more than _BLOCK phases in leaves of at most _BLOCK values
+# (_leaves).
 # Timed on scans at n = 100, 1000 and 10**4 with 100 trials, the time was
 # flat from 2**15 to 2**17, 1.1-1.2x that at 2**12 and 2**18 and 1.6x
-# unblocked (BENCH_15.json).
+# unblocked (BENCH_15.json).  On single rows of 3*10**5 phases, leaves took
+# an imaginary alpha from 3.2 to 1.6 ms and alpha = 300 from 3.3 to 1.5 ms
+# (BENCH_42.json).
 _BLOCK = 2**16
 
 

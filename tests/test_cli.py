@@ -747,7 +747,7 @@ def test_scan_sampler_must_be_an_object(tmp_path, capsys, sampler):
     inp = _write(tmp_path, "scan.json", {"sampler": sampler})
     code, out, err = _run(capsys, "scan", "--input", inp)
     assert code == 2 and out == ""
-    assert err == f'error: SuperlumError: "sampler" must be a JSON object, got {sampler!r}\n'
+    assert err == f'error: InvalidInput: "sampler" must be a JSON object, got {sampler!r}\n'
 
 
 # ---------------------------------------------------------------------------
@@ -941,8 +941,21 @@ def test_an_error_shows_a_long_value_cut_short(tmp_path, capsys):
     code, out, err, _ = _run_text(tmp_path, capsys, "amplitude",
                                   json.dumps({"phases": "0" * 10**5}))
     assert code == 2 and out == ""
-    assert err.startswith('error: SuperlumError: "phases" must be a list of numbers, got \'000')
+    assert err.startswith('error: InvalidInput: "phases" must be a list of numbers, got \'000')
     assert len(err) < 150
+
+
+@pytest.mark.parametrize("command, text", [
+    ("scan", '{"sampler": 5}'),  # an object that is not one
+    ("boost", '{%s}' % BOOST),  # a field that is missing
+    ("amplitude", '{"phases": 0.5}'),  # a list that is not one
+    ("scan", '{"beta": "2"}'),  # a value of the wrong kind
+])
+def test_a_bad_field_raises_invalid_input(tmp_path, capsys, command, text):
+    """Each rule of the field reader raises InvalidInput, whose name the
+    error line keeps, as every bad input does."""
+    code, out, err, _ = _run_text(tmp_path, capsys, command, text)
+    assert code == 2 and out == "" and err.startswith("error: InvalidInput: ")
 
 
 @pytest.mark.parametrize("command", ["boost", "compose", "amplitude", "scan", "diagram"])

@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -76,6 +77,19 @@ def test_a_phase_that_is_not_a_finite_float_is_named(phases, index, shown):
                            match=rf"^phases must be finite; phase {index} is {shown}$") as info:
             call(phases)
         assert len(str(info.value)) < 100
+
+
+def test_as_phases_checks_finiteness_without_an_array_of_the_phases_size():
+    """The least and largest phase decide it, as a NaN reaches both and an
+    inf one of them: no bool array of 10**6 entries (1 MB) is made."""
+    phi = np.random.default_rng(0).uniform(0.0, 1.0, 10**6)
+    tracemalloc.start()
+    try:
+        assert as_phases(phi) is phi
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**4
 
 
 @pytest.mark.parametrize("phases, shown", [
